@@ -6,6 +6,7 @@ from repro.harness.runner import (
     WorkloadResult,
     default_shared_cycles,
     full_scale,
+    replay_alone,
     run_workload,
     scaled_config,
 )
@@ -22,6 +23,7 @@ from repro.harness.parallel import (
     set_default_progress,
     set_sweep_defaults,
     sweep_defaults,
+    workload_jobs,
 )
 from repro.harness.persist import (
     atomic_write_json,
@@ -34,6 +36,7 @@ from repro.harness.replay_cache import AloneReplayCache, resolve_cache
 __all__ = [
     "WorkloadResult",
     "run_workload",
+    "replay_alone",
     "scaled_config",
     "default_shared_cycles",
     "full_scale",
@@ -41,6 +44,7 @@ __all__ = [
     "JobOutcome",
     "run_jobs",
     "run_workloads",
+    "workload_jobs",
     "set_default_progress",
     "set_sweep_defaults",
     "sweep_defaults",

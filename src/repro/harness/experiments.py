@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 
 from repro.config import GPUConfig
 from repro.faults import noise_plan
-from repro.harness.parallel import WorkloadJob, run_jobs, run_workloads
+from repro.harness.parallel import (
+    WorkloadJob,
+    run_jobs,
+    run_workloads,
+    workload_jobs,
+)
 from repro.harness.runner import (
     WorkloadResult,
     default_shared_cycles,
@@ -433,20 +438,27 @@ def fig9_dase_fair(
 
     Kernels the paper calls 'unfit' (too few thread blocks — here BG) are
     excluded, as in the paper.  The even and DASE-Fair runs of every pair
-    are independent, so all 2·N runs fan out together under ``jobs``.
+    are independent, so all 2·N runs fan out together under ``jobs`` as
+    one sweep, and each application's alone trajectory serves both
+    policies.
     """
     if pairs is None:
         pairs = [p for p in pair_list() if "BG" not in p]
     config = config or scaled_config()
     out = Fig9Result([], {}, {}, {}, {})
-    even_runs = run_workloads(
-        pairs, jobs=jobs, config=config, shared_cycles=shared_cycles,
-        models=(), cache_dir=cache_dir, backend=backend,
+    runs = run_jobs(
+        [
+            job
+            for policy in (None, "dase_fair")
+            for job in workload_jobs(
+                pairs, config=config, shared_cycles=shared_cycles,
+                models=(), policy=policy, cache_dir=cache_dir,
+                backend=backend,
+            )
+        ],
+        n_jobs=jobs,
     )
-    fair_runs = run_workloads(
-        pairs, jobs=jobs, config=config, shared_cycles=shared_cycles,
-        models=(), policy="dase_fair", cache_dir=cache_dir, backend=backend,
-    )
+    even_runs, fair_runs = runs[:len(pairs)], runs[len(pairs):]
     for pair, even_o, fair_o in zip(pairs, even_runs, fair_runs):
         key = "+".join(pair)
         even, fair = even_o.unwrap(), fair_o.unwrap()

@@ -1,10 +1,19 @@
 """Process-pool experiment runner, hardened against misbehaving workers.
 
-Figure sweeps are embarrassingly parallel: each :func:`run_workload` call
-is independent of every other, and the simulator is deterministic, so a
-workload produces the same :class:`WorkloadResult` whether it runs inline,
-in a worker process, or is reconstructed from cache.  This module provides
-the fan-out machinery:
+Figure sweeps are embarrassingly parallel: each shared run is independent
+of every other, and the simulator is deterministic, so a workload produces
+the same :class:`WorkloadResult` whether it runs inline, in a worker
+process, or is reconstructed from cache.  The alone replays are not
+independent, though: every pairing that contains an application replays
+the *same* alone trajectory, each to the instruction count its own shared
+run ended at.  A sweep therefore runs in **phases** — (1) every job's
+shared run, which probes the replay cache and defers only the misses;
+(2) one :class:`ReplayJob` per alone trajectory, advanced once through
+every count asked of it; (3) as each task lands, the jobs it served get
+their alone cycles and slowdowns and settle (checkpoint, progress).  A
+sweep whose phase 1 deferred nothing — warm cache, checkpoint-restored
+jobs, non-workload jobs — has no phase 2.  This module provides the
+fan-out machinery:
 
 * :class:`WorkloadJob` — a picklable description of one run (app names or
   :class:`KernelSpec` objects, config, cycles, partition, models, policy
@@ -13,7 +22,8 @@ the fan-out machinery:
   inline for ``jobs <= 1``), returning :class:`JobOutcome` objects in
   submission order with per-job failures captured instead of aborting the
   sweep;
-* :func:`run_workloads` — the convenience wrapper figure drivers use.
+* :func:`workload_jobs` / :func:`run_workloads` — the convenience
+  wrappers figure drivers use.
 
 Policies cross the process boundary by *name* (see :data:`POLICIES`), not
 as live objects, because a policy instance holds simulator state.
@@ -23,8 +33,10 @@ raise, die without unwinding (``os._exit``, SIGKILL, segfault), hang past
 a per-job timeout, or return results whose pickle explodes at the parent.
 A ``ProcessPoolExecutor`` whose worker dies hard marks *every* pending
 future ``BrokenProcessPool`` and becomes unusable, so the pooled path runs
-in **generations**: each generation gets a fresh pool, finished jobs
-settle permanently, and unfinished ones carry over.  Breadcrumb files
+in **generations**: finished jobs settle permanently, unfinished ones
+carry over, and a generation that killed a worker or broke its pool hands
+the next one a fresh pool (a clean one keeps its workers, into the replay
+phase too).  Breadcrumb files
 written by the workers (``job-<i>.started`` / ``job-<i>.done``) let the
 parent reconstruct *which* job took the pool down:
 
@@ -46,9 +58,12 @@ their retry solo instead of being taken down by the real crasher again
 and again.
 
 Failed attempts retry up to ``retries`` times with exponential backoff +
-jitter.  ``checkpoint`` (a directory) makes completed jobs durable so an
-interrupted sweep resumes instead of restarting
-(:class:`repro.harness.checkpoint.SweepCheckpoint`).
+jitter.  Replay tasks are ``execute()``-style jobs in the same machinery,
+so all of the above holds for them; one that stays failed fails exactly
+the jobs waiting on it, with its ``failure_kind``.  ``checkpoint`` (a
+directory) makes completed jobs durable so an interrupted sweep resumes
+instead of restarting (:class:`repro.harness.checkpoint.SweepCheckpoint`);
+a job is complete, and checkpointed, only once its replays are in.
 """
 
 from __future__ import annotations
@@ -62,15 +77,28 @@ import signal
 import tempfile
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.config import GPUConfig
-from repro.harness.replay_cache import AloneReplayCache, resolve_cache
+from repro.harness.replay_cache import (
+    AloneReplayCache,
+    config_fingerprint,
+    resolve_cache,
+    spec_fingerprint,
+)
 from repro.obs import bus as obs_bus
-from repro.harness.runner import WorkloadResult, run_workload, scaled_config
+from repro.harness.runner import (
+    AloneClock,
+    ReplayRequest,
+    WorkloadResult,
+    replay_alone,
+    run_workload,
+    scaled_config,
+)
 from repro.sim.kernel import KernelSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -142,6 +170,11 @@ class JobOutcome:
     :data:`FAIL_TRANSPORT`); ``stderr_tail`` is the dying worker's last
     stderr output when one could be attributed; ``resumed`` marks results
     restored from a sweep checkpoint rather than executed.
+
+    ``duration_s`` is the job's shared run plus the alone-replay seconds
+    attributable to it, so durations still sum to the sweep's busy time
+    although replays run as tasks of their own; ``cache`` likewise folds
+    in what those tasks stored for it.
     """
 
     index: int
@@ -156,6 +189,13 @@ class JobOutcome:
     failure_kind: str | None = None
     stderr_tail: str | None = None
     resumed: bool = False
+    #: The part of ``duration_s`` spent in alone-replay tasks on this job's
+    #: behalf (its share of each trajectory segment that ends at one of
+    #: its counts); the rest is its own shared run.
+    replay_s: float = 0.0
+    #: Alone replays the shared run left to the sweep's replay phase.
+    #: In-flight state: empty on every outcome :func:`run_jobs` returns.
+    deferred: list[ReplayRequest] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -169,10 +209,14 @@ class JobOutcome:
         return self.result
 
 
-def _execute_with_cache(
-    job: WorkloadJob,
+def _run_workload_job(
+    job: WorkloadJob, deferred: list[ReplayRequest] | None = None
 ) -> tuple[WorkloadResult, dict | None]:
-    """Run one job; returns the result plus alone-replay cache counters."""
+    """Run one job; returns the result plus alone-replay cache counters.
+
+    With ``deferred`` this is a sweep's phase 1: replays the cache cannot
+    serve land in the list instead of being simulated.
+    """
     config = job.config or scaled_config()
     policy = None
     if job.policy is not None:
@@ -199,6 +243,7 @@ def _execute_with_cache(
         faults=job.faults,
         arrivals=job.arrivals,
         backend=job.backend,
+        deferred=deferred,
     )
     cache_stats = (
         {"hits": cache.hits, "misses": cache.misses, "stores": cache.stores}
@@ -209,31 +254,62 @@ def _execute_with_cache(
 
 
 def execute_job(job: WorkloadJob) -> WorkloadResult:
-    """Run one job in the current process (the worker entry point)."""
-    return _execute_with_cache(job)[0]
+    """Run one job to completion in the current process."""
+    return _run_workload_job(job)[0]
 
 
-def _run_job(job) -> tuple[object, dict | None]:
-    """Execute one job of any flavour.
+@dataclass(frozen=True)
+class ReplayJob:
+    """Phase 2 of a sweep: one application's alone trajectory, advanced
+    through every instruction count the sweep's shared runs ended it at.
 
-    A job exposing ``execute()`` (e.g. :class:`repro.faults.ChaosJob`)
-    runs that; everything else is a :class:`WorkloadJob`.
+    ``counts`` holds one entry per asking (job, app), duplicates included.
+    An ``execute()``-style job, so it runs under the same timeout, retry,
+    crash-isolation and bus machinery as any other.
     """
-    execute = getattr(job, "execute", None)
-    if execute is not None:
-        return execute(), None
-    return _execute_with_cache(job)
+
+    spec: KernelSpec
+    stream_id: int
+    config: GPUConfig
+    counts: tuple[int, ...]
+    max_cycles: int
+    cache_dir: str | None = None
+
+    #: Bus records of replay tasks carry this, so SweepStats can tell them
+    #: from the sweep's own jobs.
+    kind = "replay"
+
+    @property
+    def key(self) -> str:
+        return f"replay:{self.spec.name}#{self.stream_id}"
+
+    def execute(self) -> dict[int, AloneClock]:
+        cache = AloneReplayCache(self.cache_dir) if self.cache_dir else None
+        return replay_alone(
+            self.spec, self.stream_id, self.config, self.counts,
+            cache, self.max_cycles,
+        )
 
 
 def _guarded(indexed_job: tuple[int, WorkloadJob]) -> JobOutcome:
-    """Top-level (picklable) wrapper: never raises, captures tracebacks."""
+    """Top-level (picklable) wrapper: never raises, captures tracebacks.
+
+    A job exposing ``execute()`` (:class:`ReplayJob`,
+    :class:`repro.faults.ChaosJob`) runs that; everything else is a
+    :class:`WorkloadJob`, run as phase 1 of the sweep.
+    """
     index, job = indexed_job
     t0 = time.perf_counter()
     try:
-        result, cache_stats = _run_job(job)
+        execute = getattr(job, "execute", None)
+        if execute is not None:
+            return JobOutcome(index, job, result=execute(),
+                              duration_s=time.perf_counter() - t0)
+        deferred: list[ReplayRequest] = []
+        result, cache_stats = _run_workload_job(job, deferred)
         return JobOutcome(index, job, result=result,
                           duration_s=time.perf_counter() - t0,
-                          cache=cache_stats)
+                          cache=cache_stats, deferred=deferred)
     except Exception:
         return JobOutcome(index, job, error=traceback.format_exc(),
                           duration_s=time.perf_counter() - t0,
@@ -297,6 +373,7 @@ def _observed_run(
     ch.job_start(
         sweep or "?", index, getattr(job, "key", repr(job)),
         attempt=attempt, submit_ts=submit_ts,
+        kind=getattr(job, "kind", None),
     )
     prof = None
     if profile and bus_dir:
@@ -519,10 +596,15 @@ def run_jobs(
     and newly completed ones are appended to it.  Each of these falls back
     to the ambient default (:func:`set_sweep_defaults`) when None.
 
+    :class:`WorkloadJob` sweeps run in phases (module docstring): shared
+    runs first, then one alone replay per application trajectory instead
+    of one per pairing, with identical results.  ``timeout_s`` and
+    ``retries`` apply to a replay task as to any job.
+
     ``progress`` (or, if None, the factory installed with
     :func:`set_default_progress`) receives each :class:`JobOutcome` as it
-    *finishes* — completion order, not submission order — via
-    ``job_done``, then ``close()`` when the sweep ends.
+    *settles* (its replays in) — completion order, not submission order —
+    via ``job_done``, then ``close()`` when the sweep ends.
 
     ``bus`` names a :mod:`repro.obs.bus` directory: every worker (and the
     inline path) streams job_start/span/job_end records into its own
@@ -574,25 +656,57 @@ def run_jobs(
 
     outcomes: dict[int, JobOutcome] = {}
 
+    def record_outcome(outcome: JobOutcome) -> None:
+        # The parent's settled verdict: the only record a job whose
+        # worker died hard gets beyond its job_start, and the source
+        # of failure attribution in the sweep trace.
+        rec = {"t": "outcome", "sweep": sweep_id, "job": outcome.index,
+               "key": getattr(outcome.job, "key", repr(outcome.job)),
+               "ok": outcome.ok, "failure_kind": outcome.failure_kind,
+               "duration_s": outcome.duration_s,
+               "attempts": outcome.attempts,
+               "resumed": outcome.resumed, "ts": time.time()}
+        kind = getattr(outcome.job, "kind", None)
+        if kind is not None:
+            rec["kind"] = kind
+        if outcome.cache is not None:
+            rec["cache"] = outcome.cache
+        if outcome.replay_s:
+            rec["replay_s"] = outcome.replay_s
+        ch.record(rec, flush=True)
+
     def settle(outcome: JobOutcome) -> None:
         outcomes[outcome.index] = outcome
         if ch is not None:
-            # The parent's settled verdict: the only record a job whose
-            # worker died hard gets beyond its job_start, and the source
-            # of failure attribution in the sweep trace.
-            ch.record(
-                {"t": "outcome", "sweep": sweep_id, "job": outcome.index,
-                 "key": getattr(outcome.job, "key", repr(outcome.job)),
-                 "ok": outcome.ok, "failure_kind": outcome.failure_kind,
-                 "duration_s": outcome.duration_s,
-                 "attempts": outcome.attempts,
-                 "resumed": outcome.resumed, "ts": time.time()},
-                flush=True,
-            )
+            record_outcome(outcome)
         if cp is not None and outcome.ok and not outcome.resumed:
             cp.record(outcome)
         if prog is not None:
             prog.job_done(outcome)
+
+    #: Phase-1 outcomes whose result still has alone replays to come.
+    waiting: dict[int, JobOutcome] = {}
+
+    def shared_run_done(outcome: JobOutcome) -> None:
+        if outcome.ok and outcome.deferred:
+            waiting[outcome.index] = outcome
+        else:
+            settle(outcome)
+
+    n_workers = min(n_jobs or 1, len(indexed))
+    pool = _Workers(n_workers)
+
+    def run_phase(todo, done) -> None:
+        if n_workers <= 1:
+            _run_inline(
+                todo, retries, backoff_s, done,
+                ch=ch, sweep=sweep_id, profile=profile, bus_dir=bus_dir,
+            )
+        elif todo:
+            _run_pool(
+                todo, pool, timeout_s, retries, backoff_s, done,
+                sweep=sweep_id, bus_dir=bus_dir, profile=profile,
+            )
 
     try:
         if cp is not None:
@@ -600,20 +714,29 @@ def run_jobs(
                 settle(JobOutcome(
                     index, jobs[index], result=result, resumed=True,
                 ))
-        todo = [(i, job) for i, job in indexed if i not in outcomes]
-        workers = min(n_jobs or 1, len(indexed))
-        if workers <= 1:
-            _run_inline(
-                todo, retries, backoff_s, settle,
-                ch=ch, sweep=sweep_id, profile=profile, bus_dir=bus_dir,
-            )
-        elif todo:
-            _run_pool(
-                todo, workers, timeout_s, retries, backoff_s, settle,
-                sweep=sweep_id, bus_dir=bus_dir, profile=profile,
-            )
+        # Phase 1: every job's shared run.  Jobs whose replays all came
+        # from the cache settle here; a warm sweep ends here.
+        run_phase(
+            [(i, job) for i, job in indexed if i not in outcomes],
+            shared_run_done,
+        )
+        if waiting:
+            # Phase 2: one task per alone trajectory; phase 3, as each
+            # task lands: fill in the jobs it served and settle those that
+            # wait for nothing else.  Task indices follow the jobs' so bus
+            # records and profile dumps cannot collide with theirs.
+            plan = _ReplayPlan(waiting, first_index=len(indexed))
+
+            def replay_done(task: JobOutcome) -> None:
+                if ch is not None:
+                    record_outcome(task)
+                for outcome in plan.deliver(task):
+                    settle(outcome)
+
+            run_phase(plan.todo(), replay_done)
         return [outcomes[i] for i in range(len(indexed))]
     finally:
+        pool.close()
         if prog is not None:
             prog.close()
         if ch is not None and prev_ch is not ch:
@@ -622,6 +745,86 @@ def run_jobs(
             obs_bus.deactivate()
             if prev_ch is not None:
                 obs_bus.activate(prev_ch.directory)
+
+
+class _ReplayPlan:
+    """Which alone trajectories a sweep's deferred replays need, and which
+    jobs wait on each.
+
+    Requests are grouped by what determines a trajectory — the kernel as
+    replayed and the semantic config, i.e. the replay cache's own
+    ``spec``/``config`` fingerprints — plus the clock budget and the cache
+    the clocks go to, so every asker gets exactly what its own standalone
+    replay would have given it.
+    """
+
+    def __init__(self, waiting: dict[int, JobOutcome], first_index: int):
+        self.waiting = waiting
+        self.first_index = first_index
+        by_trajectory: dict[tuple, list[tuple[int, ReplayRequest]]] = {}
+        for index in sorted(waiting):
+            cache_dir = getattr(waiting[index].job, "cache_dir", None)
+            for req in waiting[index].deferred:
+                trajectory = (
+                    spec_fingerprint(req.spec, req.stream_id),
+                    config_fingerprint(req.config),
+                    req.max_cycles, cache_dir,
+                )
+                by_trajectory.setdefault(trajectory, []).append((index, req))
+        #: Per task: the (job index, request) pairs it serves.
+        self.askers = list(by_trajectory.values())
+        self.tasks = [
+            ReplayJob(
+                askers[0][1].spec, askers[0][1].stream_id,
+                askers[0][1].config,
+                tuple(req.instructions for _, req in askers),
+                max_cycles, cache_dir,
+            )
+            for (_, _, max_cycles, cache_dir), askers in by_trajectory.items()
+        ]
+
+    def todo(self) -> list[tuple[int, ReplayJob]]:
+        return list(enumerate(self.tasks, self.first_index))
+
+    def deliver(self, task: JobOutcome) -> list[JobOutcome]:
+        """Apply one finished replay task; returns the jobs it completes
+        (or, failed for good, takes down with it), ready to settle."""
+        askers = self.askers[task.index - self.first_index]
+        done: list[JobOutcome] = []
+        if not task.ok:
+            for index in dict.fromkeys(i for i, _ in askers):
+                outcome = self.waiting.pop(index, None)
+                if outcome is None:
+                    continue  # already failed by another of its replays
+                outcome.result = None
+                outcome.deferred = []
+                outcome.failure_kind = task.failure_kind
+                outcome.stderr_tail = task.stderr_tail
+                outcome.error = (
+                    f"alone replay {task.job.key} failed after "
+                    f"{task.attempts} attempt(s):\n{task.error}"
+                )
+                done.append(outcome)
+            return done
+        clocks: dict[int, AloneClock] = task.result
+        sharers = Counter(req.instructions for _, req in askers)
+        stored: set[int] = set()
+        for index, req in askers:
+            outcome = self.waiting.get(index)
+            if outcome is None:
+                continue
+            clock = clocks[req.instructions]
+            outcome.result.set_alone(req.stream_id, clock.cycles)
+            share = clock.seconds / sharers[req.instructions]
+            outcome.duration_s += share
+            outcome.replay_s += share
+            if outcome.cache is not None and req.instructions not in stored:
+                stored.add(req.instructions)
+                outcome.cache["stores"] += 1
+            outcome.deferred.remove(req)
+            if not outcome.deferred:
+                done.append(self.waiting.pop(index))
+        return done
 
 
 def _run_inline(
@@ -654,9 +857,58 @@ def _run_inline(
         settle(outcome)
 
 
+class _Workers:
+    """A sweep's worker processes and their scratch directory.
+
+    The executor outlives a generation that ended cleanly, so retries and
+    the replay phase land on the same warm workers (and SweepStats sees
+    one pid per worker slot for the whole sweep); a generation that killed
+    a worker or broke the pool :meth:`retire` drops it, and the next one
+    starts fresh.  Nothing is created until the first :meth:`pool` call.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.scratch: pathlib.Path | None = None
+        self._pool: ProcessPoolExecutor | None = None
+        self._size = 0
+
+    def pool(self, batch: int) -> ProcessPoolExecutor:
+        """An executor with room for ``min(workers, batch)`` jobs at once."""
+        size = min(self.workers, batch)
+        if self._size < size:
+            self.retire(wait=True)
+        if self._pool is None:
+            if self.scratch is None:
+                self.scratch = pathlib.Path(
+                    tempfile.mkdtemp(prefix="repro-sweep-"))
+            self._pool = ProcessPoolExecutor(
+                max_workers=size,
+                initializer=_worker_stderr_init,
+                initargs=(str(self.scratch),),
+            )
+            self._size = size
+        return self._pool
+
+    def retire(self, wait: bool) -> None:
+        """Shut the executor down.  ``wait`` joins its (idle) workers, so
+        no executor thread is left to trip over closed pipes at interpreter
+        exit; after a kill or a break, or with jobs still running, joining
+        could block, so those pass False."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=True)
+        self._pool = None
+        self._size = 0
+
+    def close(self) -> None:
+        self.retire(wait=True)
+        if self.scratch is not None:
+            shutil.rmtree(self.scratch, ignore_errors=True)
+
+
 def _run_pool(
     todo: list[tuple[int, object]],
-    workers: int,
+    workers: _Workers,
     timeout_s: float | None,
     retries: int,
     backoff_s: float,
@@ -666,180 +918,220 @@ def _run_pool(
     profile: bool = False,
 ) -> None:
     """Generation-based resilient pool execution (module docstring)."""
-    scratch = pathlib.Path(tempfile.mkdtemp(prefix="repro-sweep-"))
     pending: dict[int, _Pending] = {
         i: _Pending(job=job) for i, job in todo
     }
     generation = 0
     stalled = 0
-    try:
-        while pending:
-            # Crash suspects run one at a time in their own pool: a break
-            # there is attributable beyond doubt, and innocents blamed in
-            # a shared break get a solo retry the crasher cannot ruin.
-            suspects = sorted(i for i in pending if pending[i].suspect)
-            batch = suspects[:1] if suspects else sorted(pending)
-            for i in batch:  # clear breadcrumbs from earlier generations
-                for suffix in (".started", ".done"):
+    while pending:
+        # Crash suspects run one at a time in their own pool: a break
+        # there is attributable beyond doubt, and innocents blamed in
+        # a shared break get a solo retry the crasher cannot ruin.
+        suspects = sorted(i for i in pending if pending[i].suspect)
+        batch = suspects[:1] if suspects else sorted(pending)
+        pool = workers.pool(len(batch))
+        scratch = workers.scratch
+        for i in batch:  # clear breadcrumbs from earlier generations
+            for suffix in (".started", ".done"):
+                try:
+                    (scratch / f"job-{i}{suffix}").unlink()
+                except OSError:
+                    pass
+        killed: set[int] = set()
+        broken: dict[int, str] = {}
+        progressed = 0  # settles + blamed attempts this generation
+        broken_on_submit = False
+
+        fut_index = {}
+        try:
+            for i in batch:
+                p = pending[i]
+                fut = pool.submit(
+                    _tracked, i, p.job, str(scratch), p.attempts + 1,
+                    sweep=sweep,
+                    submit_ts=time.time() if bus_dir else None,
+                    bus_dir=bus_dir, profile=profile,
+                )
+                fut_index[fut] = i
+        except BrokenProcessPool:
+            # Pool died while we were still submitting; unsubmitted
+            # jobs simply stay pending for the next generation.
+            broken_on_submit = True
+        not_done = set(fut_index)
+        try:
+            while not_done:
+                done, not_done = wait(
+                    not_done, timeout=0.05, return_when=FIRST_COMPLETED
+                )
+                for fut in done:
+                    i = fut_index[fut]
                     try:
-                        (scratch / f"job-{i}{suffix}").unlink()
-                    except OSError:
-                        pass
-            killed: set[int] = set()
-            broken: dict[int, str] = {}
-            progressed = 0  # settles + blamed attempts this generation
-
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(batch)),
-                initializer=_worker_stderr_init,
-                initargs=(str(scratch),),
-            )
-            fut_index = {}
-            try:
-                for i in batch:
-                    p = pending[i]
-                    fut = pool.submit(
-                        _tracked, i, p.job, str(scratch), p.attempts + 1,
-                        sweep=sweep,
-                        submit_ts=time.time() if bus_dir else None,
-                        bus_dir=bus_dir, profile=profile,
-                    )
-                    fut_index[fut] = i
-            except BrokenProcessPool:
-                # Pool died while we were still submitting; unsubmitted
-                # jobs simply stay pending for the next generation.
-                pass
-            not_done = set(fut_index)
-            try:
-                while not_done:
-                    done, not_done = wait(
-                        not_done, timeout=0.05, return_when=FIRST_COMPLETED
-                    )
-                    for fut in done:
-                        i = fut_index[fut]
-                        try:
-                            outcome = fut.result()
-                        except BrokenProcessPool:
-                            broken[i] = "process pool broken"
-                            continue
-                        except BaseException as exc:
-                            broken[i] = f"{type(exc).__name__}: {exc}"
-                            continue
-                        p = pending[i]
-                        p.attempts += 1
-                        p.suspect = False  # it completed; exonerated
-                        outcome.attempts = p.attempts
-                        progressed += 1
-                        if outcome.ok or p.attempts > retries:
-                            settle(outcome)
-                            del pending[i]
-                        else:
-                            p.last = outcome  # retry next generation
-                    if timeout_s is not None and not_done:
-                        now = time.time()
-                        for i in batch:
-                            if i in killed or i in broken or i not in pending:
-                                continue
-                            if (scratch / f"job-{i}.done").exists():
-                                continue
-                            info = _read_started(scratch, i)
-                            if info and now - info["t0"] > timeout_s:
-                                try:
-                                    os.kill(info["pid"], signal.SIGKILL)
-                                except (OSError, KeyError):
-                                    pass
-                                killed.add(i)
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-            # Post-mortem: assign blame for futures the pool never served.
-            # If the breakage has an *explained* cause — a timeout kill or
-            # a job that finished but whose result broke transport — then
-            # started-but-unfinished jobs are treated as innocent victims
-            # of the teardown and requeued for free.  With no explanation,
-            # the crasher must be among them, so they all pay an attempt.
-            explained = bool(killed) or any(
-                (scratch / f"job-{i}.done").exists() for i in broken
-            )
-            for i, msg in sorted(broken.items()):
-                p = pending.get(i)
-                if p is None:
-                    continue
-                started = _read_started(scratch, i)
-                done = (scratch / f"job-{i}.done").exists()
-                if i in killed:
-                    kind = FAIL_TIMEOUT
-                    desc = (
-                        f"killed after exceeding the per-job timeout "
-                        f"of {timeout_s}s"
-                    )
-                elif done:
-                    if len(batch) > 1:
-                        # Ambiguous in a shared pool: this job's finished
-                        # result may have been dropped when a *sibling's*
-                        # poisonous result broke the transport.  Isolate;
-                        # alone, a repeat is attributable beyond doubt.
-                        p.suspect = True
-                        progressed += 1
+                        outcome = fut.result()
+                    except BrokenProcessPool:
+                        broken[i] = "process pool broken"
                         continue
-                    kind = FAIL_TRANSPORT
-                    desc = f"worker finished but the result was lost: {msg}"
-                elif started is not None and not explained:
-                    kind = FAIL_CRASH
-                    desc = (
-                        f"worker (pid {started.get('pid')}) died without "
-                        f"unwinding: {msg}"
-                    )
-                    p.suspect = True  # isolate its next attempt
-                else:
-                    # Never started, or an innocent victim of an explained
-                    # teardown: requeue without spending an attempt.
-                    continue
-                p.attempts += 1
-                progressed += 1
-                tail = _stderr_tail(scratch, started)
-                key = getattr(p.job, "key", repr(p.job))
-                error = (
-                    f"[{kind}] job {key!r} attempt {p.attempts}: {desc}"
-                )
-                if tail:
-                    error += f"\n--- worker stderr tail ---\n{tail}"
-                outcome = JobOutcome(
-                    i, p.job, error=error, attempts=p.attempts,
-                    failure_kind=kind, stderr_tail=tail,
-                )
-                if p.attempts > retries:
-                    settle(outcome)
-                    del pending[i]
-                else:
-                    p.last = outcome
+                    except BaseException as exc:
+                        broken[i] = f"{type(exc).__name__}: {exc}"
+                        continue
+                    p = pending[i]
+                    p.attempts += 1
+                    p.suspect = False  # it completed; exonerated
+                    outcome.attempts = p.attempts
+                    progressed += 1
+                    if outcome.ok or p.attempts > retries:
+                        settle(outcome)
+                        del pending[i]
+                    else:
+                        p.last = outcome  # retry next generation
+                if timeout_s is not None and not_done:
+                    now = time.time()
+                    for i in batch:
+                        if i in killed or i in broken or i not in pending:
+                            continue
+                        if (scratch / f"job-{i}.done").exists():
+                            continue
+                        info = _read_started(scratch, i)
+                        if info and now - info["t0"] > timeout_s:
+                            try:
+                                os.kill(info["pid"], signal.SIGKILL)
+                            except (OSError, KeyError):
+                                pass
+                            killed.add(i)
+        finally:
+            if killed or broken or broken_on_submit or not_done:
+                workers.retire(wait=False)
 
-            if progressed == 0:
-                stalled += 1
-                if stalled >= 3:
-                    # Nothing settles and nothing is even blamable — e.g.
-                    # the pool dies before any job starts, repeatedly.
-                    # Fail the remainder rather than spin forever.
-                    for i in sorted(pending):
-                        p = pending.pop(i)
-                        key = getattr(p.job, "key", repr(p.job))
-                        settle(JobOutcome(
-                            i, p.job, attempts=p.attempts,
-                            failure_kind=FAIL_CRASH,
-                            error=(
-                                f"[{FAIL_CRASH}] job {key!r}: worker pool "
-                                "died repeatedly before any job made "
-                                "progress; giving up on the remainder"
-                            ),
-                        ))
-                    break
+        # Post-mortem: assign blame for futures the pool never served.
+        # If the breakage has an *explained* cause — a timeout kill or
+        # a job that finished but whose result broke transport — then
+        # started-but-unfinished jobs are treated as innocent victims
+        # of the teardown and requeued for free.  With no explanation,
+        # the crasher must be among them, so they all pay an attempt.
+        explained = bool(killed) or any(
+            (scratch / f"job-{i}.done").exists() for i in broken
+        )
+        for i, msg in sorted(broken.items()):
+            p = pending.get(i)
+            if p is None:
+                continue
+            started = _read_started(scratch, i)
+            done = (scratch / f"job-{i}.done").exists()
+            if i in killed:
+                kind = FAIL_TIMEOUT
+                desc = (
+                    f"killed after exceeding the per-job timeout "
+                    f"of {timeout_s}s"
+                )
+            elif done:
+                if len(batch) > 1:
+                    # Ambiguous in a shared pool: this job's finished
+                    # result may have been dropped when a *sibling's*
+                    # poisonous result broke the transport.  Isolate;
+                    # alone, a repeat is attributable beyond doubt.
+                    p.suspect = True
+                    progressed += 1
+                    continue
+                kind = FAIL_TRANSPORT
+                desc = f"worker finished but the result was lost: {msg}"
+            elif started is not None and not explained:
+                kind = FAIL_CRASH
+                desc = (
+                    f"worker (pid {started.get('pid')}) died without "
+                    f"unwinding: {msg}"
+                )
+                p.suspect = True  # isolate its next attempt
             else:
-                stalled = 0
-            if pending:
-                _backoff_sleep(backoff_s, generation)
-            generation += 1
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+                # Never started, or an innocent victim of an explained
+                # teardown: requeue without spending an attempt.
+                continue
+            p.attempts += 1
+            progressed += 1
+            tail = _stderr_tail(scratch, started)
+            key = getattr(p.job, "key", repr(p.job))
+            error = (
+                f"[{kind}] job {key!r} attempt {p.attempts}: {desc}"
+            )
+            if tail:
+                error += f"\n--- worker stderr tail ---\n{tail}"
+            outcome = JobOutcome(
+                i, p.job, error=error, attempts=p.attempts,
+                failure_kind=kind, stderr_tail=tail,
+            )
+            if p.attempts > retries:
+                settle(outcome)
+                del pending[i]
+            else:
+                p.last = outcome
+
+        if progressed == 0:
+            stalled += 1
+            if stalled >= 3:
+                # Nothing settles and nothing is even blamable — e.g.
+                # the pool dies before any job starts, repeatedly.
+                # Fail the remainder rather than spin forever.
+                for i in sorted(pending):
+                    p = pending.pop(i)
+                    key = getattr(p.job, "key", repr(p.job))
+                    settle(JobOutcome(
+                        i, p.job, attempts=p.attempts,
+                        failure_kind=FAIL_CRASH,
+                        error=(
+                            f"[{FAIL_CRASH}] job {key!r}: worker pool "
+                            "died repeatedly before any job made "
+                            "progress; giving up on the remainder"
+                        ),
+                    ))
+                break
+        else:
+            stalled = 0
+        if pending:
+            _backoff_sleep(backoff_s, generation)
+        generation += 1
+
+
+def workload_jobs(
+    workloads: Sequence[Sequence[KernelSpec | str]],
+    config: GPUConfig | None = None,
+    shared_cycles: int | None = None,
+    sm_partition: Sequence[int] | None = None,
+    models: Sequence[str] = ("DASE", "MISE", "ASM"),
+    policy: str | None = None,
+    warmup_intervals: int = 1,
+    cache_dir: str | None = None,
+    faults: "FaultPlan | None" = None,
+    arrivals: "ArrivalSchedule | None" = None,
+    backend: str | None = None,
+) -> list[WorkloadJob]:
+    """One :class:`WorkloadJob` per workload, sharing every run parameter.
+
+    ``cache_dir`` of None falls back to ``$REPRO_CACHE_DIR`` (see
+    :func:`repro.harness.replay_cache.resolve_cache`); pass a path to
+    persist alone replays across invocations.  Drivers that compare
+    several parameter sets over the same workloads concatenate the lists
+    into one :func:`run_jobs` sweep, so each application's alone trajectory
+    is simulated once for all of them.
+    """
+    if cache_dir is not None:
+        AloneReplayCache(cache_dir)  # fail fast on an unusable directory
+    else:
+        resolved = resolve_cache(None)
+        cache_dir = str(resolved.directory) if resolved else None
+    return [
+        WorkloadJob(
+            apps=tuple(combo),
+            config=config,
+            shared_cycles=shared_cycles,
+            sm_partition=tuple(sm_partition) if sm_partition else None,
+            models=tuple(models),
+            policy=policy,
+            warmup_intervals=warmup_intervals,
+            cache_dir=cache_dir,
+            faults=faults,
+            arrivals=arrivals,
+            backend=backend,
+        )
+        for combo in workloads
+    ]
 
 
 def run_workloads(
@@ -860,35 +1152,15 @@ def run_workloads(
     retries: int | None = None,
     checkpoint: "SweepCheckpoint | str | os.PathLike | None" = None,
 ) -> list[JobOutcome]:
-    """Sweep many workloads under one shared set of run parameters.
-
-    ``cache_dir`` of None falls back to ``$REPRO_CACHE_DIR`` (see
-    :func:`repro.harness.replay_cache.resolve_cache`); pass a path to
-    persist alone replays across invocations.  ``progress``, ``faults``,
-    ``timeout_s``, ``retries``, and ``checkpoint`` are forwarded to
-    :func:`run_jobs` / each job.
-    """
-    if cache_dir is not None:
-        AloneReplayCache(cache_dir)  # fail fast on an unusable directory
-    else:
-        resolved = resolve_cache(None)
-        cache_dir = str(resolved.directory) if resolved else None
-    specs = [
-        WorkloadJob(
-            apps=tuple(combo),
-            config=config,
-            shared_cycles=shared_cycles,
-            sm_partition=tuple(sm_partition) if sm_partition else None,
-            models=tuple(models),
-            policy=policy,
-            warmup_intervals=warmup_intervals,
-            cache_dir=cache_dir,
-            faults=faults,
-            arrivals=arrivals,
-            backend=backend,
-        )
-        for combo in workloads
-    ]
+    """Sweep many workloads under one shared set of run parameters
+    (:func:`workload_jobs`); ``progress``, ``timeout_s``, ``retries`` and
+    ``checkpoint`` are forwarded to :func:`run_jobs`."""
+    specs = workload_jobs(
+        workloads, config=config, shared_cycles=shared_cycles,
+        sm_partition=sm_partition, models=models, policy=policy,
+        warmup_intervals=warmup_intervals, cache_dir=cache_dir,
+        faults=faults, arrivals=arrivals, backend=backend,
+    )
     return run_jobs(
         specs, n_jobs=jobs, progress=progress,
         timeout_s=timeout_s, retries=retries, checkpoint=checkpoint,

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.config import GPUConfig
 from repro.core import ASM, DASE, MISE, PriorityRotator, SlowdownEstimator
@@ -82,19 +83,38 @@ class WorkloadResult:
     An app's ``actual_slowdowns`` entry is ``None`` when it executed no
     instructions (never admitted): there is nothing to replay alone, so no
     ground truth exists for it.
+
+    Between the phases of a sweep (``run_workload(deferred=...)``) an app
+    whose alone replay is still owed has ``None`` in ``alone_cycles`` and
+    ``actual_slowdowns``; :meth:`set_alone` fills both.
     """
 
     names: list[str]
     sm_partition: list[int]
     shared_cycles: int
     instructions: list[int]
-    alone_cycles: list[int]
+    alone_cycles: list[int | None]
     actual_slowdowns: list[float | None]
     estimates: dict[str, list[float | None]]  # model name → per-app estimate
     bandwidth: dict[str, float] = field(default_factory=dict)
     final_sm_partition: list[int] = field(default_factory=list)
     resident_cycles: list[int] = field(default_factory=list)
     waiting_cycles: list[int] = field(default_factory=list)
+
+    def set_alone(self, app: int, cycles: int) -> None:
+        """Record ``app``'s alone replay and the slowdown it determines.
+
+        Closed runs compare against the whole window; open-system runs use
+        partial-lifetime accounting — an arrival resident for a third of
+        the window is not compared against all of it, its slowdown is
+        T_resident / T_alone over the same instructions.
+        """
+        window = (
+            self.resident_cycles[app] if self.resident_cycles
+            else self.shared_cycles
+        )
+        self.alone_cycles[app] = cycles
+        self.actual_slowdowns[app] = window / cycles
 
     @property
     def present_slowdowns(self) -> list[float]:
@@ -200,6 +220,116 @@ def _resolve(spec_or_name: KernelSpec | str) -> tuple[str, KernelSpec]:
     return spec_or_name.name, spec_or_name
 
 
+# ------------------------------------------------------------- alone replays
+
+
+class AloneClock(NamedTuple):
+    """Where an application's alone run stood at one instruction count.
+
+    ``seconds`` is the host time spent getting there: the cache probe for a
+    ``cached`` clock, else the simulation from the previous requested count
+    (for the first one: from building the GPU) up to this one, including
+    the cache store.
+    """
+
+    cycles: int
+    seconds: float
+    cached: bool
+
+
+@dataclass(frozen=True)
+class ReplayRequest:
+    """An alone replay a shared run still owes: phase 1 → phase 2 of a
+    sweep.  ``stream_id`` is also the app's position in the result."""
+
+    stream_id: int
+    spec: KernelSpec
+    config: GPUConfig
+    instructions: int
+    max_cycles: int
+
+
+def probe_alone(
+    cache: "AloneReplayCache | None",
+    spec: KernelSpec,
+    stream_id: int,
+    config: GPUConfig,
+    instructions: int,
+) -> AloneClock | None:
+    """The cached alone clock for one count, or None (miss or no cache).
+
+    A hit is one ``replay`` bus span with ``cached=True``, so cached vs
+    simulated durations expose the cache's economics in SweepStats.
+    """
+    if cache is None:
+        return None
+    t0 = time.perf_counter()
+    cycles = cache.get(spec, stream_id, config, instructions)
+    if cycles is None:
+        return None
+    seconds = time.perf_counter() - t0
+    bus_ch = obs_bus.current()
+    if bus_ch is not None:
+        bus_ch.span("replay", seconds, app=spec.name, cached=True,
+                    instructions=instructions)
+    return AloneClock(cycles, seconds, True)
+
+
+def replay_alone(
+    spec: KernelSpec,
+    stream_id: int,
+    config: GPUConfig,
+    counts: Iterable[int],
+    cache: "AloneReplayCache | None" = None,
+    max_cycles: int = 1_000_000_000,
+) -> dict[int, AloneClock]:
+    """Simulate ``spec`` alone on the full GPU; clocks at each of ``counts``.
+
+    An alone run is one deterministic trajectory of (spec, stream, config)
+    and cycles-at-count is a curve along it, so one GPU is advanced through
+    the distinct counts in ascending order (whatever order, and however
+    often, they were asked for) and each clock equals what a fresh replay
+    to that count alone returns.  ``max_cycles`` bounds the clock for every
+    count, as it would a fresh replay.  Each clock is stored in ``cache``
+    under its own per-count key; nothing is looked up there — callers
+    probe first (:func:`probe_alone`) and ask only for what missed.
+
+    One ``replay`` bus span (``cached=False``) covers the trajectory:
+    ``counts`` distinct clocks serving ``requests`` askers.
+    """
+    wanted = Counter(counts)
+    clocks: dict[int, AloneClock] = {}
+    if not wanted:
+        return clocks
+    started = t0 = time.perf_counter()
+    # obs=False: an alone replay never records, even under a process-wide
+    # recording — the trace describes the shared run only.
+    gpu = GPU(
+        config, [LaunchedKernel(spec, restart=True, stream_id=stream_id)],
+        obs=False,
+    )
+    try:
+        for count in sorted(wanted):
+            cycles = gpu.run_until_instructions(
+                0, count, max_cycles=max_cycles - gpu.engine.now
+            )
+            if cache is not None:
+                cache.put(spec, stream_id, config, count, cycles)
+            t1 = time.perf_counter()
+            clocks[count] = AloneClock(cycles, t1 - t0, False)
+            t0 = t1
+    finally:
+        gpu.close()
+        bus_ch = obs_bus.current()
+        if bus_ch is not None:
+            bus_ch.span(
+                "replay", time.perf_counter() - started,
+                app=spec.name, cached=False, instructions=max(wanted),
+                counts=len(wanted), requests=sum(wanted.values()),
+            )
+    return clocks
+
+
 def run_workload(
     apps: Sequence[KernelSpec | str],
     config: GPUConfig | None = None,
@@ -214,6 +344,7 @@ def run_workload(
     faults: "FaultPlan | FaultInjector | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
     backend: str | None = None,
+    deferred: "list[ReplayRequest] | None" = None,
 ) -> WorkloadResult:
     """Run one workload through the full methodology.
 
@@ -223,6 +354,14 @@ def run_workload(
     the shared run.  ``alone_cache`` memoises the alone replays (step 3):
     the replay is deterministic in (spec, stream, config, instruction
     count), so a cached cycle count is bit-identical to re-simulating.
+
+    ``deferred`` (a list) makes this phase 1 of a sweep
+    (:func:`repro.harness.parallel.run_jobs`): the cache is still probed,
+    but a replay it cannot serve is appended to the list as a
+    :class:`ReplayRequest` instead of being simulated, and the result holds
+    ``None`` for that app until :meth:`WorkloadResult.set_alone` fills it —
+    the sweep then simulates each application's trajectory once for every
+    pairing that needs it (:func:`replay_alone`).
 
     ``profile_path`` profiles the whole methodology (shared run + alone
     replays) under :mod:`cProfile` and dumps binary pstats data there —
@@ -278,7 +417,7 @@ def run_workload(
             return _run_workload(
                 apps, config, shared_cycles, sm_partition, models,
                 policy, warmup_intervals, alone_cache, obs, faults, arrivals,
-                backend,
+                backend, deferred,
             )
         finally:
             profiler.disable()
@@ -286,7 +425,7 @@ def run_workload(
     return _run_workload(
         apps, config, shared_cycles, sm_partition, models,
         policy, warmup_intervals, alone_cache, obs, faults, arrivals,
-        backend,
+        backend, deferred,
     )
 
 
@@ -303,6 +442,7 @@ def _run_workload(
     faults: "FaultPlan | FaultInjector | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
     backend: str | None = None,
+    deferred: "list[ReplayRequest] | None" = None,
 ) -> WorkloadResult:
     config = config or scaled_config()
     if backend is not None and backend != config.backend:
@@ -434,76 +574,45 @@ def _run_workload(
         for start, end in driver.windows(run_end):
             resident_cycles.append(0 if start is None else end - start)
         waiting_cycles = driver.waiting(run_end)
-
-    # Alone replays: full GPU, same stream identity, same instruction count.
-    alone_cycles: list[int] = []
-    for i, spec in enumerate(specs):
-        if driver is not None and instructions[i] == 0:
-            # Never admitted (or drained before issuing anything): there is
-            # nothing to replay and no ground-truth slowdown (and no span —
-            # no work happened).
-            alone_cycles.append(0)
-            continue
-        if bus_ch is not None:
-            replay_t0 = time.perf_counter()
-        # One replay span per app covers the cache probe *and* (on a miss)
-        # the alone simulation, so cached vs uncached durations expose the
-        # replay cache's economics in SweepStats.
-        cached = (
-            alone_cache.get(spec, i, config, instructions[i])
-            if alone_cache is not None
-            else None
-        )
-        if cached is not None:
-            alone_cycles.append(cached)
-        else:
-            # obs=False: the alone replay never records, even under a
-            # process-wide recording — the trace describes the shared run
-            # only.
-            alone = GPU(
-                config, [LaunchedKernel(spec, restart=True, stream_id=i)],
-                obs=False,
-            )
-            alone.run_until_instructions(
-                0, instructions[i],
-                max_cycles=max(4 * shared_cycles, 1_000_000),
-            )
-            alone_cycles.append(alone.engine.now)
-            if alone_cache is not None:
-                alone_cache.put(
-                    spec, i, config, instructions[i], alone.engine.now
-                )
-        if bus_ch is not None:
-            bus_ch.span(
-                "replay", time.perf_counter() - replay_t0,
-                app=spec.name, cached=cached is not None,
-                instructions=instructions[i],
-            )
-
-    actual: list[float | None]
-    if driver is not None:
-        # Partial-lifetime accounting: an arrival that was resident for a
-        # third of the window must not be compared against the whole window
-        # — its slowdown is T_resident / T_alone over the same instructions.
-        actual = [
-            None if alone_cycles[i] == 0 else resident_cycles[i] / alone_cycles[i]
-            for i in range(len(specs))
-        ]
-    else:
-        actual = [shared_cycles / c for c in alone_cycles]
-    estimates = {
-        name: est.mean_estimates(warmup_intervals) for name, est in estimators.items()
-    }
-    return WorkloadResult(
+    result = WorkloadResult(
         names=list(names),
         sm_partition=list(initial_partition),
         shared_cycles=shared_cycles,
         instructions=instructions,
-        alone_cycles=alone_cycles,
-        actual_slowdowns=actual,
-        estimates=estimates,
+        alone_cycles=[None] * len(specs),
+        actual_slowdowns=[None] * len(specs),
+        estimates={
+            name: est.mean_estimates(warmup_intervals)
+            for name, est in estimators.items()
+        },
         bandwidth=bandwidth,
         final_sm_partition=gpu.sm_counts(),
         resident_cycles=resident_cycles,
         waiting_cycles=waiting_cycles,
     )
+    # Everything is read out: free the shared machine before the alone
+    # ones are built, so the two never sit in memory together.
+    gpu.close()
+
+    # Alone replays: full GPU, same stream identity, same instruction count.
+    max_cycles = max(4 * shared_cycles, 1_000_000)
+    for i, spec in enumerate(specs):
+        count = instructions[i]
+        if driver is not None and count == 0:
+            # Never admitted (or drained before issuing anything): there is
+            # nothing to replay and no ground-truth slowdown (and no span —
+            # no work happened).
+            result.alone_cycles[i] = 0
+            continue
+        clock = probe_alone(alone_cache, spec, i, config, count)
+        if clock is None:
+            if deferred is not None:
+                deferred.append(
+                    ReplayRequest(i, spec, config, count, max_cycles)
+                )
+                continue
+            clock = replay_alone(
+                spec, i, config, [count], alone_cache, max_cycles
+            )[count]
+        result.set_alone(i, clock.cycles)
+    return result

@@ -19,13 +19,22 @@ Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
   crashed worker still leaves evidence of what it was running);
 * ``span``      — one timed phase of the job lifecycle: ``dequeue``
   (submit → worker pickup), ``simulate`` (the shared run, with backend
-  and event-engine mode), ``replay`` (one alone replay, with its
-  replay-cache verdict), ``serialize`` (result pickling, pooled only);
+  and event-engine mode), ``replay`` (``cached=True``: one alone clock
+  served by the replay cache, inside the job that asked; ``cached=False``:
+  one simulated alone trajectory and how many ``counts``/``requests`` it
+  served), ``serialize`` (result pickling, pooled only);
 * ``job_end``   — job finished in the worker: wall/CPU time, peak RSS,
   cache counters, backend (flushed immediately);
 * ``outcome``   — the parent's settled verdict for the job (ok, failure
-  kind, attempts, resumed) — the only record a hard-crashed job gets
-  beyond its ``job_start``, which is how failure spans are attributed.
+  kind, attempts, resumed, final cache counters, attributed ``replay_s``)
+  — the only record a hard-crashed job gets beyond its ``job_start``,
+  which is how failure spans are attributed.
+
+Sweeps run in two phases (docs/parallel-harness.md): the jobs' shared
+runs, then one *replay task* per alone trajectory.  Replay tasks go
+through the same job_start/span/job_end/outcome stream, tagged
+``kind: "replay"`` and numbered after the sweep's jobs; they add to busy
+time, phases and worker load, but are not counted as jobs.
 
 Channels are append-only and torn-line tolerant: a worker killed
 mid-write corrupts at most its last line, which :func:`read_bus` skips.
@@ -115,19 +124,22 @@ class WorkerChannel:
         key: str,
         attempt: int = 1,
         submit_ts: float | None = None,
+        kind: str | None = None,
     ) -> None:
         """Enter job context; emits the (flushed) start record and, when
-        the parent's submit timestamp is known, the ``dequeue`` span."""
+        the parent's submit timestamp is known, the ``dequeue`` span.
+        ``kind`` tags work that is not one of the sweep's own jobs
+        (``"replay"``: an alone-replay task)."""
         now = time.time()
         self._sweep = sweep
         self._job = job
         self._job_t0 = now
         self._job_cpu0 = _rusage()[0]
-        self.record(
-            {"t": "job_start", "sweep": sweep, "job": job, "key": key,
-             "pid": self.pid, "ts": now, "attempt": attempt},
-            flush=True,
-        )
+        rec = {"t": "job_start", "sweep": sweep, "job": job, "key": key,
+               "pid": self.pid, "ts": now, "attempt": attempt}
+        if kind is not None:
+            rec["kind"] = kind
+        self.record(rec, flush=True)
         if submit_ts is not None and now > submit_ts:
             self.span("dequeue", now - submit_ts, ts=now)
 
@@ -313,6 +325,7 @@ class _JobTrail:
     sweep: str
     job: int
     key: str = "?"
+    kind: str | None = None  #: "replay" for an alone-replay task
     start: dict | None = None
     end: dict | None = None
     spans: list[dict] = field(default_factory=list)
@@ -340,6 +353,7 @@ def _collate(records: Iterable[dict]) -> dict[tuple[str, int], _JobTrail]:
             tr.start = rec
             tr.end = None  # a retry's start supersedes the prior end
             tr.key = rec.get("key", tr.key)
+            tr.kind = rec.get("kind", tr.kind)
         elif t == "job_end":
             tr = trail(rec)
             tr.end = rec
@@ -353,13 +367,18 @@ def _collate(records: Iterable[dict]) -> dict[tuple[str, int], _JobTrail]:
             tr = trail(rec)
             tr.outcome = rec
             tr.key = rec.get("key", tr.key)
+            tr.kind = rec.get("kind", tr.kind)
     return trails
 
 
 def _dominant_phase(trail: _JobTrail) -> tuple[str, float]:
-    """(phase name, seconds) of the job's longest recorded span."""
+    """(phase name, seconds) of the job's longest recorded phase: its own
+    spans plus the replay-task seconds the parent attributed to it."""
     best, best_s = "simulate", 0.0
     totals: dict[str, float] = {}
+    replay_s = float((trail.outcome or {}).get("replay_s") or 0.0)
+    if replay_s:
+        totals["replay"] = replay_s
     for sp in trail.spans:
         name = sp.get("name", "?")
         if name == "replay" and (sp.get("args") or {}).get("cached"):
@@ -378,8 +397,16 @@ class SweepStats:
     ``latency`` percentiles cover *completed* jobs only; crashed jobs —
     a ``job_start`` (or parent ``outcome``) with no ``job_end`` — are
     counted in ``failed``/``incomplete`` and attributed in ``failures``.
-    ``cache["est_saved_s"]`` is the hit count times the mean *uncached*
-    replay span, the honest economics of the alone-replay cache.
+    A job's latency is the parent's settled ``duration_s`` — its shared
+    run plus the replay-task seconds attributed to it — so latencies sum
+    to busy time although replays run outside the jobs.  Replay tasks
+    count toward ``busy_s``/``cpu_s``/``phases``/``workers`` load only.
+    ``alone_replays`` says how the sweep's alone clocks were obtained:
+    ``requested`` by (job, app) pairs, of which ``cached`` came from the
+    replay cache, the rest from ``simulated`` trajectories.
+    ``cache["est_saved_s"]`` is the hit count times the mean simulated
+    seconds per request, minus what the hits cost — the honest economics
+    of the alone-replay cache.
     """
 
     n_jobs: int = 0
@@ -394,6 +421,7 @@ class SweepStats:
     latency: dict[str, float] = field(default_factory=dict)
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
     cache: dict[str, float] = field(default_factory=dict)
+    alone_replays: dict[str, int] = field(default_factory=dict)
     backends: dict[str, dict[str, float]] = field(default_factory=dict)
     workers: dict[str, dict[str, float]] = field(default_factory=dict)
     stragglers: list[dict] = field(default_factory=list)
@@ -414,58 +442,63 @@ class SweepStats:
                 ts_lo = ts if ts_lo is None else min(ts_lo, ts)
                 ts_hi = max(ts_hi, ts)
 
-        replay_uncached: list[float] = []
-        replay_cached: list[float] = []
+        simulated_s = cached_s = 0.0
+        replays = {"requested": 0, "simulated": 0, "cached": 0}
         for trail in trails.values():
-            stats.n_jobs += 1
+            is_job = trail.kind != "replay"
             out = trail.outcome or {}
-            ok = out.get("ok", trail.end.get("ok") if trail.end else None)
-            if out.get("resumed"):
-                stats.resumed += 1
-            if ok:
-                stats.ok += 1
-            else:
-                stats.failed += 1
-                stats.failures.append({
-                    "job": trail.job,
-                    "key": trail.key,
-                    "kind": out.get("failure_kind")
-                    or (trail.end or {}).get("failure_kind")
-                    or ("crash" if trail.start and not trail.end
-                        else "exception"),
-                    "attempts": out.get("attempts", len(trail.attempts)),
-                })
-            if trail.start is not None and trail.end is None:
-                stats.incomplete += 1
             end = trail.end
-            if end is not None:
-                dur = float(end.get("dur", 0.0))
-                durations.append(dur)
-                completed.append(trail)
-                stats.busy_s += dur
-                stats.cpu_s += float(end.get("cpu_s", 0.0))
-                backend = end.get("backend")
-                if backend:
-                    b = stats.backends.setdefault(
-                        backend, {"jobs": 0, "total_s": 0.0})
-                    b["jobs"] += 1
-                    b["total_s"] += dur
-                cache = end.get("cache")
+            if is_job:
+                stats.n_jobs += 1
+                ok = out.get("ok", end.get("ok") if end else None)
+                if out.get("resumed"):
+                    stats.resumed += 1
+                if ok:
+                    stats.ok += 1
+                else:
+                    stats.failed += 1
+                    stats.failures.append({
+                        "job": trail.job,
+                        "key": trail.key,
+                        "kind": out.get("failure_kind")
+                        or (end or {}).get("failure_kind")
+                        or ("crash" if trail.start and not end
+                            else "exception"),
+                        "attempts": out.get("attempts", len(trail.attempts)),
+                    })
+                if trail.start is not None and end is None:
+                    stats.incomplete += 1
+                # The settled counters include what replay tasks stored on
+                # the job's behalf; the worker's own are the fallback.
+                cache = out.get("cache") or (end or {}).get("cache")
                 if cache:
                     for k in ("hits", "misses", "stores"):
                         stats.cache[k] = (
                             stats.cache.get(k, 0) + cache.get(k, 0)
                         )
+            if end is not None:
+                dur = float(end.get("dur", 0.0))
+                stats.busy_s += dur
+                stats.cpu_s += float(end.get("cpu_s", 0.0))
                 w = stats.workers.setdefault(
                     str(end.get("pid", "?")),
                     {"jobs": 0, "busy_s": 0.0, "cpu_s": 0.0,
                      "rss_peak_kb": 0},
                 )
-                w["jobs"] += 1
                 w["busy_s"] += dur
                 w["cpu_s"] += float(end.get("cpu_s", 0.0))
                 w["rss_peak_kb"] = max(
                     w["rss_peak_kb"], end.get("rss_peak_kb", 0))
+                if is_job:
+                    w["jobs"] += 1
+                    durations.append(float(out.get("duration_s") or dur))
+                    completed.append(trail)
+                    backend = end.get("backend")
+                    if backend:
+                        b = stats.backends.setdefault(
+                            backend, {"jobs": 0, "total_s": 0.0})
+                        b["jobs"] += 1
+                        b["total_s"] += dur
             for sp in trail.spans:
                 name = sp.get("name", "?")
                 dur = float(sp.get("dur", 0.0))
@@ -474,10 +507,17 @@ class SweepStats:
                 ph["count"] += 1
                 ph["total_s"] += dur
                 if name == "replay":
-                    if (sp.get("args") or {}).get("cached"):
-                        replay_cached.append(dur)
+                    args = sp.get("args") or {}
+                    if args.get("cached"):
+                        replays["cached"] += 1
+                        replays["requested"] += 1
+                        cached_s += dur
                     else:
-                        replay_uncached.append(dur)
+                        replays["simulated"] += 1
+                        replays["requested"] += int(args.get("requests", 1))
+                        simulated_s += dur
+        if replays["requested"]:
+            stats.alone_replays = replays
 
         if durations:
             stats.latency = {
@@ -488,8 +528,7 @@ class SweepStats:
                 "max": max(durations),
             }
             p50 = stats.latency["p50"]
-            for trail in completed:
-                dur = float(trail.end.get("dur", 0.0))
+            for trail, dur in zip(completed, durations):
                 if p50 > 0 and dur > 2.0 * p50:
                     phase, phase_s = _dominant_phase(trail)
                     stats.stragglers.append({
@@ -506,13 +545,11 @@ class SweepStats:
             stats.cache["hit_rate"] = (
                 stats.cache.get("hits", 0) / probes if probes else 0.0
             )
-            mean_uncached = (
-                sum(replay_uncached) / len(replay_uncached)
-                if replay_uncached else 0.0
-            )
+            served = replays["requested"] - replays["cached"]
             stats.cache["est_saved_s"] = (
-                stats.cache.get("hits", 0) * mean_uncached
-                - sum(replay_cached)
+                stats.cache.get("hits", 0)
+                * (simulated_s / served if served else 0.0)
+                - cached_s
             )
         if ts_lo is not None:
             stats.wall_s = max(0.0, ts_hi - ts_lo)
@@ -538,6 +575,7 @@ class SweepStats:
             "latency": dict(self.latency),
             "phases": {k: dict(v) for k, v in sorted(self.phases.items())},
             "cache": dict(self.cache),
+            "alone_replays": dict(self.alone_replays),
             "backends": {
                 k: dict(v) for k, v in sorted(self.backends.items())
             },
@@ -557,6 +595,7 @@ class SweepStats:
         stats.latency = dict(d.get("latency", {}))
         stats.phases = {k: dict(v) for k, v in d.get("phases", {}).items()}
         stats.cache = dict(d.get("cache", {}))
+        stats.alone_replays = dict(d.get("alone_replays", {}))
         stats.backends = {
             k: dict(v) for k, v in d.get("backends", {}).items()
         }
@@ -577,6 +616,7 @@ class SweepStats:
                 k: self.cache.get(k, 0)
                 for k in ("hits", "misses", "stores")
             },
+            "alone_replays": dict(self.alone_replays),
             "backends": {
                 k: int(v.get("jobs", 0))
                 for k, v in sorted(self.backends.items())

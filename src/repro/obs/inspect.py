@@ -229,6 +229,13 @@ def summarize_sweep(stats: dict[str, Any]) -> str:
             f"(rate {cache.get('hit_rate', 0.0):.0%}), "
             f"~{cache.get('est_saved_s', 0.0):.1f}s replay time saved"
         )
+    replays = stats.get("alone_replays") or {}
+    if replays:
+        out.append(
+            f"alone replays: {replays.get('requested', 0)} requested, "
+            f"{replays.get('simulated', 0)} trajectories simulated, "
+            f"{replays.get('cached', 0)} cached"
+        )
     backends = stats.get("backends") or {}
     if backends:
         out.append(_table(

@@ -723,8 +723,18 @@ def render_sweep_report(
             f"{cache.get('misses', 0)} misses "
             f"(hit rate {cache.get('hit_rate', 0.0):.0%}) — "
             f"≈{cache.get('est_saved_s', 0.0):.1f}s of alone-replay time "
-            "saved (hits × mean uncached replay − time spent on cached "
-            "probes)</p>"
+            "saved (hits × mean simulated seconds per request − time spent "
+            "on cached probes)</p>"
+        )
+    replays = stats.get("alone_replays") or {}
+    if replays:
+        body.append(
+            "<h2>Alone replays</h2>"
+            f"<p class='note'>{replays.get('requested', 0)} alone clocks "
+            f"requested: {replays.get('cached', 0)} served by the replay "
+            f"cache, the rest by {replays.get('simulated', 0)} simulated "
+            "trajectories (one per application, advanced through every "
+            "count asked of it)</p>"
         )
     backends = stats.get("backends") or {}
     if backends:

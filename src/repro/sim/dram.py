@@ -474,3 +474,12 @@ class MemoryPartition:
     def queue_length(self) -> int:
         """Waiting requests across all bank queues (O(1) running counter)."""
         return self._queued_total
+
+    def close(self) -> None:
+        """Drop queued requests and the cached bound methods that make this
+        partition reference itself (see :meth:`GPU.close`); ``busy_time``,
+        the L2 statistics and ``queue_length()`` stay readable."""
+        for queue in self.bank_queues:
+            queue.clear()
+        self._req_pool.clear()
+        self._arrive_cb = self._complete_cb = self._issue_cb = None

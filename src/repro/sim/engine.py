@@ -141,6 +141,11 @@ class Engine:
         """Halt the run loop after the current event returns."""
         self._stopped = True
 
+    def clear(self) -> None:
+        """Drop every queued event (the clock keeps its value)."""
+        self._heap.clear()
+        self._buckets.clear()
+
     @property
     def pending(self) -> int:
         """Number of events still queued (including possibly stale ones)."""

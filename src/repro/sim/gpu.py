@@ -209,6 +209,7 @@ class GPU:
 
         self._inst_target: tuple[int, int] | None = None  # (app, instructions)
         self._started = False
+        self._closed = False
 
     # ------------------------------------------------------------ topology
 
@@ -365,6 +366,8 @@ class GPU:
     # ---------------------------------------------------------- run control
 
     def _start(self) -> None:
+        if self._closed:
+            raise RuntimeError("this GPU was closed; build a new one to run")
         if self._started:
             return
         self._started = True
@@ -392,13 +395,22 @@ class GPU:
     def run_until_instructions(
         self, app: int, instructions: int, max_cycles: int = 1_000_000_000
     ) -> int:
-        """Run until ``app`` has issued ``instructions`` (alone-replay mode)."""
+        """Run until ``app`` has issued ``instructions`` (alone-replay mode).
+
+        Resumable: the engine requeues the unprocessed tail of the cycle it
+        stopped in, so calling this again with a larger count continues the
+        same trajectory and lands on the clock a fresh GPU would reach for
+        that count (``tests/test_gpu.py``).  A count already reached returns
+        the current clock.  ``max_cycles`` is the budget for *this* call.
+        """
         self._start()
-        self._inst_target = (app, instructions)
         if self.progress[app].instructions >= instructions:
             return self.engine.now
-        self.engine.run(until=self.engine.now + max_cycles)
-        self._inst_target = None
+        self._inst_target = (app, instructions)
+        try:
+            self.engine.run(until=self.engine.now + max_cycles)
+        finally:
+            self._inst_target = None
         self._account_sm_time(self.engine.now)
         self.mem_stats.advance(self.engine.now)
         if self.progress[app].instructions < instructions:
@@ -407,6 +419,28 @@ class GPU:
                 f"{instructions} instructions within {max_cycles} cycles"
             )
         return self.engine.now
+
+    def close(self) -> None:
+        """Release the simulated machine once the run is over.
+
+        SMs, partitions and queued events hold each other through cached
+        bound methods and back-references, and :meth:`Engine.run` suspends
+        the cyclic collector, so a finished GPU would otherwise sit in
+        memory until some later collection.  This drops the event queue,
+        the interval listeners and those references, which lets reference
+        counting free the caches and warp streams as soon as the caller
+        lets go.  Counters and readouts (``progress``, ``mem_stats``,
+        ``sm_counts()``, bandwidth figures, ``interval_history``) stay
+        valid; the GPU cannot run again.
+        """
+        self._closed = True
+        self.engine.clear()
+        self._interval_listeners.clear()
+        self._acc_pool.clear()
+        for sm in self.sms:
+            sm.close()
+        for part in self.partitions:
+            part.close()
 
     # -------------------------------------------------------------- control
 

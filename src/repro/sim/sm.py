@@ -340,6 +340,15 @@ class SM:
             self.l1.flush()  # no cross-application L1 leakage
         self.app = app
 
+    def close(self) -> None:
+        """Drop resident work and the references that tie this SM to the
+        GPU and to itself (see :meth:`GPU.close`); ``app`` stays readable."""
+        self.blocks.clear()
+        self._heap.clear()
+        self.on_drained = None
+        self.gpu = None
+        self._on_completion_cb = self._memory_response_cb = None
+
     # ------------------------------------------------------------ wall time
 
     def account_wall_time(self, now: int) -> None:

@@ -118,7 +118,8 @@ def _records(jobs):
     for j in jobs:
         out.append({"t": "job_start", "sweep": "s", "job": j["job"],
                     "key": j.get("key", f"k{j['job']}"), "pid": j["pid"],
-                    "ts": j["ts"], "attempt": j.get("attempt", 1)})
+                    "ts": j["ts"], "attempt": j.get("attempt", 1),
+                    **({"kind": j["kind"]} if "kind" in j else {})})
         for name, dur, args in j.get("spans", ()):
             out.append({"t": "span", "name": name, "sweep": "s",
                         "job": j["job"], "pid": j["pid"],
@@ -139,7 +140,9 @@ def _records(jobs):
                         "ok": j["outcome_ok"], "ts": j["ts"] + 50.0,
                         "failure_kind": j.get("failure_kind"),
                         "duration_s": j.get("outcome_dur", j.get("dur", 0)),
-                        "attempts": j.get("attempt", 1), "resumed": False})
+                        "attempts": j.get("attempt", 1), "resumed": False,
+                        **{k: j[k] for k in ("kind", "replay_s",
+                                             "outcome_cache") if k in j}})
     return out
 
 
@@ -206,6 +209,73 @@ class TestSweepStats:
         assert stats.workers["20"]["busy_s"] == pytest.approx(10.0)
         assert stats.busy_s == pytest.approx(12.0)
         assert stats.wall_s > 0 and 0 < stats.parallel_efficiency <= 1.0
+
+    def test_replay_tasks_are_work_not_jobs(self):
+        # Phase 1 on two workers (job 4 is served by the cache alone), then
+        # two replay tasks; job 1 waited on both trajectories.
+        records = _records([
+            {"job": 0, "pid": 10, "ts": 1.0, "dur": 1.0,
+             "spans": [("simulate", 0.9, None)], "backend": "reference",
+             "cache": {"hits": 0, "misses": 1, "stores": 0},
+             "outcome_ok": True, "outcome_dur": 1.5, "replay_s": 0.5,
+             "outcome_cache": {"hits": 0, "misses": 1, "stores": 1}},
+            {"job": 1, "pid": 20, "ts": 1.0, "dur": 1.0, "key": "slow",
+             "spans": [("simulate", 0.9, None),
+                       ("replay", 0.1, {"cached": True})],
+             "backend": "reference",
+             "cache": {"hits": 1, "misses": 2, "stores": 0},
+             "outcome_ok": True, "outcome_dur": 4.6, "replay_s": 3.6,
+             "outcome_cache": {"hits": 1, "misses": 2, "stores": 2}},
+            {"job": 4, "pid": 10, "ts": 1.0, "dur": 1.0,
+             "spans": [("simulate", 0.8, None),
+                       ("replay", 0.1, {"cached": True}),
+                       ("replay", 0.1, {"cached": True})],
+             "backend": "reference",
+             "cache": {"hits": 2, "misses": 0, "stores": 0},
+             "outcome_ok": True},
+            {"job": 2, "pid": 10, "ts": 2.0, "dur": 1.1, "kind": "replay",
+             "key": "replay:SD#0", "backend": "reference",
+             "spans": [("replay", 1.0, {"cached": False, "counts": 2,
+                                        "requests": 2})],
+             "outcome_ok": True},
+            {"job": 3, "pid": 20, "ts": 2.0, "dur": 3.1, "kind": "replay",
+             "key": "replay:SB#1", "backend": "reference",
+             "spans": [("replay", 3.0, {"cached": False, "counts": 1,
+                                        "requests": 1})],
+             "outcome_ok": True},
+        ])
+        for rec in records:  # _records files the settled cache under a
+            if "outcome_cache" in rec:  # private name; the bus calls it cache
+                rec["cache"] = rec.pop("outcome_cache")
+        stats = bus.SweepStats.from_records(records)
+        assert (stats.n_jobs, stats.ok, stats.failed) == (3, 3, 0)
+        assert stats.backends["reference"]["jobs"] == 3
+        # Busy time is everything the workers did; job latencies are the
+        # settled durations and still add up to it (within the gaps).
+        assert stats.busy_s == pytest.approx(7.2)
+        assert stats.latency["max"] == pytest.approx(4.6)
+        assert stats.latency["mean"] * 3 == pytest.approx(7.1)
+        assert stats.workers["10"]["jobs"] == 2
+        assert stats.workers["10"]["busy_s"] == pytest.approx(3.1)
+        # The settled counters win over the worker's phase-1 view.
+        assert stats.cache["stores"] == 3 and stats.cache["misses"] == 3
+        assert stats.alone_replays == {
+            "requested": 6, "simulated": 2, "cached": 3}
+        assert stats.phases["replay"]["count"] == 5
+        # 3 hits x (4.0 simulated seconds / 3 requests served), minus the
+        # 0.3 s the probes cost.
+        assert stats.cache["est_saved_s"] == pytest.approx(4.0 - 0.3)
+        # Job 1 is a straggler because of replay time spent outside it.
+        assert [s["job"] for s in stats.stragglers] == [1]
+        assert stats.stragglers[0]["dominant_phase"] == "replay"
+        assert stats.stragglers[0]["phase_s"] == pytest.approx(3.6)
+        back = bus.SweepStats.from_dict(json.loads(json.dumps(
+            stats.to_dict())))
+        assert back.alone_replays == stats.alone_replays
+        payload = bus.sweep_chrome_trace(records)
+        bus.validate_sweep_trace(payload)
+        names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "X"}
+        assert {"replay:SD#0", "replay:SB#1"} <= names
 
     def test_dict_roundtrip(self):
         stats = bus.SweepStats.from_records(_records([
@@ -346,8 +416,57 @@ class TestHarnessIntegration:
         assert s_inline.phases["simulate"]["count"] == 2
         assert s_inline.phases["replay"]["count"] == 4
         assert "serialize" not in s_inline.phases
-        assert s_pooled.phases["serialize"]["count"] == 2
+        # Two jobs plus the four replay tasks each ship one result back.
+        assert s_pooled.phases["serialize"]["count"] == 2 + 4
         assert len(s_pooled.workers) == 2
+        # Replay tasks are work, not jobs: four distinct apps, so four
+        # trajectories serve the four requested clocks.
+        assert s_pooled.n_jobs == 2
+        assert s_pooled.alone_replays == {
+            "requested": 4, "simulated": 4, "cached": 0}
+
+    @pytest.mark.slow
+    def test_durations_and_counters_stay_honest_across_phases(self, tmp_path):
+        # SD leads two pairings: its trajectory is simulated once and its
+        # seconds are split between the jobs by the segment each needed.
+        jobs = [
+            WorkloadJob(apps=pair, config=CFG, shared_cycles=SMALL,
+                        models=(), cache_dir=str(tmp_path / "cache"))
+            for pair in (("SD", "SB"), ("SD", "VA"))
+        ]
+        outs = run_jobs(jobs, n_jobs=1, bus=tmp_path / "bus")
+        assert all(o.ok for o in outs)
+        assert all(0.0 < o.replay_s < o.duration_s for o in outs)
+        assert [o.cache for o in outs] == [
+            {"hits": 0, "misses": 2, "stores": 2}] * 2
+        records = bus.read_bus(tmp_path / "bus")
+        stats = bus.SweepStats.from_records(records)
+        assert stats.n_jobs == 2
+        assert stats.alone_replays == {
+            "requested": 4, "simulated": 3, "cached": 0}
+        assert stats.cache["stores"] == 4 and stats.cache["hit_rate"] == 0.0
+        # Σ settled durations ≈ busy time: nothing is counted twice and no
+        # replay second is left unattributed (slack: per-job bookkeeping
+        # around the timed regions).
+        total = sum(o.duration_s for o in outs)
+        assert total == pytest.approx(stats.busy_s, rel=0.1)
+        replay_spans = sum(
+            r["dur"] for r in records
+            if r["t"] == "span" and r["name"] == "replay")
+        assert sum(o.replay_s for o in outs) == pytest.approx(
+            replay_spans, rel=0.05)
+        from repro.obs.inspect import summarize_sweep
+
+        assert "alone replays: 4 requested, 3 trajectories simulated, " \
+            "0 cached" in summarize_sweep(stats.to_dict())
+        # The warm re-run never starts phase 2.
+        warm = run_jobs(jobs, n_jobs=1, bus=tmp_path / "warm")
+        assert all(o.replay_s == 0.0 for o in warm)
+        s_warm = bus.SweepStats.from_records(bus.read_bus(tmp_path / "warm"))
+        assert s_warm.alone_replays == {
+            "requested": 4, "simulated": 0, "cached": 4}
+        assert not any(r.get("kind") == "replay"
+                       for r in bus.read_bus(tmp_path / "warm"))
 
     @pytest.mark.slow
     def test_worker_crash_leaves_wellformed_partial_trace(self, tmp_path):

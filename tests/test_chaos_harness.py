@@ -364,3 +364,123 @@ class TestCheckpointResume:
         assert all(o.resumed for o in resumed)
         for a, b in zip(inline, resumed):
             assert a.unwrap().to_dict() == b.unwrap().to_dict()
+
+
+# ------------------------------------------------------- replay-task chaos
+
+
+def _sabotage(monkeypatch, app, misbehave):
+    """Make alone replays of ``app`` call ``misbehave()`` before running.
+
+    Patched in the parent before any pool exists, so forked workers see it
+    too; every other trajectory replays normally.
+    """
+    import repro.harness.parallel as par
+
+    real = par.replay_alone
+
+    def replay(spec, *args, **kw):
+        if spec.name == app:
+            misbehave()
+        return real(spec, *args, **kw)
+
+    monkeypatch.setattr(par, "replay_alone", replay)
+
+
+def _bump(path):
+    n = int(path.read_text() or "0") + 1 if path.exists() else 1
+    path.write_text(str(n))
+    return n
+
+
+@pytest.mark.slow
+class TestReplayTaskChaos:
+    """Phase 2 goes through the same generations as phase 1: a replay task
+    that raises, dies or hangs is retried and isolated by the same rules,
+    and one that stays failed fails exactly the jobs waiting on it."""
+
+    PAIRS = (("QR", "CT"), ("NN", "CT"), ("SD", "VA"))
+
+    def jobs(self, **kw):
+        return [WorkloadJob(apps=p, config=CFG, shared_cycles=SMALL,
+                            models=(), **kw) for p in self.PAIRS]
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return [o.unwrap().to_dict() for o in run_jobs(self.jobs(), n_jobs=1)]
+
+    def test_raising_replay_fails_only_its_askers(self, monkeypatch, clean):
+        def boom():
+            raise ValueError("replay sabotaged")
+
+        _sabotage(monkeypatch, "CT", boom)
+        outs = run_jobs(self.jobs(), n_jobs=1, retries=1, backoff_s=0.0)
+        for o in outs[:2]:  # both pairings wait on CT's trajectory
+            assert not o.ok and o.result is None
+            assert o.failure_kind == FAIL_EXCEPTION
+            assert "alone replay replay:CT#1 failed after 2 attempt(s)" \
+                in o.error
+            assert "replay sabotaged" in o.error
+            assert o.deferred == []
+        assert outs[2].unwrap().to_dict() == clean[2]
+
+    def test_flaky_replay_recovers_on_retry(self, monkeypatch, clean,
+                                            tmp_path):
+        def die_once():
+            if _bump(tmp_path / "attempts") == 1:
+                os._exit(29)
+
+        _sabotage(monkeypatch, "CT", die_once)
+        outs = run_jobs(self.jobs(), n_jobs=2, retries=3, backoff_s=0.0)
+        assert [o.unwrap().to_dict() for o in outs] == clean
+        assert int((tmp_path / "attempts").read_text()) >= 2
+
+    def test_crashing_replay_blamed_after_isolation(self, monkeypatch, clean):
+        _sabotage(monkeypatch, "CT", lambda: os._exit(31))
+        outs = run_jobs(self.jobs(), n_jobs=2, retries=2, backoff_s=0.0)
+        for o in outs[:2]:
+            assert not o.ok and o.failure_kind == FAIL_CRASH
+            assert "replay:CT#1" in o.error
+            assert "died without unwinding" in o.error
+        assert outs[2].unwrap().to_dict() == clean[2]
+
+    def test_hung_replay_killed_by_the_job_timeout(self, monkeypatch, clean):
+        _sabotage(monkeypatch, "CT", lambda: time.sleep(120.0))
+        t0 = time.time()
+        outs = run_jobs(self.jobs(), n_jobs=2, timeout_s=3.0, retries=0,
+                        backoff_s=0.0)
+        assert time.time() - t0 < 60
+        for o in outs[:2]:
+            assert not o.ok and o.failure_kind == FAIL_TIMEOUT
+        assert outs[2].unwrap().to_dict() == clean[2]
+
+    def test_kill_between_phases_keeps_checkpoint_and_cache_valid(
+            self, monkeypatch, clean, tmp_path):
+        cache_dir, ckpt = str(tmp_path / "cache"), tmp_path / "ckpt"
+        # SD+VA is already cached, so it settles (and is checkpointed) in
+        # phase 1; the sweep is then killed while CT's trajectory — the
+        # second replay task — starts, after QR's was stored.
+        run_jobs(self.jobs(cache_dir=cache_dir)[2:], n_jobs=1)
+
+        def killed():
+            raise KeyboardInterrupt
+
+        _sabotage(monkeypatch, "CT", killed)
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs(self.jobs(cache_dir=cache_dir), n_jobs=1,
+                     checkpoint=ckpt)
+        monkeypatch.undo()
+        cp = SweepCheckpoint(ckpt, self.jobs(cache_dir=cache_dir))
+        assert sorted(cp.load()) == [2] and cp.skipped_lines == 0
+        entries = list((tmp_path / "cache").glob("*.json"))
+        assert len(entries) == 3  # SD, VA, and QR's one count
+        for path in entries:
+            entry = json.loads(path.read_text())
+            assert entry["checksum"] == entry_checksum(entry)
+        outs = run_jobs(self.jobs(cache_dir=cache_dir), n_jobs=1,
+                        checkpoint=ckpt)
+        assert not (tmp_path / "cache" / "quarantine").exists()
+        assert [o.resumed for o in outs] == [False, False, True]
+        assert [o.unwrap().to_dict() for o in outs] == clean
+        # What the killed sweep had stored was served, not recomputed.
+        assert outs[0].cache == {"hits": 1, "misses": 1, "stores": 1}

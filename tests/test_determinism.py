@@ -4,7 +4,9 @@ Identical ``(workload, config, seed)`` inputs must produce identical
 :class:`WorkloadResult` objects whether the run happens inline, in a
 worker process, or is reconstructed through the on-disk caches.  Without
 this, a warm-cache or pooled sweep could silently diverge from the serial
-seed path.
+seed path.  Sweeps simulate each application's alone trajectory once for
+all the pairings that contain it; the per-job ``run_workload`` loop, which
+replays per pairing, is the reference they must reproduce exactly.
 """
 
 import dataclasses
@@ -82,3 +84,60 @@ class TestDeterminism:
                           models=MODELS, cache_dir=str(tmp_path))
         (outcome,) = run_jobs([job], n_jobs=2)
         assert_results_identical(inline_result, outcome.unwrap())
+
+
+# Pairings that share applications *at the same stream position* (QR first
+# twice, CT second twice), so one alone trajectory serves two jobs each.
+SHARING = (("QR", "CT"), ("QR", "NN"), ("SD", "CT"))
+
+
+@pytest.fixture(scope="module")
+def per_job_reference():
+    return [
+        run_workload(apps, config=CFG, shared_cycles=CYCLES,
+                     models=("DASE",)).to_dict()
+        for apps in SHARING
+    ]
+
+
+@pytest.mark.slow
+class TestTwoPhaseSweeps:
+    def jobs(self, cache_dir=None):
+        return [
+            WorkloadJob(apps=apps, config=CFG, shared_cycles=CYCLES,
+                        models=("DASE",), cache_dir=cache_dir)
+            for apps in SHARING
+        ]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_sweep_equals_per_job_loop(self, per_job_reference, n_jobs):
+        outcomes = run_jobs(self.jobs(), n_jobs=n_jobs)
+        assert [o.unwrap().to_dict() for o in outcomes] == per_job_reference
+        assert all(o.deferred == [] for o in outcomes)
+
+    def test_cold_warm_and_resumed_sweeps_agree(self, per_job_reference,
+                                                tmp_path):
+        cache_dir, ckpt = str(tmp_path / "cache"), tmp_path / "ckpt"
+        cold = run_jobs(self.jobs(cache_dir), n_jobs=2, checkpoint=ckpt)
+        assert [o.unwrap().to_dict() for o in cold] == per_job_reference
+        # Six requested clocks from four trajectories (QR and CT are each
+        # asked for twice, at different counts): every clock has its own
+        # entry, under the key a per-job run looks up.
+        assert len(AloneReplayCache(cache_dir)) == 6
+        assert [o.cache for o in cold] == [
+            {"hits": 0, "misses": 2, "stores": 2}] * 3
+        warm = run_jobs(self.jobs(cache_dir), n_jobs=1)
+        assert [o.unwrap().to_dict() for o in warm] == per_job_reference
+        assert [o.cache for o in warm] == [
+            {"hits": 2, "misses": 0, "stores": 0}] * 3
+        assert all(o.replay_s == 0.0 for o in warm)
+        resumed = run_jobs(self.jobs(cache_dir), n_jobs=2, checkpoint=ckpt)
+        assert all(o.resumed for o in resumed)
+        assert [o.unwrap().to_dict() for o in resumed] == per_job_reference
+        # A standalone run is served by the sweep's entries, and the other
+        # way round: same keys, same bytes.
+        solo_cache = AloneReplayCache(cache_dir)
+        solo = run_workload(SHARING[1], config=CFG, shared_cycles=CYCLES,
+                            models=("DASE",), alone_cache=solo_cache)
+        assert solo.to_dict() == per_job_reference[1]
+        assert (solo_cache.hits, solo_cache.stores) == (2, 0)

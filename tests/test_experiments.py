@@ -3,7 +3,7 @@ benchmarks/; here we verify plumbing and result shapes quickly)."""
 
 import pytest
 
-from repro.harness import scaled_config
+from repro.harness import scaled_config, set_sweep_defaults
 from repro.harness.experiments import (
     DEFAULT_PAIRS,
     estimation_accuracy,
@@ -12,8 +12,10 @@ from repro.harness.experiments import (
     fig4_mbb_requests,
     fig7_error_distribution,
     fig9_dase_fair,
+    fig_degradation,
     pair_list,
 )
+from repro.obs import bus
 
 CFG = scaled_config()
 SMALL = 60_000
@@ -112,3 +114,49 @@ class TestDrivers:
         assert res.unfairness_even[key] >= 1.0
         assert res.unfairness_fair[key] >= 1.0
         assert 0 < res.hspeedup_even[key] <= 1.0
+
+
+@pytest.fixture
+def sweep_bus(tmp_path):
+    """Route the drivers' sweeps onto a bus, as ``--sweep-trace`` does."""
+    set_sweep_defaults(bus_dir=str(tmp_path))
+    try:
+        yield tmp_path
+    finally:
+        set_sweep_defaults(bus_dir=None)
+        bus.deactivate()
+
+
+@pytest.mark.slow
+class TestDriversShareAloneTrajectories:
+    def test_fig9_is_one_sweep_and_each_app_replays_once(self, sweep_bus):
+        res = fig9_dase_fair(
+            pairs=[("SD", "SB")], config=CFG, shared_cycles=SMALL
+        )
+        assert res.workloads == ["SD+SB"]
+        records = bus.read_bus(sweep_bus)
+        sweeps = [r for r in records if r["t"] == "sweep"]
+        assert [r["n_jobs"] for r in sweeps] == [2]  # even + dase_fair
+        stats = bus.SweepStats.from_records(records)
+        # Both policies need SD's and SB's alone clocks; one trajectory
+        # per app serves the two of them.
+        assert stats.alone_replays == {
+            "requested": 4, "simulated": 2, "cached": 0}
+
+    def test_degradation_sigma_sweep_replays_each_app_once(self, sweep_bus):
+        sigmas = (0.0, 0.2, 0.4)
+        res = fig_degradation(sigmas=sigmas, config=CFG, shared_cycles=SMALL)
+        assert not res.failures and len(res.dase_error) == len(sigmas)
+        records = bus.read_bus(sweep_bus)
+        stats = bus.SweepStats.from_records(records)
+        assert stats.n_jobs == 2 * len(sigmas)
+        assert stats.alone_replays == {
+            "requested": 4 * len(sigmas), "simulated": 2, "cached": 0}
+        # Noise only distorts what the estimator sees, so the policy-free
+        # runs end at identical counts at every σ: one clock serves them
+        # all, without any cache.
+        for span in records:
+            if span["t"] == "span" and span["name"] == "replay":
+                args = span["args"]
+                assert args["requests"] == 2 * len(sigmas)
+                assert args["counts"] <= 1 + len(sigmas)

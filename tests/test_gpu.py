@@ -1,10 +1,16 @@
 """Integration tests for the top-level GPU."""
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro.config import GPUConfig
+from repro.harness import scaled_config
 from repro.sim.gpu import GPU, LaunchedKernel
 from repro.sim.kernel import AccessPattern, KernelSpec
+from repro.workloads import SUITE
 
 
 def cfg(**over):
@@ -97,6 +103,100 @@ class TestExecution:
         gpu.run(50_000)
         assert gpu.progress[0].restarts > 0
         assert gpu.progress[0].instructions > 2 * 4 * 50
+
+
+def alone(name):
+    """A fresh alone-replay GPU for one suite kernel."""
+    return GPU(scaled_config(),
+               [LaunchedKernel(SUITE[name], restart=True, stream_id=0)],
+               obs=False)
+
+
+class TestResumedReplay:
+    """One GPU advanced through ascending instruction counts must land on
+    the clocks fresh replays reach — what lets a sweep simulate each alone
+    trajectory once instead of once per pairing."""
+
+    def test_target_cleared_when_count_already_reached(self):
+        gpu = GPU(cfg(), [spec()])
+        gpu.run_until_instructions(0, 2_000)
+        now = gpu.engine.now
+        assert gpu.run_until_instructions(0, 1_000) == now  # already passed
+        # The stale target used to stop the next run after one cycle.
+        assert gpu.run(10_000) == now + 10_000
+
+    def test_target_cleared_after_timeout(self):
+        gpu = GPU(cfg(), [spec()])
+        with pytest.raises(RuntimeError):
+            gpu.run_until_instructions(0, 10**12, max_cycles=1_000)
+        assert gpu.run(5_000) == 6_000
+
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_resumed_clocks_equal_fresh_replays(self, name):
+        rng = random.Random(f"resume-{name}")
+        probe = alone(name)
+        probe.run(6_000)
+        total = probe.progress[0].instructions
+        assert total > 100, "window too short to draw counts from"
+        counts = sorted(rng.randrange(1, total) for _ in range(3))
+        counts.insert(1, counts[0])  # a duplicate
+        gpu = alone(name)
+        resumed = [gpu.run_until_instructions(0, c) for c in counts]
+        # Whatever the stopping burst overshot to was crossed by that same
+        # burst, so it is reached at the same clock.
+        overshoot = gpu.progress[0].instructions
+        assert overshoot >= counts[-1]
+        counts.append(overshoot)
+        resumed.append(gpu.run_until_instructions(0, overshoot))
+        assert resumed[-1] == resumed[-2]
+        fresh = {c: alone(name).run_until_instructions(0, c)
+                 for c in set(counts)}
+        assert resumed == [fresh[c] for c in counts]
+
+    def test_budget_guard_raises_at_the_same_absolute_cycle(self):
+        limit = 3_000
+        fresh = alone("SD")
+        with pytest.raises(RuntimeError):
+            fresh.run_until_instructions(0, 10**12, max_cycles=limit)
+        gpu = alone("SD")
+        gpu.run_until_instructions(0, 5_000)
+        assert 0 < gpu.engine.now < limit
+        with pytest.raises(RuntimeError):
+            gpu.run_until_instructions(
+                0, 10**12, max_cycles=limit - gpu.engine.now)
+        assert gpu.engine.now == fresh.engine.now == limit
+        assert gpu.progress[0].instructions == fresh.progress[0].instructions
+
+
+class TestClose:
+    def test_close_frees_the_machine_without_the_collector(self):
+        # SMs and partitions reference themselves (cached bound methods)
+        # and the GPU; only close() lets reference counting free them.
+        gc.collect()
+        gc.disable()
+        try:
+            gpu = GPU(cfg(), [spec("a"), spec("b")])
+            gpu.add_interval_listener(lambda records: None)
+            gpu.run(12_000)
+            refs = [weakref.ref(gpu), weakref.ref(gpu.sms[0]),
+                    weakref.ref(gpu.partitions[0])]
+            gpu.close()
+            assert gpu.sm_counts() == [8, 8]  # readouts survive
+            assert gpu.progress[0].instructions > 0
+            assert 0.0 < gpu.bandwidth_utilization() <= 1.0
+            del gpu
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_closed_gpu_refuses_to_run(self):
+        gpu = GPU(cfg(), [spec()])
+        gpu.run(1_000)
+        gpu.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            gpu.run(1_000)
+        with pytest.raises(RuntimeError, match="closed"):
+            gpu.run_until_instructions(0, 10**6)
 
 
 class TestDeterminism:

@@ -3,10 +3,21 @@
 import pytest
 
 from repro.config import GPUConfig
-from repro.harness import run_workload, scaled_config
-from repro.harness.runner import WorkloadResult, full_scale
+from repro.harness import (
+    AloneReplayCache,
+    replay_alone,
+    run_workload,
+    scaled_config,
+)
+from repro.harness.runner import (
+    ReplayRequest,
+    WorkloadResult,
+    full_scale,
+    probe_alone,
+)
 from repro.metrics import estimation_error
 from repro.sim.kernel import KernelSpec
+from repro.workloads import SUITE
 
 
 def small_config():
@@ -134,6 +145,73 @@ class TestSkippedEstimates:
         back = WorkloadResult.from_dict(res.to_dict())
         assert back.estimates["DASE"] == [2.0, None]
         assert back.skipped("DASE") == 1
+
+
+class TestReplayAlone:
+    CFG = scaled_config()
+
+    def fresh(self, count, stream_id=1):
+        """What the per-pairing methodology computed: one replay, one count."""
+        return replay_alone(SUITE["SD"], stream_id, self.CFG, [count])[count]
+
+    def test_one_trajectory_serves_every_count_in_any_order(self):
+        # Unsorted, with a duplicate and a count below one already asked
+        # for: each clock still equals a fresh replay to that count alone.
+        counts = [9_000, 2_000, 30_000, 2_000, 9_001]
+        clocks = replay_alone(SUITE["SD"], 1, self.CFG, counts)
+        assert sorted(clocks) == [2_000, 9_000, 9_001, 30_000]
+        for count, clock in clocks.items():
+            assert clock.cycles == self.fresh(count).cycles
+            assert not clock.cached and clock.seconds > 0
+        assert clocks[2_000].cycles < clocks[9_000].cycles \
+            <= clocks[9_001].cycles < clocks[30_000].cycles
+
+    def test_stream_identity_is_part_of_the_trajectory(self):
+        assert self.fresh(20_000, 0).cycles != self.fresh(20_000, 1).cycles
+
+    def test_stores_every_count_but_never_looks_one_up(self, tmp_path):
+        cache = AloneReplayCache(tmp_path)
+        clocks = replay_alone(SUITE["SD"], 1, self.CFG, [2_000, 9_000], cache)
+        assert (cache.hits, cache.misses, cache.stores) == (0, 0, 2)
+        for count, clock in clocks.items():
+            hit = probe_alone(AloneReplayCache(tmp_path), SUITE["SD"], 1,
+                              self.CFG, count)
+            assert hit.cached and hit.cycles == clock.cycles
+        assert probe_alone(None, SUITE["SD"], 1, self.CFG, 2_000) is None
+        assert probe_alone(cache, SUITE["SD"], 1, self.CFG, 2_001) is None
+
+    def test_clock_budget_is_absolute_and_keeps_earlier_entries(self, tmp_path):
+        cache = AloneReplayCache(tmp_path)
+        reachable = self.fresh(5_000)
+        limit = reachable.cycles + 500
+        with pytest.raises(RuntimeError, match="issued only"):
+            replay_alone(SUITE["SD"], 1, self.CFG, [10**12], max_cycles=limit)
+        with pytest.raises(RuntimeError, match="issued only"):
+            replay_alone(SUITE["SD"], 1, self.CFG, [5_000, 10**12], cache,
+                         max_cycles=limit)
+        # The count reached before the guard fired is a valid entry.
+        assert probe_alone(AloneReplayCache(tmp_path), SUITE["SD"], 1,
+                           self.CFG, 5_000).cycles == reachable.cycles
+
+    def test_no_counts_builds_nothing(self):
+        assert replay_alone(SUITE["SD"], 0, self.CFG, []) == {}
+
+    def test_deferred_run_equals_standalone_once_filled(self):
+        kw = dict(config=self.CFG, shared_cycles=30_000, models=("DASE",))
+        whole = run_workload(["SD", "QR"], **kw)
+        owed: list[ReplayRequest] = []
+        partial = run_workload(["SD", "QR"], deferred=owed, **kw)
+        assert partial.alone_cycles == [None, None]
+        assert partial.actual_slowdowns == [None, None]
+        assert [(r.stream_id, r.spec.name, r.instructions) for r in owed] \
+            == [(0, "SD", whole.instructions[0]),
+                (1, "QR", whole.instructions[1])]
+        for req in owed:
+            clock = replay_alone(req.spec, req.stream_id, req.config,
+                                 [req.instructions],
+                                 max_cycles=req.max_cycles)[req.instructions]
+            partial.set_alone(req.stream_id, clock.cycles)
+        assert partial.to_dict() == whole.to_dict()
 
 
 class TestScaledConfig:
