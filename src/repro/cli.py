@@ -64,6 +64,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table3(args) -> int:
+    from contextlib import closing
+
     from repro import GPU
     from repro.harness import scaled_config
     from repro.harness.report import pct, table
@@ -72,9 +74,9 @@ def _cmd_table3(args) -> int:
     cfg = scaled_config()
     rows = []
     for name, spec in SUITE.items():
-        gpu = GPU(cfg, [spec])
-        gpu.run(args.cycles or 60_000)
-        bw = gpu.bandwidth_utilization(0)
+        with closing(GPU(cfg, [spec])) as gpu:
+            gpu.run(args.cycles or 60_000)
+            bw = gpu.bandwidth_utilization(0)
         rows.append([name, pct(TABLE3_BW_UTILIZATION[name]), pct(bw)])
         print(f"  measured {name}", file=sys.stderr)
     print(table(["app", "paper", "measured"], rows))

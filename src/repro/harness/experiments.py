@@ -8,6 +8,7 @@ Cycle budgets honour ``REPRO_FULL`` (see :mod:`repro.harness.runner`).
 from __future__ import annotations
 
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from repro.config import GPUConfig
@@ -95,18 +96,18 @@ def fig2_unfairness(
         out.slowdowns[key] = res.actual_slowdowns
         # Re-run the shared execution to collect the bus decomposition
         # (cheap relative to the alone replays above).
-        gpu = GPU(config, [
+        with closing(GPU(config, [
             LaunchedKernel(SUITE[n], stream_id=i) for i, n in enumerate(pair)
-        ])
-        gpu.run(shared_cycles)
-        bd = gpu.bandwidth_breakdown()
+        ])) as gpu:
+            gpu.run(shared_cycles)
+            bd = gpu.bandwidth_breakdown()
         out.breakdown[key] = {
             pair[0]: bd["app0"], pair[1]: bd["app1"],
             "wasted": bd["wasted"], "idle": bd["idle"],
         }
-    alone = GPU(config, [SUITE["SD"]])
-    alone.run(shared_cycles // 2)
-    out.sd_alone_bw = alone.bandwidth_utilization(0)
+    with closing(GPU(config, [SUITE["SD"]])) as alone:
+        alone.run(shared_cycles // 2)
+        out.sd_alone_bw = alone.bandwidth_utilization(0)
     return out
 
 
@@ -140,12 +141,13 @@ def fig3_service_rate(
             "sweep", compute_per_mem=cpm, pattern=AccessPattern.STREAM,
             warps_per_block=6, max_resident_blocks=2,
         )
-        gpu = GPU(config, [spec])
-        gpu.run(cycles)
-        rate = gpu.mem_stats.apps[0].requests_served / cycles * 1000
-        # "Performance" for a memory kernel = memory instructions retired;
-        # measure it as request throughput-normalized IPC of memory ops.
-        mem_ipc = gpu.progress[0].instructions / cycles / (cpm + 1)
+        with closing(GPU(config, [spec])) as gpu:
+            gpu.run(cycles)
+            rate = gpu.mem_stats.apps[0].requests_served / cycles * 1000
+            # "Performance" for a memory kernel = memory instructions
+            # retired; measure it as request throughput-normalized IPC of
+            # memory ops.
+            mem_ipc = gpu.progress[0].instructions / cycles / (cpm + 1)
         points.append((rate, mem_ipc))
     xs, ys = zip(*points)
     mx, my = mean(xs), mean(ys)
@@ -183,20 +185,20 @@ def fig4_mbb_requests(
     partners = partners or ["SA", "VA", "QR"]
     config = config or scaled_config()
     cycles = cycles or max(60_000, default_shared_cycles() // 3)
-    alone = GPU(config, [SUITE["SB"]])
-    alone.run(cycles)
-    alone_rate = alone.mem_stats.apps[0].requests_served / cycles * 1000
+    with closing(GPU(config, [SUITE["SB"]])) as alone:
+        alone.run(cycles)
+        alone_rate = alone.mem_stats.apps[0].requests_served / cycles * 1000
     shared: dict[str, tuple[float, float]] = {}
     for p in partners:
-        gpu = GPU(config, [
+        with closing(GPU(config, [
             LaunchedKernel(SUITE["SB"], stream_id=0),
             LaunchedKernel(SUITE[p], stream_id=1),
-        ])
-        gpu.run(cycles)
-        shared[p] = (
-            gpu.mem_stats.apps[0].requests_served / cycles * 1000,
-            gpu.mem_stats.apps[1].requests_served / cycles * 1000,
-        )
+        ])) as gpu:
+            gpu.run(cycles)
+            shared[p] = (
+                gpu.mem_stats.apps[0].requests_served / cycles * 1000,
+                gpu.mem_stats.apps[1].requests_served / cycles * 1000,
+            )
     return Fig4Result(alone_rate=alone_rate, shared_rates=shared)
 
 

@@ -174,7 +174,7 @@ class JobOutcome:
     ``duration_s`` is the job's shared run plus the alone-replay seconds
     attributable to it, so durations still sum to the sweep's busy time
     although replays run as tasks of their own; ``cache`` likewise folds
-    in what those tasks stored for it.
+    in the curve files those tasks wrote for it.
     """
 
     index: int
@@ -808,7 +808,9 @@ class _ReplayPlan:
             return done
         clocks: dict[int, AloneClock] = task.result
         sharers = Counter(req.instructions for _, req in askers)
-        stored: set[int] = set()
+        #: Counts whose curve write is still to be credited — to the first
+        #: job that asked for the count.
+        stored = {n for n, clock in clocks.items() if clock.stored}
         for index, req in askers:
             outcome = self.waiting.get(index)
             if outcome is None:
@@ -818,8 +820,8 @@ class _ReplayPlan:
             share = clock.seconds / sharers[req.instructions]
             outcome.duration_s += share
             outcome.replay_s += share
-            if outcome.cache is not None and req.instructions not in stored:
-                stored.add(req.instructions)
+            if outcome.cache is not None and req.instructions in stored:
+                stored.remove(req.instructions)
                 outcome.cache["stores"] += 1
             outcome.deferred.remove(req)
             if not outcome.deferred:

@@ -1,26 +1,36 @@
-"""On-disk cache of matched-instruction alone replays.
+"""On-disk cache of alone-replay trajectories.
 
 The evaluation methodology (:mod:`repro.harness.runner`) replays every
 application *alone on the full GPU* for exactly the instruction count it
-reached in the shared run.  The replay is a pure function of
+reached in the shared run.  The alone run is a pure function of
 
 * the kernel spec (every field of :class:`~repro.sim.kernel.KernelSpec`),
-* the stream identity (``stream_id`` seeds the warp RNGs),
-* the GPU configuration (including ``seed``), and
-* the target instruction count,
+* the stream identity (``stream_id`` seeds the warp RNGs), and
+* the GPU configuration (including ``seed``),
 
-so its result — the alone cycle count — can be memoised.  This module
-stores one small JSON file per ``(spec, stream, config, instructions)``
-key under a cache directory, which makes the cache safe under concurrent
-writers (each entry is written atomically via a temp file + rename; two
-workers racing on the same key write identical bytes).
+and cycles-at-count is a curve along it, so the cache stores
+**trajectories, not points**: one file per ``(spec + stream, config)``
+holding the :class:`~repro.sim.kernel.ProgressCurve` the replay recorded,
+as far as any replay has gone.  A lookup for *any* count up to the curve's
+end is a hit (bisection: the first cycle whose cumulative count reaches
+it — the clock a fresh replay to that count stops at); a count past the
+end is a miss, the caller re-simulates from cycle 0 to the new furthest
+count, and the longer curve replaces the shorter one.
 
-Entries are self-verifying: each file carries a SHA-256 checksum of its
-own payload, checked on every read.  A corrupt entry (truncated write,
-bit flip, concurrent filesystem damage) is *quarantined* — moved into
+Files are written atomically (temp file + rename) and are
+self-verifying: each carries a SHA-256 checksum of its own payload,
+checked on every read.  A corrupt file (truncated write, bit flip,
+concurrent filesystem damage) is *quarantined* — moved into
 ``<dir>/quarantine/`` for post-mortem — and reported as a miss, so the
-caller recomputes and re-stores a good entry instead of crashing or,
-worse, silently trusting a damaged cycle count.
+caller recomputes and re-stores a good curve instead of crashing or,
+worse, silently trusting a damaged cycle count.  Concurrent writers are
+safe: every curve of one key is a prefix of the same deterministic
+trajectory, a writer never replaces a stored curve that reaches further
+than its own, and losing the check-then-write race only costs a later
+re-extension.  The key covers the spec, not the simulator
+*implementation*; the one automatic guard is that a freshly simulated
+curve which disagrees with the stored one over their common prefix
+quarantines the stored file instead of extending it.
 
 The cache directory defaults to ``$REPRO_CACHE_DIR`` when set; callers
 normally pass an explicit directory (the CLI exposes ``--cache-dir``).
@@ -28,18 +38,24 @@ normally pass an explicit directory (the CLI exposes ``--cache-dir``).
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import enum
 import hashlib
 import json
+import operator
 import os
 import pathlib
+import sys
 import time
+import zlib
+from array import array
+from itertools import accumulate
 from typing import Any
 
 from repro.config import GPUConfig
 from repro.harness.persist import atomic_write_json
-from repro.sim.kernel import KernelSpec
+from repro.sim.kernel import KernelSpec, ProgressCurve
 
 
 def _canonical(obj: Any) -> Any:
@@ -102,13 +118,37 @@ def entry_checksum(entry: dict) -> str:
 TMP_SWEEP_AGE_S = 300.0
 
 
-class AloneReplayCache:
-    """Maps (kernel, stream, config, instruction count) → alone cycles.
+def _pack(seq) -> str:
+    """A strictly increasing integer sequence, delta-encoded: base64 of the
+    zlib-compressed little-endian uint32 first differences.  Differences
+    along a curve are small, so an entry costs about a byte on disk, and
+    decoding is C-speed but for one pass of :func:`itertools.accumulate`.
+    """
+    deltas = array("I", map(operator.sub, seq, [0, *seq[:-1]]))
+    if sys.byteorder == "big":
+        deltas.byteswap()
+    # Level 1: the bytes are mostly zeros, higher levels save ~5 % of the
+    # size for six times the time.
+    packed = zlib.compress(deltas.tobytes(), 1)
+    return base64.b64encode(packed).decode("ascii")
 
-    Entries live as individual JSON files named by the key digest, plus an
-    in-memory layer so repeated lookups within one process never re-read
-    the disk.  ``hits``/``misses``/``stores`` counters let tests and
-    benchmarks assert on cache behaviour.
+
+def _unpack(text: str) -> list[int]:
+    deltas = array("I")
+    deltas.frombytes(zlib.decompress(base64.b64decode(text)))
+    if sys.byteorder == "big":
+        deltas.byteswap()
+    return list(accumulate(deltas.tolist()))
+
+
+class AloneReplayCache:
+    """Maps (kernel, stream, config) → the alone trajectory's progress
+    curve, and through it any instruction count along it → alone cycles.
+
+    One ``<key>.curve.json`` file per trajectory, plus an in-memory layer
+    (curves as typed arrays) so repeated lookups within one process never
+    re-read the disk.  ``hits``/``misses``/``stores`` counters let tests
+    and benchmarks assert on cache behaviour.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -118,12 +158,14 @@ class AloneReplayCache:
                 f"cache directory {self.directory} exists but is not a "
                 "directory"
             )
-        self._mem: dict[str, int] = {}
+        self._mem: dict[str, ProgressCurve] = {}
         self.hits = 0
         self.misses = 0
+        #: Curve files written (a put that finds a stored curve reaching
+        #: at least as far writes nothing).
         self.stores = 0
-        #: Entries moved aside because their checksum failed (see
-        #: :meth:`_quarantine`); each is also counted as a miss.
+        #: Files moved aside because they failed verification or disagreed
+        #: with a fresh simulation (see :meth:`_quarantine`).
         self.quarantined = 0
         #: Orphan temp files removed on open.
         self.tmp_swept = self._sweep_tmp()
@@ -149,8 +191,8 @@ class AloneReplayCache:
         return swept
 
     def _quarantine(self, path: pathlib.Path) -> None:
-        """Move a corrupt entry into ``<dir>/quarantine/`` for post-mortem
-        (never delete evidence) so the key recomputes to a good entry."""
+        """Move a bad file into ``<dir>/quarantine/`` for post-mortem
+        (never delete evidence) so the key recomputes to a good curve."""
         qdir = self.directory / "quarantine"
         try:
             qdir.mkdir(parents=True, exist_ok=True)
@@ -161,23 +203,60 @@ class AloneReplayCache:
             # entry as a miss; the recompute will overwrite it in place.
             pass
 
-    def key(
-        self,
-        spec: KernelSpec,
-        stream_id: int,
-        config: GPUConfig,
-        instructions: int,
-    ) -> str:
+    def key(self, spec: KernelSpec, stream_id: int, config: GPUConfig) -> str:
+        """What names a trajectory: the kernel as replayed + the config."""
         return fingerprint(
             {
                 "spec": spec_fingerprint(spec, stream_id),
                 "config": config_fingerprint(config),
-                "instructions": instructions,
             }
         )
 
     def _path(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.json"
+        return self.directory / f"{key}.curve.json"
+
+    def _load(self, key: str) -> ProgressCurve | None:
+        """The verified curve on disk, or None (absent, or damaged and now
+        quarantined)."""
+        path = self._path(key)
+        try:
+            with path.open() as fh:
+                entry = json.load(fh)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            # Unreadable or not JSON: truncated write or on-disk damage.
+            self._quarantine(path)
+            return None
+        try:
+            if entry["checksum"] != entry_checksum(entry):
+                raise ValueError("checksum mismatch")
+            curve = ProgressCurve(
+                _unpack(entry["cycles"]), _unpack(entry["instructions"])
+            )
+            if len(curve) != entry["entries"]:
+                raise ValueError("entry count mismatch")
+        except (TypeError, KeyError, ValueError, zlib.error):
+            # Parsable but wrong: a flipped bit inside valid JSON is the
+            # dangerous case — without the checksum it would be *trusted*.
+            # (Anything that is not a curve entry lands here too:
+            # unverifiable data is recomputed, not believed.)
+            self._quarantine(path)
+            return None
+        return curve
+
+    def curve(
+        self, spec: KernelSpec, stream_id: int, config: GPUConfig
+    ) -> ProgressCurve | None:
+        """The trajectory as far as this cache knows it (the in-memory
+        copy when there is one, else the file's), or None."""
+        key = self.key(spec, stream_id, config)
+        if key not in self._mem:
+            stored = self._load(key)
+            if stored is None:
+                return None
+            self._mem[key] = stored
+        return self._mem[key]
 
     def get(
         self,
@@ -186,38 +265,22 @@ class AloneReplayCache:
         config: GPUConfig,
         instructions: int,
     ) -> int | None:
-        """Cached alone-cycle count for this replay, or None."""
-        key = self.key(spec, stream_id, config, instructions)
-        if key in self._mem:
+        """Alone cycles at ``instructions`` along the stored trajectory,
+        or None when no stored curve reaches that far."""
+        key = self.key(spec, stream_id, config)
+        curve = self._mem.get(key)
+        if curve is None or curve.end < instructions:
+            # Another process may have stored (or extended) it since.
+            stored = self._load(key)
+            if stored is not None and (
+                curve is None or stored.end > curve.end
+            ):
+                curve = self._mem[key] = stored
+        cycles = None if curve is None else curve.cycle_at(instructions)
+        if cycles is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return self._mem[key]
-        path = self._path(key)
-        try:
-            with path.open() as fh:
-                entry = json.load(fh)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError):
-            # Unreadable or not JSON: truncated write or on-disk damage.
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        cycles = entry.get("alone_cycles") if isinstance(entry, dict) else None
-        stored_sum = entry.get("checksum") if isinstance(entry, dict) else None
-        if (
-            not isinstance(cycles, int)
-            or stored_sum != entry_checksum(entry)
-        ):
-            # Parsable but wrong: a flipped bit inside valid JSON is the
-            # dangerous case — without the checksum it would be *trusted*.
-            # (Pre-checksum legacy entries also land here: unverifiable
-            # data is recomputed, not believed.)
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self._mem[key] = cycles
-        self.hits += 1
         return cycles
 
     def put(
@@ -227,25 +290,50 @@ class AloneReplayCache:
         config: GPUConfig,
         instructions: int,
         alone_cycles: int,
-    ) -> None:
-        """Record one replay result (atomic; safe under concurrent writers)."""
-        key = self.key(spec, stream_id, config, instructions)
-        self._mem[key] = alone_cycles
+        curve: ProgressCurve,
+    ) -> bool:
+        """Store the trajectory ``curve`` recorded up to ``instructions``,
+        reached at ``alone_cycles``; True when a file was written.
+
+        The stored file is re-read first: a curve there that reaches at
+        least as far stays (a shorter one never replaces a longer one),
+        and one that contradicts ``curve`` where they overlap was made by
+        a different simulator and is quarantined.  ``curve`` is copied,
+        so the caller may keep advancing it.
+        """
+        if curve.cycle_at(instructions) != alone_cycles:
+            raise ValueError(
+                f"curve puts {instructions} instructions at cycle "
+                f"{curve.cycle_at(instructions)}, the replay at "
+                f"{alone_cycles}"
+            )
+        key = self.key(spec, stream_id, config)
+        stored = self._load(key)
+        if stored is not None:
+            if not stored.same_trajectory(curve):
+                self._quarantine(self._path(key))
+            elif stored.end >= curve.end:
+                self._mem[key] = stored
+                return False
+        curve = self._mem[key] = curve.copy()
         entry = {
             "kernel": spec.name,
             "stream_id": stream_id,
-            "instructions": instructions,
-            "alone_cycles": alone_cycles,
+            "entries": len(curve),
+            "end": [curve.cycles[-1], curve.end],
+            "cycles": _pack(curve.cycles),
+            "instructions": _pack(curve.instructions),
         }
         entry["checksum"] = entry_checksum(entry)
         atomic_write_json(self._path(key), entry)
         self.stores += 1
+        return True
 
     def __len__(self) -> int:
-        """Number of entries on disk (not just in memory)."""
+        """Number of trajectories on disk (not just in memory)."""
         if not self.directory.is_dir():
             return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return sum(1 for _ in self.directory.glob("*.curve.json"))
 
 
 def resolve_cache(

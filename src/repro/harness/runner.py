@@ -229,12 +229,13 @@ class AloneClock(NamedTuple):
     ``seconds`` is the host time spent getting there: the cache probe for a
     ``cached`` clock, else the simulation from the previous requested count
     (for the first one: from building the GPU) up to this one, including
-    the cache store.
+    the cache store.  ``stored`` says that store wrote a curve file.
     """
 
     cycles: int
     seconds: float
     cached: bool
+    stored: bool = False
 
 
 @dataclass(frozen=True)
@@ -258,8 +259,10 @@ def probe_alone(
 ) -> AloneClock | None:
     """The cached alone clock for one count, or None (miss or no cache).
 
-    A hit is one ``replay`` bus span with ``cached=True``, so cached vs
-    simulated durations expose the cache's economics in SweepStats.
+    Any count up to the end of the stored trajectory is a hit.  A hit is
+    one ``replay`` bus span with ``cached=True`` and the ``curve_end`` it
+    was served from, so cached vs simulated durations expose the cache's
+    economics in SweepStats.
     """
     if cache is None:
         return None
@@ -271,7 +274,8 @@ def probe_alone(
     bus_ch = obs_bus.current()
     if bus_ch is not None:
         bus_ch.span("replay", seconds, app=spec.name, cached=True,
-                    instructions=instructions)
+                    instructions=instructions,
+                    curve_end=cache.curve(spec, stream_id, config).end)
     return AloneClock(cycles, seconds, True)
 
 
@@ -290,42 +294,53 @@ def replay_alone(
     the distinct counts in ascending order (whatever order, and however
     often, they were asked for) and each clock equals what a fresh replay
     to that count alone returns.  ``max_cycles`` bounds the clock for every
-    count, as it would a fresh replay.  Each clock is stored in ``cache``
-    under its own per-count key; nothing is looked up there — callers
-    probe first (:func:`probe_alone`) and ask only for what missed.
+    count, as it would a fresh replay.
+
+    With a ``cache`` the GPU records its progress curve and the curve is
+    stored as each count is reached, so the clocks a trajectory got to
+    before failing are already on disk, and every count up to the furthest
+    one is a later hit.  Nothing is looked up there — callers probe first
+    (:func:`probe_alone`) and ask only for what missed; the trajectory
+    always starts at cycle 0.
 
     One ``replay`` bus span (``cached=False``) covers the trajectory:
-    ``counts`` distinct clocks serving ``requests`` askers.
+    ``counts`` distinct clocks serving ``requests`` askers, and
+    ``extended_from`` — the end of the stored curve the counts had passed —
+    when this is a re-simulation rather than a first one.
     """
     wanted = Counter(counts)
     clocks: dict[int, AloneClock] = {}
     if not wanted:
         return clocks
     started = t0 = time.perf_counter()
+    known = cache.curve(spec, stream_id, config) if cache is not None else None
     # obs=False: an alone replay never records, even under a process-wide
     # recording — the trace describes the shared run only.
     gpu = GPU(
         config, [LaunchedKernel(spec, restart=True, stream_id=stream_id)],
         obs=False,
     )
+    curve = gpu.record_progress(0) if cache is not None else None
     try:
         for count in sorted(wanted):
             cycles = gpu.run_until_instructions(
                 0, count, max_cycles=max_cycles - gpu.engine.now
             )
-            if cache is not None:
-                cache.put(spec, stream_id, config, count, cycles)
+            stored = cache is not None and cache.put(
+                spec, stream_id, config, count, cycles, curve
+            )
             t1 = time.perf_counter()
-            clocks[count] = AloneClock(cycles, t1 - t0, False)
+            clocks[count] = AloneClock(cycles, t1 - t0, False, stored)
             t0 = t1
     finally:
         gpu.close()
         bus_ch = obs_bus.current()
         if bus_ch is not None:
+            extra = {"extended_from": known.end} if known is not None else {}
             bus_ch.span(
                 "replay", time.perf_counter() - started,
                 app=spec.name, cached=False, instructions=max(wanted),
-                counts=len(wanted), requests=sum(wanted.values()),
+                counts=len(wanted), requests=sum(wanted.values()), **extra,
             )
     return clocks
 
@@ -352,8 +367,9 @@ def run_workload(
     ``policy`` optionally attaches an SM-allocation policy (e.g.
     :class:`~repro.policies.DASEFairPolicy`); it may reassign SMs during
     the shared run.  ``alone_cache`` memoises the alone replays (step 3):
-    the replay is deterministic in (spec, stream, config, instruction
-    count), so a cached cycle count is bit-identical to re-simulating.
+    the alone run is deterministic in (spec, stream, config), so the cycle
+    a stored trajectory reached a count at is bit-identical to
+    re-simulating, for every count up to where it was stored.
 
     ``deferred`` (a list) makes this phase 1 of a sweep
     (:func:`repro.harness.parallel.run_jobs`): the cache is still probed,

@@ -20,9 +20,12 @@ Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
 * ``span``      — one timed phase of the job lifecycle: ``dequeue``
   (submit → worker pickup), ``simulate`` (the shared run, with backend
   and event-engine mode), ``replay`` (``cached=True``: one alone clock
-  served by the replay cache, inside the job that asked; ``cached=False``:
-  one simulated alone trajectory and how many ``counts``/``requests`` it
-  served), ``serialize`` (result pickling, pooled only);
+  served by the replay cache, inside the job that asked, with the
+  ``curve_end`` of the stored trajectory that answered it;
+  ``cached=False``: one simulated alone trajectory, how many
+  ``counts``/``requests`` it served and, when it re-simulates past a
+  stored curve, that curve's end as ``extended_from``), ``serialize``
+  (result pickling, pooled only);
 * ``job_end``   — job finished in the worker: wall/CPU time, peak RSS,
   cache counters, backend (flushed immediately);
 * ``outcome``   — the parent's settled verdict for the job (ok, failure
@@ -403,7 +406,9 @@ class SweepStats:
     count toward ``busy_s``/``cpu_s``/``phases``/``workers`` load only.
     ``alone_replays`` says how the sweep's alone clocks were obtained:
     ``requested`` by (job, app) pairs, of which ``cached`` came from the
-    replay cache, the rest from ``simulated`` trajectories.
+    replay cache, the rest from ``simulated`` trajectories — ``extended``
+    of those re-simulated because a count had passed the end of the curve
+    the cache held for them.
     ``cache["est_saved_s"]`` is the hit count times the mean simulated
     seconds per request, minus what the hits cost — the honest economics
     of the alone-replay cache.
@@ -443,7 +448,8 @@ class SweepStats:
                 ts_hi = max(ts_hi, ts)
 
         simulated_s = cached_s = 0.0
-        replays = {"requested": 0, "simulated": 0, "cached": 0}
+        replays = {"requested": 0, "simulated": 0, "extended": 0,
+                   "cached": 0}
         for trail in trails.values():
             is_job = trail.kind != "replay"
             out = trail.outcome or {}
@@ -514,6 +520,7 @@ class SweepStats:
                         cached_s += dur
                     else:
                         replays["simulated"] += 1
+                        replays["extended"] += "extended_from" in args
                         replays["requested"] += int(args.get("requests", 1))
                         simulated_s += dur
         if replays["requested"]:

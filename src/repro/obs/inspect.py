@@ -233,7 +233,8 @@ def summarize_sweep(stats: dict[str, Any]) -> str:
     if replays:
         out.append(
             f"alone replays: {replays.get('requested', 0)} requested, "
-            f"{replays.get('simulated', 0)} trajectories simulated, "
+            f"{replays.get('simulated', 0)} trajectories simulated "
+            f"({replays.get('extended', 0)} extended), "
             f"{replays.get('cached', 0)} cached"
         )
     backends = stats.get("backends") or {}

@@ -734,7 +734,8 @@ def render_sweep_report(
             f"requested: {replays.get('cached', 0)} served by the replay "
             f"cache, the rest by {replays.get('simulated', 0)} simulated "
             "trajectories (one per application, advanced through every "
-            "count asked of it)</p>"
+            f"count asked of it; {replays.get('extended', 0)} of them "
+            "re-simulated past the end of a stored curve)</p>"
         )
     backends = stats.get("backends") or {}
     if backends:

@@ -18,6 +18,8 @@ profile-based policies' benefit DASE achieves *without* profiling.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 from repro.config import GPUConfig
 from repro.policies.sm_alloc import AllocationPolicy, _partitions
 from repro.sim.gpu import GPU, LaunchedKernel
@@ -36,10 +38,10 @@ def profile_kernel(
     sm_counts = sm_counts or list(range(1, config.n_sms + 1))
     out: dict[int, float] = {}
     for n in sm_counts:
-        gpu = GPU(config, [LaunchedKernel(spec, stream_id=stream_id)],
-                  sm_partition=[n])
-        gpu.run(cycles)
-        out[n] = gpu.ipc(0)
+        with closing(GPU(config, [LaunchedKernel(spec, stream_id=stream_id)],
+                         sm_partition=[n])) as gpu:
+            gpu.run(cycles)
+            out[n] = gpu.ipc(0)
     return out
 
 

@@ -19,7 +19,12 @@ from repro.sim.backends import get_backend
 from repro.sim.dram import MemoryPartition
 from repro.sim.engine import Engine
 from repro.sim.interconnect import Crossbar
-from repro.sim.kernel import KernelProgress, KernelSpec, WarpStream
+from repro.sim.kernel import (
+    KernelProgress,
+    KernelSpec,
+    ProgressCurve,
+    WarpStream,
+)
 from repro.sim.sm import SM, ThreadBlockRT, WarpRT
 from repro.sim.stats import (
     AppMemCounters,
@@ -208,6 +213,7 @@ class GPU:
         self._sm_time_last = 0
 
         self._inst_target: tuple[int, int] | None = None  # (app, instructions)
+        self._curve: tuple[int, ProgressCurve] | None = None  # (app, curve)
         self._started = False
         self._closed = False
 
@@ -376,15 +382,38 @@ class GPU:
         self.engine.schedule(self.config.interval_cycles, self._interval_tick)
 
     def note_instructions(self, app: int) -> None:
-        """Hook for the instruction-target stop condition."""
+        """Hook for the instruction-target stop condition (and the progress
+        curve, which is therefore recorded in alone-replay mode only)."""
         if self._inst_target is None:
             return
+        count = self.progress[app].instructions
+        if self._curve is not None and self._curve[0] == app:
+            self._curve[1].note(self.engine.now, count)
         tapp, target = self._inst_target
-        if app == tapp and self.progress[app].instructions >= target:
+        if app == tapp and count >= target:
             self.engine.stop()
+
+    def record_progress(self, app: int = 0) -> ProgressCurve:
+        """Record ``app``'s :class:`ProgressCurve` from cycle 0 on.
+
+        Call before the first run and advance the GPU with
+        :meth:`run_until_instructions` only: the curve then answers, for
+        every count up to its end, the clock a fresh GPU running to that
+        count stops at.  The returned curve grows as the GPU advances.
+        """
+        if self._started:
+            raise RuntimeError("progress is recorded from cycle 0 only")
+        curve = ProgressCurve()
+        self._curve = (app, curve)
+        return curve
 
     def run(self, cycles: int) -> int:
         """Simulate ``cycles`` more core cycles; returns the clock."""
+        if self._curve is not None:
+            raise RuntimeError(
+                "a GPU recording progress advances by "
+                "run_until_instructions only"
+            )
         self._start()
         end = self.engine.now + cycles
         self.engine.run(until=end)

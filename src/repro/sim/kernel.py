@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import enum
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 class AccessPattern(enum.Enum):
@@ -460,3 +463,73 @@ class KernelProgress:
         bid = self.blocks_dispatched
         self.blocks_dispatched += 1
         return bid + self.restarts * self.spec.blocks_total
+
+
+class ProgressCurve:
+    """One application's progress along a run: ``(cycle, cumulative
+    instructions)`` at every cycle in which one of its bursts retired.
+
+    Both sequences are strictly increasing and held as typed arrays.  The
+    curve answers the question a matched-instruction replay asks — *at
+    which cycle does the count reach N?* — for every N up to :attr:`end`:
+    the first recorded cycle whose cumulative count is ≥ N, which is the
+    clock a fresh :meth:`GPU.run_until_instructions` to N stops at.
+
+    A run stopped inside a cycle leaves that cycle's entry *partial*: the
+    cycle is right, the count is what had retired when the run stopped.
+    Every count up to it is still answered exactly; resuming the run
+    raises the entry to the cycle's full count.  So two curves taken from
+    one trajectory agree entry for entry, except that the shorter one's
+    last count may be lower (:meth:`same_trajectory`).
+    """
+
+    __slots__ = ("cycles", "instructions")
+
+    def __init__(
+        self, cycles: Iterable[int] = (), instructions: Iterable[int] = ()
+    ) -> None:
+        self.cycles = array("q", cycles)
+        self.instructions = array("q", instructions)
+        if len(self.cycles) != len(self.instructions):
+            raise ValueError("one cumulative count per recorded cycle")
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+    @property
+    def end(self) -> int:
+        """The furthest instruction count this curve answers."""
+        return self.instructions[-1] if self.instructions else 0
+
+    def note(self, cycle: int, instructions: int) -> None:
+        """Record the cumulative count after a burst retired at ``cycle``."""
+        if self.cycles and self.cycles[-1] == cycle:
+            self.instructions[-1] = instructions
+        else:
+            self.cycles.append(cycle)
+            self.instructions.append(instructions)
+
+    def cycle_at(self, instructions: int) -> int | None:
+        """Clock at which the count first reached ``instructions``; None
+        past :attr:`end`."""
+        if instructions <= 0:
+            return 0
+        if instructions > self.end:
+            return None
+        return self.cycles[bisect_left(self.instructions, instructions)]
+
+    def copy(self) -> "ProgressCurve":
+        return ProgressCurve(self.cycles, self.instructions)
+
+    def same_trajectory(self, other: "ProgressCurve") -> bool:
+        """True when both curves are prefixes of one trajectory."""
+        short, long = sorted((self, other), key=len)
+        n = len(short)
+        if n == 0:
+            return True
+        return (
+            short.cycles == long.cycles[:n]
+            and short.instructions[:n - 1] == long.instructions[:n - 1]
+            and (short.instructions[-1] <= long.instructions[n - 1]
+                 or len(long) == n)
+        )

@@ -23,8 +23,10 @@ from repro.harness.parallel import (
     WorkloadJob,
     run_jobs,
 )
+from repro.harness.replay_cache import AloneReplayCache
 from repro.obs import bus
 from repro.obs.progress import SweepProgress, _fmt_eta
+from repro.workloads import SUITE
 
 CFG = scaled_config()
 SMALL = 30_000
@@ -241,7 +243,8 @@ class TestSweepStats:
             {"job": 3, "pid": 20, "ts": 2.0, "dur": 3.1, "kind": "replay",
              "key": "replay:SB#1", "backend": "reference",
              "spans": [("replay", 3.0, {"cached": False, "counts": 1,
-                                        "requests": 1})],
+                                        "requests": 1,
+                                        "extended_from": 9000})],
              "outcome_ok": True},
         ])
         for rec in records:  # _records files the settled cache under a
@@ -260,7 +263,7 @@ class TestSweepStats:
         # The settled counters win over the worker's phase-1 view.
         assert stats.cache["stores"] == 3 and stats.cache["misses"] == 3
         assert stats.alone_replays == {
-            "requested": 6, "simulated": 2, "cached": 3}
+            "requested": 6, "simulated": 2, "extended": 1, "cached": 3}
         assert stats.phases["replay"]["count"] == 5
         # 3 hits x (4.0 simulated seconds / 3 requests served), minus the
         # 0.3 s the probes cost.
@@ -272,6 +275,7 @@ class TestSweepStats:
         back = bus.SweepStats.from_dict(json.loads(json.dumps(
             stats.to_dict())))
         assert back.alone_replays == stats.alone_replays
+        assert stats.comparable()["alone_replays"]["extended"] == 1
         payload = bus.sweep_chrome_trace(records)
         bus.validate_sweep_trace(payload)
         names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "X"}
@@ -423,7 +427,7 @@ class TestHarnessIntegration:
         # trajectories serve the four requested clocks.
         assert s_pooled.n_jobs == 2
         assert s_pooled.alone_replays == {
-            "requested": 4, "simulated": 4, "cached": 0}
+            "requested": 4, "simulated": 4, "extended": 0, "cached": 0}
 
     @pytest.mark.slow
     def test_durations_and_counters_stay_honest_across_phases(self, tmp_path):
@@ -443,7 +447,7 @@ class TestHarnessIntegration:
         stats = bus.SweepStats.from_records(records)
         assert stats.n_jobs == 2
         assert stats.alone_replays == {
-            "requested": 4, "simulated": 3, "cached": 0}
+            "requested": 4, "simulated": 3, "extended": 0, "cached": 0}
         assert stats.cache["stores"] == 4 and stats.cache["hit_rate"] == 0.0
         # Σ settled durations ≈ busy time: nothing is counted twice and no
         # replay second is left unattributed (slack: per-job bookkeeping
@@ -457,16 +461,40 @@ class TestHarnessIntegration:
             replay_spans, rel=0.05)
         from repro.obs.inspect import summarize_sweep
 
-        assert "alone replays: 4 requested, 3 trajectories simulated, " \
-            "0 cached" in summarize_sweep(stats.to_dict())
+        assert "alone replays: 4 requested, 3 trajectories simulated " \
+            "(0 extended), 0 cached" in summarize_sweep(stats.to_dict())
         # The warm re-run never starts phase 2.
         warm = run_jobs(jobs, n_jobs=1, bus=tmp_path / "warm")
         assert all(o.replay_s == 0.0 for o in warm)
         s_warm = bus.SweepStats.from_records(bus.read_bus(tmp_path / "warm"))
         assert s_warm.alone_replays == {
-            "requested": 4, "simulated": 0, "cached": 4}
-        assert not any(r.get("kind") == "replay"
-                       for r in bus.read_bus(tmp_path / "warm"))
+            "requested": 4, "simulated": 0, "extended": 0, "cached": 4}
+        warm_records = bus.read_bus(tmp_path / "warm")
+        assert not any(r.get("kind") == "replay" for r in warm_records)
+        # A cached clock says how far the curve that served it reaches.
+        cache = AloneReplayCache(tmp_path / "cache")
+        ends = {app: cache.curve(SUITE[app], sid, CFG).end
+                for app, sid in (("SD", 0), ("SB", 1), ("VA", 1))}
+        cached = [r["args"] for r in warm_records
+                  if r["t"] == "span" and r["name"] == "replay"]
+        assert [a["curve_end"] for a in cached] == [
+            ends[a["app"]] for a in cached]
+        assert all(a["instructions"] <= a["curve_end"] for a in cached)
+        # A longer window passes the stored ends: those trajectories are
+        # re-simulated from cycle 0 and reported as extensions.
+        longer = [WorkloadJob(apps=("SD", "SB"), config=CFG,
+                              shared_cycles=2 * SMALL, models=(),
+                              cache_dir=str(tmp_path / "cache"))]
+        outs = run_jobs(longer, n_jobs=1, bus=tmp_path / "longer")
+        assert outs[0].cache == {"hits": 0, "misses": 2, "stores": 2}
+        s_longer = bus.SweepStats.from_records(
+            bus.read_bus(tmp_path / "longer"))
+        assert s_longer.alone_replays == {
+            "requested": 2, "simulated": 2, "extended": 2, "cached": 0}
+        spans = [r["args"] for r in bus.read_bus(tmp_path / "longer")
+                 if r["t"] == "span" and r["name"] == "replay"]
+        assert sorted(a["extended_from"] for a in spans) == sorted(
+            [ends["SD"], ends["SB"]])
 
     @pytest.mark.slow
     def test_worker_crash_leaves_wellformed_partial_trace(self, tmp_path):

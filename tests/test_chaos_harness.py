@@ -43,8 +43,10 @@ from repro.harness.parallel import (
 from repro.harness.replay_cache import (
     TMP_SWEEP_AGE_S,
     AloneReplayCache,
+    _pack,
     entry_checksum,
 )
+from repro.sim.kernel import ProgressCurve
 from repro.workloads import SUITE
 
 CFG = scaled_config()
@@ -190,10 +192,16 @@ class TestPooledChaos:
 
 
 class TestReplayCacheHardening:
+    #: A made-up trajectory, and a longer one it is a prefix of.
+    SHORT = ProgressCurve([300, 777], [400, 1000])
+    LONG = ProgressCurve([300, 777, 900, 1500], [400, 1010, 1300, 2500])
+
     def _store(self, tmp_path):
         cache = AloneReplayCache(tmp_path)
-        cache.put(SUITE["QR"], 0, CFG, 1000, 777)
-        return cache, tmp_path / f"{cache.key(SUITE['QR'], 0, CFG, 1000)}.json"
+        cache.put(SUITE["QR"], 0, CFG, 1000, 777, self.SHORT)
+        path = tmp_path / f"{cache.key(SUITE['QR'], 0, CFG)}.curve.json"
+        assert path.exists()
+        return cache, path
 
     def test_truncated_entry_quarantined_and_recomputed(self, tmp_path):
         _, path = self._store(tmp_path)
@@ -204,18 +212,30 @@ class TestReplayCacheHardening:
         assert not path.exists()
         assert (tmp_path / "quarantine" / path.name).exists()
         # the recompute path: a new put restores a good entry
-        fresh.put(SUITE["QR"], 0, CFG, 1000, 777)
+        assert fresh.put(SUITE["QR"], 0, CFG, 1000, 777, self.SHORT)
         assert AloneReplayCache(tmp_path).get(SUITE["QR"], 0, CFG, 1000) == 777
 
     def test_bit_flip_inside_valid_json_quarantined(self, tmp_path):
         _, path = self._store(tmp_path)
         entry = json.loads(path.read_text())
-        entry["alone_cycles"] = 778  # flipped bit, checksum now stale
+        entry["cycles"] = _pack([300, 778])  # flipped bit, checksum stale
         path.write_text(json.dumps(entry))
         fresh = AloneReplayCache(tmp_path)
         assert fresh.get(SUITE["QR"], 0, CFG, 1000) is None
         assert fresh.quarantined == 1
         assert (tmp_path / "quarantine" / path.name).exists()
+
+    def test_bit_flip_inside_the_packed_curve_quarantined(self, tmp_path):
+        _, path = self._store(tmp_path)
+        entry = json.loads(path.read_text())
+        packed = entry["instructions"]
+        entry["instructions"] = packed[:5] + (
+            "A" if packed[5] != "A" else "B") + packed[6:]
+        entry["checksum"] = entry_checksum(entry)  # damage under a good sum
+        path.write_text(json.dumps(entry))
+        fresh = AloneReplayCache(tmp_path)
+        assert fresh.get(SUITE["QR"], 0, CFG, 1000) is None
+        assert fresh.quarantined == 1
 
     def test_legacy_entry_without_checksum_not_trusted(self, tmp_path):
         _, path = self._store(tmp_path)
@@ -231,8 +251,10 @@ class TestReplayCacheHardening:
         entry = json.loads(path.read_text())
         body = {k: v for k, v in entry.items() if k != "checksum"}
         assert entry["checksum"] == entry_checksum(body)
-        body["instructions"] += 1
-        assert entry["checksum"] != entry_checksum(body)
+        for field in body:
+            damaged = dict(body)
+            damaged[field] = "x"
+            assert entry["checksum"] != entry_checksum(damaged), field
 
     def test_quarantined_entries_not_counted_as_present(self, tmp_path):
         cache, path = self._store(tmp_path)
@@ -241,6 +263,45 @@ class TestReplayCacheHardening:
         fresh = AloneReplayCache(tmp_path)
         fresh.get(SUITE["QR"], 0, CFG, 1000)
         assert len(fresh) == 0  # quarantine/ is not part of the cache
+
+    def test_racing_short_and_long_writers_keep_the_longer_curve(
+            self, tmp_path):
+        # Both orders of two writers of one trajectory; the second always
+        # re-reads the file, whatever it holds in memory.
+        for first, second in ((self.SHORT, self.LONG),
+                              (self.LONG, self.SHORT)):
+            d = tmp_path / f"first-{len(first)}"
+            a, b = AloneReplayCache(d), AloneReplayCache(d)
+            assert b.get(SUITE["QR"], 0, CFG, 900) is None
+            assert a.put(SUITE["QR"], 0, CFG, first.end, first.cycles[-1],
+                         first)
+            wrote = b.put(SUITE["QR"], 0, CFG, second.end,
+                          second.cycles[-1], second)
+            assert wrote == (second is self.LONG)
+            for cache in (a, b, AloneReplayCache(d)):
+                assert cache.get(SUITE["QR"], 0, CFG, 2500) == 1500
+                # 1000 lay in SHORT's last, partial cycle; still cycle 777.
+                assert cache.get(SUITE["QR"], 0, CFG, 1000) == 777
+            assert len(a) == 1 and not (d / "quarantine").exists()
+
+    def test_prefix_disagreement_quarantines_the_stored_curve(self, tmp_path):
+        cache, path = self._store(tmp_path)
+        # "The simulator changed": same key, another trajectory.
+        changed = ProgressCurve([310, 777, 900], [400, 1010, 1300])
+        assert not changed.same_trajectory(self.SHORT)
+        fresh = AloneReplayCache(tmp_path)
+        assert fresh.put(SUITE["QR"], 0, CFG, 1300, 900, changed)
+        assert fresh.quarantined == 1
+        assert (tmp_path / "quarantine" / path.name).exists()
+        assert AloneReplayCache(tmp_path).get(SUITE["QR"], 0, CFG, 300) == 310
+        # A stale curve that reaches *further* goes too, instead of
+        # shadowing what the simulator now computes.
+        older = tmp_path / "older"
+        AloneReplayCache(older).put(SUITE["QR"], 0, CFG, 2500, 1500, self.LONG)
+        late = AloneReplayCache(older)
+        assert late.put(SUITE["QR"], 0, CFG, 1300, 900, changed)
+        assert late.quarantined == 1 and len(late) == 1
+        assert AloneReplayCache(older).get(SUITE["QR"], 0, CFG, 2500) is None
 
     def test_orphan_tmp_files_swept_by_age(self, tmp_path):
         stale = tmp_path / ".deadbeef.json.abc.tmp"
@@ -267,7 +328,7 @@ class TestReplayCacheHardening:
             [("QR", "CT")], config=CFG, shared_cycles=SMALL, models=(),
             cache_dir=str(tmp_path),
         )[0].unwrap()
-        for entry in tmp_path.glob("*.json"):
+        for entry in tmp_path.glob("*.curve.json"):
             entry.write_text(entry.read_text()[:20])  # truncate every entry
         healed = run_workloads(
             [("QR", "CT")], config=CFG, shared_cycles=SMALL, models=(),
@@ -275,7 +336,7 @@ class TestReplayCacheHardening:
         )[0]
         assert healed.ok
         assert healed.unwrap().to_dict() == clean.to_dict() == warm.to_dict()
-        assert len(list((tmp_path / "quarantine").glob("*.json"))) == 2
+        assert len(list((tmp_path / "quarantine").glob("*.curve.json"))) == 2
         # cache healed in place: entries verify again
         again = AloneReplayCache(tmp_path)
         assert len(again) == 2
@@ -472,8 +533,8 @@ class TestReplayTaskChaos:
         monkeypatch.undo()
         cp = SweepCheckpoint(ckpt, self.jobs(cache_dir=cache_dir))
         assert sorted(cp.load()) == [2] and cp.skipped_lines == 0
-        entries = list((tmp_path / "cache").glob("*.json"))
-        assert len(entries) == 3  # SD, VA, and QR's one count
+        entries = list((tmp_path / "cache").glob("*.curve.json"))
+        assert len(entries) == 3  # SD, VA, and QR's trajectory
         for path in entries:
             entry = json.loads(path.read_text())
             assert entry["checksum"] == entry_checksum(entry)

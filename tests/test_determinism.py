@@ -10,6 +10,7 @@ replays per pairing, is the reference they must reproduce exactly.
 """
 
 import dataclasses
+import shutil
 
 import pytest
 
@@ -121,9 +122,10 @@ class TestTwoPhaseSweeps:
         cold = run_jobs(self.jobs(cache_dir), n_jobs=2, checkpoint=ckpt)
         assert [o.unwrap().to_dict() for o in cold] == per_job_reference
         # Six requested clocks from four trajectories (QR and CT are each
-        # asked for twice, at different counts): every clock has its own
-        # entry, under the key a per-job run looks up.
-        assert len(AloneReplayCache(cache_dir)) == 6
+        # asked for twice, at different counts): one curve per trajectory,
+        # written as each count was reached, under the key a per-job run
+        # looks up.
+        assert len(AloneReplayCache(cache_dir)) == 4
         assert [o.cache for o in cold] == [
             {"hits": 0, "misses": 2, "stores": 2}] * 3
         warm = run_jobs(self.jobs(cache_dir), n_jobs=1)
@@ -134,10 +136,41 @@ class TestTwoPhaseSweeps:
         resumed = run_jobs(self.jobs(cache_dir), n_jobs=2, checkpoint=ckpt)
         assert all(o.resumed for o in resumed)
         assert [o.unwrap().to_dict() for o in resumed] == per_job_reference
-        # A standalone run is served by the sweep's entries, and the other
-        # way round: same keys, same bytes.
+        # A standalone run is served by the sweep's curves, and the other
+        # way round: same keys.
         solo_cache = AloneReplayCache(cache_dir)
         solo = run_workload(SHARING[1], config=CFG, shared_cycles=CYCLES,
                             models=("DASE",), alone_cache=solo_cache)
         assert solo.to_dict() == per_job_reference[1]
         assert (solo_cache.hits, solo_cache.stores) == (2, 0)
+
+    def test_a_filled_cache_serves_another_sweep_bit_for_bit(self, tmp_path):
+        """Curves are keyed by trajectory, not by count: a sweep with
+        another policy, other co-runners and another window asks for other
+        counts and is still served — with the clocks its own uncached run
+        computes."""
+        filled = tmp_path / "filled"
+        run_jobs(self.jobs(str(filled)), n_jobs=1)
+
+        def other(cache_dir=None):
+            return [
+                WorkloadJob(apps=apps, config=CFG, shared_cycles=24_000,
+                            models=("DASE",), policy="dase_fair",
+                            cache_dir=cache_dir)
+                for apps in (("SD", "NN"), ("QR", "VA"))
+            ]
+
+        uncached = [o.unwrap().to_dict() for o in run_jobs(other(), n_jobs=1)]
+        served = {}
+        for n_jobs in (1, 2):
+            cache_dir = tmp_path / f"copy-{n_jobs}"
+            shutil.copytree(filled, cache_dir)
+            outs = run_jobs(other(str(cache_dir)), n_jobs=n_jobs)
+            assert [o.unwrap().to_dict() for o in outs] == uncached
+            served[n_jobs] = [o.cache for o in outs]
+            # VA#1 is the one trajectory the first sweep never ran.
+            assert len(AloneReplayCache(cache_dir)) == 5
+        assert served[1] == served[2] == [
+            {"hits": 2, "misses": 0, "stores": 0},
+            {"hits": 1, "misses": 1, "stores": 1},
+        ]

@@ -141,7 +141,7 @@ class TestDriversShareAloneTrajectories:
         # Both policies need SD's and SB's alone clocks; one trajectory
         # per app serves the two of them.
         assert stats.alone_replays == {
-            "requested": 4, "simulated": 2, "cached": 0}
+            "requested": 4, "simulated": 2, "extended": 0, "cached": 0}
 
     def test_degradation_sigma_sweep_replays_each_app_once(self, sweep_bus):
         sigmas = (0.0, 0.2, 0.4)
@@ -151,7 +151,8 @@ class TestDriversShareAloneTrajectories:
         stats = bus.SweepStats.from_records(records)
         assert stats.n_jobs == 2 * len(sigmas)
         assert stats.alone_replays == {
-            "requested": 4 * len(sigmas), "simulated": 2, "cached": 0}
+            "requested": 4 * len(sigmas), "simulated": 2, "extended": 0,
+            "cached": 0}
         # Noise only distorts what the estimator sees, so the policy-free
         # runs end at identical counts at every σ: one clock serves them
         # all, without any cache.
@@ -160,3 +161,61 @@ class TestDriversShareAloneTrajectories:
                 args = span["args"]
                 assert args["requests"] == 2 * len(sigmas)
                 assert args["counts"] <= 1 + len(sigmas)
+
+
+class TestAdHocGPUsAreClosed:
+    """Drivers that build their own GPUs close them once read out, so the
+    machines are freed by reference counting (tests/test_gpu.py::TestClose)
+    instead of piling up until some later collection."""
+
+    @pytest.fixture
+    def machines(self, monkeypatch):
+        import gc
+        import weakref
+
+        import repro
+        import repro.harness.experiments as experiments
+        import repro.policies.profiled as profiled
+        from repro.sim.gpu import GPU
+
+        refs = []
+
+        class Tracked(GPU):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        for module in (repro, experiments, profiled):
+            monkeypatch.setattr(module, "GPU", Tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            gc.enable()
+
+    def test_fig2_fig3_fig4(self, machines):
+        fig2_unfairness([("SD", "SB")], config=CFG, shared_cycles=4_000)
+        fig3_service_rate(CFG, cycles=2_000)
+        fig4_mbb_requests(["VA"], CFG, cycles=2_000)
+        # fig2: the breakdown re-run and SD alone; fig3: one machine per
+        # intensity; fig4: SB alone and one pairing.
+        assert len(machines) > 2 + 2
+        assert [ref() for ref in machines] == [None] * len(machines)
+
+    def test_profile_kernel(self, machines):
+        from repro.policies.profiled import profile_kernel
+        from repro.workloads import SUITE
+
+        profile = profile_kernel(SUITE["QR"], CFG, [4, 16], cycles=2_000)
+        assert sorted(profile) == [4, 16] and len(machines) == 2
+        assert [ref() for ref in machines] == [None, None]
+
+    def test_table3(self, machines, capsys):
+        from repro.cli import main
+        from repro.workloads import SUITE
+
+        assert main(["table3", "--cycles", "1500"]) == 0
+        capsys.readouterr()
+        assert len(machines) == len(SUITE)
+        assert [ref() for ref in machines] == [None] * len(SUITE)

@@ -105,10 +105,10 @@ class TestExecution:
         assert gpu.progress[0].instructions > 2 * 4 * 50
 
 
-def alone(name):
+def alone(name, stream_id=0):
     """A fresh alone-replay GPU for one suite kernel."""
     return GPU(scaled_config(),
-               [LaunchedKernel(SUITE[name], restart=True, stream_id=0)],
+               [LaunchedKernel(SUITE[name], restart=True, stream_id=stream_id)],
                obs=False)
 
 
@@ -166,6 +166,71 @@ class TestResumedReplay:
                 0, 10**12, max_cycles=limit - gpu.engine.now)
         assert gpu.engine.now == fresh.engine.now == limit
         assert gpu.progress[0].instructions == fresh.progress[0].instructions
+
+
+class TestProgressCurve:
+    """The curve a replay records answers every count up to its end with
+    the clock a fresh replay to that count stops at — what lets the replay
+    cache store trajectories instead of points."""
+
+    @pytest.mark.parametrize("stream_id", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_lookup_equals_fresh_replay(self, name, stream_id):
+        rng = random.Random(f"curve-{name}-{stream_id}")
+        probe = alone(name, stream_id)
+        probe.run(5_000)
+        total = probe.progress[0].instructions
+        assert total > 100, "window too short to draw counts from"
+        counts = sorted(rng.randrange(1, total) for _ in range(2))
+        gpu = alone(name, stream_id)
+        curve = gpu.record_progress(0)
+        assert curve.end == 0 and curve.cycle_at(1) is None
+        # Advance like a sweep's trajectory: resumed, stopping mid-cycle.
+        stops = []
+        for count in counts:
+            assert gpu.run_until_instructions(0, count) \
+                == curve.cycle_at(count)
+            stops.append((len(curve) - 1, curve.end))
+        assert curve.end == gpu.progress[0].instructions >= counts[-1]
+        picks = {1, curve.end, *counts}
+        # Each side of a step somewhere inside, and of every entry a stop
+        # left partial: what it held then and what resuming raised it to.
+        for i, partial in [(rng.randrange(len(curve) - 1), 0), *stops]:
+            picks |= {partial, partial + 1,
+                      curve.instructions[i], curve.instructions[i] + 1}
+        picks = sorted(n for n in picks if 1 <= n <= curve.end)
+        fresh = [alone(name, stream_id).run_until_instructions(0, n)
+                 for n in picks]
+        assert [curve.cycle_at(n) for n in picks] == fresh
+        assert curve.cycle_at(curve.end + 1) is None
+        assert curve.cycle_at(0) == 0  # as run_until_instructions(0, 0)
+
+    def test_recording_changes_nothing_and_needs_cycle_zero(self):
+        plain, recorded = alone("SD"), alone("SD")
+        curve = recorded.record_progress(0)
+        assert plain.run_until_instructions(0, 7_000) \
+            == recorded.run_until_instructions(0, 7_000)
+        assert plain.progress[0].instructions == curve.end
+        with pytest.raises(RuntimeError, match="cycle 0"):
+            plain.record_progress(0)
+        with pytest.raises(RuntimeError, match="run_until_instructions"):
+            recorded.run(1_000)
+
+    def test_same_trajectory(self):
+        gpu = alone("SB", 1)
+        curve = gpu.record_progress(0)
+        gpu.run_until_instructions(0, 3_000)
+        short = curve.copy()
+        gpu.run_until_instructions(0, 9_000)
+        assert short.end < curve.end
+        assert short.same_trajectory(curve) and curve.same_trajectory(short)
+        other = alone("SB", 0)
+        other_curve = other.record_progress(0)
+        other.run_until_instructions(0, 9_000)
+        assert not short.same_trajectory(other_curve)
+        bent = curve.copy()
+        bent.cycles[len(short) // 2] += 1
+        assert not short.same_trajectory(bent)
 
 
 class TestClose:

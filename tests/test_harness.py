@@ -172,13 +172,53 @@ class TestReplayAlone:
     def test_stores_every_count_but_never_looks_one_up(self, tmp_path):
         cache = AloneReplayCache(tmp_path)
         clocks = replay_alone(SUITE["SD"], 1, self.CFG, [2_000, 9_000], cache)
+        # The curve is written as each count is reached, into one file.
         assert (cache.hits, cache.misses, cache.stores) == (0, 0, 2)
+        assert all(clock.stored for clock in clocks.values())
+        assert len(cache) == 1
         for count, clock in clocks.items():
             hit = probe_alone(AloneReplayCache(tmp_path), SUITE["SD"], 1,
                               self.CFG, count)
             assert hit.cached and hit.cycles == clock.cycles
         assert probe_alone(None, SUITE["SD"], 1, self.CFG, 2_000) is None
-        assert probe_alone(cache, SUITE["SD"], 1, self.CFG, 2_001) is None
+
+    def test_every_count_below_the_curve_end_is_a_hit(self, tmp_path):
+        cache = AloneReplayCache(tmp_path)
+        replay_alone(SUITE["SD"], 1, self.CFG, [9_000], cache)
+        end = cache.curve(SUITE["SD"], 1, self.CFG).end
+        assert end >= 9_000  # the stopping burst may overshoot
+        for count in (1, 2_001, 8_999, end):
+            hit = probe_alone(AloneReplayCache(tmp_path), SUITE["SD"], 1,
+                              self.CFG, count)
+            assert hit.cached and hit.cycles == self.fresh(count).cycles
+        assert probe_alone(cache, SUITE["SD"], 1, self.CFG, end + 1) is None
+        assert cache.stores == 1
+
+    def test_a_count_past_the_end_extends_the_stored_curve(self, tmp_path):
+        cache = AloneReplayCache(tmp_path)
+        replay_alone(SUITE["SD"], 1, self.CFG, [4_000], cache)
+        short = cache.curve(SUITE["SD"], 1, self.CFG).copy()
+        other = AloneReplayCache(tmp_path)  # e.g. the next daemon job
+        assert probe_alone(other, SUITE["SD"], 1, self.CFG, 12_000) is None
+        clock = replay_alone(SUITE["SD"], 1, self.CFG, [12_000], other)[12_000]
+        assert clock.stored and clock.cycles == self.fresh(12_000).cycles
+        long = AloneReplayCache(tmp_path).curve(SUITE["SD"], 1, self.CFG)
+        assert long.end >= 12_000 > short.end
+        assert short.same_trajectory(long) and len(other) == 1
+        # The first instance sees the extension although it holds the
+        # shorter curve in memory.
+        assert cache.get(SUITE["SD"], 1, self.CFG, 12_000) == clock.cycles
+
+    def test_a_shorter_curve_never_replaces_a_longer_one(self, tmp_path):
+        replay_alone(SUITE["SD"], 1, self.CFG, [12_000],
+                     AloneReplayCache(tmp_path))
+        path, = tmp_path.glob("*.curve.json")
+        before = path.read_bytes()
+        late = AloneReplayCache(tmp_path)
+        clocks = replay_alone(SUITE["SD"], 1, self.CFG, [3_000, 6_000], late)
+        assert late.stores == 0 and path.read_bytes() == before
+        assert not any(clock.stored for clock in clocks.values())
+        assert late.get(SUITE["SD"], 1, self.CFG, 12_000) is not None
 
     def test_clock_budget_is_absolute_and_keeps_earlier_entries(self, tmp_path):
         cache = AloneReplayCache(tmp_path)

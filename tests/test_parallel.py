@@ -16,6 +16,7 @@ from repro.harness.replay_cache import (
     resolve_cache,
     spec_fingerprint,
 )
+from repro.sim.kernel import ProgressCurve
 from repro.workloads import SUITE
 
 CFG = scaled_config()
@@ -45,33 +46,61 @@ class TestFingerprints:
         assert config_fingerprint(GPUConfig()) == config_fingerprint(GPUConfig())
 
 
+#: A made-up trajectory: 400 instructions by cycle 300, 1000 by cycle 777.
+CURVE = ProgressCurve([300, 777], [400, 1000])
+
+
 class TestAloneReplayCache:
     def test_miss_then_hit(self, tmp_path):
         cache = AloneReplayCache(tmp_path)
         spec = SUITE["QR"]
         assert cache.get(spec, 0, CFG, 1000) is None
-        cache.put(spec, 0, CFG, 1000, 777)
+        assert cache.put(spec, 0, CFG, 1000, 777, CURVE)
         assert cache.get(spec, 0, CFG, 1000) == 777
         assert cache.misses == 1 and cache.hits == 1 and cache.stores == 1
 
     def test_persists_across_instances(self, tmp_path):
-        AloneReplayCache(tmp_path).put(SUITE["QR"], 0, CFG, 1000, 777)
+        AloneReplayCache(tmp_path).put(SUITE["QR"], 0, CFG, 1000, 777, CURVE)
         fresh = AloneReplayCache(tmp_path)
         assert fresh.get(SUITE["QR"], 0, CFG, 1000) == 777
         assert len(fresh) == 1
+        assert fresh.curve(SUITE["QR"], 0, CFG).end == 1000
 
-    def test_key_separates_instruction_counts(self, tmp_path):
+    def test_every_count_along_the_curve_is_a_hit(self, tmp_path):
         cache = AloneReplayCache(tmp_path)
-        cache.put(SUITE["QR"], 0, CFG, 1000, 111)
-        cache.put(SUITE["QR"], 0, CFG, 2000, 222)
-        assert cache.get(SUITE["QR"], 0, CFG, 1000) == 111
-        assert cache.get(SUITE["QR"], 0, CFG, 2000) == 222
+        cache.put(SUITE["QR"], 0, CFG, 1000, 777, CURVE)
+        fresh = AloneReplayCache(tmp_path)
+        assert [fresh.get(SUITE["QR"], 0, CFG, n)
+                for n in (1, 400, 401, 999, 1000)] == [300, 300, 777, 777, 777]
+        assert fresh.get(SUITE["QR"], 0, CFG, 1001) is None  # past the end
+        assert fresh.hits == 5 and fresh.misses == 1
+        assert len(fresh) == 1  # one file per trajectory, not per count
+
+    def test_key_separates_trajectories(self, tmp_path):
+        cache = AloneReplayCache(tmp_path)
+        cache.put(SUITE["QR"], 0, CFG, 1000, 777, CURVE)
+        assert cache.get(SUITE["QR"], 1, CFG, 1000) is None  # other stream
+        assert cache.get(SUITE["CT"], 0, CFG, 1000) is None  # other kernel
+        assert cache.get(SUITE["QR"], 0, scaled_config(seed=9), 1000) is None
+
+    def test_put_checks_the_curve_against_the_replay(self, tmp_path):
+        with pytest.raises(ValueError, match="cycle 777"):
+            AloneReplayCache(tmp_path).put(
+                SUITE["QR"], 0, CFG, 1000, 778, CURVE)
 
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
         cache = AloneReplayCache(tmp_path)
-        key = cache.key(SUITE["QR"], 0, CFG, 1000)
-        (tmp_path / f"{key}.json").write_text("not json {")
+        key = cache.key(SUITE["QR"], 0, CFG)
+        (tmp_path / f"{key}.curve.json").write_text("not json {")
         assert cache.get(SUITE["QR"], 0, CFG, 1000) is None
+
+    def test_legacy_per_count_files_are_ignored(self, tmp_path):
+        (tmp_path / ("ab" * 32 + ".json")).write_text(
+            '{"alone_cycles": 777, "instructions": 1000}')
+        cache = AloneReplayCache(tmp_path)
+        assert len(cache) == 0
+        assert cache.get(SUITE["QR"], 0, CFG, 1000) is None
+        assert cache.quarantined == 0
 
     def test_rejects_non_directory(self, tmp_path):
         f = tmp_path / "afile"
@@ -128,7 +157,7 @@ class TestJobExecution:
             models=(), cache_dir=str(tmp_path),
         )
         assert out1[0].ok
-        assert len(AloneReplayCache(tmp_path)) == 2  # one entry per app
+        assert len(AloneReplayCache(tmp_path)) == 2  # one curve per app
 
     def test_empty_job_list(self):
         assert run_jobs([], n_jobs=4) == []

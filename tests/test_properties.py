@@ -131,3 +131,80 @@ class TestLRUCacheProperties:
         cache.flush()
         assert all(not s for s in cache._sets)
         assert cache.occupancy_by_app() == {}
+
+
+#: A made-up progress curve: strictly increasing cycles and counts.
+_steps = st.lists(
+    st.tuples(st.integers(1, 5_000), st.integers(1, 2_000)),
+    min_size=1, max_size=60,
+)
+
+
+def _curve(steps):
+    from itertools import accumulate
+
+    from repro.sim.kernel import ProgressCurve
+
+    return ProgressCurve(accumulate(c for c, _ in steps),
+                         accumulate(n for _, n in steps))
+
+
+class TestProgressCurveProperties:
+    @given(_steps, st.data())
+    def test_lookup_is_the_first_cycle_reaching_the_count(self, steps, data):
+        curve = _curve(steps)
+        count = data.draw(st.integers(1, curve.end))
+        expect = next(c for c, n in zip(curve.cycles, curve.instructions)
+                      if n >= count)
+        assert curve.cycle_at(count) == expect
+        assert curve.cycle_at(curve.end + 1) is None
+
+    @given(_steps, st.data())
+    def test_prefixes_of_one_trajectory_agree(self, steps, data):
+        curve = _curve(steps)
+        n = data.draw(st.integers(1, len(curve)))
+        prefix = _curve(steps[:n])
+        # A run stopped inside its last cycle holds a lower count there.
+        floor = prefix.instructions[-2] + 1 if n > 1 else 1
+        prefix.instructions[-1] = data.draw(
+            st.integers(floor, prefix.instructions[-1]))
+        assert prefix.same_trajectory(curve) and curve.same_trajectory(prefix)
+        for count in (1, prefix.end):
+            assert prefix.cycle_at(count) == curve.cycle_at(count)
+        bent = prefix.copy()
+        bent.cycles[data.draw(st.integers(0, n - 1))] += 5_001
+        assert not bent.same_trajectory(curve)
+
+    @given(_steps)
+    def test_packed_sequences_round_trip(self, steps):
+        from repro.harness.replay_cache import _pack, _unpack
+
+        curve = _curve(steps)
+        assert _unpack(_pack(curve.cycles)) == list(curve.cycles)
+        assert _unpack(_pack(curve.instructions)) == list(curve.instructions)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["SD", "SB", "QR", "CT", "VA"]),
+           st.integers(0, 1),
+           st.lists(st.integers(1, 4_000), min_size=1, max_size=4))
+    def test_recorded_curve_is_monotone_and_its_stops_are_prefixes(
+            self, name, stream_id, stops):
+        from repro.harness import scaled_config
+        from repro.sim.gpu import GPU, LaunchedKernel
+        from repro.workloads import SUITE
+
+        gpu = GPU(scaled_config(),
+                  [LaunchedKernel(SUITE[name], stream_id=stream_id)],
+                  obs=False)
+        curve = gpu.record_progress(0)
+        taken = []
+        for count in sorted(stops):
+            assert gpu.run_until_instructions(0, count) \
+                == curve.cycle_at(count)
+            taken.append(curve.copy())
+        gpu.close()
+        for seq in (curve.cycles, curve.instructions):
+            assert all(a < b for a, b in zip(seq, seq[1:]))
+        assert all(short.same_trajectory(curve) for short in taken)
+        assert all(short.cycles == curve.cycles[:len(short)]
+                   for short in taken)

@@ -388,6 +388,46 @@ class TestHttpRoundTrip:
 
 
 @pytest.mark.slow
+class TestSharedAloneTrajectories:
+    def test_second_job_is_served_from_the_first_jobs_curve(self, tmp_path):
+        """What the daemon's cache shares across jobs: SB runs second in
+        SD+SB and in BS+SB, so the later job — other co-runner, other
+        instruction count — finds SB#1's alone clock on the stored curve
+        and only simulates BS."""
+        from repro.harness import run_workload, scaled_config
+        from repro.obs.bus import read_bus
+
+        svc = ReproService(tmp_path / "state")
+        svc.start()
+        thread = threading.Thread(target=svc.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(state_dir=str(tmp_path / "state"),
+                                   timeout_s=180.0)
+            results = []
+            for apps in (["SD", "SB"], ["BS", "SB"]):
+                spec = {"apps": apps, "cycles": 24_000, "seed": 77}
+                done = client.wait(client.submit("workload", spec)["job"])
+                assert done["status"] == "done"
+                results.append(done["result"]["result"])
+        finally:
+            svc.stop()
+            thread.join(timeout=10.0)
+        replays = [(r["args"]["app"], r["args"]["cached"], r["args"])
+                   for r in read_bus(svc._bus_dir)
+                   if r["t"] == "span" and r["name"] == "replay"]
+        assert [(app, cached) for app, cached, _ in replays] == [
+            ("SD", False), ("SB", False), ("SB", True), ("BS", False)]
+        served = replays[2][2]
+        assert served["instructions"] == results[1]["instructions"][1]
+        assert served["instructions"] <= served["curve_end"]
+        assert served["curve_end"] >= results[0]["instructions"][1]
+        direct = run_workload(["BS", "SB"], config=scaled_config(seed=77),
+                              shared_cycles=24_000)
+        assert results[1]["alone_cycles"] == direct.alone_cycles
+        assert results[1]["actual_slowdowns"] == direct.actual_slowdowns
+
+
 class TestScenarioDedup:
     def test_same_scenario_same_seed_runs_once(self, daemon):
         svc, client = daemon
