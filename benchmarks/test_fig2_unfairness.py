@@ -8,7 +8,7 @@ from repro.harness.report import render_fig2
 def test_fig2_unfairness_and_bandwidth(once, store_record):
     res = once(fig2_unfairness)
     save_result("fig2_unfairness", res)
-    store_record("fig2", res.to_dict(), pairs=res.combos)
+    store_record("fig2", res.to_dict())
     print()
     print(render_fig2(res))
 

@@ -18,22 +18,13 @@ import time
 
 
 def _cmd_list(args) -> int:
+    from repro.figure_table import FIGURE_TABLE
+    from repro.harness.report import table
+
     rows = [
         ("table1", "DASE hardware cost"),
         ("table3", "alone DRAM bandwidth utilization of the suite"),
-        ("fig2", "unfairness + bandwidth decomposition (motivation)"),
-        ("fig3", "performance vs request service rate"),
-        ("fig4", "MBB served-request conservation"),
-        ("fig5", "two-app estimation accuracy (DASE vs MISE vs ASM)"),
-        ("fig6", "four-app estimation accuracy"),
-        ("fig7", "error distribution"),
-        ("fig8a", "sensitivity to the SM split"),
-        ("fig8b", "sensitivity to the SM count"),
-        ("fig9", "DASE-Fair vs even split"),
-        ("fig-degradation", "DASE error + fairness vs injected counter "
-                            "noise (repro.faults)"),
-        ("fig-churn", "open-system sweep: DASE error + multi-metric "
-                      "fairness vs arrival rate (repro.opensys)"),
+        *((fig.name, fig.help) for fig in FIGURE_TABLE.values()),
         ("run", "run an arbitrary workload: python -m repro run SD SB"),
         ("trace", "record a traced run: python -m repro trace SD SB"),
         ("inspect", "summarize any recorded artifact (kind auto-detected "
@@ -44,8 +35,6 @@ def _cmd_list(args) -> int:
         ("trajectory", "cross-run accuracy/fairness/perf series per "
                        "scenario from a results store"),
     ]
-    from repro.harness.report import table
-
     print(table(["experiment", "description"], rows))
     return 0
 
@@ -169,64 +158,22 @@ def _cmd_fig(args) -> int:
             logger.close()
 
 
-def _fig_driver_kw(args, name: str) -> dict:
-    """Parse figure-specific CLI flags into run_figure driver kwargs."""
-    kw = {}
-    if name in ("fig5", "fig6", "fig7"):
-        kw["limit"] = args.limit
-    elif name == "fig-degradation":
-        sigmas = None
-        if args.sigmas:
-            try:
-                sigmas = tuple(float(s) for s in args.sigmas.split(",") if s)
-            except ValueError:
-                raise SystemExit(f"bad --sigmas value {args.sigmas!r}")
-        kw["pair"] = tuple(args.pair) if args.pair else None
-        kw["sigmas"] = sigmas
-    elif name == "fig-churn":
-        from repro.workloads import APP_NAMES
-
-        rates = None
-        if args.rates:
-            try:
-                rates = tuple(float(r) for r in args.rates.split(",") if r)
-            except ValueError:
-                raise SystemExit(f"bad --rates value {args.rates!r}")
-        for a in tuple(args.base or ()) + tuple(args.pool or ()):
-            if a not in APP_NAMES:
-                raise SystemExit(
-                    f"unknown app {a!r}; choose from {APP_NAMES}"
-                )
-        kw.update(
-            base=tuple(args.base) if args.base else None,
-            pool=tuple(args.pool) if args.pool else None,
-            rates=rates, mean_lifetime=args.mean_lifetime,
-            shared_cycles=args.cycles,
-        )
-    return kw
-
-
 def _run_fig(args, name: str) -> int:
-    # Execution, rendering, and scenario identity all live in
+    # Execution, rendering and scenario identity all live in
     # repro.harness.figures — the same dispatch `repro serve` uses, so the
-    # CLI and the service record byte-identical results.  Sweep-shaped
-    # experiments fan out across --jobs worker processes and memoise alone
-    # replays under --cache-dir (see docs/parallel-harness.md);
-    # fig-degradation and fig-churn interpret --seed as their fault/arrival
-    # seed instead of the GPUConfig seed.
+    # CLI and the service record byte-identical results.
+    from repro.figure_table import FIGURE_TABLE
     from repro.harness import figures as fg
 
+    fig = FIGURE_TABLE[name]
     run = fg.run_figure(
-        name, seed=getattr(args, "seed", None), jobs=args.jobs,
-        cache_dir=args.cache_dir, backend=_resolve_backend(args),
-        **_fig_driver_kw(args, name),
+        name, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir,
+        backend=_resolve_backend(args),
+        **{arg: getattr(args, arg) for arg, _ in fig.args},
     )
     print(run.rendered)
     if getattr(args, "out", None):
-        if name == "fig-degradation":
-            _write_degradation_artifacts(args.out, run.result)
-        elif name == "fig-churn":
-            _write_churn_artifacts(args.out, run.result)
+        _write_figure_report(args.out, *fig.report, run.result)
     if getattr(args, "store", None):
         try:
             rec, spec = fg.record_figure(args.store, run)
@@ -241,36 +188,18 @@ def _run_fig(args, name: str) -> int:
     return 0
 
 
-def _write_degradation_artifacts(out_dir: str, res) -> None:
+def _write_figure_report(out_dir: str, stem: str, export, res) -> None:
     import json
     import pathlib
 
-    from repro.obs.report import export_degradation_report
-
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "degradation.json").open("w") as fh:
+    with (out / f"{stem}.json").open("w") as fh:
         json.dump(res.to_dict(), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    export_degradation_report(out / "report.html", res)
-    print(f"\ndegradation artifacts written to {out}/ "
-          "(degradation.json, report.html)", file=sys.stderr)
-
-
-def _write_churn_artifacts(out_dir: str, res) -> None:
-    import json
-    import pathlib
-
-    from repro.obs.report import export_churn_report
-
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "churn.json").open("w") as fh:
-        json.dump(res.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    export_churn_report(out / "report.html", res)
-    print(f"\nchurn artifacts written to {out}/ "
-          "(churn.json, report.html)", file=sys.stderr)
+    export(out / "report.html", res)
+    print(f"\n{stem} artifacts written to {out}/ "
+          f"({stem}.json, report.html)", file=sys.stderr)
 
 
 def _write_sweep_artifacts(out_dir: str, bus_dir: str,
@@ -766,20 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
     t3.add_argument("--cycles", type=int, default=None)
     t3.set_defaults(func=_cmd_table3)
 
-    for fig in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-                "fig8a", "fig8b", "fig9", "fig-degradation", "fig-churn"):
-        if fig == "fig-degradation":
-            fp = sub.add_parser(
-                fig, help="degradation curves: DASE error + DASE-Fair "
-                          "fairness vs injected counter noise")
-        elif fig == "fig-churn":
-            fp = sub.add_parser(
-                fig, help="open-system churn sweep: DASE error + "
-                          "multi-metric fairness vs arrival rate")
-        else:
-            fp = sub.add_parser(fig, help=f"reproduce {fig}")
-        fp.add_argument("--limit", type=int, default=None,
-                        help="limit the number of workloads swept")
+    from repro.figure_table import FIGURE_TABLE
+
+    for fig in FIGURE_TABLE.values():
+        fp = sub.add_parser(fig.name, help=fig.help)
         fp.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the sweep (default: inline)")
         fp.add_argument("--cache-dir", default=None,
@@ -821,47 +740,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record the typed result payload into the "
                              "hash-addressed results store under DIR "
                              "(see docs/results-store.md)")
-        if fig not in ("fig-degradation", "fig-churn"):
-            fp.add_argument("--seed", type=int, default=None,
-                            help="simulation seed (default: the GPUConfig "
-                                 "default); part of the scenario id under "
-                                 "--store")
-        if fig == "fig-degradation":
-            fp.add_argument("--pair", nargs=2, default=None,
-                            metavar=("APP1", "APP2"),
-                            help="workload pair to degrade (default: SD SB)")
-            fp.add_argument("--sigmas", default=None, metavar="S1,S2,..",
-                            help="comma-separated counter-noise intensities "
-                                 "(default: 0,0.05,0.1,0.2,0.4)")
-            fp.add_argument("--seed", type=int, default=7,
-                            help="fault seed shared by every σ (default: 7)")
+        fp.add_argument("--seed", type=int, default=None,
+                        help=f"{fig.seed_role} seed (default: the driver's); "
+                             "part of the scenario id under --store")
+        for arg, kwargs in fig.args:
+            fp.add_argument("--" + arg.replace("_", "-"), **kwargs)
+        if fig.report is not None:
             fp.add_argument("--out", default=None, metavar="DIR",
-                            help="also write degradation.json and "
+                            help=f"also write {fig.report[0]}.json and "
                                  "report.html under DIR")
-        if fig == "fig-churn":
-            fp.add_argument("--base", nargs=2, default=None,
-                            metavar=("APP1", "APP2"),
-                            help="resident base workload (default: SD SB)")
-            fp.add_argument("--pool", nargs="+", default=None,
-                            metavar="APP",
-                            help="arrival pool apps (default: NN VA SC)")
-            fp.add_argument("--rates", default=None, metavar="R1,R2,..",
-                            help="comma-separated arrival rates per "
-                                 "kilocycle (default: 0.05,0.1,0.2)")
-            fp.add_argument("--mean-lifetime", type=int, default=40_000,
-                            dest="mean_lifetime", metavar="CYCLES",
-                            help="mean exponential lifetime of a dynamic "
-                                 "app (default: 40000)")
-            fp.add_argument("--cycles", type=int, default=None,
-                            help="shared-run horizon in cycles "
-                                 "(default: scaled config default)")
-            fp.add_argument("--seed", type=int, default=2016,
-                            help="arrival-schedule seed shared by every "
-                                 "rate (default: 2016)")
-            fp.add_argument("--out", default=None, metavar="DIR",
-                            help="also write churn.json and report.html "
-                                 "under DIR")
-        fp.set_defaults(func=_cmd_fig, experiment=fig)
+        fp.set_defaults(func=_cmd_fig, experiment=fig.name)
 
     rn = sub.add_parser("run", help="run an arbitrary workload")
     rn.add_argument("apps", nargs="+", help="suite app names, e.g. SD SB")

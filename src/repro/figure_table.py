@@ -1,0 +1,404 @@
+"""The figure table: every figure experiment, described once.
+
+Everything else that knows about figures is derived from
+:data:`FIGURE_TABLE`: ``run_figure``/``FIGURES``, the store's ``SCENARIOS``/
+``scenario_for``/``PAYLOAD_SCHEMAS``/``EXTRACTORS``, the ``repro fig*``
+subcommands, ``repro list`` and the service's scenario validation and
+catalog.  Adding a figure is one driver plus one entry here.
+
+**Identity = resolved inputs.**  :meth:`FigureDef.resolve` fills every
+default in once and its result feeds both the driver call and the spec, so
+``scenario_for(name)`` *is* the spec a default run records, at any scale.
+Defaults live with the drivers and are read from there, never retyped.
+Drivers and renderers are reached lazily: importing this module imports
+neither :mod:`repro.harness.experiments` nor the store.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Mapping
+
+from repro.config import GPUConfig
+from repro.metrics import mean
+from repro.workloads import APP_NAMES
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.store.registry import ScenarioSpec
+
+_ex = partial(import_module, "repro.harness.experiments")
+_rp = partial(import_module, "repro.harness.report")
+_churn = partial(import_module, "repro.opensys.churn")
+_obs = partial(import_module, "repro.obs.report")
+
+
+# ------------------------------------------------- trajectory extractors
+
+
+def _metrics_fig2(p: dict) -> dict[str, float]:
+    out: dict[str, float] = {}
+    unf = [v for v in (p.get("unfairness") or {}).values()
+           if isinstance(v, (int, float))]
+    if unf:
+        out["unfairness.mean"] = mean(unf)
+        out["unfairness.max"] = max(unf)
+    if isinstance(p.get("sd_alone_bw"), (int, float)):
+        out["sd_alone_bw"] = p["sd_alone_bw"]
+    return out
+
+
+def _metrics_fig3(p: dict) -> dict[str, float]:
+    out = {}
+    if isinstance(p.get("correlation"), (int, float)):
+        out["correlation"] = p["correlation"]
+    return out
+
+
+def _metrics_fig4(p: dict) -> dict[str, float]:
+    out: dict[str, float] = {}
+    alone = p.get("alone_rate")
+    if isinstance(alone, (int, float)):
+        out["alone_rate"] = alone
+        ratios = [
+            sum(pair) / alone
+            for pair in (p.get("shared_rates") or {}).values()
+            if alone and isinstance(pair, list) and len(pair) == 2
+        ]
+        if ratios:  # conservation: shared-sum ÷ alone ≈ 1.0
+            out["conservation.mean"] = mean(ratios)
+    return out
+
+
+def _metrics_accuracy(p: dict) -> dict[str, float]:
+    return {
+        f"error.{m}": v
+        for m, v in (p.get("mean_error") or {}).items()
+        if isinstance(v, (int, float))
+    }
+
+
+def _metrics_distribution(p: dict) -> dict[str, float]:
+    # fig7 payload: model → {bin label → fraction}; the headline
+    # longitudinal signal is the best-bin mass (fraction of estimates
+    # within 10% of the measured slowdown).
+    out: dict[str, float] = {}
+    for model, bins in p.items():
+        if isinstance(bins, dict) and bins:
+            first = next(iter(sorted(bins)))
+            for label, frac in bins.items():
+                if label.startswith("<"):
+                    first = label
+                    break
+            if isinstance(bins.get(first), (int, float)):
+                out[f"{model}.{first}"] = bins[first]
+    return out
+
+
+def _metrics_sensitivity(p: dict) -> dict[str, float]:
+    return {
+        f"error.{label}": v
+        for label, v in (p.get("dase_errors") or {}).items()
+        if isinstance(v, (int, float))
+    }
+
+
+def _metrics_fig9(p: dict) -> dict[str, float]:
+    out = {}
+    for k in ("mean_unfairness_improvement", "mean_hspeedup_improvement"):
+        if isinstance(p.get(k), (int, float)):
+            out[k.removeprefix("mean_")] = p[k]
+    return out
+
+
+def _metrics_degradation(p: dict) -> dict[str, float]:
+    out: dict[str, float] = {}
+    errs = {float(s): v for s, v in (p.get("dase_error") or {}).items()}
+    unfs = {float(s): v for s, v in (p.get("unfairness") or {}).items()}
+    if errs:
+        top = max(errs)
+        out["error.clean"] = errs.get(0.0, errs[min(errs)])
+        out[f"error.sigma{top:g}"] = errs[top]
+    if unfs:
+        top = max(unfs)
+        out[f"unfairness.sigma{top:g}"] = unfs[top]
+    if "error_monotone" in p:
+        out["error_monotone"] = 1.0 if p["error_monotone"] else 0.0
+    return out
+
+
+def _metrics_churn(p: dict) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for policy, curve in (p.get("dase_error") or {}).items():
+        vals = [v for v in curve.values() if isinstance(v, (int, float))]
+        if vals:
+            out[f"error.{policy}"] = mean(vals)
+    if isinstance(p.get("disagreements"), list):
+        out["metric_disagreements"] = float(len(p["disagreements"]))
+    return out
+
+
+# ------------------------------------------------------------ the schema
+
+
+@dataclass(frozen=True)
+class FigureDef:
+    """One figure experiment.
+
+    ``args`` are its extra arguments as ``(name, argparse kwargs)``; not
+    given means the driver's default.  ``inputs(**args)`` turns them into
+    the driver's keyword arguments, every default filled in, and
+    ``spec(inputs)`` maps those to ScenarioSpec fields.  ``--seed`` seeds
+    what ``seed_role`` names: the GPUConfig the driver runs on (``config``,
+    passed as ``config=``) or the injector / arrival schedule (``fault`` /
+    ``arrival``, passed as ``seed=``; the config seed keeps its default).
+    A driver that ``sweeps`` also takes ``jobs``/``cache_dir``/``backend``.
+    ``--out DIR`` writes ``report`` = ``(stem, export(path, result))`` as
+    ``stem.json`` + ``report.html``.
+    """
+
+    name: str
+    help: str
+    kind: str
+    schema: str
+    driver: Callable[..., Any]
+    render: Callable[[Any], str]
+    extract: Callable[[Any], dict[str, float]]
+    inputs: Callable[..., dict[str, Any]] = dict
+    spec: Callable[[dict[str, Any]], dict[str, Any]] = lambda inputs: {}
+    args: tuple[tuple[str, dict[str, Any]], ...] = ()
+    seed_role: str = "config"
+    seed_default: Callable[[], int] | None = None
+    sweeps: bool = True
+    payload: Callable[[Any], Any] = lambda result: result.to_dict()
+    report: tuple[str, Callable[[Any, Any], Any]] | None = None
+
+    def resolve(
+        self, seed: int | None, backend: str | None, given: Mapping[str, Any]
+    ) -> tuple[int | None, dict[str, Any], "ScenarioSpec"]:
+        """Fill in every default once: ``(seed, driver inputs, spec)``.  A
+        None seed survives only where it means the GPUConfig default."""
+        from repro.store.registry import ScenarioSpec
+
+        names = [name for name, _ in self.args]
+        unknown = sorted(set(given).difference(names))
+        if unknown:
+            raise ValueError(f"{self.name} takes no argument {unknown[0]!r} "
+                             f"(it takes: {', '.join(names) or 'none'})")
+        if seed is None and self.seed_default is not None:
+            seed = self.seed_default()
+        inputs = self.inputs(**{n: given.get(n) for n in names})
+        spec = ScenarioSpec(
+            name=self.name, kind=self.kind, backend=backend,
+            seeds=(GPUConfig.seed if seed is None else seed,),
+            **self.spec(inputs),
+        )
+        return seed, inputs, spec
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(s) for s in text.split(",") if s)
+
+
+LIMIT = ("limit", {"type": int, "help": "limit the number of workloads swept"})
+_TWO_APPS = {"nargs": 2, "choices": APP_NAMES, "metavar": ("APP1", "APP2")}
+
+
+# --------------------------------------------------------------- the table
+
+
+#: name → :class:`FigureDef`, in presentation order.
+FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
+    FigureDef(
+        name="fig2",
+        help="unfairness + bandwidth decomposition (motivation)",
+        kind="unfairness-baseline",
+        schema="repro.store.fig2/1",
+        driver=lambda **kw: _ex().fig2_unfairness(**kw),
+        inputs=lambda: {"combos": list(_ex().FIG2_COMBOS)},
+        spec=lambda i: {"workloads": i["combos"]},
+        render=lambda r: _rp().render_fig2(r),
+        extract=_metrics_fig2,
+    ),
+    FigureDef(
+        # Single synthetic kernel swept over memory intensity — no suite
+        # workloads; the cpm sweep axis is fixed by the driver.
+        name="fig3",
+        help="performance vs request service rate",
+        kind="service-rate-correlation",
+        schema="repro.store.fig3/1",
+        driver=lambda **kw: _ex().fig3_service_rate(**kw),
+        sweeps=False,
+        render=lambda r: _rp().render_fig3(r),
+        extract=_metrics_fig3,
+    ),
+    FigureDef(
+        name="fig4",
+        help="MBB served-request conservation",
+        kind="mbb-request-conservation",
+        schema="repro.store.fig4/1",
+        driver=lambda **kw: _ex().fig4_mbb_requests(**kw),
+        sweeps=False,
+        inputs=lambda: {"partners": list(_ex().FIG4_PARTNERS)},
+        spec=lambda i: {
+            "workloads": [("SB", p) for p in sorted(i["partners"])],
+        },
+        render=lambda r: _rp().render_fig4(r),
+        extract=_metrics_fig4,
+    ),
+    FigureDef(
+        name="fig5",
+        help="two-app estimation accuracy (DASE vs MISE vs ASM)",
+        kind="two-app-accuracy",
+        schema="repro.store.accuracy/1",
+        driver=lambda **kw: _ex().estimation_accuracy(**kw),
+        args=(LIMIT,),
+        inputs=lambda limit: {"workloads": _ex().pair_list(limit)},
+        spec=lambda i: {"workloads": i["workloads"]},
+        render=lambda r: _rp().render_accuracy(
+            r, "Fig 5 — two-application error"),
+        extract=_metrics_accuracy,
+    ),
+    FigureDef(
+        name="fig6",
+        help="four-app estimation accuracy",
+        kind="four-app-accuracy",
+        schema="repro.store.accuracy/1",
+        driver=lambda **kw: _ex().estimation_accuracy(**kw),
+        args=(LIMIT,),
+        inputs=lambda limit: {"workloads": _ex().four_app_list(limit)},
+        spec=lambda i: {"workloads": i["workloads"]},
+        render=lambda r: _rp().render_accuracy(
+            r, "Fig 6 — four-application error"),
+        extract=_metrics_accuracy,
+    ),
+    FigureDef(
+        name="fig7",
+        help="error distribution",
+        kind="error-distribution",
+        schema="repro.store.distribution/1",
+        driver=lambda workloads, **kw: _ex().fig7_error_distribution(
+            _ex().estimation_accuracy(workloads, **kw)),
+        args=(LIMIT,),
+        inputs=lambda limit: {"workloads": _ex().pair_list(limit)},
+        spec=lambda i: {"workloads": i["workloads"]},
+        payload=lambda dists: dists,
+        render=lambda r: _rp().render_distribution(r),
+        extract=_metrics_distribution,
+    ),
+    FigureDef(
+        name="fig8a",
+        help="sensitivity to the SM split",
+        kind="smsplit-sensitivity",
+        schema="repro.store.sensitivity/1",
+        driver=lambda **kw: _ex().fig8a_sm_allocation_sensitivity(**kw),
+        inputs=lambda: {"splits": list(_ex().FIG8A_SPLITS),
+                        "pairs": _ex().sensitivity_pairs()},
+        spec=lambda i: {"workloads": i["pairs"],
+                        "params": (("splits", i["splits"]),)},
+        render=lambda r: _rp().render_sensitivity(r, "Fig 8a — SM split"),
+        extract=_metrics_sensitivity,
+    ),
+    FigureDef(
+        name="fig8b",
+        help="sensitivity to the SM count",
+        kind="smcount-sensitivity",
+        schema="repro.store.sensitivity/1",
+        driver=lambda **kw: _ex().fig8b_sm_count_sensitivity(**kw),
+        inputs=lambda: {"sm_counts": list(_ex().FIG8B_SM_COUNTS),
+                        "pairs": _ex().sensitivity_pairs()},
+        spec=lambda i: {"workloads": i["pairs"],
+                        "params": (("sm_counts", i["sm_counts"]),)},
+        render=lambda r: _rp().render_sensitivity(r, "Fig 8b — SM count"),
+        extract=_metrics_sensitivity,
+    ),
+    FigureDef(
+        name="fig9",
+        help="DASE-Fair vs even split",
+        kind="fairness-policy",
+        schema="repro.store.fig9/1",
+        driver=lambda **kw: _ex().fig9_dase_fair(**kw),
+        inputs=lambda: {"pairs": _ex().fig9_pairs()},
+        spec=lambda i: {"workloads": i["pairs"], "policy": "dase_fair"},
+        render=lambda r: _rp().render_fig9(r),
+        extract=_metrics_fig9,
+    ),
+    FigureDef(
+        name="fig-degradation",
+        help="degradation curves: DASE error + DASE-Fair fairness vs "
+             "injected counter noise (repro.faults)",
+        kind="fault-degradation",
+        schema="repro.store.degradation/1",
+        driver=lambda **kw: _ex().fig_degradation(**kw),
+        seed_role="fault",
+        seed_default=lambda: _ex().DEGRADATION_SEED,
+        args=(
+            ("pair", {**_TWO_APPS, "help": "workload pair to degrade"}),
+            ("sigmas", {"type": _floats, "metavar": "S1,S2,..",
+                        "help": "comma-separated counter-noise intensities"}),
+        ),
+        inputs=lambda pair, sigmas: {
+            "pair": tuple(pair or _ex().DEGRADATION_PAIR),
+            "sigmas": tuple(sigmas or _ex().DEFAULT_SIGMAS),
+        },
+        spec=lambda i: {"workloads": (i["pair"],), "faults": i["sigmas"]},
+        render=lambda r: _rp().render_degradation(r),
+        extract=_metrics_degradation,
+        report=("degradation", lambda path, r:
+                _obs().export_degradation_report(path, r)),
+    ),
+    FigureDef(
+        name="fig-churn",
+        help="open-system churn sweep: DASE error + multi-metric fairness "
+             "vs arrival rate (repro.opensys)",
+        kind="open-system-churn",
+        schema="repro.store.churn/1",
+        driver=lambda **kw: _churn().fig_churn(**kw),
+        seed_role="arrival",
+        seed_default=lambda: _churn().DEFAULT_SEED,
+        args=(
+            ("base", {**_TWO_APPS, "help": "resident base workload"}),
+            ("pool", {"nargs": "+", "choices": APP_NAMES, "metavar": "APP",
+                      "help": "arrival pool apps"}),
+            ("rates", {"type": _floats, "metavar": "R1,R2,..",
+                       "help": "comma-separated arrival rates per kilocycle"}),
+            ("mean_lifetime", {"type": int, "metavar": "CYCLES",
+                               "help": "mean exponential lifetime of a "
+                                       "dynamic app"}),
+            ("cycles", {"type": int,
+                        "help": "shared-run horizon in cycles (default: "
+                                "scaled config default)"}),
+        ),
+        inputs=lambda base, pool, rates, mean_lifetime, cycles: {
+            "base": tuple(base or _churn().DEFAULT_BASE),
+            "pool": tuple(pool or _churn().DEFAULT_POOL),
+            "rates": tuple(rates or _churn().DEFAULT_RATES),
+            "mean_lifetime": (mean_lifetime if mean_lifetime is not None
+                              else _churn().DEFAULT_LIFETIME),
+            "shared_cycles": cycles,
+        },
+        spec=lambda i: {
+            "workloads": (i["base"], i["pool"]), "arrivals": i["rates"],
+            "cycles": i["shared_cycles"],
+            # Absent at its default: a default run keeps the id it always had.
+            "params": {} if i["mean_lifetime"] == _churn().DEFAULT_LIFETIME
+            else {"mean_lifetime": i["mean_lifetime"]},
+        },
+        render=lambda r: _rp().render_churn(r),
+        extract=_metrics_churn,
+        report=("churn", lambda path, r:
+                _obs().export_churn_report(path, r)),
+    ),
+)}
+
+
+def figure(name: str) -> FigureDef:
+    """The entry for ``name``, or a one-line :class:`ValueError`."""
+    try:
+        return FIGURE_TABLE[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {name!r} "
+            f"(registered: {', '.join(FIGURE_TABLE)})"
+        ) from None

@@ -23,7 +23,6 @@ catches the pathological torn case).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
@@ -31,14 +30,10 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.harness.replay_cache import fingerprint
 from repro.harness.runner import WorkloadResult
+from repro.hashing import digest
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.harness.parallel import JobOutcome
-
-
-def _line_checksum(body: dict) -> str:
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class SweepCheckpoint:
@@ -85,7 +80,7 @@ class SweepCheckpoint:
             try:
                 obj = json.loads(line)
                 stored = obj.pop("sha256")
-                if stored != _line_checksum(obj):
+                if stored != digest(obj):
                     raise ValueError("checksum mismatch")
                 index = obj["index"]
                 if not 0 <= index < len(self._fingerprints):
@@ -110,9 +105,7 @@ class SweepCheckpoint:
             "fingerprint": self._fingerprints[outcome.index],
             "result": outcome.result.to_dict(),
         }
-        body["sha256"] = _line_checksum(
-            {k: v for k, v in body.items() if k != "sha256"}
-        )
+        body["sha256"] = digest(body)
         self.directory.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             fh.write(json.dumps(body, sort_keys=True) + "\n")

@@ -39,6 +39,15 @@ DEFAULT_PAIRS: list[tuple[str, str]] = [
 ]
 
 
+#: Fixed sweep axes, stated once: the drivers fall back to them and the
+#: figure table builds scenario identities from them.  Fig. 2 pairs SD
+#: with aggressive co-runners; Fig. 4 pairs SB with these partners.
+FIG2_COMBOS = (("SD", "SB"), ("SD", "VA"), ("SD", "SA"))
+FIG4_PARTNERS = ("SA", "VA", "QR")
+FIG8A_SPLITS = ((4, 12), (8, 8), (12, 4))
+FIG8B_SM_COUNTS = (8, 16)
+
+
 def pair_list(limit: int | None = None) -> list[tuple[str, str]]:
     """Pairs to sweep: all 105 at full scale, the default subset otherwise."""
     if full_scale():
@@ -46,6 +55,12 @@ def pair_list(limit: int | None = None) -> list[tuple[str, str]]:
     else:
         pairs = list(DEFAULT_PAIRS)
     return pairs[:limit] if limit else pairs
+
+
+def four_app_list(count: int | None = None) -> list[tuple[str, ...]]:
+    """Four-app workloads to sweep: 30 at full scale, 4 otherwise."""
+    n = count if count is not None else (30 if full_scale() else 4)
+    return four_app_workloads(n)
 
 
 # --------------------------------------------------------------------- Fig 2
@@ -81,7 +96,7 @@ def fig2_unfairness(
 ) -> Fig2Result:
     """Fig. 2: unfairness of SD paired with aggressive co-runners, and the
     bandwidth decomposition explaining it."""
-    combos = combos or [("SD", "SB"), ("SD", "VA"), ("SD", "SA")]
+    combos = combos or list(FIG2_COMBOS)
     config = config or scaled_config()
     shared_cycles = shared_cycles or default_shared_cycles()
     out = Fig2Result(combos=combos, unfairness={}, slowdowns={}, breakdown={})
@@ -182,7 +197,7 @@ def fig4_mbb_requests(
 ) -> Fig4Result:
     """Fig. 4: a memory-bandwidth-bound app alone serves ≈ as many requests
     as the *sum* of all apps when it runs with others."""
-    partners = partners or ["SA", "VA", "QR"]
+    partners = partners or list(FIG4_PARTNERS)
     config = config or scaled_config()
     cycles = cycles or max(60_000, default_shared_cycles() // 3)
     with closing(GPU(config, [SUITE["SB"]])) as alone:
@@ -306,8 +321,7 @@ def fig5_two_app_accuracy(limit: int | None = None, **kw) -> AccuracyResult:
 
 def fig6_four_app_accuracy(count: int | None = None, **kw) -> AccuracyResult:
     """Fig. 6: estimation error across four-application workloads."""
-    n = count if count is not None else (30 if full_scale() else 4)
-    return estimation_accuracy(four_app_workloads(n), **kw)
+    return estimation_accuracy(four_app_list(count), **kw)
 
 
 def fig7_error_distribution(
@@ -338,14 +352,19 @@ class SensitivityResult:
         }
 
 
+def sensitivity_pairs() -> list[tuple[str, str]]:
+    """Pairs both Fig. 8 sweeps run at every point of their axis."""
+    return pair_list(30 if full_scale() else 3)
+
+
 def fig8a_sm_allocation_sensitivity(
     splits: list[tuple[int, int]] | None = None,
     pairs: list[tuple[str, str]] | None = None,
     **kw,
 ) -> SensitivityResult:
     """Fig. 8a: DASE accuracy under uneven launch-time SM splits."""
-    splits = splits or [(4, 12), (8, 8), (12, 4)]
-    pairs = pairs or pair_list(3 if not full_scale() else 30)
+    splits = splits or list(FIG8A_SPLITS)
+    pairs = pairs or sensitivity_pairs()
     labels, errs = [], {}
     for a, b in splits:
         label = f"{a}+{b}"
@@ -360,24 +379,17 @@ def fig8a_sm_allocation_sensitivity(
 def fig8b_sm_count_sensitivity(
     sm_counts: list[int] | None = None,
     pairs: list[tuple[str, str]] | None = None,
-    shared_cycles: int | None = None,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    backend: str | None = None,
-    seed: int | None = None,
+    config: GPUConfig | None = None,
+    **kw,
 ) -> SensitivityResult:
     """Fig. 8b: DASE accuracy when the GPU itself has fewer/more SMs."""
-    sm_counts = sm_counts or [8, 16]
-    pairs = pairs or pair_list(3 if not full_scale() else 30)
+    sm_counts = sm_counts or list(FIG8B_SM_COUNTS)
+    pairs = pairs or sensitivity_pairs()
+    config = config or scaled_config()
     labels, errs = [], {}
     for n in sm_counts:
-        overrides = {"n_sms": n}
-        if seed is not None:
-            overrides["seed"] = seed
-        cfg = scaled_config(**overrides)
         acc = estimation_accuracy(
-            pairs, config=cfg, models=("DASE",), shared_cycles=shared_cycles,
-            jobs=jobs, cache_dir=cache_dir, backend=backend,
+            pairs, config=config.with_sms(n), models=("DASE",), **kw
         )
         label = f"{n}SMs"
         labels.append(label)
@@ -428,6 +440,12 @@ class Fig9Result:
         }
 
 
+def fig9_pairs() -> list[tuple[str, str]]:
+    """The swept pairs minus kernels the paper calls 'unfit' (too few
+    thread blocks — here BG), excluded as in the paper."""
+    return [p for p in pair_list() if "BG" not in p]
+
+
 def fig9_dase_fair(
     pairs: list[tuple[str, str]] | None = None,
     config: GPUConfig | None = None,
@@ -438,14 +456,12 @@ def fig9_dase_fair(
 ) -> Fig9Result:
     """Fig. 9: run each workload under the even policy and under DASE-Fair.
 
-    Kernels the paper calls 'unfit' (too few thread blocks — here BG) are
-    excluded, as in the paper.  The even and DASE-Fair runs of every pair
-    are independent, so all 2·N runs fan out together under ``jobs`` as
-    one sweep, and each application's alone trajectory serves both
-    policies.
+    The even and DASE-Fair runs of every pair are independent, so all 2·N
+    runs fan out together under ``jobs`` as one sweep, and each
+    application's alone trajectory serves both policies.
     """
     if pairs is None:
-        pairs = [p for p in pair_list() if "BG" not in p]
+        pairs = fig9_pairs()
     config = config or scaled_config()
     out = Fig9Result([], {}, {}, {}, {})
     runs = run_jobs(
@@ -479,6 +495,10 @@ def fig9_dase_fair(
 #: the exact-counter anchor; the top value is already "a counter you
 #: shouldn't trust" (±~55% at one standard deviation).
 DEFAULT_SIGMAS: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4)
+
+#: Default workload degraded, and the fault seed every σ shares.
+DEGRADATION_PAIR: tuple[str, str] = ("SD", "SB")
+DEGRADATION_SEED = 7
 
 
 @dataclass
@@ -530,7 +550,7 @@ class DegradationResult:
 def fig_degradation(
     pair: tuple[str, str] | None = None,
     sigmas: tuple[float, ...] | None = None,
-    seed: int = 7,
+    seed: int = DEGRADATION_SEED,
     config: GPUConfig | None = None,
     shared_cycles: int | None = None,
     jobs: int | None = None,
@@ -548,7 +568,7 @@ def fig_degradation(
     The σ = 0 anchors are bit-identical to unfaulted runs (a null plan
     creates no injector), so the curve's origin doubles as a golden check.
     """
-    pair = tuple(pair or ("SD", "SB"))
+    pair = tuple(pair or DEGRADATION_PAIR)
     sigmas = tuple(sigmas if sigmas is not None else DEFAULT_SIGMAS)
     shared_cycles = shared_cycles or default_shared_cycles()
     job_list: list[WorkloadJob] = []
@@ -581,14 +601,3 @@ def fig_degradation(
             continue
         out.unfairness[sigma] = outcome.result.actual_unfairness
     return out
-
-
-# --------------------------------------------------------- open-system churn
-
-# fig-churn lives with the rest of the open-system machinery; re-exported
-# here so the CLI and callers find every figure driver in one module.
-from repro.opensys.churn import (  # noqa: E402
-    DEFAULT_RATES,
-    ChurnResult,
-    fig_churn,
-)

@@ -1,11 +1,11 @@
 """Shared figure-driver dispatch for the CLI and the service layer.
 
-:func:`run_figure` executes one registered figure experiment and returns a
-:class:`FigureRun` — the typed payload, the scenario-builder kwargs that
-identify it, and the rendered text table.  :func:`record_figure` writes that
-payload into a :class:`~repro.store.ResultStore` under its
-:class:`~repro.store.ScenarioSpec` identity, exactly the way the figure
-drivers' ``--store`` flag does.
+:func:`run_figure` executes one figure of :data:`repro.figure_table.
+FIGURE_TABLE` and returns a :class:`FigureRun` — the typed payload, the
+:class:`~repro.store.ScenarioSpec` built from the same resolved inputs the
+driver ran on, and the rendered text table.  :func:`record_figure` writes
+that payload into a :class:`~repro.store.ResultStore` under that identity,
+exactly the way the figure drivers' ``--store`` flag does.
 
 ``repro fig*`` and ``repro serve`` both go through these two functions, so a
 scenario submitted over the service API produces the same ``record_id`` as
@@ -17,32 +17,32 @@ guarantee rather than a convention (see tests/test_service.py and the CI
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-#: Figure drivers runnable through :func:`run_figure`, i.e. every name in
-#: the scenario registry (:data:`repro.store.SCENARIOS`).
-FIGURES: tuple[str, ...] = (
-    "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-    "fig8a", "fig8b", "fig9", "fig-degradation", "fig-churn",
-)
+from repro.figure_table import FIGURE_TABLE, figure
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.store.registry import ScenarioSpec
+
+#: Figure drivers runnable through :func:`run_figure`.
+FIGURES: tuple[str, ...] = tuple(FIGURE_TABLE)
 
 
 @dataclass(frozen=True)
 class FigureRun:
     """One executed figure driver: payload + scenario identity + rendering.
 
-    ``payload`` is the JSON-safe dict that ``--store`` records;
-    ``scenario_kw`` are the keyword arguments the scenario builder needs to
-    reconstruct the spec (pairs swept, sigma axis, ...); ``result`` keeps
-    the live result object for callers that export richer artifacts.
+    ``payload`` is the JSON-safe dict that ``--store`` records; ``spec``
+    is the identity of the inputs the driver ran on; ``provenance`` names
+    the config it ran on; ``result`` keeps the live result object for
+    callers that export richer artifacts.
     """
 
     name: str
     payload: dict[str, Any]
-    scenario_kw: dict[str, Any]
+    spec: "ScenarioSpec"
     rendered: str
-    seed: int | None = None
-    backend: str | None = None
+    provenance: dict[str, Any]
     result: Any = field(default=None, compare=False, repr=False)
 
 
@@ -58,101 +58,51 @@ def run_figure(
 ) -> FigureRun:
     """Run figure driver ``name`` and return its :class:`FigureRun`.
 
-    ``driver_kw`` passes figure-specific knobs through (fig-degradation's
-    ``pair``/``sigmas``, fig-churn's ``base``/``pool``/``rates``/...).
-    Unknown figures raise a one-line :class:`ValueError` (the inspect
-    error contract).
+    ``limit`` and ``driver_kw`` are the figure's own arguments
+    (fig-degradation's ``pair``/``sigmas``, fig-churn's ``base``/``pool``/
+    ``rates``/...); None means the default.  Unknown figures and arguments
+    raise a one-line :class:`ValueError` (the inspect error contract).
     """
-    from repro.harness import experiments as ex
-    from repro.harness import report as rp
     from repro.harness import scaled_config
+    from repro.harness.replay_cache import config_fingerprint
 
-    if name not in FIGURES:
-        raise ValueError(
-            f"unknown figure {name!r}; choose from {', '.join(FIGURES)}"
-        )
-    par = {"jobs": jobs, "cache_dir": cache_dir, "backend": backend}
-    # Figure drivers default to the GPUConfig seed; --seed pins it.
-    # fig-degradation / fig-churn interpret seed as their fault/arrival
-    # seed and fig8b threads it per SM count, so they take it directly.
-    cfg = None
-    if seed is not None and name not in ("fig-degradation", "fig-churn",
-                                         "fig8b"):
-        cfg = scaled_config(seed=seed)
-    if name == "fig2":
-        res = ex.fig2_unfairness(config=cfg, **par)
-        payload, kw = res.to_dict(), {"pairs": res.combos}
-        text = rp.render_fig2(res)
-    elif name == "fig3":
-        res = ex.fig3_service_rate(config=cfg)  # inline, no sweep
-        payload, kw = res.to_dict(), {}
-        text = rp.render_fig3(res)
-    elif name == "fig4":
-        res = ex.fig4_mbb_requests(config=cfg)  # inline, no sweep
-        payload, kw = res.to_dict(), {"partners": sorted(res.shared_rates)}
-        text = rp.render_fig4(res)
-    elif name == "fig5":
-        res = ex.fig5_two_app_accuracy(limit=limit, config=cfg, **par)
-        payload, kw = res.to_dict(), {"pairs": res.workloads}
-        text = rp.render_accuracy(res, "Fig 5 — two-application error")
-    elif name == "fig6":
-        res = ex.fig6_four_app_accuracy(count=limit, config=cfg, **par)
-        payload, kw = res.to_dict(), {"pairs": res.workloads}
-        text = rp.render_accuracy(res, "Fig 6 — four-application error")
-    elif name == "fig7":
-        two = ex.fig5_two_app_accuracy(limit=limit, config=cfg, **par)
-        res = ex.fig7_error_distribution(two)
-        payload, kw = res, {"pairs": two.workloads}
-        text = rp.render_distribution(res)
-    elif name == "fig8a":
-        res = ex.fig8a_sm_allocation_sensitivity(config=cfg, **par)
-        payload, kw = res.to_dict(), {"splits": res.labels}
-        text = rp.render_sensitivity(res, "Fig 8a — SM split")
-    elif name == "fig8b":
-        res = ex.fig8b_sm_count_sensitivity(seed=seed, **par)
-        payload, kw = res.to_dict(), {"sm_counts": res.labels}
-        text = rp.render_sensitivity(res, "Fig 8b — SM count")
-    elif name == "fig9":
-        res = ex.fig9_dase_fair(config=cfg, **par)
-        payload, kw = res.to_dict(), {
-            "pairs": [tuple(k.split("+")) for k in res.workloads],
-        }
-        text = rp.render_fig9(res)
-    elif name == "fig-degradation":
-        res = ex.fig_degradation(seed=seed, **driver_kw, **par)
-        payload, kw = res.to_dict(), {"pair": res.pair, "sigmas": res.sigmas}
-        text = rp.render_degradation(res)
-    else:  # fig-churn
-        res = ex.fig_churn(seed=seed, **driver_kw, **par)
-        payload, kw = res.to_dict(), {
-            "base": res.base, "pool": res.pool, "rates": res.rates,
-        }
-        text = rp.render_churn(res)
-    return FigureRun(name=name, payload=payload, scenario_kw=kw,
-                     rendered=text, seed=seed, backend=backend, result=res)
+    fig = figure(name)
+    given = {k: v for k, v in dict(driver_kw, limit=limit).items()
+             if v is not None}
+    run_seed, inputs, spec = fig.resolve(seed, backend, given)
+    kw = dict(inputs)
+    config = None
+    if fig.seed_role == "config":
+        # Figure drivers default to the GPUConfig seed; --seed pins it.
+        if run_seed is not None:
+            config = scaled_config(seed=run_seed)
+        kw["config"] = config
+    else:
+        kw["seed"] = run_seed  # the config seed keeps its default
+    if fig.sweeps:
+        kw.update(jobs=jobs, cache_dir=cache_dir, backend=backend)
+    res = fig.driver(**kw)
+    return FigureRun(
+        name=name, payload=fig.payload(res), spec=spec,
+        rendered=fig.render(res), result=res,
+        provenance={
+            "config_fingerprint": config_fingerprint(
+                config or scaled_config()),
+        },
+    )
 
 
 def record_figure(store_dir: str, run: FigureRun):
     """Record ``run`` into the store at ``store_dir``.
 
     Returns ``(record, spec)``.  This is the single recording path shared
-    by ``repro fig* --store`` and the service's scenario jobs: the spec is
-    rebuilt from the run's scenario kwargs and the provenance carries the
-    config fingerprint of an equivalent host invocation, so record ids are
-    identical whichever entry point produced the payload.
+    by ``repro fig* --store`` and the service's scenario jobs, so record
+    ids are identical whichever entry point produced the payload.
     """
-    from repro.harness import scaled_config
-    from repro.harness.replay_cache import config_fingerprint
-    from repro.store import PAYLOAD_SCHEMAS, ResultStore, scenario_for
+    from repro.store import ResultStore
 
-    spec = scenario_for(
-        run.name, seed=run.seed, backend=run.backend, **run.scenario_kw
-    )
-    overrides = {"seed": run.seed} if run.seed is not None else {}
-    provenance = {
-        "config_fingerprint": config_fingerprint(scaled_config(**overrides)),
-    }
     rec = ResultStore(store_dir).record(
-        spec, run.payload, PAYLOAD_SCHEMAS[run.name], provenance=provenance
+        run.spec, run.payload, FIGURE_TABLE[run.name].schema,
+        provenance=run.provenance,
     )
-    return rec, spec
+    return rec, run.spec

@@ -41,7 +41,6 @@ from __future__ import annotations
 import base64
 import dataclasses
 import enum
-import hashlib
 import json
 import operator
 import os
@@ -55,6 +54,7 @@ from typing import Any
 
 from repro.config import GPUConfig
 from repro.harness.persist import atomic_write_json
+from repro.hashing import digest
 from repro.sim.kernel import KernelSpec, ProgressCurve
 
 
@@ -76,8 +76,7 @@ def _canonical(obj: Any) -> Any:
 
 def fingerprint(obj: Any) -> str:
     """Stable hex digest of any dataclass/primitive structure."""
-    blob = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return digest(_canonical(obj))
 
 
 def spec_fingerprint(spec: KernelSpec, stream_id: int) -> str:
@@ -108,9 +107,7 @@ def default_cache_dir() -> pathlib.Path | None:
 def entry_checksum(entry: dict) -> str:
     """Self-checksum of a cache entry: SHA-256 over the canonical JSON of
     every field except ``checksum`` itself."""
-    body = {k: v for k, v in entry.items() if k != "checksum"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return digest({k: v for k, v in entry.items() if k != "checksum"})
 
 
 #: Orphan ``*.tmp`` files younger than this are left alone on cache open —

@@ -6,7 +6,6 @@ from typing import Iterable, Sequence
 
 from repro.harness.experiments import (
     AccuracyResult,
-    ChurnResult,
     DegradationResult,
     Fig2Result,
     Fig3Result,
@@ -14,6 +13,7 @@ from repro.harness.experiments import (
     Fig9Result,
     SensitivityResult,
 )
+from repro.opensys.churn import ChurnResult
 
 
 def table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -31,6 +31,13 @@ from repro.opensys.schedule import ArrivalSchedule, poisson_schedule
 #: the roster several times per estimation window at the scaled default.
 DEFAULT_RATES: tuple[float, ...] = (0.05, 0.1, 0.2)
 
+#: Default resident workload, arrival pool, arrival-schedule seed shared by
+#: every rate, and mean exponential lifetime of a dynamic app (cycles).
+DEFAULT_BASE: tuple[str, ...] = ("SD", "SB")
+DEFAULT_POOL: tuple[str, ...] = ("NN", "VA", "SC")
+DEFAULT_SEED = 2016
+DEFAULT_LIFETIME = 40_000
+
 #: Verdict direction per metric: True = smaller is fairer.
 LOWER_IS_FAIRER: dict[str, bool] = {
     "unfairness": True,
@@ -147,8 +154,8 @@ def fig_churn(
     base: tuple[str, ...] | None = None,
     pool: tuple[str, ...] | None = None,
     rates: tuple[float, ...] | None = None,
-    seed: int = 2016,
-    mean_lifetime: int = 40_000,
+    seed: int = DEFAULT_SEED,
+    mean_lifetime: int = DEFAULT_LIFETIME,
     config: GPUConfig | None = None,
     shared_cycles: int | None = None,
     jobs: int | None = None,
@@ -162,8 +169,8 @@ def fig_churn(
     in scheduling — same arrivals, same lifetimes, same seeds.  All
     2·N runs fan out together under ``jobs``.
     """
-    base = tuple(base or ("SD", "SB"))
-    pool = tuple(pool or ("NN", "VA", "SC"))
+    base = tuple(base or DEFAULT_BASE)
+    pool = tuple(pool or DEFAULT_POOL)
     rates = tuple(rates if rates is not None else DEFAULT_RATES)
     shared_cycles = shared_cycles or default_shared_cycles()
     schedules = {

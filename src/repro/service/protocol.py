@@ -10,11 +10,10 @@ one-line :class:`ValueError`\\ s, which the daemon maps to HTTP 400.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
-from repro.store.records import canonical_json
+from repro.hashing import digest
 
 #: Protocol schema tag carried by every request and response.
 SCHEMA = "repro.service/1"
@@ -26,6 +25,10 @@ KINDS = ("workload", "sweep", "scenario", "chaos")
 #: Event types a job stream can carry, in lifecycle order.
 EVENTS = ("queued", "admitted", "started", "progress", "done", "failed",
           "cancelled")
+
+#: Figure arguments a scenario submission may carry in ``params`` (positive
+#: integers), for the figures whose table entry takes them.
+SCENARIO_PARAMS = ("limit",)
 
 #: Upper bound on a submission body; a client sending more is misbehaving.
 MAX_BODY_BYTES = 1 << 20
@@ -50,8 +53,7 @@ def request_fingerprint(kind: str, spec: dict[str, Any]) -> str:
     The tenant is deliberately excluded — two tenants asking the same
     question share one simulation.
     """
-    blob = canonical_json({"kind": kind, "spec": spec})
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return digest({"kind": kind, "spec": spec})
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -124,9 +126,9 @@ def _normalize_sweep(spec: dict) -> dict[str, Any]:
 
 
 def _normalize_scenario(spec: dict) -> dict[str, Any]:
-    from repro.store import SCENARIOS
+    from repro.figure_table import FIGURE_TABLE
 
-    name = _opt_str(spec, "name", choices=SCENARIOS)
+    name = _opt_str(spec, "name", choices=FIGURE_TABLE)
     sid = _opt_str(spec, "id")
     _require(name is not None or sid is not None,
              "scenario spec needs a registered name or a scenario id")
@@ -135,9 +137,14 @@ def _normalize_scenario(spec: dict) -> dict[str, Any]:
                  f"scenario id must be >= 4 hex chars, got {sid!r}")
     params = spec.get("params") or {}
     _require(isinstance(params, dict), "params must be an object")
+    # A bare id is checked once resolved: run_figure rejects what the
+    # figure does not take.
+    takes = [k for k in SCENARIO_PARAMS
+             if name is None or k in dict(FIGURE_TABLE[name].args)]
     for key in params:
-        _require(key in ("limit",),
-                 f"unsupported scenario param {key!r} (only 'limit')")
+        _require(key in takes,
+                 f"unsupported scenario param {key!r} for {name or 'an id'} "
+                 f"(it takes: {', '.join(takes) or 'none'})")
     return {
         "name": name,
         "id": sid,

@@ -4,8 +4,9 @@ The longitudinal (fourth) observability scope, above run → model → sweep:
 
 * :class:`ScenarioSpec` (:mod:`repro.store.registry`) — a declarative,
   hashable experiment identity (workloads, policy, faults, arrivals,
-  backend, seeds, cycle budget → canonical sha256 scenario id); every
-  figure driver registers a builder in :data:`SCENARIOS`;
+  backend, seeds, cycle budget → canonical sha256 scenario id);
+  :data:`SCENARIOS` holds one builder per figure of
+  :data:`repro.figure_table.FIGURE_TABLE`;
 * :class:`ResultStore` (:mod:`repro.store.records`) — content-addressed,
   schema-versioned JSON records (``repro.store.record/1``) under one
   store directory with an append-ordered index, atomic writes, full
@@ -35,7 +36,6 @@ from repro.store.registry import (
     SCENARIO_SCHEMA,
     SCENARIOS,
     ScenarioSpec,
-    register_scenario,
     scenario_for,
 )
 from repro.store.trajectory import (
@@ -53,7 +53,6 @@ __all__ = [
     "SCENARIOS",
     "SCENARIO_SCHEMA",
     "PAYLOAD_SCHEMAS",
-    "register_scenario",
     "scenario_for",
     "ResultStore",
     "StoreRecord",

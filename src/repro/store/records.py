@@ -36,7 +36,6 @@ traceback.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
@@ -46,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.harness.persist import atomic_write_json
+from repro.hashing import canonical_json, digest
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.store.registry import ScenarioSpec
@@ -62,21 +62,14 @@ INDEX_SCHEMA = "repro.store.index/1"
 LEGACY_SCHEMA = "repro.store.legacy/1"
 
 
-def canonical_json(obj: Any) -> str:
-    """The canonical serialization everything in the store is hashed over:
-    sorted keys, no whitespace — byte-stable across processes and platforms."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def content_id(scenario_id: str, payload_schema: str, payload: Any) -> str:
     """The record's content address: sha256 over the canonical JSON of what
     was *computed*, never over when/where it was computed (provenance)."""
-    blob = canonical_json({
+    return digest({
         "scenario_id": scenario_id,
         "payload_schema": payload_schema,
         "payload": payload,
     })
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def git_revision(cwd: str | os.PathLike | None = None) -> str | None:

@@ -8,20 +8,22 @@ produce the same science get the same id; changing any field changes the
 id (enforced by a hypothesis test).  Seed *order* is immaterial: seeds
 are a set of replications, so they are sorted before hashing.
 
-The module-level :data:`SCENARIOS` registry maps each figure driver to a
-builder that turns CLI arguments into a spec, so ``repro fig2 --store …``
-and programmatic use agree on identity.  Specs are data, not behaviour:
-the driver still runs through :mod:`repro.harness.experiments`; the spec
-only fixes *which* experiment the resulting record claims to be.
+The module-level :data:`SCENARIOS` registry maps each figure of
+:data:`repro.figure_table.FIGURE_TABLE` to the builder that turns its
+arguments into a spec — the one ``run_figure`` uses, so ``repro fig2
+--store …`` and programmatic use agree on identity.  Specs are data, not
+behaviour: the driver still runs through :mod:`repro.harness.experiments`;
+the spec only fixes *which* experiment the resulting record claims to be.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Mapping
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from typing import Any, Callable, Mapping
 
-from repro.store.records import canonical_json
+from repro.figure_table import FIGURE_TABLE, figure
+from repro.hashing import digest
 
 #: Schema tag for the canonical scenario dict embedded in records.
 SCENARIO_SCHEMA = "repro.store.scenario/1"
@@ -94,7 +96,7 @@ class ScenarioSpec:
         d.setdefault("schema", SCENARIO_SCHEMA)
         if isinstance(d.get("seeds"), (list, tuple)):
             d["seeds"] = sorted(d["seeds"])
-        return hashlib.sha256(canonical_json(d).encode()).hexdigest()
+        return digest(d)
 
     def scenario_id(self) -> str:
         return self.id_of(self.canonical())
@@ -116,187 +118,26 @@ class ScenarioSpec:
         return cls(**kwargs)
 
 
-#: Figure-driver registry: name → builder(seed, backend, **kwargs) → spec.
-SCENARIOS: dict[str, Callable[..., ScenarioSpec]] = {}
-
-#: The typed payload schema each figure driver's record carries.
-PAYLOAD_SCHEMAS: dict[str, str] = {
-    "fig2": "repro.store.fig2/1",
-    "fig3": "repro.store.fig3/1",
-    "fig4": "repro.store.fig4/1",
-    "fig5": "repro.store.accuracy/1",
-    "fig6": "repro.store.accuracy/1",
-    "fig7": "repro.store.distribution/1",
-    "fig8a": "repro.store.sensitivity/1",
-    "fig8b": "repro.store.sensitivity/1",
-    "fig9": "repro.store.fig9/1",
-    "fig-degradation": "repro.store.degradation/1",
-    "fig-churn": "repro.store.churn/1",
-}
-
-
-def register_scenario(
-    name: str,
-) -> Callable[[Callable[..., ScenarioSpec]], Callable[..., ScenarioSpec]]:
-    def deco(fn: Callable[..., ScenarioSpec]) -> Callable[..., ScenarioSpec]:
-        SCENARIOS[name] = fn
-        return fn
-    return deco
-
-
 def scenario_for(
     name: str,
     seed: int | None = None,
     backend: str | None = None,
     **kwargs: Any,
 ) -> ScenarioSpec:
-    """Build the registered spec for figure driver ``name``.
+    """The spec a run of figure ``name`` with arguments ``kwargs`` records.
 
-    Unknown drivers raise a one-line :class:`ValueError` listing what is
-    registered (the inspect error contract — callers surface it verbatim).
+    Unknown drivers or arguments raise a one-line :class:`ValueError` (the
+    inspect error contract — callers surface it verbatim).
     """
-    try:
-        builder = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(
-            f"unknown scenario {name!r} (registered: {known})"
-        ) from None
-    return builder(seed=seed, backend=backend, **kwargs)
+    return figure(name).resolve(seed, backend, kwargs)[2]
 
 
-def _pairs(pairs: Iterable[Iterable[str]] | None) -> tuple[tuple[str, ...], ...]:
-    from repro.harness.experiments import DEFAULT_PAIRS
+#: Figure-driver registry: name → builder(seed, backend, **kwargs) → spec.
+SCENARIOS: dict[str, Callable[..., ScenarioSpec]] = {
+    name: partial(scenario_for, name) for name in FIGURE_TABLE
+}
 
-    if pairs is None:
-        return tuple(tuple(p) for p in DEFAULT_PAIRS)
-    return tuple(tuple(p) for p in pairs)
-
-
-def _seeds(seed: int | None) -> tuple[int, ...]:
-    from repro.config import GPUConfig
-
-    return (GPUConfig.seed if seed is None else seed,)
-
-
-def _pair_scenario(
-    fig: str, kind: str, seed: int | None, backend: str | None,
-    pairs: Iterable[Iterable[str]] | None = None,
-    policy: str | None = None,
-    **params: Any,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        name=fig,
-        kind=kind,
-        workloads=_pairs(pairs),
-        policy=policy,
-        backend=backend,
-        seeds=_seeds(seed),
-        params=tuple(sorted(params.items())),
-    )
-
-
-@register_scenario("fig2")
-def _fig2(seed=None, backend=None, pairs=None, **kw) -> ScenarioSpec:
-    if pairs is None:
-        pairs = (("SD", "SB"), ("SD", "VA"), ("SD", "SA"))
-    return _pair_scenario("fig2", "unfairness-baseline", seed, backend, pairs, **kw)
-
-
-@register_scenario("fig3")
-def _fig3(seed=None, backend=None, **kw) -> ScenarioSpec:
-    # Single synthetic kernel swept over memory intensity — no suite
-    # workloads; the cpm sweep axis is fixed by the driver.
-    return ScenarioSpec(
-        name="fig3", kind="service-rate-correlation",
-        backend=backend, seeds=_seeds(seed),
-        params=tuple(sorted(kw.items())),
-    )
-
-
-@register_scenario("fig4")
-def _fig4(seed=None, backend=None, partners=None, **kw) -> ScenarioSpec:
-    partners = tuple(partners) if partners is not None else ("SA", "VA", "QR")
-    return ScenarioSpec(
-        name="fig4", kind="mbb-request-conservation",
-        workloads=tuple(("SB", p) for p in partners),
-        backend=backend, seeds=_seeds(seed),
-        params=tuple(sorted(kw.items())),
-    )
-
-
-@register_scenario("fig5")
-def _fig5(seed=None, backend=None, pairs=None, **kw) -> ScenarioSpec:
-    return _pair_scenario("fig5", "two-app-accuracy", seed, backend, pairs, **kw)
-
-
-@register_scenario("fig6")
-def _fig6(seed=None, backend=None, pairs=None, **kw) -> ScenarioSpec:
-    return _pair_scenario("fig6", "four-app-accuracy", seed, backend, pairs, **kw)
-
-
-@register_scenario("fig7")
-def _fig7(seed=None, backend=None, pairs=None, **kw) -> ScenarioSpec:
-    return _pair_scenario("fig7", "error-distribution", seed, backend, pairs, **kw)
-
-
-@register_scenario("fig8a")
-def _fig8a(seed=None, backend=None, pairs=None, splits=None, **kw) -> ScenarioSpec:
-    if splits is not None:
-        kw["splits"] = _tuplize(splits)
-    return _pair_scenario("fig8a", "smsplit-sensitivity", seed, backend, pairs, **kw)
-
-
-@register_scenario("fig8b")
-def _fig8b(seed=None, backend=None, pairs=None, sm_counts=None, **kw) -> ScenarioSpec:
-    if sm_counts is not None:
-        kw["sm_counts"] = _tuplize(sm_counts)
-    return _pair_scenario("fig8b", "smcount-sensitivity", seed, backend, pairs, **kw)
-
-
-@register_scenario("fig9")
-def _fig9(seed=None, backend=None, pairs=None, **kw) -> ScenarioSpec:
-    if pairs is None:
-        from repro.harness.experiments import pair_list
-
-        pairs = tuple(p for p in pair_list() if "BG" not in p)
-    return _pair_scenario(
-        "fig9", "fairness-policy", seed, backend, pairs, policy="dase_fair", **kw
-    )
-
-
-@register_scenario("fig-degradation")
-def _fig_degradation(
-    seed=None, backend=None, pair=None, sigmas=None, **kw
-) -> ScenarioSpec:
-    from repro.harness.experiments import DEFAULT_SIGMAS
-
-    return ScenarioSpec(
-        name="fig-degradation",
-        kind="fault-degradation",
-        workloads=(tuple(pair) if pair is not None else ("SD", "SB"),),
-        faults=tuple(DEFAULT_SIGMAS if sigmas is None else sigmas),
-        backend=backend,
-        seeds=(7,) if seed is None else (seed,),
-        params=tuple(sorted(kw.items())),
-    )
-
-
-@register_scenario("fig-churn")
-def _fig_churn(
-    seed=None, backend=None, base=None, pool=None, rates=None, **kw
-) -> ScenarioSpec:
-    from repro.opensys.churn import DEFAULT_RATES
-
-    return ScenarioSpec(
-        name="fig-churn",
-        kind="open-system-churn",
-        workloads=(
-            tuple(base) if base is not None else ("SD", "SB"),
-            tuple(pool) if pool is not None else ("NN", "VA", "SC"),
-        ),
-        arrivals=tuple(DEFAULT_RATES if rates is None else rates),
-        backend=backend,
-        seeds=(2016,) if seed is None else (seed,),
-        params=tuple(sorted(kw.items())),
-    )
+#: The typed payload schema each figure driver's record carries.
+PAYLOAD_SCHEMAS: dict[str, str] = {
+    name: fig.schema for name, fig in FIGURE_TABLE.items()
+}

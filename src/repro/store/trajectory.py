@@ -27,113 +27,8 @@ import os
 import pathlib
 from typing import Any, Callable
 
+from repro.figure_table import FIGURE_TABLE
 from repro.store.records import ResultStore, StoreRecord, iter_payloads
-
-
-def _mean(vals: list[float]) -> float | None:
-    return sum(vals) / len(vals) if vals else None
-
-
-def _metrics_fig2(p: dict) -> dict[str, float]:
-    out: dict[str, float] = {}
-    unf = [v for v in (p.get("unfairness") or {}).values()
-           if isinstance(v, (int, float))]
-    if unf:
-        out["unfairness.mean"] = _mean(unf)
-        out["unfairness.max"] = max(unf)
-    if isinstance(p.get("sd_alone_bw"), (int, float)):
-        out["sd_alone_bw"] = p["sd_alone_bw"]
-    return out
-
-
-def _metrics_fig3(p: dict) -> dict[str, float]:
-    out = {}
-    if isinstance(p.get("correlation"), (int, float)):
-        out["correlation"] = p["correlation"]
-    return out
-
-
-def _metrics_fig4(p: dict) -> dict[str, float]:
-    out: dict[str, float] = {}
-    alone = p.get("alone_rate")
-    if isinstance(alone, (int, float)):
-        out["alone_rate"] = alone
-        ratios = [
-            sum(pair) / alone
-            for pair in (p.get("shared_rates") or {}).values()
-            if alone and isinstance(pair, list) and len(pair) == 2
-        ]
-        if ratios:  # conservation: shared-sum ÷ alone ≈ 1.0
-            out["conservation.mean"] = _mean(ratios)
-    return out
-
-
-def _metrics_accuracy(p: dict) -> dict[str, float]:
-    return {
-        f"error.{m}": v
-        for m, v in (p.get("mean_error") or {}).items()
-        if isinstance(v, (int, float))
-    }
-
-
-def _metrics_distribution(p: dict) -> dict[str, float]:
-    # fig7 payload: model → {bin label → fraction}; the headline
-    # longitudinal signal is the best-bin mass (fraction of estimates
-    # within 10% of the measured slowdown).
-    out: dict[str, float] = {}
-    for model, bins in p.items():
-        if isinstance(bins, dict) and bins:
-            first = next(iter(sorted(bins)))
-            for label, frac in bins.items():
-                if label.startswith("<"):
-                    first = label
-                    break
-            if isinstance(bins.get(first), (int, float)):
-                out[f"{model}.{first}"] = bins[first]
-    return out
-
-
-def _metrics_sensitivity(p: dict) -> dict[str, float]:
-    return {
-        f"error.{label}": v
-        for label, v in (p.get("dase_errors") or {}).items()
-        if isinstance(v, (int, float))
-    }
-
-
-def _metrics_fig9(p: dict) -> dict[str, float]:
-    out = {}
-    for k in ("mean_unfairness_improvement", "mean_hspeedup_improvement"):
-        if isinstance(p.get(k), (int, float)):
-            out[k.removeprefix("mean_")] = p[k]
-    return out
-
-
-def _metrics_degradation(p: dict) -> dict[str, float]:
-    out: dict[str, float] = {}
-    errs = {float(s): v for s, v in (p.get("dase_error") or {}).items()}
-    unfs = {float(s): v for s, v in (p.get("unfairness") or {}).items()}
-    if errs:
-        top = max(errs)
-        out["error.clean"] = errs.get(0.0, errs[min(errs)])
-        out[f"error.sigma{top:g}"] = errs[top]
-    if unfs:
-        top = max(unfs)
-        out[f"unfairness.sigma{top:g}"] = unfs[top]
-    if "error_monotone" in p:
-        out["error_monotone"] = 1.0 if p["error_monotone"] else 0.0
-    return out
-
-
-def _metrics_churn(p: dict) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for policy, curve in (p.get("dase_error") or {}).items():
-        vals = [v for v in curve.values() if isinstance(v, (int, float))]
-        if vals:
-            out[f"error.{policy}"] = _mean(vals)
-    if isinstance(p.get("disagreements"), list):
-        out["metric_disagreements"] = float(len(p["disagreements"]))
-    return out
 
 
 def _metrics_generic(p: Any) -> dict[str, float]:
@@ -146,17 +41,10 @@ def _metrics_generic(p: Any) -> dict[str, float]:
     }
 
 
-#: payload schema tag → extractor(payload) → {metric name: value}.
+#: payload schema tag → extractor(payload) → {metric name: value}, one per
+#: payload schema of the figure table.
 EXTRACTORS: dict[str, Callable[[Any], dict[str, float]]] = {
-    "repro.store.fig2/1": _metrics_fig2,
-    "repro.store.fig3/1": _metrics_fig3,
-    "repro.store.fig4/1": _metrics_fig4,
-    "repro.store.accuracy/1": _metrics_accuracy,
-    "repro.store.distribution/1": _metrics_distribution,
-    "repro.store.sensitivity/1": _metrics_sensitivity,
-    "repro.store.fig9/1": _metrics_fig9,
-    "repro.store.degradation/1": _metrics_degradation,
-    "repro.store.churn/1": _metrics_churn,
+    fig.schema: fig.extract for fig in FIGURE_TABLE.values()
 }
 
 

@@ -255,6 +255,11 @@ class TestReplayCacheHardening:
             damaged = dict(body)
             damaged[field] = "x"
             assert entry["checksum"] != entry_checksum(damaged), field
+        # Literal from the commit before repro.hashing: entries written on
+        # either side of it verify on the other.
+        assert entry_checksum({"kernel": "QR", "stream_id": 0, "entries": 3,
+                               "end": 10, "checksum": "ignored"}) == (
+            "ba5f458b5f53643a85e4fbe0e503170c4f2c07389f91bf7c10c63d9613d023c7")
 
     def test_quarantined_entries_not_counted_as_present(self, tmp_path):
         cache, path = self._store(tmp_path)
@@ -365,6 +370,17 @@ class TestCheckpointResume:
         assert all(o.ok and o.resumed for o in second)
         for a, b in zip(first, second):
             assert a.unwrap().to_dict() == b.unwrap().to_dict()
+        # Each line's checksum is what the commit before repro.hashing
+        # wrote (its formula, spelled out), so checkpoints written on
+        # either side of it resume on the other.
+        import hashlib
+
+        for line in SweepCheckpoint(tmp_path, jobs).path.read_text().splitlines():
+            body = json.loads(line)
+            stored = body.pop("sha256")
+            assert stored == hashlib.sha256(json.dumps(
+                body, sort_keys=True, separators=(",", ":")).encode()
+            ).hexdigest()
 
     def test_interrupted_sweep_resumes_partial(self, tmp_path):
         """Dropping the checkpoint's last line (the interruption case the

@@ -33,6 +33,17 @@ def test_fig_parsers_accept_limit():
     assert args.experiment == "fig5"
 
 
+def test_limit_is_rejected_where_it_would_be_ignored(capsys):
+    # Only fig5/6/7 sweep a limitable workload list.
+    for fig in ("fig2", "fig9", "fig-churn"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([fig, "--limit", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --limit" in capsys.readouterr().err
+    for fig in ("fig5", "fig6", "fig7"):
+        assert build_parser().parse_args([fig, "--limit", "1"]).limit == 1
+
+
 def test_fig_parsers_accept_jobs_and_cache_dir():
     args = build_parser().parse_args(
         ["fig5", "--limit", "2", "--jobs", "4", "--cache-dir", "/tmp/c"]

@@ -45,6 +45,15 @@ class TestFingerprints:
     def test_config_fingerprint_stable(self):
         assert config_fingerprint(GPUConfig()) == config_fingerprint(GPUConfig())
 
+    def test_fingerprint_bytes_predate_repro_hashing(self):
+        # Literal from the commit before repro.hashing: cache files keyed
+        # on either side of it are found from the other.  (The config
+        # fingerprint is pinned the same way by tests/golden.)
+        from repro.harness.replay_cache import fingerprint
+
+        assert fingerprint({"b": (1, 2), "a": {"y": 1.5, "x": None}}) == (
+            "ed50af309349a493277fa4dbeb8a4b0ab3bdf3b00bbedcbdef7ae3ff753db135")
+
 
 #: A made-up trajectory: 400 instructions by cycle 300, 1000 by cycle 777.
 CURVE = ProgressCurve([300, 777], [400, 1000])

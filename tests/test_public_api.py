@@ -17,6 +17,8 @@ def test_top_level_exports():
     "module",
     [
         "repro.config",
+        "repro.hashing",
+        "repro.figure_table",
         "repro.metrics",
         "repro.hwcost",
         "repro.cli",
@@ -73,6 +75,16 @@ def test_subpackage_all_exports_resolve():
         pkg = importlib.import_module(pkg_name)
         for name in pkg.__all__:
             assert hasattr(pkg, name), f"{pkg_name}.{name}"
+
+
+def test_register_scenario_is_gone():
+    # Scenario builders come from repro.figure_table; nothing registers one.
+    import repro.store
+
+    assert "register_scenario" not in repro.store.__all__
+    assert not hasattr(repro.store, "register_scenario")
+    assert repro.store.canonical_json is importlib.import_module(
+        "repro.hashing").canonical_json
 
 
 def test_public_classes_documented():

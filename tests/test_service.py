@@ -68,6 +68,17 @@ class TestProtocol:
                                          "backend": None}})
         assert terse.job_id == verbose.job_id
         assert terse.job_id == request_fingerprint("workload", terse.spec)
+        # ... and the id the commit before repro.hashing gave it: a journal
+        # written on either side of that commit dedups on the other.
+        assert parse_submit(
+            {"kind": "workload", "spec": {"apps": ["SD", "SB"],
+                                          "cycles": 20000}}
+        ).job_id == (
+            "8854477424a245090572be9ed2b5d014a96f08e8cb1a1fef4ec1135b029577e5")
+        assert parse_submit(
+            {"kind": "scenario", "spec": {"name": "fig2"}}
+        ).job_id == (
+            "698f82d2f50d82fd11fe5bee9dca98475ccc4271822798ecec3f62345df6bd39")
 
     def test_distinct_specs_distinct_jobs(self):
         a = parse_submit({"kind": "workload",
@@ -94,6 +105,11 @@ class TestProtocol:
          "chaos submissions are disabled"),
         ({"kind": "chaos", "spec": {"jobs": [{"mode": "hang"}]}},
          "hang is not servable"),
+        # fig2 sweeps a fixed set: a limit would change the job id (and so
+        # defeat dedup) for identical work.
+        ({"kind": "scenario", "spec": {"name": "fig2",
+                                       "params": {"limit": 1}}},
+         "unsupported scenario param 'limit' for fig2"),
     ])
     def test_validation_is_one_line(self, payload, needle):
         allow = payload.get("kind") == "chaos" and "hang" in str(payload)
@@ -450,6 +466,23 @@ class TestScenarioDedup:
                 if e["scenario_name"] == "fig3"]
         assert len(fig3) == 1
         assert fig3[0]["record_id"] == final["record_id"]
+
+
+class TestSubmitByCatalogId:
+    def test_recorded_scenario_id_is_the_advertised_one(self, daemon):
+        # fig4's catalog id used to be built from an unsorted partner list
+        # while runs recorded a sorted one, so the record landed under an
+        # id the catalog never advertised.
+        svc, client = daemon
+        sid = next(r["scenario_id"] for r in client.scenarios()
+                   if r["name"] == "fig4" and r["source"] == "registry")
+        final = client.wait(
+            client.submit("scenario", {"id": sid}, tenant="alice")["job"])
+        assert final["status"] == "done", final["error"]
+        assert final["scenario_id"] == sid
+        latest = ResultStore(svc.store_dir).load("fig4@-1")
+        assert latest.scenario_id == sid
+        assert latest.record_id == final["record_id"]
 
 
 @pytest.mark.slow

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from repro.figure_table import FIGURE_TABLE
 from repro.store import (
+    EXTRACTORS,
     INDEX_SCHEMA,
     LEGACY_SCHEMA,
     PAYLOAD_SCHEMAS,
@@ -68,9 +70,6 @@ class TestScenarioIdentity:
         assert s.seeds == (9,)
         assert s.scenario_id() != spec().scenario_id()
 
-    def test_registry_covers_every_figure(self):
-        assert set(SCENARIOS) == set(PAYLOAD_SCHEMAS)
-
     def test_scenario_for_unknown_is_one_line_error(self):
         with pytest.raises(ValueError, match="unknown scenario 'nope'"):
             scenario_for("nope")
@@ -81,6 +80,176 @@ class TestScenarioIdentity:
             b = scenario_for(name, seed=3)
             assert a.scenario_id() == b.scenario_id(), name
             assert a.name == name
+
+
+# ----------------------------------------------------------- figure table
+
+
+#: (default run, seed=3 run) scenario ids.  The first nine were computed at
+#: the commit before the figure table (what `repro figX --store` recorded
+#: there, default scale): they must never move.  fig8a/fig8b changed once,
+#: when their specs started listing the pairs actually swept.
+RECORDED_IDS = {
+    "fig2": (
+        "06f6870555b3b64a1e7a4b8c7b451d4a1a14f45e4bcd38cac52210d5393503d8",
+        "7fdef15d585d5de0779f0ab4aa7b67ee148fb9ec4b85a84d398eba803a6b2f85",
+    ),
+    "fig3": (
+        "c87d012a503ecdf3c29fea3bd5ae23980b5c0d1d2c5e29bcd1758e691f96ac4c",
+        "3d16d9058744cb78d75e19f7cebe86b5ac18711dbc5c724dc700f92043843986",
+    ),
+    "fig4": (
+        "ff1e8793ff0f107fbc73c5fb8da9dbcb0275c21925c837f8961e2e42fa914b08",
+        "225df1e8a1fb1dee6d8421a8fd77e5c84dc8c1b592326778773600bee04c8c28",
+    ),
+    "fig5": (
+        "9ab266f0c5647f8f9c381f952642897c27e7080f83520eca97aa1e94ad86eef2",
+        "50261d593833a58d14197e8d7469f6df267bf4c3d315a417af7b470ac33574c7",
+    ),
+    "fig6": (
+        "0ae44b54a3524b19bc6667e18d457438a72ef5a730cb95832186ce0eb903cbd3",
+        "cea9aed8be45fd90486842b5722c33314975b5c7d7bddee22ee4add50e205df7",
+    ),
+    "fig7": (
+        "32b2e46019428ab54e8db505d699066dc3b070f577c9771a472fa55d13439d58",
+        "4848e032627d209709a8ba04efff6a3d321be88c258b5a0af7ad4936c51467d8",
+    ),
+    "fig9": (
+        "49bbc0470ed77619021dddf2890b6fde926af3b7a16376a3b61b15b074b99e88",
+        "a10a56c31154f97732919c6849b819cb8a9218edf42fe3d63cf11ee35b814fd2",
+    ),
+    "fig-degradation": (
+        "0e38dcc30238019f237c316a402b48801bd07225af87fb1b27741e94e7e94a7a",
+        "8a3fe309f5bcd4bf6d1f6f2a2d94613a53ba66899c1a69625c3a00dc14e686e3",
+    ),
+    "fig-churn": (
+        "d7eb3a0eadb83e0132e4f2fc40d188d1d86d3d7aa1c211fcb3b18f928d56cbab",
+        "15c04349c8f932a5b2c3a4f003de9ee89e1309861bf0a506649aca6128414d29",
+    ),
+    "fig8a": (
+        "aa2ebf4ff477c01b296ffa6bf51debf68028b5c6b0338ebf64d10f0214ef7b93",
+        "044fde7f71f293c5f105049ea04307d665bedac601f53c8840ec8fc114b3e1a2",
+    ),
+    "fig8b": (
+        "8165f7f6d1b5c5e23b25c66a283b3c2b8b8a8017ef8ccbb509b06c2139f87b5e",
+        "2b0e69e5d33873c1bb63a65b6f7bacd05ef68d64e007af5ba1515ef62dd56139",
+    ),
+}
+
+
+class _Stub:
+    """A driver result nothing reads: the table test runs no simulation."""
+
+    def to_dict(self):
+        return {}
+
+
+def _stub_run(monkeypatch, name, **run_kw):
+    """run_figure(name) with the driver stubbed out: returns the FigureRun
+    and the keyword arguments the driver was called with."""
+    import dataclasses
+
+    from repro.harness.figures import run_figure
+
+    calls = []
+    monkeypatch.setitem(FIGURE_TABLE, name, dataclasses.replace(
+        FIGURE_TABLE[name],
+        driver=lambda **kw: calls.append(kw) or _Stub(),
+        render=lambda res: "", payload=lambda res: {},
+    ))
+    run = run_figure(name, **run_kw)
+    return run, calls[0]
+
+
+class TestFigureTable:
+    def test_recorded_ids_cover_the_table(self):
+        assert set(RECORDED_IDS) == set(FIGURE_TABLE)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_IDS))
+    def test_recorded_scenario_ids_are_pinned(self, name, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        default, seeded = RECORDED_IDS[name]
+        assert _stub_run(monkeypatch, name)[0].spec.scenario_id() == default
+        assert (_stub_run(monkeypatch, name, seed=3)[0].spec.scenario_id()
+                == seeded)
+
+    @pytest.mark.parametrize("full", ["", "1"])
+    @pytest.mark.parametrize("name", sorted(FIGURE_TABLE))
+    def test_catalog_id_is_the_id_a_default_run_records(
+        self, name, full, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FULL", full)
+        run, _ = _stub_run(monkeypatch, name)
+        assert run.spec == scenario_for(name)
+        assert run.spec.scenario_id() == scenario_for(name).scenario_id()
+
+    @pytest.mark.parametrize("full, n_pairs", [("", 3), ("1", 30)])
+    @pytest.mark.parametrize("name", ["fig8a", "fig8b"])
+    def test_fig8_specs_list_the_pairs_swept(
+        self, name, full, n_pairs, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FULL", full)
+        run, driver_kw = _stub_run(monkeypatch, name)
+        assert len(driver_kw["pairs"]) == n_pairs
+        assert run.spec.workloads == tuple(map(tuple, driver_kw["pairs"]))
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_TABLE))
+    def test_every_consumer_agrees_with_the_table(self, name):
+        from repro.cli import build_parser
+        from repro.harness.figures import FIGURES
+
+        fig = FIGURE_TABLE[name]
+        assert fig.name == name and fig.help and fig.kind
+        for part in (fig.driver, fig.render, fig.extract, fig.inputs,
+                     fig.spec, fig.payload):
+            assert callable(part)
+        assert fig.seed_role in ("config", "fault", "arrival")
+        assert (fig.seed_default is None) == (fig.seed_role == "config")
+        assert PAYLOAD_SCHEMAS[name] == fig.schema
+        assert EXTRACTORS[fig.schema] is fig.extract
+        assert scenario_for(name).kind == fig.kind
+        assert SCENARIOS[name]() == scenario_for(name)
+        assert list(FIGURES) == list(SCENARIOS) == list(PAYLOAD_SCHEMAS) \
+            == list(FIGURE_TABLE)
+        args = build_parser().parse_args([name])  # the subcommand exists
+        assert args.experiment == name
+        for arg, _ in fig.args:
+            assert getattr(args, arg) is None
+        assert hasattr(args, "out") == (fig.report is not None)
+
+    def test_repro_list_shows_every_figure_once(self, capsys):
+        from repro.cli import main
+
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, fig in FIGURE_TABLE.items():
+            rows = [ln for ln in lines if ln.split()[:1] == [name]]
+            assert len(rows) == 1 and fig.help in rows[0], name
+
+    def test_undeclared_argument_is_a_one_line_error(self):
+        with pytest.raises(ValueError, match="fig2 takes no argument 'limit'"):
+            scenario_for("fig2", limit=1)
+
+    @pytest.mark.parametrize("name, config_seeded", [
+        ("fig3", True), ("fig8b", True),
+        ("fig-degradation", False), ("fig-churn", False),
+    ])
+    def test_provenance_names_the_config_that_ran(
+        self, name, config_seeded, monkeypatch, tmp_path
+    ):
+        # A fault / arrival seed is not the config seed: the run used the
+        # default config, and the stored fingerprint must say so.
+        from repro.harness import scaled_config
+        from repro.harness.figures import record_figure
+        from repro.harness.replay_cache import config_fingerprint
+
+        run, driver_kw = _stub_run(monkeypatch, name, seed=7)
+        rec, spec = record_figure(str(tmp_path / "store"), run)
+        ran_on = scaled_config(seed=7) if config_seeded else scaled_config()
+        assert rec.provenance["config_fingerprint"] == \
+            config_fingerprint(ran_on)
+        assert (driver_kw.get("config") or scaled_config()) == ran_on
+        assert spec.seeds == (7,)
 
 
 # --------------------------------------------------- hypothesis properties
@@ -154,6 +323,12 @@ class TestResultStore:
         assert again.record_id == content_id(
             again.scenario_id, again.payload_schema, again.payload
         )
+        # Both ids as the commit before repro.hashing computed them: stores
+        # written on either side of it dedup against each other.
+        assert again.scenario_id == (
+            "58b7709fa3a306feddf9cc7dfde6e84d6b0864357ce1919ba20741b7997bae9c")
+        assert again.record_id == (
+            "cd6425a2eb82bfd8b3e92e50e8c8c7e4f38a77de16c57e8ce0c1e11bb7ecbf59")
 
     def test_rerecording_dedups_content_but_logs_both(self, tmp_path):
         store = ResultStore(tmp_path / "store")
