@@ -2,7 +2,7 @@
 
 Measures the hot paths the PR-2 optimisation targeted (event-engine
 dispatch, SM burst loop, DRAM controller dispatch) plus the end-to-end
-pair workload and a paper-scale warp-stream generation bench, and writes a
+pair workload and a warp-stream generation bench, and writes a
 machine-readable artifact so the performance trajectory is tracked across
 PRs.
 
@@ -13,24 +13,16 @@ is roughly machine-independent for interpreter-bound code, so the
 committed baseline (``benchmarks/BENCH_baseline.json``) can gate
 regressions on shared runners.
 
-Backend-sensitive benchmarks (everything that runs the simulator core, see
-:data:`BACKEND_SENSITIVE`) can be measured per backend with ``--backend
-reference,vectorized``; non-reference backends record under bracketed
-entry names (``pair_workload[vectorized]``), so each backend gates against
-its own baseline entry and the reference entries keep their historical
-names.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim.py --out BENCH_sim.json
     PYTHONPATH=src python benchmarks/bench_sim.py \
         --out BENCH_sim.json --check benchmarks/BENCH_baseline.json
-    PYTHONPATH=src python benchmarks/bench_sim.py \
-        --backend reference,vectorized --trajectory
+    PYTHONPATH=src python benchmarks/bench_sim.py --trajectory
 
 ``--trajectory`` appends one record per run to ``BENCH_trajectory.json``
 at the repository root (seeded from the committed baseline on first use),
-building the cumulative multi-backend perf trajectory across PRs.
+building the cumulative perf trajectory across PRs.
 
 Regenerate the baseline after an intentional perf-relevant change with
 ``--out benchmarks/BENCH_baseline.json`` on a quiet machine and commit the
@@ -93,58 +85,52 @@ def engine_dispatch_burst() -> int:
     return count
 
 
-def sm_burst_loop(backend: str = "reference") -> int:
+def sm_burst_loop() -> int:
     """Compute-bound single app: SM virtual-time/burst machinery dominates."""
     from repro import GPU
     from repro.harness import scaled_config
     from repro.workloads import SUITE
 
-    gpu = GPU(scaled_config(backend=backend), [SUITE["QR"]])
+    gpu = GPU(scaled_config(), [SUITE["QR"]])
     gpu.run(30_000)
     return gpu.engine.now
 
 
-def dram_dispatch(backend: str = "reference") -> int:
+def dram_dispatch() -> int:
     """Bandwidth-saturated single app: DRAM controller dominates."""
     from repro import GPU
     from repro.harness import scaled_config
     from repro.workloads import SUITE
 
-    gpu = GPU(scaled_config(backend=backend), [SUITE["SD"]])
+    gpu = GPU(scaled_config(), [SUITE["SD"]])
     gpu.run(30_000)
     return gpu.engine.now
 
 
-def pair_workload(backend: str = "reference") -> int:
+def pair_workload() -> int:
     """The acceptance workload: SD+SB shared run (DRAM-saturated pair)."""
     from repro import GPU
     from repro.harness import scaled_config
     from repro.workloads import SUITE
 
-    gpu = GPU(scaled_config(backend=backend), [SUITE["SD"], SUITE["SB"]])
+    gpu = GPU(scaled_config(), [SUITE["SD"], SUITE["SB"]])
     gpu.run(30_000)
     return gpu.engine.now
 
 
-def warp_gen(backend: str = "reference") -> int:
-    """Paper-scale warp-stream generation + consumption, isolated.
-
-    The suite's scaled-down per-warp budgets (hundreds of instructions)
-    are too small to amortize vectorized pregeneration, so this bench uses
-    the paper-scale budget (thousands of instructions per warp) where bulk
-    generation pays off — the regime ``REPRO_FULL=1`` runs in.
-    """
+def warp_gen() -> int:
+    """Warp-stream generation + consumption, isolated, at a per-warp budget
+    of thousands of instructions (the suite's are hundreds)."""
     from dataclasses import replace
 
-    from repro.sim.backends import get_backend
+    from repro.sim.kernel import WarpStream
     from repro.workloads import SUITE
 
-    be = get_backend(backend)
     steps = 0
     for name in ("SB", "SD", "NN"):
         spec = replace(SUITE[name], insts_per_warp=4000)
         for w in range(24):
-            s = be.make_stream(spec, 0, 0, w, 2016, 128)
+            s = WarpStream(spec, 0, 0, w, 2016, 128)
             while not s.done:
                 s.next_compute_burst()
                 s.next_mem_access()
@@ -160,19 +146,6 @@ BENCHES = {
     "pair_workload": pair_workload,
     "warp_gen": warp_gen,
 }
-
-#: Benchmarks that exercise the simulator core and therefore vary with
-#: ``GPUConfig.backend``.  The engine benches do not touch the core.
-BACKEND_SENSITIVE = frozenset(
-    {"sm_burst_loop", "dram_dispatch", "pair_workload", "warp_gen"}
-)
-
-
-def entry_name(bench: str, backend: str) -> str:
-    """Artifact entry key: reference keeps the historical plain name."""
-    if backend == "reference" or bench not in BACKEND_SENSITIVE:
-        return bench
-    return f"{bench}[{backend}]"
 
 
 def calibrate() -> float:
@@ -203,37 +176,25 @@ def time_best_of(fn, reps: int = 5) -> float:
     return best
 
 
-def measure(
-    reps: int = 5,
-    only: list[str] | None = None,
-    backends: tuple[str, ...] = ("reference",),
-) -> dict:
+def measure(reps: int = 5, only: list[str] | None = None) -> dict:
     cal = calibrate()
     benches = {}
     for name, fn in BENCHES.items():
         if only is not None and name not in only:
             continue
-        if name in BACKEND_SENSITIVE:
-            runs = [(entry_name(name, b), lambda b=b: fn(backend=b))
-                    for b in backends]
-        else:
-            # Backend-independent: measured once, under the plain name.
-            runs = [(name, fn)]
-        for entry, run in runs:
-            seconds = time_best_of(run, reps)
-            benches[entry] = {
-                "seconds": seconds,
-                "normalized": seconds / cal,
-            }
-            print(f"  {entry:28s} {seconds * 1e3:8.1f} ms "
-                  f"(x{seconds / cal:.2f} of calibration)", file=sys.stderr)
+        seconds = time_best_of(fn, reps)
+        benches[name] = {
+            "seconds": seconds,
+            "normalized": seconds / cal,
+        }
+        print(f"  {name:28s} {seconds * 1e3:8.1f} ms "
+              f"(x{seconds / cal:.2f} of calibration)", file=sys.stderr)
     return {
         "schema": 1,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "calibration_seconds": cal,
         "only": sorted(only) if only is not None else None,
-        "backends": sorted(backends),
         "benches": benches,
     }
 
@@ -241,20 +202,15 @@ def measure(
 def check(result: dict, baseline: dict, tolerance: float) -> list[str]:
     """Normalized-time regressions beyond ``tolerance`` vs the baseline.
 
-    Only benchmarks present in the current run are compared, so a
-    ``--only``- or ``--backend``-restricted run checks just what it
-    measured.  Each failure names the entry and states the measured vs
-    baseline normalized times plus their ratio, so a CI log identifies the
-    regressing benchmark without re-running anything.
+    Only benchmarks present in the current run are compared, so an
+    ``--only``-restricted run checks just what it measured.  Each failure
+    names the entry and states the measured vs baseline normalized times
+    plus their ratio, so a CI log identifies the regressing benchmark
+    without re-running anything.
     """
     failures = []
     measured = result["benches"]
-    restricted = (
-        result.get("only") is not None
-        or result.get("backends", ["reference"]) != sorted(
-            baseline.get("backends", ["reference"])
-        )
-    )
+    restricted = result.get("only") is not None
     for name, base in baseline.get("benches", {}).items():
         if name not in measured:
             if not restricted:
@@ -306,7 +262,6 @@ def append_trajectory(result: dict, path: pathlib.Path) -> dict:
         "label": f"run-{len(traj['records'])}",
         "python": result["python"],
         "calibration_seconds": result["calibration_seconds"],
-        "backends": result.get("backends", ["reference"]),
         "benches": result["benches"],
     })
     with path.open("w") as fh:
@@ -328,10 +283,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--only", default=None, metavar="NAME[,NAME]",
                    help="measure only these benchmarks (comma-separated); "
                         f"choices: {','.join(BENCHES)}")
-    p.add_argument("--backend", default="reference",
-                   metavar="NAME[,NAME]",
-                   help="backends to measure the core benchmarks under "
-                        "(comma-separated; default: reference)")
     p.add_argument("--trajectory", action="store_true",
                    help="append this run to BENCH_trajectory.json at the "
                         "repo root (seeded from the committed baseline)")
@@ -345,19 +296,7 @@ def main(argv: list[str] | None = None) -> int:
             p.error(f"unknown benchmark(s) {','.join(unknown)}; "
                     f"choices: {','.join(BENCHES)}")
 
-    backends = tuple(b for b in args.backend.split(",") if b)
-    from repro.sim.backends import KNOWN_BACKENDS, backend_available
-
-    bad = [b for b in backends if b not in KNOWN_BACKENDS]
-    if bad:
-        p.error(f"unknown backend(s) {','.join(bad)}; "
-                f"choices: {','.join(KNOWN_BACKENDS)}")
-    unavailable = [b for b in backends if not backend_available(b)]
-    if unavailable:
-        p.error(f"backend(s) {','.join(unavailable)} not available here "
-                "(vectorized needs NumPy)")
-
-    result = measure(reps=args.reps, only=only, backends=backends)
+    result = measure(reps=args.reps, only=only)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")

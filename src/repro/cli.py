@@ -72,27 +72,6 @@ def _cmd_table3(args) -> int:
     return 0
 
 
-def _resolve_backend(args) -> str | None:
-    """Validate --backend early, with a CLI-grade message.
-
-    Unknown names are caught by argparse ``choices``; this adds the
-    availability check (e.g. ``vectorized`` without NumPy installed) so the
-    failure happens before any sweep work starts.
-    """
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        return None
-    from repro.sim.backends import backend_available
-
-    if not backend_available(backend):
-        raise SystemExit(
-            f"backend {backend!r} is not available in this environment "
-            "(the 'vectorized' backend requires NumPy; 'reference' always "
-            "works)"
-        )
-    return backend
-
-
 def _cmd_fig(args) -> int:
     from repro.harness.parallel import set_default_progress, set_sweep_defaults
 
@@ -168,7 +147,6 @@ def _run_fig(args, name: str) -> int:
     fig = FIGURE_TABLE[name]
     run = fg.run_figure(
         name, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir,
-        backend=_resolve_backend(args),
         **{arg: getattr(args, arg) for arg, _ in fig.args},
     )
     print(run.rendered)
@@ -263,8 +241,7 @@ def _cmd_run(args) -> int:
 
         obs = Observation()
     res = run_workload(args.apps, shared_cycles=args.cycles, models=models,
-                       profile_path=args.profile, trace=obs,
-                       backend=_resolve_backend(args))
+                       profile_path=args.profile, trace=obs)
     if args.profile:
         print(f"profile written to {args.profile} "
               f"(inspect: python -m pstats {args.profile})", file=sys.stderr)
@@ -349,8 +326,7 @@ def _cmd_trace(args) -> int:
             scaled_config(), dry_run=args.policy != "dase-fair"
         )
     res = run_workload(args.apps, shared_cycles=args.cycles, models=models,
-                       policy=policy, trace=obs,
-                       backend=_resolve_backend(args))
+                       policy=policy, trace=obs)
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -496,8 +472,7 @@ def _cmd_store_record(args) -> int:
             f"{args.scenario!r}; pass --schema"
         )
     try:
-        spec = scenario_for(args.scenario, seed=args.seed,
-                            backend=args.backend)
+        spec = scenario_for(args.scenario, seed=args.seed)
         rec = _open_store(args).record(spec, payload, schema)
     except (ValueError, OSError) as exc:
         raise SystemExit(f"repro store: {exc}")
@@ -623,13 +598,12 @@ def _build_submission(args) -> tuple[str, dict]:
             "repro submit: choose exactly one of APPS..., --scenario, "
             "or --workloads"
         )
-    opts = {"cycles": args.cycles, "seed": args.seed,
-            "policy": args.policy, "backend": args.backend}
+    opts = {"cycles": args.cycles, "seed": args.seed, "policy": args.policy}
     if args.scenario is not None:
         from repro.store import SCENARIOS
 
         ref = args.scenario
-        spec = {"seed": args.seed, "backend": args.backend}
+        spec = {"seed": args.seed}
         if args.limit is not None:
             spec["params"] = {"limit": args.limit}
         if ref in SCENARIOS:
@@ -722,11 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint completed jobs under DIR so an "
                              "interrupted sweep resumes instead of "
                              "restarting (see docs/parallel-harness.md)")
-        fp.add_argument("--backend", choices=("reference", "vectorized"),
-                        default=None,
-                        help="simulator core backend (result-equivalent; "
-                             "'vectorized' needs NumPy — see "
-                             "docs/performance.md)")
         fp.add_argument("--sweep-trace", default=None, metavar="DIR",
                         help="record a cross-worker telemetry bus for every "
                              "sweep and write trace.json (Perfetto), "
@@ -767,11 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="chrome",
                     help="file format for --trace (default: chrome, "
                          "loadable in https://ui.perfetto.dev)")
-    rn.add_argument("--backend", choices=("reference", "vectorized"),
-                    default=None,
-                    help="simulator core backend (result-equivalent; "
-                         "'vectorized' needs NumPy — see "
-                         "docs/performance.md)")
     rn.set_defaults(func=_cmd_run)
 
     sv = sub.add_parser(
@@ -833,8 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="simulation seed")
     sm.add_argument("--policy", default=None,
                     help="SM-allocation policy for workload/sweep jobs")
-    sm.add_argument("--backend", choices=("reference", "vectorized"),
-                    default=None, help="simulator core backend")
     sm.add_argument("--limit", type=int, default=None,
                     help="scenario sweep limit (fig5/fig6/fig7)")
     sm.add_argument("--timeout", type=float, default=600.0, metavar="S",
@@ -870,11 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="none",
                     help="SM-allocation policy for the shared run "
                          "(default: none; dase-fair migrates SMs)")
-    tr.add_argument("--backend", choices=("reference", "vectorized"),
-                    default=None,
-                    help="simulator core backend (result-equivalent; "
-                         "'vectorized' needs NumPy — see "
-                         "docs/performance.md)")
     tr.set_defaults(func=_cmd_trace)
 
     ins = sub.add_parser(
@@ -960,8 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "registered schema)")
     sr.add_argument("--seed", type=int, default=None,
                     help="simulation seed the payload was produced with")
-    sr.add_argument("--backend", choices=("reference", "vectorized"),
-                    default=None, help="backend the payload was produced with")
     sr.set_defaults(func=_cmd_store_record)
 
     si = stsub.add_parser(

@@ -56,12 +56,6 @@ class CacheConfig:
             raise ValueError(f"number of sets must be a power of two, got {n}")
 
 
-#: Names accepted by :attr:`GPUConfig.backend`.  The list lives here (not in
-#: ``repro.sim.backends``) so config validation has no import cycle and no
-#: NumPy dependency; the backends package validates against the same tuple.
-KNOWN_BACKENDS = ("reference", "vectorized")
-
-
 @dataclass(frozen=True)
 class GPUConfig:
     """Full simulated-GPU configuration.  Defaults follow paper Table 2.
@@ -125,15 +119,6 @@ class GPUConfig:
     # --- Reproducibility ---------------------------------------------------
     seed: int = 12345
 
-    # --- Execution backend -------------------------------------------------
-    backend: str = "reference"  # simulator core implementation; one of
-    # KNOWN_BACKENDS.  Backends are *result-equivalent*: selecting one may
-    # change how the core computes, never what it computes (address streams
-    # and integer counters are identical; see src/repro/sim/backends/).
-    # Because of that contract the field is excluded from config
-    # fingerprints — a cache or golden recorded under one backend is valid
-    # under any other.
-
     @property
     def dram_clock_ratio(self) -> float:
         """Core cycles per DRAM cycle (>1: DRAM is slower than the core)."""
@@ -171,11 +156,6 @@ class GPUConfig:
             raise ValueError("mc_scheduler must be 'frfcfs' or 'rr'")
         if self.interleave_lines & (self.interleave_lines - 1):
             raise ValueError("interleave_lines must be a power of two")
-        if self.backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}: expected one of "
-                f"{', '.join(KNOWN_BACKENDS)}"
-            )
 
 
 #: The paper's baseline configuration (Table 2).

@@ -153,7 +153,7 @@ class FigureDef:
     what ``seed_role`` names: the GPUConfig the driver runs on (``config``,
     passed as ``config=``) or the injector / arrival schedule (``fault`` /
     ``arrival``, passed as ``seed=``; the config seed keeps its default).
-    A driver that ``sweeps`` also takes ``jobs``/``cache_dir``/``backend``.
+    A driver that ``sweeps`` also takes ``jobs``/``cache_dir``.
     ``--out DIR`` writes ``report`` = ``(stem, export(path, result))`` as
     ``stem.json`` + ``report.html``.
     """
@@ -175,7 +175,7 @@ class FigureDef:
     report: tuple[str, Callable[[Any, Any], Any]] | None = None
 
     def resolve(
-        self, seed: int | None, backend: str | None, given: Mapping[str, Any]
+        self, seed: int | None, given: Mapping[str, Any]
     ) -> tuple[int | None, dict[str, Any], "ScenarioSpec"]:
         """Fill in every default once: ``(seed, driver inputs, spec)``.  A
         None seed survives only where it means the GPUConfig default."""
@@ -190,7 +190,7 @@ class FigureDef:
             seed = self.seed_default()
         inputs = self.inputs(**{n: given.get(n) for n in names})
         spec = ScenarioSpec(
-            name=self.name, kind=self.kind, backend=backend,
+            name=self.name, kind=self.kind,
             seeds=(GPUConfig.seed if seed is None else seed,),
             **self.spec(inputs),
         )

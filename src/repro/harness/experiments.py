@@ -92,7 +92,6 @@ def fig2_unfairness(
     shared_cycles: int | None = None,
     jobs: int | None = None,
     cache_dir: str | None = None,
-    backend: str | None = None,
 ) -> Fig2Result:
     """Fig. 2: unfairness of SD paired with aggressive co-runners, and the
     bandwidth decomposition explaining it."""
@@ -102,7 +101,7 @@ def fig2_unfairness(
     out = Fig2Result(combos=combos, unfairness={}, slowdowns={}, breakdown={})
     outcomes = run_workloads(
         combos, jobs=jobs, config=config, shared_cycles=shared_cycles,
-        models=(), cache_dir=cache_dir, backend=backend,
+        models=(), cache_dir=cache_dir,
     )
     for pair, outcome in zip(combos, outcomes):
         key = "+".join(pair)
@@ -279,7 +278,6 @@ def estimation_accuracy(
     sm_partition=None,
     jobs: int | None = None,
     cache_dir: str | None = None,
-    backend: str | None = None,
 ) -> AccuracyResult:
     """Shared driver for Figs. 5, 6 and 7.
 
@@ -296,7 +294,6 @@ def estimation_accuracy(
     outcomes = run_workloads(
         workloads, jobs=jobs, config=config, shared_cycles=shared_cycles,
         models=models, sm_partition=sm_partition, cache_dir=cache_dir,
-        backend=backend,
     )
     for combo, outcome in zip(workloads, outcomes):
         key = "+".join(combo)
@@ -452,7 +449,6 @@ def fig9_dase_fair(
     shared_cycles: int | None = None,
     jobs: int | None = None,
     cache_dir: str | None = None,
-    backend: str | None = None,
 ) -> Fig9Result:
     """Fig. 9: run each workload under the even policy and under DASE-Fair.
 
@@ -471,7 +467,6 @@ def fig9_dase_fair(
             for job in workload_jobs(
                 pairs, config=config, shared_cycles=shared_cycles,
                 models=(), policy=policy, cache_dir=cache_dir,
-                backend=backend,
             )
         ],
         n_jobs=jobs,
@@ -555,7 +550,6 @@ def fig_degradation(
     shared_cycles: int | None = None,
     jobs: int | None = None,
     cache_dir: str | None = None,
-    backend: str | None = None,
 ) -> DegradationResult:
     """Degradation curves: estimate error and unfairness vs counter noise.
 
@@ -582,7 +576,6 @@ def fig_degradation(
                 policy=policy,
                 cache_dir=cache_dir,
                 faults=noise_plan(sigma, seed=seed) if sigma > 0 else None,
-                backend=backend,
             ))
     outcomes = run_jobs(job_list, n_jobs=jobs)
     out = DegradationResult(

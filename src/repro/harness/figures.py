@@ -53,7 +53,6 @@ def run_figure(
     limit: int | None = None,
     jobs: int | None = None,
     cache_dir: str | None = None,
-    backend: str | None = None,
     **driver_kw: Any,
 ) -> FigureRun:
     """Run figure driver ``name`` and return its :class:`FigureRun`.
@@ -69,7 +68,7 @@ def run_figure(
     fig = figure(name)
     given = {k: v for k, v in dict(driver_kw, limit=limit).items()
              if v is not None}
-    run_seed, inputs, spec = fig.resolve(seed, backend, given)
+    run_seed, inputs, spec = fig.resolve(seed, given)
     kw = dict(inputs)
     config = None
     if fig.seed_role == "config":
@@ -80,7 +79,7 @@ def run_figure(
     else:
         kw["seed"] = run_seed  # the config seed keeps its default
     if fig.sweeps:
-        kw.update(jobs=jobs, cache_dir=cache_dir, backend=backend)
+        kw.update(jobs=jobs, cache_dir=cache_dir)
     res = fig.driver(**kw)
     return FigureRun(
         name=name, payload=fig.payload(res), spec=spec,

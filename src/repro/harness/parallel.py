@@ -135,10 +135,7 @@ class WorkloadJob:
     (:class:`repro.faults.FaultPlan` — frozen, so it fingerprints and
     pickles like every other field).  ``arrivals`` optionally makes the
     run open-system (:class:`repro.opensys.ArrivalSchedule` — likewise
-    frozen, fingerprintable, and picklable).  ``backend`` overrides
-    :attr:`GPUConfig.backend` inside the worker; backends are
-    result-equivalent, so it affects worker wall-clock only and is
-    excluded from cache fingerprints.
+    frozen, fingerprintable, and picklable).
     """
 
     apps: tuple[KernelSpec | str, ...]
@@ -151,7 +148,6 @@ class WorkloadJob:
     cache_dir: str | None = None
     faults: "FaultPlan | None" = None
     arrivals: "ArrivalSchedule | None" = None
-    backend: str | None = None
 
     @property
     def key(self) -> str:
@@ -242,7 +238,6 @@ def _run_workload_job(
         alone_cache=cache,
         faults=job.faults,
         arrivals=job.arrivals,
-        backend=job.backend,
         deferred=deferred,
     )
     cache_stats = (
@@ -336,17 +331,6 @@ def _worker_stderr_init(scratch: str) -> None:
         pass
 
 
-def _job_backend(job) -> str | None:
-    """The backend a job will effectively simulate under (bus labelling)."""
-    backend = getattr(job, "backend", None)
-    if backend:
-        return backend
-    config = getattr(job, "config", None)
-    if config is not None and getattr(config, "backend", None):
-        return config.backend
-    return "reference" if isinstance(job, WorkloadJob) else None
-
-
 def _observed_run(
     index: int,
     job,
@@ -405,7 +389,6 @@ def _observed_run(
     ch.job_end(
         ok=outcome.ok,
         cache=outcome.cache,
-        backend=_job_backend(job),
         failure_kind=outcome.failure_kind,
     )
     return outcome
@@ -1102,7 +1085,6 @@ def workload_jobs(
     cache_dir: str | None = None,
     faults: "FaultPlan | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
-    backend: str | None = None,
 ) -> list[WorkloadJob]:
     """One :class:`WorkloadJob` per workload, sharing every run parameter.
 
@@ -1130,7 +1112,6 @@ def workload_jobs(
             cache_dir=cache_dir,
             faults=faults,
             arrivals=arrivals,
-            backend=backend,
         )
         for combo in workloads
     ]
@@ -1149,7 +1130,6 @@ def run_workloads(
     progress=None,
     faults: "FaultPlan | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
-    backend: str | None = None,
     timeout_s: float | None = None,
     retries: int | None = None,
     checkpoint: "SweepCheckpoint | str | os.PathLike | None" = None,
@@ -1161,7 +1141,7 @@ def run_workloads(
         workloads, config=config, shared_cycles=shared_cycles,
         sm_partition=sm_partition, models=models, policy=policy,
         warmup_intervals=warmup_intervals, cache_dir=cache_dir,
-        faults=faults, arrivals=arrivals, backend=backend,
+        faults=faults, arrivals=arrivals,
     )
     return run_jobs(
         specs, n_jobs=jobs, progress=progress,

@@ -85,17 +85,8 @@ def spec_fingerprint(spec: KernelSpec, stream_id: int) -> str:
 
 
 def config_fingerprint(config: GPUConfig) -> str:
-    """Fingerprint of the *semantic* configuration.
-
-    ``backend`` selects an implementation, not a model: backends are
-    result-equivalent by contract (identical address streams and integer
-    counters — gated by tests/test_backends.py), so it is excluded here.
-    A cache entry or golden recorded under one backend stays valid under
-    every other, and both backends share one alone-replay cache.
-    """
-    canon = _canonical(config)
-    canon.pop("backend", None)
-    return fingerprint(canon)
+    """Fingerprint of the configuration: every :class:`GPUConfig` field."""
+    return fingerprint(config)
 
 
 def default_cache_dir() -> pathlib.Path | None:

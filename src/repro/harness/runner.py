@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.config import GPUConfig
@@ -66,6 +66,12 @@ def scaled_config(**overrides) -> GPUConfig:
     *number* of intervals per run in the same proportion by shrinking the
     interval to 12K cycles, unless the caller overrides it.
     """
+    # benchmarks/ledger/micro.py passes backend="reference" and is frozen by
+    # BENCHMARK.json: accept that one literal and drop it.
+    if overrides.pop("backend", "reference") != "reference":
+        raise ValueError(
+            "the simulator has one core: the backend option was removed "
+            "(results are unchanged)")
     if "interval_cycles" not in overrides and not full_scale():
         overrides["interval_cycles"] = 12_000
     return GPUConfig(**overrides)
@@ -358,7 +364,6 @@ def run_workload(
     trace: Observation | EventTracer | None = None,
     faults: "FaultPlan | FaultInjector | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
-    backend: str | None = None,
     deferred: "list[ReplayRequest] | None" = None,
 ) -> WorkloadResult:
     """Run one workload through the full methodology.
@@ -407,11 +412,6 @@ def run_workload(
     normalised over each app's *residency window* rather than the whole
     run, and the result carries ``resident_cycles``/``waiting_cycles``.  A
     null schedule is the closed-system identity (docs/workloads.md).
-
-    ``backend`` overrides :attr:`GPUConfig.backend` for this run (both the
-    shared run and the alone replays).  Backends are result-equivalent
-    (docs/performance.md, "phase 2 — backends"), so this changes wall-clock
-    time only — results and cache keys are identical either way.
     """
     obs: Observation | None
     if trace is None:
@@ -433,7 +433,7 @@ def run_workload(
             return _run_workload(
                 apps, config, shared_cycles, sm_partition, models,
                 policy, warmup_intervals, alone_cache, obs, faults, arrivals,
-                backend, deferred,
+                deferred,
             )
         finally:
             profiler.disable()
@@ -441,7 +441,7 @@ def run_workload(
     return _run_workload(
         apps, config, shared_cycles, sm_partition, models,
         policy, warmup_intervals, alone_cache, obs, faults, arrivals,
-        backend, deferred,
+        deferred,
     )
 
 
@@ -457,12 +457,9 @@ def _run_workload(
     obs: Observation | None = None,
     faults: "FaultPlan | FaultInjector | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
-    backend: str | None = None,
     deferred: "list[ReplayRequest] | None" = None,
 ) -> WorkloadResult:
     config = config or scaled_config()
-    if backend is not None and backend != config.backend:
-        config = replace(config, backend=backend)
     shared_cycles = shared_cycles or default_shared_cycles()
     resolved = [_resolve(a) for a in apps]
     n_base = len(resolved)
@@ -571,7 +568,6 @@ def _run_workload(
         bus_ch.span(
             "simulate", time.perf_counter() - t0,
             cycles=shared_cycles,
-            backend=config.backend,
             engine_mode="sparse" if gpu.engine._sparse else "bucket",
         )
     else:

@@ -18,8 +18,8 @@ Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
 * ``job_start`` — worker picked up a job (flushed immediately, so a
   crashed worker still leaves evidence of what it was running);
 * ``span``      — one timed phase of the job lifecycle: ``dequeue``
-  (submit → worker pickup), ``simulate`` (the shared run, with backend
-  and event-engine mode), ``replay`` (``cached=True``: one alone clock
+  (submit → worker pickup), ``simulate`` (the shared run, with its
+  event-engine mode), ``replay`` (``cached=True``: one alone clock
   served by the replay cache, inside the job that asked, with the
   ``curve_end`` of the stored trajectory that answered it;
   ``cached=False``: one simulated alone trajectory, how many
@@ -27,7 +27,7 @@ Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
   stored curve, that curve's end as ``extended_from``), ``serialize``
   (result pickling, pooled only);
 * ``job_end``   — job finished in the worker: wall/CPU time, peak RSS,
-  cache counters, backend (flushed immediately);
+  cache counters (flushed immediately);
 * ``outcome``   — the parent's settled verdict for the job (ok, failure
   kind, attempts, resumed, final cache counters, attributed ``replay_s``)
   — the only record a hard-crashed job gets beyond its ``job_start``,
@@ -163,7 +163,6 @@ class WorkerChannel:
         self,
         ok: bool,
         cache: dict | None = None,
-        backend: str | None = None,
         failure_kind: str | None = None,
     ) -> None:
         """Leave job context; emits the (flushed) end record with the
@@ -178,8 +177,6 @@ class WorkerChannel:
         }
         if cache is not None:
             rec["cache"] = cache
-        if backend is not None:
-            rec["backend"] = backend
         if failure_kind is not None:
             rec["failure_kind"] = failure_kind
         self.record(rec, flush=True)
@@ -427,7 +424,6 @@ class SweepStats:
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
     cache: dict[str, float] = field(default_factory=dict)
     alone_replays: dict[str, int] = field(default_factory=dict)
-    backends: dict[str, dict[str, float]] = field(default_factory=dict)
     workers: dict[str, dict[str, float]] = field(default_factory=dict)
     stragglers: list[dict] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
@@ -499,12 +495,6 @@ class SweepStats:
                     w["jobs"] += 1
                     durations.append(float(out.get("duration_s") or dur))
                     completed.append(trail)
-                    backend = end.get("backend")
-                    if backend:
-                        b = stats.backends.setdefault(
-                            backend, {"jobs": 0, "total_s": 0.0})
-                        b["jobs"] += 1
-                        b["total_s"] += dur
             for sp in trail.spans:
                 name = sp.get("name", "?")
                 dur = float(sp.get("dur", 0.0))
@@ -583,9 +573,6 @@ class SweepStats:
             "phases": {k: dict(v) for k, v in sorted(self.phases.items())},
             "cache": dict(self.cache),
             "alone_replays": dict(self.alone_replays),
-            "backends": {
-                k: dict(v) for k, v in sorted(self.backends.items())
-            },
             "workers": {
                 k: dict(v) for k, v in sorted(self.workers.items())
             },
@@ -603,9 +590,6 @@ class SweepStats:
         stats.phases = {k: dict(v) for k, v in d.get("phases", {}).items()}
         stats.cache = dict(d.get("cache", {}))
         stats.alone_replays = dict(d.get("alone_replays", {}))
-        stats.backends = {
-            k: dict(v) for k, v in d.get("backends", {}).items()
-        }
         stats.workers = {k: dict(v) for k, v in d.get("workers", {}).items()}
         stats.stragglers = list(d.get("stragglers", []))
         stats.failures = list(d.get("failures", []))
@@ -624,10 +608,6 @@ class SweepStats:
                 for k in ("hits", "misses", "stores")
             },
             "alone_replays": dict(self.alone_replays),
-            "backends": {
-                k: int(v.get("jobs", 0))
-                for k, v in sorted(self.backends.items())
-            },
             "phases": {
                 k: int(v.get("count", 0))
                 for k, v in sorted(self.phases.items())
@@ -687,8 +667,6 @@ def sweep_chrome_trace(records: Iterable[dict]) -> dict[str, Any]:
                 }
                 if end.get("cache"):
                     args["cache"] = end["cache"]
-                if end.get("backend"):
-                    args["backend"] = end["backend"]
                 name = trail.key if ok else f"{trail.key} (failed)"
             elif start is not None:
                 # Crashed or timed-out attempt: synthesize the slice.

@@ -46,10 +46,10 @@ DEFAULT_IGNORE = frozenset({
 #: Extra ignores when both sides are sweep-stats manifests
 #: (``repro.obs.sweep/1``): host-execution noise — which pids ran the
 #: jobs, how parallel the pool happened to be — while the *performance
-#: distribution* (latency percentiles, phase totals, cache economics,
-#: per-backend split) stays comparable under ``--rel-tol``.  Unlike a
-#: run diff, the cache block here is a deliberate comparand: cache-hit
-#: drift between two sweeps is exactly what this gate is for.
+#: distribution* (latency percentiles, phase totals, cache economics)
+#: stays comparable under ``--rel-tol``.  Unlike a run diff, the cache
+#: block here is a deliberate comparand: cache-hit drift between two
+#: sweeps is exactly what this gate is for.
 SWEEP_IGNORE = (DEFAULT_IGNORE | frozenset({
     "workers",              # pid-keyed: never comparable across hosts
     "stragglers",           # job-level wall-clock outliers (host noise)
@@ -59,6 +59,7 @@ SWEEP_IGNORE = (DEFAULT_IGNORE | frozenset({
     "cpu_s",                # host CPU seconds
     "parallel_efficiency",  # derived from wall_s + workers
     "rss_peak_kb",          # host memory
+    "backends",             # table only pre-one-core manifests carry
 })) - frozenset({"cache", "duration_s"})
 
 #: Extra ignores when both sides are results-store records

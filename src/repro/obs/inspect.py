@@ -237,16 +237,6 @@ def summarize_sweep(stats: dict[str, Any]) -> str:
             f"({replays.get('extended', 0)} extended), "
             f"{replays.get('cached', 0)} cached"
         )
-    backends = stats.get("backends") or {}
-    if backends:
-        out.append(_table(
-            ["backend", "jobs", "total_s"],
-            [
-                [name, int(row.get("jobs", 0)),
-                 f"{row.get('total_s', 0.0):.2f}"]
-                for name, row in sorted(backends.items())
-            ],
-        ))
     workers = stats.get("workers") or {}
     if workers:
         out.append("")
@@ -378,6 +368,7 @@ def summarize_store_record(payload: dict[str, Any]) -> str:
         ))
     detail = [
         f"{k}: {scenario[k]}"
+        # backend: non-null only in records older than the one-core change.
         for k in ("policy", "backend", "seeds", "cycles")
         if scenario.get(k) not in (None, [], ())
     ]

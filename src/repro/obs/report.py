@@ -737,19 +737,6 @@ def render_sweep_report(
             f"count asked of it; {replays.get('extended', 0)} of them "
             "re-simulated past the end of a stored curve)</p>"
         )
-    backends = stats.get("backends") or {}
-    if backends:
-        rows = "".join(
-            f"<tr><td><code>{_esc(n)}</code></td>"
-            f"<td>{int(row.get('jobs', 0))}</td>"
-            f"<td>{row.get('total_s', 0.0):.2f}s</td></tr>"
-            for n, row in sorted(backends.items())
-        )
-        body.append(
-            "<h2>Per-backend split</h2>"
-            "<table><thead><tr><th>backend</th><th>jobs</th>"
-            f"<th>total</th></tr></thead><tbody>{rows}</tbody></table>"
-        )
     workers = stats.get("workers") or {}
     if workers:
         rows = "".join(

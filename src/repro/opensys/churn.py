@@ -160,7 +160,6 @@ def fig_churn(
     shared_cycles: int | None = None,
     jobs: int | None = None,
     cache_dir: str | None = None,
-    backend: str | None = None,
 ) -> ChurnResult:
     """Sweep arrival rate; chart DASE error and the fairness readout.
 
@@ -188,7 +187,6 @@ def fig_churn(
                 policy=policy,
                 cache_dir=cache_dir,
                 arrivals=schedules[rate],
-                backend=backend,
             ))
     outcomes = run_jobs(job_list, n_jobs=jobs)
     out = ChurnResult(

@@ -415,7 +415,6 @@ class ReproService:
                 apps=tuple(apps), config=cfg,
                 shared_cycles=spec.get("cycles"),
                 policy=spec.get("policy"), cache_dir=self.cache_dir,
-                backend=spec.get("backend"),
             )
             for apps in workloads
         ]
@@ -461,8 +460,7 @@ class ReproService:
         try:
             run = fg.run_figure(
                 resolved["name"], seed=resolved.get("seed"),
-                jobs=self.n_jobs, cache_dir=self.cache_dir,
-                backend=resolved.get("backend"), **params,
+                jobs=self.n_jobs, cache_dir=self.cache_dir, **params,
             )
         finally:
             set_default_progress(None)
@@ -567,18 +565,16 @@ class ReproService:
     def resolve_scenario(self, spec: dict[str, Any]) -> dict[str, Any]:
         """Resolve a scenario spec (by name or by id prefix) to run_figure
         kwargs.  Ids cover registry defaults and store-recorded scenarios
-        whose spec is reproducible from (name, seed, backend) alone."""
+        whose spec is reproducible from (name, seed) alone."""
         from repro.store import SCENARIOS, scenario_for
 
         if spec.get("name"):
-            return {k: spec.get(k) for k in ("name", "seed", "backend",
-                                             "params")}
+            return {k: spec.get(k) for k in ("name", "seed", "params")}
         target = spec["id"]
         candidates: dict[str, dict[str, Any]] = {}
         for name in sorted(SCENARIOS):
             sid = scenario_for(name).scenario_id()
-            candidates[sid] = {"name": name, "seed": None, "backend": None,
-                               "params": {}}
+            candidates[sid] = {"name": name, "seed": None, "params": {}}
         store = self._store()
         if store is not None:
             for row in store.scenarios():
@@ -591,13 +587,11 @@ class ReproService:
                 kwargs = {
                     "name": sc.get("name"),
                     "seed": seeds[0] if len(seeds) == 1 else None,
-                    "backend": sc.get("backend"),
                     "params": {},
                 }
                 try:
                     rebuilt = scenario_for(
                         kwargs["name"], seed=kwargs["seed"],
-                        backend=kwargs["backend"],
                     ).scenario_id()
                 except ValueError:
                     continue
@@ -619,8 +613,6 @@ class ReproService:
         resolved = dict(candidates[matches[0]])
         if spec.get("seed") is not None:
             resolved["seed"] = spec["seed"]
-        if spec.get("backend") is not None:
-            resolved["backend"] = spec["backend"]
         if spec.get("params"):
             resolved["params"] = spec["params"]
         return resolved

@@ -83,6 +83,18 @@ def _opt_str(spec: dict, key: str, choices=None):
     return value
 
 
+def _backend_slot(spec: dict) -> None:
+    """The wire spec's ``backend`` value: always null.  The key is a format
+    constant of repro.service/1 (job ids hash over it), so it stays in the
+    normalised spec; the option it carried was removed with the second
+    simulator core."""
+    _require(spec.get("backend") in (None, "reference"),
+             f"the backend option was removed (got {spec.get('backend')!r}): "
+             "the simulator has one core and results are unchanged; "
+             "drop the key")
+    return None
+
+
 def _app_list(value, what: str) -> list[str]:
     from repro.workloads import APP_NAMES
 
@@ -104,7 +116,7 @@ def _run_options(spec: dict) -> dict[str, Any]:
         "cycles": _opt_int(spec, "cycles", minimum=1),
         "seed": _opt_int(spec, "seed"),
         "policy": _opt_str(spec, "policy", choices=POLICIES),
-        "backend": _opt_str(spec, "backend"),
+        "backend": _backend_slot(spec),
     }
 
 
@@ -149,7 +161,7 @@ def _normalize_scenario(spec: dict) -> dict[str, Any]:
         "name": name,
         "id": sid,
         "seed": _opt_int(spec, "seed"),
-        "backend": _opt_str(spec, "backend"),
+        "backend": _backend_slot(spec),
         "params": {k: _opt_int(params, k, minimum=1) for k in sorted(params)},
     }
 

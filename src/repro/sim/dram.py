@@ -193,8 +193,7 @@ class MemoryPartition:
         d = self._bank_demand[app]
         v = d[bank]
         d[bank] = v + 1
-        # advance + request_enqueued + demanded_changed, one backend-
-        # overridable call (repro.sim.backends).
+        # advance + outstanding/demanded bookkeeping in one call.
         stats.on_enqueue(now, app, v == 0)
         self._schedule(l2_latency, self._arrive_cb, req)
 
@@ -413,7 +412,7 @@ class MemoryPartition:
         mem.time_request += completion - now
         mem.data_bus_time += t_burst
 
-        # advance + bank_started, one backend-overridable call.
+        # advance + executing-bank bookkeeping in one call.
         stats.on_bank_start(now, app)
         if self._busy_active > 0:  # _busy_advance, inlined
             self.busy_time += now - self._busy_last
@@ -441,8 +440,8 @@ class MemoryPartition:
         d = self._bank_demand[app]  # _demand_bank(app, bank, -1), local part
         v = d[bank]
         d[bank] = v - 1
-        # advance + bank_finished + request_completed + demanded_changed +
-        # requests_served, one backend-overridable call.
+        # advance + executing/outstanding/demanded bookkeeping +
+        # requests_served in one call.
         stats.on_complete(completion, app, v == 1)
         if self._busy_active > 0:  # _busy_advance, inlined
             self.busy_time += completion - self._busy_last

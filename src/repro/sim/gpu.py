@@ -15,7 +15,6 @@ import repro.obs as _obs
 from repro.config import GPUConfig
 from repro.obs.tracer import PID_SIM, Observation
 from repro.sim.address import AddressMapper
-from repro.sim.backends import get_backend
 from repro.sim.dram import MemoryPartition
 from repro.sim.engine import Engine
 from repro.sim.interconnect import Crossbar
@@ -160,10 +159,7 @@ class GPU:
         self.engine = Engine(tracer)
         self.mapper = AddressMapper(config)
         self._decode = self.mapper.decode  # pre-bound: one lookup per access
-        # Backend: supplies the warp-stream and stats implementations
-        # (result-equivalent across backends — see repro.sim.backends).
-        self.backend = get_backend(config.backend)
-        self.mem_stats: MemoryStats = self.backend.make_memory_stats(n_apps)
+        self.mem_stats = MemoryStats(n_apps)
         self.partitions = [
             MemoryPartition(self.engine, config, p, n_apps, self.mem_stats,
                             tracer)
@@ -239,9 +235,8 @@ class GPU:
         kernel = self.kernels[app]
         spec = kernel.spec
         sid = kernel.stream_id if kernel.stream_id is not None else app
-        make_stream = self.backend.make_stream
         return [
-            make_stream(
+            WarpStream(
                 spec, sid, block_id, w, self.config.seed, self.config.l2.line_bytes
             )
             for w in range(spec.warps_per_block)

@@ -139,11 +139,7 @@ _CHUNK = 32
 
 
 def stream_seed(seed: int, app_index: int, block_id: int, warp_id: int) -> str:
-    """RNG seed string for one warp stream.
-
-    Shared with :mod:`repro.sim.backends.vectorized` so every backend draws
-    from the identical MT19937 state.
-    """
+    """RNG seed string for one warp stream."""
     return f"{seed}/{app_index}/{block_id}/{warp_id}"
 
 
@@ -153,8 +149,7 @@ def stream_bases(
     """(hot-set base line, granule-aligned streaming-region base line).
 
     One disjoint streaming region per warp, sized to its worst-case
-    footprint; shared with the vectorized backend so both generate
-    identical address streams.
+    footprint.
     """
     base = app_index * APP_SPACE_LINES
     footprint = max(

@@ -88,11 +88,8 @@ class MemoryStats:
     # --- hot-path transitions (advance + mutate, one call per DRAM event) --
     #
     # The memory partition funnels its three per-request state changes
-    # through these methods so a backend can swap the integration strategy
-    # (repro.sim.backends.vectorized batches them into a log drained per
-    # flush).  The reference implementations below fold time eagerly, in
-    # exactly the order the previously-inlined call sites used, so the
-    # refactor is bit-identical.
+    # through these methods.  Each folds time eagerly before mutating, so
+    # the integrals weight every interval by the state that held during it.
 
     def on_enqueue(self, now: int, app: int, newly_demanded: bool) -> None:
         """A request entered the DRAM path (L2 miss) at ``now``."""
@@ -121,20 +118,6 @@ class MemoryStats:
         self.apps[app].requests_served += 1
 
     # --- mutations (caller must advance(now) first) -----------------------
-
-    def request_enqueued(self, app: int) -> None:
-        self._outstanding[app] += 1
-
-    def request_completed(self, app: int) -> None:
-        self._outstanding[app] -= 1
-
-    def bank_started(self, app: int) -> None:
-        self._executing[app] += 1
-        self._active_banks_total += 1
-
-    def bank_finished(self, app: int) -> None:
-        self._executing[app] -= 1
-        self._active_banks_total -= 1
 
     def demanded_changed(self, app: int, delta: int) -> None:
         self._demanded[app] += delta

@@ -4,7 +4,7 @@ The longitudinal (fourth) observability scope, above run → model → sweep:
 
 * :class:`ScenarioSpec` (:mod:`repro.store.registry`) — a declarative,
   hashable experiment identity (workloads, policy, faults, arrivals,
-  backend, seeds, cycle budget → canonical sha256 scenario id);
+  seeds, cycle budget → canonical sha256 scenario id);
   :data:`SCENARIOS` holds one builder per figure of
   :data:`repro.figure_table.FIGURE_TABLE`;
 * :class:`ResultStore` (:mod:`repro.store.records`) — content-addressed,

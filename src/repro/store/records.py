@@ -1,7 +1,7 @@
 """Hash-addressed, schema-versioned results store.
 
 One :class:`ResultStore` directory accumulates the typed outputs of every
-figure driver across runs, seeds, backends, and PRs — the longitudinal
+figure driver across runs, seeds, and PRs — the longitudinal
 counterpart of the per-run (``run.json``), per-model (``audit.json``),
 and per-sweep (``sweep.json``) observability scopes.
 

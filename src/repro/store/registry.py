@@ -2,7 +2,7 @@
 
 A :class:`ScenarioSpec` names everything that determines a figure
 driver's output — workload set, policy, fault/arrival configuration,
-backend, seeds, cycle budget, and driver-specific parameters — and
+seeds, cycle budget, and driver-specific parameters — and
 derives a canonical sha256 **scenario id** from it.  Two runs that should
 produce the same science get the same id; changing any field changes the
 id (enforced by a hypothesis test).  Seed *order* is immaterial: seeds
@@ -51,7 +51,6 @@ class ScenarioSpec:
     policy: str | None = None
     faults: tuple[float, ...] = ()
     arrivals: tuple[float, ...] = ()
-    backend: str | None = None
     seeds: tuple[int, ...] = ()
     cycles: int | None = None
     params: tuple[tuple[str, Any], ...] = ()
@@ -82,7 +81,9 @@ class ScenarioSpec:
             "policy": self.policy,
             "faults": list(self.faults),
             "arrivals": list(self.arrivals),
-            "backend": self.backend,
+            # Format constant of repro.store.scenario/1: the removed backend
+            # option's slot stays null so every recorded id is unchanged.
+            "backend": None,
             "seeds": sorted(self.seeds),
             "cycles": self.cycles,
             "params": [[k, v] for k, v in self.params],
@@ -121,7 +122,6 @@ class ScenarioSpec:
 def scenario_for(
     name: str,
     seed: int | None = None,
-    backend: str | None = None,
     **kwargs: Any,
 ) -> ScenarioSpec:
     """The spec a run of figure ``name`` with arguments ``kwargs`` records.
@@ -129,10 +129,10 @@ def scenario_for(
     Unknown drivers or arguments raise a one-line :class:`ValueError` (the
     inspect error contract — callers surface it verbatim).
     """
-    return figure(name).resolve(seed, backend, kwargs)[2]
+    return figure(name).resolve(seed, kwargs)[2]
 
 
-#: Figure-driver registry: name → builder(seed, backend, **kwargs) → spec.
+#: Figure-driver registry: name → builder(seed, **kwargs) → spec.
 SCENARIOS: dict[str, Callable[..., ScenarioSpec]] = {
     name: partial(scenario_for, name) for name in FIGURE_TABLE
 }

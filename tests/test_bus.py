@@ -46,9 +46,8 @@ class TestWorkerChannel:
             assert bus.current() is ch
             assert bus.activate(tmp_path) is ch  # idempotent per dir+pid
             ch.job_start("s-1", 0, "QR+CT", submit_ts=1.0)
-            ch.span("simulate", 0.5, cycles=SMALL, backend="reference")
-            ch.job_end(ok=True, cache={"hits": 1, "misses": 2, "stores": 2},
-                       backend="reference")
+            ch.span("simulate", 0.5, cycles=SMALL, engine_mode="bucket")
+            ch.job_end(ok=True, cache={"hits": 1, "misses": 2, "stores": 2})
             # job_start / job_end flush; the buffered span rides along with
             # the job_end flush, so the file is already complete on disk.
             records = bus.read_bus(tmp_path)
@@ -63,7 +62,7 @@ class TestWorkerChannel:
         names = [r["name"] for r in records if r["t"] == "span"]
         assert names == ["dequeue", "simulate"]
         sim = records[3]
-        assert sim["args"] == {"cycles": SMALL, "backend": "reference"}
+        assert sim["args"] == {"cycles": SMALL, "engine_mode": "bucket"}
         assert sim["sweep"] == "s-1" and sim["job"] == 0
         end = records[-1]
         assert end["ok"] and end["cache"]["hits"] == 1
@@ -114,7 +113,10 @@ class TestWorkerChannel:
 
 
 def _records(jobs):
-    """Synthesize a bus record stream from compact job descriptions."""
+    """Synthesize a bus record stream from compact job descriptions.
+
+    A job's ``backend`` is the key bus files written before the simulator
+    had one core carry on ``job_end``; readers must ignore it."""
     out = [{"t": "meta", "schema": bus.BUS_SCHEMA, "pid": 10, "ts": 0.0},
            {"t": "sweep", "sweep": "s", "ts": 0.0, "n_jobs": len(jobs)}]
     for j in jobs:
@@ -161,7 +163,7 @@ class TestPercentile:
 class TestSweepStats:
     def test_rollup(self):
         records = _records([
-            # Ordinary job, cache miss then store, vectorized backend.
+            # Ordinary job, cache miss then store (an old bus file's keys).
             {"job": 0, "pid": 10, "ts": 1.0, "dur": 2.0,
              "spans": [("simulate", 1.0, {"backend": "vectorized"}),
                        ("replay", 0.8, {"cached": False})],
@@ -204,9 +206,8 @@ class TestSweepStats:
         assert stats.cache["hits"] == 1 and stats.cache["misses"] == 2
         assert stats.cache["hit_rate"] == pytest.approx(1 / 3)
         assert stats.cache["est_saved_s"] == pytest.approx(3.65 - 0.1)
-        # Per-backend and per-worker splits.
-        assert stats.backends["vectorized"]["jobs"] == 1
-        assert stats.backends["reference"]["jobs"] == 2
+        # Per-worker split; the old per-backend keys are read past.
+        assert "backends" not in stats.to_dict()
         assert stats.workers["20"]["jobs"] == 2
         assert stats.workers["20"]["busy_s"] == pytest.approx(10.0)
         assert stats.busy_s == pytest.approx(12.0)
@@ -252,7 +253,6 @@ class TestSweepStats:
                 rec["cache"] = rec.pop("outcome_cache")
         stats = bus.SweepStats.from_records(records)
         assert (stats.n_jobs, stats.ok, stats.failed) == (3, 3, 0)
-        assert stats.backends["reference"]["jobs"] == 3
         # Busy time is everything the workers did; job latencies are the
         # settled durations and still add up to it (within the gaps).
         assert stats.busy_s == pytest.approx(7.2)

@@ -42,6 +42,13 @@ def test_limit_is_rejected_where_it_would_be_ignored(capsys):
         assert "unrecognized arguments: --limit" in capsys.readouterr().err
     for fig in ("fig5", "fig6", "fig7"):
         assert build_parser().parse_args([fig, "--limit", "1"]).limit == 1
+    # Nor is there a core to choose: the simulator has one.
+    for argv in (["run", "SD", "SB"], ["fig5"], ["trace", "SD", "--out", "t"],
+                 ["submit", "SD", "SB"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--backend", "reference"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 def test_fig_parsers_accept_jobs_and_cache_dir():
@@ -229,36 +236,6 @@ def test_run_workload_end_to_end(capsys):
     assert "DASE mean error" in out
 
 
-def test_backend_flag_on_run_fig_and_trace_parsers():
-    p = build_parser()
-    assert p.parse_args(["run", "SD", "SB"]).backend is None
-    for argv in (
-        ["run", "SD", "SB", "--backend", "vectorized"],
-        ["fig5", "--backend", "vectorized"],
-        ["fig2", "--backend", "vectorized"],
-        ["trace", "SD", "SB", "--out", "t.jsonl", "--backend", "vectorized"],
-    ):
-        assert p.parse_args(argv).backend == "vectorized"
-    assert p.parse_args(["run", "SD", "--backend", "reference"]).backend == \
-        "reference"
-
-
-def test_backend_flag_rejects_unknown_name(capsys):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "SD", "--backend", "turbo"])
-    assert "invalid choice" in capsys.readouterr().err
-
-
-def test_run_backend_end_to_end_matches_reference(capsys):
-    pytest.importorskip("numpy")
-    assert main(["run", "SD", "SB", "--cycles", "30000"]) == 0
-    ref_out = capsys.readouterr().out
-    assert main(
-        ["run", "SD", "SB", "--cycles", "30000", "--backend", "vectorized"]
-    ) == 0
-    assert capsys.readouterr().out == ref_out
-
-
 def test_fig_parsers_accept_sweep_trace_flags():
     args = build_parser().parse_args(
         ["fig5", "--limit", "1", "--sweep-trace", "/tmp/st",
@@ -307,9 +284,18 @@ def test_sweep_artifacts_and_inspect_sweep(tmp_path, capsys):
     assert main(["inspect", str(out / "sweep.json")]) == 0
     assert "3 jobs" in capsys.readouterr().out
 
-    assert main(["inspect", str(out), "--sweep", "--json"]) == 0
+    # So does a manifest from before the one-core change, which carries a
+    # per-backend table.
     import json as _json
 
+    old = _json.loads((out / "sweep.json").read_text())
+    old["backends"] = {"reference": {"jobs": 2, "total_s": 1.5},
+                       "vectorized": {"jobs": 1, "total_s": 0.9}}
+    (tmp_path / "old_sweep.json").write_text(_json.dumps(old))
+    assert main(["inspect", str(tmp_path / "old_sweep.json")]) == 0
+    assert "3 jobs" in capsys.readouterr().out
+
+    assert main(["inspect", str(out), "--sweep", "--json"]) == 0
     payload = _json.loads(capsys.readouterr().out)
     assert payload["kind"] == "sweep"
     assert payload["n_jobs"] == 3
@@ -510,6 +496,17 @@ def test_inspect_autodetects_store_artifacts(tmp_path, capsys):
     assert main(["inspect", str(rec_path)]) == 0
     out = capsys.readouterr().out
     assert "fig2" in out and "unfairness.mean" in out
+
+    # The same payload as `--backend vectorized` recorded it before the
+    # one-core change: it keeps the ids it had there, loads and inspects.
+    store = ResultStore(store_dir)
+    old = store.record(dict(rec.scenario, backend="vectorized"), rec.payload,
+                       rec.payload_schema)
+    assert old.scenario_id.startswith("22d7752c7456")
+    assert old.record_id.startswith("e91257c893ee")
+    assert store.load("fig2@-1").scenario["backend"] == "vectorized"
+    assert main(["inspect", str(store.record_path(old.record_id))]) == 0
+    assert "backend: vectorized" in capsys.readouterr().out
 
 
 def test_trajectory_cli_table_json_and_html(tmp_path, capsys):

@@ -175,7 +175,6 @@ def _sweep_payload(**over):
                    "simulate": {"count": 4, "total_s": 8.0}},
         "cache": {"hits": 6, "misses": 2, "stores": 2,
                   "hit_rate": 0.75, "est_saved_s": 5.0},
-        "backends": {"reference": {"jobs": 4, "total_s": 18.0}},
         "workers": {"101": {"jobs": 4, "busy_s": 18.0, "cpu_s": 17.0,
                             "rss_peak_kb": 40000}},
         "stragglers": [], "failures": [],
@@ -191,8 +190,10 @@ def _write(path, payload):
 
 def test_sweep_diff_ignores_wallclock_and_worker_noise(tmp_path):
     # Same sweep re-run: different pids, wall time, efficiency, RSS —
-    # none of which is drift between two sweep-stats manifests.
-    a = _write(tmp_path / "a.json", _sweep_payload())
+    # none of which is drift between two sweep-stats manifests.  Nor is
+    # the per-backend table a manifest from before the one-core change has.
+    a = _write(tmp_path / "a.json", _sweep_payload(
+        backends={"reference": {"jobs": 4, "total_s": 18.0}}))
     b = _write(tmp_path / "b.json", _sweep_payload(
         wall_s=20.0, busy_s=19.5, cpu_s=18.0, parallel_efficiency=0.5,
         workers={"202": {"jobs": 2, "busy_s": 9.0, "cpu_s": 8.5,

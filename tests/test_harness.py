@@ -270,3 +270,14 @@ class TestScaledConfig:
         monkeypatch.delenv("REPRO_FULL", raising=False)
         cfg = scaled_config(interval_cycles=7_000)
         assert cfg.interval_cycles == 7_000
+
+    def test_backend_override_is_gone_except_the_ledgers_literal(self):
+        # benchmarks/ledger/micro.py (frozen by BENCHMARK.json) still passes
+        # backend="reference"; that literal is dropped, nothing else is.
+        assert scaled_config(backend="reference") == scaled_config()
+        with pytest.raises(ValueError, match="backend option was removed") \
+                as err:
+            scaled_config(backend="vectorized")
+        assert "\n" not in str(err.value)
+        with pytest.raises(TypeError):
+            GPUConfig(backend="reference")

@@ -1,6 +1,10 @@
 """The public API surface must stay importable and complete."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +71,23 @@ def test_top_level_exports():
 def test_module_imports_and_has_docstring(module):
     mod = importlib.import_module(module)
     assert mod.__doc__, f"{module} lacks a module docstring"
+
+
+def test_package_imports_with_numpy_blocked():
+    # The package has no third-party runtime dependency: the simulator's one
+    # core is pure Python, and the NumPy backend package is gone.
+    child = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import importlib.util\n"
+        "import repro, repro.harness, repro.service, repro.cli\n"
+        "assert 'repro.sim.gpu' in sys.modules\n"
+        "assert importlib.util.find_spec('repro.sim.backends') is None\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", child], check=True, env=env,
+                   timeout=120)
 
 
 def test_subpackage_all_exports_resolve():

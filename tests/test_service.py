@@ -68,6 +68,11 @@ class TestProtocol:
                                          "backend": None}})
         assert terse.job_id == verbose.job_id
         assert terse.job_id == request_fingerprint("workload", terse.spec)
+        # The one core's old name is the same question too.
+        named = parse_submit({"kind": "workload",
+                              "spec": {"apps": ["SD", "SB"],
+                                       "backend": "reference"}})
+        assert named.job_id == terse.job_id and named.spec == terse.spec
         # ... and the id the commit before repro.hashing gave it: a journal
         # written on either side of that commit dedups on the other.
         assert parse_submit(
@@ -110,6 +115,17 @@ class TestProtocol:
         ({"kind": "scenario", "spec": {"name": "fig2",
                                        "params": {"limit": 1}}},
          "unsupported scenario param 'limit' for fig2"),
+        # The backend option went with the second core: a value that used
+        # to pick one is refused at the door, not after the worker's retries.
+        ({"kind": "workload", "spec": {"apps": ["SD", "SB"],
+                                       "backend": "bogus"}},
+         "backend option was removed"),
+        ({"kind": "sweep", "spec": {"workloads": [["SD", "SB"]],
+                                    "backend": "vectorized"}},
+         "backend option was removed"),
+        ({"kind": "scenario", "spec": {"name": "fig2",
+                                       "backend": "vectorized"}},
+         "results are unchanged"),
     ])
     def test_validation_is_one_line(self, payload, needle):
         allow = payload.get("kind") == "chaos" and "hang" in str(payload)

@@ -57,21 +57,19 @@ class TestAlpha:
 class TestMemoryStatsIntegration:
     def test_outstanding_time_integrates_while_outstanding(self):
         ms = MemoryStats(1)
-        ms.advance(10)
-        ms.request_enqueued(0)
-        ms.advance(25)  # 15 cycles with one outstanding
-        ms.request_completed(0)
+        ms.on_enqueue(10, 0, True)
+        ms.on_bank_start(10, 0)
+        ms.on_complete(25, 0, True)  # 15 cycles with one outstanding
         ms.advance(40)  # nothing outstanding
         assert ms.apps[0].outstanding_time == 15.0
 
     def test_executing_banks_weighted_by_count(self):
         ms = MemoryStats(1)
-        ms.bank_started(0)
-        ms.bank_started(0)
-        ms.advance(10)  # 2 banks × 10 cycles
-        ms.bank_finished(0)
-        ms.advance(15)  # 1 bank × 5 cycles
-        ms.bank_finished(0)
+        for _ in range(2):
+            ms.on_enqueue(0, 0, True)
+            ms.on_bank_start(0, 0)
+        ms.on_complete(10, 0, True)  # 2 banks × 10 cycles
+        ms.on_complete(15, 0, True)  # 1 bank × 5 cycles
         assert ms.apps[0].executing_bank_integral == pytest.approx(25.0)
 
     def test_demanded_banks_integral(self):
@@ -86,18 +84,18 @@ class TestMemoryStatsIntegration:
 
     def test_busy_time_any_bank(self):
         ms = MemoryStats(2)
-        ms.bank_started(0)
-        ms.advance(5)
-        ms.bank_started(1)
-        ms.advance(12)
-        ms.bank_finished(0)
-        ms.bank_finished(1)
+        ms.on_enqueue(0, 0, True)
+        ms.on_bank_start(0, 0)
+        ms.on_enqueue(5, 1, True)
+        ms.on_bank_start(5, 1)
+        ms.on_complete(12, 0, True)
+        ms.on_complete(12, 1, True)
         ms.advance(20)
         assert ms.busy_time == pytest.approx(12.0)
 
     def test_advance_is_idempotent_at_same_time(self):
         ms = MemoryStats(1)
-        ms.request_enqueued(0)
+        ms.on_enqueue(0, 0, True)
         ms.advance(10)
         ms.advance(10)
         assert ms.apps[0].outstanding_time == 10.0

@@ -32,7 +32,7 @@ def spec(**overrides):
     base = dict(
         name="fig2", kind="unfairness-baseline",
         workloads=(("SD", "SB"),), policy=None, faults=(), arrivals=(),
-        backend=None, seeds=(1, 2), cycles=240_000, params=(("x", 1),),
+        seeds=(1, 2), cycles=240_000, params=(("x", 1),),
     )
     base.update(overrides)
     return ScenarioSpec(**base)
@@ -270,7 +270,6 @@ FIELD_MUTATIONS = {
     "policy": lambda s: spec(policy="dase_fair"),
     "faults": lambda s: spec(faults=s.faults + (0.1,)),
     "arrivals": lambda s: spec(arrivals=s.arrivals + (0.5,)),
-    "backend": lambda s: spec(backend="vectorized"),
     "seeds": lambda s: spec(seeds=s.seeds + (max(s.seeds) + 1,)),
     "cycles": lambda s: spec(cycles=(s.cycles or 0) + 1),
     "params": lambda s: spec(params=s.params + (("zz", 99),)),
