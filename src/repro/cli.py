@@ -16,6 +16,8 @@ import argparse
 import sys
 import time
 
+from repro import durable
+
 
 def _cmd_list(args) -> int:
     from repro.figure_table import FIGURE_TABLE
@@ -92,19 +94,15 @@ def _cmd_fig(args) -> int:
     # every sweep the experiment driver runs, via the ambient factory — the
     # drivers themselves need no progress plumbing.  With a bus enabled the
     # reporter also tails the worker channels for straggler warnings.
-    logger = None
-    if getattr(args, "progress", False) or getattr(args, "sweep_log", None):
-        from repro.obs import JsonlLogger, SweepProgress
+    sweep_log = (durable.open_log(args.sweep_log)
+                 if getattr(args, "sweep_log", None) else None)
+    if getattr(args, "progress", False) or sweep_log is not None:
+        from repro.obs import SweepProgress
 
-        if args.sweep_log:
-            logger = JsonlLogger(args.sweep_log)
-            set_default_progress(
-                lambda total: logger.reporter(total, label=name, bus=bus_dir)
-            )
-        else:
-            set_default_progress(
-                lambda total: SweepProgress(total, label=name, bus=bus_dir)
-            )
+        set_default_progress(
+            lambda total: SweepProgress(total, label=name, bus=bus_dir,
+                                        jsonl=sweep_log)
+        )
     retries = getattr(args, "retries", None) or 0
     if retries < 0:
         raise SystemExit(f"--retries must be >= 0, got {retries}")
@@ -133,8 +131,8 @@ def _cmd_fig(args) -> int:
         from repro.obs import bus as obs_bus
 
         obs_bus.deactivate()
-        if logger is not None:
-            logger.close()
+        if sweep_log is not None:
+            sweep_log.close()
 
 
 def _run_fig(args, name: str) -> int:
@@ -172,9 +170,10 @@ def _write_figure_report(out_dir: str, stem: str, export, res) -> None:
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / f"{stem}.json").open("w") as fh:
-        json.dump(res.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    durable.replace_text(
+        out / f"{stem}.json",
+        json.dumps(res.to_dict(), indent=1, sort_keys=True) + "\n",
+    )
     export(out / "report.html", res)
     print(f"\n{stem} artifacts written to {out}/ "
           f"({stem}.json, report.html)", file=sys.stderr)
@@ -202,9 +201,10 @@ def _write_sweep_artifacts(out_dir: str, bus_dir: str,
     out.mkdir(parents=True, exist_ok=True)
     payload = export_sweep_trace(records, out / "trace.json")
     stats = obs_bus.SweepStats.from_records(records)
-    with (out / "sweep.json").open("w") as fh:
-        json.dump(stats.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    durable.replace_text(
+        out / "sweep.json",
+        json.dumps(stats.to_dict(), indent=1, sort_keys=True) + "\n",
+    )
     profile_rows = None
     wrote = ["trace.json", "sweep.json", "report.html"]
     if profile_sweep:
@@ -351,8 +351,9 @@ def _cmd_trace(args) -> int:
     }
     if obs.audit is not None:
         manifest["audit"] = obs.audit.summary()
-    with (out / "run.json").open("w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    durable.replace_text(
+        out / "run.json", json.dumps(manifest, indent=1, sort_keys=True)
+    )
     print(summarize_run(manifest))
     hints = []
     if "html" in files:
@@ -501,7 +502,8 @@ def _cmd_store_gc(args) -> int:
         raise SystemExit(f"repro store: {exc}")
     print(f"gc: {stats['entries']} index entries kept, "
           f"{stats['pruned']} pruned, "
-          f"{stats['orphans_removed']} orphan record files removed")
+          f"{stats['orphans_removed']} orphan record files removed, "
+          f"{stats['tmp_swept']} stale temp files swept")
     return 0
 
 
@@ -577,6 +579,9 @@ def _cmd_serve(args) -> int:
         url = service.start()
     except (ValueError, OSError) as exc:
         raise SystemExit(f"repro serve: {exc}")
+    if service.journal_skipped:
+        print(f"repro serve: journal: skipped {service.journal_skipped} "
+              "unreadable record(s)", file=sys.stderr)
     print(f"repro serve: listening on {url} "
           f"(state {args.state_dir}, policy {args.policy}, "
           f"jobs {service.n_jobs})", file=sys.stderr, flush=True)

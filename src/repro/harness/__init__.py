@@ -25,12 +25,7 @@ from repro.harness.parallel import (
     sweep_defaults,
     workload_jobs,
 )
-from repro.harness.persist import (
-    atomic_write_json,
-    load_json,
-    load_result,
-    save_result,
-)
+from repro.harness.persist import load_result, save_result
 from repro.harness.replay_cache import AloneReplayCache, resolve_cache
 
 __all__ = [
@@ -58,6 +53,4 @@ __all__ = [
     "resolve_cache",
     "save_result",
     "load_result",
-    "atomic_write_json",
-    "load_json",
 ]

@@ -12,8 +12,9 @@ every job's fingerprint, in order — so:
 * a sweep with different jobs, parameters, or ordering gets a different
   file and never resurrects foreign results;
 * a line torn by the interruption itself (the reason checkpoints exist)
-  fails its checksum and is skipped — the loader is tolerant by design,
-  losing at most the in-flight job.
+  is skipped by the loader, and the next ``record`` terminates the
+  fragment before appending (:func:`repro.durable.open_log`), so an
+  interruption loses at most the in-flight job — however often it recurs.
 
 Appending is atomic enough at JSONL granularity: each ``record`` opens,
 writes one line, flushes, and closes, so concurrent sweeps over the same
@@ -28,6 +29,7 @@ import os
 import pathlib
 from typing import TYPE_CHECKING, Sequence
 
+from repro import durable
 from repro.harness.replay_cache import fingerprint
 from repro.harness.runner import WorkloadResult
 from repro.hashing import digest
@@ -65,20 +67,12 @@ class SweepCheckpoint:
     def load(self) -> dict[int, WorkloadResult]:
         """Completed results by job index; empty when starting fresh."""
         out: dict[int, WorkloadResult] = {}
-        self.skipped_lines = 0
         try:
-            with self.path.open() as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            return out
+            records, self.skipped_lines = durable.read_log(self.path)
         except OSError:
-            return out
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+            records, self.skipped_lines = [], 0
+        for obj in records:
             try:
-                obj = json.loads(line)
                 stored = obj.pop("sha256")
                 if stored != digest(obj):
                     raise ValueError("checksum mismatch")
@@ -106,10 +100,8 @@ class SweepCheckpoint:
             "result": outcome.result.to_dict(),
         }
         body["sha256"] = digest(body)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(body, sort_keys=True) + "\n")
-            fh.flush()
+        with durable.open_log(self.path) as log:
+            durable.append(log, json.dumps(body, sort_keys=True), flush=True)
         return True
 
 

@@ -11,8 +11,9 @@ import dataclasses
 import json
 import os
 import pathlib
-import tempfile
 from typing import Any
+
+from repro import durable
 
 
 def _default_dir() -> pathlib.Path:
@@ -34,40 +35,6 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def atomic_write_json(path: str | os.PathLike, payload: Any) -> pathlib.Path:
-    """Write ``payload`` as JSON atomically (temp file + rename).
-
-    Values are written at full precision (no rounding), so objects such as
-    :class:`~repro.harness.runner.WorkloadResult` survive a byte-exact
-    round trip — the property the cache and determinism tests rely on.
-    Safe under concurrent writers: each writer lands a complete file and
-    ``os.replace`` makes the last one win without torn reads.
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def load_json(path: str | os.PathLike) -> Any:
-    """Read back a JSON file written by :func:`atomic_write_json`."""
-    with pathlib.Path(path).open() as fh:
-        return json.load(fh)
-
-
 def save_result(name: str, payload: Any, directory: str | os.PathLike | None = None) -> pathlib.Path:
     """Write ``payload`` to ``<results dir>/<name>.json`` and return the path.
 
@@ -77,7 +44,8 @@ def save_result(name: str, payload: Any, directory: str | os.PathLike | None = N
     if not name or any(c in name for c in "/\\"):
         raise ValueError("result name must be a bare file stem")
     out_dir = pathlib.Path(directory) if directory else _default_dir()
-    return atomic_write_json(out_dir / f"{name}.json", _jsonable(payload))
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return durable.replace_text(out_dir / f"{name}.json", text)
 
 
 def load_result(name: str, directory: str | os.PathLike | None = None) -> Any:

@@ -17,7 +17,7 @@ it — the clock a fresh replay to that count stops at); a count past the
 end is a miss, the caller re-simulates from cycle 0 to the new furthest
 count, and the longer curve replaces the shorter one.
 
-Files are written atomically (temp file + rename) and are
+Files are written atomically (:func:`repro.durable.replace_text`) and are
 self-verifying: each carries a SHA-256 checksum of its own payload,
 checked on every read.  A corrupt file (truncated write, bit flip,
 concurrent filesystem damage) is *quarantined* — moved into
@@ -46,14 +46,13 @@ import operator
 import os
 import pathlib
 import sys
-import time
 import zlib
 from array import array
 from itertools import accumulate
 from typing import Any
 
+from repro import durable
 from repro.config import GPUConfig
-from repro.harness.persist import atomic_write_json
 from repro.hashing import digest
 from repro.sim.kernel import KernelSpec, ProgressCurve
 
@@ -99,11 +98,6 @@ def entry_checksum(entry: dict) -> str:
     """Self-checksum of a cache entry: SHA-256 over the canonical JSON of
     every field except ``checksum`` itself."""
     return digest({k: v for k, v in entry.items() if k != "checksum"})
-
-
-#: Orphan ``*.tmp`` files younger than this are left alone on cache open —
-#: they may belong to a concurrent writer mid-``atomic_write_json``.
-TMP_SWEEP_AGE_S = 300.0
 
 
 def _pack(seq) -> str:
@@ -152,44 +146,11 @@ class AloneReplayCache:
         #: Curve files written (a put that finds a stored curve reaching
         #: at least as far writes nothing).
         self.stores = 0
-        #: Files moved aside because they failed verification or disagreed
-        #: with a fresh simulation (see :meth:`_quarantine`).
+        #: Files moved to ``quarantine/`` (the key then recomputes): failed
+        #: verification or disagreed with a fresh simulation.
         self.quarantined = 0
         #: Orphan temp files removed on open.
-        self.tmp_swept = self._sweep_tmp()
-
-    def _sweep_tmp(self) -> int:
-        """Remove orphan ``.*.tmp`` files left by interrupted atomic writes.
-
-        Only files older than :data:`TMP_SWEEP_AGE_S` go — a younger one
-        may be a concurrent worker's in-flight write (``atomic_write_json``
-        renames within well under a second, so anything older is dead).
-        """
-        if not self.directory.is_dir():
-            return 0
-        cutoff = time.time() - TMP_SWEEP_AGE_S
-        swept = 0
-        for tmp in self.directory.glob(".*.tmp"):
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    tmp.unlink()
-                    swept += 1
-            except OSError:
-                continue  # raced with the owner or another sweeper
-        return swept
-
-    def _quarantine(self, path: pathlib.Path) -> None:
-        """Move a bad file into ``<dir>/quarantine/`` for post-mortem
-        (never delete evidence) so the key recomputes to a good curve."""
-        qdir = self.directory / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-            self.quarantined += 1
-        except OSError:
-            # Couldn't move it (permissions, races) — still treat the
-            # entry as a miss; the recompute will overwrite it in place.
-            pass
+        self.tmp_swept = durable.sweep_tmp(self.directory)
 
     def key(self, spec: KernelSpec, stream_id: int, config: GPUConfig) -> str:
         """What names a trajectory: the kernel as replayed + the config."""
@@ -210,13 +171,6 @@ class AloneReplayCache:
         try:
             with path.open() as fh:
                 entry = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # Unreadable or not JSON: truncated write or on-disk damage.
-            self._quarantine(path)
-            return None
-        try:
             if entry["checksum"] != entry_checksum(entry):
                 raise ValueError("checksum mismatch")
             curve = ProgressCurve(
@@ -224,12 +178,15 @@ class AloneReplayCache:
             )
             if len(curve) != entry["entries"]:
                 raise ValueError("entry count mismatch")
-        except (TypeError, KeyError, ValueError, zlib.error):
-            # Parsable but wrong: a flipped bit inside valid JSON is the
+        except FileNotFoundError:
+            return None
+        except (OSError, TypeError, KeyError, ValueError, zlib.error):
+            # Unreadable or not JSON (truncated write, on-disk damage), or
+            # parsable but wrong: a flipped bit inside valid JSON is the
             # dangerous case — without the checksum it would be *trusted*.
             # (Anything that is not a curve entry lands here too:
             # unverifiable data is recomputed, not believed.)
-            self._quarantine(path)
+            self.quarantined += durable.quarantine(path)
             return None
         return curve
 
@@ -299,7 +256,7 @@ class AloneReplayCache:
         stored = self._load(key)
         if stored is not None:
             if not stored.same_trajectory(curve):
-                self._quarantine(self._path(key))
+                self.quarantined += durable.quarantine(self._path(key))
             elif stored.end >= curve.end:
                 self._mem[key] = stored
                 return False
@@ -313,7 +270,9 @@ class AloneReplayCache:
             "instructions": _pack(curve.instructions),
         }
         entry["checksum"] = entry_checksum(entry)
-        atomic_write_json(self._path(key), entry)
+        durable.replace_text(
+            self._path(key), json.dumps(entry, indent=2, sort_keys=True) + "\n"
+        )
         self.stores += 1
         return True
 

@@ -73,7 +73,7 @@ from repro.obs.export import (
     trace_summary,
 )
 from repro.obs.inspect import inspect_json, inspect_path, summarize_sweep
-from repro.obs.progress import JsonlLogger, SweepProgress
+from repro.obs.progress import SweepProgress
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import (
     export_html_report,
@@ -129,7 +129,6 @@ __all__ = [
     "Telemetry",
     "Sample",
     "SweepProgress",
-    "JsonlLogger",
     "enable",
     "disable",
     "active",

@@ -39,7 +39,7 @@ through the same job_start/span/job_end/outcome stream, tagged
 ``kind: "replay"`` and numbered after the sweep's jobs; they add to busy
 time, phases and worker load, but are not counted as jobs.
 
-Channels are append-only and torn-line tolerant: a worker killed
+Channels are append-only (:func:`repro.durable.open_log`): a worker killed
 mid-write corrupts at most its last line, which :func:`read_bus` skips.
 
 The bus is **off by default and free when off**: the harness consults
@@ -57,6 +57,8 @@ import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
+
+from repro import durable
 
 #: Schema tag carried by every channel's ``meta`` record.
 BUS_SCHEMA = "repro.obs.bus/1"
@@ -98,11 +100,10 @@ class WorkerChannel:
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.pid = os.getpid()
         self.path = self.directory / f"bus-{self.pid}.jsonl"
         fresh = not self.path.exists()
-        self._fh = self.path.open("a")
+        self._fh = durable.open_log(self.path)
         self._sweep: str | None = None
         self._job: int | None = None
         self._job_t0 = 0.0
@@ -116,9 +117,8 @@ class WorkerChannel:
 
     def record(self, rec: dict, flush: bool = False) -> None:
         """Append one raw record (callers supply the ``t`` tag)."""
-        self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        if flush:
-            self._fh.flush()
+        line = json.dumps(rec, separators=(",", ":"))
+        durable.append(self._fh, line, flush=flush)
 
     def job_start(
         self,
@@ -241,28 +241,13 @@ def bus_files(directory: str | os.PathLike) -> list[pathlib.Path]:
     return sorted(d.glob("bus-*.jsonl"))
 
 
-def _parse_lines(text: str) -> list[dict]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue  # torn write from a killed worker
-        if isinstance(rec, dict):
-            out.append(rec)
-    return out
-
-
 def read_bus(directory: str | os.PathLike) -> list[dict]:
     """All records from every channel, torn-line tolerant, ts-ordered."""
     records: list[dict] = []
     for path in bus_files(directory):
         try:
-            records.extend(_parse_lines(path.read_text()))
-        except OSError:  # pragma: no cover - file vanished mid-read
+            records.extend(durable.read_log(path)[0])
+        except OSError:  # pragma: no cover - file unreadable mid-read
             continue
     records.sort(key=lambda r: r.get("ts", 0.0))
     return records
@@ -284,18 +269,13 @@ class BusReader:
         """New complete records since the last poll, across all channels."""
         out: list[dict] = []
         for path in bus_files(self.directory):
-            offset = self._offsets.get(path, 0)
             try:
-                with path.open("r") as fh:
-                    fh.seek(offset)
-                    chunk = fh.read()
+                records, self._offsets[path] = durable.tail_log(
+                    path, self._offsets.get(path, 0)
+                )
             except OSError:  # pragma: no cover
                 continue
-            if not chunk:
-                continue
-            complete = chunk.rfind("\n") + 1
-            self._offsets[path] = offset + len(chunk[:complete].encode())
-            out.extend(_parse_lines(chunk[:complete]))
+            out.extend(records)
         return out
 
 

@@ -23,9 +23,11 @@ import json
 import math
 import os
 import pathlib
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro import durable
 from repro.obs.bus import SWEEP_SCHEMA
 
 #: Schema tag for :meth:`DiffResult.to_dict` payloads.
@@ -253,7 +255,7 @@ def load_comparable(path: str | os.PathLike) -> Any:
     * a directory → its ``run.json`` manifest (or ``sweep.json``, or a
       results-store ``index.json``);
     * a ``.jsonl`` sweep log → ``{record key: record}`` so two logs pair
-      by job key, not completion order;
+      by job key, not completion order (torn lines: skipped, on stderr);
     * any other file → parsed JSON.
 
     Raises ValueError with a one-line message on missing or corrupt input
@@ -279,18 +281,13 @@ def load_comparable(path: str | os.PathLike) -> Any:
         p = manifest
     if not p.is_file():
         raise ValueError(f"{p} does not exist")
+    if p.suffix == ".jsonl":
+        records, skipped = durable.read_log(p)
+        if skipped:
+            print(f"{p}: {skipped} torn line(s) skipped", file=sys.stderr)
+        return {str(rec.get("key", f"line{n}")): rec
+                for n, rec in enumerate(records)}
     try:
-        if p.suffix == ".jsonl":
-            records: dict[str, Any] = {}
-            with p.open() as fh:
-                for n, line in enumerate(fh):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    key = rec.get("key") if isinstance(rec, dict) else None
-                    records[str(key) if key is not None else f"line{n}"] = rec
-            return records
         with p.open() as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:

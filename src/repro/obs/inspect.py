@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 from typing import Any, Iterable, Sequence
 
-from repro.obs.bus import BUS_SCHEMA, SWEEP_SCHEMA
+from repro import durable
+from repro.obs.bus import BUS_SCHEMA, SWEEP_SCHEMA, read_bus
 
 RUN_SCHEMA = "repro.obs.run/1"
 
@@ -423,22 +425,6 @@ def summarize_store_index(payload: dict[str, Any]) -> str:
     return "\n".join(out)
 
 
-def _load_bus_file(p: pathlib.Path) -> list[dict[str, Any]] | None:
-    """Parse a ``.jsonl`` file as a bus channel; None when it isn't one."""
-    records: list[dict[str, Any]] = []
-    try:
-        with p.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-    except (json.JSONDecodeError, OSError):
-        return None
-    if records and records[0].get("schema") == BUS_SCHEMA:
-        return records
-    return None
-
-
 def load_recorded(
     path: str, prefer: str | None = None
 ) -> tuple[str, Any]:
@@ -467,8 +453,6 @@ def load_recorded(
         elif index.is_file():
             p = index
         elif any(p.glob("bus-*.jsonl")):
-            from repro.obs.bus import read_bus
-
             return "bus", read_bus(p)
         elif (p / "records").is_dir():
             raise ValueError(
@@ -483,13 +467,15 @@ def load_recorded(
     if not p.is_file():
         raise ValueError(f"{p} does not exist")
     if p.suffix == ".jsonl":
-        records = _load_bus_file(p)
-        if records is not None:
-            return "bus", records
-        raise ValueError(
-            f"{p} is not a telemetry-bus channel (no {BUS_SCHEMA} meta "
-            "record on its first line)"
-        )
+        records, skipped = durable.read_log(p)
+        if not records or records[0].get("schema") != BUS_SCHEMA:
+            raise ValueError(
+                f"{p} is not a telemetry-bus channel (no {BUS_SCHEMA} meta "
+                "record on its first line)"
+            )
+        if skipped:
+            print(f"{p}: {skipped} torn line(s) skipped", file=sys.stderr)
+        return "bus", records
     try:
         with p.open() as fh:
             payload = json.load(fh)

@@ -31,6 +31,7 @@ import sys
 import time
 from typing import IO, TYPE_CHECKING, Callable
 
+from repro import durable
 from repro.obs import bus as obs_bus
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -228,26 +229,6 @@ class SweepProgress:
         }
         if not outcome.ok:
             record["error"] = (outcome.error or "").strip().splitlines()[-1:]
-        self.jsonl.write(json.dumps(record, sort_keys=True) + "\n")
-        self.jsonl.flush()
+        durable.append(self.jsonl, json.dumps(record, sort_keys=True),
+                       flush=True)
 
-
-class JsonlLogger:
-    """Owns a JSONL log file and builds SweepProgress reporters over it."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._fh: IO[str] | None = None
-
-    def open(self) -> IO[str]:
-        if self._fh is None:
-            self._fh = open(self.path, "a")
-        return self._fh
-
-    def reporter(self, total: int, **kw) -> SweepProgress:
-        return SweepProgress(total, jsonl=self.open(), **kw)
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None

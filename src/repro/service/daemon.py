@@ -44,6 +44,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
+from repro import durable
 from repro.service import protocol
 from repro.service.queue import AdmissionQueue, QueuedRequest
 
@@ -143,34 +144,28 @@ class ReproService:
 
     def _journal(self, record: dict[str, Any]) -> None:
         record = dict(record, ts=time.time())
-        with self._journal_path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        with durable.open_log(self._journal_path) as log:
+            durable.append(log, json.dumps(record, sort_keys=True), fsync=True)
 
     def _recover(self) -> None:
         """Replay the journal: re-enqueue interrupted jobs, keep tombstones
-        of completed ones (their payloads live in the results store)."""
-        if not self._journal_path.is_file():
-            return
+        of completed ones (their payloads live in the results store).  Torn
+        or damaged lines are skipped and counted in ``journal_skipped``."""
         submits: dict[str, dict] = {}
         terminal: dict[str, dict] = {}
-        for line in self._journal_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        records, self.journal_skipped = durable.read_log(self._journal_path)
+        for rec in records:
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail line from a kill -9: ignore
-            if rec.get("t") == "submit":
-                entry = submits.setdefault(
-                    rec["job"],
-                    {"kind": rec["kind"], "spec": rec["spec"], "tenants": []},
-                )
-                entry["tenants"].append(rec["tenant"])
-            elif rec.get("t") == "terminal":
-                terminal[rec["job"]] = rec
+                if rec.get("t") == "submit":
+                    job_id, tenant, kind, spec = (
+                        rec[k] for k in ("job", "tenant", "kind", "spec"))
+                    submits.setdefault(
+                        job_id, {"kind": kind, "spec": spec, "tenants": []}
+                    )["tenants"].append(tenant)
+                elif rec.get("t") == "terminal":
+                    terminal[rec["job"]] = rec
+            except (KeyError, TypeError):
+                self.journal_skipped += 1
         for job_id, entry in submits.items():
             job = Job(job_id, entry["kind"], entry["spec"])
             fin = terminal.get(job_id)
@@ -226,9 +221,8 @@ class ReproService:
             "url": self.url,
             "pid": os.getpid(),
         }
-        (self.state_dir / ENDPOINT_FILE).write_text(
-            json.dumps(endpoint, indent=1, sort_keys=True) + "\n"
-        )
+        text = json.dumps(endpoint, indent=1, sort_keys=True) + "\n"
+        durable.replace_text(self.state_dir / ENDPOINT_FILE, text)
         return self.url
 
     def serve_forever(self) -> None:

@@ -25,9 +25,8 @@ deliberately excluded, so re-running the same scenario with the same seed
 produces byte-identical record content at the identical address
 (content-addressing doubles as deduplication), while the index still logs
 one entry per recording so trajectories show every run.  All writes go
-through :func:`repro.harness.persist.atomic_write_json`, so concurrent
-recorders land whole files and the last index writer wins without torn
-reads.
+through :func:`repro.durable.replace_text`, so concurrent recorders land
+whole files and the last index writer wins without torn reads.
 
 Corrupt or missing store state is always reported as a one-line
 :class:`ValueError` (the same contract as ``repro inspect``), never a
@@ -44,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.harness.persist import atomic_write_json
+from repro import durable
 from repro.hashing import canonical_json, digest
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -195,10 +194,14 @@ class ResultStore:
             )
         return payload["records"]
 
-    def _write_index(self, entries: list[dict[str, Any]]) -> None:
-        atomic_write_json(
-            self.index_path, {"schema": INDEX_SCHEMA, "records": entries}
+    def _write(self, path: pathlib.Path, payload: Any) -> None:
+        durable.replace_text(
+            path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
+
+    def _write_index(self, entries: list[dict[str, Any]]) -> None:
+        self._write(self.index_path,
+                    {"schema": INDEX_SCHEMA, "records": entries})
 
     # ---------------------------------------------------------- recording
 
@@ -255,7 +258,7 @@ class ResultStore:
             rec_on_disk = self._load_file(existing)
             rec.provenance = rec_on_disk.provenance
         else:
-            atomic_write_json(existing, rec.to_dict())
+            self._write(existing, rec.to_dict())
         entries.append({
             "seq": len(entries),
             "record_id": record_id,
@@ -412,9 +415,10 @@ class ResultStore:
         """Reconcile index and record files.
 
         Removes orphan record files (present on disk, absent from the
-        index — e.g. a recorder crashed between content and index write).
-        With ``keep=N``, additionally prunes each scenario's recording log
-        to its newest N entries, then drops any record file no surviving
+        index — e.g. a recorder crashed between content and index write)
+        and the stale temp files of recorders killed mid-write.  With
+        ``keep=N``, additionally prunes each scenario's recording log to
+        its newest N entries, then drops any record file no surviving
         entry references.  Returns counters.
         """
         entries = self.index()
@@ -454,6 +458,8 @@ class ResultStore:
             "entries": len(entries),
             "pruned": pruned,
             "orphans_removed": orphans,
+            "tmp_swept": durable.sweep_tmp(self.directory)
+            + durable.sweep_tmp(self.records_dir),
         }
 
 

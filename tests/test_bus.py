@@ -93,6 +93,18 @@ class TestWorkerChannel:
             fh.write('{"t": "span", "name": "sim')  # killed mid-write
         records = bus.read_bus(tmp_path)
         assert [r["t"] for r in records] == ["meta", "job_start", "job_end"]
+        # The same pid re-opens its channel (a pool worker's pid reused, a
+        # daemon restarted): what it records next is not glued onto the
+        # fragment.
+        ch = bus.activate(tmp_path)
+        try:
+            ch.job_start("s-2", 0, "k")
+            ch.span("simulate", 0.1)
+            ch.job_end(ok=True)
+        finally:
+            bus.deactivate()
+        assert [r["t"] for r in bus.read_bus(tmp_path)] == [
+            "meta", "job_start", "job_end", "job_start", "span", "job_end"]
 
     def test_reader_polls_only_complete_lines(self, tmp_path):
         path = tmp_path / "bus-1.jsonl"

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.durable import TMP_SWEEP_AGE_S
 from repro.faults import (
     MODE_BAD_RESULT,
     MODE_EXIT,
@@ -41,7 +42,6 @@ from repro.harness.parallel import (
     sweep_defaults,
 )
 from repro.harness.replay_cache import (
-    TMP_SWEEP_AGE_S,
     AloneReplayCache,
     _pack,
     entry_checksum,
@@ -409,6 +409,11 @@ class TestCheckpointResume:
         outs = run_jobs(jobs, n_jobs=1, checkpoint=tmp_path)
         assert all(o.ok for o in outs)
         assert outs[0].resumed and not outs[1].resumed
+        # The re-run job was appended after the fragment, not onto it: a
+        # third run resumes both.
+        outs = run_jobs(jobs, n_jobs=1, checkpoint=tmp_path)
+        assert all(o.resumed for o in outs)
+        assert cp.load().keys() == {0, 1} and cp.skipped_lines == 1
 
     def test_different_sweep_gets_different_checkpoint(self, tmp_path):
         jobs = self._jobs()

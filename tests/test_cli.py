@@ -300,6 +300,18 @@ def test_sweep_artifacts_and_inspect_sweep(tmp_path, capsys):
     assert payload["kind"] == "sweep"
     assert payload["n_jobs"] == 3
 
+    # One channel file inspects as a bus summary — also when its writer
+    # was killed mid-line, as `inspect <bus dir>` always did.
+    (channel,) = (out / "bus").glob("bus-*.jsonl")
+    assert main(["inspect", str(channel)]) == 0
+    whole = capsys.readouterr()
+    assert whole.out.startswith("bus: ") and "torn" not in whole.err
+    channel.write_text(channel.read_text()[:-20])
+    assert main(["inspect", str(channel)]) == 0
+    torn = capsys.readouterr()
+    assert torn.out.startswith("bus: ")
+    assert "1 torn line(s) skipped" in torn.err
+
 
 def test_diff_two_sweep_manifests_cli(tmp_path, capsys):
     import json as _json

@@ -10,10 +10,12 @@ replays per pairing, is the reference they must reproduce exactly.
 """
 
 import dataclasses
+import json
 import shutil
 
 import pytest
 
+from repro import durable
 from repro.harness import (
     AloneReplayCache,
     WorkloadJob,
@@ -21,7 +23,6 @@ from repro.harness import (
     run_workload,
     scaled_config,
 )
-from repro.harness.persist import atomic_write_json, load_json
 from repro.harness.runner import WorkloadResult
 
 CFG = scaled_config()
@@ -71,9 +72,9 @@ class TestDeterminism:
         assert_results_identical(inline_result, warm)
 
     def test_serialization_roundtrip_identical(self, inline_result, tmp_path):
-        path = atomic_write_json(tmp_path / "result.json",
-                                 inline_result.to_dict())
-        restored = WorkloadResult.from_dict(load_json(path))
+        path = durable.replace_text(
+            tmp_path / "result.json", json.dumps(inline_result.to_dict()))
+        restored = WorkloadResult.from_dict(json.loads(path.read_text()))
         assert_results_identical(inline_result, restored)
 
     def test_pool_and_cache_compose(self, inline_result, tmp_path):

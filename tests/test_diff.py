@@ -138,7 +138,7 @@ def test_diff_paths_with_only(tmp_path):
     assert "workload" in res.path_a
 
 
-def test_jsonl_diff_pairs_by_key(tmp_path):
+def test_jsonl_diff_pairs_by_key(tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     # Same records, different completion order and wall-clock noise.
@@ -151,6 +151,12 @@ def test_jsonl_diff_pairs_by_key(tmp_path):
         '{"key": "SD+SB", "ok": true, "ts": 9.0, "index": 1}\n'
     )
     assert diff_paths(a, b).identical
+    # A log whose writer was killed mid-line compares by what is readable.
+    with b.open("a") as fh:
+        fh.write('{"key": "QR+CT", "ok": tr')
+    capsys.readouterr()
+    assert diff_paths(a, b).identical
+    assert f"{b}: 1 torn line(s) skipped" in capsys.readouterr().err
     # A flipped outcome is caught.
     b.write_text(
         '{"key": "NN+CS", "ok": false, "ts": 7.0, "index": 0}\n'

@@ -41,7 +41,7 @@ from repro.service import (
     parse_submit,
     request_fingerprint,
 )
-from repro.service.daemon import ENDPOINT_FILE, TERMINAL
+from repro.service.daemon import ENDPOINT_FILE, JOURNAL_FILE, TERMINAL
 from repro.store import ResultStore, scenario_for
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "service_protocol.json"
@@ -524,6 +524,52 @@ class TestEquivalenceGate:
         assert final["scenario_id"] == sid
         assert final["record_id"] == direct_index[0]["record_id"]
         assert final["scenario_id"] == direct_index[0]["scenario_id"]
+
+
+class TestJournalRecovery:
+    """Pure submission semantics: no scheduler thread, jobs stay queued."""
+
+    @staticmethod
+    def _request(cycles):
+        return parse_submit({"tenant": "a", "kind": "workload",
+                             "spec": {"apps": ["SD"], "cycles": cycles}})
+
+    def test_submit_after_a_torn_tail_survives_the_next_restart(
+            self, tmp_path):
+        state = tmp_path / "state"
+        first = ReproService(state).submit(self._request(999))["job"]
+        with (state / JOURNAL_FILE).open("a") as fh:
+            fh.write('{"t": "submit", "job": "dead')  # kill -9 mid-line
+        restarted = ReproService(state)
+        assert set(restarted.jobs) == {first}
+        assert restarted.journal_skipped == 1
+        # Accepted (and fsynced) after the restart: not glued onto the
+        # fragment, so the restart after that still knows it.
+        second = restarted.submit(self._request(1000))["job"]
+        again = ReproService(state)
+        assert set(again.jobs) == {first, second}
+        assert again.jobs[second].state == "queued" and len(again.queue) == 2
+        assert again.journal_skipped == 1
+
+    @pytest.mark.parametrize("damaged", ['{"t":"submit"}', "[1]"])
+    def test_one_damaged_record_does_not_stop_the_daemon(
+            self, tmp_path, damaged, monkeypatch, capsys):
+        state = tmp_path / "state"
+        first = ReproService(state).submit(self._request(999))["job"]
+        with (state / JOURNAL_FILE).open("a") as fh:
+            fh.write(damaged + "\n")
+        second = ReproService(state).submit(self._request(1000))["job"]
+        svc = ReproService(state)
+        assert set(svc.jobs) == {first, second}
+        assert svc.journal_skipped == 1
+        # `repro serve` says so once on stderr (no need to bind and serve
+        # for that: the count is known once the service is constructed).
+        monkeypatch.setattr(ReproService, "start", lambda self: "http://x")
+        monkeypatch.setattr(ReproService, "serve_forever", lambda self: None)
+        monkeypatch.setattr(ReproService, "stop", lambda self: None)
+        assert main(["serve", "--state-dir", str(state)]) == 0
+        assert ("repro serve: journal: skipped 1 unreadable record(s)\n"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.slow

@@ -2,11 +2,14 @@
 hash-addressed records, legacy import round-trips, and trajectories."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from repro.durable import TMP_SWEEP_AGE_S
 from repro.figure_table import FIGURE_TABLE
 from repro.store import (
     EXTRACTORS,
@@ -396,8 +399,21 @@ class TestResultStore:
         # Orphan: a record file never entered in the index.
         orphan = store.records_dir / ("ab" * 32 + ".json")
         orphan.write_text("{}")
+        # Temp files of recorders killed before their rename: the aged ones
+        # go, a fresh one may be a concurrent recorder's and stays.
+        old = time.time() - TMP_SWEEP_AGE_S - 10
+        stale = [store.directory / ".index.json.abc.tmp",
+                 store.records_dir / ".deadbeef.json.def.tmp"]
+        for tmp in stale:
+            tmp.write_text("{")
+            os.utime(tmp, (old, old))
+        fresh = store.records_dir / ".cafe.json.ghi.tmp"
+        fresh.write_text("{")
         stats = store.gc()
         assert stats["orphans_removed"] == 1 and not orphan.exists()
+        assert stats["tmp_swept"] == 2 and fresh.exists()
+        assert not any(tmp.exists() for tmp in stale)
+        assert store.gc()["tmp_swept"] == 0
         # Each seed is its own scenario id, so keep=1 prunes nothing here...
         assert store.gc(keep=1)["pruned"] == 0
         # ...but re-recording one scenario twice then keep=1 drops the older.
