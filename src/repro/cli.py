@@ -78,6 +78,8 @@ def _cmd_fig(args) -> int:
     from repro.harness.parallel import set_default_progress, set_sweep_defaults
 
     name = args.experiment
+    if args.jobs is not None and args.jobs < 1:
+        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     # --sweep-trace enables the cross-worker telemetry bus for every sweep
     # the driver runs; artifacts (trace.json, sweep.json, report.html, and
     # under --profile-sweep the merged pstats) land in the named directory.
@@ -572,7 +574,7 @@ def _cmd_serve(args) -> int:
     try:
         service = ReproService(
             args.state_dir, store_dir=args.store, cache_dir=args.cache_dir,
-            host=args.host, port=args.port, jobs=args.jobs or 1,
+            host=args.host, port=args.port, jobs=args.jobs,
             policy=args.policy, retries=args.retries,
             allow_chaos=args.allow_chaos,
         )
@@ -584,7 +586,7 @@ def _cmd_serve(args) -> int:
               "unreadable record(s)", file=sys.stderr)
     print(f"repro serve: listening on {url} "
           f"(state {args.state_dir}, policy {args.policy}, "
-          f"jobs {service.n_jobs})", file=sys.stderr, flush=True)
+          f"jobs {service.n_jobs or 'auto'})", file=sys.stderr, flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
@@ -679,7 +681,10 @@ def build_parser() -> argparse.ArgumentParser:
     for fig in FIGURE_TABLE.values():
         fp = sub.add_parser(fig.name, help=fig.help)
         fp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep (default: inline)")
+                        help="worker processes for the sweep (default: one "
+                             "process, each job's private alone replays "
+                             "overlapped on spare CPUs; --jobs 1 forces a "
+                             "single process)")
         fp.add_argument("--cache-dir", default=None,
                         help="directory for the on-disk alone-replay cache "
                              "(default: $REPRO_CACHE_DIR, else no caching)")
@@ -690,9 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="append one JSONL record per completed sweep "
                              "job to PATH (implies --progress)")
         fp.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-job wall-clock timeout in seconds for "
-                             "pooled sweeps (hung workers are killed; "
-                             "default: none)")
+                        help="per-job wall-clock timeout in seconds: "
+                             "jobs run in worker processes (one, without "
+                             "--jobs) and a hung worker is killed "
+                             "(default: none)")
         fp.add_argument("--retries", type=int, default=0, metavar="N",
                         help="retry failed/crashed/timed-out sweep jobs up "
                              "to N times with exponential backoff "
@@ -763,9 +769,11 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="alone-replay cache shared by all jobs "
                          "(default: DIR/cache under --state-dir)")
-    sv.add_argument("--jobs", type=int, default=1,
-                    help="worker processes per admitted request "
-                         "(default: 1)")
+    sv.add_argument("--jobs", type=int, default=None,
+                    help="worker processes per admitted request (default: "
+                         "the daemon's own process, each job's private "
+                         "alone replays overlapped on spare CPUs; --jobs 1 "
+                         "forces a single process)")
     sv.add_argument("--policy", choices=("fair", "fifo"), default="fair",
                     help="admission policy: 'fair' minimizes max/min "
                          "tenant slowdown, 'fifo' is arrival order "

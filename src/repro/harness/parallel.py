@@ -69,6 +69,7 @@ a job is complete, and checkpointed, only once its replays are in.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pathlib
 import random
@@ -93,8 +94,12 @@ from repro.harness.replay_cache import (
 from repro.obs import bus as obs_bus
 from repro.harness.runner import (
     AloneClock,
+    Chase,
     ReplayRequest,
     WorkloadResult,
+    _resolve,
+    alone_budget,
+    default_shared_cycles,
     replay_alone,
     run_workload,
     scaled_config,
@@ -170,7 +175,9 @@ class JobOutcome:
     ``duration_s`` is the job's shared run plus the alone-replay seconds
     attributable to it, so durations still sum to the sweep's busy time
     although replays run as tasks of their own; ``cache`` likewise folds
-    in the curve files those tasks wrote for it.
+    in the curve files those tasks wrote for it.  A replay overlapped with
+    the shared run costs the job only the wait for it afterwards, which is
+    inside the job's own wall time already.
     """
 
     index: int
@@ -185,9 +192,10 @@ class JobOutcome:
     failure_kind: str | None = None
     stderr_tail: str | None = None
     resumed: bool = False
-    #: The part of ``duration_s`` spent in alone-replay tasks on this job's
-    #: behalf (its share of each trajectory segment that ends at one of
-    #: its counts); the rest is its own shared run.
+    #: The part of ``duration_s`` spent on alone replays for this job: its
+    #: share of each replay task's trajectory segment that ends at one of
+    #: its counts, and the wait for its overlapped replays after its shared
+    #: run ended; the rest is that shared run.
     replay_s: float = 0.0
     #: Alone replays the shared run left to the sweep's replay phase.
     #: In-flight state: empty on every outcome :func:`run_jobs` returns.
@@ -206,12 +214,15 @@ class JobOutcome:
 
 
 def _run_workload_job(
-    job: WorkloadJob, deferred: list[ReplayRequest] | None = None
+    job: WorkloadJob,
+    deferred: list[ReplayRequest] | None = None,
+    chase: Chase | None = None,
 ) -> tuple[WorkloadResult, dict | None]:
     """Run one job; returns the result plus alone-replay cache counters.
 
     With ``deferred`` this is a sweep's phase 1: replays the cache cannot
-    serve land in the list instead of being simulated.
+    serve land in the list instead of being simulated — except those in
+    ``chase``, which overlap the shared run.
     """
     config = job.config or scaled_config()
     policy = None
@@ -239,6 +250,7 @@ def _run_workload_job(
         faults=job.faults,
         arrivals=job.arrivals,
         deferred=deferred,
+        chase=chase,
     )
     cache_stats = (
         {"hits": cache.hits, "misses": cache.misses, "stores": cache.stores}
@@ -286,12 +298,15 @@ class ReplayJob:
         )
 
 
-def _guarded(indexed_job: tuple[int, WorkloadJob]) -> JobOutcome:
+def _guarded(
+    indexed_job: tuple[int, WorkloadJob], private: frozenset[int] = frozenset()
+) -> JobOutcome:
     """Top-level (picklable) wrapper: never raises, captures tracebacks.
 
     A job exposing ``execute()`` (:class:`ReplayJob`,
     :class:`repro.faults.ChaosJob`) runs that; everything else is a
-    :class:`WorkloadJob`, run as phase 1 of the sweep.
+    :class:`WorkloadJob`, run as phase 1 of the sweep — overlapping the
+    replays of its ``private`` apps (:func:`_private_replays`).
     """
     index, job = indexed_job
     t0 = time.perf_counter()
@@ -301,10 +316,12 @@ def _guarded(indexed_job: tuple[int, WorkloadJob]) -> JobOutcome:
             return JobOutcome(index, job, result=execute(),
                               duration_s=time.perf_counter() - t0)
         deferred: list[ReplayRequest] = []
-        result, cache_stats = _run_workload_job(job, deferred)
+        chase = Chase(private) if private else None
+        result, cache_stats = _run_workload_job(job, deferred, chase)
         return JobOutcome(index, job, result=result,
                           duration_s=time.perf_counter() - t0,
-                          cache=cache_stats, deferred=deferred)
+                          cache=cache_stats, deferred=deferred,
+                          replay_s=chase.tail_s if chase else 0.0)
     except Exception:
         return JobOutcome(index, job, error=traceback.format_exc(),
                           duration_s=time.perf_counter() - t0,
@@ -341,6 +358,7 @@ def _observed_run(
     bus_dir: str | None,
     submit_ts: float | None = None,
     serialize: bool = False,
+    private: frozenset[int] = frozenset(),
 ) -> JobOutcome:
     """Run one guarded attempt, bracketed by bus records when enabled.
 
@@ -351,7 +369,7 @@ def _observed_run(
     does not, so it is only recorded in workers.
     """
     if ch is None:
-        outcome = _guarded((index, job))
+        outcome = _guarded((index, job), private)
         outcome.attempts = attempt
         return outcome
     ch.job_start(
@@ -366,7 +384,7 @@ def _observed_run(
         prof = cProfile.Profile()
         prof.enable()
     try:
-        outcome = _guarded((index, job))
+        outcome = _guarded((index, job), private)
     finally:
         if prof is not None:
             prof.disable()
@@ -562,9 +580,14 @@ def run_jobs(
 ) -> list[JobOutcome]:
     """Execute ``jobs``, fanning out across ``n_jobs`` worker processes.
 
-    ``n_jobs`` of None/0/1 runs inline (no pool, no pickling) — handy for
-    debugging and for callers that just want the failure-capturing
-    contract.  Outcomes always come back ordered by submission index,
+    ``n_jobs`` of 1 (or 0) runs inline, strictly in this process (no pool,
+    no pickling) — handy for debugging and for callers that just want the
+    failure-capturing contract.  None, the default, runs the jobs inline
+    too, and where there is a spare CPU to do it on (:func:`_can_overlap`)
+    overlaps each job's *private* alone replays — the trajectories no
+    other job of the sweep asks for — with that job's own shared run
+    (docs/parallel-harness.md, "Overlapped replays"); the results are the
+    same.  Outcomes always come back ordered by submission index,
     regardless of which worker finished first, and a job that fails — by
     raising, by killing its worker, by hanging past ``timeout_s``, or by
     returning a result the parent cannot unpickle — is returned as a
@@ -573,7 +596,9 @@ def run_jobs(
     ``retries`` re-runs failed attempts (any failure kind) up to that many
     extra times, sleeping ``backoff_s · 2^generation`` (±25% jitter)
     between generations.  ``timeout_s`` kills a worker whose job exceeds
-    it (pooled runs only; inline jobs cannot be preempted).  ``checkpoint``
+    it; a job can only be preempted in a worker, so a sweep with a timeout
+    runs through the pool machinery whatever ``n_jobs`` says — with one
+    worker where it would have run inline.  ``checkpoint``
     names a directory for partial-sweep durability: completed
     :class:`WorkloadResult`s are restored from it instead of recomputed,
     and newly completed ones are appended to it.  Each of these falls back
@@ -676,13 +701,16 @@ def run_jobs(
         else:
             settle(outcome)
 
-    n_workers = min(n_jobs or 1, len(indexed))
+    n_workers = max(1, min(n_jobs or 1, len(indexed)))
+    pooled = n_workers > 1 or timeout_s is not None
     pool = _Workers(n_workers)
+    #: Job index → the apps whose alone replay overlaps its shared run.
+    private: dict[int, frozenset[int]] = {}
 
     def run_phase(todo, done) -> None:
-        if n_workers <= 1:
+        if not pooled:
             _run_inline(
-                todo, retries, backoff_s, done,
+                todo, retries, backoff_s, done, private,
                 ch=ch, sweep=sweep_id, profile=profile, bus_dir=bus_dir,
             )
         elif todo:
@@ -698,11 +726,12 @@ def run_jobs(
                     index, jobs[index], result=result, resumed=True,
                 ))
         # Phase 1: every job's shared run.  Jobs whose replays all came
-        # from the cache settle here; a warm sweep ends here.
-        run_phase(
-            [(i, job) for i, job in indexed if i not in outcomes],
-            shared_run_done,
-        )
+        # from the cache, or overlapped the shared run, settle here; a
+        # warm sweep ends here.
+        todo = [(i, job) for i, job in indexed if i not in outcomes]
+        if n_jobs is None and not pooled and not profile and _can_overlap():
+            private = _private_replays(todo)
+        run_phase(todo, shared_run_done)
         if waiting:
             # Phase 2: one task per alone trajectory; phase 3, as each
             # task lands: fill in the jobs it served and settle those that
@@ -730,15 +759,76 @@ def run_jobs(
                 obs_bus.activate(prev_ch.directory)
 
 
+def _can_overlap() -> bool:
+    """Whether this process should fork helpers for overlapped replays: fork
+    starts one at no import or pickling cost, there is a second CPU for it
+    to run on, and a daemonic process may not have children."""
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return (
+        method == "fork" and cpus >= 2
+        and not multiprocessing.current_process().daemon
+    )
+
+
+def _trajectory(
+    spec: KernelSpec, stream_id: int, config: GPUConfig, max_cycles: int,
+    cache_dir: str | None,
+) -> tuple:
+    """What makes two alone replays one trajectory: the kernel as replayed
+    and the semantic config — the replay cache's own ``spec``/``config``
+    fingerprints — plus the clock budget and the cache the clocks go to,
+    so every asker gets exactly what its own standalone replay would have
+    given it."""
+    return (
+        spec_fingerprint(spec, stream_id), config_fingerprint(config),
+        max_cycles, cache_dir,
+    )
+
+
+def _private_replays(
+    todo: list[tuple[int, object]]
+) -> dict[int, frozenset[int]]:
+    """The asker census: per job, the apps (by position) whose alone
+    trajectory no other job of the sweep will ask for.
+
+    Those replays gain nothing from waiting for the replay phase, which
+    exists to simulate a *shared* trajectory once, so their jobs overlap
+    them with the shared run instead.  Counted before anything runs, from
+    what :func:`run_workload` will replay: every app of the roster, keyed
+    as :class:`_ReplayPlan` keys the requests it is left with.
+    """
+    askers: dict[tuple, list[tuple[int, int]]] = {}
+    for index, job in todo:
+        if not isinstance(job, WorkloadJob):
+            continue
+        config = job.config or scaled_config()
+        max_cycles = alone_budget(job.shared_cycles or default_shared_cycles())
+        roster = list(job.apps)
+        if job.arrivals is not None:
+            roster += [a.app for a in job.arrivals.arrivals]
+        try:
+            specs = [_resolve(a)[1] for a in roster]
+        except KeyError:
+            continue  # an unknown app: the job fails on its own, in its turn
+        for stream_id, spec in enumerate(specs):
+            askers.setdefault(
+                _trajectory(spec, stream_id, config, max_cycles,
+                            job.cache_dir), [],
+            ).append((index, stream_id))
+    private: dict[int, set[int]] = {}
+    for asked_by in askers.values():
+        if len(asked_by) == 1:
+            index, stream_id = asked_by[0]
+            private.setdefault(index, set()).add(stream_id)
+    return {index: frozenset(apps) for index, apps in private.items()}
+
+
 class _ReplayPlan:
     """Which alone trajectories a sweep's deferred replays need, and which
-    jobs wait on each.
-
-    Requests are grouped by what determines a trajectory — the kernel as
-    replayed and the semantic config, i.e. the replay cache's own
-    ``spec``/``config`` fingerprints — plus the clock budget and the cache
-    the clocks go to, so every asker gets exactly what its own standalone
-    replay would have given it.
+    jobs wait on each (requests grouped by :func:`_trajectory`).
     """
 
     def __init__(self, waiting: dict[int, JobOutcome], first_index: int):
@@ -748,10 +838,9 @@ class _ReplayPlan:
         for index in sorted(waiting):
             cache_dir = getattr(waiting[index].job, "cache_dir", None)
             for req in waiting[index].deferred:
-                trajectory = (
-                    spec_fingerprint(req.spec, req.stream_id),
-                    config_fingerprint(req.config),
-                    req.max_cycles, cache_dir,
+                trajectory = _trajectory(
+                    req.spec, req.stream_id, req.config, req.max_cycles,
+                    cache_dir,
                 )
                 by_trajectory.setdefault(trajectory, []).append((index, req))
         #: Per task: the (job index, request) pairs it serves.
@@ -817,6 +906,7 @@ def _run_inline(
     retries: int,
     backoff_s: float,
     settle: Callable[[JobOutcome], None],
+    private: dict[int, frozenset[int]],
     ch: "obs_bus.WorkerChannel | None" = None,
     sweep: str | None = None,
     profile: bool = False,
@@ -824,10 +914,12 @@ def _run_inline(
 ) -> None:
     """The no-pool path: sequential, with the same retry accounting.
 
-    Timeouts are not enforced inline — there is no worker to kill without
-    taking the caller down with it.  With a bus enabled the parent's own
-    channel doubles as the worker channel (no dequeue/serialize spans —
-    there is no transport).
+    There is no timeout here — no worker to kill without taking the caller
+    down with it; :func:`run_jobs` sends a sweep that has one through the
+    pool.  ``private`` names, per job, the replays to overlap with its
+    shared run.  With a bus enabled the parent's own channel doubles as
+    the worker channel (no dequeue/serialize spans — there is no
+    transport).
     """
     for index, job in todo:
         attempt = 0
@@ -835,6 +927,7 @@ def _run_inline(
             attempt += 1
             outcome = _observed_run(
                 index, job, attempt, ch, sweep, profile, bus_dir,
+                private=private.get(index, frozenset()),
             )
             if outcome.ok or attempt > retries:
                 break

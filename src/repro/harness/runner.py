@@ -17,11 +17,14 @@ compared against the ground truth of the execution it observed.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import time
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
 
 from repro.config import GPUConfig
 from repro.core import ASM, DASE, MISE, PriorityRotator, SlowdownEstimator
@@ -235,7 +238,9 @@ class AloneClock(NamedTuple):
     ``seconds`` is the host time spent getting there: the cache probe for a
     ``cached`` clock, else the simulation from the previous requested count
     (for the first one: from building the GPU) up to this one, including
-    the cache store.  ``stored`` says that store wrote a curve file.
+    the cache store — for an overlapped replay (:class:`Chase`), only what
+    of it was left to wait for once the shared run had ended.  ``stored``
+    says that store wrote a curve file.
     """
 
     cycles: int
@@ -285,6 +290,56 @@ def probe_alone(
     return AloneClock(cycles, seconds, True)
 
 
+def alone_budget(shared_cycles: int) -> int:
+    """The clock budget of an alone replay after a ``shared_cycles`` run."""
+    return max(4 * shared_cycles, 1_000_000)
+
+
+class _AloneMachine:
+    """One application alone on the full GPU, advanced along its trajectory.
+
+    What :func:`replay_alone` and an overlapped replay's helper process
+    (:class:`_Chaser`) both drive, so a clock — and, with a ``cache``, the
+    curve file stored at it — is the same whichever of them got there.
+    """
+
+    def __init__(
+        self,
+        spec: KernelSpec,
+        stream_id: int,
+        config: GPUConfig,
+        cache: "AloneReplayCache | None",
+    ) -> None:
+        self.spec = spec
+        self.stream_id = stream_id
+        self.config = config
+        self.cache = cache
+        # obs=False: an alone replay never records, even under a
+        # process-wide recording — the trace describes the shared run only.
+        self.gpu = GPU(
+            config, [LaunchedKernel(spec, restart=True, stream_id=stream_id)],
+            obs=False,
+        )
+        self.curve = self.gpu.record_progress(0) if cache is not None else None
+
+    def advance(
+        self, count: int, max_cycles: int, store: bool = True
+    ) -> tuple[int, bool]:
+        """Run on to ``count`` within ``max_cycles`` on the clock; returns
+        the clock and whether a curve file was written (``store``: ask the
+        cache to)."""
+        cycles = self.gpu.run_until_instructions(
+            0, count, max_cycles=max_cycles - self.gpu.engine.now
+        )
+        stored = store and self.cache is not None and self.cache.put(
+            self.spec, self.stream_id, self.config, count, cycles, self.curve
+        )
+        return cycles, stored
+
+    def close(self) -> None:
+        self.gpu.close()
+
+
 def replay_alone(
     spec: KernelSpec,
     stream_id: int,
@@ -320,35 +375,201 @@ def replay_alone(
         return clocks
     started = t0 = time.perf_counter()
     known = cache.curve(spec, stream_id, config) if cache is not None else None
-    # obs=False: an alone replay never records, even under a process-wide
-    # recording — the trace describes the shared run only.
-    gpu = GPU(
-        config, [LaunchedKernel(spec, restart=True, stream_id=stream_id)],
-        obs=False,
-    )
-    curve = gpu.record_progress(0) if cache is not None else None
+    machine = _AloneMachine(spec, stream_id, config, cache)
     try:
         for count in sorted(wanted):
-            cycles = gpu.run_until_instructions(
-                0, count, max_cycles=max_cycles - gpu.engine.now
-            )
-            stored = cache is not None and cache.put(
-                spec, stream_id, config, count, cycles, curve
-            )
+            cycles, stored = machine.advance(count, max_cycles)
             t1 = time.perf_counter()
             clocks[count] = AloneClock(cycles, t1 - t0, False, stored)
             t0 = t1
     finally:
-        gpu.close()
-        bus_ch = obs_bus.current()
-        if bus_ch is not None:
-            extra = {"extended_from": known.end} if known is not None else {}
-            bus_ch.span(
-                "replay", time.perf_counter() - started,
-                app=spec.name, cached=False, instructions=max(wanted),
-                counts=len(wanted), requests=sum(wanted.values()), **extra,
-            )
+        machine.close()
+        _simulated_span(
+            time.perf_counter() - started, spec, wanted,
+            None if known is None else known.end,
+        )
     return clocks
+
+
+def _simulated_span(
+    seconds: float, spec: KernelSpec, wanted: Counter,
+    known_end: int | None, **extra,
+) -> None:
+    """The ``replay`` bus span (``cached=False``) of one simulated alone
+    trajectory that served the ``wanted`` counts."""
+    bus_ch = obs_bus.current()
+    if bus_ch is not None:
+        if known_end is not None:
+            extra = {"extended_from": known_end, **extra}
+        bus_ch.span(
+            "replay", seconds, app=spec.name, cached=False,
+            instructions=max(wanted), counts=len(wanted),
+            requests=sum(wanted.values()), **extra,
+        )
+
+
+# -------------------------------------------------------- overlapped replays
+
+
+@dataclass
+class Chase:
+    """The alone replays that are one job's own business in a sweep.
+
+    ``streams`` names the applications, by position, whose alone trajectory
+    no other job of the sweep asks for: nothing is gained by leaving those
+    to the sweep's replay phase, so :func:`run_workload` replays them in
+    helper processes *while* its shared run is going
+    (docs/parallel-harness.md, "Overlapped replays").  ``tail_s`` comes
+    back: the seconds the job still waited for them once the shared run
+    had ended.
+    """
+
+    streams: Collection[int]
+    tail_s: float = 0.0
+
+
+def _chase_main(conn, parent_end, machine_args: tuple, max_cycles: int,
+                drop=None) -> None:
+    """A :class:`_Chaser`'s helper process: advance one alone machine to the
+    newest count received until the final one is reached, and answer that
+    with ``(cycles, busy seconds, stored)`` — or, whatever goes wrong, with
+    the traceback as text.  ``drop`` is called first: a helper forked
+    mid-run inherits a copy of the shared machine and lets go of it, so
+    that it too holds one machine."""
+    parent_end.close()  # a vanished parent must read as EOF here
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C: the parent reaps us
+    try:
+        if drop is not None:
+            drop()
+        t0 = time.perf_counter()
+        machine = _AloneMachine(*machine_args)
+        busy = time.perf_counter() - t0
+        final = False
+        while not final:
+            count, final = conn.recv()
+            while not final and conn.poll():
+                count, final = conn.recv()
+            t0 = time.perf_counter()
+            cycles, stored = machine.advance(count, max_cycles, store=final)
+            busy += time.perf_counter() - t0
+        conn.send((cycles, busy, stored))
+    except EOFError:
+        pass  # the parent is gone; so is the point of this replay
+    except Exception:  # noqa: BLE001 - reported; the parent replays in-process
+        conn.send(traceback.format_exc())
+
+
+class _Chaser:
+    """One private alone replay, chasing the shared run it belongs to.
+
+    A helper process — forked before the shared machine is built, so each
+    process holds one machine — is fed the application's instruction count
+    at every estimation interval and advances its alone machine that far;
+    fed the final count, it stores the curve (when there is a cache) and
+    answers with the clock.  With a curve already stored there is nothing
+    to simulate until the shared run passes its end: the helper starts at
+    the first count beyond it, or never (a plain cache hit).  A helper that
+    dies, or fails, is replaced by the same replay in this process, which
+    raises what there is to raise.
+    """
+
+    def __init__(
+        self,
+        spec: KernelSpec,
+        stream_id: int,
+        config: GPUConfig,
+        cache: "AloneReplayCache | None",
+        max_cycles: int,
+    ) -> None:
+        self.machine_args = (spec, stream_id, config, cache)
+        self.max_cycles = max_cycles
+        known = cache.curve(spec, stream_id, config) if cache is not None else None
+        self.known_end = None if known is None else known.end
+        self._proc = None
+        self._conn = None
+        if known is None:
+            self._start()
+
+    @property
+    def started(self) -> bool:
+        return self._proc is not None
+
+    def _start(self, drop=None) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self._conn, theirs = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_chase_main,
+            args=(theirs, self._conn, self.machine_args, self.max_cycles, drop),
+            daemon=True,
+        )
+        self._proc.start()
+        theirs.close()
+
+    def feed(self, count: int, final: bool = False, drop=None) -> None:
+        """Tell the helper how far the shared run has got (``drop``: what
+        a helper that starts only now should release first)."""
+        if self._proc is None:
+            if count <= self.known_end:
+                return
+            self._start(drop)
+        try:
+            self._conn.send((count, final))
+        except OSError:
+            pass  # the helper is dead: clock() finds out and replays here
+
+    def clock(self, count: int) -> AloneClock:
+        """The alone clock at ``count``, which was fed as final.
+
+        One ``replay`` bus span (``cached=False, chased=True``): ``dur`` is
+        the helper's busy seconds, ``tail_s`` how long this call waited for
+        it — with ``fallback=True``, for the in-process replay that took a
+        lost helper's place, which ``dur`` then times.
+        """
+        spec, _stream_id, _config, cache = self.machine_args
+        t0 = time.perf_counter()
+        try:
+            answer = self._conn.recv()
+        except (EOFError, OSError):
+            answer = None  # died without a word
+        self.close()
+        extra: dict = {}
+        busy = 0.0
+        try:
+            if cache is not None:
+                # What the probe this replay stands in for would have counted.
+                cache.misses += 1
+            if isinstance(answer, tuple):
+                cycles, busy, stored = answer
+                if stored:
+                    cache.stores += 1  # the helper's write, on our behalf
+            else:
+                extra["fallback"] = True
+                if answer is not None:
+                    extra["error"] = answer.strip().splitlines()[-1]
+                started = time.perf_counter()
+                machine = _AloneMachine(*self.machine_args)
+                try:
+                    cycles, stored = machine.advance(count, self.max_cycles)
+                finally:
+                    machine.close()
+                    busy = time.perf_counter() - started
+        finally:
+            tail = time.perf_counter() - t0
+            _simulated_span(
+                busy, spec, Counter([count]), self.known_end,
+                chased=True, tail_s=tail, **extra,
+            )
+        return AloneClock(cycles, tail, False, stored)
+
+    def close(self) -> None:
+        """Reap the helper; one still running has nothing left to give."""
+        if self._proc is None:
+            return
+        self._proc.kill()
+        self._proc.join()
+        self._proc.close()
+        self._conn.close()
+        self._proc = self._conn = None
 
 
 def run_workload(
@@ -365,6 +586,7 @@ def run_workload(
     faults: "FaultPlan | FaultInjector | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
     deferred: "list[ReplayRequest] | None" = None,
+    chase: Chase | None = None,
 ) -> WorkloadResult:
     """Run one workload through the full methodology.
 
@@ -382,7 +604,11 @@ def run_workload(
     :class:`ReplayRequest` instead of being simulated, and the result holds
     ``None`` for that app until :meth:`WorkloadResult.set_alone` fills it —
     the sweep then simulates each application's trajectory once for every
-    pairing that needs it (:func:`replay_alone`).
+    pairing that needs it (:func:`replay_alone`).  ``chase`` (a
+    :class:`Chase`, also the sweep's to give) names the replays no other
+    job shares: those run in helper processes alongside the shared run
+    instead, with the same clocks, curve files and cache counters as the
+    sequential path.  Open-system and profiled runs ignore it.
 
     ``profile_path`` profiles the whole methodology (shared run + alone
     replays) under :mod:`cProfile` and dumps binary pstats data there —
@@ -424,25 +650,27 @@ def run_workload(
         raise TypeError(
             f"trace must be an Observation or EventTracer, not {trace!r}"
         )
+    profiler = None
     if profile_path is not None:
         import cProfile
 
+        chase = None  # a helper forked now would inherit the profiler
         profiler = cProfile.Profile()
         profiler.enable()
-        try:
-            return _run_workload(
-                apps, config, shared_cycles, sm_partition, models,
-                policy, warmup_intervals, alone_cache, obs, faults, arrivals,
-                deferred,
-            )
-        finally:
+    chasers: dict[int, _Chaser] = {}
+    try:
+        return _run_workload(
+            apps, config, shared_cycles, sm_partition, models,
+            policy, warmup_intervals, alone_cache, obs, faults, arrivals,
+            deferred, chase, chasers,
+        )
+    finally:
+        # Whatever ended the run — an exception, ^C — leaves no helper behind.
+        for chaser in chasers.values():
+            chaser.close()
+        if profiler is not None:
             profiler.disable()
             profiler.dump_stats(profile_path)
-    return _run_workload(
-        apps, config, shared_cycles, sm_partition, models,
-        policy, warmup_intervals, alone_cache, obs, faults, arrivals,
-        deferred,
-    )
 
 
 def _run_workload(
@@ -454,11 +682,15 @@ def _run_workload(
     policy,
     warmup_intervals: int,
     alone_cache: "AloneReplayCache | None",
-    obs: Observation | None = None,
-    faults: "FaultPlan | FaultInjector | None" = None,
-    arrivals: "ArrivalSchedule | None" = None,
-    deferred: "list[ReplayRequest] | None" = None,
+    obs: Observation | None,
+    faults: "FaultPlan | FaultInjector | None",
+    arrivals: "ArrivalSchedule | None",
+    deferred: "list[ReplayRequest] | None",
+    chase: Chase | None,
+    chasers: "dict[int, _Chaser]",
 ) -> WorkloadResult:
+    """``chasers`` is the caller's: the helpers started here, by app, for it
+    to reap however this returns."""
     config = config or scaled_config()
     shared_cycles = shared_cycles or default_shared_cycles()
     resolved = [_resolve(a) for a in apps]
@@ -485,6 +717,12 @@ def _run_workload(
         sm_partition = [
             base_sms + (1 if i < extra else 0) for i in range(n_base)
         ] + [0] * len(open_sched.arrivals)
+
+    max_cycles = alone_budget(shared_cycles)
+    if chase is not None and open_sched is None:
+        # Forked before the shared machine exists: one machine per process.
+        for i in sorted(chase.streams):
+            chasers[i] = _Chaser(specs[i], i, config, alone_cache, max_cycles)
 
     gpu = GPU(
         config, kernels, sm_partition, obs=obs,
@@ -558,6 +796,14 @@ def _run_workload(
             open_sched, n_base, rebalance=policy is None, headroom=headroom
         )
         driver.attach(gpu)
+    if chasers:
+        # One small message per helper per estimation interval, never per
+        # event; attached last, it reads counts and changes nothing.
+        def feed(_records) -> None:
+            for i, chaser in chasers.items():
+                chaser.feed(gpu.progress[i].instructions, drop=gpu.close)
+
+        gpu.add_interval_listener(feed)
 
     # One `is None` check per *run* — the simulator's cycle loop is never
     # touched, so the disabled-bus path stays inside the <3% obs budget.
@@ -607,7 +853,9 @@ def _run_workload(
     gpu.close()
 
     # Alone replays: full GPU, same stream identity, same instruction count.
-    max_cycles = max(4 * shared_cycles, 1_000_000)
+    # The chased ones first learn where to stop, so they finish side by side.
+    for i, chaser in chasers.items():
+        chaser.feed(instructions[i], final=True)
     for i, spec in enumerate(specs):
         count = instructions[i]
         if driver is not None and count == 0:
@@ -616,7 +864,12 @@ def _run_workload(
             # no work happened).
             result.alone_cycles[i] = 0
             continue
-        clock = probe_alone(alone_cache, spec, i, config, count)
+        if i in chasers and chasers[i].started:
+            clock = chasers[i].clock(count)
+            chase.tail_s += clock.seconds
+        else:
+            # (A chaser that never started: the stored curve covers it.)
+            clock = probe_alone(alone_cache, spec, i, config, count)
         if clock is None:
             if deferred is not None:
                 deferred.append(

@@ -24,8 +24,12 @@ Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
   ``curve_end`` of the stored trajectory that answered it;
   ``cached=False``: one simulated alone trajectory, how many
   ``counts``/``requests`` it served and, when it re-simulates past a
-  stored curve, that curve's end as ``extended_from``), ``serialize``
-  (result pickling, pooled only);
+  stored curve, that curve's end as ``extended_from``; ``chased=True``
+  when a helper process simulated it alongside the job's shared run —
+  ``dur`` is then the helper's busy time and ``tail_s`` what the job
+  still waited for it afterwards, and ``fallback=True`` says the helper
+  was lost and the replay redone in process), ``serialize`` (result
+  pickling, pooled only);
 * ``job_end``   — job finished in the worker: wall/CPU time, peak RSS,
   cache counters (flushed immediately);
 * ``outcome``   — the parent's settled verdict for the job (ok, failure
@@ -361,7 +365,10 @@ def _dominant_phase(trail: _JobTrail) -> tuple[str, float]:
         totals["replay"] = replay_s
     for sp in trail.spans:
         name = sp.get("name", "?")
-        if name == "replay" and (sp.get("args") or {}).get("cached"):
+        args = sp.get("args") or {}
+        if name == "replay" and args.get("chased"):
+            continue  # what of it the job waited for is in its replay_s
+        if name == "replay" and args.get("cached"):
             name = "replay(cached)"
         totals[name] = totals.get(name, 0.0) + float(sp.get("dur", 0.0))
     for name, total in totals.items():
@@ -385,7 +392,10 @@ class SweepStats:
     ``requested`` by (job, app) pairs, of which ``cached`` came from the
     replay cache, the rest from ``simulated`` trajectories — ``extended``
     of those re-simulated because a count had passed the end of the curve
-    the cache held for them.
+    the cache held for them, and ``overlapped`` (present when any were) of
+    them simulated by a helper process alongside the shared run that
+    asked, off the critical path (their seconds count in ``phases`` but
+    in no job's ``busy_s``).
     ``cache["est_saved_s"]`` is the hit count times the mean simulated
     seconds per request, minus what the hits cost — the honest economics
     of the alone-replay cache.
@@ -493,6 +503,9 @@ class SweepStats:
                         replays["extended"] += "extended_from" in args
                         replays["requested"] += int(args.get("requests", 1))
                         simulated_s += dur
+                        if args.get("chased") and not args.get("fallback"):
+                            replays["overlapped"] = (
+                                replays.get("overlapped", 0) + 1)
         if replays["requested"]:
             stats.alone_replays = replays
 
@@ -587,7 +600,11 @@ class SweepStats:
                 k: self.cache.get(k, 0)
                 for k in ("hits", "misses", "stores")
             },
-            "alone_replays": dict(self.alone_replays),
+            # How many overlapped is the execution's choice, like the pool.
+            "alone_replays": {
+                k: v for k, v in self.alone_replays.items()
+                if k != "overlapped"
+            },
             "phases": {
                 k: int(v.get("count", 0))
                 for k, v in sorted(self.phases.items())

@@ -238,6 +238,8 @@ def summarize_sweep(stats: dict[str, Any]) -> str:
             f"{replays.get('simulated', 0)} trajectories simulated "
             f"({replays.get('extended', 0)} extended), "
             f"{replays.get('cached', 0)} cached"
+            + (f", {replays['overlapped']} overlapped with their shared run"
+               if replays.get("overlapped") else "")
         )
     workers = stats.get("workers") or {}
     if workers:

@@ -735,7 +735,9 @@ def render_sweep_report(
             f"cache, the rest by {replays.get('simulated', 0)} simulated "
             "trajectories (one per application, advanced through every "
             f"count asked of it; {replays.get('extended', 0)} of them "
-            "re-simulated past the end of a stored curve)</p>"
+            "re-simulated past the end of a stored curve, "
+            f"{replays.get('overlapped', 0)} overlapped with the shared "
+            "run that asked)</p>"
         )
     workers = stats.get("workers") or {}
     if workers:

@@ -8,9 +8,11 @@ One :class:`ReproService` owns four things:
   deciding which tenant's request runs next;
 * a single **scheduler thread** that drains the queue through the hardened
   :func:`~repro.harness.parallel.run_jobs` harness — one request at a time,
-  fanned out across ``jobs`` worker processes, with the telemetry bus and
-  sweep checkpoints under ``state_dir`` so a kill -9'd daemon resumes
-  mid-sweep on restart;
+  fanned out across ``jobs`` worker processes (None, the default, is
+  ``run_jobs``' own: in the daemon's process, a request's private alone
+  replays overlapped with its shared run where there is a spare CPU), with
+  the telemetry bus and sweep checkpoints under ``state_dir`` so a
+  kill -9'd daemon resumes mid-sweep on restart;
 * a **journal** (``state_dir/journal.jsonl``) of accepted submissions and
   terminal states, replayed on startup to re-enqueue interrupted work.
 
@@ -111,7 +113,7 @@ class ReproService:
         cache_dir: str | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        jobs: int = 1,
+        jobs: int | None = None,
         policy: str = "fair",
         retries: int = 0,
         allow_chaos: bool = False,
@@ -122,7 +124,7 @@ class ReproService:
         self.cache_dir = cache_dir or str(self.state_dir / "cache")
         self.host = host
         self._port = port
-        self.n_jobs = max(1, jobs)
+        self.n_jobs = None if jobs is None else max(1, jobs)
         self.retries = retries
         self.allow_chaos = allow_chaos
         self.queue = AdmissionQueue(policy)
@@ -492,7 +494,7 @@ class ReproService:
             e["mode"] for e in spec["jobs"]
             if e["mode"] in (ch.MODE_EXIT, ch.MODE_FLAKY, ch.MODE_BAD_RESULT)
         })
-        if lethal and min(self.n_jobs, len(spec["jobs"])) <= 1:
+        if lethal and min(self.n_jobs or 1, len(spec["jobs"])) <= 1:
             raise RuntimeError(
                 f"chaos modes {lethal} need a pooled run: submit >= 2 jobs "
                 "to a daemon started with --jobs >= 2"

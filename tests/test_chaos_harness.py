@@ -130,6 +130,19 @@ class TestPooledChaos:
         assert outs[1].ok and outs[2].ok
         assert outs[1].attempts == 1 or outs[1].resumed is False
 
+    def test_timeout_is_enforced_without_a_pool(self):
+        # n_jobs of None or 1 used to run such a sweep inline, where there
+        # is nothing to kill, and the timeout was silently ignored.
+        for n_jobs in (None, 1):
+            jobs = [ChaosJob(name="zzz", mode=MODE_HANG, hang_s=120.0),
+                    *ok_jobs(1)]
+            t0 = time.time()
+            outs = run_jobs(jobs, n_jobs=n_jobs, timeout_s=1.0,
+                            backoff_s=0.0)
+            assert time.time() - t0 < 60
+            assert not outs[0].ok and outs[0].failure_kind == FAIL_TIMEOUT
+            assert outs[1].ok and outs[1].result["payload"] == 100
+
     def test_bad_result_classified_as_transport(self):
         jobs = [ChaosJob(name="poison", mode=MODE_BAD_RESULT), *ok_jobs(2)]
         outs = run_jobs(jobs, n_jobs=2, retries=0, backoff_s=0.0)

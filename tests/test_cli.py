@@ -49,6 +49,16 @@ def test_limit_is_rejected_where_it_would_be_ignored(capsys):
             build_parser().parse_args(argv + ["--backend", "reference"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+    # And a sweep has at least one process, as `repro serve` insists too.
+    for argv in (["fig5", "--jobs", "-3"], ["fig9", "--jobs", "0"]):
+        with pytest.raises(SystemExit, match="--jobs must be >= 1, got"):
+            main(argv)
+
+
+def test_timeout_applies_whatever_jobs_says(capsys):
+    # Without --jobs the sweep used to run inline and ignore the timeout.
+    assert main(["fig5", "--limit", "1", "--timeout", "0.01"]) == 0
+    assert "FAILED workloads: SD+SB" in capsys.readouterr().out
 
 
 def test_fig_parsers_accept_jobs_and_cache_dir():
@@ -601,7 +611,8 @@ class TestServeSubmitParsers:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "--state-dir", "/tmp/s"])
         assert args.policy == "fair" and args.port == 0
-        assert args.jobs == 1 and not args.allow_chaos
+        # No --jobs: run_jobs' own default (docs/service.md).
+        assert args.jobs is None and not args.allow_chaos
 
     def test_serve_requires_state_dir(self):
         with pytest.raises(SystemExit):

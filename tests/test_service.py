@@ -429,7 +429,9 @@ class TestSharedAloneTrajectories:
         from repro.harness import run_workload, scaled_config
         from repro.obs.bus import read_bus
 
-        svc = ReproService(tmp_path / "state")
+        # jobs=1: one process, so a job's cache probes (phase 1) come
+        # before its simulated replays (phase 2) in the span order below.
+        svc = ReproService(tmp_path / "state", jobs=1)
         svc.start()
         thread = threading.Thread(target=svc.serve_forever, daemon=True)
         thread.start()
@@ -458,6 +460,49 @@ class TestSharedAloneTrajectories:
                               shared_cycles=24_000)
         assert results[1]["alone_cycles"] == direct.alone_cycles
         assert results[1]["actual_slowdowns"] == direct.actual_slowdowns
+
+
+    def test_default_daemon_overlaps_a_jobs_private_replays(self, tmp_path):
+        """`jobs=None` is run_jobs' default: on a host with a spare CPU a
+        request's alone replays (all private — it is a one-job sweep) run
+        in helpers forked from the scheduler thread; the stored curve
+        still serves the second job, and the results are the direct
+        run's."""
+        import multiprocessing
+
+        from repro.harness import parallel, run_workload, scaled_config
+        from repro.obs.bus import read_bus
+
+        svc = ReproService(tmp_path / "state")
+        assert svc.n_jobs is None
+        svc.start()
+        thread = threading.Thread(target=svc.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(state_dir=str(tmp_path / "state"),
+                                   timeout_s=180.0)
+            results = []
+            for apps in (["SD", "SB"], ["BS", "SB"]):
+                spec = {"apps": apps, "cycles": 24_000, "seed": 78}
+                done = client.wait(client.submit("workload", spec)["job"])
+                assert done["status"] == "done"
+                results.append(done["result"]["result"])
+        finally:
+            svc.stop()
+            thread.join(timeout=10.0)
+        assert multiprocessing.active_children() == []
+        spans = [r["args"] for r in read_bus(svc._bus_dir)
+                 if r["t"] == "span" and r["name"] == "replay"]
+        overlap = parallel._can_overlap()
+        assert sorted(
+            (a["app"], a["cached"], a.get("chased", False)) for a in spans
+        ) == sorted([("SD", False, overlap), ("SB", False, overlap),
+                     ("BS", False, overlap), ("SB", True, False)])
+        for apps, got in zip((["SD", "SB"], ["BS", "SB"]), results):
+            direct = run_workload(apps, config=scaled_config(seed=78),
+                                  shared_cycles=24_000)
+            assert got["alone_cycles"] == direct.alone_cycles
+            assert got["estimates"] == direct.to_dict()["estimates"]
 
 
 class TestScenarioDedup:
