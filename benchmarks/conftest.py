@@ -6,8 +6,6 @@ single run already takes seconds to minutes.  Set ``REPRO_FULL=1`` for
 paper-scale cycle budgets and full workload sweeps.
 """
 
-import os
-
 import pytest
 
 
@@ -20,24 +18,3 @@ def once(benchmark):
                                   rounds=1, iterations=1)
 
     return runner
-
-
-@pytest.fixture()
-def store_record():
-    """Also record the benchmark's typed payload into the longitudinal
-    results store when ``REPRO_STORE_DIR`` is set (no-op otherwise) —
-    the ``save_result`` artifacts stay point-in-time files, the store
-    accumulates the cross-run trajectory (docs/results-store.md)."""
-
-    def recorder(figure, payload, **scenario_kwargs):
-        store_dir = os.environ.get("REPRO_STORE_DIR")
-        if not store_dir:
-            return None
-        from repro.store import PAYLOAD_SCHEMAS, ResultStore, scenario_for
-
-        spec = scenario_for(figure, **scenario_kwargs)
-        return ResultStore(store_dir).record(
-            spec, payload, PAYLOAD_SCHEMAS[figure]
-        )
-
-    return recorder

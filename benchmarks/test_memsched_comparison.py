@@ -8,7 +8,6 @@ slowdown gap that SM repartitioning addresses.
 """
 
 from repro.harness import run_workload, scaled_config
-from repro.harness.persist import save_result
 from repro.harness.report import table
 
 PAIRS = [("SD", "SB"), ("CT", "SB")]
@@ -31,7 +30,6 @@ def run_comparison():
 
 def test_memory_scheduler_comparison(once):
     res = once(run_comparison)
-    save_result("memsched_comparison", res)
     rows = []
     for key in res["frfcfs"]:
         u_fr, h_fr = res["frfcfs"][key]

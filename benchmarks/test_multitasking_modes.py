@@ -8,7 +8,6 @@ spatial sharing's fairness problem.  This bench puts all four on one axis.
 """
 
 from repro.harness import run_workload, scaled_config
-from repro.harness.persist import save_result
 from repro.harness.report import table
 from repro.policies import DASEFairPolicy, TimeSlicePolicy, leftover_partition
 from repro.workloads import SUITE
@@ -35,7 +34,6 @@ def run_modes():
 
 def test_multitasking_mode_comparison(once):
     res = once(run_modes)
-    save_result("multitasking_modes", res)
     rows = [
         [name, f"{unf:.2f}", f"{hsp:.3f}"] + [f"{s:.2f}" for s in slow]
         for name, (unf, hsp, slow) in res.items()

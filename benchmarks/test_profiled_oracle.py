@@ -7,7 +7,6 @@ its fairness benefit DASE-Fair captures with zero profiling.
 """
 
 from repro.harness import run_workload, scaled_config
-from repro.harness.persist import save_result
 from repro.harness.report import table
 from repro.policies import DASEFairPolicy, ProfiledFairPolicy, profile_kernel
 from repro.workloads import SUITE
@@ -53,7 +52,6 @@ def run_comparison():
 
 def test_dase_fair_vs_profiled_oracle(once):
     res = once(run_comparison)
-    save_result("profiled_oracle", res)
     rows = [
         [k, f"{v['even']:.2f}", f"{v['dase-fair']:.2f}", f"{v['oracle']:.2f}"]
         for k, v in res.items()

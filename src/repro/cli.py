@@ -24,67 +24,35 @@ def _cmd_list(args) -> int:
     from repro.harness.report import table
 
     rows = [
-        ("table1", "DASE hardware cost"),
-        ("table3", "alone DRAM bandwidth utilization of the suite"),
         *((fig.name, fig.help) for fig in FIGURE_TABLE.values()),
         ("run", "run an arbitrary workload: python -m repro run SD SB"),
         ("trace", "record a traced run: python -m repro trace SD SB"),
         ("inspect", "summarize any recorded artifact (kind auto-detected "
                     "from its schema tag)"),
-        ("diff", "compare two recorded runs or sweep logs field-by-field"),
+        ("diff", "compare two recorded runs or bus channels field-by-field"),
         ("store", "hash-addressed results store: list/show/record/"
-                  "import/gc/diff scenario records"),
+                  "gc/diff scenario records"),
         ("trajectory", "cross-run accuracy/fairness/perf series per "
                        "scenario from a results store"),
+        ("summarize", "paper vs measured: the table's claims against the "
+                      "newest store record of each entry"),
     ]
     print(table(["experiment", "description"], rows))
     return 0
 
 
-def _cmd_table1(args) -> int:
-    from repro.config import GPUConfig
-    from repro.harness.report import table
-    from repro.hwcost import dase_hardware_cost, table1_rows
-
-    cfg = GPUConfig()
-    print(table(["component", "cost"], table1_rows(cfg, args.apps)))
-    cost = dase_hardware_cost(cfg, args.apps)
-    print(f"\nper partition: {cost.per_partition_bytes:.0f} B "
-          f"({100 * cost.fraction_of_l2():.3f}% of a 64 KB L2 slice)")
-    return 0
-
-
-def _cmd_table3(args) -> int:
-    from contextlib import closing
-
-    from repro import GPU
-    from repro.harness import scaled_config
-    from repro.harness.report import pct, table
-    from repro.workloads import SUITE, TABLE3_BW_UTILIZATION
-
-    cfg = scaled_config()
-    rows = []
-    for name, spec in SUITE.items():
-        with closing(GPU(cfg, [spec])) as gpu:
-            gpu.run(args.cycles or 60_000)
-            bw = gpu.bandwidth_utilization(0)
-        rows.append([name, pct(TABLE3_BW_UTILIZATION[name]), pct(bw)])
-        print(f"  measured {name}", file=sys.stderr)
-    print(table(["app", "paper", "measured"], rows))
-    return 0
-
-
-def _cmd_fig(args) -> int:
+def _cmd_sweeping_fig(args) -> int:
+    """An entry whose driver sweeps: the `_add_sweep_flags` flags shape and
+    observe every `run_jobs` call it makes.  Entries that run inline have
+    none of them and go straight to `_run_fig`."""
     from repro.harness.parallel import set_default_progress, set_sweep_defaults
 
-    name = args.experiment
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     # --sweep-trace enables the cross-worker telemetry bus for every sweep
     # the driver runs; artifacts (trace.json, sweep.json, report.html, and
     # under --profile-sweep the merged pstats) land in the named directory.
-    sweep_trace = getattr(args, "sweep_trace", None)
-    profile_sweep = bool(getattr(args, "profile_sweep", False))
+    sweep_trace, profile_sweep = args.sweep_trace, args.profile_sweep
     if profile_sweep and not sweep_trace:
         raise SystemExit("--profile-sweep requires --sweep-trace DIR")
     bus_dir = None
@@ -92,37 +60,34 @@ def _cmd_fig(args) -> int:
         import pathlib
 
         bus_dir = str(pathlib.Path(sweep_trace) / "bus")
-    # --progress / --sweep-log attach a live reporter (and a JSONL log) to
-    # every sweep the experiment driver runs, via the ambient factory — the
-    # drivers themselves need no progress plumbing.  With a bus enabled the
-    # reporter also tails the worker channels for straggler warnings.
-    sweep_log = (durable.open_log(args.sweep_log)
-                 if getattr(args, "sweep_log", None) else None)
-    if getattr(args, "progress", False) or sweep_log is not None:
+    # --progress attaches a live reporter to every sweep the experiment
+    # driver runs, via the ambient factory — the drivers themselves need no
+    # progress plumbing.  With a bus enabled the reporter also tails the
+    # worker channels for straggler warnings (and the bus `outcome` records
+    # are the per-job log: key, ok, duration, attempts, cache counters).
+    if args.progress:
         from repro.obs import SweepProgress
 
         set_default_progress(
-            lambda total: SweepProgress(total, label=name, bus=bus_dir,
-                                        jsonl=sweep_log)
+            lambda total: SweepProgress(total, label=args.experiment,
+                                        bus=bus_dir)
         )
-    retries = getattr(args, "retries", None) or 0
-    if retries < 0:
-        raise SystemExit(f"--retries must be >= 0, got {retries}")
-    timeout_s = getattr(args, "timeout", None)
-    if timeout_s is not None and timeout_s <= 0:
-        raise SystemExit(f"--timeout must be > 0, got {timeout_s}")
+    if args.retries < 0:
+        raise SystemExit(f"--retries must be >= 0, got {args.retries}")
+    if args.timeout is not None and args.timeout <= 0:
+        raise SystemExit(f"--timeout must be > 0, got {args.timeout}")
     # --timeout / --retries / --resume-dir / --sweep-trace harden and
     # observe every sweep the driver runs, via the ambient sweep defaults
     # (same pattern as progress).
     set_sweep_defaults(
-        timeout_s=timeout_s,
-        retries=retries,
-        checkpoint_dir=getattr(args, "resume_dir", None),
+        timeout_s=args.timeout,
+        retries=args.retries,
+        checkpoint_dir=args.resume_dir,
         bus_dir=bus_dir,
         profile=profile_sweep,
     )
     try:
-        rc = _run_fig(args, name)
+        rc = _run_fig(args, jobs=args.jobs, cache_dir=args.cache_dir)
         if sweep_trace:
             _write_sweep_artifacts(sweep_trace, bus_dir, profile_sweep)
         return rc
@@ -133,26 +98,25 @@ def _cmd_fig(args) -> int:
         from repro.obs import bus as obs_bus
 
         obs_bus.deactivate()
-        if sweep_log is not None:
-            sweep_log.close()
 
 
-def _run_fig(args, name: str) -> int:
+def _run_fig(args, **sweep_kw) -> int:
     # Execution, rendering and scenario identity all live in
     # repro.harness.figures — the same dispatch `repro serve` uses, so the
     # CLI and the service record byte-identical results.
     from repro.figure_table import FIGURE_TABLE
     from repro.harness import figures as fg
 
+    name = args.experiment
     fig = FIGURE_TABLE[name]
     run = fg.run_figure(
-        name, seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir,
+        name, seed=args.seed, **sweep_kw,
         **{arg: getattr(args, arg) for arg, _ in fig.args},
     )
     print(run.rendered)
     if getattr(args, "out", None):
         _write_figure_report(args.out, *fig.report, run.result)
-    if getattr(args, "store", None):
+    if args.store:
         try:
             rec, spec = fg.record_figure(args.store, run)
         except (ValueError, OSError) as exc:
@@ -484,19 +448,6 @@ def _cmd_store_record(args) -> int:
     return 0
 
 
-def _cmd_store_import(args) -> int:
-    try:
-        rec = _open_store(args).import_legacy(
-            args.file, scenario_name=args.name, payload_schema=args.schema
-        )
-    except (ValueError, OSError) as exc:
-        raise SystemExit(f"repro store: {exc}")
-    print(f"imported {args.file} → record {rec.record_id[:12]} "
-          f"(scenario {rec.scenario.get('name')}, "
-          f"schema {rec.payload_schema})")
-    return 0
-
-
 def _cmd_store_gc(args) -> int:
     try:
         stats = _open_store(args).gc(keep=args.keep)
@@ -657,6 +608,45 @@ def _cmd_submit(args) -> int:
     return 0 if status["status"] == "done" else 1
 
 
+def _add_sweep_flags(fp: argparse.ArgumentParser) -> None:
+    """The flags of an entry whose driver sweeps (``FigureDef.sweeps``),
+    read by ``_cmd_sweeping_fig``.  An entry that runs inline would ignore
+    every one of them, so it does not get them."""
+    fp.add_argument("--jobs", type=int, default=None,
+                    help="worker processes for the sweep (default: one "
+                         "process, each job's private alone replays "
+                         "overlapped on spare CPUs; --jobs 1 forces a "
+                         "single process)")
+    fp.add_argument("--cache-dir", default=None,
+                    help="directory for the on-disk alone-replay cache "
+                         "(default: $REPRO_CACHE_DIR, else no caching)")
+    fp.add_argument("--progress", action="store_true",
+                    help="live per-job progress (ETA, jobs/s, cache "
+                         "hits) on stderr for every sweep")
+    fp.add_argument("--timeout", type=float, default=None, metavar="S",
+                    help="per-job wall-clock timeout in seconds: "
+                         "jobs run in worker processes (one, without "
+                         "--jobs) and a hung worker is killed "
+                         "(default: none)")
+    fp.add_argument("--retries", type=int, default=0, metavar="N",
+                    help="retry failed/crashed/timed-out sweep jobs up "
+                         "to N times with exponential backoff "
+                         "(default: 0)")
+    fp.add_argument("--resume-dir", default=None, metavar="DIR",
+                    help="checkpoint completed jobs under DIR so an "
+                         "interrupted sweep resumes instead of "
+                         "restarting (see docs/parallel-harness.md)")
+    fp.add_argument("--sweep-trace", default=None, metavar="DIR",
+                    help="record a cross-worker telemetry bus for every "
+                         "sweep and write trace.json (Perfetto), "
+                         "sweep.json (SweepStats), and report.html "
+                         "under DIR (see docs/observability.md)")
+    fp.add_argument("--profile-sweep", action="store_true",
+                    help="cProfile every sweep job and merge the dumps "
+                         "into DIR/profile.pstats plus a hot-function "
+                         "table (requires --sweep-trace)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -668,54 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list
     )
 
-    t1 = sub.add_parser("table1", help="DASE hardware cost")
-    t1.add_argument("--apps", type=int, default=4)
-    t1.set_defaults(func=_cmd_table1)
-
-    t3 = sub.add_parser("table3", help="alone bandwidth of all 15 apps")
-    t3.add_argument("--cycles", type=int, default=None)
-    t3.set_defaults(func=_cmd_table3)
-
     from repro.figure_table import FIGURE_TABLE
 
     for fig in FIGURE_TABLE.values():
         fp = sub.add_parser(fig.name, help=fig.help)
-        fp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep (default: one "
-                             "process, each job's private alone replays "
-                             "overlapped on spare CPUs; --jobs 1 forces a "
-                             "single process)")
-        fp.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk alone-replay cache "
-                             "(default: $REPRO_CACHE_DIR, else no caching)")
-        fp.add_argument("--progress", action="store_true",
-                        help="live per-job progress (ETA, jobs/s, cache "
-                             "hits) on stderr for every sweep")
-        fp.add_argument("--sweep-log", default=None, metavar="PATH",
-                        help="append one JSONL record per completed sweep "
-                             "job to PATH (implies --progress)")
-        fp.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-job wall-clock timeout in seconds: "
-                             "jobs run in worker processes (one, without "
-                             "--jobs) and a hung worker is killed "
-                             "(default: none)")
-        fp.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry failed/crashed/timed-out sweep jobs up "
-                             "to N times with exponential backoff "
-                             "(default: 0)")
-        fp.add_argument("--resume-dir", default=None, metavar="DIR",
-                        help="checkpoint completed jobs under DIR so an "
-                             "interrupted sweep resumes instead of "
-                             "restarting (see docs/parallel-harness.md)")
-        fp.add_argument("--sweep-trace", default=None, metavar="DIR",
-                        help="record a cross-worker telemetry bus for every "
-                             "sweep and write trace.json (Perfetto), "
-                             "sweep.json (SweepStats), and report.html "
-                             "under DIR (see docs/observability.md)")
-        fp.add_argument("--profile-sweep", action="store_true",
-                        help="cProfile every sweep job and merge the dumps "
-                             "into DIR/profile.pstats plus a hot-function "
-                             "table (requires --sweep-trace)")
+        if fig.sweeps:
+            _add_sweep_flags(fp)
         fp.add_argument("--store", default=None, metavar="DIR",
                         help="record the typed result payload into the "
                              "hash-addressed results store under DIR "
@@ -729,7 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
             fp.add_argument("--out", default=None, metavar="DIR",
                             help=f"also write {fig.report[0]}.json and "
                                  "report.html under DIR")
-        fp.set_defaults(func=_cmd_fig, experiment=fig.name)
+        fp.set_defaults(func=_cmd_sweeping_fig if fig.sweeps else _run_fig,
+                        experiment=fig.name)
 
     rn = sub.add_parser("run", help="run an arbitrary workload")
     rn.add_argument("apps", nargs="+", help="suite app names, e.g. SD SB")
@@ -867,11 +816,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     df = sub.add_parser(
         "diff", help="field-by-field comparison of two recorded runs "
-                     "(run dirs / run.json manifests / sweep JSONL logs / "
+                     "(run dirs / run.json manifests / JSONL record logs / "
                      "sweep.json stats — latency + cache-hit drift); "
                      "exit 0 = identical, 1 = drift"
     )
-    df.add_argument("a", help="run dir, run.json, .jsonl sweep log, or JSON")
+    df.add_argument("a", help="run dir, run.json, .jsonl record log, or JSON")
     df.add_argument("b", help="same kinds as A")
     df.add_argument("--rel-tol", type=float, default=0.0, metavar="F",
                     help="relative tolerance for numeric leaves "
@@ -888,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser(
         "store", help="hash-addressed results store: list, show, record, "
-                      "import, gc, and diff scenario records "
+                      "gc, and diff scenario records "
                       "(see docs/results-store.md)"
     )
     stsub = st.add_subparsers(dest="store_command", required=True)
@@ -912,8 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--json", action="store_true",
                     help="emit the full record payload")
     ss.add_argument("--payload", action="store_true",
-                    help="emit only the figure payload, byte-identical to "
-                         "the legacy per-figure JSON format")
+                    help="emit only the figure payload (indent=1, sorted "
+                         "keys: the --out DIR/<stem>.json format)")
     ss.set_defaults(func=_cmd_store_show)
 
     sr = stsub.add_parser(
@@ -931,19 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--seed", type=int, default=None,
                     help="simulation seed the payload was produced with")
     sr.set_defaults(func=_cmd_store_record)
-
-    si = stsub.add_parser(
-        "import", help="migrate a legacy per-figure JSON artifact "
-                       "(degradation.json, churn.json, results/*.json) "
-                       "into the store"
-    )
-    _store_common(si)
-    si.add_argument("file", help="legacy JSON artifact to import")
-    si.add_argument("--name", default=None,
-                    help="scenario name for the import (default: file stem)")
-    si.add_argument("--schema", default=None, metavar="TAG",
-                    help="payload schema tag (default: repro.store.legacy/1)")
-    si.set_defaults(func=_cmd_store_import)
 
     sg = stsub.add_parser(
         "gc", help="remove orphan record files; --keep N prunes each "
@@ -996,18 +932,30 @@ def build_parser() -> argparse.ArgumentParser:
     tj.set_defaults(func=_cmd_trajectory)
 
     sm = sub.add_parser(
-        "summarize", help="paper-vs-measured summary from results/*.json"
+        "summarize", help="paper vs measured: every claim of the figure "
+                          "table against the newest store record of its "
+                          "entry; exit 1 when a claim fails"
     )
-    sm.add_argument("--results-dir", default=None)
+    _store_common(sm)
     sm.set_defaults(func=_cmd_summarize)
     return p
 
 
 def _cmd_summarize(args) -> int:
-    from repro.analysis import full_summary, render_summary
+    from repro.harness.figures import claim_rows
+    from repro.harness.report import render_claims
 
-    print(render_summary(full_summary(args.results_dir)))
-    return 0
+    try:
+        rows = claim_rows(args.store)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"repro summarize: {exc}")
+    if not rows:
+        print(f"store {args.store} holds no record of a table entry with "
+              "claims — run e.g. `repro fig5 --store DIR` or "
+              "`pytest benchmarks/test_figures.py --benchmark-only`")
+        return 0
+    print(render_claims(rows))
+    return 1 if any(row[-1] != "ok" for row in rows) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,10 +1,16 @@
-"""The figure table: every figure experiment, described once.
+"""The figure table: every table and figure of the paper, described once.
 
-Everything else that knows about figures is derived from
+Everything else that knows about them is derived from
 :data:`FIGURE_TABLE`: ``run_figure``/``FIGURES``, the store's ``SCENARIOS``/
-``scenario_for``/``PAYLOAD_SCHEMAS``/``EXTRACTORS``, the ``repro fig*``
-subcommands, ``repro list`` and the service's scenario validation and
-catalog.  Adding a figure is one driver plus one entry here.
+``scenario_for``/``PAYLOAD_SCHEMAS``/``EXTRACTORS``, the ``repro table*`` /
+``repro fig*`` subcommands, ``repro list`` and the service's scenario
+validation and catalog.  Adding one is a driver plus an entry here.
+
+**The paper's claims live here too.**  Each entry carries the statements the
+paper makes about it as :class:`Claim` objects over the *recorded payload*;
+``benchmarks/test_figures.py`` (default scale), ``tests/test_paper_claims.py``
+(small budget) and ``repro summarize --store`` evaluate those same objects
+and nothing else restates them.
 
 **Identity = resolved inputs.**  :meth:`FigureDef.resolve` fills every
 default in once and its result feeds both the driver call and the spec, so
@@ -16,6 +22,7 @@ neither :mod:`repro.harness.experiments` nor the store.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from importlib import import_module
@@ -35,6 +42,23 @@ _obs = partial(import_module, "repro.obs.report")
 
 
 # ------------------------------------------------- trajectory extractors
+
+
+def scalar_metrics(p: Any) -> dict[str, float]:
+    """A payload's top-level numbers — Table 1's series, and the fallback
+    for records whose schema no entry claims."""
+    if not isinstance(p, dict):
+        return {}
+    return {
+        k: float(v) for k, v in p.items()
+        if isinstance(v, (int, float)) and not isinstance(v, bool)
+    }
+
+
+def _metrics_table3(p: dict) -> dict[str, float]:
+    paper, measured = p.get("paper") or {}, p.get("measured") or {}
+    devs = [abs(measured[a] - paper[a]) for a in paper if a in measured]
+    return {"deviation.max": max(devs)} if devs else {}
 
 
 def _metrics_fig2(p: dict) -> dict[str, float]:
@@ -142,9 +166,52 @@ def _metrics_churn(p: dict) -> dict[str, float]:
 # ------------------------------------------------------------ the schema
 
 
+_OPS = {"<": operator.lt, ">": operator.gt, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One statement of the paper, checkable against a recorded payload.
+
+    ``measure(payload)`` reads one number out of the dict ``--store``
+    records and the claim holds when ``measure(payload) <op> bound``;
+    ``paper`` is what the paper reports for that quantity and ``fmt`` how
+    both numbers print.  A payload that does not carry the quantity (a
+    failed workload's null mean, no pair to compare) fails the claim.
+    """
+
+    name: str
+    paper: str
+    measure: Callable[[Any], float]
+    op: str
+    bound: float
+    fmt: str = ".3g"
+
+    def measured(self, payload: Any) -> float | None:
+        try:
+            return self.measure(payload)
+        except (KeyError, IndexError, TypeError, ValueError,
+                ZeroDivisionError):
+            return None
+
+    def holds(self, payload: Any) -> bool:
+        value = self.measured(payload)
+        return value is not None and _OPS[self.op](value, self.bound)
+
+    def row(self, payload: Any) -> tuple[str, str, str, str, str]:
+        """``(claim, paper, measured, wanted, verdict)`` as text."""
+        value = self.measured(payload)
+        return (
+            self.name, self.paper,
+            "-" if value is None else format(value, self.fmt),
+            f"{self.op} {format(self.bound, self.fmt)}",
+            "ok" if self.holds(payload) else "FAILED",
+        )
+
+
 @dataclass(frozen=True)
 class FigureDef:
-    """One figure experiment.
+    """One table or figure of the paper (or an extension sweep).
 
     ``args`` are its extra arguments as ``(name, argparse kwargs)``; not
     given means the driver's default.  ``inputs(**args)`` turns them into
@@ -155,7 +222,8 @@ class FigureDef:
     ``arrival``, passed as ``seed=``; the config seed keeps its default).
     A driver that ``sweeps`` also takes ``jobs``/``cache_dir``.
     ``--out DIR`` writes ``report`` = ``(stem, export(path, result))`` as
-    ``stem.json`` + ``report.html``.
+    ``stem.json`` + ``report.html``.  ``claims`` are what the paper says
+    about the entry, each a predicate over ``payload(result)``.
     """
 
     name: str
@@ -173,6 +241,10 @@ class FigureDef:
     sweeps: bool = True
     payload: Callable[[Any], Any] = lambda result: result.to_dict()
     report: tuple[str, Callable[[Any, Any], Any]] | None = None
+    claims: tuple[Claim, ...] = ()
+
+    def claim(self, name: str) -> Claim:
+        return next(c for c in self.claims if c.name == name)
 
     def resolve(
         self, seed: int | None, given: Mapping[str, Any]
@@ -205,11 +277,99 @@ LIMIT = ("limit", {"type": int, "help": "limit the number of workloads swept"})
 _TWO_APPS = {"nargs": 2, "choices": APP_NAMES, "metavar": ("APP1", "APP2")}
 
 
+# ---------------------------------------------------------- claim measures
+
+
+def _error(model: str) -> Callable[[dict], float]:
+    return lambda p: p["mean_error"][model]
+
+
+def _dase_over(model: str) -> Callable[[dict], float]:
+    """DASE's mean error as a fraction of a CPU baseline's."""
+    return lambda p: p["mean_error"]["DASE"] / p["mean_error"][model]
+
+
+def _largest_drop(p: dict) -> float:
+    """Fig. 3, points ordered by service rate: the largest ratio of one
+    point's performance to the next one's (monotone: never above 1)."""
+    pts = sorted(p["points"])
+    return max(a[1] / b[1] for a, b in zip(pts, pts[1:]))
+
+
+def _fair_over_even(p: dict) -> list[tuple[float, float]]:
+    """Fig. 9, per workload: (unfairness under the even split, DASE-Fair's
+    unfairness as a fraction of it)."""
+    return [(p["unfairness_even"][k],
+             p["unfairness_fair"][k] / p["unfairness_even"][k])
+            for k in p["workloads"]]
+
+
+def _table3_gap(app: str, pick: Callable) -> Callable[[dict], float]:
+    """``app``'s alone bandwidth minus the highest/lowest of the others."""
+    return lambda p: p["measured"][app] - pick(
+        v for a, v in p["measured"].items() if a != app)
+
+
+_ERRORS_BOUNDED = Claim(
+    "dase-error-everywhere", "robust", lambda p: max(p["dase_errors"].values()),
+    "<", 0.25, ".1%")
+
+
 # --------------------------------------------------------------- the table
 
 
 #: name → :class:`FigureDef`, in presentation order.
 FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
+    FigureDef(
+        # A static calculation: no simulation, the seed changes nothing.
+        name="table1",
+        help="DASE hardware cost",
+        kind="hardware-cost",
+        schema="repro.store.table1/1",
+        driver=lambda **kw: _ex().table1_hwcost(**kw),
+        sweeps=False,
+        args=(("apps", {"type": int,
+                        "help": "co-running applications (default: 4)"}),),
+        inputs=lambda apps: {"apps": apps or _ex().TABLE1_APPS},
+        spec=lambda i: {"params": {"apps": i["apps"]}},
+        render=lambda r: _rp().render_table1(r),
+        extract=scalar_metrics,
+        claims=(
+            Claim("per-partition-bytes", "< 0.4 KB",
+                  lambda p: p["per_partition_bytes"], "<", 0.4 * 1024, ".0f"),
+            Claim("l2-slice-fraction", "< 0.625%",
+                  lambda p: p["fraction_of_l2"], "<", 0.00625, ".3%"),
+            Claim("per-sm-bits", "32", lambda p: p["per_sm_bits"],
+                  "==", 32, "d"),
+        ),
+    ),
+    FigureDef(
+        name="table3",
+        help="alone DRAM bandwidth utilization of the suite",
+        kind="alone-bandwidth",
+        schema="repro.store.table3/1",
+        driver=lambda **kw: _ex().table3_bw_utilization(**kw),
+        sweeps=False,
+        args=(("cycles", {"type": int,
+                          "help": "cycles each application runs alone "
+                                  "(default: a quarter of the shared "
+                                  "window, at least 60000)"}),),
+        inputs=lambda cycles: {"cycles": cycles or _ex().table3_cycles()},
+        spec=lambda i: {"workloads": [(a,) for a in APP_NAMES],
+                        "cycles": i["cycles"]},
+        render=lambda r: _rp().render_table3(r),
+        extract=_metrics_table3,
+        claims=(
+            # The suite's calibration contract (tests/test_suite_calibration).
+            Claim("within-2pp", "Table 3",
+                  lambda p: max(abs(p["measured"][a] - p["paper"][a])
+                                for a in p["paper"]), "<", 0.02, ".1%"),
+            Claim("sb-highest", "68%, +3pp over BS", _table3_gap("SB", max),
+                  ">", 0, ".1%"),
+            Claim("qr-lowest", "14%, -2pp under CT", _table3_gap("QR", min),
+                  "<", 0.05, ".1%"),
+        ),
+    ),
     FigureDef(
         name="fig2",
         help="unfairness + bandwidth decomposition (motivation)",
@@ -220,6 +380,20 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         spec=lambda i: {"workloads": i["combos"]},
         render=lambda r: _rp().render_fig2(r),
         extract=_metrics_fig2,
+        claims=(
+            Claim("sd-sb-unfairness", "2.51",
+                  lambda p: p["unfairness"]["SD+SB"], ">", 1.8, ".2f"),
+            Claim("sd-slowed-more-than-sb", "3.44 / 1.37",
+                  lambda p: p["slowdowns"]["SD+SB"][0]
+                  / p["slowdowns"]["SD+SB"][1], ">", 1, ".2f"),
+            Claim("sd-bandwidth-collapse", "13% / 40.5% alone",
+                  lambda p: p["breakdown"]["SD+SB"]["SD"] / p["sd_alone_bw"],
+                  "<", 0.6, ".2f"),
+            Claim("decomposition-sums-to-one", "100%",
+                  lambda p: max(abs(sum(bd.values()) - 1)
+                                for bd in p["breakdown"].values()),
+                  "<", 1e-6),
+        ),
     ),
     FigureDef(
         # Single synthetic kernel swept over memory intensity — no suite
@@ -232,6 +406,12 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         sweeps=False,
         render=lambda r: _rp().render_fig3(r),
         extract=_metrics_fig3,
+        claims=(
+            Claim("rate-correlation", "linear", lambda p: p["correlation"],
+                  ">", 0.98),
+            # Saturated sweep points nearly tie: 3% slack.
+            Claim("monotone-in-rate", "monotone", _largest_drop, "<", 1.03),
+        ),
     ),
     FigureDef(
         name="fig4",
@@ -246,6 +426,17 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         },
         render=lambda r: _rp().render_fig4(r),
         extract=_metrics_fig4,
+        claims=(
+            # 25%: beside a compute-bound partner SB runs latency-limited on
+            # its half of the SMs and the pooled rate dips below saturation.
+            Claim("served-request-conservation", "420 vs 439 (4.5%)",
+                  lambda p: max(abs(sum(pair) / p["alone_rate"] - 1)
+                                for pair in p["shared_rates"].values()),
+                  "<", 0.25, ".1%"),
+            Claim("sb-never-accelerated", "throttled",
+                  lambda p: max(pair[0] for pair in p["shared_rates"].values())
+                  / p["alone_rate"], "<", 1, ".2f"),
+        ),
     ),
     FigureDef(
         name="fig5",
@@ -259,6 +450,15 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         render=lambda r: _rp().render_accuracy(
             r, "Fig 5 — two-application error"),
         extract=_metrics_accuracy,
+        claims=(
+            Claim("dase-error", "8.8%", _error("DASE"), "<", 0.15, ".1%"),
+            Claim("mise-error", "36.3%", _error("MISE"), ">", 0.2, ".1%"),
+            Claim("asm-error", "32.8%", _error("ASM"), ">", 0.2, ".1%"),
+            Claim("dase-below-half-mise", "0.24x", _dase_over("MISE"),
+                  "<", 0.5, ".2f"),
+            Claim("dase-below-half-asm", "0.27x", _dase_over("ASM"),
+                  "<", 0.5, ".2f"),
+        ),
     ),
     FigureDef(
         name="fig6",
@@ -272,6 +472,15 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         render=lambda r: _rp().render_accuracy(
             r, "Fig 6 — four-application error"),
         extract=_metrics_accuracy,
+        claims=(
+            Claim("dase-error", "11.4%", _error("DASE"), "<", 0.25, ".1%"),
+            # Four-way sharing hides a 4x alone speed-up from the CPU models.
+            Claim("mise-error", "62.6%", _error("MISE"), ">", 0.4, ".1%"),
+            Claim("dase-below-half-mise", "0.18x", _dase_over("MISE"),
+                  "<", 0.5, ".2f"),
+            Claim("dase-below-half-asm", "0.20x (ASM 58%)", _dase_over("ASM"),
+                  "<", 0.5, ".2f"),
+        ),
     ),
     FigureDef(
         name="fig7",
@@ -286,6 +495,19 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         payload=lambda dists: dists,
         render=lambda r: _rp().render_distribution(r),
         extract=_metrics_distribution,
+        claims=(
+            Claim("dase-under-10pct", "70.2%", lambda p: p["DASE"]["<10%"],
+                  ">", 0.6, ".1%"),
+            Claim("dase-under-20pct", "90.9%",
+                  lambda p: p["DASE"]["<10%"] + p["DASE"]["10%-20%"],
+                  ">", 0.8, ".1%"),
+            Claim("dase-above-mise", "70.2% - 4.2%",
+                  lambda p: p["DASE"]["<10%"] - p["MISE"]["<10%"],
+                  ">", 0, ".1%"),
+            Claim("dase-above-asm", "70.2% - 6.2%",
+                  lambda p: p["DASE"]["<10%"] - p["ASM"]["<10%"],
+                  ">", 0, ".1%"),
+        ),
     ),
     FigureDef(
         name="fig8a",
@@ -299,6 +521,12 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
                         "params": (("splits", i["splits"]),)},
         render=lambda r: _rp().render_sensitivity(r, "Fig 8a — SM split"),
         extract=_metrics_sensitivity,
+        claims=(
+            _ERRORS_BOUNDED,
+            Claim("spread-across-splits", "robust",
+                  lambda p: max(p["dase_errors"].values())
+                  - min(p["dase_errors"].values()), "<", 0.15, ".1%"),
+        ),
     ),
     FigureDef(
         name="fig8b",
@@ -312,6 +540,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
                         "params": (("sm_counts", i["sm_counts"]),)},
         render=lambda r: _rp().render_sensitivity(r, "Fig 8b — SM count"),
         extract=_metrics_sensitivity,
+        claims=(_ERRORS_BOUNDED,),
     ),
     FigureDef(
         name="fig9",
@@ -323,6 +552,21 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         spec=lambda i: {"workloads": i["pairs"], "policy": "dase_fair"},
         render=lambda r: _rp().render_fig9(r),
         extract=_metrics_fig9,
+        claims=(
+            Claim("unfairness-improvement", "> 16.1%",
+                  lambda p: p["mean_unfairness_improvement"], ">", 0, ".1%"),
+            # The policy must substantially help where the even split is
+            # unfair (> 1.5) ...
+            Claim("best-unfair-pair-gain", "-",
+                  lambda p: max(1 - frac for even, frac in _fair_over_even(p)
+                                if even > 1.5), ">", 0.10, ".1%"),
+            # ... without tanking performance or any one workload.
+            Claim("hspeedup-improvement", "> 3.7%",
+                  lambda p: p["mean_hspeedup_improvement"], ">", -0.05, ".1%"),
+            Claim("no-pair-much-worse", "-",
+                  lambda p: max(frac for _, frac in _fair_over_even(p)),
+                  "<", 1.25, ".2f"),
+        ),
     ),
     FigureDef(
         name="fig-degradation",

@@ -25,7 +25,6 @@ from repro.harness.parallel import (
     sweep_defaults,
     workload_jobs,
 )
-from repro.harness.persist import load_result, save_result
 from repro.harness.replay_cache import AloneReplayCache, resolve_cache
 
 __all__ = [
@@ -51,6 +50,4 @@ __all__ = [
     "resolve_checkpoint",
     "AloneReplayCache",
     "resolve_cache",
-    "save_result",
-    "load_result",
 ]

@@ -1,13 +1,13 @@
 """One driver per paper figure/table (see DESIGN.md §4 for the index).
 
 Every driver returns a plain data structure with the same rows/series the
-paper reports, so benchmarks and examples can print or assert on them.
-Cycle budgets honour ``REPRO_FULL`` (see :mod:`repro.harness.runner`).
+paper reports; its ``to_dict()`` is the payload ``--store`` records and the
+claims of :mod:`repro.figure_table` are checked against.  Cycle budgets
+honour ``REPRO_FULL`` (see :mod:`repro.harness.runner`).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -26,10 +26,16 @@ from repro.harness.runner import (
     run_workload,
     scaled_config,
 )
+from repro.hwcost import HardwareCost, dase_hardware_cost, table1_rows
 from repro.metrics import error_distribution, mean
 from repro.sim.gpu import GPU, LaunchedKernel
 from repro.sim.kernel import AccessPattern, KernelSpec
-from repro.workloads import SUITE, four_app_workloads, two_app_workloads
+from repro.workloads import (
+    SUITE,
+    TABLE3_BW_UTILIZATION,
+    four_app_workloads,
+    two_app_workloads,
+)
 
 #: Default subset of pairs used when a full 105-pair sweep would take too
 #: long; chosen to span victim/aggressor/compute-bound mixes.
@@ -61,6 +67,85 @@ def four_app_list(count: int | None = None) -> list[tuple[str, ...]]:
     """Four-app workloads to sweep: 30 at full scale, 4 otherwise."""
     n = count if count is not None else (30 if full_scale() else 4)
     return four_app_workloads(n)
+
+
+# ------------------------------------------------------------ Tables 1 and 3
+
+
+#: Co-running applications Table 1 is stated for.
+TABLE1_APPS = 4
+
+
+@dataclass
+class Table1Result:
+    """The counters DASE adds for ``apps`` co-runners, and what they cost."""
+
+    apps: int
+    rows: list[tuple[str, str]]  # (component, cost) as the paper prints them
+    cost: HardwareCost
+
+    def to_dict(self) -> dict:
+        return {
+            "apps": self.apps,
+            "rows": [list(r) for r in self.rows],
+            "per_partition_bytes": self.cost.per_partition_bytes,
+            "per_sm_bits": self.cost.per_sm_bits,
+            "global_bits": self.cost.global_bits,
+            "fraction_of_l2": self.cost.fraction_of_l2(),
+        }
+
+
+def table1_hwcost(
+    apps: int = TABLE1_APPS, config: GPUConfig | None = None
+) -> Table1Result:
+    """Table 1: DASE's storage per memory partition, per SM and globally."""
+    config = config or GPUConfig()
+    return Table1Result(apps, table1_rows(config, apps),
+                        dase_hardware_cost(config, apps))
+
+
+def table3_cycles() -> int:
+    """How long each application runs alone for Table 3."""
+    return max(60_000, default_shared_cycles() // 4)
+
+
+@dataclass
+class Table3Result:
+    """Each suite application alone on the whole GPU: its DRAM bandwidth
+    utilization (against paper Table 3) plus the stall fraction α and IPC
+    that place it as aggressor, victim or compute-bound."""
+
+    cycles: int
+    paper: dict[str, float] = field(
+        default_factory=lambda: dict(TABLE3_BW_UTILIZATION))
+    measured: dict[str, float] = field(default_factory=dict)
+    alpha: dict[str, float] = field(default_factory=dict)
+    ipc: dict[str, float] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "cycles": self.cycles,
+            "paper": dict(self.paper),
+            "measured": dict(self.measured),
+            "alpha": dict(self.alpha),
+            "ipc": dict(self.ipc),
+        }
+
+
+def table3_bw_utilization(
+    config: GPUConfig | None = None, cycles: int | None = None
+) -> Table3Result:
+    """Table 3: alone DRAM bandwidth utilization of the 15 applications —
+    the one place the suite's calibration is measured."""
+    config = config or scaled_config()
+    out = Table3Result(cycles or table3_cycles())
+    for name, spec in SUITE.items():
+        with closing(GPU(config, [spec])) as gpu:
+            gpu.run(out.cycles)
+            out.measured[name] = gpu.bandwidth_utilization(0)
+            out.alpha[name] = gpu.sm_counters[0].alpha
+            out.ipc[name] = gpu.ipc(0)
+    return out
 
 
 # --------------------------------------------------------------------- Fig 2
@@ -311,27 +396,11 @@ def estimation_accuracy(
     return out
 
 
-def fig5_two_app_accuracy(limit: int | None = None, **kw) -> AccuracyResult:
-    """Fig. 5: estimation error across two-application workloads."""
-    return estimation_accuracy(pair_list(limit), **kw)
-
-
-def fig6_four_app_accuracy(count: int | None = None, **kw) -> AccuracyResult:
-    """Fig. 6: estimation error across four-application workloads."""
-    return estimation_accuracy(four_app_list(count), **kw)
-
-
 def fig7_error_distribution(
-    two_app: AccuracyResult, four_app: AccuracyResult | None = None
+    acc: AccuracyResult,
 ) -> dict[str, dict[str, float]]:
-    """Fig. 7: error histogram per model, pooled over all workloads."""
-    out: dict[str, dict[str, float]] = {}
-    for model in two_app.errors:
-        errs = list(two_app.errors[model])
-        if four_app is not None:
-            errs += four_app.errors[model]
-        out[model] = error_distribution(errs)
-    return out
+    """Fig. 7: error histogram per model, pooled over ``acc``'s workloads."""
+    return {model: acc.distribution(model) for model in acc.errors}
 
 
 # --------------------------------------------------------------------- Fig 8

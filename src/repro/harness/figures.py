@@ -1,6 +1,6 @@
 """Shared figure-driver dispatch for the CLI and the service layer.
 
-:func:`run_figure` executes one figure of :data:`repro.figure_table.
+:func:`run_figure` executes one entry of :data:`repro.figure_table.
 FIGURE_TABLE` and returns a :class:`FigureRun` — the typed payload, the
 :class:`~repro.store.ScenarioSpec` built from the same resolved inputs the
 driver ran on, and the rendered text table.  :func:`record_figure` writes
@@ -11,7 +11,8 @@ exactly the way the figure drivers' ``--store`` flag does.
 scenario submitted over the service API produces the same ``record_id`` as
 the direct CLI path — the store's hash addressing makes that a checkable
 guarantee rather than a convention (see tests/test_service.py and the CI
-``service-smoke`` job).
+``service-smoke`` job).  :func:`claim_rows` reads the store back: the
+table's claims against the newest record of each entry.
 """
 
 from __future__ import annotations
@@ -105,3 +106,23 @@ def record_figure(store_dir: str, run: FigureRun):
         provenance=run.provenance,
     )
     return rec, run.spec
+
+
+def claim_rows(store_dir: str) -> list[tuple[str, ...]]:
+    """Paper vs measured from the store at ``store_dir``: one ``(entry,
+    claim, paper, measured, wanted, verdict)`` row per claim of every table
+    entry that has a record there, read from its newest one."""
+    from repro.store import ResultStore
+
+    store = ResultStore(store_dir)
+    newest = {  # oldest first, so the last recording wins
+        (e.get("scenario_name"), e.get("payload_schema")): e["record_id"]
+        for e in store.index()
+    }
+    rows: list[tuple[str, ...]] = []
+    for name, fig in FIGURE_TABLE.items():
+        record_id = newest.get((name, fig.schema))
+        if record_id is not None and fig.claims:
+            payload = store.load(record_id).payload
+            rows += [(name, *claim.row(payload)) for claim in fig.claims]
+    return rows

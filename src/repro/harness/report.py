@@ -12,6 +12,8 @@ from repro.harness.experiments import (
     Fig4Result,
     Fig9Result,
     SensitivityResult,
+    Table1Result,
+    Table3Result,
 )
 from repro.opensys.churn import ChurnResult
 
@@ -31,6 +33,34 @@ def table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 def pct(x: float) -> str:
     return f"{100 * x:.1f}%"
+
+
+def render_table1(res: Table1Result) -> str:
+    return (
+        f"Table 1 — DASE hardware cost ({res.apps} applications):\n"
+        + table(["component", "cost"], res.rows)
+        + f"\n\nper partition: {res.cost.per_partition_bytes:.0f} B "
+        f"({100 * res.cost.fraction_of_l2():.3f}% of a 64 KB L2 slice)"
+    )
+
+
+def render_table3(res: Table3Result) -> str:
+    rows = [
+        [name, pct(res.paper[name]), pct(bw),
+         f"{100 * (bw - res.paper[name]):+.1f}pp",
+         f"{res.alpha[name]:.2f}", f"{res.ipc[name]:.1f}"]
+        for name, bw in res.measured.items()
+    ]
+    return (
+        f"Table 3 — alone DRAM bandwidth utilization ({res.cycles} cycles):\n"
+        + table(["app", "paper", "measured", "diff", "α", "IPC"], rows)
+    )
+
+
+def render_claims(rows: Iterable[Sequence[str]]) -> str:
+    """Paper vs measured, one row per claim of the figure table."""
+    return table(
+        ["entry", "claim", "paper", "measured", "wanted", "verdict"], rows)
 
 
 def render_fig2(res: Fig2Result) -> str:

@@ -43,8 +43,7 @@ from repro.sim.gpu import GPU, LaunchedKernel
 from repro.sim.kernel import KernelSpec
 from repro.workloads import SUITE
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replay_cache
-    # imports persist, which is a sibling; only the annotation needs it)
+if TYPE_CHECKING:  # pragma: no cover - only the annotations need these
     from repro.faults.inject import FaultInjector
     from repro.faults.plan import FaultPlan
     from repro.harness.replay_cache import AloneReplayCache

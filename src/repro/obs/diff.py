@@ -1,7 +1,7 @@
 """Cross-run differential reports: field-by-field comparison of runs.
 
-``repro trace`` writes a ``run.json`` manifest and ``--sweep-log`` writes a
-JSONL record per sweep job; :func:`diff_paths` compares two of either kind
+``repro trace`` writes a ``run.json`` manifest and the telemetry bus a JSONL
+record log per worker; :func:`diff_paths` compares two of either kind
 field-by-field with a configurable relative tolerance and reports every
 drifting leaf with its dotted path.  The output doubles as
 
@@ -37,10 +37,10 @@ DIFF_SCHEMA = "repro.obs.diff/1"
 #: wall-clock and environment noise that legitimately differs between two
 #: otherwise-identical runs.
 DEFAULT_IGNORE = frozenset({
-    "ts",          # wall-clock timestamp (sweep JSONL)
-    "duration_s",  # job wall time (sweep JSONL)
-    "done",        # completion-order counter (sweep JSONL)
-    "index",       # pool submission index (sweep JSONL)
+    "ts",          # wall-clock timestamp (JSONL records)
+    "duration_s",  # job wall time (JSONL records)
+    "done",        # completion-order counter (JSONL records)
+    "index",       # pool submission index (JSONL records)
     "cache",       # alone-replay cache hit/miss counters
     "files",       # export file list (depends on --format selection)
 })
@@ -254,7 +254,7 @@ def load_comparable(path: str | os.PathLike) -> Any:
 
     * a directory → its ``run.json`` manifest (or ``sweep.json``, or a
       results-store ``index.json``);
-    * a ``.jsonl`` sweep log → ``{record key: record}`` so two logs pair
+    * a ``.jsonl`` record log → ``{record key: record}`` so two logs pair
       by job key, not completion order (torn lines: skipped, on stderr);
     * any other file → parsed JSON.
 
@@ -273,7 +273,7 @@ def load_comparable(path: str | os.PathLike) -> Any:
                 raise ValueError(
                     f"store index {p / 'index.json'} is missing but "
                     f"{p / 'records'} holds records — restore the index "
-                    "or re-import"
+                    "or re-record"
                 )
             raise ValueError(
                 f"no run.json, sweep.json, or index.json found under {p}"
@@ -319,7 +319,7 @@ def diff_paths(
     ignore: Sequence[str] | frozenset[str] = DEFAULT_IGNORE,
     only: str | None = None,
 ) -> DiffResult:
-    """Load and compare two run manifests / sweep logs / JSON files.
+    """Load and compare two run manifests / record logs / JSON files.
 
     When both sides carry the same schema tag and the caller did not
     customize the ignore set, the per-schema default from

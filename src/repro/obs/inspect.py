@@ -383,9 +383,10 @@ def summarize_store_record(payload: dict[str, Any]) -> str:
             f"{k}={str(v)[:12]}" for k, v in sorted(prov.items())
             if not isinstance(v, dict)
         ))
-    from repro.store.trajectory import EXTRACTORS, _metrics_generic
+    from repro.figure_table import scalar_metrics
+    from repro.store.trajectory import EXTRACTORS
 
-    extractor = EXTRACTORS.get(payload.get("payload_schema"), _metrics_generic)
+    extractor = EXTRACTORS.get(payload.get("payload_schema"), scalar_metrics)
     try:
         metrics = extractor(payload.get("payload"))
     except (TypeError, ValueError, KeyError):
@@ -459,7 +460,7 @@ def load_recorded(
         elif (p / "records").is_dir():
             raise ValueError(
                 f"store index {index} is missing but {p / 'records'} holds "
-                "records — restore the index or re-import"
+                "records — restore the index or re-record"
             )
         else:
             raise ValueError(

@@ -1,11 +1,11 @@
-"""Live progress + structured logging for harness sweeps.
+"""Live progress for harness sweeps.
 
 :class:`SweepProgress` is the reporter :func:`repro.harness.parallel.run_jobs`
 drives as jobs complete: a single updating status line (job count, jobs/sec,
 ETA, alone-replay cache hit stats, failures) on a TTY, or one plain line per
-job otherwise, plus an optional JSON-lines structured log so long sweeps can
-be analysed after the fact (one record per job with key, duration, outcome,
-and cache counters).
+job otherwise.  The per-job record for after-the-fact analysis is the bus
+``outcome`` record (:mod:`repro.obs.bus`: key, ok, duration, attempts and
+cache counters), not a second log written here.
 
 The reporter is deliberately decoupled from the pool: it only consumes
 :class:`~repro.harness.parallel.JobOutcome` objects, so inline and pooled
@@ -26,12 +26,10 @@ gaps already fold in worker parallelism it needs no jobs/worker model.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from typing import IO, TYPE_CHECKING, Callable
 
-from repro import durable
 from repro.obs import bus as obs_bus
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -60,7 +58,6 @@ class SweepProgress:
         total: int,
         stream: IO[str] | None = None,
         label: str = "sweep",
-        jsonl: IO[str] | None = None,
         bus: "str | obs_bus.BusReader | None" = None,
         clock: Callable[[], float] | None = None,
         wall: Callable[[], float] | None = None,
@@ -68,7 +65,6 @@ class SweepProgress:
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
-        self.jsonl = jsonl
         self.done = 0
         self.failed = 0
         self.cache_hits = 0
@@ -112,8 +108,6 @@ class SweepProgress:
         self.cache_hits += cache.get("hits", 0)
         self.cache_misses += cache.get("misses", 0)
         self._emit_line(outcome)
-        if self.jsonl is not None:
-            self._emit_json(outcome)
         if self._bus is not None:
             self._check_stragglers()
 
@@ -214,21 +208,4 @@ class SweepProgress:
         else:
             self.stream.write(line + "\n")
         self.stream.flush()
-
-    def _emit_json(self, outcome: "JobOutcome") -> None:
-        record = {
-            "event": "job_done",
-            "ts": time.time(),
-            "index": outcome.index,
-            "key": outcome.job.key,
-            "ok": outcome.ok,
-            "duration_s": round(outcome.duration_s, 4),
-            "done": self.done,
-            "total": self.total,
-            "cache": outcome.cache,
-        }
-        if not outcome.ok:
-            record["error"] = (outcome.error or "").strip().splitlines()[-1:]
-        durable.append(self.jsonl, json.dumps(record, sort_keys=True),
-                       flush=True)
 

@@ -9,13 +9,13 @@ The longitudinal (fourth) observability scope, above run → model → sweep:
   :data:`repro.figure_table.FIGURE_TABLE`;
 * :class:`ResultStore` (:mod:`repro.store.records`) — content-addressed,
   schema-versioned JSON records (``repro.store.record/1``) under one
-  store directory with an append-ordered index, atomic writes, full
-  provenance, and a migration shim for legacy per-figure JSON;
+  store directory with an append-ordered index, atomic writes and full
+  provenance;
 * :mod:`repro.store.trajectory` — cross-run accuracy/fairness/perf
   series per scenario, rendered as text tables and a self-contained
   HTML dashboard (``repro trajectory``).
 
-CLI surface: ``repro store list|show|record|import|gc|diff`` and
+CLI surface: ``repro store list|show|record|gc|diff`` and
 ``repro trajectory`` (see docs/results-store.md).
 """
 

@@ -55,9 +55,9 @@ RECORD_SCHEMA = "repro.store.record/1"
 #: Schema tag of the store index file.
 INDEX_SCHEMA = "repro.store.index/1"
 
-#: Payload schema used for imported legacy per-figure JSON artifacts whose
-#: shape predates the registry (``degradation.json``, ``churn.json``,
-#: ``results/*.json``).
+#: Payload schema of records imported from pre-registry per-figure JSON
+#: files.  Nothing writes it any more; stores that hold such records still
+#: load, inspect and chart them (and a record without a tag reads as one).
 LEGACY_SCHEMA = "repro.store.legacy/1"
 
 
@@ -128,7 +128,7 @@ class ResultStore:
     """Content-addressed record files plus an append-ordered index.
 
     The index is the source of truth for *recordings* (one entry per
-    :meth:`record` / :meth:`import_legacy` call, in order); the record
+    :meth:`record` call, in order); the record
     files are the source of truth for *content* (one file per distinct
     result).  :meth:`gc` reconciles the two.
     """
@@ -165,7 +165,7 @@ class ResultStore:
             ):
                 raise ValueError(
                     f"store index {path} is missing but {self.records_dir} "
-                    "holds records — restore the index or re-import"
+                    "holds records — restore the index or re-record"
                 )
             return []
         try:
@@ -271,39 +271,6 @@ class ResultStore:
         self._write_index(entries)
         return rec
 
-    def import_legacy(
-        self,
-        path: str | os.PathLike,
-        scenario_name: str | None = None,
-        payload_schema: str | None = None,
-    ) -> StoreRecord:
-        """Migrate a pre-registry per-figure JSON artifact into the store.
-
-        The parsed payload is stored verbatim under a synthetic legacy
-        scenario (name = ``scenario_name`` or the file stem), so
-        :meth:`export_payload` re-emits it byte-identically to the
-        original figure artifact (``indent=1, sort_keys=True`` + trailing
-        newline — the format every fig driver writes).
-        """
-        from repro.store.registry import ScenarioSpec
-
-        p = pathlib.Path(path)
-        if not p.is_file():
-            raise ValueError(f"{p} does not exist")
-        try:
-            with p.open() as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{p} is not valid JSON: {exc}") from exc
-        spec = ScenarioSpec(
-            name=scenario_name or p.stem,
-            kind="legacy-import",
-        )
-        return self.record(
-            spec, payload, payload_schema or LEGACY_SCHEMA,
-            provenance={"imported_from": p.name},
-        )
-
     # ------------------------------------------------------------ loading
 
     def _load_file(self, path: pathlib.Path) -> StoreRecord:
@@ -404,8 +371,8 @@ class ResultStore:
 
     def export_payload(self, ref: str) -> str:
         """Re-emit a record's payload in the figure-artifact format
-        (``indent=1, sort_keys=True`` + trailing newline) — byte-identical
-        to the legacy JSON it was imported from."""
+        (``indent=1, sort_keys=True`` + trailing newline, what ``--out
+        DIR`` writes as ``<stem>.json``)."""
         rec = self.load(ref)
         return json.dumps(rec.payload, indent=1, sort_keys=True) + "\n"
 

@@ -17,7 +17,7 @@ ways:
 
 Metric extraction is keyed by ``payload_schema`` (:data:`EXTRACTORS`);
 unknown schemas fall back to the payload's top-level numeric scalars, so
-legacy imports still chart.
+records tagged ``repro.store.legacy/1`` still chart.
 """
 
 from __future__ import annotations
@@ -27,18 +27,8 @@ import os
 import pathlib
 from typing import Any, Callable
 
-from repro.figure_table import FIGURE_TABLE
+from repro.figure_table import FIGURE_TABLE, scalar_metrics
 from repro.store.records import ResultStore, StoreRecord, iter_payloads
-
-
-def _metrics_generic(p: Any) -> dict[str, float]:
-    """Fallback for unknown/legacy schemas: top-level numeric scalars."""
-    if not isinstance(p, dict):
-        return {}
-    return {
-        k: float(v) for k, v in p.items()
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
-    }
 
 
 #: payload schema tag → extractor(payload) → {metric name: value}, one per
@@ -50,7 +40,7 @@ EXTRACTORS: dict[str, Callable[[Any], dict[str, float]]] = {
 
 def metrics_of(record: StoreRecord) -> dict[str, float]:
     """Headline metrics of one record, per its payload schema."""
-    extractor = EXTRACTORS.get(record.payload_schema, _metrics_generic)
+    extractor = EXTRACTORS.get(record.payload_schema, scalar_metrics)
     try:
         return extractor(record.payload)
     except (TypeError, ValueError, KeyError):

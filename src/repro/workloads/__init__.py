@@ -1,7 +1,6 @@
 """Workloads: the 15 synthetic applications standing in for paper Table 3,
 plus combination generators for the two- and four-application studies."""
 
-from repro.workloads.generator import GeneratorProfile, WorkloadGenerator
 from repro.workloads.suite import (
     ALL_APPS,
     APP_NAMES,
@@ -20,6 +19,4 @@ __all__ = [
     "app",
     "two_app_workloads",
     "four_app_workloads",
-    "WorkloadGenerator",
-    "GeneratorProfile",
 ]

@@ -9,8 +9,10 @@ parallelism, and coalescing — e.g. SD (srad) is the random-access,
 cache-sensitive victim the paper's motivation section studies, and SB
 (sobol) is the bandwidth-hog MBB aggressor of Figure 4.
 
-Calibration is checked by ``tests/test_suite_calibration.py`` and regenerated
-by ``benchmarks/test_table3_bw_utilization.py``.
+Calibration is measured in one place, ``repro table3``
+(:func:`repro.harness.experiments.table3_bw_utilization`), and checked
+against the ``table3`` claims of :mod:`repro.figure_table` by
+``tests/test_suite_calibration.py``.
 """
 
 from __future__ import annotations

@@ -17,6 +17,23 @@ def test_table1(capsys):
     assert "ATD" in out and "per partition" in out
 
 
+def test_tables_are_table_entries(tmp_path, capsys):
+    # table1/table3 take the flags every entry takes, and record.
+    store = str(tmp_path / "store")
+    assert main(["table1", "--store", store]) == 0
+    assert main(["table3", "--cycles", "1500", "--seed", "3",
+                 "--store", store]) == 0
+    out = capsys.readouterr().out
+    assert "Table 3" in out and "1500 cycles" in out
+    from repro.store import ResultStore
+
+    t1, t3 = (ResultStore(store).load(f"{name}@-1")
+              for name in ("table1", "table3"))
+    assert t1.payload["apps"] == 4 and t1.payload_schema == "repro.store.table1/1"
+    assert t3.scenario["cycles"] == 1500 and t3.scenario["seeds"] == [3]
+    assert set(t3.payload) == {"cycles", "paper", "measured", "alpha", "ipc"}
+
+
 def test_run_unknown_app_rejected():
     with pytest.raises(SystemExit):
         main(["run", "NOPE"])
@@ -53,6 +70,28 @@ def test_limit_is_rejected_where_it_would_be_ignored(capsys):
     for argv in (["fig5", "--jobs", "-3"], ["fig9", "--jobs", "0"]):
         with pytest.raises(SystemExit, match="--jobs must be >= 1, got"):
             main(argv)
+    # The sweep flags shape run_jobs: an entry that runs inline (fig3, fig4,
+    # the tables) used to accept and ignore every one of them.
+    for flag in (["--jobs", "2"], ["--cache-dir", "c"], ["--progress"],
+                 ["--timeout", "0.01"], ["--retries", "3"],
+                 ["--resume-dir", "d"], ["--sweep-trace", "t"],
+                 ["--profile-sweep"]):
+        for fig in ("fig3", "fig4", "table1", "table3"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([fig] + flag)
+            assert exc.value.code == 2
+            assert (f"unrecognized arguments: {flag[0]}"
+                    in capsys.readouterr().err)
+        assert build_parser().parse_args(["fig2"] + flag)
+    # One per-job stream, the bus `outcome` records: no second JSONL log.
+    for fig in ("fig3", "fig5"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([fig, "--sweep-log", "s.jsonl"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sweep-log" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["store", "import", "old.json"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_timeout_applies_whatever_jobs_says(capsys):
@@ -91,11 +130,9 @@ def test_trace_parser_defaults():
 
 
 def test_fig_parsers_accept_progress_flags():
-    args = build_parser().parse_args(
-        ["fig5", "--progress", "--sweep-log", "s.jsonl"]
-    )
+    args = build_parser().parse_args(["fig5", "--progress"])
     assert args.progress is True
-    assert args.sweep_log == "s.jsonl"
+    assert not hasattr(args, "sweep_log")
 
 
 def test_inspect_requires_path():
@@ -413,18 +450,49 @@ def test_store_cli_end_to_end(tmp_path, capsys):
     assert "0 orphan" in capsys.readouterr().out
 
 
-def test_store_import_reexport_byte_identical_cli(tmp_path, capsys):
+def test_summarize_checks_the_newest_record_against_the_claims(tmp_path,
+                                                               capsys):
     import json as _json
 
-    legacy = {"pair": ["SD", "SB"], "errors": {"clean": 11.5}}
-    src = tmp_path / "degradation.json"
-    src.write_text(_json.dumps(legacy, indent=1, sort_keys=True) + "\n")
     store_dir = str(tmp_path / "store")
-    assert main(["store", "import", str(src), "--store", store_dir]) == 0
-    assert "imported" in capsys.readouterr().out
-    assert main(["store", "show", "degradation@-1", "--store", store_dir,
-                 "--payload"]) == 0
-    assert capsys.readouterr().out == src.read_text()
+    assert main(["summarize", "--store", store_dir]) == 0
+    assert "holds no record of a table entry" in capsys.readouterr().out
+
+    pfile = tmp_path / "p.json"
+
+    def record(name, payload):
+        pfile.write_text(_json.dumps(payload))
+        assert main(["store", "record", "--store", store_dir,
+                     "--scenario", name, "--payload", str(pfile)]) == 0
+
+    record("fig5", {"mean_error": {"DASE": 0.07, "MISE": 0.35, "ASM": 0.33}})
+    record("fig3", {"correlation": 0.999,
+                    "points": [[1.0, 0.1], [2.0, 0.2]]})
+    capsys.readouterr()
+    assert main(["summarize", "--store", store_dir]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["entry", "claim", "paper", "measured",
+                                "wanted", "verdict"]
+    rows = [ln.split() for ln in lines[2:]]
+    # Table order, every claim of each recorded entry, nothing else.
+    assert [r[0] for r in rows] == ["fig3"] * 2 + ["fig5"] * 5
+    assert rows[2] == ["fig5", "dase-error", "8.8%", "7.0%", "<", "15.0%",
+                       "ok"]
+
+    # The newest record decides, and a failed claim is the exit code.
+    record("fig5", {"mean_error": {"DASE": 0.20, "MISE": 0.35, "ASM": 0.33}})
+    capsys.readouterr()
+    assert main(["summarize", "--store", store_dir]) == 1
+    failed = [ln.split()[1] for ln in capsys.readouterr().out.splitlines()
+              if ln.endswith("FAILED")]
+    assert failed == ["dase-error", "dase-below-half-mise",
+                      "dase-below-half-asm"]
+
+    (tmp_path / "store" / "index.json").write_text("{broken")
+    with pytest.raises(SystemExit) as exc:
+        main(["summarize", "--store", store_dir])
+    msg = str(exc.value)
+    assert msg.startswith("repro summarize:") and "\n" not in msg
 
 
 def test_store_diff_cli_verdicts(tmp_path, capsys):
@@ -489,7 +557,7 @@ def test_store_corrupt_and_missing_index_one_line(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         msg = str(exc.value)
-        assert "restore the index or re-import" in msg and "\n" not in msg
+        assert "restore the index or re-record" in msg and "\n" not in msg
 
 
 def test_inspect_autodetects_store_artifacts(tmp_path, capsys):

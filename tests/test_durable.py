@@ -154,6 +154,24 @@ class TestGoldenFiles:
         loaded = [r.payload for r in store.records_for("durable-golden")]
         assert loaded == list(fx.PAYLOADS)
 
+    def test_legacy_tagged_records_still_inspect_and_chart(self, golden,
+                                                           capsys):
+        # Tagged repro.store.legacy/1, as `repro store import` (removed)
+        # wrote them: no entry of the figure table claims that schema.
+        from repro.cli import main
+        from repro.store import LEGACY_SCHEMA, trajectory
+
+        store = ResultStore(golden / "store")
+        rec = store.load("durable-golden@-1")
+        assert rec.payload_schema == LEGACY_SCHEMA
+        assert main(["inspect", str(store.record_path(rec.record_id))]) == 0
+        assert "durable-golden" in capsys.readouterr().out
+        assert len(trajectory(store)["durable-golden"]["points"]) == 2
+        assert main(["trajectory", "--store", str(store.directory)]) == 0
+        assert "2 recordings" in capsys.readouterr().out
+        assert main(["summarize", "--store", str(store.directory)]) == 0
+        assert "holds no record of a table entry" in capsys.readouterr().out
+
     def test_checkpoint_loads(self, golden):
         cp = SweepCheckpoint(golden / "ckpt", fx.JOBS)
         assert cp.load() == {0: fx.RESULT, 1: fx.RESULT}
@@ -209,3 +227,22 @@ def test_one_write_path():
     assert parallel.count("O_APPEND") == 1
     assert "O_APPEND" in parallel.split("def _worker_stderr_init")[1].split(
         "\ndef ")[0]
+
+
+#: The second results path (``results/<name>.json`` beside the store) and
+#: what read it back.  Results have one home: ``record_figure`` → the store.
+_SECOND_RESULTS_PATH = re.compile(
+    r"save_result|load_result|REPRO_RESULTS_DIR|import_legacy|repro\.analysis")
+
+
+def test_one_results_path():
+    root = SRC.parents[1]
+    offences = [
+        (path.relative_to(root).as_posix(), hit)
+        for top in ("src", "benchmarks", "examples")
+        for path in sorted((root / top).rglob("*.py"))
+        for hit in _SECOND_RESULTS_PATH.findall(path.read_text())
+    ]
+    assert offences == []
+    assert not (SRC / "analysis.py").exists()
+    assert not (SRC / "harness" / "persist.py").exists()

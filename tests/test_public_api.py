@@ -50,7 +50,6 @@ def test_top_level_exports():
         "repro.policies.temporal",
         "repro.workloads",
         "repro.workloads.suite",
-        "repro.workloads.generator",
         "repro.harness",
         "repro.harness.runner",
         "repro.harness.experiments",

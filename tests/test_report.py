@@ -7,9 +7,14 @@ from repro.harness.experiments import (
     Fig4Result,
     Fig9Result,
     SensitivityResult,
+    Table3Result,
+    table1_hwcost,
 )
 from repro.harness.report import (
     pct,
+    render_claims,
+    render_table1,
+    render_table3,
     render_accuracy,
     render_distribution,
     render_fig2,
@@ -32,6 +37,27 @@ def test_table_alignment():
 def test_pct():
     assert pct(0.123) == "12.3%"
     assert pct(1.0) == "100.0%"
+
+
+def test_render_tables():
+    out = render_table1(table1_hwcost(apps=2))
+    assert "2 applications" in out and "Sample ATD" in out
+    assert "per partition: 320 B (0.488% of a 64 KB L2 slice)" in out
+    res = Table3Result(cycles=1000, measured={"SB": 0.7, "QR": 0.125},
+                       alpha={"SB": 0.9, "QR": 0.05},
+                       ipc={"SB": 3.0, "QR": 14.0})
+    lines = render_table3(res).splitlines()
+    assert "1000 cycles" in lines[0]
+    assert lines[3].split() == ["SB", "68.0%", "70.0%", "+2.0pp", "0.90", "3.0"]
+    assert lines[4].split() == ["QR", "14.0%", "12.5%", "-1.5pp", "0.05", "14.0"]
+
+
+def test_render_claims():
+    out = render_claims([("fig5", "dase-error", "8.8%", "6.6%", "< 15.0%",
+                          "ok")])
+    assert out.splitlines()[0].split() == [
+        "entry", "claim", "paper", "measured", "wanted", "verdict"]
+    assert out.splitlines()[2].split()[-1] == "ok"
 
 
 def test_render_fig2():

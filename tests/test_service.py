@@ -545,6 +545,22 @@ class TestSubmitByCatalogId:
         assert latest.scenario_id == sid
         assert latest.record_id == final["record_id"]
 
+    @pytest.mark.slow
+    def test_a_table_is_served_by_its_catalog_id(self, daemon, table3_run):
+        # Table 3 is an entry like any figure: advertised, submitted by id,
+        # and recorded under the id — and the record — a direct run gives.
+        svc, client = daemon
+        sid = next(r["scenario_id"] for r in client.scenarios()
+                   if r["name"] == "table3" and r["source"] == "registry")
+        assert sid == table3_run.spec.scenario_id()
+        final = client.wait(
+            client.submit("scenario", {"id": sid}, tenant="alice")["job"])
+        assert final["status"] == "done", final["error"]
+        assert final["scenario_id"] == sid
+        latest = ResultStore(svc.store_dir).load("table3@-1")
+        assert latest.record_id == final["record_id"]
+        assert latest.payload == table3_run.payload
+
 
 @pytest.mark.slow
 class TestEquivalenceGate:

@@ -1,5 +1,5 @@
 """Tests for the longitudinal results store: scenario identity,
-hash-addressed records, legacy import round-trips, and trajectories."""
+hash-addressed records, and trajectories."""
 
 import json
 import os
@@ -91,7 +91,8 @@ class TestScenarioIdentity:
 #: (default run, seed=3 run) scenario ids.  The first nine were computed at
 #: the commit before the figure table (what `repro figX --store` recorded
 #: there, default scale): they must never move.  fig8a/fig8b changed once,
-#: when their specs started listing the pairs actually swept.
+#: when their specs started listing the pairs actually swept.  table1/table3
+#: are pinned from the commit that made them table entries.
 RECORDED_IDS = {
     "fig2": (
         "06f6870555b3b64a1e7a4b8c7b451d4a1a14f45e4bcd38cac52210d5393503d8",
@@ -136,6 +137,14 @@ RECORDED_IDS = {
     "fig8b": (
         "8165f7f6d1b5c5e23b25c66a283b3c2b8b8a8017ef8ccbb509b06c2139f87b5e",
         "2b0e69e5d33873c1bb63a65b6f7bacd05ef68d64e007af5ba1515ef62dd56139",
+    ),
+    "table1": (
+        "215b4bf3ed6ef1be830ed105a6c89e70abd1bec50fb5000a68fb990563c5b18b",
+        "2e94c0aad13d6dc8944e7eec3195dbfdc29b1bb440bf76375f7670a71e06492f",
+    ),
+    "table3": (
+        "56276d988e8d7f02302a706cab253b7382d58b992fefd94a1ee664ed0ca55e77",
+        "7957fc0280e8a14d1d984721d59f291043ada741a3ff88de8c9411f93a19ead3",
     ),
 }
 
@@ -358,7 +367,7 @@ class TestResultStore:
         store = ResultStore(tmp_path / "store")
         store.record(spec(), PAYLOAD, PAYLOAD_SCHEMAS["fig2"])
         store.index_path.unlink()
-        with pytest.raises(ValueError, match="restore the index or re-import"):
+        with pytest.raises(ValueError, match="restore the index or re-record"):
             store.index()
 
     def test_corrupt_index_is_one_line_error(self, tmp_path):
@@ -498,45 +507,6 @@ class TestCrossProcessStability:
         )
 
 
-# ------------------------------------------------------------ legacy import
-
-
-class TestLegacyImport:
-    def test_import_reexports_byte_identical(self, tmp_path):
-        legacy = {"pair": ["SD", "SB"], "errors": {"clean": 11.5, "0.2": 14.0}}
-        src = tmp_path / "degradation.json"
-        src.write_text(json.dumps(legacy, indent=1, sort_keys=True) + "\n")
-        store = ResultStore(tmp_path / "store")
-        rec = store.import_legacy(src)
-        assert rec.payload_schema == LEGACY_SCHEMA
-        assert rec.scenario["name"] == "degradation"
-        assert rec.scenario["kind"] == "legacy-import"
-        assert rec.provenance["imported_from"] == "degradation.json"
-        assert store.export_payload(rec.record_id) == src.read_text()
-        assert store.export_payload(rec.record_id).encode() == src.read_bytes()
-
-    def test_import_missing_and_corrupt_one_line(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(ValueError, match="does not exist"):
-            store.import_legacy(tmp_path / "nope.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            store.import_legacy(bad)
-
-    def test_import_with_explicit_name_and_schema(self, tmp_path):
-        src = tmp_path / "old.json"
-        src.write_text(json.dumps({"correlation": 0.98}) + "\n")
-        store = ResultStore(tmp_path / "store")
-        rec = store.import_legacy(
-            src, scenario_name="fig3", payload_schema=PAYLOAD_SCHEMAS["fig3"]
-        )
-        assert rec.scenario["name"] == "fig3"
-        assert rec.payload_schema == PAYLOAD_SCHEMAS["fig3"]
-        # It now participates in fig3 trajectories like a native record.
-        assert store.load("fig3@-1").record_id == rec.record_id
-
-
 # -------------------------------------------------------------- trajectory
 
 
@@ -564,12 +534,17 @@ class TestTrajectory:
         ]
 
     def test_generic_fallback_for_legacy_payloads(self, tmp_path):
+        # What `repro store import` (since removed) wrote: stores that hold
+        # such records keep loading and charting them.
         store = ResultStore(tmp_path / "store")
-        src = tmp_path / "old.json"
-        src.write_text(json.dumps({"score": 1.5, "nested": {"x": 2}}) + "\n")
-        rec = store.import_legacy(src)
-        m = metrics_of(rec)
+        rec = store.record(
+            ScenarioSpec(name="old", kind="legacy-import"),
+            {"score": 1.5, "nested": {"x": 2}}, LEGACY_SCHEMA,
+            provenance={"imported_from": "old.json"},
+        )
+        m = metrics_of(store.load("old@-1"))
         assert m == {"score": 1.5}  # top-level numeric scalars only
+        assert rec.payload_schema == LEGACY_SCHEMA
 
     def test_record_schema_constant_matches_disk(self, tmp_path):
         store = ResultStore(tmp_path / "store")
