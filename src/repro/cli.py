@@ -537,7 +537,8 @@ def _cmd_serve(args) -> int:
               "unreadable record(s)", file=sys.stderr)
     print(f"repro serve: listening on {url} "
           f"(state {args.state_dir}, policy {args.policy}, "
-          f"jobs {service.n_jobs or 'auto'})", file=sys.stderr, flush=True)
+          f"jobs {service.n_jobs or 'auto'}, slots {service.slots})",
+          file=sys.stderr, flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
@@ -719,10 +720,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="alone-replay cache shared by all jobs "
                          "(default: DIR/cache under --state-dir)")
     sv.add_argument("--jobs", type=int, default=None,
-                    help="worker processes per admitted request (default: "
-                         "the daemon's own process, each job's private "
-                         "alone replays overlapped on spare CPUs; --jobs 1 "
-                         "forces a single process)")
+                    help="worker processes per admitted request, served "
+                         "one request at a time (default: one request per "
+                         "usable CPU at a time, each in a process of its "
+                         "own with its private alone replays overlapped on "
+                         "spare CPUs; --jobs 1 forces one single-process "
+                         "request at a time)")
     sv.add_argument("--policy", choices=("fair", "fifo"), default="fair",
                     help="admission policy: 'fair' minimizes max/min "
                          "tenant slowdown, 'fifo' is arrival order "

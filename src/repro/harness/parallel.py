@@ -85,6 +85,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.config import GPUConfig
+from repro.forked import usable_cpus
 from repro.harness.replay_cache import (
     AloneReplayCache,
     config_fingerprint,
@@ -765,10 +766,8 @@ def _can_overlap() -> bool:
     to run on, and a daemonic process may not have children."""
     method = (multiprocessing.get_start_method(allow_none=True)
               or multiprocessing.get_all_start_methods()[0])
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
     return (
-        method == "fork" and cpus >= 2
+        method == "fork" and usable_cpus() >= 2
         and not multiprocessing.current_process().daemon
     )
 

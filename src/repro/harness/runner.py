@@ -17,15 +17,14 @@ compared against the ground truth of the execution it observed.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal
 import time
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
 
+from repro import forked
 from repro.config import GPUConfig
 from repro.core import ASM, DASE, MISE, PriorityRotator, SlowdownEstimator
 from repro.metrics import (
@@ -427,7 +426,7 @@ class Chase:
     tail_s: float = 0.0
 
 
-def _chase_main(conn, parent_end, machine_args: tuple, max_cycles: int,
+def _chase_main(conn, machine_args: tuple, max_cycles: int,
                 drop=None) -> None:
     """A :class:`_Chaser`'s helper process: advance one alone machine to the
     newest count received until the final one is reached, and answer that
@@ -435,8 +434,6 @@ def _chase_main(conn, parent_end, machine_args: tuple, max_cycles: int,
     the traceback as text.  ``drop`` is called first: a helper forked
     mid-run inherits a copy of the shared machine and lets go of it, so
     that it too holds one machine."""
-    parent_end.close()  # a vanished parent must read as EOF here
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C: the parent reaps us
     try:
         if drop is not None:
             drop()
@@ -494,15 +491,10 @@ class _Chaser:
         return self._proc is not None
 
     def _start(self, drop=None) -> None:
-        ctx = multiprocessing.get_context("fork")
-        self._conn, theirs = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=_chase_main,
-            args=(theirs, self._conn, self.machine_args, self.max_cycles, drop),
+        self._proc, self._conn = forked.spawn(
+            _chase_main, self.machine_args, self.max_cycles, drop,
             daemon=True,
         )
-        self._proc.start()
-        theirs.close()
 
     def feed(self, count: int, final: bool = False, drop=None) -> None:
         """Tell the helper how far the shared run has got (``drop``: what
@@ -564,10 +556,7 @@ class _Chaser:
         """Reap the helper; one still running has nothing left to give."""
         if self._proc is None:
             return
-        self._proc.kill()
-        self._proc.join()
-        self._proc.close()
-        self._conn.close()
+        forked.reap(self._proc, self._conn)
         self._proc = self._conn = None
 
 

@@ -1,18 +1,24 @@
 """The ``repro serve`` daemon: a local HTTP job API over the harness.
 
-One :class:`ReproService` owns four things:
+One :class:`ReproService` owns four things, and simulates nothing itself:
 
 * a **job table** of deduplicated jobs (keyed by the protocol fingerprint,
   so two tenants asking the same question subscribe to one simulation);
 * the **admission queue** (:class:`~repro.service.queue.AdmissionQueue`)
   deciding which tenant's request runs next;
-* a single **scheduler thread** that drains the queue through the hardened
-  :func:`~repro.harness.parallel.run_jobs` harness — one request at a time,
-  fanned out across ``jobs`` worker processes (None, the default, is
-  ``run_jobs``' own: in the daemon's process, a request's private alone
-  replays overlapped with its shared run where there is a spare CPU), with
-  the telemetry bus and sweep checkpoints under ``state_dir`` so a
-  kill -9'd daemon resumes mid-sweep on restart;
+* its **slots** — one scheduler thread per usable CPU (``jobs=None``, the
+  default), or exactly one when ``jobs=N`` says how many processes a
+  request may use — each draining the queue into a forked **job process**
+  of the request's own (:mod:`repro.forked`), which runs it through the
+  hardened :func:`~repro.harness.parallel.run_jobs` harness (``n_jobs`` as
+  given: None is ``run_jobs``' own default, the request's private alone
+  replays overlapped with its shared run where there is a spare CPU) with
+  the telemetry bus and sweep checkpoints under ``state_dir``, so a
+  kill -9'd daemon resumes mid-sweep on restart.  The job process sends
+  back progress and, last, its result; the journal, the event streams and
+  the results store are written here, by this process only.  A job process
+  that dies — crashed, OOM-killed, ``os._exit`` — fails its job with the
+  signal or exit code in the error and takes nothing else with it;
 * a **journal** (``state_dir/journal.jsonl``) of accepted submissions and
   terminal states, replayed on startup to re-enqueue interrupted work.
 
@@ -38,15 +44,17 @@ never dies on a bad request.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro import durable
+from repro import durable, forked
 from repro.service import protocol
 from repro.service.queue import AdmissionQueue, QueuedRequest
 
@@ -58,6 +66,12 @@ QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
     "queued", "running", "done", "failed", "cancelled"
 )
 TERMINAL = (DONE, FAILED, CANCELLED)
+
+#: How often a slot checks that a job process it hears nothing from is
+#: alive (a dead one's pipe stays open while a helper it forked holds it).
+LIVENESS_POLL_S = 0.25
+#: What a job process that has answered gets to exit by itself.
+EXIT_GRACE_S = 5.0
 
 
 class Job:
@@ -102,8 +116,47 @@ class Job:
         }
 
 
+@dataclasses.dataclass
+class _Running:
+    """One admitted job's process, while it runs."""
+
+    tenant: str
+    slot: int
+    pid: int
+    conn: Any
+    admitted_t: float
+
+
+class _Progress:
+    """run_jobs reporter, job-process side: completions go to the daemon,
+    which forwards them as stream events."""
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.done = 0
+
+    def job_done(self, outcome) -> None:
+        self.done += 1
+        self.conn.send(("progress", {
+            "done": self.done, "key": outcome.job.key, "ok": outcome.ok,
+            "resumed": outcome.resumed,
+        }))
+
+    def close(self) -> None:
+        pass
+
+
+def _kill_group(pid: int) -> None:
+    """SIGKILL a job process and everything it forked (helpers, pool
+    workers): they share the process group it opened."""
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # all gone already
+
+
 class ReproService:
-    """The daemon: job table + admission queue + scheduler + HTTP server."""
+    """The daemon: job table + admission queue + slots + HTTP server."""
 
     def __init__(
         self,
@@ -127,13 +180,23 @@ class ReproService:
         self.n_jobs = None if jobs is None else max(1, jobs)
         self.retries = retries
         self.allow_chaos = allow_chaos
-        self.queue = AdmissionQueue(policy)
+        #: Jobs served at once.  An explicit ``jobs`` already says how many
+        #: processes a request may use, so there is one slot; without it
+        #: every usable CPU gets a request of its own.
+        self.slots = 1 if jobs is not None else forked.usable_cpus()
+        self.queue = AdmissionQueue(policy, servers=self.slots)
         self.jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._stopping = False
         self._server: ThreadingHTTPServer | None = None
-        self._scheduler: threading.Thread | None = None
+        self._slot_threads: list[threading.Thread] = []
+        self._running: dict[str, _Running] = {}  # by job id
+        # Forks are one at a time: a job process must not inherit the far
+        # end of a pipe a sibling is being handed at that moment, or that
+        # sibling's death would not read as EOF.
+        self._spawn_lock = threading.Lock()
+        self._store_lock = threading.Lock()  # the store index has one writer
         self._ckpt_dir = str(self.state_dir / "ckpt")
         self._bus_dir = str(self.state_dir / "bus")
         self._chaos_dir = self.state_dir / "chaos"
@@ -207,15 +270,22 @@ class ReproService:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> str:
-        """Bind the server, start the scheduler, write the endpoint file."""
+        """Bind the server, start the slots, write the endpoint file."""
+        # What a job process runs, imported once, here: a fork inherits it.
+        import repro.faults.chaos  # noqa: F401
+        import repro.harness.figures  # noqa: F401
+        import repro.store  # noqa: F401
+
         handler = _make_handler(self)
         self._server = ThreadingHTTPServer((self.host, self._port), handler)
         self._server.daemon_threads = True
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="repro-serve-scheduler",
-            daemon=True,
-        )
-        self._scheduler.start()
+        for slot in range(self.slots):
+            thread = threading.Thread(
+                target=self._slot_loop, args=(slot,),
+                name=f"repro-serve-slot-{slot}", daemon=True,
+            )
+            thread.start()
+            self._slot_threads.append(thread)
         endpoint = {
             "schema": protocol.SCHEMA,
             "host": self.host,
@@ -235,16 +305,20 @@ class ReproService:
             self.stop()
 
     def stop(self) -> None:
+        """Stop serving and reap: when this returns every job process group
+        is dead and joined and every slot thread has ended.  A job cut short
+        here gets no terminal journal record, so the next start re-enqueues
+        it — as after a kill -9 of the daemon.  Idempotent."""
         with self._cond:
-            if self._stopping:
-                return
             self._stopping = True
+            for running in self._running.values():
+                _kill_group(running.pid)
             self._cond.notify_all()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
-        if self._scheduler is not None and self._scheduler.is_alive():
-            self._scheduler.join(timeout=10.0)
+        for thread in self._slot_threads:
+            thread.join()
 
     # ---------------------------------------------------------- submission
 
@@ -308,9 +382,9 @@ class ReproService:
         job.events.append(event)
         self._cond.notify_all()
 
-    # ----------------------------------------------------------- scheduler
+    # --------------------------------------------------------------- slots
 
-    def _scheduler_loop(self) -> None:
+    def _slot_loop(self, slot: int) -> None:
         while True:
             with self._cond:
                 while not self._stopping and len(self.queue) == 0:
@@ -324,12 +398,15 @@ class ReproService:
                 job.state = RUNNING
                 self._emit(job, protocol.event(
                     "admitted", job=job.job_id, tenant=entry.tenant,
+                    slot=slot,
                     waited_s=round(entry.wait_s(entry.start_t or 0.0), 4),
                 ))
                 self._emit(job, protocol.event("started", job=job.job_id))
-            error = None
             try:
-                self._execute(job)
+                settled = self._execute(job, entry.tenant, slot)
+                if settled is None:
+                    return  # stop() cut it short: the next start re-runs it
+                job.result, error = settled
             except Exception as exc:  # noqa: BLE001 - fail the job, not the daemon
                 error = f"{type(exc).__name__}: {exc}"
             with self._cond:
@@ -350,39 +427,95 @@ class ReproService:
                     job=job.job_id, error=error, record_id=job.record_id,
                 ))
 
-    # ----------------------------------------------------------- execution
-
-    def _progress(self, job: Job):
-        service = self
-
-        class _Progress:
-            """run_jobs reporter that forwards completions as events."""
-
-            def __init__(self) -> None:
-                self.done = 0
-
-            def job_done(self, outcome) -> None:
-                self.done += 1
-                with service._cond:
-                    service._emit(job, protocol.event(
-                        "progress", job=job.job_id, done=self.done,
-                        key=outcome.job.key, ok=outcome.ok,
-                        resumed=outcome.resumed,
-                    ))
-
-            def close(self) -> None:
-                pass
-
-        return _Progress()
-
-    def _execute(self, job: Job) -> None:
+    def _execute(self, job: Job, tenant: str, slot: int):
+        """Run ``job`` in a job process of its own, forwarding its progress
+        as stream events; returns ``(result, error)`` — or None when
+        :meth:`stop` killed it.  A process that dies without answering is
+        an error naming its signal or exit code."""
         job.simulations += 1
-        if job.kind in ("workload", "sweep"):
-            job.result = self._run_workloads(job)
-        elif job.kind == "scenario":
-            job.result = self._run_scenario(job)
-        else:
-            job.result = self._run_chaos(job)
+        with self._spawn_lock:
+            proc, conn = forked.spawn(self._job_main, job, daemon=False)
+            pid = proc.pid
+            try:
+                os.setpgid(pid, pid)  # the child does too; whoever is first
+            except OSError:
+                pass  # it already has, or is already gone
+            with self._cond:
+                self._running[job.job_id] = _Running(
+                    tenant, slot, pid, conn, time.monotonic())
+                if self._stopping:
+                    _kill_group(pid)  # stop() came before it was listed
+        answer = None
+        try:
+            answer = self._relay(job, proc, conn)
+        except (EOFError, OSError):
+            pass  # died mid-message
+        except Exception as exc:  # noqa: BLE001 - what it sent will not load
+            answer = (None, None, "job process answer unreadable: "
+                      f"{type(exc).__name__}: {exc}".splitlines()[0])
+        with self._cond:
+            del self._running[job.job_id]
+            stopping = self._stopping
+        if answer is not None:
+            proc.join(EXIT_GRACE_S)  # nothing left for it to do but exit
+        _kill_group(pid)  # whatever it forked goes with it
+        code = forked.reap(proc, conn)
+        if answer is None:
+            if stopping:
+                return None
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            return None, f"job process died: {how}"
+        result, run, error = answer
+        if run is not None and self.store_dir is not None:
+            from repro.harness.figures import record_figure
+
+            with self._store_lock:
+                rec, spec = record_figure(self.store_dir, run)
+            job.record_id = result["record_id"] = rec.record_id
+            job.scenario_id = result["scenario_id"] = spec.scenario_id()
+        return result, error
+
+    def _relay(self, job: Job, proc, conn):
+        """Forward the job process's progress messages until it answers
+        (returns the answer) or is found dead with nothing left to read
+        (returns None)."""
+        while True:
+            if conn.poll(LIVENESS_POLL_S):
+                kind, *body = conn.recv()
+                if kind == "answer":
+                    return body
+                with self._cond:
+                    self._emit(job, protocol.event(
+                        "progress", job=job.job_id, **body[0]))
+            elif not proc.is_alive() and not conn.poll():
+                return None
+
+    # --------------------------------------------- inside the job process
+
+    def _job_main(self, conn, job: Job) -> None:
+        """The job process: run ``job`` down the same path a direct caller
+        takes and answer ``(result, figure run to record, error)``.  It
+        holds a fork-time copy of the daemon and uses none of it that is
+        shared — not the lock, the journal, the job table or the store's
+        index; what those need travels back over ``conn``."""
+        os.setpgid(0, 0)  # one group: reaped together with what we fork
+        self._server.socket.close()  # the daemon's port is the daemon's
+        for other in self._running.values():
+            other.conn.close()  # a sibling's pipe is not ours to hold open
+        run = error = None
+        try:
+            if job.kind in ("workload", "sweep"):
+                job.result = self._run_workloads(job, conn)
+            elif job.kind == "scenario":
+                job.result, run = self._run_scenario(job, conn)
+            else:
+                job.result = self._run_chaos(job, conn)
+        except Exception as exc:  # noqa: BLE001 - the job's failure, reported
+            error = f"{type(exc).__name__}: {exc}"
+        try:
+            conn.send(("answer", job.result, run, error))
+        except OSError:
+            pass  # the daemon is gone, and with it the point of answering
 
     def _outcome_dict(self, outcome) -> dict[str, Any]:
         res = outcome.result
@@ -396,7 +529,7 @@ class ReproService:
             "result": res.to_dict() if hasattr(res, "to_dict") else res,
         }
 
-    def _run_workloads(self, job: Job) -> dict[str, Any]:
+    def _run_workloads(self, job: Job, conn) -> dict[str, Any]:
         from repro.harness import scaled_config
         from repro.harness.parallel import WorkloadJob, run_jobs
 
@@ -415,7 +548,7 @@ class ReproService:
             for apps in workloads
         ]
         outcomes = run_jobs(
-            wjobs, n_jobs=self.n_jobs, progress=self._progress(job),
+            wjobs, n_jobs=self.n_jobs, progress=_Progress(conn),
             retries=self.retries, checkpoint=self._ckpt_dir,
             bus=self._bus_dir,
         )
@@ -435,8 +568,9 @@ class ReproService:
             )
         return out
 
-    def _run_scenario(self, job: Job) -> dict[str, Any]:
-        from repro.harness import figures as fg
+    def _run_scenario(self, job: Job, conn):
+        """``(result, figure run)``: recording the run is the daemon's."""
+        from repro.harness.figures import run_figure
         from repro.harness.parallel import (
             set_default_progress,
             set_sweep_defaults,
@@ -446,59 +580,36 @@ class ReproService:
         params = resolved.get("params") or {}
         # The figure drivers run their own sweeps; route them through the
         # daemon's checkpoint + bus dirs via the ambient sweep defaults
-        # (single scheduler thread, so the globals are uncontended) — the
+        # (this process's own, and it runs nothing after this job) — the
         # same pattern `repro fig*` uses for --resume-dir/--sweep-trace.
-        set_default_progress(lambda total: self._progress(job))
+        set_default_progress(lambda total: _Progress(conn))
         set_sweep_defaults(
             retries=self.retries, checkpoint_dir=self._ckpt_dir,
             bus_dir=self._bus_dir,
         )
-        try:
-            run = fg.run_figure(
-                resolved["name"], seed=resolved.get("seed"),
-                jobs=self.n_jobs, cache_dir=self.cache_dir, **params,
-            )
-        finally:
-            set_default_progress(None)
-            set_sweep_defaults(timeout_s=None, retries=0,
-                               checkpoint_dir=None, bus_dir=None,
-                               profile=False)
-            from repro.obs import bus as obs_bus
-
-            obs_bus.deactivate()
+        run = run_figure(
+            resolved["name"], seed=resolved.get("seed"),
+            jobs=self.n_jobs, cache_dir=self.cache_dir, **params,
+        )
         out: dict[str, Any] = {
             "kind": "scenario",
             "figure": run.name,
             "payload": run.payload,
         }
-        if self.store_dir is not None:
-            rec, spec = fg.record_figure(self.store_dir, run)
-            job.record_id = rec.record_id
-            job.scenario_id = spec.scenario_id()
-            out["record_id"] = rec.record_id
-            out["scenario_id"] = job.scenario_id
-        return out
+        # The live result object stays here: the record is made of the rest.
+        return out, dataclasses.replace(run, result=None)
 
-    def _run_chaos(self, job: Job) -> dict[str, Any]:
-        from repro.faults import chaos as ch
+    def _run_chaos(self, job: Job, conn) -> dict[str, Any]:
         from repro.faults.chaos import ChaosJob
         from repro.harness.parallel import run_jobs
 
         self._chaos_dir.mkdir(parents=True, exist_ok=True)
         spec = job.spec
         # Modes that kill or corrupt their own process (os._exit, poisoned
-        # pickles) are only safe inside pool workers; run_jobs goes inline
-        # when min(n_jobs, len(jobs)) <= 1, which would take the daemon
-        # down with the job.  Fail such submissions cleanly instead.
-        lethal = sorted({
-            e["mode"] for e in spec["jobs"]
-            if e["mode"] in (ch.MODE_EXIT, ch.MODE_FLAKY, ch.MODE_BAD_RESULT)
-        })
-        if lethal and min(self.n_jobs or 1, len(spec["jobs"])) <= 1:
-            raise RuntimeError(
-                f"chaos modes {lethal} need a pooled run: submit >= 2 jobs "
-                "to a daemon started with --jobs >= 2"
-            )
+        # pickles) are absorbed per sub-job only by pool workers; where
+        # run_jobs goes inline (min(n_jobs, len(jobs)) <= 1) they take this
+        # job process down, or poison its answer, and the daemon settles
+        # the whole job as failed, saying how it died.
         cjobs = [
             ChaosJob(
                 name=f"{job.job_id[:12]}-{i}", mode=entry["mode"],
@@ -509,7 +620,7 @@ class ReproService:
             for i, entry in enumerate(spec["jobs"])
         ]
         outcomes = run_jobs(
-            cjobs, n_jobs=self.n_jobs, progress=self._progress(job),
+            cjobs, n_jobs=self.n_jobs, progress=_Progress(conn),
             retries=spec["retries"], bus=self._bus_dir,
         )
         out = {
@@ -620,13 +731,26 @@ class ReproService:
         records = read_bus(self._bus_dir)
         return SweepStats.from_records(records).to_dict()
 
+    def running(self) -> list[dict[str, Any]]:
+        """The jobs in a slot right now (caller holds the lock)."""
+        now = time.monotonic()
+        return [
+            {"job": job_id, "tenant": r.tenant, "slot": r.slot,
+             "running_s": round(now - r.admitted_t, 3)}
+            for job_id, r in self._running.items()
+        ]
+
     def health(self) -> dict[str, Any]:
+        with self._lock:
+            running = self.running()
         return {
             "schema": protocol.SCHEMA,
             "ok": True,
             "pid": os.getpid(),
             "jobs": len(self.jobs),
             "pending": len(self.queue),
+            "slots": self.slots,
+            "running": running,
             "policy": self.queue.policy,
             "store": self.store_dir,
         }
@@ -681,6 +805,8 @@ def _make_handler(service: ReproService):
                 elif path == "/v1/queue":
                     with service._lock:
                         snap = service.queue.snapshot()
+                        snap["slots"] = service.slots
+                        snap["running"] = service.running()
                     self._json(200, snap)
                 elif path == "/v1/report":
                     self._json(200, service.report())

@@ -11,7 +11,11 @@ the tenant been **alone on the daemon** — computed against a per-tenant
 virtual clock, so a tenant queueing behind its own backlog is not counted
 as unfairness (its isolated service would have queued too; this is the
 standard shared-vs-alone slowdown from the scheduling literature, and the
-exact analogue of the paper's alone-run denominator).
+exact analogue of the paper's alone-run denominator).  The daemon serves
+``servers`` requests at once (one per slot), so "alone on the daemon" is a
+``servers``-server clock too: a lone tenant's first ``servers`` outstanding
+requests start at once in isolation as they do in fact, and only the ones
+beyond that queue behind its own backlog.
 
 Two policies:
 
@@ -40,6 +44,7 @@ daemon drives it under its own lock, tests drive it with simulated time.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from collections import deque
@@ -156,6 +161,7 @@ class AdmissionQueue:
         self,
         policy: str = "fair",
         *,
+        servers: int = 1,
         default_est_s: float = DEFAULT_EST_S,
         clock: Callable[[], float] | None = None,
         registry: MetricsRegistry | None = None,
@@ -167,7 +173,10 @@ class AdmissionQueue:
                 f"unknown queue policy {policy!r}; "
                 f"choose from {list(QUEUE_POLICIES)}"
             )
+        if servers < 1:
+            raise ValueError(f"servers must be >= 1, not {servers}")
         self.policy = policy
+        self.servers = servers
         self.default_est_s = default_est_s
         self._clock = clock if clock is not None else time.monotonic
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -175,7 +184,9 @@ class AdmissionQueue:
         self._pending: dict[str, deque[QueuedRequest]] = {}
         self._order = itertools.count()  # FIFO tiebreak across tenants
         self._fifo: deque[QueuedRequest] = deque()
-        self._iso_tail: dict[str, float] = {}  # tenant virtual clock
+        #: Tenant virtual clock: when each of the (at most ``servers``)
+        #: isolated servers it has occupied comes free — a heap.
+        self._iso_free: dict[str, list[float]] = {}
         self._est: dict[str, float] = {}       # per-tenant service EWMA
         self._completed: deque[QueuedRequest] = deque(maxlen=completed_limit)
         self._rids = itertools.count(1)
@@ -205,8 +216,12 @@ class AdmissionQueue:
         est = est_s if est_s is not None else self.estimate_for(tenant)
         est = max(est, 1e-9)
         # The tenant's virtual clock: had it been alone, this request would
-        # start after the tenant's own previous request finished.
-        iso_start = max(now, self._iso_tail.get(tenant, now))
+        # start once one of the daemon's servers was free of the tenant's
+        # own earlier requests.
+        free = self._iso_free.setdefault(tenant, [])
+        iso_start = now
+        if len(free) == self.servers:
+            iso_start = max(now, heapq.heappop(free))
         req = QueuedRequest(
             rid=f"r{next(self._rids)}",
             job_id=job_id,
@@ -215,7 +230,7 @@ class AdmissionQueue:
             submit_t=now,
             iso_finish_t=iso_start + est,
         )
-        self._iso_tail[tenant] = req.iso_finish_t
+        heapq.heappush(free, req.iso_finish_t)
         self._pending.setdefault(tenant, deque()).append(req)
         self._fifo.append(req)
         self.submitted += 1
@@ -259,6 +274,8 @@ class AdmissionQueue:
             candidates={r.tenant: r.slowdown(now) for r in heads},
         ))
         self.registry.gauge("service.queue.pending").set(len(self))
+        self.registry.gauge("service.queue.running").set(
+            self.scheduled - self.completed)
         return chosen
 
     def cancel(self, rid: str) -> QueuedRequest | None:
@@ -292,6 +309,8 @@ class AdmissionQueue:
                 else EST_ALPHA * service + (1.0 - EST_ALPHA) * prev
             )
         self.registry.counter("service.queue.completed").inc()
+        self.registry.gauge("service.queue.running").set(
+            self.scheduled - self.completed)
         self.registry.histogram("service.queue.wait_s").observe(
             req.wait_s(now)
         )

@@ -19,7 +19,10 @@ Four layers, cheapest first:
 
 from __future__ import annotations
 
+import heapq
+import inspect
 import json
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -138,19 +141,34 @@ class TestProtocol:
 # ----------------------------------------------------------- fairness queue
 
 
-def _drain_adversarial(policy: str, *, n_flood: int = 20,
-                       est: float = 1.0) -> dict:
-    """The pinned adversarial load: a flooder dumps ``n_flood`` requests at
-    t=0, a trickler submits one at t=0.5, service takes ``est`` seconds."""
-    q = AdmissionQueue(policy, default_est_s=est)
-    for i in range(n_flood):
+def _serve(q: AdmissionQueue, now: float, busy: list | None = None) -> float:
+    """Drive ``q`` the way the daemon's slots do, in simulated time: each
+    of ``q.servers`` servers takes the next request as soon as it is free
+    and holds it for the request's ``est_s``.  ``busy`` (a heap of
+    ``(finish, rid, request)``) carries requests in service across calls;
+    without it the queue is drained.  Returns the time reached."""
+    drain = busy is None
+    busy = [] if busy is None else busy
+    while True:
+        while len(q) and len(busy) < q.servers:
+            req = q.next(now=now)
+            heapq.heappush(busy, (now + req.est_s, req.rid, req))
+        if not busy or not drain:
+            return now
+        now, _, req = heapq.heappop(busy)
+        q.complete(req, now=now)
+
+
+def _drain_adversarial(policy: str, *, servers: int = 1, est: float = 1.0
+                       ) -> dict:
+    """The pinned adversarial load: a flooder dumps 20 requests per server
+    at t=0, a trickler submits one at t=0.5, service takes ``est``
+    seconds."""
+    q = AdmissionQueue(policy, servers=servers, default_est_s=est)
+    for i in range(20 * servers):
         q.submit("flooder", f"f{i}", est_s=est, now=0.0)
     q.submit("trickler", "t0", est_s=est, now=0.5)
-    now = 0.5
-    while len(q):
-        req = q.next(now=now)
-        now += est
-        q.complete(req, now=now)
+    now = _serve(q, 0.5)
     fair = q.fairness(now=now)
     fair["audit_total"] = q.audit.total
     fair["metrics"] = q.registry.snapshot()
@@ -158,11 +176,11 @@ def _drain_adversarial(policy: str, *, n_flood: int = 20,
 
 
 class TestAdmissionQueue:
-    def test_adversarial_fair_beats_fifo(self):
+    def test_adversarial_fair_beats_fifo(self, servers=1):
         # The ISSUE's acceptance gate: under flooder + trickler, the fair
         # policy's max/min tenant slowdown is strictly lower than FIFO's.
-        fair = _drain_adversarial("fair")
-        fifo = _drain_adversarial("fifo")
+        fair = _drain_adversarial("fair", servers=servers)
+        fifo = _drain_adversarial("fifo", servers=servers)
         assert fair["unfairness"] < fifo["unfairness"]
         # And not marginally: FIFO makes the trickler wait out the whole
         # flood (slowdown ~ n_flood) while fair admits it within a couple
@@ -171,12 +189,71 @@ class TestAdmissionQueue:
         assert fair["unfairness"] < 2.0
         assert fair["tenants"]["trickler"] < fifo["tenants"]["trickler"]
 
+    def test_adversarial_fair_beats_fifo_on_two_slots(self):
+        self.test_adversarial_fair_beats_fifo(servers=2)
+
     def test_uncontended_tenant_scores_one(self):
         q = AdmissionQueue("fair", default_est_s=5.0)
         q.submit("solo", "j1", now=0.0)
         req = q.next(now=0.0)
         q.complete(req, now=2.0)  # actual service 2s, nobody else around
         assert q.tenant_slowdowns(now=2.0)["solo"] == pytest.approx(1.0)
+
+    def test_two_at_once_on_two_slots_both_score_one(self):
+        # Both start at once, as they would with the tenant alone on a
+        # two-slot daemon; against a one-server clock the second would be
+        # "expected" a service time later and score 0.5.
+        q = AdmissionQueue("fair", servers=2, default_est_s=5.0)
+        q.submit("solo", "j1", now=0.0)
+        q.submit("solo", "j2", now=0.0)
+        first, second = q.next(now=0.0), q.next(now=0.0)
+        q.complete(first, now=2.0)
+        q.complete(second, now=2.5)
+        assert first.slowdown(3.0) == pytest.approx(1.0)
+        assert second.slowdown(3.0) == pytest.approx(1.0)
+        # The third of three at once queues behind its own backlog, alone
+        # or not: one estimated service time, then its own.
+        burst = [q.submit("hog", f"h{i}", est_s=1.0, now=3.0)
+                 for i in range(3)]
+        assert [r.isolated_s for r in burst] == pytest.approx([1.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="servers"):
+            AdmissionQueue("fair", servers=0)
+
+    @pytest.mark.parametrize("servers", [1, 2, 4])
+    @settings(max_examples=25, deadline=None)
+    @given(load=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=3.0),    # gap before
+                  st.floats(min_value=0.1, max_value=5.0)),   # service time
+        min_size=1, max_size=12,
+    ))
+    def test_tenant_alone_on_k_slots_scores_one(self, servers, load):
+        # "Uncontended = 1.0" on any slot count: whatever a lone tenant's
+        # arrival pattern, each request's completed slowdown is 1 — its
+        # waits are all behind its own backlog, which the k-server isolated
+        # clock charges to it exactly as the k slots do.
+        q = AdmissionQueue("fair", servers=servers)
+        busy: list = []
+        done = []
+        now = 0.0
+        arrivals = iter(load)
+        pending = next(arrivals, None)
+        arrive_t = pending[0] if pending else None
+        while pending is not None or busy:
+            if busy and (pending is None or busy[0][0] <= arrive_t):
+                now, _, req = heapq.heappop(busy)
+                q.complete(req, now=now)
+                done.append(req)
+            else:
+                now = arrive_t
+                q.submit("solo", f"j{len(done) + len(busy) + len(q)}",
+                         est_s=pending[1], now=now)
+                pending = next(arrivals, None)
+                if pending is not None:
+                    arrive_t = now + pending[0]
+            _serve(q, now, busy)
+        assert len(done) == len(load)
+        for req in done:
+            assert req.slowdown(now) == pytest.approx(1.0, abs=1e-9)
 
     def test_own_backlog_is_not_unfairness(self):
         # A tenant queueing behind itself would have queued alone too.
@@ -231,18 +308,13 @@ class TestAdmissionQueue:
         assert len(q) == 1
         assert q.next(now=1.0).job_id == "j2"
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n_flooders=st.integers(min_value=1, max_value=5),
-        backlog=st.integers(min_value=1, max_value=10),
-        est=st.floats(min_value=0.1, max_value=10.0),
-        refill=st.lists(st.booleans(), min_size=0, max_size=40),
-    )
-    def test_no_starvation_property(self, n_flooders, backlog, est, refill):
+    @staticmethod
+    def _never_starved(servers, n_flooders, backlog, est, refill):
         # However hard flooders push, a tenant's pending head is overtaken
         # at most once per competing head plus the work already pending at
-        # submission time — it is always served.
-        q = AdmissionQueue("fair", default_est_s=est)
+        # submission time — it is always served, whatever the slot count
+        # (the servers take a request each, in lockstep: equal estimates).
+        q = AdmissionQueue("fair", servers=servers, default_est_s=est)
         now, jid = 0.0, 0
         for f in range(n_flooders):
             for _ in range(backlog):
@@ -252,19 +324,42 @@ class TestAdmissionQueue:
         q.submit("trickler", "target", est_s=est, now=now)
         overtakes = 0
         refills = iter(refill + [True] * 1000)  # keep the pressure on
-        while True:
-            req = q.next(now=now)
-            if req.tenant == "trickler":
-                break
-            overtakes += 1
+        served = False
+        while not served:
+            batch = []
+            for _ in range(servers):
+                req = q.next(now=now)
+                if req.tenant == "trickler":
+                    served = True
+                    break
+                overtakes += 1
+                batch.append(req)
             now += est
-            q.complete(req, now=now)
+            for req in batch:
+                q.complete(req, now=now)
             for f in range(n_flooders):
                 if next(refills):
                     q.submit(f"f{f}", f"j{jid}", est_s=est, now=now)
                     jid += 1
             assert overtakes <= pending_before + n_flooders, "starved"
-        assert overtakes <= pending_before + n_flooders
+
+    _flood = dict(
+        n_flooders=st.integers(min_value=1, max_value=5),
+        backlog=st.integers(min_value=1, max_value=10),
+        est=st.floats(min_value=0.1, max_value=10.0),
+        refill=st.lists(st.booleans(), min_size=0, max_size=40),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_flood)
+    def test_no_starvation_property(self, n_flooders, backlog, est, refill):
+        self._never_starved(1, n_flooders, backlog, est, refill)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_flood)
+    def test_no_starvation_property_on_two_slots(self, n_flooders, backlog,
+                                                 est, refill):
+        self._never_starved(2, n_flooders, backlog, est, refill)
 
 
 # ------------------------------------------------------------ live daemon
@@ -322,15 +417,20 @@ class TestHttpRoundTrip:
         assert done["job"] == job_id and done["error"] is None
 
     def test_cancel_round_trip_golden(self, daemon):
-        _, client = daemon
+        svc, client = daemon
         golden = json.loads(GOLDEN.read_text())
-        # A blocker occupies the single scheduler thread long enough for
-        # the target to still be queued when the cancel lands.
-        blocker = client.submit(
-            "workload", {"apps": ["NN", "VA"], "cycles": 120000},
-            tenant="alice",
-        )
-        _wait_status(client, blocker["job"], ("running", "done"))
+        # A blocker per slot occupies the daemon long enough for the target
+        # to still be queued when the cancel lands.
+        blockers = [
+            client.submit(
+                "workload", {"apps": ["NN", "VA"], "cycles": 120000 - slot},
+                tenant="alice",
+            )
+            for slot in range(svc.slots)
+        ]
+        for blocker in blockers:
+            _wait_status(client, blocker["job"], ("running", "done"))
+        blocker = blockers[0]
         target = client.submit(
             "workload", {"apps": ["BS", "AA"], "cycles": 120001},
             tenant="bob",
@@ -419,6 +519,248 @@ class TestHttpRoundTrip:
         assert report["ok"] >= 1
 
 
+def _serving(tmp_path, **kw):
+    """A started daemon of the test's own: ``(service, client, thread)``."""
+    svc = ReproService(tmp_path / "state", **kw)
+    svc.start()
+    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread.start()
+    client = ServiceClient(state_dir=str(tmp_path / "state"), timeout_s=180.0)
+    return svc, client, thread
+
+
+def _wait_running(client, n, timeout_s=30.0):
+    """Poll /v1/queue until ``n`` jobs are in a slot at the same instant."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        running = client.queue()["running"]
+        if len(running) == n:
+            return running
+        time.sleep(0.02)
+    raise AssertionError(f"never saw {n} jobs running at once")
+
+
+def _group_gone(pgid, timeout_s=5.0):
+    """Whether process group ``pgid`` empties out (its orphaned members are
+    reaped by init, which takes a moment)."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def _journal(svc):
+    return [json.loads(line) for line in
+            (svc.state_dir / JOURNAL_FILE).read_text().splitlines()]
+
+
+two_slots = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="one usable CPU: the daemon has one slot",
+)
+
+
+@pytest.mark.slow
+class TestJobProcesses:
+    """Every admitted job runs in a job process of its own; the daemon
+    coordinates, with one slot per usable CPU."""
+
+    def test_slot_rule(self, tmp_path):
+        cpus = len(os.sched_getaffinity(0))
+        assert ReproService(tmp_path / "a").slots == cpus
+        assert ReproService(tmp_path / "a").queue.servers == cpus
+        # An explicit --jobs already says how many processes a job may use.
+        assert ReproService(tmp_path / "b", jobs=1).slots == 1
+        assert ReproService(tmp_path / "c", jobs=4).slots == 1
+
+    @two_slots
+    def test_tenants_jobs_overlap_with_the_direct_results(
+            self, daemon, tmp_path):
+        # A workload, a sweep and a scenario from three tenants, at least
+        # two of them in a slot at the same instant: each is what the direct
+        # call gives.
+        from repro.harness import (
+            WorkloadJob, run_jobs, run_workload, scaled_config)
+        from repro.harness.figures import record_figure, run_figure
+
+        svc, client = daemon
+        assert client.health()["slots"] == svc.slots >= 2
+        pair = {"apps": ["QR", "SB"], "cycles": 24_000, "seed": 31}
+        sweep = {"workloads": [["SD", "VA"], ["CT", "QR"]],
+                 "cycles": 24_000, "seed": 32}
+        fig = {"name": "fig4", "seed": 33}
+        served = {
+            "scenario": client.submit("scenario", fig, tenant="carol"),
+            "sweep": client.submit("sweep", sweep, tenant="bob"),
+            "workload": client.submit("workload", pair, tenant="alice"),
+        }
+        running = _wait_running(client, 2)
+        assert {r["slot"] for r in running} == {0, 1}
+        assert all(r["running_s"] >= 0.0 for r in running)
+        snap = client.queue()
+        assert snap["slots"] == svc.slots
+        assert snap["metrics"]["service.queue.running"]["type"] == "gauge"
+        final = {k: client.wait(r["job"]) for k, r in served.items()}
+        assert [f["status"] for f in final.values()] == ["done"] * 3
+        admitted = [e for e in client.stream(served["workload"]["job"])
+                    if e["event"] == "admitted"]
+        assert admitted[0]["slot"] in range(svc.slots)
+
+        direct = run_workload(pair["apps"], config=scaled_config(seed=31),
+                              shared_cycles=24_000)
+        assert final["workload"]["result"]["result"] == direct.to_dict()
+        outcomes = run_jobs([
+            WorkloadJob(apps=tuple(apps), config=scaled_config(seed=32),
+                        shared_cycles=24_000)
+            for apps in sweep["workloads"]
+        ])
+        assert [o["result"] for o in final["sweep"]["result"]["outcomes"]
+                ] == [o.result.to_dict() for o in outcomes]
+        rec, spec = record_figure(str(tmp_path / "direct"),
+                                  run_figure("fig4", seed=33))
+        assert final["scenario"]["record_id"] == rec.record_id
+        assert final["scenario"]["scenario_id"] == spec.scenario_id()
+        assert final["scenario"]["result"]["record_id"] == rec.record_id
+
+    @two_slots
+    def test_a_killed_job_process_fails_its_job_only(self, tmp_path):
+        from repro.harness import run_workload, scaled_config
+
+        svc, client, thread = _serving(tmp_path)
+        try:
+            doomed_spec = {"apps": ["NN", "VA"], "cycles": 60_000, "seed": 41}
+            sibling_spec = {"apps": ["SD", "SB"], "cycles": 24_000,
+                            "seed": 41}
+            doomed = client.submit("workload", doomed_spec, tenant="alice")
+            sibling = client.submit("workload", sibling_spec, tenant="bob")
+            _wait_running(client, 2)
+            pid = svc._running[doomed["job"]].pid
+            os.kill(pid, signal.SIGKILL)
+            # The stream ends with the terminal event: nobody hangs on it.
+            events = list(client.stream(doomed["job"]))
+            assert events[-1]["event"] == "failed"
+            assert events[-1]["error"] == "job process died: signal 9"
+            failed = client.status(doomed["job"])
+            assert failed["status"] == "failed"
+            assert failed["error"] == "job process died: signal 9"
+            assert _group_gone(pid)  # its helpers went with it
+            assert {"t": "terminal", "state": "failed"}.items() <= next(
+                r for r in _journal(svc)
+                if r["t"] == "terminal" and r["job"] == doomed["job"]
+            ).items()
+            ok = client.wait(sibling["job"])
+            assert ok["status"] == "done"
+            direct = run_workload(sibling_spec["apps"],
+                                  config=scaled_config(seed=41),
+                                  shared_cycles=24_000)
+            assert ok["result"]["result"] == direct.to_dict()
+            assert client.health()["ok"] is True
+            # The failed spec, resubmitted, is a fresh attempt.
+            again = client.submit("workload", doomed_spec, tenant="alice")
+            assert again["deduped"] is False
+            assert client.wait(again["job"])["status"] == "done"
+        finally:
+            svc.stop()
+            thread.join(timeout=10.0)
+        assert multiprocessing.active_children() == []
+
+    def test_vanishing_raising_and_unreadable_job_processes(self, tmp_path):
+        # No pool to absorb them (one sub-job runs inline in the job
+        # process): the job process itself hard-exits, or answers with a
+        # pickle that detonates on load.  The daemon names what happened.
+        svc, client, thread = _serving(tmp_path, allow_chaos=True)
+        try:
+            def settle(kind, spec):
+                job = client.submit(kind, spec)["job"]
+                events = list(client.stream(job))
+                status = client.status(job)
+                assert events[-1]["event"] == status["status"]
+                assert "\n" not in (status["error"] or "")
+                return status
+
+            gone = settle("chaos", {"jobs": [{"mode": "exit"}]})
+            assert (gone["status"], gone["error"]) == (
+                "failed", "job process died: exit code 17")
+            raised = settle("scenario", {"id": "0123456789abcdef"})
+            assert raised["status"] == "failed"
+            assert raised["error"].startswith(
+                "ValueError: no servable scenario matches id")
+            poisoned = settle("chaos", {"jobs": [{"mode": "bad-result"}]})
+            assert poisoned["status"] == "failed"
+            assert poisoned["error"] == (
+                "job process answer unreadable: RuntimeError: "
+                "result unpicklable (chaos bad-result)")
+            # A lone flaky job used to be refused ("need a pooled run"):
+            # now its first attempt costs one job process, and the retry —
+            # a resubmission, run fresh — finds its attempt counter.
+            flaky = {"jobs": [{"mode": "flaky", "payload": 7,
+                               "flaky_failures": 1}]}
+            first = settle("chaos", flaky)
+            assert (first["status"], first["error"]) == (
+                "failed", "job process died: exit code 23")
+            second = settle("chaos", flaky)
+            assert second["status"] == "done"
+            assert second["result"]["outcomes"][0]["result"]["payload"] == 7
+            assert client.health()["ok"] is True
+            states = {r["job"]: r["state"] for r in _journal(svc)
+                      if r["t"] == "terminal"}
+            assert states[gone["job"]] == "failed"
+            assert states[second["job"]] == "done"
+        finally:
+            svc.stop()
+            thread.join(timeout=10.0)
+        assert multiprocessing.active_children() == []
+
+    def test_stop_reaps_and_the_next_start_reruns(self, tmp_path):
+        spec = {"apps": ["NN", "VA"], "cycles": 60_000, "seed": 51}
+        svc, client, thread = _serving(tmp_path)
+        job = client.submit("workload", spec, tenant="alice")["job"]
+        _wait_running(client, 1)
+        pid = svc._running[job].pid
+        svc.stop()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert multiprocessing.active_children() == []
+        assert _group_gone(pid)  # the whole group: helpers too
+        assert not any(t.is_alive() for t in svc._slot_threads)
+        # No terminal record: to the journal it is a kill -9.
+        assert [r["t"] for r in _journal(svc)] == ["submit"]
+        svc.stop()  # idempotent
+
+        svc, client, thread = _serving(tmp_path)
+        try:
+            final = client.wait(job, timeout_s=60.0)
+            assert final["status"] == "done"
+            assert final["result"]["result"]["names"] == ["NN", "VA"]
+        finally:
+            svc.stop()
+            thread.join(timeout=10.0)
+        assert multiprocessing.active_children() == []
+
+    def test_only_the_daemon_process_writes_journal_events_and_store(self):
+        # What runs inside the job process — its entry point and everything
+        # of the daemon's that it calls — touches none of the daemon's
+        # shared state: those writes happen on the other side of the pipe.
+        from repro.service import daemon as d
+
+        inside = [d.ReproService._job_main, d.ReproService._run_workloads,
+                  d.ReproService._run_scenario, d.ReproService._run_chaos,
+                  d.ReproService._outcome_dict, d._Progress]
+        forbidden = ("_journal", "_emit", "record_figure", "_cond", "_lock",
+                     "self.jobs", "self.queue", "_store(")
+        for fn in inside:
+            code = "\n".join(
+                line.split("#")[0]
+                for line in inspect.getsource(fn).splitlines())
+            assert not [w for w in forbidden if w in code], fn.__qualname__
+        # ... and the other side is the only one that forks.
+        assert "forked.spawn" in inspect.getsource(d.ReproService._execute)
+
+
 @pytest.mark.slow
 class TestSharedAloneTrajectories:
     def test_second_job_is_served_from_the_first_jobs_curve(self, tmp_path):
@@ -465,7 +807,7 @@ class TestSharedAloneTrajectories:
     def test_default_daemon_overlaps_a_jobs_private_replays(self, tmp_path):
         """`jobs=None` is run_jobs' default: on a host with a spare CPU a
         request's alone replays (all private — it is a one-job sweep) run
-        in helpers forked from the scheduler thread; the stored curve
+        in helpers forked from its job process; the stored curve
         still serves the second job, and the results are the direct
         run's."""
         import multiprocessing
