@@ -9,11 +9,11 @@ unpickling, or fail only on its first k attempts (flaky).  The chaos test
 suite (``tests/test_chaos_harness.py``) mixes these with healthy jobs and
 asserts that the sweep completes with per-job accounting intact.
 
-ChaosJob is a frozen top-level dataclass so it pickles cleanly into
-worker processes, and its cross-attempt state (how many times have I been
-tried?) lives in the filesystem (``state_dir``) rather than in the
-parent's memory — a retried job runs in a *different* process, possibly
-in a rebuilt pool, and must discover its own history.
+ChaosJob is a frozen top-level dataclass so it pickles cleanly, and its
+cross-attempt state (how many times have I been tried?) lives in the
+filesystem (``state_dir``) rather than in the parent's memory — each
+attempt of a pooled job runs in a forked process of its own, and a retry
+must discover its own history.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class _Unpicklable:
     transport — the truncated/corrupt-result case a real sweep can hit.
     """
 
-    def __reduce__(self):  # pragma: no cover - pickled inside pool workers
+    def __reduce__(self):  # pragma: no cover - pickled in job processes
         return (_explode, ())
 
 
@@ -80,7 +80,7 @@ class ChaosJob:
     def key(self) -> str:
         return f"chaos:{self.name}:{self.mode}:{self.payload}"
 
-    def _bump_attempts(self) -> int:  # pragma: no cover - pool workers only
+    def _bump_attempts(self) -> int:  # pragma: no cover - job processes only
         """Record one more attempt on disk; returns the attempt number
         (1-based).  Atomic enough for tests: attempts of one job never
         overlap because the harness retries sequentially."""
@@ -93,19 +93,18 @@ class ChaosJob:
         return n
 
     def execute(self):
-        # The exit/hang/bad-result/flaky branches run only inside pool
-        # workers that die without unwinding (os._exit, SIGKILL) or are
-        # torn down with the broken pool, so no coverage reporter can ever
-        # flush them; the chaos suite asserts their behaviour from the
-        # parent side instead.
+        # The exit/hang/bad-result/flaky branches run only inside forked
+        # job processes, which die without unwinding (os._exit, SIGKILL)
+        # or leave without flushing a coverage reporter; the chaos suite
+        # asserts their behaviour from the parent side instead.
         if self.mode == MODE_OK:
             return {"name": self.name, "payload": self.payload,
                     "pid": os.getpid()}
         if self.mode == MODE_RAISE:
             raise ValueError(f"chaos raise from {self.name}")
         if self.mode == MODE_EXIT:  # pragma: no cover
-            # fd 2 directly: the harness tees OS-level stderr per worker,
-            # and a hard exit gives Python no chance to flush wrappers.
+            # fd 2 directly: the harness captures each job process's
+            # OS-level stderr, and a hard exit flushes no Python wrappers.
             os.write(2, f"chaos: {self.name} exiting hard\n".encode())
             os._exit(17)
         if self.mode == MODE_HANG:  # pragma: no cover

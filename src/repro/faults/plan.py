@@ -11,7 +11,7 @@ first when its sampling rate is cut.
 A :class:`FaultPlan` names which of those distortions to apply, per
 application, with what intensity.  It is a pure value object — frozen,
 hashable, picklable — so it can ride inside a
-:class:`~repro.harness.parallel.WorkloadJob` across a process pool and
+:class:`~repro.harness.parallel.WorkloadJob` into a job process and
 participate in job fingerprints.  All randomness is derived from
 ``plan.seed`` by the :class:`~repro.faults.inject.FaultInjector`, never
 from global state, so the same plan produces the same perturbation

@@ -1,14 +1,17 @@
 """The one way a helper process is forked: joined to its parent by a pipe.
 
-Two callers — a job's alone-replay helper (:class:`repro.harness.runner.
-_Chaser`) and the daemon's job process (:mod:`repro.service.daemon`) — need
-the same four things: the ``fork`` start method (no import or pickling
-cost, the child starts with what the parent holds), a duplex ``Pipe`` whose
-far end is closed on each side so that **EOF means the other side is
-gone**, ``SIGINT`` ignored in the child (^C reaches the parent, which reaps
-its children itself), and a reaping order — kill, join, close — that leaves
+Three callers — a job's alone-replay helper (:class:`repro.harness.runner.
+_Chaser`), a pooled sweep's job process (:mod:`repro.harness.parallel`)
+and the daemon's job process (:mod:`repro.service.daemon`) — need the same
+four things: the ``fork`` start method (no import or pickling cost, the
+child starts with what the parent holds), a duplex ``Pipe`` whose far end
+is closed on each side so that **EOF means the other side is gone**,
+``SIGINT`` ignored in the child (^C reaches the parent, which reaps its
+children itself), and a reaping order — kill, join, close — that leaves
 nothing for ``multiprocessing.active_children()`` to find.  What the child
-runs and what the two say to each other over the pipe is the caller's.
+runs and what the two say to each other over the pipe is the caller's;
+:func:`hear` is how a parent that waits for an answer tells an answer from
+a death, and says which death.
 
 Leaf module, no ``repro`` imports.
 """
@@ -18,6 +21,38 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+
+#: How long :func:`hear` waits on a silent child before checking that it is
+#: alive (a dead one's pipe stays open while a process it forked holds it).
+LIVENESS_POLL_S = 0.25
+
+
+class Lost(Exception):
+    """A child that will not answer: ``died`` with nothing left to read
+    (``how`` is ``"signal N"`` or ``"exit code N"``), or it sent something
+    that will not load (``how`` is the error's first line)."""
+
+    def __init__(self, how: str, died: bool) -> None:
+        super().__init__(f"died: {how}" if died else f"answer unreadable: {how}")
+        self.how = how
+        self.died = died
+
+
+def hear(proc, conn, timeout: float = LIVENESS_POLL_S):
+    """The next message ``proc`` sends on ``conn`` within ``timeout``, or
+    None while it is alive and silent; raises :class:`Lost` otherwise."""
+    if conn.poll(timeout):
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            proc.join()  # its end is closed: it has exited, or is exiting
+        except Exception as exc:  # noqa: BLE001 - what it sent will not load
+            how = f"{type(exc).__name__}: {exc}".splitlines()[0]
+            raise Lost(how, died=False) from None
+    elif proc.is_alive() or conn.poll():
+        return None
+    code = proc.exitcode
+    raise Lost(f"signal {-code}" if code < 0 else f"exit code {code}", died=True)
 
 
 def usable_cpus() -> int:
@@ -50,12 +85,10 @@ def _child(parent_end, main, conn, args) -> None:
     main(conn, *args)
 
 
-def reap(proc, conn) -> int:
+def reap(proc, conn) -> None:
     """Kill (a no-op on one that has exited), join and close ``proc``, and
-    close our end of its pipe; returns its exit code (``-N``: signal N)."""
+    close our end of its pipe."""
     proc.kill()
     proc.join()
-    code = proc.exitcode
     proc.close()
     conn.close()
-    return code

@@ -1,9 +1,9 @@
-"""Process-pool experiment runner, hardened against misbehaving workers.
+"""Sweep runner, hardened against misbehaving jobs.
 
 Figure sweeps are embarrassingly parallel: each shared run is independent
 of every other, and the simulator is deterministic, so a workload produces
-the same :class:`WorkloadResult` whether it runs inline, in a worker
-process, or is reconstructed from cache.  The alone replays are not
+the same :class:`WorkloadResult` whether it runs inline, in a job process,
+or is reconstructed from cache.  The alone replays are not
 independent, though: every pairing that contains an application replays
 the *same* alone trajectory, each to the instruction count its own shared
 run ended at.  A sweep therefore runs in **phases** — (1) every job's
@@ -18,74 +18,53 @@ fan-out machinery:
 * :class:`WorkloadJob` — a picklable description of one run (app names or
   :class:`KernelSpec` objects, config, cycles, partition, models, policy
   name, fault plan, cache directory);
-* :func:`run_jobs` — execute jobs across a ``ProcessPoolExecutor`` (or
-  inline for ``jobs <= 1``), returning :class:`JobOutcome` objects in
-  submission order with per-job failures captured instead of aborting the
-  sweep;
+* :func:`run_jobs` — execute jobs, each attempt in a forked process of
+  its own (or inline for ``jobs <= 1``), returning :class:`JobOutcome`
+  objects in submission order with per-job failures captured instead of
+  aborting the sweep;
 * :func:`workload_jobs` / :func:`run_workloads` — the convenience
   wrappers figure drivers use.
 
 Policies cross the process boundary by *name* (see :data:`POLICIES`), not
 as live objects, because a policy instance holds simulator state.
 
-Hardening (docs/parallel-harness.md): ``run_jobs`` survives workers that
+Hardening (docs/parallel-harness.md): ``run_jobs`` survives jobs that
 raise, die without unwinding (``os._exit``, SIGKILL, segfault), hang past
 a per-job timeout, or return results whose pickle explodes at the parent.
-A ``ProcessPoolExecutor`` whose worker dies hard marks *every* pending
-future ``BrokenProcessPool`` and becomes unusable, so the pooled path runs
-in **generations**: finished jobs settle permanently, unfinished ones
-carry over, and a generation that killed a worker or broke its pool hands
-the next one a fresh pool (a clean one keeps its workers, into the replay
-phase too).  Breadcrumb files
-written by the workers (``job-<i>.started`` / ``job-<i>.done``) let the
-parent reconstruct *which* job took the pool down:
+With ``n_jobs >= 2`` or a timeout every job attempt runs in a forked
+process of its own (:mod:`repro.forked`), at most ``n_jobs`` at once, so
+each failure has exactly one cause and charges exactly one job: the
+pickled answer is the outcome; a process dead with nothing to read is a
+crash (``crash``, with its signal or exit code and its stderr tail); an
+answer that will not unpickle is a lost result (``result-transport``);
+an attempt past the timeout is killed (``timeout``).
 
-* ``started`` + ``done`` but the future broke → result transport failed
-  (``result-transport``) — charged only when the job ran isolated, since
-  in a shared pool the lost result may be a sibling's fault;
-* ``started``, no ``done``, killed by the timeout enforcer → ``timeout``;
-* ``started``, no ``done``, pool died with no other explanation → crash
-  suspect (``crash``), with the worker's stderr tail attached — every
-  concurrently-running job is blamed (the pool cannot say which worker
-  died), so give crashy sweeps a retry budget;
-* never ``started`` → innocent bystander, requeued without spending an
-  attempt.
-
-Crash suspects are then **isolated**: the next generations run each
-suspect alone in a single-worker pool, so a further break is attributable
-to exactly that job and innocent bystanders of the original break finish
-their retry solo instead of being taken down by the real crasher again
-and again.
-
-Failed attempts retry up to ``retries`` times with exponential backoff +
-jitter.  Replay tasks are ``execute()``-style jobs in the same machinery,
-so all of the above holds for them; one that stays failed fails exactly
-the jobs waiting on it, with its ``failure_kind``.  ``checkpoint`` (a
-directory) makes completed jobs durable so an interrupted sweep resumes
-instead of restarting (:class:`repro.harness.checkpoint.SweepCheckpoint`);
+Failed attempts retry up to ``retries`` times, each after its own
+exponential backoff + jitter while the other jobs run on.  Replay tasks
+are ``execute()``-style jobs in the same machinery, so all of the above
+holds for them; one that stays failed fails exactly the jobs waiting on
+it, with its ``failure_kind``.  ``checkpoint`` (a directory) makes
+completed jobs durable so an interrupted sweep resumes instead of
+restarting (:class:`repro.harness.checkpoint.SweepCheckpoint`);
 a job is complete, and checkpointed, only once its replays are in.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
+import multiprocessing.connection
 import os
-import pathlib
 import random
 import shutil
-import signal
 import tempfile
 import time
 import traceback
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro import forked
 from repro.config import GPUConfig
-from repro.forked import usable_cpus
 from repro.harness.replay_cache import (
     AloneReplayCache,
     config_fingerprint,
@@ -112,13 +91,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.harness.checkpoint import SweepCheckpoint
     from repro.opensys.schedule import ArrivalSchedule
 
-#: Policies constructible inside a worker process, by name.  Each factory
+#: Policies constructible inside a job process, by name.  Each factory
 #: takes the resolved :class:`GPUConfig` of the run.
 POLICIES: dict[str, Callable[[GPUConfig], object]] = {}
 
 #: ``JobOutcome.failure_kind`` values.
 FAIL_EXCEPTION = "exception"          # job raised; traceback captured
-FAIL_CRASH = "crash"                  # worker died without unwinding
+FAIL_CRASH = "crash"                  # process died without unwinding
 FAIL_TIMEOUT = "timeout"              # killed by the per-job timeout
 FAIL_TRANSPORT = "result-transport"   # finished, result unpicklable/lost
 
@@ -165,13 +144,13 @@ class JobOutcome:
     """Result slot for one job, in submission order.
 
     Exactly one of ``result``/``error`` is set; ``error`` carries the
-    worker-side traceback text so a failed pair diagnoses itself without
+    job-side traceback text so a failed pair diagnoses itself without
     killing the other 104.  ``attempts`` counts executions (1 = first try
     succeeded); ``failure_kind`` classifies the *final* failure (one of
     :data:`FAIL_EXCEPTION`/:data:`FAIL_CRASH`/:data:`FAIL_TIMEOUT`/
-    :data:`FAIL_TRANSPORT`); ``stderr_tail`` is the dying worker's last
-    stderr output when one could be attributed; ``resumed`` marks results
-    restored from a sweep checkpoint rather than executed.
+    :data:`FAIL_TRANSPORT`); ``stderr_tail`` is the last stderr output of
+    the job process that failed it, when it wrote any; ``resumed`` marks
+    results restored from a sweep checkpoint rather than executed.
 
     ``duration_s`` is the job's shared run plus the alone-replay seconds
     attributable to it, so durations still sum to the sweep's busy time
@@ -272,8 +251,8 @@ class ReplayJob:
     through every instruction count the sweep's shared runs ended it at.
 
     ``counts`` holds one entry per asking (job, app), duplicates included.
-    An ``execute()``-style job, so it runs under the same timeout, retry,
-    crash-isolation and bus machinery as any other.
+    An ``execute()``-style job, so it runs under the same process, timeout,
+    retry and bus machinery as any other.
     """
 
     spec: KernelSpec
@@ -329,26 +308,6 @@ def _guarded(
                           failure_kind=FAIL_EXCEPTION)
 
 
-# --------------------------------------------------------------------------
-# Worker-side breadcrumbs: the parent cannot ask a dead worker what it was
-# doing, so workers leave evidence on disk *before* doing anything risky.
-# --------------------------------------------------------------------------
-
-
-def _worker_stderr_init(scratch: str) -> None:
-    """Pool initializer: tee this worker's OS-level stderr into the sweep
-    scratch directory, so a hard death (segfault banner, fatal-error dump,
-    anything written to fd 2) survives the process and can be attached to
-    the blamed job's outcome."""
-    try:
-        path = os.path.join(scratch, f"stderr-{os.getpid()}.log")
-        fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-        os.dup2(fd, 2)
-        os.close(fd)
-    except OSError:  # pragma: no cover - scratch vanished; run uncaptured
-        pass
-
-
 def _observed_run(
     index: int,
     job,
@@ -363,11 +322,11 @@ def _observed_run(
 ) -> JobOutcome:
     """Run one guarded attempt, bracketed by bus records when enabled.
 
-    Shared by the inline path and the pooled worker entry so both emit
+    Shared by the inline path and the pooled job process so both emit
     the same job_start/span/job_end stream (the inline==pooled SweepStats
     determinism contract).  ``serialize`` additionally times a result
     pickle round — the transport cost a pooled job pays and an inline one
-    does not, so it is only recorded in workers.
+    does not, so it is only recorded in job processes.
     """
     if ch is None:
         outcome = _guarded((index, job), private)
@@ -411,63 +370,6 @@ def _observed_run(
         failure_kind=outcome.failure_kind,
     )
     return outcome
-
-
-def _tracked(
-    index: int,
-    job,
-    scratch: str,
-    attempt: int,
-    sweep: str | None = None,
-    submit_ts: float | None = None,
-    bus_dir: str | None = None,
-    profile: bool = False,
-) -> JobOutcome:
-    """Worker entry point: breadcrumbs around the guarded execution."""
-    started = {
-        "pid": os.getpid(),
-        "t0": time.time(),
-        "key": getattr(job, "key", repr(job)),
-        "attempt": attempt,
-    }
-    base = pathlib.Path(scratch)
-    try:
-        (base / f"job-{index}.started").write_text(json.dumps(started))
-    except OSError:  # pragma: no cover - scratch vanished mid-sweep
-        pass
-    ch = obs_bus.activate(bus_dir) if bus_dir else None
-    outcome = _observed_run(
-        index, job, attempt, ch, sweep, profile, bus_dir,
-        submit_ts=submit_ts, serialize=ch is not None,
-    )
-    try:
-        (base / f"job-{index}.done").write_text("1")
-    except OSError:  # pragma: no cover
-        pass
-    return outcome
-
-
-def _read_started(scratch: pathlib.Path, index: int) -> dict | None:
-    try:
-        return json.loads((scratch / f"job-{index}.started").read_text())
-    except (OSError, ValueError):
-        return None
-
-
-def _stderr_tail(
-    scratch: pathlib.Path, started: dict | None, limit: int = 2000
-) -> str | None:
-    """Last ``limit`` characters the blamed worker wrote to stderr."""
-    if not started:
-        return None
-    try:
-        text = (scratch / f"stderr-{started['pid']}.log").read_text(
-            errors="replace"
-        )
-    except (OSError, KeyError):
-        return None
-    text = text.strip()
-    return text[-limit:] if text else None
 
 
 # --------------------------------------------------------------------------
@@ -542,29 +444,18 @@ def sweep_defaults() -> dict:
     return dict(_SWEEP_DEFAULTS)
 
 
-def _backoff_sleep(backoff_s: float, generation: int) -> None:
+def _backoff_s(backoff_s: float, attempt: int) -> float:
+    """How long a job waits after its failed ``attempt`` before the next:
+    ``backoff_s · 2^(attempt−1)``, capped at 30 s, ±25 % jitter."""
     if backoff_s <= 0:
-        return
-    delay = min(backoff_s * (2 ** generation), 30.0)
-    delay *= 1.0 + 0.25 * (2.0 * random.random() - 1.0)  # ±25% jitter
-    time.sleep(delay)
+        return 0.0
+    delay = min(backoff_s * (2 ** (attempt - 1)), 30.0)
+    return delay * (1.0 + 0.25 * (2.0 * random.random() - 1.0))
 
 
 # --------------------------------------------------------------------------
 # The sweep loop
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class _Pending:
-    """Parent-side state for one not-yet-settled job."""
-
-    job: object
-    attempts: int = 0            # attempts consumed so far
-    last: JobOutcome | None = None
-    #: Blamed for an unexplained pool break: next attempt runs isolated
-    #: (alone in a single-worker pool) so guilt becomes attributable.
-    suspect: bool = False
 
 
 def run_jobs(
@@ -579,9 +470,10 @@ def run_jobs(
     bus: "str | os.PathLike | None" = None,
     profile: bool | None = None,
 ) -> list[JobOutcome]:
-    """Execute ``jobs``, fanning out across ``n_jobs`` worker processes.
+    """Execute ``jobs``, up to ``n_jobs`` at once, each attempt in a forked
+    process of its own.
 
-    ``n_jobs`` of 1 (or 0) runs inline, strictly in this process (no pool,
+    ``n_jobs`` of 1 (or 0) runs inline, strictly in this process (no fork,
     no pickling) — handy for debugging and for callers that just want the
     failure-capturing contract.  None, the default, runs the jobs inline
     too, and where there is a spare CPU to do it on (:func:`_can_overlap`)
@@ -589,17 +481,17 @@ def run_jobs(
     other job of the sweep asks for — with that job's own shared run
     (docs/parallel-harness.md, "Overlapped replays"); the results are the
     same.  Outcomes always come back ordered by submission index,
-    regardless of which worker finished first, and a job that fails — by
-    raising, by killing its worker, by hanging past ``timeout_s``, or by
+    regardless of which job finished first, and a job that fails — by
+    raising, by killing its process, by hanging past ``timeout_s``, or by
     returning a result the parent cannot unpickle — is returned as a
     failed :class:`JobOutcome` rather than aborting the rest.
 
     ``retries`` re-runs failed attempts (any failure kind) up to that many
-    extra times, sleeping ``backoff_s · 2^generation`` (±25% jitter)
-    between generations.  ``timeout_s`` kills a worker whose job exceeds
-    it; a job can only be preempted in a worker, so a sweep with a timeout
-    runs through the pool machinery whatever ``n_jobs`` says — with one
-    worker where it would have run inline.  ``checkpoint``
+    extra times, each after ``backoff_s · 2^(attempt−1)`` (±25% jitter,
+    capped at 30 s).  ``timeout_s`` kills the process of an attempt that
+    exceeds it; only an attempt in a process of its own can be preempted,
+    so a sweep with a timeout runs that way whatever ``n_jobs`` says —
+    one attempt at a time where it would have run inline.  ``checkpoint``
     names a directory for partial-sweep durability: completed
     :class:`WorkloadResult`s are restored from it instead of recomputed,
     and newly completed ones are appended to it.  Each of these falls back
@@ -615,8 +507,8 @@ def run_jobs(
     *settles* (its replays in) — completion order, not submission order —
     via ``job_done``, then ``close()`` when the sweep ends.
 
-    ``bus`` names a :mod:`repro.obs.bus` directory: every worker (and the
-    inline path) streams job_start/span/job_end records into its own
+    ``bus`` names a :mod:`repro.obs.bus` directory: every job process (and
+    the inline path) streams job_start/span/job_end records into its own
     JSONL channel there, and the parent adds sweep + settled-outcome
     records, so crashed jobs still leave an attributable trail.
     ``profile`` (requires ``bus``) cProfiles each job attempt into the
@@ -667,7 +559,7 @@ def run_jobs(
 
     def record_outcome(outcome: JobOutcome) -> None:
         # The parent's settled verdict: the only record a job whose
-        # worker died hard gets beyond its job_start, and the source
+        # process died hard gets beyond its job_start, and the source
         # of failure attribution in the sweep trace.
         rec = {"t": "outcome", "sweep": sweep_id, "job": outcome.index,
                "key": getattr(outcome.job, "key", repr(outcome.job)),
@@ -704,7 +596,6 @@ def run_jobs(
 
     n_workers = max(1, min(n_jobs or 1, len(indexed)))
     pooled = n_workers > 1 or timeout_s is not None
-    pool = _Workers(n_workers)
     #: Job index → the apps whose alone replay overlaps its shared run.
     private: dict[int, frozenset[int]] = {}
 
@@ -716,7 +607,7 @@ def run_jobs(
             )
         elif todo:
             _run_pool(
-                todo, pool, timeout_s, retries, backoff_s, done,
+                todo, n_workers, timeout_s, retries, backoff_s, done,
                 sweep=sweep_id, bus_dir=bus_dir, profile=profile,
             )
 
@@ -749,7 +640,6 @@ def run_jobs(
             run_phase(plan.todo(), replay_done)
         return [outcomes[i] for i in range(len(indexed))]
     finally:
-        pool.close()
         if prog is not None:
             prog.close()
         if ch is not None and prev_ch is not ch:
@@ -767,7 +657,7 @@ def _can_overlap() -> bool:
     method = (multiprocessing.get_start_method(allow_none=True)
               or multiprocessing.get_all_start_methods()[0])
     return (
-        method == "fork" and usable_cpus() >= 2
+        method == "fork" and forked.usable_cpus() >= 2
         and not multiprocessing.current_process().daemon
     )
 
@@ -911,11 +801,11 @@ def _run_inline(
     profile: bool = False,
     bus_dir: str | None = None,
 ) -> None:
-    """The no-pool path: sequential, with the same retry accounting.
+    """The in-process path: sequential, with the same retry accounting.
 
-    There is no timeout here — no worker to kill without taking the caller
-    down with it; :func:`run_jobs` sends a sweep that has one through the
-    pool.  ``private`` names, per job, the replays to overlap with its
+    There is no timeout here — no process to kill without taking the caller
+    down with it; :func:`run_jobs` forks the attempts of a sweep that has
+    one.  ``private`` names, per job, the replays to overlap with its
     shared run.  With a bus enabled the parent's own channel doubles as
     the worker channel (no dequeue/serialize spans — there is no
     transport).
@@ -930,62 +820,90 @@ def _run_inline(
             )
             if outcome.ok or attempt > retries:
                 break
-            _backoff_sleep(backoff_s, attempt - 1)
+            time.sleep(_backoff_s(backoff_s, attempt))
         settle(outcome)
 
 
-class _Workers:
-    """A sweep's worker processes and their scratch directory.
+def _attempt_main(  # pragma: no cover - runs in the job process
+    conn, index: int, job, attempt: int, stderr: str, slot: int,
+    sweep: str | None, bus_dir: str | None, profile: bool,
+    submit_ts: float | None,
+) -> None:
+    """A pooled job process: fd 2 into ``stderr`` (what a hard death
+    leaves behind), one guarded attempt, and its outcome sent back."""
+    fd = os.open(stderr, os.O_CREAT | os.O_WRONLY | os.O_TRUNC, 0o644)
+    os.dup2(fd, 2)
+    os.close(fd)
+    ch = obs_bus.activate(bus_dir) if bus_dir else None
+    if ch is not None:
+        ch.slot = slot
+    outcome = _observed_run(
+        index, job, attempt, ch, sweep, profile, bus_dir,
+        submit_ts=submit_ts, serialize=ch is not None,
+    )
+    try:
+        conn.send(outcome)
+    except Exception as exc:  # noqa: BLE001 - the result will not pickle
+        key = getattr(job, "key", repr(job))
+        conn.send(JobOutcome(
+            index, job, attempts=attempt, failure_kind=FAIL_TRANSPORT,
+            duration_s=outcome.duration_s,
+            error=f"[{FAIL_TRANSPORT}] job {key!r} attempt {attempt}: "
+                  f"the result was lost: {type(exc).__name__}: {exc}",
+        ))
 
-    The executor outlives a generation that ended cleanly, so retries and
-    the replay phase land on the same warm workers (and SweepStats sees
-    one pid per worker slot for the whole sweep); a generation that killed
-    a worker or broke the pool :meth:`retire` drops it, and the next one
-    starts fresh.  Nothing is created until the first :meth:`pool` call.
-    """
 
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self.scratch: pathlib.Path | None = None
-        self._pool: ProcessPoolExecutor | None = None
-        self._size = 0
+@dataclass
+class _Attempt:
+    """One job attempt's process, while it runs."""
 
-    def pool(self, batch: int) -> ProcessPoolExecutor:
-        """An executor with room for ``min(workers, batch)`` jobs at once."""
-        size = min(self.workers, batch)
-        if self._size < size:
-            self.retire(wait=True)
-        if self._pool is None:
-            if self.scratch is None:
-                self.scratch = pathlib.Path(
-                    tempfile.mkdtemp(prefix="repro-sweep-"))
-            self._pool = ProcessPoolExecutor(
-                max_workers=size,
-                initializer=_worker_stderr_init,
-                initargs=(str(self.scratch),),
-            )
-            self._size = size
-        return self._pool
+    index: int
+    job: object
+    attempt: int
+    slot: int
+    proc: object
+    stderr: str
+    t0: float = field(default_factory=time.monotonic)
 
-    def retire(self, wait: bool) -> None:
-        """Shut the executor down.  ``wait`` joins its (idle) workers, so
-        no executor thread is left to trip over closed pipes at interpreter
-        exit; after a kill or a break, or with jobs still running, joining
-        could block, so those pass False."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=True)
-        self._pool = None
-        self._size = 0
+    def failed(self, kind: str, desc: str) -> JobOutcome:
+        """The outcome of this attempt, failed by what the parent saw."""
+        try:
+            with open(self.stderr, errors="replace") as fh:
+                tail = fh.read().strip()[-2000:] or None
+        except OSError:
+            tail = None
+        key = getattr(self.job, "key", repr(self.job))
+        error = f"[{kind}] job {key!r} attempt {self.attempt}: {desc}"
+        if tail:
+            error += f"\n--- job process stderr tail ---\n{tail}"
+        return JobOutcome(
+            self.index, self.job, error=error, attempts=self.attempt,
+            failure_kind=kind, stderr_tail=tail,
+            duration_s=time.monotonic() - self.t0,
+        )
 
-    def close(self) -> None:
-        self.retire(wait=True)
-        if self.scratch is not None:
-            shutil.rmtree(self.scratch, ignore_errors=True)
+    def verdict(self, conn, timeout_s: float | None) -> JobOutcome | None:
+        """The attempt's outcome once it has one; None while it runs."""
+        try:
+            outcome = forked.hear(self.proc, conn, 0)
+        except forked.Lost as lost:
+            if lost.died:
+                return self.failed(FAIL_CRASH, f"job process (pid "
+                                   f"{self.proc.pid}) died without "
+                                   f"unwinding: {lost.how}")
+            return self.failed(FAIL_TRANSPORT, "job process finished but "
+                               f"the result was lost: {lost.how}")
+        if outcome is None and timeout_s is not None \
+                and time.monotonic() - self.t0 > timeout_s:
+            self.proc.kill()
+            return self.failed(FAIL_TIMEOUT, "killed after exceeding the "
+                               f"per-job timeout of {timeout_s}s")
+        return outcome
 
 
 def _run_pool(
     todo: list[tuple[int, object]],
-    workers: _Workers,
+    n_workers: int,
     timeout_s: float | None,
     retries: int,
     backoff_s: float,
@@ -994,176 +912,49 @@ def _run_pool(
     bus_dir: str | None = None,
     profile: bool = False,
 ) -> None:
-    """Generation-based resilient pool execution (module docstring)."""
-    pending: dict[int, _Pending] = {
-        i: _Pending(job=job) for i, job in todo
-    }
-    generation = 0
-    stalled = 0
-    while pending:
-        # Crash suspects run one at a time in their own pool: a break
-        # there is attributable beyond doubt, and innocents blamed in
-        # a shared break get a solo retry the crasher cannot ruin.
-        suspects = sorted(i for i in pending if pending[i].suspect)
-        batch = suspects[:1] if suspects else sorted(pending)
-        pool = workers.pool(len(batch))
-        scratch = workers.scratch
-        for i in batch:  # clear breadcrumbs from earlier generations
-            for suffix in (".started", ".done"):
-                try:
-                    (scratch / f"job-{i}{suffix}").unlink()
-                except OSError:
-                    pass
-        killed: set[int] = set()
-        broken: dict[int, str] = {}
-        progressed = 0  # settles + blamed attempts this generation
-        broken_on_submit = False
-
-        fut_index = {}
-        try:
-            for i in batch:
-                p = pending[i]
-                fut = pool.submit(
-                    _tracked, i, p.job, str(scratch), p.attempts + 1,
-                    sweep=sweep,
-                    submit_ts=time.time() if bus_dir else None,
-                    bus_dir=bus_dir, profile=profile,
+    """Every attempt in a forked process of its own, at most ``n_workers``
+    at once, each in a numbered slot (module docstring).  Nothing this
+    starts outlives it, whatever it raises."""
+    scratch = tempfile.mkdtemp(prefix="repro-sweep-")
+    #: (not before, index, job, attempt), in the order they were queued.
+    queue = [(0.0, index, job, 1) for index, job in todo]
+    running: dict = {}  # the parent's end of its pipe -> _Attempt
+    try:
+        while queue or running:
+            free = sorted(set(range(n_workers))
+                          - {a.slot for a in running.values()})
+            now = time.monotonic()
+            for entry in [e for e in queue if e[0] <= now][:len(free)]:
+                queue.remove(entry)
+                _, index, job, attempt = entry
+                slot = free.pop(0)
+                stderr = os.path.join(scratch,
+                                      f"stderr-{index}-{attempt}.log")
+                proc, conn = forked.spawn(
+                    _attempt_main, index, job, attempt, stderr, slot, sweep,
+                    bus_dir, profile, time.time() if bus_dir else None,
+                    daemon=True,
                 )
-                fut_index[fut] = i
-        except BrokenProcessPool:
-            # Pool died while we were still submitting; unsubmitted
-            # jobs simply stay pending for the next generation.
-            broken_on_submit = True
-        not_done = set(fut_index)
-        try:
-            while not_done:
-                done, not_done = wait(
-                    not_done, timeout=0.05, return_when=FIRST_COMPLETED
-                )
-                for fut in done:
-                    i = fut_index[fut]
-                    try:
-                        outcome = fut.result()
-                    except BrokenProcessPool:
-                        broken[i] = "process pool broken"
-                        continue
-                    except BaseException as exc:
-                        broken[i] = f"{type(exc).__name__}: {exc}"
-                        continue
-                    p = pending[i]
-                    p.attempts += 1
-                    p.suspect = False  # it completed; exonerated
-                    outcome.attempts = p.attempts
-                    progressed += 1
-                    if outcome.ok or p.attempts > retries:
-                        settle(outcome)
-                        del pending[i]
-                    else:
-                        p.last = outcome  # retry next generation
-                if timeout_s is not None and not_done:
-                    now = time.time()
-                    for i in batch:
-                        if i in killed or i in broken or i not in pending:
-                            continue
-                        if (scratch / f"job-{i}.done").exists():
-                            continue
-                        info = _read_started(scratch, i)
-                        if info and now - info["t0"] > timeout_s:
-                            try:
-                                os.kill(info["pid"], signal.SIGKILL)
-                            except (OSError, KeyError):
-                                pass
-                            killed.add(i)
-        finally:
-            if killed or broken or broken_on_submit or not_done:
-                workers.retire(wait=False)
-
-        # Post-mortem: assign blame for futures the pool never served.
-        # If the breakage has an *explained* cause — a timeout kill or
-        # a job that finished but whose result broke transport — then
-        # started-but-unfinished jobs are treated as innocent victims
-        # of the teardown and requeued for free.  With no explanation,
-        # the crasher must be among them, so they all pay an attempt.
-        explained = bool(killed) or any(
-            (scratch / f"job-{i}.done").exists() for i in broken
-        )
-        for i, msg in sorted(broken.items()):
-            p = pending.get(i)
-            if p is None:
-                continue
-            started = _read_started(scratch, i)
-            done = (scratch / f"job-{i}.done").exists()
-            if i in killed:
-                kind = FAIL_TIMEOUT
-                desc = (
-                    f"killed after exceeding the per-job timeout "
-                    f"of {timeout_s}s"
-                )
-            elif done:
-                if len(batch) > 1:
-                    # Ambiguous in a shared pool: this job's finished
-                    # result may have been dropped when a *sibling's*
-                    # poisonous result broke the transport.  Isolate;
-                    # alone, a repeat is attributable beyond doubt.
-                    p.suspect = True
-                    progressed += 1
+                running[conn] = _Attempt(index, job, attempt, slot, proc,
+                                         stderr)
+            multiprocessing.connection.wait(list(running), timeout=0.05)
+            for conn, a in list(running.items()):
+                outcome = a.verdict(conn, timeout_s)
+                if outcome is None:
                     continue
-                kind = FAIL_TRANSPORT
-                desc = f"worker finished but the result was lost: {msg}"
-            elif started is not None and not explained:
-                kind = FAIL_CRASH
-                desc = (
-                    f"worker (pid {started.get('pid')}) died without "
-                    f"unwinding: {msg}"
-                )
-                p.suspect = True  # isolate its next attempt
-            else:
-                # Never started, or an innocent victim of an explained
-                # teardown: requeue without spending an attempt.
-                continue
-            p.attempts += 1
-            progressed += 1
-            tail = _stderr_tail(scratch, started)
-            key = getattr(p.job, "key", repr(p.job))
-            error = (
-                f"[{kind}] job {key!r} attempt {p.attempts}: {desc}"
-            )
-            if tail:
-                error += f"\n--- worker stderr tail ---\n{tail}"
-            outcome = JobOutcome(
-                i, p.job, error=error, attempts=p.attempts,
-                failure_kind=kind, stderr_tail=tail,
-            )
-            if p.attempts > retries:
-                settle(outcome)
-                del pending[i]
-            else:
-                p.last = outcome
-
-        if progressed == 0:
-            stalled += 1
-            if stalled >= 3:
-                # Nothing settles and nothing is even blamable — e.g.
-                # the pool dies before any job starts, repeatedly.
-                # Fail the remainder rather than spin forever.
-                for i in sorted(pending):
-                    p = pending.pop(i)
-                    key = getattr(p.job, "key", repr(p.job))
-                    settle(JobOutcome(
-                        i, p.job, attempts=p.attempts,
-                        failure_kind=FAIL_CRASH,
-                        error=(
-                            f"[{FAIL_CRASH}] job {key!r}: worker pool "
-                            "died repeatedly before any job made "
-                            "progress; giving up on the remainder"
-                        ),
+                del running[conn]
+                forked.reap(a.proc, conn)
+                if outcome.ok or a.attempt > retries:
+                    settle(outcome)
+                else:
+                    queue.append((
+                        time.monotonic() + _backoff_s(backoff_s, a.attempt),
+                        a.index, a.job, a.attempt + 1,
                     ))
-                break
-        else:
-            stalled = 0
-        if pending:
-            _backoff_sleep(backoff_s, generation)
-        generation += 1
+    finally:
+        for conn, a in running.items():
+            forked.reap(a.proc, conn)
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def workload_jobs(

@@ -487,7 +487,7 @@ class _Chaser:
             self._start()
 
     @property
-    def started(self) -> bool:
+    def running(self) -> bool:
         return self._proc is not None
 
     def _start(self, drop=None) -> None:
@@ -852,7 +852,7 @@ def _run_workload(
             # no work happened).
             result.alone_cycles[i] = 0
             continue
-        if i in chasers and chasers[i].started:
+        if i in chasers and chasers[i].running:
             clock = chasers[i].clock(count)
             chase.tail_s += clock.seconds
         else:

@@ -1,27 +1,29 @@
 """Cross-process telemetry bus for harness sweeps.
 
-PR 3 made a *single run* observable; a sweep fanned out through
-:func:`repro.harness.parallel.run_jobs` was still a set of black-box
-worker processes.  This module is the sweep-scope spine: every worker
+A sweep fanned out through :func:`repro.harness.parallel.run_jobs` runs
+in many processes; this module is its sweep-scope spine: every job process
 (and the inline path, so inline and pooled sweeps measure identically)
 appends compact JSON-lines records to its own channel file under a bus
 directory, and the parent aggregates them — live (the progress reporter
 tails the channels for straggler warnings) and post hoc (a unified
 Chrome/Perfetto trace with one track per worker, a :class:`SweepStats`
-roll-up, and a merged sweep-wide cProfile table).
+roll-up, and a merged sweep-wide cProfile table).  A pooled sweep forks
+one process per job attempt, so it leaves one channel per attempt; its
+records carry the ``slot`` (0…n−1) that ran them, and a worker is a slot.
 
 Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
 
 * ``meta``      — first line of every channel file (schema, pid, role);
 * ``sweep``     — parent marks the start of one :func:`run_jobs` call
   (sweep id, job count), so several sweeps can share one bus directory;
-* ``job_start`` — worker picked up a job (flushed immediately, so a
-  crashed worker still leaves evidence of what it was running);
+* ``job_start`` — a job attempt began (flushed immediately, so a
+  crashed process still leaves evidence of what it was running);
 * ``span``      — one timed phase of the job lifecycle: ``dequeue``
-  (submit → worker pickup), ``simulate`` (the shared run, with its
-  event-engine mode), ``replay`` (``cached=True``: one alone clock
-  served by the replay cache, inside the job that asked, with the
-  ``curve_end`` of the stored trajectory that answered it;
+  (pooled only: fork → the job process starting the attempt),
+  ``simulate`` (the shared run, with its event-engine mode), ``replay``
+  (``cached=True``: one alone clock served by the replay cache, inside
+  the job that asked, with the ``curve_end`` of the stored trajectory
+  that answered it;
   ``cached=False``: one simulated alone trajectory, how many
   ``counts``/``requests`` it served and, when it re-simulates past a
   stored curve, that curve's end as ``extended_from``; ``chased=True``
@@ -30,7 +32,7 @@ Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
   still waited for it afterwards, and ``fallback=True`` says the helper
   was lost and the replay redone in process), ``serialize`` (result
   pickling, pooled only);
-* ``job_end``   — job finished in the worker: wall/CPU time, peak RSS,
+* ``job_end``   — job attempt finished: wall/CPU time, peak RSS,
   cache counters (flushed immediately);
 * ``outcome``   — the parent's settled verdict for the job (ok, failure
   kind, attempts, resumed, final cache counters, attributed ``replay_s``)
@@ -43,7 +45,7 @@ through the same job_start/span/job_end/outcome stream, tagged
 ``kind: "replay"`` and numbered after the sweep's jobs; they add to busy
 time, phases and worker load, but are not counted as jobs.
 
-Channels are append-only (:func:`repro.durable.open_log`): a worker killed
+Channels are append-only (:func:`repro.durable.open_log`): a process killed
 mid-write corrupts at most its last line, which :func:`read_bus` skips.
 
 The bus is **off by default and free when off**: the harness consults
@@ -108,6 +110,9 @@ class WorkerChannel:
         self.path = self.directory / f"bus-{self.pid}.jsonl"
         fresh = not self.path.exists()
         self._fh = durable.open_log(self.path)
+        #: The sweep slot (0…n−1) of a pooled job process, written on its
+        #: job records so one worker is one slot, not one process.
+        self.slot: int | None = None
         self._sweep: str | None = None
         self._job: int | None = None
         self._job_t0 = 0.0
@@ -118,6 +123,11 @@ class WorkerChannel:
                  "ts": time.time()},
                 flush=True,
             )
+
+    def _who(self) -> dict:
+        if self.slot is None:
+            return {"pid": self.pid}
+        return {"pid": self.pid, "slot": self.slot}
 
     def record(self, rec: dict, flush: bool = False) -> None:
         """Append one raw record (callers supply the ``t`` tag)."""
@@ -143,7 +153,7 @@ class WorkerChannel:
         self._job_t0 = now
         self._job_cpu0 = _rusage()[0]
         rec = {"t": "job_start", "sweep": sweep, "job": job, "key": key,
-               "pid": self.pid, "ts": now, "attempt": attempt}
+               **self._who(), "ts": now, "attempt": attempt}
         if kind is not None:
             rec["kind"] = kind
         self.record(rec, flush=True)
@@ -155,7 +165,7 @@ class WorkerChannel:
         """One timed phase of the current job (buffered)."""
         rec: dict[str, Any] = {
             "t": "span", "name": name, "sweep": self._sweep,
-            "job": self._job, "pid": self.pid,
+            "job": self._job, **self._who(),
             "ts": ts if ts is not None else time.time(),
             "dur": dur_s,
         }
@@ -175,7 +185,7 @@ class WorkerChannel:
         cpu, rss_kb = _rusage()
         rec: dict[str, Any] = {
             "t": "job_end", "sweep": self._sweep, "job": self._job,
-            "pid": self.pid, "ts": now, "dur": now - self._job_t0,
+            **self._who(), "ts": now, "dur": now - self._job_t0,
             "ok": ok, "cpu_s": max(0.0, cpu - self._job_cpu0),
             "rss_peak_kb": rss_kb,
         }
@@ -201,9 +211,8 @@ _ACTIVE: WorkerChannel | None = None
 def activate(directory: str | os.PathLike) -> WorkerChannel:
     """Open (or reuse) this process's channel into ``directory``.
 
-    Idempotent per directory: pool workers call this once per job and
-    keep appending to the same file; switching directories closes the
-    old channel first.
+    Idempotent per directory: repeated calls keep appending to the same
+    file; switching directories closes the old channel first.
     """
     global _ACTIVE
     directory = pathlib.Path(directory)
@@ -473,7 +482,7 @@ class SweepStats:
                 stats.busy_s += dur
                 stats.cpu_s += float(end.get("cpu_s", 0.0))
                 w = stats.workers.setdefault(
-                    str(end.get("pid", "?")),
+                    _worker(end),
                     {"jobs": 0, "busy_s": 0.0, "cpu_s": 0.0,
                      "rss_peak_kb": 0},
                 )
@@ -619,9 +628,17 @@ class SweepStats:
 # --------------------------------------------------------------------------
 
 
+def _worker(rec: dict) -> str:
+    """Which worker wrote a job record: its sweep slot — a pooled sweep
+    forks a process per attempt — or, for records without one (inline
+    sweeps, older bus files), its pid."""
+    return f"slot {rec['slot']}" if "slot" in rec else str(rec.get("pid", "?"))
+
+
 def sweep_chrome_trace(records: Iterable[dict]) -> dict[str, Any]:
-    """Chrome ``trace_event`` payload: one process per worker pid, one
-    slice per job attempt (tid 0) with its phase spans on tid 1.
+    """Chrome ``trace_event`` payload: one process per worker (slot, or
+    pid where there is none), one slice per job attempt (tid 0) with its
+    phase spans on tid 1.
 
     A job whose worker died mid-run (``job_start`` with no ``job_end``)
     still gets a slice: its duration comes from the parent's ``outcome``
@@ -640,12 +657,12 @@ def sweep_chrome_trace(records: Iterable[dict]) -> dict[str, Any]:
     def us(ts: float) -> float:
         return max(0.0, (ts - t0) * 1e6)
 
-    pids = sorted({
-        int(r.get("pid")) for r in records
+    workers = sorted({
+        _worker(r) for r in records
         if r.get("t") in ("job_start", "job_end", "span")
-        and isinstance(r.get("pid"), int)
+        and (isinstance(r.get("pid"), int) or "slot" in r)
     })
-    pid_index = {pid: i for i, pid in enumerate(pids)}
+    index = {worker: i for i, worker in enumerate(workers)}
 
     events: list[dict[str, Any]] = []
     for trail in sorted(trails.values(), key=lambda t: (t.sweep, t.job)):
@@ -654,7 +671,7 @@ def sweep_chrome_trace(records: Iterable[dict]) -> dict[str, Any]:
             anchor = start or end
             if anchor is None:
                 continue
-            pid = pid_index.get(anchor.get("pid"), 0)
+            pid = index.get(_worker(anchor), 0)
             if start is not None and end is not None:
                 ts, dur = start["ts"], float(end.get("dur", 0.0))
                 ok = bool(end.get("ok"))
@@ -684,7 +701,7 @@ def sweep_chrome_trace(records: Iterable[dict]) -> dict[str, Any]:
                 "dur": dur * 1e6, "pid": pid, "tid": 0, "args": args,
             })
         for sp in trail.spans:
-            pid = pid_index.get(sp.get("pid"), 0)
+            pid = index.get(_worker(sp), 0)
             dur = float(sp.get("dur", 0.0))
             args = {"job": trail.job, **(sp.get("args") or {})}
             events.append({
@@ -693,7 +710,7 @@ def sweep_chrome_trace(records: Iterable[dict]) -> dict[str, Any]:
                 "dur": dur * 1e6, "pid": pid, "tid": 1, "args": args,
             })
         if trail.start is not None and trail.end is None:
-            pid = pid_index.get(trail.start.get("pid"), 0)
+            pid = index.get(_worker(trail.start), 0)
             events.append({
                 "name": "worker lost", "ph": "i",
                 "ts": us(trail.start["ts"]), "pid": pid, "tid": 0,
@@ -702,11 +719,12 @@ def sweep_chrome_trace(records: Iterable[dict]) -> dict[str, Any]:
     events.sort(key=lambda ev: ev["ts"])
 
     meta: list[dict[str, Any]] = []
-    for pid, idx in sorted(pid_index.items(), key=lambda kv: kv[1]):
+    for worker, idx in index.items():
+        label = worker if worker.startswith("slot") else f"pid {worker}"
         meta.append({
             "name": "process_name", "ph": "M", "ts": 0.0,
             "pid": idx, "tid": 0,
-            "args": {"name": f"worker {idx} (pid {pid})"},
+            "args": {"name": f"worker {idx} ({label})"},
         })
         meta.append({
             "name": "thread_name", "ph": "M", "ts": 0.0,
@@ -726,7 +744,7 @@ def sweep_chrome_trace(records: Iterable[dict]) -> dict[str, Any]:
             "clock": "wall time (1 us = 1 us)",
             "sweeps": sweeps,
             "n_jobs": len(trails),
-            "n_workers": len(pids),
+            "n_workers": len(workers),
         },
     }
 

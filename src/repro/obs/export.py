@@ -135,7 +135,7 @@ def export_chrome_trace(
 def export_sweep_trace(
     source, path: str | os.PathLike
 ) -> dict[str, Any]:
-    """Write a sweep-level Chrome trace (one track per pool worker, one
+    """Write a sweep-level Chrome trace (one track per worker slot, one
     slice per job) from a telemetry-bus recording to ``path``.
 
     ``source`` is a bus directory or an already-read record list (see

@@ -245,11 +245,11 @@ def summarize_sweep(stats: dict[str, Any]) -> str:
     if workers:
         out.append("")
         out.append(_table(
-            ["worker pid", "jobs", "busy_s", "cpu_s", "rss_peak_kb"],
+            ["worker", "jobs", "busy_s", "cpu_s", "rss_peak_kb"],
             [
-                [pid, int(w.get("jobs", 0)), f"{w.get('busy_s', 0.0):.2f}",
+                [name, int(w.get("jobs", 0)), f"{w.get('busy_s', 0.0):.2f}",
                  f"{w.get('cpu_s', 0.0):.2f}", int(w.get("rss_peak_kb", 0))]
-                for pid, w in sorted(workers.items())
+                for name, w in sorted(workers.items())
             ],
         ))
     stragglers = stats.get("stragglers") or []

@@ -750,7 +750,7 @@ def render_sweep_report(
         )
         body.append(
             "<h2>Workers</h2>"
-            "<table><thead><tr><th>pid</th><th>jobs</th><th>busy</th>"
+            "<table><thead><tr><th>worker</th><th>jobs</th><th>busy</th>"
             f"<th>cpu</th><th>peak RSS (kB)</th></tr></thead>"
             f"<tbody>{rows}</tbody></table>"
         )

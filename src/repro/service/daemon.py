@@ -67,9 +67,6 @@ QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
 )
 TERMINAL = (DONE, FAILED, CANCELLED)
 
-#: How often a slot checks that a job process it hears nothing from is
-#: alive (a dead one's pipe stays open while a helper it forked holds it).
-LIVENESS_POLL_S = 0.25
 #: What a job process that has answered gets to exit by itself.
 EXIT_GRACE_S = 5.0
 
@@ -147,8 +144,8 @@ class _Progress:
 
 
 def _kill_group(pid: int) -> None:
-    """SIGKILL a job process and everything it forked (helpers, pool
-    workers): they share the process group it opened."""
+    """SIGKILL a job process and everything it forked (replay helpers,
+    sweep job processes): they share the process group it opened."""
     try:
         os.killpg(pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -430,8 +427,8 @@ class ReproService:
     def _execute(self, job: Job, tenant: str, slot: int):
         """Run ``job`` in a job process of its own, forwarding its progress
         as stream events; returns ``(result, error)`` — or None when
-        :meth:`stop` killed it.  A process that dies without answering is
-        an error naming its signal or exit code."""
+        :meth:`stop` killed it.  A process that dies without answering, or
+        answers what will not load, is an error saying so."""
         job.simulations += 1
         with self._spawn_lock:
             proc, conn = forked.spawn(self._job_main, job, daemon=False)
@@ -445,26 +442,22 @@ class ReproService:
                     tenant, slot, pid, conn, time.monotonic())
                 if self._stopping:
                     _kill_group(pid)  # stop() came before it was listed
-        answer = None
+        answer = lost = None
         try:
             answer = self._relay(job, proc, conn)
-        except (EOFError, OSError):
-            pass  # died mid-message
-        except Exception as exc:  # noqa: BLE001 - what it sent will not load
-            answer = (None, None, "job process answer unreadable: "
-                      f"{type(exc).__name__}: {exc}".splitlines()[0])
+        except forked.Lost as exc:
+            lost = exc
         with self._cond:
             del self._running[job.job_id]
             stopping = self._stopping
-        if answer is not None:
+        if lost is None or not lost.died:
             proc.join(EXIT_GRACE_S)  # nothing left for it to do but exit
         _kill_group(pid)  # whatever it forked goes with it
-        code = forked.reap(proc, conn)
-        if answer is None:
-            if stopping:
+        forked.reap(proc, conn)
+        if lost is not None:
+            if stopping and lost.died:
                 return None
-            how = f"signal {-code}" if code < 0 else f"exit code {code}"
-            return None, f"job process died: {how}"
+            return None, f"job process {lost}"
         result, run, error = answer
         if run is not None and self.store_dir is not None:
             from repro.harness.figures import record_figure
@@ -477,18 +470,17 @@ class ReproService:
 
     def _relay(self, job: Job, proc, conn):
         """Forward the job process's progress messages until it answers
-        (returns the answer) or is found dead with nothing left to read
-        (returns None)."""
+        (returns the answer); :class:`repro.forked.Lost` when it cannot."""
         while True:
-            if conn.poll(LIVENESS_POLL_S):
-                kind, *body = conn.recv()
-                if kind == "answer":
-                    return body
-                with self._cond:
-                    self._emit(job, protocol.event(
-                        "progress", job=job.job_id, **body[0]))
-            elif not proc.is_alive() and not conn.poll():
-                return None
+            message = forked.hear(proc, conn)
+            if message is None:
+                continue
+            kind, *body = message
+            if kind == "answer":
+                return body
+            with self._cond:
+                self._emit(job, protocol.event(
+                    "progress", job=job.job_id, **body[0]))
 
     # --------------------------------------------- inside the job process
 
@@ -606,10 +598,10 @@ class ReproService:
         self._chaos_dir.mkdir(parents=True, exist_ok=True)
         spec = job.spec
         # Modes that kill or corrupt their own process (os._exit, poisoned
-        # pickles) are absorbed per sub-job only by pool workers; where
-        # run_jobs goes inline (min(n_jobs, len(jobs)) <= 1) they take this
-        # job process down, or poison its answer, and the daemon settles
-        # the whole job as failed, saying how it died.
+        # pickles) are charged to their own sub-job only where run_jobs
+        # forks one process per attempt (min(n_jobs, len(jobs)) >= 2);
+        # inline they take this job process down, or poison its answer,
+        # and the daemon settles the whole job as failed, saying how.
         cjobs = [
             ChaosJob(
                 name=f"{job.job_id[:12]}-{i}", mode=entry["mode"],

@@ -403,6 +403,22 @@ class TestHarnessIntegration:
         assert (stats.n_jobs, stats.ok, stats.failed) == (3, 3, 0)
         bus.validate_sweep_trace(bus.sweep_chrome_trace(records))
 
+    def test_pooled_workers_are_slots(self, tmp_path):
+        # One process per attempt, so one channel per attempt beside the
+        # parent's; the slot on each job record makes two workers of them.
+        outs = run_jobs(ok_jobs(4), n_jobs=2, bus=tmp_path)
+        assert all(o.ok for o in outs)
+        assert len(bus.bus_files(tmp_path)) == 1 + 4
+        records = bus.read_bus(tmp_path)
+        assert {r["slot"] for r in records
+                if r["t"] in ("job_start", "job_end")} == {0, 1}
+        stats = bus.SweepStats.from_records(records)
+        assert sorted(stats.workers) == ["slot 0", "slot 1"]
+        assert sum(w["jobs"] for w in stats.workers.values()) == 4
+        trace = bus.sweep_chrome_trace(records)
+        bus.validate_sweep_trace(trace)
+        assert trace["otherData"]["n_workers"] == 2
+
     def test_two_sweeps_share_one_bus_dir(self, tmp_path):
         run_jobs(ok_jobs(2), n_jobs=1, bus=tmp_path)
         run_jobs(ok_jobs(1), n_jobs=1, bus=tmp_path)

@@ -7,15 +7,13 @@ must never abort a sweep: ``run_jobs`` returns ordered
 accounting while healthy sibling jobs complete normally.  The same layer
 covers the replay cache's quarantine-and-recompute path and
 partial-sweep checkpoint resume.
-
-Pooled chaos tests use ``retries >= 2`` deliberately: when a worker dies
-without unwinding, the pool cannot say *which* concurrent job killed it,
-so every started-but-unfinished job in that generation may be charged an
-attempt (see the blame rules in ``repro/harness/parallel.py``).
 """
 
 import json
+import multiprocessing
 import os
+import signal
+import tempfile
 import time
 
 import pytest
@@ -55,6 +53,15 @@ SMALL = 30_000
 
 def ok_jobs(n, **kw):
     return [ChaosJob(name=f"ok{i}", payload=100 + i, **kw) for i in range(n)]
+
+
+class KilledJob:
+    """A job whose process is SIGKILLed while it runs."""
+
+    key = "killed"
+
+    def execute(self):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 # ------------------------------------------------------------------- inline
@@ -126,9 +133,9 @@ class TestPooledChaos:
         hung = outs[0]
         assert not hung.ok and hung.failure_kind == FAIL_TIMEOUT
         assert "timeout" in hung.error
-        # siblings of a timeout kill are explained victims: no attempt tax
+        # the kill is charged to the hung job only
         assert outs[1].ok and outs[2].ok
-        assert outs[1].attempts == 1 or outs[1].resumed is False
+        assert outs[1].attempts == 1
 
     def test_timeout_is_enforced_without_a_pool(self):
         # n_jobs of None or 1 used to run such a sweep inline, where there
@@ -161,12 +168,61 @@ class TestPooledChaos:
         shaky = outs[0]
         assert shaky.ok, shaky.error
         assert shaky.result["payload"] == 7
-        # The disk counter is the ground truth that a retry ran: harness
-        # `attempts` may stay 1 when the crashed execution was classified
-        # an innocent victim of an explained pool break (e.g. a sibling's
-        # finished result was lost in the same teardown).
-        assert shaky.result["attempt"] >= 2
+        # One crash, one retry: the harness's count and the disk's agree.
+        assert shaky.attempts == 2 and shaky.result["attempt"] == 2
         assert outs[1].ok and outs[2].ok
+
+    def test_crash_charges_only_the_crasher(self):
+        # A healthy job running beside one that dies hard: each settles on
+        # its own first attempt, with no retry budget to hide a misblame.
+        jobs = [ChaosJob(name="steady", mode=MODE_HANG, hang_s=1.0,
+                         payload=3),
+                ChaosJob(name="dead", mode=MODE_EXIT)]
+        steady, dead = run_jobs(jobs, n_jobs=2, retries=0, backoff_s=0.0)
+        assert steady.ok and steady.attempts == 1, steady.error
+        assert steady.result["payload"] == 3
+        assert not dead.ok and dead.failure_kind == FAIL_CRASH
+        assert dead.attempts == 1
+        assert "died without unwinding: exit code 17" in dead.error
+        assert dead.stderr_tail and "exiting hard" in dead.stderr_tail
+
+    def test_each_failure_charges_only_its_own_job(self):
+        jobs = [ChaosJob(name="boom", mode=MODE_RAISE),
+                ChaosJob(name="dead", mode=MODE_EXIT),
+                KilledJob(),
+                ChaosJob(name="zzz", mode=MODE_HANG, hang_s=60.0),
+                ChaosJob(name="poison", mode=MODE_BAD_RESULT),
+                *ok_jobs(2)]
+        outs = run_jobs(jobs, n_jobs=3, timeout_s=3.0, retries=0,
+                        backoff_s=0.0)
+        assert [o.failure_kind for o in outs] == [
+            FAIL_EXCEPTION, FAIL_CRASH, FAIL_CRASH, FAIL_TIMEOUT,
+            FAIL_TRANSPORT, None, None]
+        assert [o.attempts for o in outs] == [1] * len(jobs)
+        assert "signal 9" in outs[2].error
+        assert "result was lost" in outs[4].error
+        assert [o.result["payload"] for o in outs[5:]] == [100, 101]
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_sweep_leaves_nothing_behind(
+            self, tmp_path, monkeypatch):
+        class Interrupting:
+            def job_done(self, outcome):
+                raise KeyboardInterrupt
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        jobs = [ChaosJob(name="quick", payload=1),
+                *(ChaosJob(name=f"slow{i}", mode=MODE_HANG, hang_s=60.0)
+                  for i in range(3))]
+        t0 = time.time()
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs(jobs, n_jobs=2, progress=Interrupting())
+        assert time.time() - t0 < 30  # the running slow job was killed
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []  # scratch directory removed
 
     def test_mixed_chaos_sweep_never_aborts(self, tmp_path):
         """The kitchen sink: every misbehaviour at once, healthy jobs and
@@ -181,6 +237,7 @@ class TestPooledChaos:
         ]
         outs = run_jobs(jobs, n_jobs=2, retries=3, backoff_s=0.0)
         assert [o.index for o in outs] == [0, 1, 2, 3, 4]
+        assert [o.attempts for o in outs] == [1, 4, 4, 2, 1]
         assert outs[0].ok and outs[0].result["payload"] == 1
         assert not outs[1].ok and outs[1].failure_kind == FAIL_EXCEPTION
         assert not outs[2].ok and outs[2].failure_kind == FAIL_CRASH
@@ -467,8 +524,8 @@ class TestCheckpointResume:
 def _sabotage(monkeypatch, app, misbehave):
     """Make alone replays of ``app`` call ``misbehave()`` before running.
 
-    Patched in the parent before any pool exists, so forked workers see it
-    too; every other trajectory replays normally.
+    Patched in the parent before anything is forked, so job processes see
+    it too; every other trajectory replays normally.
     """
     import repro.harness.parallel as par
 
@@ -490,9 +547,9 @@ def _bump(path):
 
 @pytest.mark.slow
 class TestReplayTaskChaos:
-    """Phase 2 goes through the same generations as phase 1: a replay task
-    that raises, dies or hangs is retried and isolated by the same rules,
-    and one that stays failed fails exactly the jobs waiting on it."""
+    """Phase 2 goes through the same machinery as phase 1: a replay task
+    that raises, dies or hangs is retried by the same rules, and one that
+    stays failed fails exactly the jobs waiting on it."""
 
     PAIRS = (("QR", "CT"), ("NN", "CT"), ("SD", "VA"))
 

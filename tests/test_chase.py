@@ -221,7 +221,7 @@ class TestSelection:
         run_jobs(jobs, timeout_s=300.0)
         run_jobs(jobs, bus=tmp_path / "prof", profile=True)
         assert helpers == []
-        # Nor does a pool worker fork (its spans would say so).
+        # Nor does a pooled job process fork (its spans would say so).
         run_jobs(jobs * 2, n_jobs=2, bus=tmp_path / "pool")
         spans = replay_spans(tmp_path / "pool")
         assert len(spans) == 2 and not any(a.get("chased") for a in spans)

@@ -202,11 +202,9 @@ _LEAF_ONLY = re.compile(
 #: How daemon.py and cli.py must not write their JSON state files.
 _PLAIN_WRITE = re.compile(r"""write_text\(|open\([^)]*["']w[bt+]*["']""")
 
-#: The one exception: ``_worker_stderr_init`` points a pool worker's fd 2 at
-#: an O_APPEND file.  That is raw stderr capture for crash forensics — the
-#: writer is the C runtime, there are no records and no reader that parses
-#: it — not a record log.
-_ALLOWED = {("harness/parallel.py", "O_APPEND")}
+#: Exceptions to the census (none: each job process's stderr capture file
+#: has one writer and is truncated, not appended to).
+_ALLOWED: set[tuple[str, str]] = set()
 
 
 def test_one_write_path():
@@ -223,10 +221,10 @@ def test_one_write_path():
             (rel, hit) for hit in found if (rel, hit) not in _ALLOWED
         ]
     assert offences == []
-    parallel = (SRC / "harness" / "parallel.py").read_text()
-    assert parallel.count("O_APPEND") == 1
-    assert "O_APPEND" in parallel.split("def _worker_stderr_init")[1].split(
-        "\ndef ")[0]
+    appenders = [path.relative_to(SRC).as_posix()
+                 for path in sorted(SRC.rglob("*.py"))
+                 if "O_APPEND" in path.read_text()]
+    assert appenders == ["durable.py"]
 
 
 #: The second results path (``results/<name>.json`` beside the store) and

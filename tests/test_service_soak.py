@@ -48,7 +48,7 @@ def _requests_for(tenant_idx: int) -> list[tuple[str, dict, bool]]:
                             {"mode": "ok", "payload": 300 + tenant_idx}]},
          False),
         # Two jobs so the flaky one runs pooled: a flaky attempt hard-exits
-        # its process, which only a pool worker can absorb.
+        # its process, which only a job process of its own can absorb.
         ("chaos", {"jobs": [{"mode": "flaky", "payload": tenant_idx,
                              "flaky_failures": 1},
                             {"mode": "ok", "payload": 400 + tenant_idx}],
