@@ -16,7 +16,7 @@ paper makes and justifies in prose:
 from repro.config import GPUConfig
 from repro.core import DASE
 from repro.harness import run_workload, scaled_config
-from repro.harness.report import pct, table
+from repro.obs.report import pct, table
 
 PAIRS = [("SD", "SB"), ("SD", "SA")]
 

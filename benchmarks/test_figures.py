@@ -16,7 +16,7 @@ import pytest
 
 from repro.figure_table import FIGURE_TABLE
 from repro.harness.figures import record_figure, run_figure
-from repro.harness.report import render_claims
+from repro.obs.report import render_claims
 
 
 @pytest.mark.parametrize("name", list(FIGURE_TABLE))

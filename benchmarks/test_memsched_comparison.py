@@ -8,7 +8,7 @@ slowdown gap that SM repartitioning addresses.
 """
 
 from repro.harness import run_workload, scaled_config
-from repro.harness.report import table
+from repro.obs.report import table
 
 PAIRS = [("SD", "SB"), ("CT", "SB")]
 

@@ -8,7 +8,7 @@ spatial sharing's fairness problem.  This bench puts all four on one axis.
 """
 
 from repro.harness import run_workload, scaled_config
-from repro.harness.report import table
+from repro.obs.report import table
 from repro.policies import DASEFairPolicy, TimeSlicePolicy, leftover_partition
 from repro.workloads import SUITE
 

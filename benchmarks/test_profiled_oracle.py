@@ -7,7 +7,7 @@ its fairness benefit DASE-Fair captures with zero profiling.
 """
 
 from repro.harness import run_workload, scaled_config
-from repro.harness.report import table
+from repro.obs.report import table
 from repro.policies import DASEFairPolicy, ProfiledFairPolicy, profile_kernel
 from repro.workloads import SUITE
 

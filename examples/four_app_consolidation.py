@@ -15,7 +15,7 @@ datacenter scenario the paper's introduction motivates — and shows:
 import sys
 
 from repro.harness import run_workload, scaled_config
-from repro.harness.report import pct, table
+from repro.obs.report import pct, table
 from repro.policies import DASEFairPolicy
 from repro.workloads import APP_NAMES
 

@@ -14,7 +14,7 @@ from repro import GPU, GPUConfig
 from repro.core import DASE
 from repro.harness import scaled_config
 from repro.harness.experiments import fig2_unfairness
-from repro.harness.report import pct, render_fig2
+from repro.obs.report import pct, render_fig2
 from repro.workloads import SUITE
 
 

@@ -11,7 +11,7 @@ Takes ~2-3 min with the defaults.
 import sys
 
 from repro.harness import run_workload
-from repro.harness.report import pct, table
+from repro.obs.report import pct, table
 from repro.workloads import APP_NAMES
 
 

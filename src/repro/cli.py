@@ -21,7 +21,7 @@ from repro import durable
 
 def _cmd_list(args) -> int:
     from repro.figure_table import FIGURE_TABLE
-    from repro.harness.report import table
+    from repro.obs.report import table
 
     rows = [
         *((fig.name, fig.help) for fig in FIGURE_TABLE.values()),
@@ -183,18 +183,17 @@ def _write_sweep_artifacts(out_dir: str, bus_dir: str,
                         trace_payload=payload, profile_rows=profile_rows)
     print("\n" + summarize_sweep(stats.to_dict()))
     if profile_rows:
-        from repro.harness.report import table
+        from repro.obs.report import table
 
         print("\nsweep-wide hot functions (merged cProfile):")
-        print(table(["ncalls", "tottime", "cumtime", "function"],
-                    profile_rows))
+        print(table(obs_bus.PROFILE_HEADERS, profile_rows))
     print(f"\nsweep observability artifacts written to {out}/ "
           f"({', '.join(wrote)})", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
     from repro.harness import run_workload
-    from repro.harness.report import pct, table
+    from repro.obs.report import pct, table
     from repro.workloads import APP_NAMES
 
     for a in args.apps:
@@ -380,7 +379,8 @@ def _open_store(args):
 def _cmd_store_list(args) -> int:
     import json
 
-    from repro.harness.report import table
+    from repro.obs.report import table
+    from repro.store.records import scenario_table
 
     try:
         store = _open_store(args)
@@ -393,14 +393,7 @@ def _cmd_store_list(args) -> int:
     if not rows:
         print(f"store {args.store} holds no recordings")
         return 0
-    print(table(
-        ["scenario", "id", "payload schema", "records", "last recorded"],
-        [
-            [r["scenario_name"], r["scenario_id"][:12], r["payload_schema"],
-             r["records"], r["last"] or "-"]
-            for r in rows
-        ],
-    ))
+    print(table(*scenario_table(rows)))
     return 0
 
 
@@ -946,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_summarize(args) -> int:
     from repro.harness.figures import claim_rows
-    from repro.harness.report import render_claims
+    from repro.obs.report import render_claims
 
     try:
         rows = claim_rows(args.store)

@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import durable
+
 #: Recognised misbehaviours.
 MODE_OK = "ok"
 MODE_RAISE = "raise"
@@ -89,7 +91,7 @@ class ChaosJob:
         n = 1
         if path.exists():
             n = int(path.read_text() or "0") + 1
-        path.write_text(str(n))
+        durable.replace_text(path, str(n))
         return n
 
     def execute(self):

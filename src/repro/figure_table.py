@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.store.registry import ScenarioSpec
 
 _ex = partial(import_module, "repro.harness.experiments")
-_rp = partial(import_module, "repro.harness.report")
 _churn = partial(import_module, "repro.opensys.churn")
 _obs = partial(import_module, "repro.obs.report")
 
@@ -332,7 +331,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
                         "help": "co-running applications (default: 4)"}),),
         inputs=lambda apps: {"apps": apps or _ex().TABLE1_APPS},
         spec=lambda i: {"params": {"apps": i["apps"]}},
-        render=lambda r: _rp().render_table1(r),
+        render=lambda r: _obs().render_table1(r),
         extract=scalar_metrics,
         claims=(
             Claim("per-partition-bytes", "< 0.4 KB",
@@ -357,7 +356,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         inputs=lambda cycles: {"cycles": cycles or _ex().table3_cycles()},
         spec=lambda i: {"workloads": [(a,) for a in APP_NAMES],
                         "cycles": i["cycles"]},
-        render=lambda r: _rp().render_table3(r),
+        render=lambda r: _obs().render_table3(r),
         extract=_metrics_table3,
         claims=(
             # The suite's calibration contract (tests/test_suite_calibration).
@@ -378,7 +377,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         driver=lambda **kw: _ex().fig2_unfairness(**kw),
         inputs=lambda: {"combos": list(_ex().FIG2_COMBOS)},
         spec=lambda i: {"workloads": i["combos"]},
-        render=lambda r: _rp().render_fig2(r),
+        render=lambda r: _obs().render_fig2(r),
         extract=_metrics_fig2,
         claims=(
             Claim("sd-sb-unfairness", "2.51",
@@ -404,7 +403,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         schema="repro.store.fig3/1",
         driver=lambda **kw: _ex().fig3_service_rate(**kw),
         sweeps=False,
-        render=lambda r: _rp().render_fig3(r),
+        render=lambda r: _obs().render_fig3(r),
         extract=_metrics_fig3,
         claims=(
             Claim("rate-correlation", "linear", lambda p: p["correlation"],
@@ -424,7 +423,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         spec=lambda i: {
             "workloads": [("SB", p) for p in sorted(i["partners"])],
         },
-        render=lambda r: _rp().render_fig4(r),
+        render=lambda r: _obs().render_fig4(r),
         extract=_metrics_fig4,
         claims=(
             # 25%: beside a compute-bound partner SB runs latency-limited on
@@ -447,7 +446,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         args=(LIMIT,),
         inputs=lambda limit: {"workloads": _ex().pair_list(limit)},
         spec=lambda i: {"workloads": i["workloads"]},
-        render=lambda r: _rp().render_accuracy(
+        render=lambda r: _obs().render_accuracy(
             r, "Fig 5 — two-application error"),
         extract=_metrics_accuracy,
         claims=(
@@ -469,7 +468,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         args=(LIMIT,),
         inputs=lambda limit: {"workloads": _ex().four_app_list(limit)},
         spec=lambda i: {"workloads": i["workloads"]},
-        render=lambda r: _rp().render_accuracy(
+        render=lambda r: _obs().render_accuracy(
             r, "Fig 6 — four-application error"),
         extract=_metrics_accuracy,
         claims=(
@@ -493,7 +492,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         inputs=lambda limit: {"workloads": _ex().pair_list(limit)},
         spec=lambda i: {"workloads": i["workloads"]},
         payload=lambda dists: dists,
-        render=lambda r: _rp().render_distribution(r),
+        render=lambda r: _obs().render_distribution(r),
         extract=_metrics_distribution,
         claims=(
             Claim("dase-under-10pct", "70.2%", lambda p: p["DASE"]["<10%"],
@@ -519,7 +518,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
                         "pairs": _ex().sensitivity_pairs()},
         spec=lambda i: {"workloads": i["pairs"],
                         "params": (("splits", i["splits"]),)},
-        render=lambda r: _rp().render_sensitivity(r, "Fig 8a — SM split"),
+        render=lambda r: _obs().render_sensitivity(r, "Fig 8a — SM split"),
         extract=_metrics_sensitivity,
         claims=(
             _ERRORS_BOUNDED,
@@ -538,7 +537,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
                         "pairs": _ex().sensitivity_pairs()},
         spec=lambda i: {"workloads": i["pairs"],
                         "params": (("sm_counts", i["sm_counts"]),)},
-        render=lambda r: _rp().render_sensitivity(r, "Fig 8b — SM count"),
+        render=lambda r: _obs().render_sensitivity(r, "Fig 8b — SM count"),
         extract=_metrics_sensitivity,
         claims=(_ERRORS_BOUNDED,),
     ),
@@ -550,7 +549,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         driver=lambda **kw: _ex().fig9_dase_fair(**kw),
         inputs=lambda: {"pairs": _ex().fig9_pairs()},
         spec=lambda i: {"workloads": i["pairs"], "policy": "dase_fair"},
-        render=lambda r: _rp().render_fig9(r),
+        render=lambda r: _obs().render_fig9(r),
         extract=_metrics_fig9,
         claims=(
             Claim("unfairness-improvement", "> 16.1%",
@@ -587,7 +586,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
             "sigmas": tuple(sigmas or _ex().DEFAULT_SIGMAS),
         },
         spec=lambda i: {"workloads": (i["pair"],), "faults": i["sigmas"]},
-        render=lambda r: _rp().render_degradation(r),
+        render=lambda r: _obs().render_degradation(r),
         extract=_metrics_degradation,
         report=("degradation", lambda path, r:
                 _obs().export_degradation_report(path, r)),
@@ -629,7 +628,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
             "params": {} if i["mean_lifetime"] == _churn().DEFAULT_LIFETIME
             else {"mean_lifetime": i["mean_lifetime"]},
         },
-        render=lambda r: _rp().render_churn(r),
+        render=lambda r: _obs().render_churn(r),
         extract=_metrics_churn,
         report=("churn", lambda path, r:
                 _obs().export_churn_report(path, r)),

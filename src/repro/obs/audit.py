@@ -26,13 +26,13 @@ with ``repro trace SD SB --audit``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro import durable
+from repro.obs.report import csv_table
 from repro.obs.tracer import PID_SIM
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -94,6 +94,10 @@ class DecisionAudit:
 
 def _fmt_partition(part: Sequence[int] | None) -> str:
     return "-" if part is None else "+".join(str(p) for p in part)
+
+
+def _fmt_opt(v: float | None) -> str | None:
+    return None if v is None else f"{v:.6f}"
 
 
 class AuditLog:
@@ -255,52 +259,37 @@ class AuditLog:
 
     def model_audits_csv(self) -> str:
         """Flat CSV of every model audit (inputs/terms JSON-encoded)."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([
-            "model", "interval", "cycle", "app", "estimate", "reciprocal",
-            "skip_reason", "inputs", "terms",
-        ])
-        for a in self.model_audits:
-            w.writerow([
-                a.model, a.interval, a.cycle, a.app,
-                "" if a.estimate is None else f"{a.estimate:.6f}",
-                "" if a.reciprocal is None else f"{a.reciprocal:.6f}",
-                a.skip_reason or "",
-                json.dumps(a.inputs, sort_keys=True),
-                json.dumps(a.terms, sort_keys=True),
-            ])
-        return buf.getvalue()
+        return csv_table(
+            ["model", "interval", "cycle", "app", "estimate", "reciprocal",
+             "skip_reason", "inputs", "terms"],
+            [[a.model, a.interval, a.cycle, a.app,
+              _fmt_opt(a.estimate), _fmt_opt(a.reciprocal), a.skip_reason,
+              json.dumps(a.inputs, sort_keys=True),
+              json.dumps(a.terms, sort_keys=True)]
+             for a in self.model_audits],
+        )
 
     def decision_audits_csv(self) -> str:
         """Flat CSV of every policy decision (one row per evaluation)."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([
-            "policy", "interval", "cycle", "action", "reason", "current",
-            "target", "current_unfairness", "predicted_unfairness",
-            "n_candidates", "plan",
-        ])
-        for d in self.decision_audits:
-            w.writerow([
-                d.policy, d.interval, d.cycle, d.action, d.reason,
-                _fmt_partition(d.current), _fmt_partition(d.target),
-                "" if d.current_unfairness is None
-                else f"{d.current_unfairness:.6f}",
-                "" if d.predicted_unfairness is None
-                else f"{d.predicted_unfairness:.6f}",
-                "" if d.candidates is None else len(d.candidates),
-                "" if d.plan is None else json.dumps(
-                    [list(s) for s in d.plan]
-                ),
-            ])
-        return buf.getvalue()
+        return csv_table(
+            ["policy", "interval", "cycle", "action", "reason", "current",
+             "target", "current_unfairness", "predicted_unfairness",
+             "n_candidates", "plan"],
+            [[d.policy, d.interval, d.cycle, d.action, d.reason,
+              _fmt_partition(d.current), _fmt_partition(d.target),
+              _fmt_opt(d.current_unfairness),
+              _fmt_opt(d.predicted_unfairness),
+              None if d.candidates is None else len(d.candidates),
+              None if d.plan is None else json.dumps(
+                  [list(s) for s in d.plan])]
+             for d in self.decision_audits],
+        )
 
 
 def export_audit_json(log: AuditLog, path: str | os.PathLike) -> dict:
     """Write the full audit dump to ``path``; returns the payload."""
     payload = log.to_dict()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    durable.replace_text(
+        path, json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+    )
     return payload

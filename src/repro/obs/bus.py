@@ -817,9 +817,13 @@ def merge_profiles(directory: str | os.PathLike):
     return merged
 
 
+#: Columns of :func:`profile_table`'s rows.
+PROFILE_HEADERS = ("ncalls", "tottime", "cumtime", "function")
+
+
 def profile_table(stats, limit: int = 15) -> list[list[str]]:
     """Top-``limit`` functions of a merged profile by cumulative time:
-    rows of [calls, tottime, cumtime, function]."""
+    rows under :data:`PROFILE_HEADERS`."""
     rows: list[list[str]] = []
     entries = sorted(
         stats.stats.items(), key=lambda kv: -kv[1][3]  # ct, cumulative

@@ -9,7 +9,8 @@ drifting leaf with its dotted path.  The output doubles as
   ``repro.obs.diff/1``) — the CI ``model-audit-diff`` job runs the same
   workload audited and unaudited and requires zero drift, turning the
   bit-identical observability contract into a regression gate;
-* a human drift table (``DiffResult.render()``) for triaging *why* two
+* a human drift table (:func:`render_verdict`, which ``repro inspect``
+  also prints for a saved verdict) for triaging *why* two
   runs disagree (which model, which app, which counter).
 
 Volatile bookkeeping keys (wall-clock timestamps, job durations, cache hit
@@ -29,6 +30,7 @@ from typing import Any, Sequence
 
 from repro import durable
 from repro.obs.bus import SWEEP_SCHEMA
+from repro.obs.report import table
 
 #: Schema tag for :meth:`DiffResult.to_dict` payloads.
 DIFF_SCHEMA = "repro.obs.diff/1"
@@ -136,35 +138,32 @@ class DiffResult:
 
     def render(self, limit: int = 40) -> str:
         """Human drift table; the verdict line comes first."""
-        head = (
-            f"{'IDENTICAL' if self.identical else 'DRIFT'}: "
-            f"{self.compared} leaves compared, {self.ignored} ignored, "
-            f"{len(self.drifts)} drifting "
-            f"(rel tol {self.rel_tol:g})\n"
-            f"  a: {self.path_a}\n  b: {self.path_b}"
-        )
-        if self.identical:
-            return head
-        rows = [["path", "a", "b", "rel", "note"],
-                ["----", "-", "-", "---", "----"]]
-        for d in self.drifts[:limit]:
-            rows.append([
-                d.path,
-                _fmt_val(d.a),
-                _fmt_val(d.b),
-                "-" if d.rel is None else f"{d.rel:.3g}",
-                d.note,
-            ])
-        widths = [max(len(r[i]) for r in rows) for i in range(5)]
-        table = "\n".join(
-            "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
-            for r in rows
-        )
-        tail = (
-            f"\n… {len(self.drifts) - limit} more drifting leaves"
-            if len(self.drifts) > limit else ""
-        )
-        return f"{head}\n{table}{tail}"
+        return render_verdict(self.to_dict(), limit)
+
+
+def render_verdict(verdict: dict[str, Any], limit: int = 40) -> str:
+    """Human drift table of a diff verdict (:meth:`DiffResult.to_dict`,
+    also as saved to disk); the verdict line comes first."""
+    drifts = verdict.get("drift") or []
+    out = [
+        f"{'IDENTICAL' if verdict.get('identical') else 'DRIFT'}: "
+        f"{verdict.get('compared', 0)} leaves compared, "
+        f"{verdict.get('ignored', 0)} ignored, {len(drifts)} drifting "
+        f"(rel tol {verdict.get('rel_tol', 0):g})",
+        f"  a: {verdict.get('a', '?')}",
+        f"  b: {verdict.get('b', '?')}",
+    ]
+    if drifts:
+        out.append(table(
+            ["path", "a", "b", "rel", "note"],
+            [[d.get("path", "?"), _fmt_val(d.get("a")), _fmt_val(d.get("b")),
+              "-" if d.get("rel") is None else f"{d['rel']:.3g}",
+              d.get("note", "value")]
+             for d in drifts[:limit]],
+        ))
+        if len(drifts) > limit:
+            out.append(f"… {len(drifts) - limit} more drifting leaves")
+    return "\n".join(out)
 
 
 def _fmt_val(v: Any) -> str:

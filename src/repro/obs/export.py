@@ -12,12 +12,12 @@ viewers expect.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from typing import Any
 
+from repro import durable
+from repro.obs.report import csv_table
 from repro.obs.tracer import (
     EventTracer,
     PID_ICNT_REPLY,
@@ -123,9 +123,8 @@ def export_chrome_trace(
 ) -> dict[str, Any]:
     """Write the Chrome trace JSON to ``path``; returns the payload."""
     payload = to_chrome_trace(tracer)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+    durable.replace_text(
+        path, json.dumps(payload, separators=(",", ":")) + "\n")
     return payload
 
 
@@ -146,9 +145,8 @@ def export_sweep_trace(
     records = source if isinstance(source, list) else bus.read_bus(source)
     payload = bus.sweep_chrome_trace(records)
     bus.validate_sweep_trace(payload)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.write("\n")
+    durable.replace_text(
+        path, json.dumps(payload, separators=(",", ":")) + "\n")
     return payload
 
 
@@ -159,22 +157,16 @@ CSV_HEADER = ("ts", "ph", "name", "pid", "tid", "dur", "args")
 
 def events_csv(tracer: EventTracer) -> str:
     """All retained events as CSV text (args JSON-encoded in one column)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for ts, ph, name, pid, tid, dur, args in sorted(
-        tracer.events(), key=lambda ev: ev[0]
-    ):
-        w.writerow([
-            ts, ph, name, pid, tid, dur,
-            json.dumps(args, sort_keys=True) if args else "",
-        ])
-    return buf.getvalue()
+    return csv_table(CSV_HEADER, [
+        [ts, ph, name, pid, tid, dur,
+         json.dumps(args, sort_keys=True) if args else None]
+        for ts, ph, name, pid, tid, dur, args in sorted(
+            tracer.events(), key=lambda ev: ev[0])
+    ])
 
 
 def export_events_csv(tracer: EventTracer, path: str | os.PathLike) -> None:
-    with open(path, "w") as fh:
-        fh.write(events_csv(tracer))
+    durable.replace_text(path, events_csv(tracer))
 
 
 # ----------------------------------------------------------------- summary

@@ -23,10 +23,19 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from repro import durable
 from repro.obs.bus import BUS_SCHEMA, SWEEP_SCHEMA, read_bus
+from repro.obs.diff import render_verdict
+from repro.obs.report import (
+    audit_lines,
+    event_table,
+    metrics_table,
+    sweep_tables,
+    table,
+    workload_table,
+)
 
 RUN_SCHEMA = "repro.obs.run/1"
 
@@ -38,46 +47,13 @@ _DIFF_SCHEMA = "repro.obs.diff/1"
 _AUDIT_SCHEMA = "repro.obs.audit/1"
 
 
-def _table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    rows = [[str(c) for c in r] for r in rows]
-    widths = [len(h) for h in headers]
-    for r in rows:
-        for i, c in enumerate(r):
-            widths[i] = max(widths[i], len(c))
-
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-
-    out = [line(list(headers)), line(["-" * w for w in widths])]
-    out.extend(line(r) for r in rows)
-    return "\n".join(out)
-
-
 def summarize_run(manifest: dict[str, Any]) -> str:
     """Summary of a ``run.json`` manifest."""
     out: list[str] = []
     wl = manifest.get("workload") or {}
     if wl:
-        names = wl.get("names", [])
-        slowdowns = wl.get("actual_slowdowns", [])
-        parts = wl.get("sm_partition", [])
-        estimates = wl.get("estimates", {})
-        models = sorted(estimates)
-        rows = []
-        for i, name in enumerate(names):
-            row = [
-                name,
-                parts[i] if i < len(parts) else "-",
-                f"{slowdowns[i]:.3f}" if i < len(slowdowns) else "-",
-            ]
-            for m in models:
-                e = estimates[m][i]
-                row.append("-" if e is None else f"{e:.3f}")
-            rows.append(row)
-        out.append("workload: " + "+".join(names))
-        out.append(
-            _table(["app", "SMs", "actual"] + models, rows)
-        )
+        out.append("workload: " + "+".join(wl.get("names", [])))
+        out.append(table(*workload_table(wl)))
         out.append(f"shared cycles: {wl.get('shared_cycles')}")
     trace = manifest.get("trace") or {}
     if trace:
@@ -93,10 +69,7 @@ def summarize_run(manifest: dict[str, Any]) -> str:
             out.append(f"span: cycles {span[0]} .. {span[1]}")
         by_name = trace.get("by_name") or {}
         if by_name:
-            out.append(_table(
-                ["event", "retained"],
-                sorted(by_name.items(), key=lambda kv: -kv[1]),
-            ))
+            out.append(table(*event_table(by_name)))
         engine = trace.get("engine") or {}
         if engine.get("events_dispatched"):
             out.append(
@@ -106,41 +79,11 @@ def summarize_run(manifest: dict[str, Any]) -> str:
     audit = manifest.get("audit") or {}
     if audit:
         out.append("")
-        out.append(
-            f"audit: {audit.get('model_records', 0)} model records, "
-            f"{audit.get('decision_records', 0)} decision records"
-        )
-        per_model = audit.get("per_model") or {}
-        if per_model:
-            out.append(_table(
-                ["model", "records", "skipped"],
-                [
-                    [m, row.get("records", 0), row.get("skipped", 0)]
-                    for m, row in sorted(per_model.items())
-                ],
-            ))
-        actions = audit.get("decision_actions") or {}
-        if actions:
-            out.append("decisions: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(actions.items())
-            ))
-        reasons = audit.get("decision_reasons") or {}
-        if reasons:
-            out.append("reasons: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(reasons.items())
-            ))
+        out.extend(audit_lines(audit))
     metrics = manifest.get("metrics") or {}
     if metrics:
-        rows = []
-        for name, snap in sorted(metrics.items()):
-            if snap.get("type") == "histogram":
-                val = f"count={snap['count']} mean={snap['mean']:.4g}"
-            else:
-                v = snap.get("value", 0)
-                val = f"{v:.6g}" if isinstance(v, float) else str(v)
-            rows.append([name, snap.get("type", "?"), val])
         out.append("")
-        out.append(_table(["metric", "type", "value"], rows))
+        out.append(table(*metrics_table(metrics)))
     files = manifest.get("files") or {}
     if files:
         out.append("")
@@ -172,7 +115,7 @@ def summarize_chrome(payload: dict[str, Any]) -> str:
         f"chrome trace: {len(events)} entries "
         f"({by_phase.get('M', 0)} metadata), {len(pids)} processes, "
         f"span {t_lo or 0:.0f} .. {t_hi:.0f} us",
-        _table(
+        table(
             ["event", "count"],
             sorted(by_name.items(), key=lambda kv: -kv[1]),
         ),
@@ -184,7 +127,9 @@ def summarize_chrome(payload: dict[str, Any]) -> str:
 
 
 def summarize_sweep(stats: dict[str, Any]) -> str:
-    """Summary of a ``sweep.json`` sweep-stats manifest."""
+    """Summary of a ``sweep.json`` sweep-stats manifest; its tables are the
+    sweep report's (:func:`repro.obs.report.sweep_tables`)."""
+    tables = sweep_tables(stats)
     out: list[str] = []
     out.append(
         f"sweep: {stats.get('n_jobs', 0)} jobs, {stats.get('ok', 0)} ok, "
@@ -200,28 +145,12 @@ def summarize_sweep(stats: dict[str, Any]) -> str:
         f"(efficiency {stats.get('parallel_efficiency', 0.0):.0%}), "
         f"cpu {stats.get('cpu_s', 0.0):.1f}s"
     )
-    lat = stats.get("latency") or {}
-    if lat:
-        out.append(
-            "job latency: "
-            + "  ".join(
-                f"{k}={lat[k]:.2f}s"
-                for k in ("p50", "p95", "p99", "mean", "max") if k in lat
-            )
-        )
-    phases = stats.get("phases") or {}
-    if phases:
-        out.append("")
-        out.append(_table(
-            ["phase", "count", "total_s"],
-            [
-                [name, int(row.get("count", 0)),
-                 f"{row.get('total_s', 0.0):.2f}"]
-                for name, row in sorted(
-                    phases.items(), key=lambda kv: -kv[1].get("total_s", 0)
-                )
-            ],
-        ))
+    if "latency" in tables:
+        heads, (cells,) = tables["latency"]
+        out.append("job latency: " + "  ".join(
+            f"{h}={c}" for h, c in zip(heads, cells)))
+    if "phases" in tables:
+        out += ["", table(*tables["phases"])]
     cache = stats.get("cache") or {}
     if cache:
         out.append("")
@@ -241,100 +170,21 @@ def summarize_sweep(stats: dict[str, Any]) -> str:
             + (f", {replays['overlapped']} overlapped with their shared run"
                if replays.get("overlapped") else "")
         )
-    workers = stats.get("workers") or {}
-    if workers:
-        out.append("")
-        out.append(_table(
-            ["worker", "jobs", "busy_s", "cpu_s", "rss_peak_kb"],
-            [
-                [name, int(w.get("jobs", 0)), f"{w.get('busy_s', 0.0):.2f}",
-                 f"{w.get('cpu_s', 0.0):.2f}", int(w.get("rss_peak_kb", 0))]
-                for name, w in sorted(workers.items())
-            ],
-        ))
-    stragglers = stats.get("stragglers") or []
-    if stragglers:
-        out.append("")
-        out.append("stragglers (> 2x p50):")
-        out.append(_table(
-            ["job", "key", "dur_s", "x p50", "dominant phase"],
-            [
-                [s.get("job"), s.get("key", "?"),
-                 f"{s.get('dur_s', 0.0):.2f}", f"{s.get('ratio', 0.0):.1f}",
-                 f"{s.get('dominant_phase', '?')} "
-                 f"({s.get('phase_s', 0.0):.2f}s)"]
-                for s in stragglers
-            ],
-        ))
-    failures = stats.get("failures") or []
-    if failures:
-        out.append("")
-        out.append(_table(
-            ["failed job", "key", "kind", "attempts"],
-            [
-                [f.get("job"), f.get("key", "?"), f.get("kind", "?"),
-                 f.get("attempts", 1)]
-                for f in failures
-            ],
-        ))
+    if "workers" in tables:
+        out += ["", table(*tables["workers"])]
+    if "stragglers" in tables:
+        out += ["", "stragglers (> 2x p50):", table(*tables["stragglers"])]
+    if "failures" in tables:
+        out += ["", table(*tables["failures"])]
     return "\n".join(out)
 
 
 def summarize_audit(payload: dict[str, Any]) -> str:
     """Summary of an ``audit.json`` dump (``repro.obs.audit/1``)."""
-    out: list[str] = []
-    summary = payload.get("summary") or {}
-    out.append(
-        f"audit: {summary.get('model_records', 0)} model records, "
-        f"{summary.get('decision_records', 0)} decision records"
-    )
-    per_model = summary.get("per_model") or {}
-    if per_model:
-        out.append(_table(
-            ["model", "records", "skipped"],
-            [
-                [m, row.get("records", 0), row.get("skipped", 0)]
-                for m, row in sorted(per_model.items())
-            ],
-        ))
-    actions = summary.get("decision_actions") or {}
-    if actions:
-        out.append("decisions: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(actions.items())
-        ))
-    reasons = summary.get("decision_reasons") or {}
-    if reasons:
-        out.append("reasons: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(reasons.items())
-        ))
+    out = audit_lines(payload.get("summary") or {})
     faults = payload.get("faults") or []
     if faults:
         out.append(f"fault events: {len(faults)}")
-    return "\n".join(out)
-
-
-def summarize_diff(payload: dict[str, Any]) -> str:
-    """Summary of a saved diff verdict (``repro.obs.diff/1``)."""
-    drifts = payload.get("drift") or []
-    out = [
-        f"{'IDENTICAL' if payload.get('identical') else 'DRIFT'}: "
-        f"{payload.get('compared', 0)} leaves compared, "
-        f"{payload.get('ignored', 0)} ignored, {len(drifts)} drifting "
-        f"(rel tol {payload.get('rel_tol', 0):g})",
-        f"  a: {payload.get('a', '?')}",
-        f"  b: {payload.get('b', '?')}",
-    ]
-    if drifts:
-        out.append(_table(
-            ["path", "a", "b", "note"],
-            [
-                [d.get("path", "?"), d.get("a"), d.get("b"),
-                 d.get("note", "value")]
-                for d in drifts[:20]
-            ],
-        ))
-        if len(drifts) > 20:
-            out.append(f"… {len(drifts) - 20} more drifting leaves")
     return "\n".join(out)
 
 
@@ -349,14 +199,17 @@ def summarize_bus(records: list[dict[str, Any]]) -> str:
     out = [
         f"bus: {len(records)} records from {len(pids)} worker"
         f"{'s' if len(pids) != 1 else ''}",
-        _table(["record", "count"],
-               sorted(by_tag.items(), key=lambda kv: -kv[1])),
+        table(["record", "count"],
+              sorted(by_tag.items(), key=lambda kv: -kv[1])),
     ]
     return "\n".join(out)
 
 
 def summarize_store_record(payload: dict[str, Any]) -> str:
     """Summary of one results-store record (``repro.store.record/1``)."""
+    from repro.store.records import StoreRecord
+    from repro.store.trajectory import metrics_of
+
     scenario = payload.get("scenario") or {}
     prov = payload.get("provenance") or {}
     out = [
@@ -383,16 +236,12 @@ def summarize_store_record(payload: dict[str, Any]) -> str:
             f"{k}={str(v)[:12]}" for k, v in sorted(prov.items())
             if not isinstance(v, dict)
         ))
-    from repro.figure_table import scalar_metrics
-    from repro.store.trajectory import EXTRACTORS
-
-    extractor = EXTRACTORS.get(payload.get("payload_schema"), scalar_metrics)
     try:
-        metrics = extractor(payload.get("payload"))
-    except (TypeError, ValueError, KeyError):
+        metrics = metrics_of(StoreRecord.from_dict(payload))
+    except KeyError:  # no record or scenario id: nothing to extract by
         metrics = {}
     if metrics:
-        out.append(_table(
+        out.append(table(
             ["metric", "value"],
             [[m, f"{v:.4g}"] for m, v in sorted(metrics.items())],
         ))
@@ -401,30 +250,17 @@ def summarize_store_record(payload: dict[str, Any]) -> str:
 
 def summarize_store_index(payload: dict[str, Any]) -> str:
     """Summary of a store ``index.json`` (``repro.store.index/1``)."""
+    from repro.store.records import scenario_rows, scenario_table
+
     entries = payload.get("records") or []
-    rows: dict[str, dict[str, Any]] = {}
-    for e in entries:
-        row = rows.setdefault(e.get("scenario_id", "?"), {
-            "name": e.get("scenario_name", "?"),
-            "schema": e.get("payload_schema", "?"),
-            "n": 0,
-            "last": e.get("created_at", "-"),
-        })
-        row["n"] += 1
-        row["last"] = e.get("created_at", row["last"])
+    rows = scenario_rows(entries)
     out = [
         f"results store: {len(entries)} recording"
         f"{'s' if len(entries) != 1 else ''} across {len(rows)} scenario"
         f"{'s' if len(rows) != 1 else ''}",
     ]
     if rows:
-        out.append(_table(
-            ["scenario", "id", "payload schema", "records", "last recorded"],
-            [
-                [row["name"], sid[:12], row["schema"], row["n"], row["last"]]
-                for sid, row in rows.items()
-            ],
-        ))
+        out.append(table(*scenario_table(rows)))
     return "\n".join(out)
 
 
@@ -542,7 +378,7 @@ def inspect_path(path: str, prefer: str | None = None) -> str:
         "run": summarize_run,
         "sweep": summarize_sweep,
         "audit": summarize_audit,
-        "diff": summarize_diff,
+        "diff": render_verdict,
         "bus": summarize_bus,
         "store-record": summarize_store_record,
         "store-index": summarize_store_index,

@@ -16,9 +16,10 @@ path, so enabling metrics costs nothing between intervals.
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from typing import Iterator
+
+from repro.obs.report import csv_table
 
 #: Default histogram bucket upper bounds: powers of two spanning the
 #: cycle/count magnitudes the simulator produces.
@@ -189,8 +190,7 @@ class MetricsRegistry:
 
     def to_csv(self) -> str:
         """Flat ``name,type,value`` rows (histograms report count/mean)."""
-        buf = io.StringIO()
-        buf.write("name,type,value\n")
+        rows = []
         for name in self.names():
             inst = self._instruments[name]
             if isinstance(inst, Histogram):
@@ -198,5 +198,5 @@ class MetricsRegistry:
             else:
                 value = f"{inst.value:.6g}" if isinstance(
                     inst.value, float) else str(inst.value)
-            buf.write(f"{name},{inst.kind},{value}\n")
-        return buf.getvalue()
+            rows.append([name, inst.kind, value])
+        return csv_table(["name", "type", "value"], rows)

@@ -1,11 +1,18 @@
-"""Self-contained HTML run report.
+"""Every table repro emits, and the self-contained HTML reports.
 
-One file, no external assets, no JavaScript: inline SVG time-series charts
-(per-app IPC, α, slowdown estimates per model vs the measured slowdown,
-SM-partition timeline), a DRAM bank-heat matrix, the event taxonomy, and a
-plain table view of every series.  Light and dark mode are both styled via
-CSS custom properties (the dark values are selected steps of the same
-hues, not an automatic flip).
+A table is a ``(headers, rows)`` pair of strings, built once by the code
+that owns the data and rendered by one function per format: :func:`table`
+(aligned text for terminals and CI logs), :func:`csv_table` and
+:func:`html_table`.  Where two views show the same data — ``repro
+inspect`` and the HTML report of a run or sweep, a figure's text rendering
+and its HTML panel — both render the rows of one builder.
+
+The HTML reports are one file each, no external assets, no JavaScript:
+inline SVG time-series charts (per-app IPC, α, slowdown estimates per
+model vs the measured slowdown, SM-partition timeline), a DRAM bank-heat
+matrix, the event taxonomy, and a table view of every series.  Light and
+dark mode are both styled via CSS custom properties (the dark values are
+selected steps of the same hues, not an automatic flip).
 
 Charts follow the repo's charting conventions: one categorical hue per
 *application* in fixed slot order everywhere (an app keeps its color
@@ -17,21 +24,395 @@ one-hue ramp for the bank-heat magnitudes.
 
 from __future__ import annotations
 
+import csv
 import html as _html
+import io
 import os
 from string import Template
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.obs.export import bank_heat, trace_summary
-from repro.obs.tracer import EventTracer
+from repro import durable
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.harness.experiments import DegradationResult
+    from repro.harness.experiments import (
+        AccuracyResult,
+        DegradationResult,
+        Fig2Result,
+        Fig3Result,
+        Fig4Result,
+        Fig9Result,
+        SensitivityResult,
+        Table1Result,
+        Table3Result,
+    )
     from repro.harness.runner import WorkloadResult
     from repro.opensys.churn import ChurnResult
     from repro.obs.audit import AuditLog, DecisionAudit
     from repro.obs.registry import MetricsRegistry
     from repro.obs.telemetry import Telemetry
+    from repro.obs.tracer import EventTracer
+
+#: A table: header cells and rows of cells.
+Table = tuple[Sequence[str], Sequence[Sequence[Any]]]
+
+
+# ------------------------------------------------------------------ renderers
+
+
+def table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Aligned text: each column padded to its widest cell, a dash rule
+    under the headers."""
+    rows = [[str(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    return "\n".join([line(headers), line(["-" * w for w in widths])]
+                     + [line(r) for r in rows])
+
+
+def csv_table(headers: Sequence[str],
+              rows: Iterable[Sequence[object]]) -> str:
+    """CSV text, ``\\n``-terminated; ``None`` cells are empty."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(headers)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def html_table(headers: Sequence[str],
+               rows: Iterable[Sequence[object]]) -> str:
+    """An HTML table, every cell escaped."""
+    head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
+    body = "".join(
+        "<tr>" + "".join(f"<td>{_esc(c)}</td>" for c in row) + "</tr>"
+        for row in rows
+    )
+    return (f"<table><thead><tr>{head}</tr></thead>"
+            f"<tbody>{body}</tbody></table>")
+
+
+def pct(x: float) -> str:
+    return f"{100 * x:.1f}%"
+
+
+def _esc(s: object) -> str:
+    return _html.escape(str(s))
+
+
+# ------------------------------------------------- shared table builders
+
+
+def workload_table(wl: dict[str, Any]) -> Table:
+    """Per-app rows of a workload result's dict form
+    (:meth:`~repro.harness.runner.WorkloadResult.to_dict`)."""
+    names = wl.get("names", [])
+    slowdowns = wl.get("actual_slowdowns", [])
+    parts = wl.get("sm_partition", [])
+    estimates = wl.get("estimates", {})
+    models = sorted(estimates)
+
+    def num(v: float | None) -> str:
+        return "-" if v is None else f"{v:.3f}"
+
+    rows = [
+        [name, str(parts[i]) if i < len(parts) else "-",
+         num(slowdowns[i]) if i < len(slowdowns) else "-"]
+        + [num(estimates[m][i]) for m in models]
+        for i, name in enumerate(names)
+    ]
+    return ["app", "SMs", "actual"] + models, rows
+
+
+def event_table(by_name: dict[str, int]) -> Table:
+    """Retained events per name, most frequent first."""
+    return ["event", "retained"], [
+        [name, str(n)]
+        for name, n in sorted(by_name.items(), key=lambda kv: -kv[1])
+    ]
+
+
+def metrics_table(snapshot: dict[str, dict[str, Any]]) -> Table:
+    """One row per instrument of a registry snapshot
+    (:meth:`~repro.obs.registry.MetricsRegistry.snapshot`)."""
+    rows = []
+    for name, snap in sorted(snapshot.items()):
+        if snap.get("type") == "histogram":
+            val = f"count={snap['count']} mean={snap['mean']:.4g}"
+        else:
+            v = snap.get("value", 0)
+            val = f"{v:.6g}" if isinstance(v, float) else str(v)
+        rows.append([name, snap.get("type", "?"), val])
+    return ["metric", "type", "value"], rows
+
+
+def audit_lines(summary: dict[str, Any]) -> list[str]:
+    """The audit block of ``repro inspect`` (:meth:`AuditLog.summary`)."""
+    out = [
+        f"audit: {summary.get('model_records', 0)} model records, "
+        f"{summary.get('decision_records', 0)} decision records"
+    ]
+    per_model = summary.get("per_model") or {}
+    if per_model:
+        out.append(table(
+            ["model", "records", "skipped"],
+            [[m, row.get("records", 0), row.get("skipped", 0)]
+             for m, row in sorted(per_model.items())],
+        ))
+    for label, key in (("decisions", "decision_actions"),
+                       ("reasons", "decision_reasons")):
+        counts = summary.get(key) or {}
+        if counts:
+            out.append(f"{label}: " + ", ".join(
+                f"{k}={v}" for k, v in sorted(counts.items())))
+    return out
+
+
+def sweep_tables(stats: dict[str, Any]) -> dict[str, Table]:
+    """The tables of a sweep-stats payload (``sweep.json``) by section —
+    latency, phases, workers, stragglers, failures — each present only
+    when the stats carry it."""
+    out: dict[str, Table] = {}
+    lat = stats.get("latency") or {}
+    keys = [k for k in ("p50", "p95", "p99", "mean", "max") if k in lat]
+    if keys:
+        out["latency"] = keys, [[f"{lat[k]:.2f}s" for k in keys]]
+    phases = stats.get("phases") or {}
+    if phases:
+        out["phases"] = ["phase", "count", "total_s"], [
+            [name, str(int(row.get("count", 0))),
+             f"{row.get('total_s', 0.0):.2f}"]
+            for name, row in sorted(
+                phases.items(), key=lambda kv: -kv[1].get("total_s", 0))
+        ]
+    workers = stats.get("workers") or {}
+    if workers:
+        out["workers"] = ["worker", "jobs", "busy_s", "cpu_s",
+                          "rss_peak_kb"], [
+            [name, str(int(w.get("jobs", 0))), f"{w.get('busy_s', 0.0):.2f}",
+             f"{w.get('cpu_s', 0.0):.2f}", str(int(w.get("rss_peak_kb", 0)))]
+            for name, w in sorted(workers.items())
+        ]
+    stragglers = stats.get("stragglers") or []
+    if stragglers:
+        out["stragglers"] = ["job", "key", "dur_s", "x p50",
+                             "dominant phase"], [
+            [str(s.get("job")), s.get("key", "?"),
+             f"{s.get('dur_s', 0.0):.2f}", f"{s.get('ratio', 0.0):.1f}",
+             f"{s.get('dominant_phase', '?')} ({s.get('phase_s', 0.0):.2f}s)"]
+            for s in stragglers
+        ]
+    failures = stats.get("failures") or []
+    if failures:
+        out["failures"] = ["failed job", "key", "kind", "attempts"], [
+            [str(f.get("job")), f.get("key", "?"), f.get("kind", "?"),
+             str(f.get("attempts", 1))]
+            for f in failures
+        ]
+    return out
+
+
+def failures_table(failures: dict[str, str]) -> Table:
+    """Failed runs of a figure sweep, by run key."""
+    return ["run", "error"], [[k, v] for k, v in sorted(failures.items())]
+
+
+def degradation_table(res: "DegradationResult") -> Table:
+    rows = []
+    for sigma in res.sigmas:
+        err, unf = res.dase_error.get(sigma), res.unfairness.get(sigma)
+        rows.append([f"{sigma:g}", "-" if err is None else pct(err),
+                     "-" if unf is None else f"{unf:.2f}"])
+    return ["noise σ", "DASE error", "unfairness (DASE-Fair)"], rows
+
+
+#: The fairness readout of one churn point, in column order.
+CHURN_METRICS = ("unfairness", "jain", "p95", "p99", "gini_wait")
+
+
+def churn_verdict_table(res: "ChurnResult") -> Table:
+    """Which policy each metric calls fairer, per rate (⚠ = the metrics
+    disagree)."""
+    verdicts = res.verdicts()
+    disagree = {d["rate"] for d in res.disagreements()}
+    return ["rate/kcyc", *CHURN_METRICS], [
+        [f"{rate:g}" + (" ⚠" if rate in disagree else "")]
+        + [verdicts[rate].get(name, "-") for name in CHURN_METRICS]
+        for rate in res.rates if rate in verdicts
+    ]
+
+
+# ------------------------------------------------------ paper tables (text)
+
+
+def render_table1(res: "Table1Result") -> str:
+    return (
+        f"Table 1 — DASE hardware cost ({res.apps} applications):\n"
+        + table(["component", "cost"], res.rows)
+        + f"\n\nper partition: {res.cost.per_partition_bytes:.0f} B "
+        f"({100 * res.cost.fraction_of_l2():.3f}% of a 64 KB L2 slice)"
+    )
+
+
+def render_table3(res: "Table3Result") -> str:
+    rows = [
+        [name, pct(res.paper[name]), pct(bw),
+         f"{100 * (bw - res.paper[name]):+.1f}pp",
+         f"{res.alpha[name]:.2f}", f"{res.ipc[name]:.1f}"]
+        for name, bw in res.measured.items()
+    ]
+    return (
+        f"Table 3 — alone DRAM bandwidth utilization ({res.cycles} cycles):\n"
+        + table(["app", "paper", "measured", "diff", "α", "IPC"], rows)
+    )
+
+
+def render_claims(rows: Iterable[Sequence[str]]) -> str:
+    """Paper vs measured, one row per claim of the figure table."""
+    return table(
+        ["entry", "claim", "paper", "measured", "wanted", "verdict"], rows)
+
+
+def render_fig2(res: "Fig2Result") -> str:
+    rows = [
+        [key, f"{unf:.2f}"] + [f"{s:.2f}" for s in res.slowdowns[key]]
+        for key, unf in res.unfairness.items()
+    ]
+    part1 = table(
+        ["workload", "unfairness", "slowdown(1st)", "slowdown(2nd)"], rows)
+    rows2 = [[key] + [pct(v) for v in bd.values()]
+             for key, bd in res.breakdown.items()]
+    first = next(iter(res.breakdown.values()))
+    part2 = table(["workload"] + list(first.keys()), rows2)
+    tail = f"SD alone attains {pct(res.sd_alone_bw)} of DRAM bandwidth"
+    return "\n\n".join(["Fig 2a — unfairness:", part1,
+                        "Fig 2b — DRAM bandwidth decomposition:", part2, tail])
+
+
+def render_fig3(res: "Fig3Result") -> str:
+    rows = [[f"{r:.1f}", f"{ipc:.3f}"] for r, ipc in res.points]
+    body = table(["requests/kcycle", "memory IPC"], rows)
+    return (
+        "Fig 3 — performance vs request service rate:\n"
+        f"{body}\nPearson correlation: {res.correlation:.3f}"
+    )
+
+
+def render_fig4(res: "Fig4Result") -> str:
+    rows = [
+        [f"SB+{partner}", f"{sb:.0f}", f"{other:.0f}", f"{sb + other:.0f}",
+         f"{res.alone_rate:.0f}"]
+        for partner, (sb, other) in res.shared_rates.items()
+    ]
+    body = table(
+        ["workload", "SB served/kcyc", "partner", "sum", "SB alone"], rows
+    )
+    return "Fig 4 — MBB served-request conservation:\n" + body
+
+
+def render_accuracy(res: "AccuracyResult", title: str) -> str:
+    models = list(res.errors)
+    rows = [
+        [key] + [pct(res.per_workload[key][m]) for m in models]
+        for key in res.per_workload
+    ]
+    rows.append(
+        ["MEAN"]
+        + [pct(res.mean_error(m)) if res.errors[m] else "-" for m in models]
+    )
+    out = f"{title}:\n" + table(["workload"] + models, rows)
+    samples = "  ".join(f"{m}: n={res.sample_count(m)}" for m in models)
+    out += f"\nsamples pooled per model — {samples}"
+    skipped = {m: n for m, n in res.skipped.items() if n}
+    if skipped:
+        out += "\nskipped (no estimate): " + "  ".join(
+            f"{m}: {n}" for m, n in skipped.items()
+        )
+    if res.failures:
+        out += "\nFAILED workloads: " + ", ".join(sorted(res.failures))
+    return out
+
+
+def render_distribution(dists: dict[str, dict[str, float]]) -> str:
+    models = list(dists)
+    bins = list(next(iter(dists.values())))
+    rows = [[b] + [pct(dists[m][b]) for m in models] for b in bins]
+    return "Fig 7 — error distribution:\n" + table(["error range"] + models, rows)
+
+
+def render_sensitivity(res: "SensitivityResult", title: str) -> str:
+    rows = [[lab, pct(res.dase_errors[lab])] for lab in res.labels]
+    return f"{title}:\n" + table(["configuration", "DASE error"], rows)
+
+
+def render_fig9(res: "Fig9Result") -> str:
+    rows = [
+        [key,
+         f"{res.unfairness_even[key]:.2f}", f"{res.unfairness_fair[key]:.2f}",
+         f"{res.hspeedup_even[key]:.3f}", f"{res.hspeedup_fair[key]:.3f}"]
+        for key in res.workloads
+    ]
+    body = table(
+        ["workload", "unf(even)", "unf(DASE-Fair)", "hsp(even)", "hsp(DASE-Fair)"],
+        rows,
+    )
+    return (
+        "Fig 9 — DASE-Fair vs even SM split:\n" + body +
+        f"\nmean unfairness improvement: {pct(res.mean_unfairness_improvement)}"
+        f"\nmean H-speedup improvement:  {pct(res.mean_hspeedup_improvement)}"
+    )
+
+
+def _failed_runs(failures: dict[str, str]) -> str:
+    if not failures:
+        return ""
+    return "\nfailed runs:\n" + "\n".join(
+        f"  {k}: {v}" for k, v in failures_table(failures)[1])
+
+
+def render_degradation(res: "DegradationResult") -> str:
+    verdict = (
+        "monotone non-decreasing" if res.error_is_monotone()
+        else "NOT monotone"
+    )
+    return (
+        f"Degradation under counter faults — {'+'.join(res.pair)} "
+        f"(seed {res.seed}):\n" + table(*degradation_table(res))
+        + f"\nDASE error vs σ: {verdict}" + _failed_runs(res.failures)
+    )
+
+
+def render_churn(res: "ChurnResult") -> str:
+    rows = []
+    for rate in res.rates:
+        for label in ("even", "fair"):
+            m = res.metrics.get(label, {}).get(rate, {})
+            err = res.dase_error.get(label, {}).get(rate)
+            rows.append(
+                [f"{rate:g}", label, res.n_arrivals.get(rate, "-"),
+                 "-" if err is None else pct(err)]
+                + [f"{m[name]:.3f}" if name in m else "-"
+                   for name in CHURN_METRICS]
+            )
+    out = (
+        f"Open-system churn — base {'+'.join(res.base)}, pool "
+        f"{'+'.join(res.pool)} (seed {res.seed}):\n"
+        + table(["rate/kcyc", "policy", "arrivals", "DASE err",
+                 *CHURN_METRICS], rows)
+    )
+    verdicts = churn_verdict_table(res)
+    if verdicts[1]:
+        out += ("\n\nfairer policy per metric (⚠ = metrics disagree):\n"
+                + table(*verdicts))
+    return out + _failed_runs(res.failures)
+
+
+# --------------------------------------------------------------- HTML reports
 
 # Categorical app colors — fixed slot order, light / dark steps of the same
 # hues (validated order: adjacent pairs clear CVD and normal-vision gates).
@@ -49,10 +430,6 @@ _W, _H = 640, 230
 _ML, _MR, _MT, _MB = 52, 110, 14, 30  # right margin hosts direct labels
 
 
-def _esc(s: object) -> str:
-    return _html.escape(str(s))
-
-
 def _fmt(v: float) -> str:
     if v == int(v) and abs(v) < 1e6:
         return str(int(v))
@@ -66,13 +443,14 @@ def _ticks(lo: float, hi: float, n: int = 4) -> list[float]:
     return [lo + i * step for i in range(n + 1)]
 
 
-def _line_chart(
+def line_chart(
     title: str,
     series: Sequence[dict],
     y_label: str = "",
     x_label: str = "cycle",
 ) -> str:
-    """One SVG line chart.
+    """One SVG line chart — every report, the store's trajectory dashboard
+    included, draws with this one.
 
     ``series``: dicts with ``label``, ``slot`` (app color slot), ``points``
     (list of (x, y)), optional ``dash`` (True → dashed reference series).
@@ -174,34 +552,19 @@ def _line_chart(
     )
 
 
-def _summary_table(result: "WorkloadResult") -> str:
-    models = sorted(result.estimates)
-    head = "".join(
-        f"<th>{_esc(h)}</th>"
-        for h in ["app", "SMs", "actual slowdown"] + [f"{m} est." for m in models]
-    )
-    rows = []
-    for i, name in enumerate(result.names):
-        act = result.actual_slowdowns[i]
-        cells = [
-            f"<td>{_esc(name)}</td>",
-            f"<td>{result.sm_partition[i]}</td>",
-            f"<td>{'—' if act is None else f'{act:.3f}'}</td>",
-        ]
-        for m in models:
-            e = result.estimates[m][i]
-            cells.append(f"<td>{'—' if e is None else f'{e:.3f}'}</td>")
-        rows.append("<tr>" + "".join(cells) + "</tr>")
+def _summary_section(result: "WorkloadResult") -> str:
     return (
-        f"<table><thead><tr>{head}</tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-        f"<p class='note'>shared window {result.shared_cycles} cycles · "
+        html_table(*workload_table(result.to_dict()))
+        + f"<p class='note'>shared window {result.shared_cycles} cycles · "
         f"unfairness {result.actual_unfairness:.3f} · harmonic speedup "
         f"{result.actual_hspeedup:.4f}</p>"
     )
 
 
-def _bank_heat_section(tracer: EventTracer) -> str:
+def _bank_heat_section(tracer: "EventTracer") -> str:
+    # Imported here: repro.obs.export renders its CSV with this module.
+    from repro.obs.export import bank_heat
+
     heat = bank_heat(tracer)
     if not heat:
         return ""
@@ -235,39 +598,18 @@ def _bank_heat_section(tracer: EventTracer) -> str:
     )
 
 
-def _taxonomy_section(tracer: EventTracer) -> str:
+def _taxonomy_section(tracer: "EventTracer") -> str:
+    from repro.obs.export import trace_summary
+
     summary = trace_summary(tracer)
-    rows = "".join(
-        f"<tr><td><code>{_esc(n)}</code></td><td>{c}</td></tr>"
-        for n, c in summary["by_name"].items()
-    )
     return (
         "<h2>Recorded events</h2>"
-        "<table><thead><tr><th>event</th><th>retained</th></tr></thead>"
-        f"<tbody>{rows}</tbody></table>"
-        f"<p class='note'>{summary['events_emitted']} emitted · "
+        + html_table(*event_table(summary["by_name"]))
+        + f"<p class='note'>{summary['events_emitted']} emitted · "
         f"{summary['events_retained']} retained · "
         f"{summary['events_dropped']} dropped (ring capacity "
         f"{summary['capacity']}) · engine dispatched "
         f"{summary['engine']['events_dispatched']} events</p>"
-    )
-
-
-def _table_view(telemetry: "Telemetry") -> str:
-    """Accessible table view of every plotted series."""
-    csv_text = telemetry.to_csv()
-    lines = csv_text.strip().splitlines()
-    if len(lines) < 2:
-        return ""
-    head = "".join(f"<th>{_esc(c)}</th>" for c in lines[0].split(","))
-    body = "".join(
-        "<tr>" + "".join(f"<td>{_esc(c)}</td>" for c in ln.split(",")) + "</tr>"
-        for ln in lines[1:]
-    )
-    return (
-        "<details><summary>Table view (all interval samples)</summary>"
-        f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
-        "</details>"
     )
 
 
@@ -281,7 +623,7 @@ def _error_section(
         for a in range(len(result.names)):
             pts = audit.error_series(model, a, result.actual_slowdowns[a])
             series.append({"label": label(a), "slot": a, "points": pts})
-        chart = _line_chart(
+        chart = line_chart(
             f"{model} relative error per interval", series,
             y_label="|est − actual| / actual",
         )
@@ -301,16 +643,14 @@ def _fmt_part(part: Sequence[int] | None) -> str:
     return "—" if part is None else "+".join(str(p) for p in part)
 
 
+def _fmt_opt(v: float | None) -> str:
+    return "—" if v is None else f"{v:.4f}"
+
+
 def _candidate_details(d: "DecisionAudit", label) -> str:
     """Expandable candidate-score table for one scored decision."""
     ranked = sorted(d.candidates, key=lambda cu: cu[1])
     shown = ranked[:15]
-    rows = []
-    for part, unf in shown:
-        mark = " ←" if part == d.target else ""
-        rows.append(
-            f"<tr><td>{_fmt_part(part)}</td><td>{unf:.4f}{mark}</td></tr>"
-        )
     more = (
         f"<p class='note'>… {len(ranked) - len(shown)} more candidates "
         "omitted (full list in audit.json)</p>"
@@ -318,24 +658,25 @@ def _candidate_details(d: "DecisionAudit", label) -> str:
     )
     interp = ""
     if d.interpolation and d.reciprocals:
-        cells = "".join(
-            f"<tr><td>{label(a)}</td><td>{d.reciprocals[a]:.4f}</td>"
-            f"<td>{d.interpolation[a][d.target[a] - 1]:.4f}</td></tr>"
-            for a in range(len(d.interpolation))
-        )
-        interp = (
-            "<table><thead><tr><th>app</th><th>reciprocal (Eq. 28)</th>"
-            "<th>predicted at target (Eqs. 29-30)</th></tr></thead>"
-            f"<tbody>{cells}</tbody></table>"
+        interp = html_table(
+            ["app", "reciprocal (Eq. 28)",
+             "predicted at target (Eqs. 29-30)"],
+            [[label(a), f"{d.reciprocals[a]:.4f}",
+              f"{d.interpolation[a][d.target[a] - 1]:.4f}"]
+             for a in range(len(d.interpolation))],
         )
     return (
         f"<details><summary>cycle {d.cycle}: {len(ranked)} candidate "
         f"partitions scored — chosen {_fmt_part(d.target)} "
         f"(predicted unfairness {d.predicted_unfairness:.4f})</summary>"
-        f"{interp}"
-        "<table><thead><tr><th>partition</th><th>predicted unfairness</th>"
-        f"</tr></thead><tbody>{''.join(rows)}</tbody></table>{more}"
-        "</details>"
+        + interp
+        + html_table(
+            ["partition", "predicted unfairness"],
+            [[_fmt_part(part),
+              f"{unf:.4f}" + (" ←" if part == d.target else "")]
+             for part, unf in shown],
+        )
+        + f"{more}</details>"
     )
 
 
@@ -354,7 +695,7 @@ def _decision_section(audit: "AuditLog", label) -> str:
         (d.cycle, d.predicted_unfairness)
         for d in decisions if d.predicted_unfairness is not None
     ]
-    chart = _line_chart(
+    chart = line_chart(
         "Estimated unfairness at each decision",
         [
             {"label": "current partition", "slot": 0, "points": cur_pts},
@@ -364,32 +705,18 @@ def _decision_section(audit: "AuditLog", label) -> str:
     )
     if chart:
         body.append(chart)
-    head = "".join(
-        f"<th>{h}</th>"
-        for h in ["cycle", "action", "reason", "partition", "target",
-                  "unfairness", "predicted", "plan"]
-    )
-    rows = []
-    for d in decisions:
-        plan = (
-            "—" if not d.plan else "; ".join(
-                f"{label(f)}→{label(t)}×{k}" for f, t, k in d.plan
-            )
-        )
-        rows.append(
-            "<tr>"
-            f"<td>{d.cycle}</td><td>{_esc(d.action)}</td>"
-            f"<td>{_esc(d.reason)}</td>"
-            f"<td>{_fmt_part(d.current)}</td><td>{_fmt_part(d.target)}</td>"
-            f"<td>{'—' if d.current_unfairness is None else f'{d.current_unfairness:.4f}'}</td>"
-            f"<td>{'—' if d.predicted_unfairness is None else f'{d.predicted_unfairness:.4f}'}</td>"
-            f"<td>{_esc(plan)}</td>"
-            "</tr>"
-        )
+    rows = [
+        [d.cycle, d.action, d.reason, _fmt_part(d.current),
+         _fmt_part(d.target), _fmt_opt(d.current_unfairness),
+         _fmt_opt(d.predicted_unfairness),
+         "; ".join(f"{label(f)}→{label(t)}×{k}" for f, t, k in d.plan)
+         if d.plan else "—"]
+        for d in decisions
+    ]
     body.append(
-        f"<table><thead><tr>{head}</tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-        "<p class='note'>one row per interval evaluation; "
+        html_table(["cycle", "action", "reason", "partition", "target",
+                    "unfairness", "predicted", "plan"], rows)
+        + "<p class='note'>one row per interval evaluation; "
         "<code>recommend</code> = dry-run (shadow) decision that did not "
         "move SMs</p>"
     )
@@ -469,18 +796,6 @@ ${body}
 """)
 
 
-def line_chart(
-    title: str,
-    series: Sequence[dict],
-    y_label: str = "",
-    x_label: str = "cycle",
-) -> str:
-    """Public entry to the repo's standard SVG line chart (see
-    :func:`_line_chart` for the series dict shape) — used by the store's
-    trajectory dashboard so every scope shares one charting idiom."""
-    return _line_chart(title, series, y_label=y_label, x_label=x_label)
-
-
 def render_page(title: str, subtitle: str, body: str) -> str:
     """Wrap pre-built ``body`` HTML in the repo's standard self-contained
     page shell (inline CSS, light/dark via custom properties, no JS)."""
@@ -491,7 +806,7 @@ def render_page(title: str, subtitle: str, body: str) -> str:
 def render_html_report(
     result: "WorkloadResult | None" = None,
     telemetry: "Telemetry | None" = None,
-    tracer: EventTracer | None = None,
+    tracer: "EventTracer | None" = None,
     registry: "MetricsRegistry | None" = None,
     audit: "AuditLog | None" = None,
     title: str = "repro run report",
@@ -502,7 +817,7 @@ def render_html_report(
     if result is not None:
         app_names = list(result.names)
         body.append("<h2>Run summary</h2>")
-        body.append(_summary_table(result))
+        body.append(_summary_section(result))
     elif tracer is not None:
         app_names = list(tracer.topology.get("app_names", []))
 
@@ -525,9 +840,9 @@ def render_html_report(
             ]
 
         body.append("<h2>Per-application time series</h2>")
-        body.append(_line_chart("IPC per interval", app_series("ipc"),
+        body.append(line_chart("IPC per interval", app_series("ipc"),
                                 y_label="IPC"))
-        body.append(_line_chart(
+        body.append(line_chart(
             "Memory-stall fraction α", app_series("alpha"), y_label="α"))
         est_names = sorted(telemetry.estimators)
         if est_names:
@@ -556,9 +871,9 @@ def render_html_report(
                             (pts[0][0], actual), (pts[-1][0], actual)
                         ],
                     })
-            body.append(_line_chart(
+            body.append(line_chart(
                 f"{model} slowdown estimate", series, y_label="slowdown"))
-        body.append(_line_chart(
+        body.append(line_chart(
             "SM partition timeline", app_series("sm_count"), y_label="SMs"))
 
     if audit is not None:
@@ -570,37 +885,28 @@ def render_html_report(
         body.append(_bank_heat_section(tracer))
         body.append(_taxonomy_section(tracer))
 
-    if registry is not None and len(registry):
-        rows = "".join(
-            f"<tr><td><code>{_esc(n)}</code></td><td>{_esc(inst.kind)}</td>"
-            f"<td>{_fmt(inst.value) if hasattr(inst, 'value') else _fmt(inst.mean)}"
-            "</td></tr>"
-            for n, inst in sorted(registry.subtree("run").items())
-        )
-        if rows:
-            body.append(
-                "<h2>Run metrics</h2>"
-                "<table><thead><tr><th>metric</th><th>type</th>"
-                f"<th>value</th></tr></thead><tbody>{rows}</tbody></table>"
-            )
+    if registry is not None:
+        run = {n: inst.snapshot()
+               for n, inst in registry.subtree("run").items()}
+        if run:
+            body.append("<h2>Run metrics</h2>"
+                        + html_table(*metrics_table(run)))
 
     if telemetry is not None and telemetry.samples:
-        body.append(_table_view(telemetry))
+        body.append(
+            "<details><summary>Table view (all interval samples)</summary>"
+            + html_table(*telemetry.table()) + "</details>"
+        )
 
     subtitle = "generated by repro.obs — interval telemetry + event trace"
     if result is not None:
-        subtitle = (
-            " + ".join(_esc(n) for n in result.names) + " · " + subtitle
-        )
-    return _PAGE.substitute(
-        title=_esc(title), subtitle=subtitle, body="\n".join(body)
-    )
+        subtitle = " + ".join(result.names) + " · " + subtitle
+    return render_page(title, subtitle, "\n".join(body))
 
 
 def export_html_report(path: str | os.PathLike, **kw) -> str:
     html = render_html_report(**kw)
-    with open(path, "w") as fh:
-        fh.write(html)
+    durable.replace_text(path, html)
     return html
 
 
@@ -663,58 +969,34 @@ def render_sweep_report(
     """Sweep-scope HTML report from a ``sweep.json`` stats payload
     (:meth:`repro.obs.bus.SweepStats.to_dict`), optionally with the sweep
     Chrome-trace payload (per-worker gantt) and a merged-profile table.
+    Its tables are the ones ``repro inspect`` prints
+    (:func:`sweep_tables`).
     """
+    from repro.obs.bus import PROFILE_HEADERS
+
+    tables = sweep_tables(stats)
     body: list[str] = []
     body.append("<h2>Sweep summary</h2>")
-    lat = stats.get("latency") or {}
-    body.append(
-        "<table><thead><tr><th>jobs</th><th>ok</th><th>failed</th>"
-        "<th>resumed</th><th>wall</th><th>busy</th><th>cpu</th>"
-        "<th>workers</th><th>efficiency</th></tr></thead><tbody><tr>"
-        f"<td>{stats.get('n_jobs', 0)}</td><td>{stats.get('ok', 0)}</td>"
-        f"<td>{stats.get('failed', 0)}</td>"
-        f"<td>{stats.get('resumed', 0)}</td>"
-        f"<td>{stats.get('wall_s', 0.0):.1f}s</td>"
-        f"<td>{stats.get('busy_s', 0.0):.1f}s</td>"
-        f"<td>{stats.get('cpu_s', 0.0):.1f}s</td>"
-        f"<td>{len(stats.get('workers') or {})}</td>"
-        f"<td>{stats.get('parallel_efficiency', 0.0):.0%}</td>"
-        "</tr></tbody></table>"
-    )
-    if lat:
-        cells = "".join(
-            f"<td>{lat[k]:.2f}s</td>"
-            for k in ("p50", "p95", "p99", "mean", "max") if k in lat
-        )
-        heads = "".join(
-            f"<th>{k}</th>"
-            for k in ("p50", "p95", "p99", "mean", "max") if k in lat
-        )
-        body.append(
-            "<h2>Job latency</h2>"
-            f"<table><thead><tr>{heads}</tr></thead>"
-            f"<tbody><tr>{cells}</tr></tbody></table>"
-        )
+    body.append(html_table(
+        ["jobs", "ok", "failed", "resumed", "wall", "busy", "cpu",
+         "workers", "efficiency"],
+        [[stats.get("n_jobs", 0), stats.get("ok", 0), stats.get("failed", 0),
+          stats.get("resumed", 0), f"{stats.get('wall_s', 0.0):.1f}s",
+          f"{stats.get('busy_s', 0.0):.1f}s",
+          f"{stats.get('cpu_s', 0.0):.1f}s",
+          len(stats.get("workers") or {}),
+          f"{stats.get('parallel_efficiency', 0.0):.0%}"]],
+    ))
+    if "latency" in tables:
+        body.append("<h2>Job latency</h2>" + html_table(*tables["latency"]))
     if trace_payload is not None:
         gantt = _sweep_gantt(trace_payload)
         if gantt:
             body.append("<h2>Worker timeline</h2>")
             body.append(gantt)
-    phases = stats.get("phases") or {}
-    if phases:
-        rows = "".join(
-            f"<tr><td><code>{_esc(n)}</code></td>"
-            f"<td>{int(row.get('count', 0))}</td>"
-            f"<td>{row.get('total_s', 0.0):.2f}s</td></tr>"
-            for n, row in sorted(
-                phases.items(), key=lambda kv: -kv[1].get("total_s", 0)
-            )
-        )
-        body.append(
-            "<h2>Phase breakdown</h2>"
-            "<table><thead><tr><th>phase</th><th>count</th>"
-            f"<th>total</th></tr></thead><tbody>{rows}</tbody></table>"
-        )
+    if "phases" in tables:
+        body.append("<h2>Phase breakdown</h2>"
+                    + html_table(*tables["phases"]))
     cache = stats.get("cache") or {}
     if cache:
         body.append(
@@ -739,65 +1021,19 @@ def render_sweep_report(
             f"{replays.get('overlapped', 0)} overlapped with the shared "
             "run that asked)</p>"
         )
-    workers = stats.get("workers") or {}
-    if workers:
-        rows = "".join(
-            f"<tr><td>{_esc(pid)}</td><td>{int(w.get('jobs', 0))}</td>"
-            f"<td>{w.get('busy_s', 0.0):.2f}s</td>"
-            f"<td>{w.get('cpu_s', 0.0):.2f}s</td>"
-            f"<td>{int(w.get('rss_peak_kb', 0))}</td></tr>"
-            for pid, w in sorted(workers.items())
-        )
-        body.append(
-            "<h2>Workers</h2>"
-            "<table><thead><tr><th>worker</th><th>jobs</th><th>busy</th>"
-            f"<th>cpu</th><th>peak RSS (kB)</th></tr></thead>"
-            f"<tbody>{rows}</tbody></table>"
-        )
-    stragglers = stats.get("stragglers") or []
-    if stragglers:
-        rows = "".join(
-            f"<tr><td>{s.get('job')}</td><td>{_esc(s.get('key', '?'))}</td>"
-            f"<td>{s.get('dur_s', 0.0):.2f}s</td>"
-            f"<td>{s.get('ratio', 0.0):.1f}×</td>"
-            f"<td><code>{_esc(s.get('dominant_phase', '?'))}</code> "
-            f"({s.get('phase_s', 0.0):.2f}s)</td></tr>"
-            for s in stragglers
-        )
-        body.append(
-            "<h2>Stragglers (&gt; 2× p50)</h2>"
-            "<table><thead><tr><th>job</th><th>key</th><th>duration</th>"
-            f"<th>× p50</th><th>dominant phase</th></tr></thead>"
-            f"<tbody>{rows}</tbody></table>"
-        )
-    failures = stats.get("failures") or []
-    if failures:
-        rows = "".join(
-            f"<tr><td>{f.get('job')}</td><td>{_esc(f.get('key', '?'))}</td>"
-            f"<td>{_esc(f.get('kind', '?'))}</td>"
-            f"<td>{f.get('attempts', 1)}</td></tr>"
-            for f in failures
-        )
-        body.append(
-            "<h2>Failures</h2>"
-            "<table><thead><tr><th>job</th><th>key</th><th>kind</th>"
-            f"<th>attempts</th></tr></thead><tbody>{rows}</tbody></table>"
-        )
+    for key, heading in (("workers", "Workers"),
+                         ("stragglers", "Stragglers (&gt; 2× p50)"),
+                         ("failures", "Failures")):
+        if key in tables:
+            body.append(f"<h2>{heading}</h2>" + html_table(*tables[key]))
     if profile_rows:
-        rows = "".join(
-            "<tr>" + "".join(f"<td>{_esc(c)}</td>" for c in r) + "</tr>"
-            for r in profile_rows
-        )
         body.append(
             "<h2>Sweep-wide hot functions (merged cProfile)</h2>"
-            "<table><thead><tr><th>calls</th><th>tottime</th>"
-            f"<th>cumtime</th><th>function</th></tr></thead>"
-            f"<tbody>{rows}</tbody></table>"
+            + html_table(PROFILE_HEADERS, profile_rows)
         )
-    return _PAGE.substitute(
-        title=_esc(title),
-        subtitle="generated by repro.obs.bus — cross-worker sweep telemetry",
-        body="\n".join(body),
+    return render_page(
+        title, "generated by repro.obs.bus — cross-worker sweep telemetry",
+        "\n".join(body),
     )
 
 
@@ -812,9 +1048,14 @@ def export_sweep_report(
         stats, trace_payload=trace_payload, profile_rows=profile_rows,
         title=title,
     )
-    with open(path, "w") as fh:
-        fh.write(html)
+    durable.replace_text(path, html)
     return html
+
+
+def _failures_section(failures: dict[str, str]) -> str:
+    if not failures:
+        return ""
+    return "<h2>Failed runs</h2>" + html_table(*failures_table(failures))
 
 
 def render_degradation_report(result: "DegradationResult") -> str:
@@ -823,38 +1064,28 @@ def render_degradation_report(result: "DegradationResult") -> str:
     Charts the two curves of a :class:`~repro.harness.experiments.
     DegradationResult` — estimation error from the policy-free runs and
     achieved unfairness from the DASE-Fair runs — against the injected
-    counter-noise intensity, plus a point table and the monotonicity
-    verdict the chaos suite enforces.
+    counter-noise intensity, plus the point table ``repro
+    fig-degradation`` prints and the monotonicity verdict the chaos suite
+    enforces.
     """
     body: list[str] = []
     pair = "+".join(result.pair)
     body.append("<h2>Estimation accuracy under counter faults</h2>")
     err = result.error_curve()
     if err:
-        body.append(_line_chart(
+        body.append(line_chart(
             f"DASE mean relative error vs noise σ ({pair})",
             [{"label": "DASE error", "slot": 0, "points": err}],
             y_label="mean |est − actual| / actual", x_label="noise σ",
         ))
     unf = result.unfairness_curve()
     if unf:
-        body.append(_line_chart(
+        body.append(line_chart(
             f"DASE-Fair achieved unfairness vs noise σ ({pair})",
             [{"label": "unfairness", "slot": 1, "points": unf}],
             y_label="unfairness", x_label="noise σ",
         ))
-    rows = "".join(
-        f"<tr><td>{_fmt(s)}</td>"
-        f"<td>{_fmt(result.dase_error[s]) if s in result.dase_error else '-'}"
-        "</td>"
-        f"<td>{_fmt(result.unfairness[s]) if s in result.unfairness else '-'}"
-        "</td></tr>"
-        for s in result.sigmas
-    )
-    body.append(
-        "<table><thead><tr><th>σ</th><th>DASE error</th>"
-        f"<th>unfairness</th></tr></thead><tbody>{rows}</tbody></table>"
-    )
+    body.append(html_table(*degradation_table(result)))
     verdict = (
         "error curve is monotone non-decreasing in σ"
         if result.error_is_monotone()
@@ -863,20 +1094,12 @@ def render_degradation_report(result: "DegradationResult") -> str:
     body.append(f"<p class=\"note\">{_esc(verdict)} · seed "
                 f"{result.seed} · same seed at every σ (common random "
                 "numbers), so points differ only in intensity.</p>")
-    if result.failures:
-        items = "".join(
-            f"<tr><td><code>{_esc(k)}</code></td><td>{_esc(v)}</td></tr>"
-            for k, v in sorted(result.failures.items())
-        )
-        body.append(
-            "<h2>Failed runs</h2><table><thead><tr><th>run</th>"
-            f"<th>error</th></tr></thead><tbody>{items}</tbody></table>"
-        )
-    return _PAGE.substitute(
-        title=_esc(f"fault degradation — {pair}"),
-        subtitle="generated by repro fig-degradation — "
-                 "repro.faults counter-noise sweep",
-        body="\n".join(body),
+    body.append(_failures_section(result.failures))
+    return render_page(
+        f"fault degradation — {pair}",
+        "generated by repro fig-degradation — repro.faults counter-noise "
+        "sweep",
+        "\n".join(body),
     )
 
 
@@ -884,8 +1107,7 @@ def export_degradation_report(
     path: str | os.PathLike, result: "DegradationResult"
 ) -> str:
     html = render_degradation_report(result)
-    with open(path, "w") as fh:
-        fh.write(html)
+    durable.replace_text(path, html)
     return html
 
 
@@ -894,9 +1116,10 @@ def render_churn_report(result: "ChurnResult") -> str:
 
     Three views of a :class:`~repro.opensys.churn.ChurnResult`: estimator
     error per policy, each fairness metric's even/fair ratio (so the five
-    metrics share one axis), and the per-rate verdict table with
-    disagreements called out — the chart the nonstationarity test layer
-    pins (docs/model.md on why the metrics may disagree).
+    metrics share one axis), and the per-rate verdict table ``repro
+    fig-churn`` prints, disagreements marked ⚠ — the chart the
+    nonstationarity test layer pins (docs/model.md on why the metrics may
+    disagree).
     """
     body: list[str] = []
     base = "+".join(result.base)
@@ -909,7 +1132,7 @@ def render_churn_report(result: "ChurnResult") -> str:
         if pts:
             err_series.append({"label": label, "slot": slot, "points": pts})
     if err_series:
-        body.append(_line_chart(
+        body.append(line_chart(
             f"DASE mean relative error vs arrival rate ({base})",
             err_series,
             y_label="mean |est − actual| / actual",
@@ -917,9 +1140,8 @@ def render_churn_report(result: "ChurnResult") -> str:
         ))
 
     body.append("<h2>Fairness metrics vs arrival rate</h2>")
-    metric_names = ("unfairness", "jain", "p95", "p99", "gini_wait")
     ratio_series = []
-    for slot, name in enumerate(metric_names):
+    for slot, name in enumerate(CHURN_METRICS):
         pts = []
         for r in rates:
             even = result.metrics.get("even", {}).get(r, {})
@@ -929,7 +1151,7 @@ def render_churn_report(result: "ChurnResult") -> str:
         if pts:
             ratio_series.append({"label": name, "slot": slot, "points": pts})
     if ratio_series:
-        body.append(_line_chart(
+        body.append(line_chart(
             f"DASE-Fair / even ratio per metric ({base})",
             ratio_series,
             y_label="fair ÷ even (1.0 = no difference)",
@@ -941,54 +1163,30 @@ def render_churn_report(result: "ChurnResult") -> str:
             "Jain's index <em>above</em> 1.0 is the improvement.</p>"
         )
 
-    verdicts = result.verdicts()
-    disagree_rates = {d["rate"] for d in result.disagreements()}
-    rows = []
-    for r in rates:
-        row = verdicts.get(r, {})
-        cells = "".join(
-            f"<td>{_esc(row.get(name, '-'))}</td>" for name in metric_names
-        )
-        mark = " ⚠ disagree" if r in disagree_rates else ""
-        rows.append(f"<tr><td>{_fmt(r)}{_esc(mark)}</td>{cells}</tr>")
-    heads = "".join(f"<th>{_esc(n)}</th>" for n in metric_names)
-    body.append(
-        "<h2>Which policy is fairer, per metric</h2>"
-        f"<table><thead><tr><th>rate</th>{heads}</tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-    if disagree_rates:
+    body.append("<h2>Which policy is fairer, per metric</h2>"
+                + html_table(*churn_verdict_table(result)))
+    if result.disagreements():
         body.append(
             "<p class=\"note\">Rates marked ⚠ are scenarios where the "
             "fairness metrics pick opposite winners — the readout is "
             "multi-metric precisely because no single scalar captures "
             "open-system fairness (docs/model.md).</p>"
         )
-    if result.failures:
-        items = "".join(
-            f"<tr><td><code>{_esc(k)}</code></td><td>{_esc(v)}</td></tr>"
-            for k, v in sorted(result.failures.items())
-        )
-        body.append(
-            "<h2>Failed runs</h2><table><thead><tr><th>run</th>"
-            f"<th>error</th></tr></thead><tbody>{items}</tbody></table>"
-        )
+    body.append(_failures_section(result.failures))
     body.append(
         f"<p class=\"note\">seed {result.seed} · pool "
         f"{_esc('+'.join(result.pool))} · mean lifetime "
         f"{result.mean_lifetime} cycles · window {result.shared_cycles} "
         "cycles · each rate replays one schedule under both policies.</p>"
     )
-    return _PAGE.substitute(
-        title=_esc(f"open-system churn — {base}"),
-        subtitle="generated by repro fig-churn — repro.opensys arrival-rate "
-                 "sweep",
-        body="\n".join(body),
+    return render_page(
+        f"open-system churn — {base}",
+        "generated by repro fig-churn — repro.opensys arrival-rate sweep",
+        "\n".join(body),
     )
 
 
 def export_churn_report(path: str | os.PathLike, result: "ChurnResult") -> str:
     html = render_churn_report(result)
-    with open(path, "w") as fh:
-        fh.write(html)
+    durable.replace_text(path, html)
     return html

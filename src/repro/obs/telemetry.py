@@ -18,9 +18,10 @@ has been removed — ``repro.harness`` still re-exports both names.)
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from repro.obs.report import csv_table
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.base import SlowdownEstimator
@@ -166,24 +167,25 @@ class Telemetry:
         """Interval-end cycle of each of ``app``'s samples (the x axis)."""
         return [s.cycle for s in self.samples if s.app == app]
 
-    def to_csv(self) -> str:
-        """All samples as CSV text (one row per app per interval)."""
-        buf = io.StringIO()
+    def table(self) -> tuple[list[str], list[list[str]]]:
+        """All samples as (headers, rows): one row per app per interval —
+        the CSV export and the HTML report's table view."""
         est_names = sorted(self.estimators)
-        header = [
+        headers = [
             "cycle", "app", "ipc", "alpha", "requests_per_kcycle",
             "bw_share", "l2_hit_rate", "erb_miss", "ellc_miss", "sm_count",
         ] + [f"est_{n}" for n in est_names]
-        buf.write(",".join(header) + "\n")
+        rows = []
         for s in self.samples:
-            row = [
+            ests = (s.estimates.get(n) for n in est_names)
+            rows.append([
                 str(s.cycle), str(s.app), f"{s.ipc:.4f}", f"{s.alpha:.4f}",
                 f"{s.requests_per_kcycle:.2f}", f"{s.bw_share:.4f}",
                 f"{s.l2_hit_rate:.4f}", str(s.erb_miss),
                 f"{s.ellc_miss:.1f}", str(s.sm_count),
-            ]
-            for n in est_names:
-                v = s.estimates.get(n)
-                row.append("" if v is None else f"{v:.4f}")
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+            ] + ["" if v is None else f"{v:.4f}" for v in ests])
+        return headers, rows
+
+    def to_csv(self) -> str:
+        """All samples as CSV text (one row per app per interval)."""
+        return csv_table(*self.table())

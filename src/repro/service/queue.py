@@ -182,8 +182,6 @@ class AdmissionQueue:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.audit = QueueAudit(audit_limit)
         self._pending: dict[str, deque[QueuedRequest]] = {}
-        self._order = itertools.count()  # FIFO tiebreak across tenants
-        self._fifo: deque[QueuedRequest] = deque()
         #: Tenant virtual clock: when each of the (at most ``servers``)
         #: isolated servers it has occupied comes free — a heap.
         self._iso_free: dict[str, list[float]] = {}
@@ -232,7 +230,6 @@ class AdmissionQueue:
         )
         heapq.heappush(free, req.iso_finish_t)
         self._pending.setdefault(tenant, deque()).append(req)
-        self._fifo.append(req)
         self.submitted += 1
         self.registry.counter("service.queue.submitted").inc()
         self.registry.gauge("service.queue.pending").set(len(self))
@@ -259,10 +256,6 @@ class AdmissionQueue:
                 heads, key=lambda r: (r.slowdown(now), -r.submit_t)
             )
         self._pending[chosen.tenant].popleft()
-        try:
-            self._fifo.remove(chosen)
-        except ValueError:  # pragma: no cover - invariant guard
-            pass
         chosen.start_t = now
         self.scheduled += 1
         self.audit.record(QueueDecision(
@@ -284,10 +277,6 @@ class AdmissionQueue:
             for req in q:
                 if req.rid == rid:
                     q.remove(req)
-                    try:
-                        self._fifo.remove(req)
-                    except ValueError:  # pragma: no cover
-                        pass
                     self.registry.counter("service.queue.cancelled").inc()
                     self.registry.gauge("service.queue.pending").set(len(self))
                     return req

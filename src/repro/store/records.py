@@ -355,19 +355,7 @@ class ResultStore:
 
     def scenarios(self) -> list[dict[str, Any]]:
         """One summary row per distinct scenario id, in first-seen order."""
-        rows: dict[str, dict[str, Any]] = {}
-        for e in self.index():
-            row = rows.setdefault(e["scenario_id"], {
-                "scenario_id": e["scenario_id"],
-                "scenario_name": e.get("scenario_name", "?"),
-                "payload_schema": e.get("payload_schema", "?"),
-                "records": 0,
-                "first": e.get("created_at"),
-                "last": e.get("created_at"),
-            })
-            row["records"] += 1
-            row["last"] = e.get("created_at")
-        return list(rows.values())
+        return scenario_rows(self.index())
 
     def export_payload(self, ref: str) -> str:
         """Re-emit a record's payload in the figure-artifact format
@@ -428,6 +416,37 @@ class ResultStore:
             "tmp_swept": durable.sweep_tmp(self.directory)
             + durable.sweep_tmp(self.records_dir),
         }
+
+
+def scenario_rows(entries: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Index entries aggregated to one row per distinct scenario id, in
+    first-seen order."""
+    rows: dict[str, dict[str, Any]] = {}
+    for e in entries:
+        sid = e.get("scenario_id", "?")
+        row = rows.setdefault(sid, {
+            "scenario_id": sid,
+            "scenario_name": e.get("scenario_name", "?"),
+            "payload_schema": e.get("payload_schema", "?"),
+            "records": 0,
+            "first": e.get("created_at"),
+            "last": e.get("created_at"),
+        })
+        row["records"] += 1
+        row["last"] = e.get("created_at")
+    return list(rows.values())
+
+
+def scenario_table(
+    rows: list[dict[str, Any]],
+) -> tuple[list[str], list[list[str]]]:
+    """:func:`scenario_rows` as a table (``repro store list``, ``repro
+    inspect`` on an index)."""
+    return ["scenario", "id", "payload schema", "records", "last recorded"], [
+        [r["scenario_name"], r["scenario_id"][:12], r["payload_schema"],
+         str(r["records"]), r["last"] or "-"]
+        for r in rows
+    ]
 
 
 def iter_payloads(

@@ -27,7 +27,9 @@ import os
 import pathlib
 from typing import Any, Callable
 
+from repro import durable
 from repro.figure_table import FIGURE_TABLE, scalar_metrics
+from repro.obs.report import html_table, line_chart, render_page, table
 from repro.store.records import ResultStore, StoreRecord, iter_payloads
 
 
@@ -80,8 +82,6 @@ def trajectory_table(
     store: ResultStore, scenario: str | None = None
 ) -> str:
     """Text view: one block per scenario, one row per recording."""
-    from repro.obs.inspect import _table
-
     traj = trajectory(store, scenario)
     if not traj:
         return "store holds no recordings" + (
@@ -101,7 +101,7 @@ def trajectory_table(
             rows.append(cells)
         blocks.append(
             f"scenario {name} ({len(rows)} recording"
-            f"{'s' if len(rows) != 1 else ''})\n" + _table(heads, rows)
+            f"{'s' if len(rows) != 1 else ''})\n" + table(heads, rows)
         )
     return "\n\n".join(blocks)
 
@@ -128,17 +128,6 @@ def load_bench_trajectory(
     return series
 
 
-def _sparkline(name: str, metric: str, points: list[tuple[int, float]],
-               slot: int) -> str:
-    from repro.obs.report import line_chart
-
-    return line_chart(
-        f"{name} · {metric}",
-        [{"label": metric, "slot": slot, "points": points}],
-        y_label=metric, x_label="recording #",
-    )
-
-
 def render_trajectory_report(
     store: ResultStore,
     scenario: str | None = None,
@@ -147,8 +136,6 @@ def render_trajectory_report(
 ) -> str:
     """Self-contained HTML dashboard: per-scenario metric sparklines plus
     (when available) the committed benchmark perf history."""
-    from repro.obs.report import line_chart, render_page
-
     traj = trajectory(store, scenario)
     body: list[str] = []
     for name, row in traj.items():
@@ -160,21 +147,22 @@ def render_trajectory_report(
             "</p>"
         )
         for slot, (metric, points) in enumerate(sorted(row["metrics"].items())):
-            chart = _sparkline(name, metric, points, slot)
+            chart = line_chart(
+                f"{name} · {metric}",
+                [{"label": metric, "slot": slot, "points": points}],
+                y_label=metric, x_label="recording #",
+            )
             if chart:
                 body.append(chart)
         # Point provenance table under each scenario.
-        rows = "".join(
-            f"<tr><td>{i}</td><td><code>{pt['record_id'][:12]}</code></td>"
-            f"<td><code>{(pt.get('git_rev') or '-')[:9]}</code></td>"
-            f"<td>{pt.get('created_at') or '-'}</td></tr>"
-            for i, pt in enumerate(row["points"])
-        )
         body.append(
             "<details><summary>recordings</summary>"
-            "<table><thead><tr><th>#</th><th>record</th><th>rev</th>"
-            f"<th>recorded</th></tr></thead><tbody>{rows}</tbody></table>"
-            "</details>"
+            + html_table(["#", "record", "rev", "recorded"], [
+                [i, pt["record_id"][:12], (pt.get("git_rev") or "-")[:9],
+                 pt.get("created_at") or "-"]
+                for i, pt in enumerate(row["points"])
+            ])
+            + "</details>"
         )
     if not traj:
         body.append("<p class='note'>store holds no recordings yet</p>")
@@ -209,6 +197,5 @@ def export_trajectory_report(
     html = render_trajectory_report(
         store, scenario=scenario, bench_path=bench_path, title=title
     )
-    with open(path, "w") as fh:
-        fh.write(html)
+    durable.replace_text(path, html)
     return html

@@ -45,6 +45,21 @@ class TestReplaceText:
         assert path.read_text() == "old\n"
         assert _temps(tmp_path) == []
 
+    def test_failed_export_keeps_the_previous_artifact(self, tmp_path):
+        from repro.obs import EventTracer, export_chrome_trace
+
+        tracer = EventTracer()
+        tracer.instant("ok", 1, 0, 0, {"n": 1})
+        path = tmp_path / "trace.json"
+        export_chrome_trace(tracer, path)
+        first = path.read_bytes()
+        json.loads(first)
+        tracer.instant("bad", 2, 0, 0, {"arg": object()})
+        with pytest.raises(TypeError):
+            export_chrome_trace(tracer, path)
+        assert path.read_bytes() == first
+        assert _temps(tmp_path) == []
+
 
 class TestLineLog:
     def test_append_creates_the_file_and_its_directory(self, tmp_path):
@@ -199,7 +214,7 @@ _LEAF_ONLY = re.compile(
     r"""os\.replace\(|os\.fsync\(|mkstemp\(|O_APPEND"""
     r"""|open\([^)]*["']a[bt+]*["']"""
 )
-#: How daemon.py and cli.py must not write their JSON state files.
+#: How no module writes a file: in place, where a failed write leaves it torn.
 _PLAIN_WRITE = re.compile(r"""write_text\(|open\([^)]*["']w[bt+]*["']""")
 
 #: Exceptions to the census (none: each job process's stderr capture file
@@ -214,9 +229,7 @@ def test_one_write_path():
         if rel == "durable.py":
             continue
         text = path.read_text()
-        found = _LEAF_ONLY.findall(text)
-        if rel in ("service/daemon.py", "cli.py"):
-            found += _PLAIN_WRITE.findall(text)
+        found = _LEAF_ONLY.findall(text) + _PLAIN_WRITE.findall(text)
         offences += [
             (rel, hit) for hit in found if (rel, hit) not in _ALLOWED
         ]

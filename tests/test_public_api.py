@@ -54,7 +54,7 @@ def test_top_level_exports():
         "repro.harness.runner",
         "repro.harness.experiments",
         "repro.harness.figures",
-        "repro.harness.report",
+        "repro.obs.report",
         "repro.obs.bus",
         "repro.service",
         "repro.service.protocol",

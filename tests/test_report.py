@@ -10,7 +10,7 @@ from repro.harness.experiments import (
     Table3Result,
     table1_hwcost,
 )
-from repro.harness.report import (
+from repro.obs.report import (
     pct,
     render_claims,
     render_table1,
