@@ -12,8 +12,12 @@ shared run, which probes the replay cache and defers only the misses;
 every count asked of it; (3) as each task lands, the jobs it served get
 their alone cycles and slowdowns and settle (checkpoint, progress).  A
 sweep whose phase 1 deferred nothing — warm cache, checkpoint-restored
-jobs, non-workload jobs — has no phase 2.  This module provides the
-fan-out machinery:
+jobs, non-workload jobs — has no phase 2.  An inline sweep with a spare
+CPU takes most trajectories out of phase 2: one whose askers are one
+consecutive run of jobs is replayed by a helper process that chases those
+shared runs as they go, and phase 1 collects its answers between runs,
+settling each job as they land (:func:`_chase_census`, :class:`_Helpers`).
+This module provides the fan-out machinery:
 
 * :class:`WorkloadJob` — a picklable description of one run (app names or
   :class:`KernelSpec` objects, config, cycles, partition, models, policy
@@ -51,6 +55,7 @@ a job is complete, and checkpointed, only once its replays are in.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -59,7 +64,7 @@ import shutil
 import tempfile
 import time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -74,9 +79,9 @@ from repro.harness.replay_cache import (
 from repro.obs import bus as obs_bus
 from repro.harness.runner import (
     AloneClock,
-    Chase,
     ReplayRequest,
     WorkloadResult,
+    _Chaser,
     _resolve,
     alone_budget,
     default_shared_cycles,
@@ -156,8 +161,8 @@ class JobOutcome:
     attributable to it, so durations still sum to the sweep's busy time
     although replays run as tasks of their own; ``cache`` likewise folds
     in the curve files those tasks wrote for it.  A replay overlapped with
-    the shared run costs the job only the wait for it afterwards, which is
-    inside the job's own wall time already.
+    the shared runs costs the job only what the sweep still waited for its
+    answer.
     """
 
     index: int
@@ -174,11 +179,12 @@ class JobOutcome:
     resumed: bool = False
     #: The part of ``duration_s`` spent on alone replays for this job: its
     #: share of each replay task's trajectory segment that ends at one of
-    #: its counts, and the wait for its overlapped replays after its shared
-    #: run ended; the rest is that shared run.
+    #: its counts, and the wait for its overlapped replays' answers; the
+    #: rest is its shared run.
     replay_s: float = 0.0
-    #: Alone replays the shared run left to the sweep's replay phase.
-    #: In-flight state: empty on every outcome :func:`run_jobs` returns.
+    #: Alone replays the shared run left to the sweep's replay phase, or
+    #: to its helpers (``chased``).  In-flight state: empty on every
+    #: outcome :func:`run_jobs` returns.
     deferred: list[ReplayRequest] = field(default_factory=list)
 
     @property
@@ -196,13 +202,13 @@ class JobOutcome:
 def _run_workload_job(
     job: WorkloadJob,
     deferred: list[ReplayRequest] | None = None,
-    chase: Chase | None = None,
+    chase: "dict[int, _Chaser] | None" = None,
 ) -> tuple[WorkloadResult, dict | None]:
     """Run one job; returns the result plus alone-replay cache counters.
 
     With ``deferred`` this is a sweep's phase 1: replays the cache cannot
-    serve land in the list instead of being simulated — except those in
-    ``chase``, which overlap the shared run.
+    serve land in the list instead of being simulated — those of the apps
+    in ``chase`` as asks their helper will answer.
     """
     config = job.config or scaled_config()
     policy = None
@@ -279,14 +285,15 @@ class ReplayJob:
 
 
 def _guarded(
-    indexed_job: tuple[int, WorkloadJob], private: frozenset[int] = frozenset()
+    indexed_job: tuple[int, WorkloadJob],
+    chase: "dict[int, _Chaser] | None" = None,
 ) -> JobOutcome:
     """Top-level (picklable) wrapper: never raises, captures tracebacks.
 
     A job exposing ``execute()`` (:class:`ReplayJob`,
     :class:`repro.faults.ChaosJob`) runs that; everything else is a
-    :class:`WorkloadJob`, run as phase 1 of the sweep — overlapping the
-    replays of its ``private`` apps (:func:`_private_replays`).
+    :class:`WorkloadJob`, run as phase 1 of the sweep — feeding and asking
+    the helpers in ``chase`` (:class:`_Helpers`).
     """
     index, job = indexed_job
     t0 = time.perf_counter()
@@ -296,12 +303,10 @@ def _guarded(
             return JobOutcome(index, job, result=execute(),
                               duration_s=time.perf_counter() - t0)
         deferred: list[ReplayRequest] = []
-        chase = Chase(private) if private else None
         result, cache_stats = _run_workload_job(job, deferred, chase)
         return JobOutcome(index, job, result=result,
                           duration_s=time.perf_counter() - t0,
-                          cache=cache_stats, deferred=deferred,
-                          replay_s=chase.tail_s if chase else 0.0)
+                          cache=cache_stats, deferred=deferred)
     except Exception:
         return JobOutcome(index, job, error=traceback.format_exc(),
                           duration_s=time.perf_counter() - t0,
@@ -318,7 +323,7 @@ def _observed_run(
     bus_dir: str | None,
     submit_ts: float | None = None,
     serialize: bool = False,
-    private: frozenset[int] = frozenset(),
+    chase: "dict[int, _Chaser] | None" = None,
 ) -> JobOutcome:
     """Run one guarded attempt, bracketed by bus records when enabled.
 
@@ -329,7 +334,7 @@ def _observed_run(
     does not, so it is only recorded in job processes.
     """
     if ch is None:
-        outcome = _guarded((index, job), private)
+        outcome = _guarded((index, job), chase)
         outcome.attempts = attempt
         return outcome
     ch.job_start(
@@ -344,7 +349,7 @@ def _observed_run(
         prof = cProfile.Profile()
         prof.enable()
     try:
-        outcome = _guarded((index, job), private)
+        outcome = _guarded((index, job), chase)
     finally:
         if prof is not None:
             prof.disable()
@@ -409,8 +414,24 @@ _SWEEP_DEFAULTS: dict = {
 }
 
 #: Monotone per-process counter distinguishing sweeps that share one bus
-#: directory (a figure driver may run several run_jobs calls).
+#: directory (a figure driver may run several run_jobs calls), and the
+#: (pid, random token) of the process it counts for.
 _SWEEP_SEQ = 0
+_SWEEP_PROCESS: tuple[int, str] | None = None
+
+
+def _next_sweep_id() -> str:
+    """``<pid>-<token>-<n>``: the ``n``-th sweep of this process.  The token
+    is drawn once per process start (a forked child draws its own), so a pid
+    the OS hands out twice — the daemon's job processes come and go — does
+    not name a second process's sweeps as the first one's."""
+    global _SWEEP_SEQ, _SWEEP_PROCESS
+    pid = os.getpid()
+    if _SWEEP_PROCESS is None or _SWEEP_PROCESS[0] != pid:
+        _SWEEP_PROCESS = (pid, os.urandom(4).hex())
+        _SWEEP_SEQ = 0
+    _SWEEP_SEQ += 1
+    return f"{pid}-{_SWEEP_PROCESS[1]}-{_SWEEP_SEQ}"
 
 
 def set_sweep_defaults(
@@ -477,8 +498,8 @@ def run_jobs(
     no pickling) — handy for debugging and for callers that just want the
     failure-capturing contract.  None, the default, runs the jobs inline
     too, and where there is a spare CPU to do it on (:func:`_can_overlap`)
-    overlaps each job's *private* alone replays — the trajectories no
-    other job of the sweep asks for — with that job's own shared run
+    replays each alone trajectory whose askers are one consecutive run of
+    jobs in a helper process that chases their shared runs
     (docs/parallel-harness.md, "Overlapped replays"); the results are the
     same.  Outcomes always come back ordered by submission index,
     regardless of which job finished first, and a job that fails — by
@@ -515,7 +536,6 @@ def run_jobs(
     same directory for a sweep-wide merged hot-function table.  Both fall
     back to the ambient defaults when None.
     """
-    global _SWEEP_SEQ
     indexed = list(enumerate(jobs))
     if not indexed:
         return []
@@ -545,8 +565,7 @@ def run_jobs(
     sweep_id = None
     prev_ch = None
     if bus_dir is not None:
-        _SWEEP_SEQ += 1
-        sweep_id = f"{os.getpid()}-{_SWEEP_SEQ}"
+        sweep_id = _next_sweep_id()
         prev_ch = obs_bus.current()
         ch = obs_bus.activate(bus_dir)
         ch.record(
@@ -596,13 +615,11 @@ def run_jobs(
 
     n_workers = max(1, min(n_jobs or 1, len(indexed)))
     pooled = n_workers > 1 or timeout_s is not None
-    #: Job index → the apps whose alone replay overlaps its shared run.
-    private: dict[int, frozenset[int]] = {}
 
-    def run_phase(todo, done) -> None:
+    def run_phase(todo, done, chased=()) -> None:
         if not pooled:
             _run_inline(
-                todo, retries, backoff_s, done, private,
+                todo, retries, backoff_s, done, chased,
                 ch=ch, sweep=sweep_id, profile=profile, bus_dir=bus_dir,
             )
         elif todo:
@@ -618,12 +635,13 @@ def run_jobs(
                     index, jobs[index], result=result, resumed=True,
                 ))
         # Phase 1: every job's shared run.  Jobs whose replays all came
-        # from the cache, or overlapped the shared run, settle here; a
-        # warm sweep ends here.
+        # from the cache, or from helpers, settle here; a warm sweep ends
+        # here.
         todo = [(i, job) for i, job in indexed if i not in outcomes]
+        chased = []
         if n_jobs is None and not pooled and not profile and _can_overlap():
-            private = _private_replays(todo)
-        run_phase(todo, shared_run_done)
+            chased = _chase_census(todo)
+        run_phase(todo, shared_run_done, chased)
         if waiting:
             # Phase 2: one task per alone trajectory; phase 3, as each
             # task lands: fill in the jobs it served and settle those that
@@ -677,25 +695,44 @@ def _trajectory(
     )
 
 
-def _private_replays(
-    todo: list[tuple[int, object]]
-) -> dict[int, frozenset[int]]:
-    """The asker census: per job, the apps (by position) whose alone
-    trajectory no other job of the sweep will ask for.
+@dataclass
+class _Chased:
+    """One alone trajectory whose askers are one consecutive run of a
+    sweep's jobs (:func:`_chase_census`): what :class:`_Helpers` forks a
+    :class:`_Chaser` for."""
 
-    Those replays gain nothing from waiting for the replay phase, which
-    exists to simulate a *shared* trajectory once, so their jobs overlap
-    them with the shared run instead.  Counted before anything runs, from
-    what :func:`run_workload` will replay: every app of the roster, keyed
-    as :class:`_ReplayPlan` keys the requests it is left with.
+    spec: KernelSpec
+    stream_id: int
+    config: GPUConfig
+    max_cycles: int
+    cache_dir: str | None
+    #: The indices of the jobs that ask for it, in turn order.
+    askers: list[int] = field(default_factory=list)
+
+
+def _chase_census(todo: list[tuple[int, object]]) -> list[_Chased]:
+    """The asker census: the alone trajectories to replay in helpers.
+
+    A trajectory qualifies when the jobs that will ask for it are one
+    consecutive run of ``todo`` — a private trajectory is a run of one — so
+    one helper serves them all and lives only as long as the run.  Anything
+    else waits for the replay phase: askers apart (fig9's even-then-fair
+    order), or an open-system asker (an arrival's residency is not known up
+    front).  Counted before anything runs, from what :func:`run_workload`
+    will replay: every app of the roster, keyed as :class:`_ReplayPlan` keys
+    the requests it is left with.
     """
-    askers: dict[tuple, list[tuple[int, int]]] = {}
-    for index, job in todo:
+    #: Trajectory → its census entry, or None once it cannot be chased.
+    found: dict[tuple, _Chased | None] = {}
+    #: Trajectory → the turn of its latest asker.
+    latest: dict[tuple, int] = {}
+    for turn, (index, job) in enumerate(todo):
         if not isinstance(job, WorkloadJob):
             continue
         config = job.config or scaled_config()
         max_cycles = alone_budget(job.shared_cycles or default_shared_cycles())
         roster = list(job.apps)
+        open_system = job.arrivals is not None and not job.arrivals.is_null
         if job.arrivals is not None:
             roster += [a.app for a in job.arrivals.arrivals]
         try:
@@ -703,16 +740,19 @@ def _private_replays(
         except KeyError:
             continue  # an unknown app: the job fails on its own, in its turn
         for stream_id, spec in enumerate(specs):
-            askers.setdefault(
-                _trajectory(spec, stream_id, config, max_cycles,
-                            job.cache_dir), [],
-            ).append((index, stream_id))
-    private: dict[int, set[int]] = {}
-    for asked_by in askers.values():
-        if len(asked_by) == 1:
-            index, stream_id = asked_by[0]
-            private.setdefault(index, set()).add(stream_id)
-    return {index: frozenset(apps) for index, apps in private.items()}
+            key = _trajectory(spec, stream_id, config, max_cycles,
+                              job.cache_dir)
+            if key not in found:
+                found[key] = _Chased(spec, stream_id, config, max_cycles,
+                                     job.cache_dir)
+            elif found[key] is None:
+                continue
+            if open_system or latest.get(key, turn - 1) != turn - 1:
+                found[key] = None
+                continue
+            found[key].askers.append(index)
+            latest[key] = turn
+    return [entry for entry in found.values() if entry is not None]
 
 
 class _ReplayPlan:
@@ -790,12 +830,121 @@ class _ReplayPlan:
         return done
 
 
+class _Helpers:
+    """An inline sweep's :class:`_Chaser`\\ s, and the jobs owed answers.
+
+    A helper is forked when the turn of the first job that asks for its
+    trajectory comes — before that job builds its shared machine — and
+    reaped once the last one has its answer.  A job whose turn is over
+    waits here, in turn order, for the answers it asked for; as they land
+    it gets its alone cycles and goes on to ``done``.  Each answer's wait
+    is the job's: it adds to ``duration_s`` and ``replay_s``, and the span
+    of the trajectory it came from is recorded against the job that
+    collected its last answer.
+    """
+
+    def __init__(self, chased: Sequence[_Chased], ch, sweep: str | None):
+        #: First asker → the trajectories whose helper its turn forks.
+        self._first: dict[int, list[_Chased]] = {}
+        for entry in chased:
+            self._first.setdefault(entry.askers[0], []).append(entry)
+        #: Job index → its helpers, by app position.
+        self._of_job: dict[int, dict[int, _Chaser]] = {}
+        #: Job index → the helpers it is the last to ask.
+        self._last: dict[int, list[_Chaser]] = {}
+        #: Live helper → what it still owes: each answer asked for and not
+        #: collected, and one more until its last asker has had its turn.
+        self._owed: Counter = Counter()
+        #: (outcome, [(helper, request)]) of jobs owed answers, turn order.
+        self._waiting: deque = deque()
+        self._ch = ch
+        self._sweep = sweep
+
+    def start(self, index: int) -> dict[int, _Chaser]:
+        """Fork the helpers job ``index`` is the first to ask; its helpers."""
+        for entry in self._first.pop(index, ()):
+            cache = (AloneReplayCache(entry.cache_dir) if entry.cache_dir
+                     else None)
+            chaser = _Chaser(entry.spec, entry.stream_id, entry.config,
+                             cache, entry.max_cycles)
+            self._owed[chaser] = 1
+            self._last.setdefault(entry.askers[-1], []).append(chaser)
+            for asker in entry.askers:
+                self._of_job.setdefault(asker, {})[entry.stream_id] = chaser
+        return self._of_job.get(index, {})
+
+    def ran(self, outcome: JobOutcome) -> None:
+        """Job ``outcome.index``'s turn is over: it waits for what it asked."""
+        helpers = self._of_job.pop(outcome.index, {})
+        asks = [(helpers[req.stream_id], req)
+                for req in outcome.deferred if req.chased]
+        self._owed.update(chaser for chaser, _ in asks)
+        self._waiting.append((outcome, asks))
+        with self._serving(outcome.index):
+            for chaser in self._last.pop(outcome.index, ()):
+                self._paid(chaser)
+
+    def collect(self, done: Callable[[JobOutcome], None], keep: int) -> None:
+        """Hand the waiting jobs to ``done``, in turn order: all but the
+        last ``keep`` once their answers are in, those only if they are."""
+        while self._waiting:
+            outcome, asks = self._waiting[0]
+            if (len(self._waiting) <= keep
+                    and not all(chaser.ready() for chaser, _ in asks)):
+                return
+            self._waiting.popleft()
+            with self._serving(outcome.index):
+                for chaser, req in asks:
+                    self._answer(outcome, chaser, req)
+            if not outcome.ok:
+                outcome.deferred = []
+            done(outcome)
+
+    def _answer(self, outcome: JobOutcome, chaser: _Chaser,
+                req: ReplayRequest) -> None:
+        outcome.deferred.remove(req)
+        try:
+            clock = chaser.answer(req.instructions)
+        except Exception:  # noqa: BLE001 - the replay's own error, as inline
+            if outcome.ok:
+                outcome.result = None
+                outcome.failure_kind = FAIL_EXCEPTION
+                outcome.error = traceback.format_exc()
+        else:
+            outcome.duration_s += clock.seconds
+            outcome.replay_s += clock.seconds
+            if outcome.ok:
+                outcome.result.set_alone(req.stream_id, clock.cycles)
+                if clock.stored and outcome.cache is not None:
+                    outcome.cache["stores"] += 1
+        finally:
+            self._paid(chaser)
+
+    def _paid(self, chaser: _Chaser) -> None:
+        """One thing ``chaser`` owed is settled; reap it when it owes none."""
+        self._owed[chaser] -= 1
+        if not self._owed[chaser]:
+            del self._owed[chaser]
+            chaser.close(report=True)
+
+    def _serving(self, index: int):
+        if self._ch is None:
+            return contextlib.nullcontext()
+        return self._ch.serving(self._sweep, index)
+
+    def close(self) -> None:
+        """Reap every helper still alive (a sweep cut short)."""
+        for chaser in self._owed:
+            chaser.close()
+        self._owed.clear()
+
+
 def _run_inline(
     todo: list[tuple[int, object]],
     retries: int,
     backoff_s: float,
-    settle: Callable[[JobOutcome], None],
-    private: dict[int, frozenset[int]],
+    done: Callable[[JobOutcome], None],
+    chased: Sequence[_Chased] = (),
     ch: "obs_bus.WorkerChannel | None" = None,
     sweep: str | None = None,
     profile: bool = False,
@@ -805,23 +954,34 @@ def _run_inline(
 
     There is no timeout here — no process to kill without taking the caller
     down with it; :func:`run_jobs` forks the attempts of a sweep that has
-    one.  ``private`` names, per job, the replays to overlap with its
-    shared run.  With a bus enabled the parent's own channel doubles as
+    one.  ``chased`` (:func:`_chase_census`) are the trajectories replayed
+    by helper processes (:class:`_Helpers`).  A job's shared run does not
+    wait for the answers the previous one asked for: before each turn only
+    those owed to the jobs before the previous one are waited for, so the
+    helpers alive at once serve at most two jobs; the rest are waited for
+    at the end.  With a bus enabled the parent's own channel doubles as
     the worker channel (no dequeue/serialize spans — there is no
     transport).
     """
-    for index, job in todo:
-        attempt = 0
-        while True:
-            attempt += 1
-            outcome = _observed_run(
-                index, job, attempt, ch, sweep, profile, bus_dir,
-                private=private.get(index, frozenset()),
-            )
-            if outcome.ok or attempt > retries:
-                break
-            time.sleep(_backoff_s(backoff_s, attempt))
-        settle(outcome)
+    helpers = _Helpers(chased, ch, sweep)
+    try:
+        for index, job in todo:
+            helpers.collect(done, keep=1)
+            chase = helpers.start(index)
+            attempt = 0
+            while True:
+                attempt += 1
+                outcome = _observed_run(
+                    index, job, attempt, ch, sweep, profile, bus_dir,
+                    chase=chase,
+                )
+                if outcome.ok or attempt > retries:
+                    break
+                time.sleep(_backoff_s(backoff_s, attempt))
+            helpers.ran(outcome)
+        helpers.collect(done, keep=0)
+    finally:
+        helpers.close()
 
 
 def _attempt_main(  # pragma: no cover - runs in the job process

@@ -20,9 +20,9 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from repro import forked
 from repro.config import GPUConfig
@@ -236,9 +236,9 @@ class AloneClock(NamedTuple):
     ``seconds`` is the host time spent getting there: the cache probe for a
     ``cached`` clock, else the simulation from the previous requested count
     (for the first one: from building the GPU) up to this one, including
-    the cache store — for an overlapped replay (:class:`Chase`), only what
-    of it was left to wait for once the shared run had ended.  ``stored``
-    says that store wrote a curve file.
+    the cache store — for an overlapped replay (:class:`_Chaser`), only
+    what was still waited for its answer.  ``stored`` says that store
+    wrote a curve file.
     """
 
     cycles: int
@@ -250,13 +250,15 @@ class AloneClock(NamedTuple):
 @dataclass(frozen=True)
 class ReplayRequest:
     """An alone replay a shared run still owes: phase 1 → phase 2 of a
-    sweep.  ``stream_id`` is also the app's position in the result."""
+    sweep, or — ``chased`` — an answer its app's :class:`_Chaser` owes.
+    ``stream_id`` is also the app's position in the result."""
 
     stream_id: int
     spec: KernelSpec
     config: GPUConfig
     instructions: int
     max_cycles: int
+    chased: bool = False
 
 
 def probe_alone(
@@ -299,6 +301,7 @@ class _AloneMachine:
     What :func:`replay_alone` and an overlapped replay's helper process
     (:class:`_Chaser`) both drive, so a clock — and, with a ``cache``, the
     curve file stored at it — is the same whichever of them got there.
+    The progress curve is recorded with a ``cache``, or when ``record``.
     """
 
     def __init__(
@@ -307,6 +310,7 @@ class _AloneMachine:
         stream_id: int,
         config: GPUConfig,
         cache: "AloneReplayCache | None",
+        record: bool = False,
     ) -> None:
         self.spec = spec
         self.stream_id = stream_id
@@ -318,7 +322,10 @@ class _AloneMachine:
             config, [LaunchedKernel(spec, restart=True, stream_id=stream_id)],
             obs=False,
         )
-        self.curve = self.gpu.record_progress(0) if cache is not None else None
+        self.curve = (
+            self.gpu.record_progress(0) if record or cache is not None
+            else None
+        )
 
     def advance(
         self, count: int, max_cycles: int, store: bool = True
@@ -409,64 +416,91 @@ def _simulated_span(
 # -------------------------------------------------------- overlapped replays
 
 
-@dataclass
-class Chase:
-    """The alone replays that are one job's own business in a sweep.
-
-    ``streams`` names the applications, by position, whose alone trajectory
-    no other job of the sweep asks for: nothing is gained by leaving those
-    to the sweep's replay phase, so :func:`run_workload` replays them in
-    helper processes *while* its shared run is going
-    (docs/parallel-harness.md, "Overlapped replays").  ``tail_s`` comes
-    back: the seconds the job still waited for them once the shared run
-    had ended.
-    """
-
-    streams: Collection[int]
-    tail_s: float = 0.0
-
-
 def _chase_main(conn, machine_args: tuple, max_cycles: int,
                 drop=None) -> None:
-    """A :class:`_Chaser`'s helper process: advance one alone machine to the
-    newest count received until the final one is reached, and answer that
-    with ``(cycles, busy seconds, stored)`` — or, whatever goes wrong, with
-    the traceback as text.  ``drop`` is called first: a helper forked
-    mid-run inherits a copy of the shared machine and lets go of it, so
-    that it too holds one machine."""
+    """A :class:`_Chaser`'s helper process.
+
+    Messages are ``(count, ask)``.  A *feed* (``ask`` false) says how far a
+    shared run has got: the machine runs on to it unless a newer message is
+    already waiting.  An *ask* wants the clock at ``count`` and is answered
+    with ``(cycles, stored, busy seconds so far)``, in the order asked —
+    or, whatever goes wrong, with the traceback as text, after which the
+    helper is done.  The machine always records its progress curve, so a
+    count it has already run past (an earlier job of the sweep stopped
+    further along) is answered from the curve with the clock a fresh replay
+    stops at.  The helper runs at the lowest scheduling priority, and
+    ``drop`` is called first: a helper forked mid-run inherits a copy of
+    the shared machine and lets go of it, so that it too holds one machine.
+
+    ``stored`` is what :func:`replay_alone` over the same counts would say
+    for this one.  That replay takes the counts in ascending order and
+    writes the curve at each count that stops it further along than the
+    previous one.  Where the machine stands is where a replay to any count
+    from the one it last ran on to, up to its progress, stops: for such a
+    count the store is made and its result is the answer.  A count the
+    machine ran past writes nothing now; it is credited unless the next
+    smaller count asked has the same clock — two counts that stop in one
+    simulated cycle are taken for one stop.
+    """
     try:
+        # Lowest priority: while a shared run is going it is the critical
+        # path and a helper may only use what it leaves idle; once the
+        # sweep waits for the helpers, they have the CPUs to themselves.
+        os.nice(19)
         if drop is not None:
             drop()
         t0 = time.perf_counter()
-        machine = _AloneMachine(*machine_args)
+        machine = _AloneMachine(*machine_args, record=True)
         busy = time.perf_counter() - t0
-        final = False
-        while not final:
-            count, final = conn.recv()
-            while not final and conn.poll():
-                count, final = conn.recv()
+        #: The count the machine last ran on to; it stands where a replay
+        #: to any count from there up to its progress stops.
+        stop = 0
+        #: Counts answered so far → their clocks.
+        clocks: dict[int, int] = {}
+        while True:
+            count, ask = conn.recv()
+            if not ask and conn.poll():
+                continue  # a newer message says how far to go
             t0 = time.perf_counter()
-            cycles, stored = machine.advance(count, max_cycles, store=final)
+            if count > machine.gpu.progress[0].instructions:
+                cycles, stored = machine.advance(count, max_cycles, store=ask)
+                stop = count
+            elif ask and count >= stop:
+                cycles, stored = machine.advance(count, max_cycles)
+            elif ask:
+                cycles = machine.curve.cycle_at(count)
+                below = [c for c in clocks if c < count]
+                stored = (
+                    machine.cache is not None and count not in clocks
+                    and (not below or clocks[max(below)] != cycles)
+                )
             busy += time.perf_counter() - t0
-        conn.send((cycles, busy, stored))
+            if ask:
+                clocks[count] = cycles
+                conn.send((cycles, stored, busy))
     except EOFError:
-        pass  # the parent is gone; so is the point of this replay
+        pass  # the sweep is done with this trajectory, or gone
     except Exception:  # noqa: BLE001 - reported; the parent replays in-process
         conn.send(traceback.format_exc())
 
 
 class _Chaser:
-    """One private alone replay, chasing the shared run it belongs to.
+    """One alone trajectory, replayed by a helper process alongside the
+    shared runs that ask for it (docs/parallel-harness.md, "Overlapped
+    replays").
 
-    A helper process — forked before the shared machine is built, so each
-    process holds one machine — is fed the application's instruction count
-    at every estimation interval and advances its alone machine that far;
-    fed the final count, it stores the curve (when there is a cache) and
-    answers with the clock.  With a curve already stored there is nothing
-    to simulate until the shared run passes its end: the helper starts at
-    the first count beyond it, or never (a plain cache hit).  A helper that
-    dies, or fails, is replaced by the same replay in this process, which
-    raises what there is to raise.
+    An inline sweep makes one for each trajectory whose askers are one
+    consecutive run of its jobs, before the first of them builds its shared
+    machine, so each process holds one machine.  Every asking shared run
+    :meth:`feed`\\ s it the application's instruction count once per
+    estimation interval and, when it ends, :meth:`ask`\\ s for the clock at
+    its final count; :meth:`answer` collects the clocks in the order asked,
+    so the next shared run need not wait for them.  With a curve already
+    stored there is nothing to simulate until a count passes its end: the
+    helper starts at the first count beyond it, or never (the askers probe
+    the cache instead).  A helper that dies, or fails, is replaced by the
+    same replay in this process for every answer still owed, which raises
+    what there is to raise.
     """
 
     def __init__(
@@ -483,12 +517,17 @@ class _Chaser:
         self.known_end = None if known is None else known.end
         self._proc = None
         self._conn = None
+        #: Counts asked for and not yet answered, oldest first.
+        self._asked: deque[int] = deque()
+        #: Why the helper stopped answering: its traceback's last line, ""
+        #: when it died without a word; None while it answers.
+        self._lost: str | None = None
+        #: Counts the helper answered; its busy seconds; what answers waited.
+        self.served: Counter = Counter()
+        self.busy_s = 0.0
+        self.tail_s = 0.0
         if known is None:
             self._start()
-
-    @property
-    def running(self) -> bool:
-        return self._proc is not None
 
     def _start(self, drop=None) -> None:
         self._proc, self._conn = forked.spawn(
@@ -496,68 +535,100 @@ class _Chaser:
             daemon=True,
         )
 
-    def feed(self, count: int, final: bool = False, drop=None) -> None:
-        """Tell the helper how far the shared run has got (``drop``: what
-        a helper that starts only now should release first)."""
+    def _send(self, count: int, ask: bool, drop=None) -> None:
         if self._proc is None:
-            if count <= self.known_end:
+            if not ask and count <= self.known_end:
                 return
             self._start(drop)
         try:
-            self._conn.send((count, final))
+            self._conn.send((count, ask))
         except OSError:
-            pass  # the helper is dead: clock() finds out and replays here
+            pass  # the helper is dead: answer() finds out and replays here
 
-    def clock(self, count: int) -> AloneClock:
-        """The alone clock at ``count``, which was fed as final.
+    def feed(self, count: int, drop=None) -> None:
+        """Tell the helper how far a shared run has got (``drop``: what a
+        helper that starts only now should release first)."""
+        self._send(count, False, drop)
 
-        One ``replay`` bus span (``cached=False, chased=True``): ``dur`` is
-        the helper's busy seconds, ``tail_s`` how long this call waited for
-        it — with ``fallback=True``, for the in-process replay that took a
-        lost helper's place, which ``dur`` then times.
+    def ask(self, count: int) -> bool:
+        """Ask for the clock at ``count``, a shared run's final count; False
+        when the stored curve already reaches it (probe the cache)."""
+        if self.known_end is not None and count <= self.known_end:
+            return False
+        self._send(count, True)
+        self._asked.append(count)
+        return True
+
+    def ready(self) -> bool:
+        """Whether :meth:`answer` has something to read without waiting."""
+        return self._lost is not None or self._conn.poll()
+
+    def answer(self, count: int) -> AloneClock:
+        """The alone clock at ``count``, asked for and owed in turn.
+
+        ``seconds`` is how long this waited.  An answer owed to an ask that
+        is nobody's any more (the attempt that made it failed) is read and
+        dropped on the way.  Without the helper, one ``replay`` bus span
+        (``cached=False, chased=True, fallback=True``) times the in-process
+        replay that took its place: ``dur`` the replay, ``tail_s`` the wait.
         """
-        spec, _stream_id, _config, cache = self.machine_args
         t0 = time.perf_counter()
+        while True:
+            asked = self._asked.popleft()
+            reply = self._receive()
+            if asked == count:
+                break
+        if reply is not None:
+            cycles, stored, self.busy_s = reply
+            self.served[count] += 1
+            tail = time.perf_counter() - t0
+            self.tail_s += tail
+            return AloneClock(cycles, tail, False, stored)
+        spec = self.machine_args[0]
+        extra: dict = {"fallback": True}
+        if self._lost:
+            extra["error"] = self._lost
+        started = time.perf_counter()
+        machine = _AloneMachine(*self.machine_args)
         try:
-            answer = self._conn.recv()
-        except (EOFError, OSError):
-            answer = None  # died without a word
-        self.close()
-        extra: dict = {}
-        busy = 0.0
-        try:
-            if cache is not None:
-                # What the probe this replay stands in for would have counted.
-                cache.misses += 1
-            if isinstance(answer, tuple):
-                cycles, busy, stored = answer
-                if stored:
-                    cache.stores += 1  # the helper's write, on our behalf
-            else:
-                extra["fallback"] = True
-                if answer is not None:
-                    extra["error"] = answer.strip().splitlines()[-1]
-                started = time.perf_counter()
-                machine = _AloneMachine(*self.machine_args)
-                try:
-                    cycles, stored = machine.advance(count, self.max_cycles)
-                finally:
-                    machine.close()
-                    busy = time.perf_counter() - started
+            cycles, stored = machine.advance(count, self.max_cycles)
         finally:
+            machine.close()
             tail = time.perf_counter() - t0
             _simulated_span(
-                busy, spec, Counter([count]), self.known_end,
-                chased=True, tail_s=tail, **extra,
+                time.perf_counter() - started, spec, Counter([count]),
+                self.known_end, chased=True, tail_s=tail, **extra,
             )
         return AloneClock(cycles, tail, False, stored)
 
-    def close(self) -> None:
-        """Reap the helper; one still running has nothing left to give."""
-        if self._proc is None:
-            return
-        forked.reap(self._proc, self._conn)
-        self._proc = self._conn = None
+    def _receive(self) -> tuple | None:
+        """The helper's next answer, or None once it has stopped giving
+        them."""
+        if self._lost is None:
+            try:
+                reply = self._conn.recv()
+            except (EOFError, OSError):
+                reply = ""  # died without a word
+            if isinstance(reply, tuple):
+                return reply
+            self._lost = reply.strip().splitlines()[-1] if reply else ""
+        return None
+
+    def close(self, report: bool = False) -> None:
+        """Reap the helper; one still running has nothing left to give.
+
+        ``report``: first emit the trajectory's ``replay`` bus span
+        (``cached=False, chased=True``) for what the helper answered —
+        ``dur`` its busy seconds, ``requests`` the answers, ``tail_s`` what
+        they were waited for."""
+        if report and self.served:
+            _simulated_span(
+                self.busy_s, self.machine_args[0], self.served,
+                self.known_end, chased=True, tail_s=self.tail_s,
+            )
+        if self._proc is not None:
+            forked.reap(self._proc, self._conn)
+            self._proc = self._conn = None
 
 
 def run_workload(
@@ -574,7 +645,7 @@ def run_workload(
     faults: "FaultPlan | FaultInjector | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
     deferred: "list[ReplayRequest] | None" = None,
-    chase: Chase | None = None,
+    chase: "Mapping[int, _Chaser] | None" = None,
 ) -> WorkloadResult:
     """Run one workload through the full methodology.
 
@@ -592,11 +663,14 @@ def run_workload(
     :class:`ReplayRequest` instead of being simulated, and the result holds
     ``None`` for that app until :meth:`WorkloadResult.set_alone` fills it —
     the sweep then simulates each application's trajectory once for every
-    pairing that needs it (:func:`replay_alone`).  ``chase`` (a
-    :class:`Chase`, also the sweep's to give) names the replays no other
-    job shares: those run in helper processes alongside the shared run
-    instead, with the same clocks, curve files and cache counters as the
-    sequential path.  Open-system and profiled runs ignore it.
+    pairing that needs it (:func:`replay_alone`).  ``chase`` (app position
+    → :class:`_Chaser`, also the sweep's to give, and to reap) names the
+    replays that run in helper processes alongside the shared run instead:
+    each helper is fed this run's counts and asked for the clock at its
+    final one, with the same clocks, curve files and cache counters as the
+    sequential path.  With ``deferred`` the ask is appended there as a
+    ``chased`` request for the sweep to collect; without, this run waits
+    for the answers.  Open-system and profiled runs ignore it.
 
     ``profile_path`` profiles the whole methodology (shared run + alone
     replays) under :mod:`cProfile` and dumps binary pstats data there —
@@ -645,17 +719,13 @@ def run_workload(
         chase = None  # a helper forked now would inherit the profiler
         profiler = cProfile.Profile()
         profiler.enable()
-    chasers: dict[int, _Chaser] = {}
     try:
         return _run_workload(
             apps, config, shared_cycles, sm_partition, models,
             policy, warmup_intervals, alone_cache, obs, faults, arrivals,
-            deferred, chase, chasers,
+            deferred, chase or {},
         )
     finally:
-        # Whatever ended the run — an exception, ^C — leaves no helper behind.
-        for chaser in chasers.values():
-            chaser.close()
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(profile_path)
@@ -674,11 +744,8 @@ def _run_workload(
     faults: "FaultPlan | FaultInjector | None",
     arrivals: "ArrivalSchedule | None",
     deferred: "list[ReplayRequest] | None",
-    chase: Chase | None,
-    chasers: "dict[int, _Chaser]",
+    chasers: "Mapping[int, _Chaser]",
 ) -> WorkloadResult:
-    """``chasers`` is the caller's: the helpers started here, by app, for it
-    to reap however this returns."""
     config = config or scaled_config()
     shared_cycles = shared_cycles or default_shared_cycles()
     resolved = [_resolve(a) for a in apps]
@@ -707,10 +774,8 @@ def _run_workload(
         ] + [0] * len(open_sched.arrivals)
 
     max_cycles = alone_budget(shared_cycles)
-    if chase is not None and open_sched is None:
-        # Forked before the shared machine exists: one machine per process.
-        for i in sorted(chase.streams):
-            chasers[i] = _Chaser(specs[i], i, config, alone_cache, max_cycles)
+    if open_sched is not None:
+        chasers = {}  # an arrival's residency is not known up front
 
     gpu = GPU(
         config, kernels, sm_partition, obs=obs,
@@ -842,8 +907,12 @@ def _run_workload(
 
     # Alone replays: full GPU, same stream identity, same instruction count.
     # The chased ones first learn where to stop, so they finish side by side.
-    for i, chaser in chasers.items():
-        chaser.feed(instructions[i], final=True)
+    asked = {
+        i for i, chaser in chasers.items() if chaser.ask(instructions[i])
+    }
+    if alone_cache is not None:
+        # What the probes these asks stand in for would have counted.
+        alone_cache.misses += len(asked)
     for i, spec in enumerate(specs):
         count = instructions[i]
         if driver is not None and count == 0:
@@ -852,11 +921,17 @@ def _run_workload(
             # no work happened).
             result.alone_cycles[i] = 0
             continue
-        if i in chasers and chasers[i].running:
-            clock = chasers[i].clock(count)
-            chase.tail_s += clock.seconds
+        if i in asked:
+            if deferred is not None:
+                deferred.append(ReplayRequest(
+                    i, spec, config, count, max_cycles, chased=True,
+                ))
+                continue
+            clock = chasers[i].answer(count)
+            if clock.stored:
+                alone_cache.stores += 1  # the helper's write, on our behalf
         else:
-            # (A chaser that never started: the stored curve covers it.)
+            # (A chaser that was not asked: the stored curve covers it.)
             clock = probe_alone(alone_cache, spec, i, config, count)
         if clock is None:
             if deferred is not None:

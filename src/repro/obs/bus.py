@@ -27,11 +27,12 @@ Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
   ``cached=False``: one simulated alone trajectory, how many
   ``counts``/``requests`` it served and, when it re-simulates past a
   stored curve, that curve's end as ``extended_from``; ``chased=True``
-  when a helper process simulated it alongside the job's shared run —
-  ``dur`` is then the helper's busy time and ``tail_s`` what the job
-  still waited for it afterwards, and ``fallback=True`` says the helper
-  was lost and the replay redone in process), ``serialize`` (result
-  pickling, pooled only);
+  when a helper process simulated it alongside the shared runs that
+  asked — ``dur`` is then the helper's busy time and ``tail_s`` what the
+  inline sweep still waited for its answers, between job attempts and
+  recorded against the job that collected the last one; ``fallback=True``
+  says the helper was lost and one asker's replay redone in process),
+  ``serialize`` (result pickling, pooled only);
 * ``job_end``   — job attempt finished: wall/CPU time, peak RSS,
   cache counters (flushed immediately);
 * ``outcome``   — the parent's settled verdict for the job (ok, failure
@@ -57,6 +58,7 @@ against the same <3% budget as single-run observability).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -172,6 +174,17 @@ class WorkerChannel:
         if args:
             rec["args"] = args
         self.record(rec)
+
+    @contextlib.contextmanager
+    def serving(self, sweep: str | None, job: int):
+        """Record spans inside as ``job``'s of ``sweep`` although its attempt
+        is over: an inline sweep collecting the job's overlapped replays."""
+        saved = self._sweep, self._job
+        self._sweep, self._job = sweep, job
+        try:
+            yield
+        finally:
+            self._sweep, self._job = saved
 
     def job_end(
         self,
@@ -396,15 +409,17 @@ class SweepStats:
     A job's latency is the parent's settled ``duration_s`` — its shared
     run plus the replay-task seconds attributed to it — so latencies sum
     to busy time although replays run outside the jobs.  Replay tasks
-    count toward ``busy_s``/``cpu_s``/``phases``/``workers`` load only.
+    count toward ``busy_s``/``cpu_s``/``phases``/``workers`` load only;
+    so do the waits for chased replays (their spans' ``tail_s``), which an
+    inline sweep spends between job attempts.
     ``alone_replays`` says how the sweep's alone clocks were obtained:
     ``requested`` by (job, app) pairs, of which ``cached`` came from the
     replay cache, the rest from ``simulated`` trajectories — ``extended``
     of those re-simulated because a count had passed the end of the curve
     the cache held for them, and ``overlapped`` (present when any were) of
-    them simulated by a helper process alongside the shared run that
-    asked, off the critical path (their seconds count in ``phases`` but
-    in no job's ``busy_s``).
+    them simulated by a helper process alongside the shared runs that
+    asked, off the critical path (their seconds count in ``phases``; only
+    what was waited for them counts in ``busy_s``).
     ``cache["est_saved_s"]`` is the hit count times the mean simulated
     seconds per request, minus what the hits cost — the honest economics
     of the alone-replay cache.
@@ -515,6 +530,13 @@ class SweepStats:
                         if args.get("chased") and not args.get("fallback"):
                             replays["overlapped"] = (
                                 replays.get("overlapped", 0) + 1)
+                        if args.get("chased"):
+                            # Waited for between attempts, not inside one.
+                            tail = float(args.get("tail_s", 0.0))
+                            stats.busy_s += tail
+                            w = stats.workers.get(_worker(sp))
+                            if w is not None:
+                                w["busy_s"] += tail
         if replays["requested"]:
             stats.alone_replays = replays
 

@@ -11,8 +11,8 @@ One :class:`ReproService` owns four things, and simulates nothing itself:
   request may use — each draining the queue into a forked **job process**
   of the request's own (:mod:`repro.forked`), which runs it through the
   hardened :func:`~repro.harness.parallel.run_jobs` harness (``n_jobs`` as
-  given: None is ``run_jobs``' own default, the request's private alone
-  replays overlapped with its shared run where there is a spare CPU) with
+  given: None is ``run_jobs``' own default, the request's alone replays
+  overlapped with its shared runs where there is a spare CPU) with
   the telemetry bus and sweep checkpoints under ``state_dir``, so a
   kill -9'd daemon resumes mid-sweep on restart.  The job process sends
   back progress and, last, its result; the journal, the event streams and

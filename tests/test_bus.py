@@ -428,6 +428,26 @@ class TestHarnessIntegration:
         stats = bus.SweepStats.from_records(records)
         assert stats.n_jobs == 3 and stats.ok == 3
 
+    def test_a_reused_pid_names_another_sweep(self, monkeypatch, tmp_path):
+        # Two processes the OS gave one pid (the daemon's job processes come
+        # and go), each running its first sweep into one bus directory: one
+        # channel file, and still two sweeps with a job each.
+        from repro.harness import parallel
+
+        monkeypatch.setattr(os, "getpid", lambda: 4242)
+        for _process in range(2):  # each starts with fresh module state
+            monkeypatch.setattr(parallel, "_SWEEP_SEQ", 0)
+            monkeypatch.setattr(parallel, "_SWEEP_PROCESS", None)
+            run_jobs(ok_jobs(1), n_jobs=1, bus=tmp_path)
+            bus.deactivate()
+        assert [p.name for p in bus.bus_files(tmp_path)] == ["bus-4242.jsonl"]
+        records = bus.read_bus(tmp_path)
+        sweeps = [r["sweep"] for r in records if r["t"] == "sweep"]
+        assert len(set(sweeps)) == 2
+        assert all(s.startswith("4242-") for s in sweeps)
+        stats = bus.SweepStats.from_records(records)
+        assert stats.n_jobs == 2 and stats.ok == 2
+
     @pytest.mark.slow
     def test_inline_equals_pooled_comparable(self, tmp_path):
         jobs = [

@@ -139,8 +139,9 @@ class TestDriversShareAloneTrajectories:
         assert [r["n_jobs"] for r in sweeps] == [2]  # even + dase_fair
         stats = bus.SweepStats.from_records(records)
         # Both policies need SD's and SB's alone clocks; one trajectory
-        # per app serves the two of them.
-        assert stats.alone_replays == {
+        # per app serves the two of them (chased by a helper or not, as
+        # the host allows).
+        assert stats.comparable()["alone_replays"] == {
             "requested": 4, "simulated": 2, "extended": 0, "cached": 0}
 
     def test_degradation_sigma_sweep_replays_each_app_once(self, sweep_bus):
@@ -150,7 +151,7 @@ class TestDriversShareAloneTrajectories:
         records = bus.read_bus(sweep_bus)
         stats = bus.SweepStats.from_records(records)
         assert stats.n_jobs == 2 * len(sigmas)
-        assert stats.alone_replays == {
+        assert stats.comparable()["alone_replays"] == {
             "requested": 4 * len(sigmas), "simulated": 2, "extended": 0,
             "cached": 0}
         # Noise only distorts what the estimator sees, so the policy-free
