@@ -17,6 +17,7 @@ import sys
 import time
 
 from repro import durable
+from repro.obs.tracer import DEFAULT_CAPACITY
 
 
 def _cmd_list(args) -> int:
@@ -200,20 +201,11 @@ def _cmd_run(args) -> int:
         if a not in APP_NAMES:
             raise SystemExit(f"unknown app {a!r}; choose from {APP_NAMES}")
     models = tuple(args.models.split(",")) if args.models else ()
-    obs = None
-    if args.trace:
-        from repro.obs import Observation
-
-        obs = Observation()
     res = run_workload(args.apps, shared_cycles=args.cycles, models=models,
-                       profile_path=args.profile, trace=obs)
+                       profile_path=args.profile)
     if args.profile:
         print(f"profile written to {args.profile} "
               f"(inspect: python -m pstats {args.profile})", file=sys.stderr)
-    if args.trace:
-        _write_trace_file(obs, res, args.trace, args.trace_format)
-        print(f"{args.trace_format} trace written to {args.trace}",
-              file=sys.stderr)
     rows = []
     for i, name in enumerate(res.names):
         row = [name, res.sm_partition[i], f"{res.actual_slowdowns[i]:.2f}"]
@@ -225,34 +217,9 @@ def _cmd_run(args) -> int:
     print(f"\nunfairness {res.actual_unfairness:.2f}   "
           f"H-speedup {res.actual_hspeedup:.3f}")
     for m in models:
-        print(f"{m} mean error: {pct(res.mean_error(m))}")
+        err = pct(res.mean_error(m)) if res.errors(m) else "-"
+        print(f"{m} mean error: {err}")
     return 0
-
-
-def _write_trace_file(obs, result, path: str, fmt: str) -> None:
-    """Export one recording as a single file in the requested format."""
-    from repro.obs import (
-        export_chrome_trace,
-        export_events_csv,
-        export_html_report,
-    )
-
-    if fmt == "chrome":
-        export_chrome_trace(obs.tracer, path)
-    elif fmt == "csv":
-        export_events_csv(obs.tracer, path)
-    elif fmt == "html":
-        export_html_report(
-            path,
-            result=result,
-            telemetry=obs.telemetry,
-            tracer=obs.tracer,
-            registry=obs.registry,
-            audit=obs.audit,
-            title="+".join(result.names),
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown trace format {fmt!r}")
 
 
 def _cmd_trace(args) -> int:
@@ -260,7 +227,13 @@ def _cmd_trace(args) -> int:
     import pathlib
 
     from repro.harness import run_workload
-    from repro.obs import Observation, trace_summary
+    from repro.obs import (
+        Observation,
+        export_chrome_trace,
+        export_events_csv,
+        export_html_report,
+        trace_summary,
+    )
     from repro.obs.inspect import RUN_SCHEMA, summarize_run
     from repro.workloads import APP_NAMES
 
@@ -275,8 +248,10 @@ def _cmd_trace(args) -> int:
                 f"unknown trace format {f!r}; choose from chrome,csv,html"
             )
 
-    kw = {"trace_capacity": args.trace_capacity} if args.trace_capacity else {}
-    obs = Observation(audit=args.audit, **kw)
+    capacity = args.trace_capacity
+    if capacity < 1:
+        raise SystemExit(f"--trace-capacity must be >= 1, got {capacity}")
+    obs = Observation(trace_capacity=capacity, audit=args.audit)
 
     # --policy dase-fair runs the real scheduler (it migrates SMs);
     # --audit alone attaches the dry-run shadow scheduler, which evaluates
@@ -300,7 +275,12 @@ def _cmd_trace(args) -> int:
                "html": "report.html"}
     for fmt in formats:
         target = out / exports[fmt]
-        _write_trace_file(obs, res, str(target), fmt)
+        if fmt == "chrome":
+            export_chrome_trace(obs.tracer, target)
+        elif fmt == "csv":
+            export_events_csv(obs.tracer, target)
+        else:
+            export_html_report(target, obs, res, "+".join(res.names))
         files[fmt] = exports[fmt]
     if obs.audit is not None:
         from repro.obs import export_audit_json
@@ -682,14 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--profile", default=None, metavar="PATH",
                     help="dump cProfile stats for the run to PATH "
                          "(see docs/performance.md)")
-    rn.add_argument("--trace", default=None, metavar="PATH",
-                    help="record the shared run and write the trace to PATH "
-                         "(format set by --trace-format; see "
-                         "docs/observability.md)")
-    rn.add_argument("--trace-format", choices=("chrome", "csv", "html"),
-                    default="chrome",
-                    help="file format for --trace (default: chrome, "
-                         "loadable in https://ui.perfetto.dev)")
     rn.set_defaults(func=_cmd_run)
 
     sv = sub.add_parser(
@@ -776,10 +748,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--format", default="chrome,csv,html",
                     help="comma-separated exports: chrome,csv,html "
                          "(default: all)")
-    tr.add_argument("--trace-capacity", type=int, default=None,
+    tr.add_argument("--trace-capacity", type=int, default=DEFAULT_CAPACITY,
                     metavar="EVENTS",
-                    help="event ring capacity (default: 262144; oldest "
-                         "events drop once full)")
+                    help=f"event ring capacity (default: {DEFAULT_CAPACITY}; "
+                         "oldest events drop once full)")
     tr.add_argument("--audit", action="store_true",
                     help="record model/decision audits (audit.json + "
                          "error & decision timelines in the HTML report); "

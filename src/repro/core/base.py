@@ -101,7 +101,10 @@ class SlowdownEstimator(abc.ABC):
         return sum(vals) / len(vals)
 
     def mean_estimates(self, warmup_intervals: int = 1) -> list[float | None]:
-        if not self.history:
-            return []
-        n = len(self.history[0])
+        """:meth:`mean_estimate` per app — one None per app when no
+        interval completed (a run shorter than ``interval_cycles``)."""
+        if self.gpu is not None:
+            n = self.gpu.n_apps
+        else:
+            n = len(self.history[0]) if self.history else 0
         return [self.mean_estimate(a, warmup_intervals) for a in range(n)]

@@ -37,7 +37,7 @@ from repro.metrics import (
 )
 from repro.obs import bus as obs_bus
 from repro.obs.telemetry import Telemetry
-from repro.obs.tracer import EventTracer, Observation
+from repro.obs.tracer import Observation
 from repro.sim.gpu import GPU, LaunchedKernel
 from repro.sim.kernel import KernelSpec
 from repro.workloads import SUITE
@@ -316,11 +316,8 @@ class _AloneMachine:
         self.stream_id = stream_id
         self.config = config
         self.cache = cache
-        # obs=False: an alone replay never records, even under a
-        # process-wide recording — the trace describes the shared run only.
         self.gpu = GPU(
-            config, [LaunchedKernel(spec, restart=True, stream_id=stream_id)],
-            obs=False,
+            config, [LaunchedKernel(spec, restart=True, stream_id=stream_id)]
         )
         self.curve = (
             self.gpu.record_progress(0) if record or cache is not None
@@ -641,7 +638,7 @@ def run_workload(
     warmup_intervals: int = 1,
     alone_cache: "AloneReplayCache | None" = None,
     profile_path: str | None = None,
-    trace: Observation | EventTracer | None = None,
+    trace: Observation | None = None,
     faults: "FaultPlan | FaultInjector | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
     deferred: "list[ReplayRequest] | None" = None,
@@ -676,12 +673,13 @@ def run_workload(
     replays) under :mod:`cProfile` and dumps binary pstats data there —
     load it with ``python -m pstats`` or snakeviz; see docs/performance.md.
 
-    ``trace`` records the *shared run* into an :class:`repro.obs.Observation`
-    (or a bare :class:`~repro.obs.EventTracer`, which gets wrapped): the GPU
-    emits structured events, a :class:`~repro.obs.Telemetry` is attached on
-    the bundle's registry/tracer, and run-level gauges are published at the
+    ``trace`` records the *shared run* into a fresh
+    :class:`repro.obs.Observation`: the GPU emits structured events, a
+    :class:`~repro.obs.Telemetry` over this run's estimators is built on the
+    bundle's registry/tracer, and run-level gauges are published at the
     end.  The alone replays are never traced, so the recording describes
-    exactly one execution.  Tracing never changes simulation results (see
+    exactly one execution; a bundle that already recorded a run is
+    rejected.  Tracing never changes simulation results (see
     docs/observability.md).
 
     ``faults`` (a :class:`repro.faults.FaultPlan` or a pre-built injector)
@@ -701,17 +699,13 @@ def run_workload(
     run, and the result carries ``resident_cycles``/``waiting_cycles``.  A
     null schedule is the closed-system identity (docs/workloads.md).
     """
-    obs: Observation | None
-    if trace is None:
-        obs = None
-    elif isinstance(trace, Observation):
-        obs = trace
-    elif isinstance(trace, EventTracer):
-        obs = Observation(tracer=trace)
-    else:
-        raise TypeError(
-            f"trace must be an Observation or EventTracer, not {trace!r}"
-        )
+    if trace is not None:
+        if not isinstance(trace, Observation):
+            raise TypeError(f"trace must be an Observation, not {trace!r}")
+        if trace.telemetry is not None:
+            raise ValueError(
+                "this Observation already recorded a run; pass a fresh one"
+            )
     profiler = None
     if profile_path is not None:
         import cProfile
@@ -722,7 +716,7 @@ def run_workload(
     try:
         return _run_workload(
             apps, config, shared_cycles, sm_partition, models,
-            policy, warmup_intervals, alone_cache, obs, faults, arrivals,
+            policy, warmup_intervals, alone_cache, trace, faults, arrivals,
             deferred, chase or {},
         )
     finally:
@@ -781,7 +775,6 @@ def _run_workload(
         config, kernels, sm_partition, obs=obs,
         allow_inactive=open_sched is not None,
     )
-    obs = gpu.obs  # picks up a process-wide recording when trace wasn't given
     initial_partition = gpu.sm_counts()
 
     injector = None
@@ -809,19 +802,14 @@ def _run_workload(
         if injector is not None:
             est.inject_faults(injector)
         est.attach(gpu)
-    telemetry: Telemetry | None = None
     if obs is not None:
         # Fold the interval view into the same recording: one Telemetry on
         # the bundle's registry + tracer, attached after the estimators so
         # its samples see this interval's estimates.
-        if obs.telemetry is None:
-            obs.telemetry = Telemetry(
-                estimators, registry=obs.registry, tracer=obs.tracer
-            )
-        telemetry = obs.telemetry
-        if not telemetry.estimators:
-            telemetry.estimators = estimators
-        telemetry.attach(gpu)
+        obs.telemetry = Telemetry(
+            estimators, registry=obs.registry, tracer=obs.tracer
+        )
+        obs.telemetry.attach(gpu)
     if policy is not None:
         # A DASE-Fair policy that would build its own private DASE adopts
         # the harness's instead (DASE is a pure observer, so sharing is
@@ -873,7 +861,7 @@ def _run_workload(
         gpu.run(shared_cycles)
     if obs is not None:
         obs.finalize_run(gpu)
-        telemetry.detach()
+        obs.telemetry.detach()
     instructions = [p.instructions for p in gpu.progress]
     bandwidth = {n: gpu.bandwidth_utilization(i) for i, n in enumerate(names)}
     bandwidth["total"] = gpu.bandwidth_utilization()

@@ -18,19 +18,13 @@ RNG draws, no counter perturbation, and bit-identical simulation results
 either way (enforced by ``tests/test_obs_golden.py`` and the CI
 ``obs-overhead`` gate).
 
-Enable per run (preferred)::
+Record a run by passing a fresh :class:`Observation` — one bundle records
+exactly one run::
 
     from repro.obs import Observation
     obs = Observation()
     result = run_workload(["SD", "SB"], trace=obs)   # or GPU(..., obs=obs)
     export_chrome_trace(obs.tracer, "trace.json")
-
-or process-wide for everything constructed afterwards::
-
-    import repro.obs
-    obs = repro.obs.enable()      # every new GPU records into this bundle
-    ...
-    repro.obs.disable()
 """
 
 from __future__ import annotations
@@ -94,31 +88,6 @@ from repro.obs.tracer import (
     TID_SM_BASE,
 )
 
-#: Process-wide default recording; ``None`` = observability off (the
-#: zero-overhead path).  Managed through :func:`enable` / :func:`disable`;
-#: :class:`~repro.sim.gpu.GPU` reads it once at construction time.
-_DEFAULT: Observation | None = None
-
-
-def enable(obs: Observation | None = None) -> Observation:
-    """Install ``obs`` (or a fresh :class:`Observation`) as the process-wide
-    default recording for GPUs constructed afterwards; returns it."""
-    global _DEFAULT
-    _DEFAULT = obs or Observation()
-    return _DEFAULT
-
-
-def disable() -> None:
-    """Clear the process-wide default; new GPUs run unobserved (free)."""
-    global _DEFAULT
-    _DEFAULT = None
-
-
-def active() -> Observation | None:
-    """The process-wide default recording, or None when off."""
-    return _DEFAULT
-
-
 __all__ = [
     "Observation",
     "EventTracer",
@@ -129,9 +98,6 @@ __all__ = [
     "Telemetry",
     "Sample",
     "SweepProgress",
-    "enable",
-    "disable",
-    "active",
     "DEFAULT_CAPACITY",
     "PID_SIM",
     "PID_ICNT_REQUEST",

@@ -48,9 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.harness.runner import WorkloadResult
     from repro.opensys.churn import ChurnResult
     from repro.obs.audit import AuditLog, DecisionAudit
-    from repro.obs.registry import MetricsRegistry
-    from repro.obs.telemetry import Telemetry
-    from repro.obs.tracer import EventTracer
+    from repro.obs.tracer import EventTracer, Observation
 
 #: A table: header cells and rows of cells.
 Table = tuple[Sequence[str], Sequence[Sequence[Any]]]
@@ -804,27 +802,18 @@ def render_page(title: str, subtitle: str, body: str) -> str:
 
 
 def render_html_report(
-    result: "WorkloadResult | None" = None,
-    telemetry: "Telemetry | None" = None,
-    tracer: "EventTracer | None" = None,
-    registry: "MetricsRegistry | None" = None,
-    audit: "AuditLog | None" = None,
-    title: str = "repro run report",
+    obs: "Observation", result: "WorkloadResult", title: str
 ) -> str:
-    """Build the full report; every argument is optional and independent."""
-    body: list[str] = []
-    app_names: list[str] = []
-    if result is not None:
-        app_names = list(result.names)
-        body.append("<h2>Run summary</h2>")
-        body.append(_summary_section(result))
-    elif tracer is not None:
-        app_names = list(tracer.topology.get("app_names", []))
+    """Build the full report of one recorded run: ``obs`` is the bundle
+    :func:`~repro.harness.run_workload` recorded ``result`` into."""
+    telemetry, tracer, audit = obs.telemetry, obs.tracer, obs.audit
+    app_names = list(result.names)
+    body = ["<h2>Run summary</h2>", _summary_section(result)]
 
     def label(a: int) -> str:
         return app_names[a] if a < len(app_names) else f"app{a}"
 
-    if telemetry is not None and telemetry.samples:
+    if telemetry.samples:
         apps = sorted({s.app for s in telemetry.samples})
 
         def app_series(fieldname: str) -> list[dict]:
@@ -861,7 +850,7 @@ def render_html_report(
                 series.append(
                     {"label": label(a), "slot": a, "points": pts}
                 )
-                if result is not None and pts:
+                if pts:
                     actual = result.actual_slowdowns[a]
                     series.append({
                         "label": f"{label(a)} actual",
@@ -877,35 +866,37 @@ def render_html_report(
             "SM partition timeline", app_series("sm_count"), y_label="SMs"))
 
     if audit is not None:
-        if result is not None and audit.model_audits:
+        if audit.model_audits:
             body.append(_error_section(audit, result, label))
         body.append(_decision_section(audit, label))
 
-    if tracer is not None:
-        body.append(_bank_heat_section(tracer))
-        body.append(_taxonomy_section(tracer))
+    body.append(_bank_heat_section(tracer))
+    body.append(_taxonomy_section(tracer))
 
-    if registry is not None:
-        run = {n: inst.snapshot()
-               for n, inst in registry.subtree("run").items()}
-        if run:
-            body.append("<h2>Run metrics</h2>"
-                        + html_table(*metrics_table(run)))
+    run = {n: inst.snapshot()
+           for n, inst in obs.registry.subtree("run").items()}
+    if run:
+        body.append("<h2>Run metrics</h2>" + html_table(*metrics_table(run)))
 
-    if telemetry is not None and telemetry.samples:
+    if telemetry.samples:
         body.append(
             "<details><summary>Table view (all interval samples)</summary>"
             + html_table(*telemetry.table()) + "</details>"
         )
 
-    subtitle = "generated by repro.obs — interval telemetry + event trace"
-    if result is not None:
-        subtitle = " + ".join(result.names) + " · " + subtitle
+    subtitle = (" + ".join(result.names)
+                + " · generated by repro.obs — interval telemetry + event "
+                "trace")
     return render_page(title, subtitle, "\n".join(body))
 
 
-def export_html_report(path: str | os.PathLike, **kw) -> str:
-    html = render_html_report(**kw)
+def export_html_report(
+    path: str | os.PathLike,
+    obs: "Observation",
+    result: "WorkloadResult",
+    title: str,
+) -> str:
+    html = render_html_report(obs, result, title)
     durable.replace_text(path, html)
     return html
 

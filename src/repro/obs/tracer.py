@@ -35,8 +35,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.obs.audit import AuditLog
-    from repro.obs.registry import MetricsRegistry
     from repro.obs.telemetry import Telemetry
 
 #: Default ring capacity (events). ~7 tuple slots per event keeps even a
@@ -154,37 +152,26 @@ class EventTracer:
 class Observation:
     """One run's observability bundle: registry + tracer (+ telemetry).
 
-    Pass an ``Observation`` to :class:`repro.sim.gpu.GPU` (``obs=``) or
-    :func:`repro.harness.run_workload` (``trace=``) to record a run; the
-    harness wires a :class:`repro.obs.telemetry.Telemetry` onto it so the
-    interval-granularity view and the event trace come from one recording.
+    Pass a fresh ``Observation`` to :func:`repro.harness.run_workload`
+    (``trace=``) or :class:`repro.sim.gpu.GPU` (``obs=``) to record exactly
+    one run.  ``run_workload`` builds the run's
+    :class:`repro.obs.telemetry.Telemetry` on the bundle from that run's
+    estimators, so the interval-granularity view and the event trace come
+    from one recording; ``audit=True`` adds an
+    :class:`repro.obs.audit.AuditLog` mirrored into the tracer.
     """
 
     def __init__(
-        self,
-        trace_capacity: int = DEFAULT_CAPACITY,
-        registry: "MetricsRegistry | None" = None,
-        tracer: EventTracer | None = None,
-        telemetry: "Telemetry | None" = None,
-        audit: "AuditLog | bool | None" = None,
+        self, trace_capacity: int = DEFAULT_CAPACITY, audit: bool = False
     ) -> None:
-        if registry is None:
-            from repro.obs.registry import MetricsRegistry
+        from repro.obs.audit import AuditLog
+        from repro.obs.registry import MetricsRegistry
 
-            registry = MetricsRegistry()
-        self.registry = registry
-        # Explicit None check: an *empty* EventTracer is falsy (__len__).
-        self.tracer = tracer if tracer is not None else EventTracer(trace_capacity)
-        self.telemetry = telemetry
-        # Model/decision auditing (repro.obs.audit): off unless requested.
-        # ``audit=True`` builds a log mirrored into this bundle's tracer.
-        if audit is True:
-            from repro.obs.audit import AuditLog
-
-            audit = AuditLog(tracer=self.tracer)
-        elif audit is not None and audit is not False and audit.tracer is None:
-            audit.tracer = self.tracer
-        self.audit = audit if audit is not False else None
+        self.registry = MetricsRegistry()
+        self.tracer = EventTracer(trace_capacity)
+        #: Set by run_workload when the bundle records its run.
+        self.telemetry: "Telemetry | None" = None
+        self.audit = AuditLog(tracer=self.tracer) if audit else None
 
     def finalize_run(self, gpu) -> None:
         """Publish end-of-run gauges readable only from the whole GPU."""

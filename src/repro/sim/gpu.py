@@ -11,9 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import repro.obs as _obs
 from repro.config import GPUConfig
-from repro.obs.tracer import PID_SIM, Observation
+from repro.obs.tracer import (
+    PID_ICNT_REPLY,
+    PID_ICNT_REQUEST,
+    PID_SIM,
+    Observation,
+)
 from repro.sim.address import AddressMapper
 from repro.sim.dram import MemoryPartition
 from repro.sim.engine import Engine
@@ -97,7 +101,7 @@ class GPU:
         config: GPUConfig,
         kernels: Sequence[LaunchedKernel | KernelSpec],
         sm_partition: Sequence[int] | None = None,
-        obs: "Observation | bool | None" = None,
+        obs: Observation | None = None,
         allow_inactive: bool = False,
     ) -> None:
         """``sm_partition[i]`` = number of SMs initially owned by app ``i``.
@@ -111,12 +115,8 @@ class GPU:
         :meth:`grant_sms` admit them.  The closed-system default keeps the
         historical invariant that every application owns at least one SM.
 
-        ``obs``: an :class:`repro.obs.Observation` to record this run into;
-        defaults to the process-wide recording (``repro.obs.enable()``), or
-        no observability at all — the free path — when neither is set.
-        ``obs=False`` forces observability off even when a process-wide
-        recording is active (alone replays use this so the shared run's
-        trace stays pure).
+        ``obs``: a fresh :class:`repro.obs.Observation` to record this run
+        into; None (the default) records nothing — the free path.
         """
         self.config = config
         self.kernels = [
@@ -148,10 +148,6 @@ class GPU:
         # Observability: resolved once, here — every component stores its own
         # direct tracer reference (or None), so the disabled hot path is a
         # single attribute check and the simulation is bit-identical.
-        if obs is None:
-            obs = _obs.active()
-        elif obs is False:
-            obs = None
         self.obs = obs
         tracer = obs.tracer if obs is not None else None
         self._trace = tracer
@@ -169,11 +165,11 @@ class GPU:
         # One crossbar per direction (Table 2): SM→partition and back.
         self.xbar_request = Crossbar(
             self.engine, config.n_partitions, config.icnt_latency,
-            config.icnt_packet_cycles, tracer, _obs.PID_ICNT_REQUEST,
+            config.icnt_packet_cycles, tracer, PID_ICNT_REQUEST,
         )
         self.xbar_reply = Crossbar(
             self.engine, config.n_sms, config.icnt_latency,
-            config.icnt_packet_cycles, tracer, _obs.PID_ICNT_REPLY,
+            config.icnt_packet_cycles, tracer, PID_ICNT_REPLY,
         )
         if tracer is not None:
             tracer.set_topology(

@@ -214,15 +214,6 @@ class SM:
         heapq.heappush(self._heap, (warp.vfinish, self._seq, warp))
         self._n_active += 1
 
-    def _l1_lookup(self, addr: int, app: int) -> bool:
-        """Probe/fill the private L1 for one address; True on hit."""
-        if self.l1 is None:
-            return False
-        line = addr >> self._l1_line_shift
-        cache_set = line & self._l1_set_mask
-        tag = line >> self._l1_set_bits
-        return self.l1.access(cache_set, tag, app)
-
     def _burst_done(self, warp: WarpRT) -> None:
         """A warp finished its compute burst + memory instruction issue."""
         gpu = self.gpu

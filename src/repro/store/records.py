@@ -343,16 +343,6 @@ class ResultStore:
             )
         return self._load_file(self.record_path(ids[0]))
 
-    def records_for(self, scenario: str) -> list[StoreRecord]:
-        """All recordings of one scenario (by registry name or id), in
-        index order — the series a trajectory renders."""
-        return [
-            self._load_file(self.record_path(e["record_id"]))
-            for e in self.index()
-            if e.get("scenario_name") == scenario
-            or e.get("scenario_id") == scenario
-        ]
-
     def scenarios(self) -> list[dict[str, Any]]:
         """One summary row per distinct scenario id, in first-seen order."""
         return scenario_rows(self.index())

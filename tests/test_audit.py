@@ -130,10 +130,6 @@ def test_observation_audit_wiring():
     obs = Observation(audit=True)
     assert isinstance(obs.audit, AuditLog)
     assert obs.audit.tracer is obs.tracer
-    # A detached AuditLog gets linked on construction.
-    log = AuditLog()
-    obs2 = Observation(audit=log)
-    assert obs2.audit is log and log.tracer is obs2.tracer
     # Default: auditing off.
     assert Observation().audit is None
 

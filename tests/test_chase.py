@@ -200,7 +200,7 @@ class TestSameResults:
 
 def alone(name, stream_id=0):
     return GPU(CFG, [LaunchedKernel(SUITE[name], restart=True,
-                                    stream_id=stream_id)], obs=False)
+                                    stream_id=stream_id)])
 
 
 @settings(max_examples=25, deadline=None)

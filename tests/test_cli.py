@@ -111,14 +111,14 @@ def test_fig_parsers_accept_jobs_and_cache_dir():
     assert args.jobs is None and args.cache_dir is None
 
 
-def test_run_parser_accepts_trace_flags():
-    args = build_parser().parse_args(
-        ["run", "SD", "SB", "--trace", "t.json", "--trace-format", "html"]
-    )
-    assert args.trace == "t.json"
-    assert args.trace_format == "html"
+def test_run_parser_has_no_trace_flags(capsys):
+    # `repro trace` is the recorder; `repro run` only runs.
+    for flag in (["--trace", "t.json"], ["--trace-format", "html"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "SD", "SB"] + flag)
+        assert exc.value.code == 2
     args = build_parser().parse_args(["run", "SD", "SB"])
-    assert args.trace is None and args.trace_format == "chrome"
+    assert not hasattr(args, "trace") and not hasattr(args, "trace_format")
 
 
 def test_trace_parser_defaults():
@@ -163,17 +163,46 @@ def test_trace_inspect_end_to_end(tmp_path, capsys):
 
 
 @pytest.mark.slow
-def test_run_trace_flag_writes_trace(tmp_path, capsys):
-    trace_path = str(tmp_path / "trace.json")
+def test_trace_chrome_format_writes_only_the_trace(tmp_path, capsys):
     rc = main([
-        "run", "SD", "SB", "--cycles", "15000", "--models", "DASE",
-        "--trace", trace_path,
+        "trace", "SD", "SB", "--cycles", "15000", "--models", "DASE",
+        "--format", "chrome", "--out", str(tmp_path),
     ])
     assert rc == 0
     import json
 
     payload = json.loads((tmp_path / "trace.json").read_text())
     assert payload["traceEvents"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "run.json", "trace.json"]
+
+
+@pytest.mark.parametrize("capacity", ["0", "-5"])
+def test_trace_capacity_below_one_is_a_one_line_error(tmp_path, capacity):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "SD", "SB", "--trace-capacity", capacity,
+              "--out", str(tmp_path / "t")])
+    msg = str(exc.value)
+    assert msg == f"--trace-capacity must be >= 1, got {capacity}"
+    assert not (tmp_path / "t").exists()
+
+
+def test_run_shorter_than_one_interval_prints_no_estimates(tmp_path, capsys):
+    # 2000 cycles < interval_cycles: no estimation interval completes, so
+    # every estimate is missing ("-") instead of an IndexError.
+    assert main(["run", "SD", "SB", "--cycles", "2000",
+                 "--models", "DASE"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:4]
+    assert [r.split()[0] for r in rows] == ["SD", "SB"]
+    assert all(r.split()[-1] == "-" for r in rows)
+    out = str(tmp_path / "short")
+    assert main(["trace", "SD", "SB", "--cycles", "2000", "--models",
+                 "DASE", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["inspect", out]) == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()
+            if r.startswith(("SD ", "SB "))]
+    assert [r[3:] for r in rows] == [["-"], ["-"]]
 
 
 def test_inspect_unrecognized_file_fails(tmp_path):

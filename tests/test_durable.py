@@ -166,7 +166,8 @@ class TestGoldenFiles:
     def test_store_loads(self, golden):
         store = ResultStore(golden / "store")
         assert [e["seq"] for e in store.index()] == [0, 1]
-        loaded = [r.payload for r in store.records_for("durable-golden")]
+        loaded = [store.load(e["record_id"]).payload for e in store.index()
+                  if e["scenario_name"] == "durable-golden"]
         assert loaded == list(fx.PAYLOADS)
 
     def test_legacy_tagged_records_still_inspect_and_chart(self, golden,

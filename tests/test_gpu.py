@@ -108,8 +108,7 @@ class TestExecution:
 def alone(name, stream_id=0):
     """A fresh alone-replay GPU for one suite kernel."""
     return GPU(scaled_config(),
-               [LaunchedKernel(SUITE[name], restart=True, stream_id=stream_id)],
-               obs=False)
+               [LaunchedKernel(SUITE[name], restart=True, stream_id=stream_id)])
 
 
 class TestResumedReplay:

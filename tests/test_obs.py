@@ -1,5 +1,5 @@
 """Tests for the observability layer: registry, tracer, GPU integration,
-telemetry attach/detach, and the process-wide enable/disable switch."""
+telemetry attach/detach, and one Observation per recorded run."""
 
 import importlib
 import json
@@ -7,7 +7,6 @@ import sys
 
 import pytest
 
-import repro.obs
 from repro.config import GPUConfig
 from repro.core import DASE
 from repro.obs import (
@@ -207,41 +206,6 @@ class TestGPUIntegration:
                     assert isinstance(v, (int, float, str))
 
 
-# ----------------------------------------------- process-wide enable/disable
-
-
-class TestProcessWideRecording:
-    def test_enable_disable(self):
-        bundle = repro.obs.enable()
-        try:
-            assert repro.obs.active() is bundle
-            gpu = GPU(CFG, _specs())
-            assert gpu.obs is bundle
-            assert gpu._trace is bundle.tracer
-        finally:
-            repro.obs.disable()
-        assert repro.obs.active() is None
-        assert GPU(CFG, _specs()).obs is None
-
-    def test_obs_false_overrides_process_default(self):
-        repro.obs.enable()
-        try:
-            gpu = GPU(CFG, _specs(), obs=False)
-            assert gpu.obs is None
-            assert gpu._trace is None
-        finally:
-            repro.obs.disable()
-
-    def test_explicit_observation_wins(self):
-        mine = Observation()
-        repro.obs.enable()
-        try:
-            gpu = GPU(CFG, _specs(), obs=mine)
-            assert gpu.obs is mine
-        finally:
-            repro.obs.disable()
-
-
 # ---------------------------------------------------------------- telemetry
 
 
@@ -323,24 +287,13 @@ class TestTelemetryObs:
 
 
 class TestRunWorkloadTrace:
-    def test_bare_tracer_is_wrapped(self):
-        from repro.harness import run_workload
-
-        tr = EventTracer()
-        res = run_workload(
-            ["VA", "BS"], config=GPUConfig(interval_cycles=5_000),
-            shared_cycles=10_000, models=("DASE",), trace=tr,
-        )
-        assert len(tr) > 0
-        assert res.actual_slowdowns
-        # Counter tracks carry the estimator series.
-        assert "est.DASE" in tr.counts_by_name()
-
     def test_bad_trace_type_rejected(self):
         from repro.harness import run_workload
 
-        with pytest.raises(TypeError, match="Observation or EventTracer"):
+        with pytest.raises(TypeError, match="must be an Observation"):
             run_workload(["VA"], trace=object())
+        with pytest.raises(TypeError, match="must be an Observation"):
+            run_workload(["VA"], trace=EventTracer())
 
     def test_observation_gains_telemetry(self):
         from repro.harness import run_workload
@@ -355,3 +308,29 @@ class TestRunWorkloadTrace:
         assert obs.telemetry.samples
         # Run-level gauges were finalized.
         assert obs.registry.get("run/cycles").value == 10_000
+
+    def test_observation_records_exactly_one_run(self):
+        # Reusing a bundle would stamp the first run's estimates on every
+        # sample of the second; it is refused before anything runs.
+        from repro.harness import run_workload
+
+        cfg = GPUConfig(interval_cycles=5_000)
+        obs = Observation()
+        run_workload(["SD", "SB"], config=cfg, shared_cycles=10_000,
+                     models=("DASE",), trace=obs)
+        first = list(obs.telemetry.samples)
+        emitted = obs.tracer.n_emitted
+        with pytest.raises(ValueError, match="already recorded a run"):
+            run_workload(["VA", "QR"], config=cfg, shared_cycles=10_000,
+                         models=("DASE",), trace=obs)
+        assert obs.telemetry.samples == first
+        assert obs.tracer.n_emitted == emitted
+
+    def test_run_shorter_than_one_interval_has_one_none_per_app(self):
+        from repro.harness import run_workload
+
+        res = run_workload(
+            ["SD", "SB"], config=GPUConfig(interval_cycles=5_000),
+            shared_cycles=2_000, models=("DASE", "MISE"),
+        )
+        assert res.estimates == {"DASE": [None, None], "MISE": [None, None]}

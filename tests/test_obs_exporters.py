@@ -131,26 +131,14 @@ class TestCsvExport:
 class TestHtmlReport:
     def test_report_complete_and_placeholder_free(self, recording, tmp_path):
         obs, res = recording
-        html = render_html_report(
-            result=res, telemetry=obs.telemetry, tracer=obs.tracer,
-            registry=obs.registry, title="SD+SB",
-        )
+        html = render_html_report(obs, res, "SD+SB")
         assert "${" not in html, "unresolved template placeholder"
         for needle in ("SD", "SB", "DASE", "MISE", "ASM", "DRAM bank heat",
                        "<svg", "</html>"):
             assert needle in html
         path = tmp_path / "report.html"
-        export_html_report(
-            path, result=res, telemetry=obs.telemetry, tracer=obs.tracer,
-            registry=obs.registry, title="SD+SB",
-        )
+        export_html_report(path, obs, res, "SD+SB")
         assert path.read_text() == html
-
-    def test_report_renders_without_result(self, recording):
-        obs, _ = recording
-        html = render_html_report(tracer=obs.tracer, title="bare")
-        assert "${" not in html
-        assert "Recorded events" in html
 
 
 # ------------------------------------------------------- summaries / inspect

@@ -194,8 +194,7 @@ class TestProgressCurveProperties:
         from repro.workloads import SUITE
 
         gpu = GPU(scaled_config(),
-                  [LaunchedKernel(SUITE[name], stream_id=stream_id)],
-                  obs=False)
+                  [LaunchedKernel(SUITE[name], stream_id=stream_id)])
         curve = gpu.record_progress(0)
         taken = []
         for count in sorted(stops):

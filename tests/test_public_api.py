@@ -54,8 +54,17 @@ def test_top_level_exports():
         "repro.harness.runner",
         "repro.harness.experiments",
         "repro.harness.figures",
-        "repro.obs.report",
+        "repro.obs",
+        "repro.obs.audit",
         "repro.obs.bus",
+        "repro.obs.diff",
+        "repro.obs.export",
+        "repro.obs.inspect",
+        "repro.obs.progress",
+        "repro.obs.registry",
+        "repro.obs.report",
+        "repro.obs.telemetry",
+        "repro.obs.tracer",
         "repro.service",
         "repro.service.protocol",
         "repro.service.queue",

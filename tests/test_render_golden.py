@@ -308,10 +308,7 @@ def test_run_report_headings():
         models=("DASE", "MISE", "ASM"),
         policy=DASEFairPolicy(scaled_config(), dry_run=True), trace=obs,
     )
-    html = render_html_report(
-        result=res, telemetry=obs.telemetry, tracer=obs.tracer,
-        registry=obs.registry, audit=obs.audit, title="SD+SB",
-    )
+    html = render_html_report(obs, res, "SD+SB")
     assert _h2(html) == [
         "Run summary",
         "Per-application time series",
