@@ -192,14 +192,22 @@ def _write_sweep_artifacts(out_dir: str, bus_dir: str,
           f"({', '.join(wrote)})", file=sys.stderr)
 
 
-def _cmd_run(args) -> int:
-    from repro.harness import run_workload
-    from repro.obs.report import pct, table
+def _check_run_args(args) -> None:
+    """One-line errors for the apps and window of ``run`` and ``trace``."""
     from repro.workloads import APP_NAMES
 
     for a in args.apps:
         if a not in APP_NAMES:
             raise SystemExit(f"unknown app {a!r}; choose from {APP_NAMES}")
+    if args.cycles is not None and args.cycles < 1:
+        raise SystemExit(f"--cycles must be >= 1, got {args.cycles}")
+
+
+def _cmd_run(args) -> int:
+    from repro.harness import run_workload
+    from repro.obs.report import pct, table
+
+    _check_run_args(args)
     models = tuple(args.models.split(",")) if args.models else ()
     res = run_workload(args.apps, shared_cycles=args.cycles, models=models,
                        profile_path=args.profile)
@@ -208,14 +216,18 @@ def _cmd_run(args) -> int:
               f"(inspect: python -m pstats {args.profile})", file=sys.stderr)
     rows = []
     for i, name in enumerate(res.names):
-        row = [name, res.sm_partition[i], f"{res.actual_slowdowns[i]:.2f}"]
-        for m in models:
-            e = res.estimates[m][i]
-            row.append("-" if e is None else f"{e:.2f}")
+        row = [name, res.sm_partition[i]]
+        values = [res.actual_slowdowns[i]]
+        values += [res.estimates[m][i] for m in models]
+        for v in values:
+            row.append("-" if v is None else f"{v:.2f}")
         rows.append(row)
     print(table(["app", "SMs", "actual"] + list(models), rows))
-    print(f"\nunfairness {res.actual_unfairness:.2f}   "
-          f"H-speedup {res.actual_hspeedup:.3f}")
+    if res.present_slowdowns:
+        print(f"\nunfairness {res.actual_unfairness:.2f}   "
+              f"H-speedup {res.actual_hspeedup:.3f}")
+    else:  # no app retired an instruction in the window
+        print("\nunfairness -   H-speedup -")
     for m in models:
         err = pct(res.mean_error(m)) if res.errors(m) else "-"
         print(f"{m} mean error: {err}")
@@ -235,11 +247,8 @@ def _cmd_trace(args) -> int:
         trace_summary,
     )
     from repro.obs.inspect import RUN_SCHEMA, summarize_run
-    from repro.workloads import APP_NAMES
 
-    for a in args.apps:
-        if a not in APP_NAMES:
-            raise SystemExit(f"unknown app {a!r}; choose from {APP_NAMES}")
+    _check_run_args(args)
     models = tuple(m for m in args.models.split(",") if m)
     formats = [f for f in args.format.split(",") if f]
     for f in formats:

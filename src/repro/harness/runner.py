@@ -87,9 +87,10 @@ class WorkloadResult:
     to ``shared_cycles`` for launch-time apps that never depart; 0 for an
     arrival that was never admitted) — and ``waiting_cycles`` — admission
     latency (arrival → first owned SM).  Both stay empty for closed runs.
-    An app's ``actual_slowdowns`` entry is ``None`` when it executed no
-    instructions (never admitted): there is nothing to replay alone, so no
-    ground truth exists for it.
+    An app's ``actual_slowdowns`` entry is ``None`` (and its
+    ``alone_cycles`` 0) when it retired no instruction in the window — a
+    never-admitted arrival, or a closed run shorter than its first burst:
+    there is nothing to replay alone, so no ground truth exists for it.
 
     Between the phases of a sweep (``run_workload(deferred=...)``) an app
     whose alone replay is still owed has ``None`` in ``alone_cycles`` and
@@ -896,17 +897,19 @@ def _run_workload(
     # Alone replays: full GPU, same stream identity, same instruction count.
     # The chased ones first learn where to stop, so they finish side by side.
     asked = {
-        i for i, chaser in chasers.items() if chaser.ask(instructions[i])
+        i for i, chaser in chasers.items()
+        if instructions[i] and chaser.ask(instructions[i])
     }
     if alone_cache is not None:
         # What the probes these asks stand in for would have counted.
         alone_cache.misses += len(asked)
     for i, spec in enumerate(specs):
         count = instructions[i]
-        if driver is not None and count == 0:
-            # Never admitted (or drained before issuing anything): there is
-            # nothing to replay and no ground-truth slowdown (and no span —
-            # no work happened).
+        if count == 0:
+            # Retired nothing in the window (an arrival never admitted or
+            # drained first, or a closed run shorter than its first burst):
+            # there is nothing to replay and no ground-truth slowdown (and
+            # no span — no work happened).
             result.alone_cycles[i] = 0
             continue
         if i in asked:

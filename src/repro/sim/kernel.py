@@ -24,7 +24,7 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class AccessPattern(enum.Enum):
@@ -98,7 +98,7 @@ class KernelSpec:
     # latency-sensitive because TLP can no longer hide memory time)
     phases: tuple[KernelPhase, ...] = ()  # phase schedule partitioning
     # insts_per_warp; empty = stationary behaviour (the bit-identical
-    # pre-phase path — see WarpStream._refill)
+    # pre-phase path — see _stationary_steps)
 
     def __post_init__(self) -> None:
         if self.compute_per_mem < 0:
@@ -132,12 +132,6 @@ class KernelSpec:
         return 1.0 / (1.0 + self.compute_per_mem)
 
 
-#: Steps (compute burst + memory instruction) pregenerated per refill.
-#: Bounded so a warp cut off by the end of the run window wastes at most
-#: one chunk of RNG draws.
-_CHUNK = 32
-
-
 def stream_seed(seed: int, app_index: int, block_id: int, warp_id: int) -> str:
     """RNG seed string for one warp stream."""
     return f"{seed}/{app_index}/{block_id}/{warp_id}"
@@ -165,6 +159,154 @@ def stream_bases(
     return base, region & ~1
 
 
+def _stationary_steps(
+    spec: KernelSpec, rng: random.Random, hot_base: int, region_base: int,
+    line_bytes: int,
+) -> Iterator[tuple[int, list[int], bool]]:
+    """Endless (burst, byte addresses, is_store) steps of a stationary warp.
+
+    Every knob is bound to a local once, so a step costs little beyond its
+    RNG draws.  Past the budget the cap holds every burst at zero.
+    """
+    uniform = rng.uniform
+    rand = rng.random
+    randrange = rng.randrange
+    remaining = spec.insts_per_warp
+
+    mean = spec.compute_per_mem
+    draw_burst = mean > 0
+    jitter = spec.burst_jitter
+    lo = max(0.0, mean * (1.0 - jitter))
+    hi = mean * (1.0 + jitter)
+    sf = spec.store_fraction
+    wf = spec.wide_fraction
+    rf = spec.reuse_fraction
+    n_acc = spec.accesses_per_mem_inst
+    pattern_random = spec.pattern is AccessPattern.RANDOM
+    hot_lines = spec.hot_set_lines
+    ws_lines = spec.working_set_lines
+    stride = spec.stride_lines
+    cursor = 0
+
+    while True:
+        # Compute burst: drawn, then capped to leave room for the memory
+        # instruction that ends the step.
+        if draw_burst:
+            burst = int(round(uniform(lo, hi)))
+        else:
+            burst = 0
+        cap = remaining - 1
+        if cap < 0:
+            cap = 0
+        if burst > cap:
+            burst = cap
+        remaining -= burst
+        # Memory instruction: store flag, then one or more addresses.
+        # A *wide* access (``wide_fraction``) touches two consecutive
+        # lines aligned to one interleave granule, so both land in the
+        # same partition and DRAM row and are outstanding together —
+        # the FR-FCFS controller then serves the second as a row hit.
+        is_store = sf > 0.0 and rand() < sf
+        remaining -= 1
+        out: list[int] = []
+        for _ in range(n_acc):
+            wide = wf > 0.0 and rand() < wf
+            if rf > 0.0 and rand() < rf:
+                line = hot_base + randrange(hot_lines)
+                wide = False  # hot-set lines are cache-resident singles
+            elif pattern_random:
+                line = region_base + randrange(ws_lines)
+                if wide:
+                    line &= ~1
+            else:  # STREAM / STRIDED
+                if wide:
+                    cursor = (cursor + 1) & ~1  # granule-align
+                line = region_base + cursor
+                cursor += 2 if wide else stride
+            out.append(line * line_bytes)
+            if wide:
+                out.append((line + 1) * line_bytes)
+        yield burst, out, is_store
+
+
+def _phased_steps(
+    spec: KernelSpec, rng: random.Random, hot_base: int, region_base: int,
+    line_bytes: int,
+) -> Iterator[tuple[int, list[int], bool]]:
+    """Phase-aware steps: same step shape as :func:`_stationary_steps`,
+    but the mix knobs come from the phase owning the step, and the
+    compute burst is additionally clamped so the step's memory
+    instruction stays inside the current phase — a step never straddles
+    a declared phase boundary, which is what conserves the per-warp
+    instruction total exactly for every split of the budget."""
+    uniform = rng.uniform
+    rand = rng.random
+    randrange = rng.randrange
+    remaining = spec.insts_per_warp
+    phases = spec.phases
+    pidx = 0
+    prem = phases[0].insts
+
+    jitter = spec.burst_jitter
+    n_acc = spec.accesses_per_mem_inst
+    hot_lines = spec.hot_set_lines
+    ws_lines = spec.working_set_lines
+    stride = spec.stride_lines
+    cursor = 0
+
+    while True:
+        while prem <= 0 and pidx + 1 < len(phases):
+            pidx += 1
+            prem = phases[pidx].insts
+        ph = phases[pidx]
+        mean = (spec.compute_per_mem if ph.compute_per_mem is None
+                else ph.compute_per_mem)
+        sf = (spec.store_fraction if ph.store_fraction is None
+              else ph.store_fraction)
+        wf = (spec.wide_fraction if ph.wide_fraction is None
+              else ph.wide_fraction)
+        rf = (spec.reuse_fraction if ph.reuse_fraction is None
+              else ph.reuse_fraction)
+        pattern = spec.pattern if ph.pattern is None else ph.pattern
+        pattern_random = pattern is AccessPattern.RANDOM
+
+        if mean > 0:
+            burst = int(round(
+                uniform(max(0.0, mean * (1.0 - jitter)),
+                        mean * (1.0 + jitter))
+            ))
+        else:
+            burst = 0
+        cap = (remaining if remaining < prem else prem) - 1
+        if cap < 0:
+            cap = 0
+        if burst > cap:
+            burst = cap
+        remaining -= burst + 1
+        prem -= burst + 1
+
+        is_store = sf > 0.0 and rand() < sf
+        out: list[int] = []
+        for _ in range(n_acc):
+            wide = wf > 0.0 and rand() < wf
+            if rf > 0.0 and rand() < rf:
+                line = hot_base + randrange(hot_lines)
+                wide = False
+            elif pattern_random:
+                line = region_base + randrange(ws_lines)
+                if wide:
+                    line &= ~1
+            else:  # STREAM / STRIDED
+                if wide:
+                    cursor = (cursor + 1) & ~1
+                line = region_base + cursor
+                cursor += 2 if wide else stride
+            out.append(line * line_bytes)
+            if wide:
+                out.append((line + 1) * line_bytes)
+        yield burst, out, is_store
+
+
 class WarpStream:
     """Deterministic per-warp instruction/address generator.
 
@@ -173,20 +315,21 @@ class WarpStream:
     from ``(app seed, block id, warp id)`` so a shared run and its
     matched-instruction alone replay see identical behaviour.
 
-    Steps are pregenerated in chunks (:func:`_refill`) with one tight loop
-    over local variables, so the per-burst calls the SM makes are plain
-    array reads.  The RNG draw order inside a chunk is exactly the draw
-    order of stepwise generation, so the stream of (burst, addresses,
-    is_store) values is bit-identical to the unbatched implementation under
-    the SM's strict burst/memory alternation.
+    A step — compute burst, then one memory instruction — is generated only
+    when the SM asks for it, by one generator per warp
+    (:func:`_stationary_steps`, or :func:`_phased_steps` for a phase
+    schedule): :meth:`next_compute_burst` pulls the next step and
+    :meth:`next_mem_access` consumes it.  A warp cut off by the end of a run
+    window has drawn at most the step it was issuing, and the stream of
+    (burst, addresses, is_store) values is the draw-for-draw stepwise
+    sequence.
+    Off the SM's strict alternation, two bursts in a row return the same
+    burst (each subtracts it), a memory access with no burst before it
+    consumes the next step, and a warp past :attr:`done` keeps yielding
+    zero-burst steps.
     """
 
-    __slots__ = (
-        "spec", "_rng", "_cursor", "_region_base", "_hot_base",
-        "remaining_insts", "_line_bytes",
-        "_bursts", "_addrs", "_stores", "_idx", "_gen_remaining",
-        "_phases", "_gen_phase_idx", "_gen_phase_rem",
-    )
+    __slots__ = ("spec", "remaining_insts", "_steps", "_step")
 
     def __init__(
         self,
@@ -198,233 +341,40 @@ class WarpStream:
         line_bytes: int,
     ) -> None:
         self.spec = spec
-        self._rng = random.Random(stream_seed(seed, app_index, block_id, warp_id))
-        self._line_bytes = line_bytes
-        # Streaming regions start past the hot set (see stream_bases).
-        self._hot_base, self._region_base = stream_bases(
-            spec, app_index, block_id, warp_id
-        )
-        self._cursor = 0
         self.remaining_insts = spec.insts_per_warp
-        # Pregenerated step trace (parallel arrays) and its read cursor.
-        self._bursts: list[int] = []
-        self._addrs: list[list[int]] = []
-        self._stores: list[bool] = []
-        self._idx = 0
-        self._gen_remaining = spec.insts_per_warp
-        # Phase schedule: None keeps the stationary fast path untouched.
-        self._phases = spec.phases or None
-        self._gen_phase_idx = 0
-        self._gen_phase_rem = spec.phases[0].insts if spec.phases else 0
+        steps = _phased_steps if spec.phases else _stationary_steps
+        # Streaming regions start past the hot set (see stream_bases).
+        self._steps = steps(
+            spec,
+            random.Random(stream_seed(seed, app_index, block_id, warp_id)),
+            *stream_bases(spec, app_index, block_id, warp_id),
+            line_bytes,
+        )
+        # The step a burst was pulled for, until its memory access.
+        self._step: tuple[int, list[int], bool] | None = None
 
     @property
     def done(self) -> bool:
         return self.remaining_insts <= 0
 
-    def _refill(self) -> None:
-        """Pregenerate the next chunk of (burst, addresses, is_store) steps.
-
-        One step consumes at least one instruction, so at most
-        ``remaining`` steps are left — the chunk is clamped to that, keeping
-        the overshoot past the run window at zero for finishing warps.
-        """
-        if self._phases is not None:
-            self._refill_phased()
-            return
-        spec = self.spec
-        rng = self._rng
-        uniform = rng.uniform
-        rand = rng.random
-        randrange = rng.randrange
-        remaining = self._gen_remaining
-        bursts: list[int] = []
-        addr_lists: list[list[int]] = []
-        stores: list[bool] = []
-
-        mean = spec.compute_per_mem
-        draw_burst = mean > 0
-        jitter = spec.burst_jitter
-        lo = max(0.0, mean * (1.0 - jitter))
-        hi = mean * (1.0 + jitter)
-        sf = spec.store_fraction
-        wf = spec.wide_fraction
-        rf = spec.reuse_fraction
-        n_acc = spec.accesses_per_mem_inst
-        pattern_random = spec.pattern is AccessPattern.RANDOM
-        hot_base = self._hot_base
-        hot_lines = spec.hot_set_lines
-        region_base = self._region_base
-        ws_lines = spec.working_set_lines
-        stride = spec.stride_lines
-        line_bytes = self._line_bytes
-        cursor = self._cursor
-
-        limit = remaining if 0 < remaining <= _CHUNK else (
-            _CHUNK if remaining > 0 else 1  # past-done misuse: step at a time
-        )
-        for _ in range(limit):
-            # Compute burst: same draw and the same cap as the stepwise code.
-            if draw_burst:
-                burst = int(round(uniform(lo, hi)))
-            else:
-                burst = 0
-            cap = remaining - 1
-            if cap < 0:
-                cap = 0
-            if burst > cap:
-                burst = cap
-            remaining -= burst
-            # Memory instruction: store flag, then one or more addresses.
-            # A *wide* access (``wide_fraction``) touches two consecutive
-            # lines aligned to one interleave granule, so both land in the
-            # same partition and DRAM row and are outstanding together —
-            # the FR-FCFS controller then serves the second as a row hit.
-            is_store = sf > 0.0 and rand() < sf
-            remaining -= 1
-            out: list[int] = []
-            for _ in range(n_acc):
-                wide = wf > 0.0 and rand() < wf
-                if rf > 0.0 and rand() < rf:
-                    line = hot_base + randrange(hot_lines)
-                    wide = False  # hot-set lines are cache-resident singles
-                elif pattern_random:
-                    line = region_base + randrange(ws_lines)
-                    if wide:
-                        line &= ~1
-                else:  # STREAM / STRIDED
-                    if wide:
-                        cursor = (cursor + 1) & ~1  # granule-align
-                    line = region_base + cursor
-                    cursor += 2 if wide else stride
-                out.append(line * line_bytes)
-                if wide:
-                    out.append((line + 1) * line_bytes)
-            bursts.append(burst)
-            addr_lists.append(out)
-            stores.append(is_store)
-
-        self._cursor = cursor
-        self._gen_remaining = remaining
-        self._bursts = bursts
-        self._addrs = addr_lists
-        self._stores = stores
-        self._idx = 0
-
-    def _refill_phased(self) -> None:
-        """Phase-aware pregeneration: same step shape as :meth:`_refill`,
-        but the mix knobs come from the phase owning the step, and the
-        compute burst is additionally clamped so the step's memory
-        instruction stays inside the current phase — a step never straddles
-        a declared phase boundary, which is what conserves the per-warp
-        instruction total exactly for every split of the budget."""
-        spec = self.spec
-        rng = self._rng
-        uniform = rng.uniform
-        rand = rng.random
-        randrange = rng.randrange
-        remaining = self._gen_remaining
-        phases = self._phases
-        pidx = self._gen_phase_idx
-        prem = self._gen_phase_rem
-        bursts: list[int] = []
-        addr_lists: list[list[int]] = []
-        stores: list[bool] = []
-
-        jitter = spec.burst_jitter
-        n_acc = spec.accesses_per_mem_inst
-        hot_base = self._hot_base
-        hot_lines = spec.hot_set_lines
-        region_base = self._region_base
-        ws_lines = spec.working_set_lines
-        stride = spec.stride_lines
-        line_bytes = self._line_bytes
-        cursor = self._cursor
-
-        limit = remaining if 0 < remaining <= _CHUNK else (
-            _CHUNK if remaining > 0 else 1  # past-done misuse: step at a time
-        )
-        for _ in range(limit):
-            while prem <= 0 and pidx + 1 < len(phases):
-                pidx += 1
-                prem = phases[pidx].insts
-            ph = phases[pidx]
-            mean = (spec.compute_per_mem if ph.compute_per_mem is None
-                    else ph.compute_per_mem)
-            sf = (spec.store_fraction if ph.store_fraction is None
-                  else ph.store_fraction)
-            wf = (spec.wide_fraction if ph.wide_fraction is None
-                  else ph.wide_fraction)
-            rf = (spec.reuse_fraction if ph.reuse_fraction is None
-                  else ph.reuse_fraction)
-            pattern = spec.pattern if ph.pattern is None else ph.pattern
-            pattern_random = pattern is AccessPattern.RANDOM
-
-            if mean > 0:
-                burst = int(round(
-                    uniform(max(0.0, mean * (1.0 - jitter)),
-                            mean * (1.0 + jitter))
-                ))
-            else:
-                burst = 0
-            cap = (remaining if remaining < prem else prem) - 1
-            if cap < 0:
-                cap = 0
-            if burst > cap:
-                burst = cap
-            remaining -= burst + 1
-            prem -= burst + 1
-
-            is_store = sf > 0.0 and rand() < sf
-            out: list[int] = []
-            for _ in range(n_acc):
-                wide = wf > 0.0 and rand() < wf
-                if rf > 0.0 and rand() < rf:
-                    line = hot_base + randrange(hot_lines)
-                    wide = False
-                elif pattern_random:
-                    line = region_base + randrange(ws_lines)
-                    if wide:
-                        line &= ~1
-                else:  # STREAM / STRIDED
-                    if wide:
-                        cursor = (cursor + 1) & ~1
-                    line = region_base + cursor
-                    cursor += 2 if wide else stride
-                out.append(line * line_bytes)
-                if wide:
-                    out.append((line + 1) * line_bytes)
-            bursts.append(burst)
-            addr_lists.append(out)
-            stores.append(is_store)
-
-        self._cursor = cursor
-        self._gen_remaining = remaining
-        self._gen_phase_idx = pidx
-        self._gen_phase_rem = prem
-        self._bursts = bursts
-        self._addrs = addr_lists
-        self._stores = stores
-        self._idx = 0
-
     def next_compute_burst(self) -> int:
         """Length of the next compute burst, in instructions (may be 0)."""
-        i = self._idx
-        if i >= len(self._bursts):
-            self._refill()
-            i = 0
-        burst = self._bursts[i]
+        step = self._step
+        if step is None:
+            step = self._step = next(self._steps)
+        burst = step[0]
         self.remaining_insts -= burst
         return burst
 
     def next_mem_access(self) -> tuple[list[int], bool]:
         """(byte addresses, is_store) for the next memory instruction."""
-        i = self._idx
-        if i >= len(self._addrs):
-            self._refill()
-            i = 0
-        self._idx = i + 1
+        step = self._step
+        if step is None:
+            step = next(self._steps)
+        else:
+            self._step = None
         self.remaining_insts -= 1
-        return self._addrs[i], self._stores[i]
+        return step[1], step[2]
 
     def next_mem_addresses(self) -> list[int]:
         """Byte addresses touched by the next memory instruction."""

@@ -195,6 +195,31 @@ class TestSameResults:
             assert res.alone_cycles == want["alone_cycles"]
 
 
+def test_an_app_that_retires_nothing_is_settled_on_every_path(
+        spare_cpu, helpers, tmp_path):
+    # In 1000 cycles QR retires no instruction: no replay, no helper ask,
+    # no cache probe, and the job beside it (SD+SB, sharing SB#1's helper)
+    # still settles.
+    runs = {}
+    for how, n_jobs in (("auto", None), ("one", 1), ("pool", 2)):
+        jobs = [WorkloadJob(apps=apps, config=CFG, shared_cycles=1000,
+                            models=("DASE",), cache_dir=str(tmp_path / how))
+                for apps in (("QR", "SB"), ("SD", "SB"))]
+        outcomes = run_jobs(jobs, n_jobs=n_jobs)
+        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+        runs[how] = [(o.result.to_dict(), o.cache) for o in outcomes]
+    assert runs["auto"] == runs["one"] == runs["pool"]
+    (qr_sb, qr_cache), (sd_sb, sd_cache) = runs["auto"]
+    assert qr_sb["instructions"][0] == 0 < qr_sb["instructions"][1]
+    assert qr_sb["alone_cycles"][0] == 0
+    assert qr_sb["actual_slowdowns"][0] is None
+    assert qr_sb["actual_slowdowns"][1] > 0
+    assert qr_cache == {"hits": 0, "misses": 1, "stores": 1}
+    assert all(s > 0 for s in sd_sb["actual_slowdowns"])
+    assert sd_cache == {"hits": 0, "misses": 2, "stores": 2}
+    assert_reaped(helpers)
+
+
 # ------------------------------------------------- resumability, as a property
 
 

@@ -205,6 +205,27 @@ def test_run_shorter_than_one_interval_prints_no_estimates(tmp_path, capsys):
     assert [r[3:] for r in rows] == [["-"], ["-"]]
 
 
+def test_run_where_an_app_retires_nothing_prints_no_actual(capsys):
+    # None of QR's first bursts has retired by cycle 1000: it has no alone
+    # replay and no actual slowdown, and SB's row is unaffected.
+    assert main(["run", "QR", "SB", "--cycles", "1000",
+                 "--models", "DASE"]) == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()[2:4]]
+    assert rows[0] == ["QR", "8", "-", "-"]
+    assert rows[1][0] == "SB" and rows[1][2] != "-"
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("cycles", ["0", "-5"])
+def test_cycles_below_one_is_a_one_line_error(tmp_path, command, cycles):
+    out = tmp_path / "t"
+    extra = ["--out", str(out)] if command == "trace" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "SD", "SB", "--cycles", cycles, *extra])
+    assert str(exc.value) == f"--cycles must be >= 1, got {cycles}"
+    assert not out.exists()
+
+
 def test_inspect_unrecognized_file_fails(tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("[]")

@@ -1,15 +1,20 @@
 """Unit tests for kernel specs and warp address streams."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.kernel import (
     APP_SPACE_LINES,
     AccessPattern,
+    KernelPhase,
     KernelProgress,
     KernelSpec,
     WarpStream,
 )
+from repro.workloads import SUITE
 
 LINE = 128
 
@@ -171,3 +176,101 @@ class TestKernelProgress:
         prog = KernelProgress(KernelSpec("x", compute_per_mem=1, blocks_total=4))
         prog.next_block_id()
         assert prog.blocks_remaining == 3
+
+
+#: (app index, block id, warp id, seed) points every SUITE stream is pinned
+#: at: the first warp of the first app, a mid-grid warp, and a block id past
+#: a grid restart.
+DIGEST_POINTS = ((0, 0, 0, 1), (1, 37, 5, 2016), (3, 10_123, 2, 9401))
+
+#: A phased spec touching every override: a compute-free phase, a random
+#: phase with stores and reuse, and one that inherits everything.
+PHASED = KernelSpec(
+    "phased", compute_per_mem=6, pattern=AccessPattern.STREAM,
+    wide_fraction=0.3, insts_per_warp=500, reuse_fraction=0.1,
+    phases=(
+        KernelPhase(insts=90, compute_per_mem=0.0, wide_fraction=1.0),
+        KernelPhase(insts=170, compute_per_mem=11.0, store_fraction=0.4,
+                    reuse_fraction=0.5, pattern=AccessPattern.RANDOM),
+        KernelPhase(insts=240),
+    ),
+)
+
+#: sha256 (first 16 hex digits) of every step each stream yields, drained
+#: in the SM's burst/memory alternation and three steps past done.
+STREAM_DIGESTS = {
+    "AA": "b68a646913a54236", "AT": "99ebe7e6c0ee7208",
+    "BG": "5d0cd7db140fcd89", "BS": "ed5cfb14d37840bd",
+    "CS": "c6ada762adfa848c", "CT": "1e970699b555ec94",
+    "NN": "c5b7adcf556f121b", "QR": "3cc9761b3af7fe7b",
+    "SA": "ff3e42ed0bce8d97", "SB": "0428a76854cf319a",
+    "SC": "6466c43e2ca43beb", "SD": "6ae8adb5b285a160",
+    "SN": "f5660f16a0d1a093", "SP": "5ea2d1cd7ab7331d",
+    "VA": "23d96b473a865c07",
+}
+PHASED_DIGEST = "5d21878c61138851"
+OFF_PATTERN_DIGESTS = {
+    "NN": "350756c15714f845", "SB": "41480118dfffb640",
+    "SD": "35a5c9b7768c2f3d", "phased": "e7aaef00da6ee85a",
+}
+
+#: Call orders the SM never makes: two bursts in a row, a memory access with
+#: no burst before it, and the addresses-only form.  ``b`` is
+#: next_compute_burst, ``m`` next_mem_access, ``a`` next_mem_addresses.
+OFF_PATTERN_OPS = "bbm" "m" "bm" "a" "bbbm" "mm" "ba" "bm"
+
+
+def _record(s: WarpStream, ops: str) -> list:
+    calls = {"b": s.next_compute_burst, "m": s.next_mem_access,
+             "a": s.next_mem_addresses}
+    out = []
+    for op in ops:
+        out.append([op, calls[op](), s.remaining_insts, s.done])
+    return out
+
+
+def _stream_digest(spec: KernelSpec, ops: str = "") -> str:
+    steps = []
+    for app, block, warp, seed in DIGEST_POINTS:
+        s = stream(spec, app, block, warp, seed)
+        steps.append(_record(s, ops))
+        while not s.done:
+            steps.append(_record(s, "bm"))
+        steps.append(_record(s, "bm" * 3))
+    blob = json.dumps(steps, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestStreamDigest:
+    """Every warp stream, byte for byte: the unit-level guard beside the
+    end-to-end goldens for any change to how steps are generated."""
+
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_suite_stream(self, name):
+        assert _stream_digest(SUITE[name]) == STREAM_DIGESTS[name]
+
+    def test_phased_stream(self):
+        assert _stream_digest(PHASED) == PHASED_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(OFF_PATTERN_DIGESTS))
+    def test_off_pattern_call_orders(self, name):
+        spec = PHASED if name == "phased" else SUITE[name]
+        assert _stream_digest(spec, OFF_PATTERN_OPS) == (
+            OFF_PATTERN_DIGESTS[name]
+        )
+
+    def test_two_bursts_in_a_row_repeat_and_subtract(self):
+        s = stream(SUITE["SD"])
+        first = s.next_compute_burst()
+        assert s.next_compute_burst() == first
+        assert s.remaining_insts == SUITE["SD"].insts_per_warp - 2 * first
+
+    def test_steps_past_done_have_no_burst(self):
+        s = stream(SUITE["SB"])
+        while not s.done:
+            s.next_compute_burst()
+            s.next_mem_access()
+        for _ in range(3):
+            assert s.next_compute_burst() == 0
+            assert len(s.next_mem_access()[0]) >= 1
+        assert s.remaining_insts == -3
