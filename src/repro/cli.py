@@ -192,8 +192,12 @@ def _write_sweep_artifacts(out_dir: str, bus_dir: str,
           f"({', '.join(wrote)})", file=sys.stderr)
 
 
-def _check_run_args(args) -> None:
-    """One-line errors for the apps and window of ``run`` and ``trace``."""
+_MODELS = ("DASE", "MISE", "ASM")
+
+
+def _check_run_args(args) -> tuple[str, ...]:
+    """One-line errors for the apps, window and estimators of ``run`` and
+    ``trace``; returns the ``--models`` list (empty entries dropped)."""
     from repro.workloads import APP_NAMES
 
     for a in args.apps:
@@ -201,14 +205,19 @@ def _check_run_args(args) -> None:
             raise SystemExit(f"unknown app {a!r}; choose from {APP_NAMES}")
     if args.cycles is not None and args.cycles < 1:
         raise SystemExit(f"--cycles must be >= 1, got {args.cycles}")
+    models = tuple(m for m in args.models.split(",") if m)
+    for m in models:
+        if m not in _MODELS:
+            raise SystemExit(
+                f"unknown model {m!r}; choose from {', '.join(_MODELS)}")
+    return models
 
 
 def _cmd_run(args) -> int:
     from repro.harness import run_workload
     from repro.obs.report import pct, table
 
-    _check_run_args(args)
-    models = tuple(args.models.split(",")) if args.models else ()
+    models = _check_run_args(args)
     res = run_workload(args.apps, shared_cycles=args.cycles, models=models,
                        profile_path=args.profile)
     if args.profile:
@@ -248,8 +257,7 @@ def _cmd_trace(args) -> int:
     )
     from repro.obs.inspect import RUN_SCHEMA, summarize_run
 
-    _check_run_args(args)
-    models = tuple(m for m in args.models.split(",") if m)
+    models = _check_run_args(args)
     formats = [f for f in args.format.split(",") if f]
     for f in formats:
         if f not in ("chrome", "csv", "html"):
@@ -666,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     rn = sub.add_parser("run", help="run an arbitrary workload")
     rn.add_argument("apps", nargs="+", help="suite app names, e.g. SD SB")
     rn.add_argument("--cycles", type=int, default=None)
-    rn.add_argument("--models", default="DASE,MISE,ASM",
+    rn.add_argument("--models", default=",".join(_MODELS),
                     help="comma-separated estimators (empty for none)")
     rn.add_argument("--profile", default=None, metavar="PATH",
                     help="dump cProfile stats for the run to PATH "
@@ -750,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("apps", nargs="+", help="suite app names, e.g. SD SB")
     tr.add_argument("--cycles", type=int, default=None)
-    tr.add_argument("--models", default="DASE,MISE,ASM",
+    tr.add_argument("--models", default=",".join(_MODELS),
                     help="comma-separated estimators (empty for none)")
     tr.add_argument("--out", default="obs_run", metavar="DIR",
                     help="output directory (default: obs_run)")

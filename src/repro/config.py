@@ -114,7 +114,8 @@ class GPUConfig:
     alpha_clamp: float = 0.3  # α above this is treated as 1 (paper §4.2.1:
     # "setting α to 1 makes DASE more accurate when α is large"; with the
     # interference time already capped at α·T, a stalled-at-all SM is best
-    # modelled by the undamped ratio — see benchmarks/test_ablation_alpha.py)
+    # modelled by the undamped ratio — see test_ablation_alpha_clamp in
+    # benchmarks/test_ablations.py)
 
     # --- Reproducibility ---------------------------------------------------
     seed: int = 12345

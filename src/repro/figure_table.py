@@ -23,6 +23,7 @@ neither :mod:`repro.harness.experiments` nor the store.
 from __future__ import annotations
 
 import operator
+from argparse import ArgumentTypeError
 from dataclasses import dataclass
 from functools import partial
 from importlib import import_module
@@ -272,7 +273,23 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in text.split(",") if s)
 
 
-LIMIT = ("limit", {"type": int, "help": "limit the number of workloads swept"})
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_floats(text: str) -> tuple[float, ...]:
+    values = _floats(text)
+    for v in values:
+        if not v > 0:
+            raise ArgumentTypeError(f"must be > 0, got {v:g}")
+    return values
+
+
+LIMIT = ("limit", {"type": _positive_int,
+                   "help": "limit the number of workloads swept"})
 _TWO_APPS = {"nargs": 2, "choices": APP_NAMES, "metavar": ("APP1", "APP2")}
 
 
@@ -604,7 +621,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
             ("base", {**_TWO_APPS, "help": "resident base workload"}),
             ("pool", {"nargs": "+", "choices": APP_NAMES, "metavar": "APP",
                       "help": "arrival pool apps"}),
-            ("rates", {"type": _floats, "metavar": "R1,R2,..",
+            ("rates", {"type": _positive_floats, "metavar": "R1,R2,..",
                        "help": "comma-separated arrival rates per kilocycle"}),
             ("mean_lifetime", {"type": int, "metavar": "CYCLES",
                                "help": "mean exponential lifetime of a "

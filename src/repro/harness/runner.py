@@ -853,11 +853,8 @@ def _run_workload(
     if bus_ch is not None:
         t0 = time.perf_counter()
         gpu.run(shared_cycles)
-        bus_ch.span(
-            "simulate", time.perf_counter() - t0,
-            cycles=shared_cycles,
-            engine_mode="sparse" if gpu.engine._sparse else "bucket",
-        )
+        bus_ch.span("simulate", time.perf_counter() - t0,
+                    cycles=shared_cycles)
     else:
         gpu.run(shared_cycles)
     if obs is not None:

@@ -20,7 +20,7 @@ Record taxonomy (schema :data:`BUS_SCHEMA`, one JSON object per line):
   crashed process still leaves evidence of what it was running);
 * ``span``      — one timed phase of the job lifecycle: ``dequeue``
   (pooled only: fork → the job process starting the attempt),
-  ``simulate`` (the shared run, with its event-engine mode), ``replay``
+  ``simulate`` (the shared run, with its cycle window), ``replay``
   (``cached=True``: one alone clock served by the replay cache, inside
   the job that asked, with the ``curve_end`` of the stored trajectory
   that answered it;

@@ -68,7 +68,7 @@ class EventTracer:
         self._head = 0  # oldest slot once the ring has wrapped
         self.dropped = 0  # events overwritten after the ring filled
         self.n_emitted = 0
-        # Engine dispatch statistics (bumped by the traced run loop).
+        # Engine dispatch statistics (bumped by the run loop when traced).
         self.engine_events = 0
         self.engine_max_bucket = 0
         # Topology metadata for exporters (set by the GPU on attach).

@@ -48,12 +48,6 @@ class SetAssocCache:
         ]
         self.stats: dict[int, CacheStats] = {}
 
-    def _stats_for(self, app: int) -> CacheStats:
-        st = self.stats.get(app)
-        if st is None:
-            st = self.stats[app] = CacheStats()
-        return st
-
     def access(self, cache_set: int, tag: int, app: int) -> bool:
         """Look up (and on miss, fill) a line.  Returns True on hit.
 
@@ -93,6 +87,3 @@ class SetAssocCache:
         """Invalidate every line (used between independent runs)."""
         for s in self._sets:
             s.clear()
-
-    def reset_stats(self) -> None:
-        self.stats = {}

@@ -134,10 +134,6 @@ class SM:
             warps_per_block, kernel_limit
         )
 
-    @property
-    def resident_warps(self) -> int:
-        return self._n_active + self._blocked
-
     # --------------------------------------------------------------- timing
 
     def _advance(self, now: int) -> None:

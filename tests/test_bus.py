@@ -46,7 +46,7 @@ class TestWorkerChannel:
             assert bus.current() is ch
             assert bus.activate(tmp_path) is ch  # idempotent per dir+pid
             ch.job_start("s-1", 0, "QR+CT", submit_ts=1.0)
-            ch.span("simulate", 0.5, cycles=SMALL, engine_mode="bucket")
+            ch.span("simulate", 0.5, cycles=SMALL)
             ch.job_end(ok=True, cache={"hits": 1, "misses": 2, "stores": 2})
             # job_start / job_end flush; the buffered span rides along with
             # the job_end flush, so the file is already complete on disk.
@@ -62,7 +62,7 @@ class TestWorkerChannel:
         names = [r["name"] for r in records if r["t"] == "span"]
         assert names == ["dequeue", "simulate"]
         sim = records[3]
-        assert sim["args"] == {"cycles": SMALL, "engine_mode": "bucket"}
+        assert sim["args"] == {"cycles": SMALL}
         assert sim["sweep"] == "s-1" and sim["job"] == 0
         end = records[-1]
         assert end["ok"] and end["cache"]["hits"] == 1

@@ -226,6 +226,53 @@ def test_cycles_below_one_is_a_one_line_error(tmp_path, command, cycles):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("models", ["FOO", ","])
+def test_models_flag_is_parsed_once_for_run_and_trace(tmp_path, capsys,
+                                                      command, models):
+    out = tmp_path / "t"
+    extra = ["--out", str(out)] if command == "trace" else []
+    argv = [command, "SD", "SB", "--cycles", "2000", "--models", models,
+            *extra]
+    if models == "FOO":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == ("unknown model 'FOO'; "
+                                  "choose from DASE, MISE, ASM")
+        assert not out.exists()
+        return
+    # Empty names are dropped: the run attaches no estimator.
+    assert main(argv) == 0
+    if command == "run":
+        assert capsys.readouterr().out.split("\n")[0].split() == [
+            "app", "SMs", "actual"]
+    else:
+        import json
+
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["workload"]["estimates"] == {}
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_limit_below_one_is_an_argparse_error(capsys, limit):
+    # 0 used to sweep every pair and -1 to drop the last one.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["fig5", "--limit", limit])
+    assert exc.value.code == 2
+    assert f"--limit: must be >= 1, got {limit}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rates", ["0", "-1", "0.5,0"])
+def test_non_positive_rate_is_an_argparse_error(capsys, rates):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["fig-churn", "--rates", rates])
+    assert exc.value.code == 2
+    assert "--rates: must be > 0" in capsys.readouterr().err
+    # A noise intensity of 0 is a valid point of the degradation curve.
+    args = build_parser().parse_args(["fig-degradation", "--sigmas", "0,0.1"])
+    assert args.sigmas == (0.0, 0.1)
+
+
 def test_inspect_unrecognized_file_fails(tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("[]")

@@ -157,103 +157,67 @@ def test_property_nested_events_keep_order(pairs):
     assert len(times) == 2 * len(pairs)
 
 
-# --- sparse (per-event heap) fallback ---------------------------------------
+# --- sparse schedules -------------------------------------------------------
 #
-# Under sustained low occupancy (~1 event per cycle) the bucketed queue
-# converts to a per-event heap after a probation window.  The conversion
-# is a pure representation change: firing order, tie order, clock
-# semantics, stop/resume, and ``pending`` must all be indistinguishable
-# from the dense engine.
+# "Sparse" here is the schedule, not a queue mode: one event per cycle is
+# the shape a bucket queue serves worst, and firing order, tie order, clock
+# semantics, stop/resume and ``pending`` must hold there exactly as on
+# bursty schedules.
 
 import random as _random
 
-import repro.sim.engine as engine_module
 
-
-def _shrink_probation(monkeypatch, events=16):
-    monkeypatch.setattr(engine_module, "_PROBATION_EVENTS", events)
-
-
-def test_sparse_conversion_triggers_on_low_occupancy(monkeypatch):
-    _shrink_probation(monkeypatch)
-    eng = Engine()
-    fired = []
-    for i in range(40):  # one event per bucket: occupancy 1.0 < ratio
-        eng.schedule(i * 7, lambda i=i: fired.append(i))
-    eng.run()
-    assert eng._sparse
-    assert fired == list(range(40))
-
-
-def test_bursty_load_stays_dense(monkeypatch):
-    _shrink_probation(monkeypatch)
-    eng = Engine()
-    fired = []
-    for i in range(64):  # eight events per bucket: occupancy 8 >= ratio
-        eng.schedule(i // 8, lambda i=i: fired.append(i))
-    eng.run()
-    assert not eng._sparse
-    assert fired == list(range(64))
-
-
-def test_sparse_firing_order_matches_dense(monkeypatch):
-    """Same randomized schedule (with ties and nested events) through the
-    dense engine and through one that converts mid-run: identical trace."""
+def test_random_schedule_fires_in_cycle_then_schedule_order():
+    """A randomized schedule with ties and nested events fires in
+    ``(cycle, schedule order)``, the order computed here independently."""
     rng = _random.Random(20160807)
     plan = [(rng.randrange(20_000), i) for i in range(500)]
+    eng = Engine()
+    fired = []
+    # Every schedule, in the order it happens: (cycle, schedule seq, tag).
+    scheduled = []
 
-    def drive(eng):
-        trace = []
-        for cycle, tag in plan:
-            def cb(tag=tag, cycle=cycle):
-                trace.append((eng.now, tag))
-                if tag % 5 == 0:  # nested schedule, crosses the conversion
-                    eng.schedule(3, lambda t=-tag: trace.append((eng.now, t)))
-            eng.at(cycle, cb)
-        eng.run()
-        return trace
+    def cb(tag):
+        fired.append((eng.now, tag))
+        if tag >= 0 and tag % 5 == 0:  # nested schedule from a callback
+            scheduled.append((eng.now + 3, len(scheduled), -tag - 1))
+            eng.schedule(3, cb, -tag - 1)
 
-    dense = drive(Engine())
-    _shrink_probation(monkeypatch)
-    sparse_eng = Engine()
-    sparse = drive(sparse_eng)
-    assert sparse_eng._sparse  # the schedule is sparse enough to convert
-    assert sparse == dense
+    for cycle, tag in plan:
+        scheduled.append((cycle, len(scheduled), tag))
+        eng.at(cycle, cb, tag)
+    eng.run()
+    assert len(fired) == len(scheduled) == 600
+    assert fired == [(cycle, tag) for cycle, _, tag in sorted(scheduled)]
 
 
-def test_pending_in_sparse_mode(monkeypatch):
-    _shrink_probation(monkeypatch)
+def test_pending_in_sparse_mode():
     eng = Engine()
     for i in range(30):
         eng.schedule(i * 3, lambda: None)
     eng.run(until=45)
-    assert eng._sparse
     assert eng.pending == sum(1 for i in range(30) if i * 3 > 45)
     eng.run()
     assert eng.pending == 0
 
 
-def test_stop_and_resume_in_sparse_mode(monkeypatch):
-    _shrink_probation(monkeypatch)
+def test_stop_and_resume_in_sparse_mode():
     eng = Engine()
     fired = []
     for i in range(40):
         eng.schedule(i * 2, lambda i=i: fired.append(i))
     eng.at(41, eng.stop)
     eng.run()
-    assert eng._sparse
     assert fired == list(range(21))  # events at cycles 0..40 fired
     eng.run()  # resume drains the rest in order
     assert fired == list(range(40))
 
 
-def test_run_until_in_sparse_mode_advances_clock(monkeypatch):
-    _shrink_probation(monkeypatch)
+def test_run_until_in_sparse_mode_advances_clock():
     eng = Engine()
     for i in range(20):
         eng.schedule(i * 3, lambda: None)
     eng.run(until=60)
-    assert eng._sparse
     assert eng.now == 60
     eng.run(until=500)
     assert eng.now == 500

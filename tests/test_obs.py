@@ -3,7 +3,9 @@ telemetry attach/detach, and one Observation per recorded run."""
 
 import importlib
 import json
+import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.obs import (
     PID_SIM,
     Telemetry,
 )
+from repro.sim.engine import Engine
 from repro.sim.gpu import GPU
 from repro.sim.kernel import KernelSpec
 
@@ -150,6 +153,51 @@ class TestTracer:
         assert len(tr) == 0 and tr.dropped == 0 and tr.n_emitted == 0
         assert tr.engine_events == 0
         assert tr.span() == (0, 0)
+
+    def test_traced_engine_fires_as_untraced_and_counts_exactly(self):
+        """Singleton and multi-event buckets, nested schedules and stops in
+        the middle of a bucket: a traced engine fires the same ``(now,
+        tag)`` sequence as an untraced one, counts every callback once and
+        records the largest same-cycle group."""
+        rng = random.Random(2016)
+        plan = [(rng.randrange(400), i) for i in range(300)]
+        by_cycle = Counter(cycle for cycle, _ in plan)
+        stop_at = sorted(c for c, n in by_cycle.items() if n >= 3)[:4]
+        assert stop_at  # the schedule has buckets to stop inside
+
+        def drive(eng):
+            fired = []
+
+            def cb(tag):
+                fired.append((eng.now, tag))
+                if tag >= 0 and tag % 7 == 0:  # nested, a later cycle
+                    eng.schedule(1 + tag % 3, cb, -tag - 1)
+
+            def halt(tag):
+                fired.append((eng.now, tag))
+                eng.stop()
+
+            seen = Counter()
+            for cycle, tag in plan:
+                seen[cycle] += 1
+                eng.at(cycle, cb, tag)
+                if cycle in stop_at and seen[cycle] == 1:
+                    # Second in its bucket: at least one event follows it.
+                    eng.at(cycle, halt, 1000 + cycle)
+            runs = 0
+            while eng.pending:
+                eng.run()
+                runs += 1
+            return fired, runs
+
+        tr = EventTracer()
+        traced, traced_runs = drive(Engine(tracer=tr))
+        plain, plain_runs = drive(Engine())
+        assert traced == plain
+        assert traced_runs == plain_runs == len(stop_at) + 1
+        assert tr.engine_events == len(plain)
+        assert tr.engine_max_bucket == max(
+            Counter(now for now, _ in plain).values())
 
 
 # ---------------------------------------------------------- GPU integration
