@@ -7,6 +7,9 @@
     python -m repro run SD SB --cycles 120000
     python -m repro trace SD SB --out obs_run --format html,chrome
     python -m repro inspect obs_run
+    python -m repro fig2 --store results/store
+    python -m repro inspect fig2@-1 --store results/store
+    python -m repro diff fig2@0 fig2@1 --store results/store
     REPRO_FULL=1 python -m repro fig9 --jobs 8 --progress
 """
 
@@ -31,8 +34,8 @@ def _cmd_list(args) -> int:
         ("inspect", "summarize any recorded artifact (kind auto-detected "
                     "from its schema tag)"),
         ("diff", "compare two recorded runs or bus channels field-by-field"),
-        ("store", "hash-addressed results store: list/show/record/"
-                  "gc/diff scenario records"),
+        ("store", "hash-addressed results store: list/record/gc scenario "
+                  "records (inspect/diff read them with --store)"),
         ("trajectory", "cross-run accuracy/fairness/perf series per "
                        "scenario from a results store"),
         ("summarize", "paper vs measured: the table's claims against the "
@@ -333,13 +336,18 @@ def _cmd_inspect(args) -> int:
     from repro.obs import inspect_path
     from repro.obs.inspect import inspect_json
 
-    prefer = "sweep" if getattr(args, "sweep", False) else None
+    if args.payload and args.store is None:
+        raise SystemExit("repro inspect: --payload needs --store DIR")
+    prefer = "sweep" if args.sweep else None
     try:
-        if args.json:
-            print(json.dumps(inspect_json(args.path, prefer=prefer),
+        if args.payload:
+            print(_open_store(args).export_payload(args.path), end="")
+        elif args.json:
+            print(json.dumps(inspect_json(args.path, prefer=prefer,
+                                          store=args.store),
                              indent=1, sort_keys=True))
         else:
-            print(inspect_path(args.path, prefer=prefer))
+            print(inspect_path(args.path, prefer=prefer, store=args.store))
     except (ValueError, OSError) as exc:
         raise SystemExit(f"repro inspect: {exc}")
     return 0
@@ -357,7 +365,7 @@ def _cmd_diff(args) -> int:
     )
     try:
         res = diff_paths(args.a, args.b, rel_tol=args.rel_tol,
-                         ignore=ignore, only=args.only)
+                         ignore=ignore, only=args.only, store=args.store)
     except (ValueError, OSError) as exc:
         raise SystemExit(f"repro diff: {exc}")
     if args.json:
@@ -391,24 +399,6 @@ def _cmd_store_list(args) -> int:
         print(f"store {args.store} holds no recordings")
         return 0
     print(table(*scenario_table(rows)))
-    return 0
-
-
-def _cmd_store_show(args) -> int:
-    import json
-
-    from repro.obs.inspect import summarize_store_record
-
-    try:
-        rec = _open_store(args).load(args.ref)
-    except (ValueError, OSError) as exc:
-        raise SystemExit(f"repro store: {exc}")
-    if args.payload:
-        print(_open_store(args).export_payload(args.ref), end="")
-    elif args.json:
-        print(json.dumps(rec.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(summarize_store_record(rec.to_dict()))
     return 0
 
 
@@ -448,35 +438,6 @@ def _cmd_store_gc(args) -> int:
           f"{stats['orphans_removed']} orphan record files removed, "
           f"{stats['tmp_swept']} stale temp files swept")
     return 0
-
-
-def _cmd_store_diff(args) -> int:
-    import json
-
-    from repro.obs.diff import STORE_IGNORE, diff_payloads, navigate
-
-    ignore = (
-        frozenset(k for k in args.ignore.split(",") if k)
-        if args.ignore is not None
-        else STORE_IGNORE
-    )
-    try:
-        store = _open_store(args)
-        a = store.load(args.a).to_dict()
-        b = store.load(args.b).to_dict()
-        if args.only:
-            a = navigate(a, args.only)
-            b = navigate(b, args.only)
-    except (ValueError, OSError) as exc:
-        raise SystemExit(f"repro store: {exc}")
-    suffix = f" :: {args.only}" if args.only else ""
-    res = diff_payloads(a, b, args.a + suffix, args.b + suffix,
-                        rel_tol=args.rel_tol, ignore=ignore)
-    if args.json:
-        print(json.dumps(res.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(res.render())
-    return 0 if res.identical else 1
 
 
 def _cmd_trajectory(args) -> int:
@@ -791,9 +752,19 @@ def build_parser() -> argparse.ArgumentParser:
     ins.add_argument("path", help="artifact file or directory (run dir, "
                                   "store dir, bus dir, run.json, "
                                   "sweep.json, audit.json, index.json, "
-                                  "bus-*.jsonl, trace.json, ...)")
-    ins.add_argument("--json", action="store_true",
-                     help="emit the machine-readable inspection payload")
+                                  "bus-*.jsonl, trace.json, ...); with "
+                                  "--store, a record id prefix or "
+                                  "scenario@N, e.g. fig2@-1")
+    ins.add_argument("--store", default=None, metavar="DIR",
+                     help="read PATH as a record reference in the results "
+                          "store under DIR")
+    shown = ins.add_mutually_exclusive_group()
+    shown.add_argument("--json", action="store_true",
+                       help="emit the machine-readable inspection payload")
+    shown.add_argument("--payload", action="store_true",
+                       help="emit only the record's figure payload "
+                            "(indent=1, sorted keys: the --out "
+                            "DIR/<stem>.json format; needs --store)")
     ins.add_argument("--sweep", action="store_true",
                      help="when PATH is a directory holding both run.json "
                           "and sweep.json, prefer the sweep stats")
@@ -805,14 +776,21 @@ def build_parser() -> argparse.ArgumentParser:
                      "sweep.json stats — latency + cache-hit drift); "
                      "exit 0 = identical, 1 = drift"
     )
-    df.add_argument("a", help="run dir, run.json, .jsonl record log, or JSON")
+    df.add_argument("a", help="run dir, run.json, .jsonl record log, or "
+                              "JSON; with --store, a record id prefix or "
+                              "scenario@N")
     df.add_argument("b", help="same kinds as A")
+    df.add_argument("--store", default=None, metavar="DIR",
+                    help="read A and B as record references in the results "
+                         "store under DIR (provenance and record_id are "
+                         "then ignored by default)")
     df.add_argument("--rel-tol", type=float, default=0.0, metavar="F",
                     help="relative tolerance for numeric leaves "
                          "(default: 0 — exact)")
     df.add_argument("--only", default=None, metavar="PATH",
                     help="restrict to a dotted sub-path, e.g. "
-                         "workload.estimates or workload.estimates.DASE.0")
+                         "workload.estimates, workload.estimates.DASE.0 "
+                         "or payload.unfairness")
     df.add_argument("--ignore", default=None, metavar="K1,K2",
                     help="comma-separated keys to skip (default: volatile "
                          "bookkeeping: ts,duration_s,done,index,cache,files)")
@@ -821,9 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     df.set_defaults(func=_cmd_diff)
 
     st = sub.add_parser(
-        "store", help="hash-addressed results store: list, show, record, "
-                      "gc, and diff scenario records "
-                      "(see docs/results-store.md)"
+        "store", help="hash-addressed results store: list, record and gc "
+                      "scenario records; `repro inspect`/`repro diff "
+                      "--store DIR` read them (see docs/results-store.md)"
     )
     stsub = st.add_subparsers(dest="store_command", required=True)
 
@@ -836,19 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--json", action="store_true",
                     help="emit the machine-readable scenario table")
     sl.set_defaults(func=_cmd_store_list)
-
-    ss = stsub.add_parser(
-        "show", help="summarize one record (REF = record id prefix or "
-                     "scenario@N, e.g. fig2@-1)"
-    )
-    _store_common(ss)
-    ss.add_argument("ref", help="record id (prefix) or scenario@N")
-    ss.add_argument("--json", action="store_true",
-                    help="emit the full record payload")
-    ss.add_argument("--payload", action="store_true",
-                    help="emit only the figure payload (indent=1, sorted "
-                         "keys: the --out DIR/<stem>.json format)")
-    ss.set_defaults(func=_cmd_store_show)
 
     sr = stsub.add_parser(
         "record", help="record a JSON payload file under a registered "
@@ -874,27 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--keep", type=int, default=None, metavar="N",
                     help="keep only the newest N recordings per scenario")
     sg.set_defaults(func=_cmd_store_gc)
-
-    sd = stsub.add_parser(
-        "diff", help="field-by-field comparison of two store records "
-                     "through the repro.obs.diff machinery; "
-                     "exit 0 = identical, 1 = drift"
-    )
-    _store_common(sd)
-    sd.add_argument("a", help="record id (prefix) or scenario@N")
-    sd.add_argument("b", help="same kinds as A")
-    sd.add_argument("--rel-tol", type=float, default=0.0, metavar="F",
-                    help="relative tolerance for numeric leaves "
-                         "(default: 0 — exact)")
-    sd.add_argument("--only", default=None, metavar="PATH",
-                    help="restrict to a dotted sub-path, e.g. "
-                         "payload.unfairness")
-    sd.add_argument("--ignore", default=None, metavar="K1,K2",
-                    help="comma-separated keys to skip (default: "
-                         "provenance + record_id + volatile bookkeeping)")
-    sd.add_argument("--json", action="store_true",
-                    help="emit the machine-readable diff verdict")
-    sd.set_defaults(func=_cmd_store_diff)
 
     tj = sub.add_parser(
         "trajectory", help="cross-run accuracy/fairness/perf series per "

@@ -22,6 +22,7 @@ neither :mod:`repro.harness.experiments` nor the store.
 
 from __future__ import annotations
 
+import math
 import operator
 from argparse import ArgumentTypeError
 from dataclasses import dataclass
@@ -285,6 +286,14 @@ def _positive_floats(text: str) -> tuple[float, ...]:
     for v in values:
         if not v > 0:
             raise ArgumentTypeError(f"must be > 0, got {v:g}")
+    return values
+
+
+def _noise_sigmas(text: str) -> tuple[float, ...]:
+    values = _floats(text)
+    for v in values:
+        if not 0 <= v < math.inf:
+            raise ArgumentTypeError(f"must be finite and >= 0, got {v:g}")
     return values
 
 
@@ -595,7 +604,7 @@ FIGURE_TABLE: dict[str, FigureDef] = {fig.name: fig for fig in (
         seed_default=lambda: _ex().DEGRADATION_SEED,
         args=(
             ("pair", {**_TWO_APPS, "help": "workload pair to degrade"}),
-            ("sigmas", {"type": _floats, "metavar": "S1,S2,..",
+            ("sigmas", {"type": _noise_sigmas, "metavar": "S1,S2,..",
                         "help": "comma-separated counter-noise intensities"}),
         ),
         inputs=lambda pair, sigmas: {

@@ -8,6 +8,7 @@ honour ``REPRO_FULL`` (see :mod:`repro.harness.runner`).
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -633,6 +634,10 @@ def fig_degradation(
     """
     pair = tuple(pair or DEGRADATION_PAIR)
     sigmas = tuple(sigmas if sigmas is not None else DEFAULT_SIGMAS)
+    for sigma in sigmas:
+        if not 0 <= sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be >= 0 and finite, got {sigma!r}")
     shared_cycles = shared_cycles or default_shared_cycles()
     job_list: list[WorkloadJob] = []
     for policy in (None, "dase_fair"):

@@ -1170,23 +1170,16 @@ def run_workloads(
     policy: str | None = None,
     warmup_intervals: int = 1,
     cache_dir: str | None = None,
-    progress=None,
     faults: "FaultPlan | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
-    timeout_s: float | None = None,
-    retries: int | None = None,
-    checkpoint: "SweepCheckpoint | str | os.PathLike | None" = None,
 ) -> list[JobOutcome]:
     """Sweep many workloads under one shared set of run parameters
-    (:func:`workload_jobs`); ``progress``, ``timeout_s``, ``retries`` and
-    ``checkpoint`` are forwarded to :func:`run_jobs`."""
+    (:func:`workload_jobs`) through :func:`run_jobs`, whose progress,
+    timeout, retries and checkpoint are the ambient sweep defaults."""
     specs = workload_jobs(
         workloads, config=config, shared_cycles=shared_cycles,
         sm_partition=sm_partition, models=models, policy=policy,
         warmup_intervals=warmup_intervals, cache_dir=cache_dir,
         faults=faults, arrivals=arrivals,
     )
-    return run_jobs(
-        specs, n_jobs=jobs, progress=progress,
-        timeout_s=timeout_s, retries=retries, checkpoint=checkpoint,
-    )
+    return run_jobs(specs, n_jobs=jobs)

@@ -55,7 +55,6 @@ from repro.obs.diff import (
     Drift,
     diff_paths,
     diff_payloads,
-    load_comparable,
 )
 from repro.obs.export import (
     chrome_trace_events,
@@ -124,7 +123,6 @@ __all__ = [
     "Drift",
     "diff_paths",
     "diff_payloads",
-    "load_comparable",
     "DIFF_SCHEMA",
     "DEFAULT_IGNORE",
     "BUS_SCHEMA",

@@ -73,9 +73,10 @@ BUS_SCHEMA = "repro.obs.bus/1"
 #: Schema tag of the aggregated ``sweep.json`` manifest.
 SWEEP_SCHEMA = "repro.obs.sweep/1"
 
-#: Chrome phases :func:`sweep_chrome_trace` may emit (kept local so the
-#: bus has no import edge back into :mod:`repro.obs.export`).
-_PHASES = frozenset({"i", "X", "C", "M"})
+#: Chrome phases a trace may legally carry — the run exporter's
+#: (:mod:`repro.obs.export`) and :func:`sweep_chrome_trace`'s alike; what
+#: :func:`validate_sweep_trace` checks against.
+CHROME_PHASES = frozenset({"i", "X", "C", "M"})
 
 try:  # POSIX: exact CPU time + peak RSS for the calling process
     import resource as _resource
@@ -788,7 +789,7 @@ def validate_sweep_trace(payload: Any) -> None:
         if not isinstance(ev.get("name"), str) or not ev["name"]:
             raise ValueError(f"{where} has no name")
         ph = ev.get("ph")
-        if ph not in _PHASES:
+        if ph not in CHROME_PHASES:
             raise ValueError(f"{where} has illegal phase {ph!r}")
         if not isinstance(ev.get("ts"), (int, float)) or ev["ts"] < 0:
             raise ValueError(f"{where} has bad ts {ev.get('ts')!r}")

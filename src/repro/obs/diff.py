@@ -20,15 +20,11 @@ are never ignored.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import pathlib
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro import durable
 from repro.obs.bus import SWEEP_SCHEMA
 from repro.obs.report import table
 
@@ -248,49 +244,18 @@ def navigate(payload: Any, dotted: str) -> Any:
     return cur
 
 
-def load_comparable(path: str | os.PathLike) -> Any:
-    """Load something diffable from ``path``:
+def _comparable(path: str | os.PathLike,
+                store: str | os.PathLike | None) -> Any:
+    """What :func:`diff_paths` compares of ``path``: its parsed content,
+    with a ``.jsonl`` log keyed by record ``key`` so two logs pair by job,
+    not completion order."""
+    from repro.obs.inspect import read_artifact
 
-    * a directory → its ``run.json`` manifest (or ``sweep.json``, or a
-      results-store ``index.json``);
-    * a ``.jsonl`` record log → ``{record key: record}`` so two logs pair
-      by job key, not completion order (torn lines: skipped, on stderr);
-    * any other file → parsed JSON.
-
-    Raises ValueError with a one-line message on missing or corrupt input
-    — a store directory whose index is corrupt or missing reports through
-    the same contract, never a traceback.
-    """
-    p = pathlib.Path(path)
-    if p.is_dir():
-        for candidate in ("run.json", "sweep.json", "index.json"):
-            manifest = p / candidate
-            if manifest.is_file():
-                break
-        else:
-            if (p / "records").is_dir():
-                raise ValueError(
-                    f"store index {p / 'index.json'} is missing but "
-                    f"{p / 'records'} holds records — restore the index "
-                    "or re-record"
-                )
-            raise ValueError(
-                f"no run.json, sweep.json, or index.json found under {p}"
-            )
-        p = manifest
-    if not p.is_file():
-        raise ValueError(f"{p} does not exist")
+    p, payload = read_artifact(path, store=store)
     if p.suffix == ".jsonl":
-        records, skipped = durable.read_log(p)
-        if skipped:
-            print(f"{p}: {skipped} torn line(s) skipped", file=sys.stderr)
         return {str(rec.get("key", f"line{n}")): rec
-                for n, rec in enumerate(records)}
-    try:
-        with p.open() as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{p} is not valid JSON: {exc}") from exc
+                for n, rec in enumerate(payload)}
+    return payload
 
 
 def diff_payloads(
@@ -317,18 +282,21 @@ def diff_paths(
     rel_tol: float = 0.0,
     ignore: Sequence[str] | frozenset[str] = DEFAULT_IGNORE,
     only: str | None = None,
+    store: str | os.PathLike | None = None,
 ) -> DiffResult:
-    """Load and compare two run manifests / record logs / JSON files.
+    """Load and compare two run manifests / record logs / JSON files
+    (:func:`repro.obs.inspect.read_artifact`; a bus directory is not one).
 
     When both sides carry the same schema tag and the caller did not
     customize the ignore set, the per-schema default from
     :data:`SCHEMA_IGNORES` applies automatically: ``repro diff sweepA
     sweepB --rel-tol 0.2`` gates latency-distribution and cache-hit-rate
     drift without tripping on pids and wall-clock noise, and a store-
-    record diff skips provenance while gating scenario + payload.
+    record diff skips provenance while gating scenario + payload.  With
+    ``store``, both paths are record references in that results store.
     """
-    a = load_comparable(path_a)
-    b = load_comparable(path_b)
+    a = _comparable(path_a, store)
+    b = _comparable(path_b, store)
     if (
         ignore is DEFAULT_IGNORE
         and isinstance(a, dict) and isinstance(b, dict)

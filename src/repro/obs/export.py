@@ -27,9 +27,6 @@ from repro.obs.tracer import (
     TID_PART_BASE,
 )
 
-#: Phases the exporter may legally emit (structural-validation contract).
-CHROME_PHASES = frozenset({"i", "X", "C", "M"})
-
 
 def _process_names(topology: dict, pids: set[int]) -> dict[int, str]:
     app_names = topology.get("app_names") or []

@@ -10,17 +10,21 @@
 * a saved diff verdict (``repro.obs.diff/1``);
 * a telemetry-bus channel (``bus-*.jsonl``) or a bus directory;
 * a results-store record, index, or store directory
-  (``repro.store.record/1`` / ``repro.store.index/1``);
+  (``repro.store.record/1`` / ``repro.store.index/1``), or — with
+  ``store=DIR`` (``repro inspect REF --store DIR``) — a record named by
+  id prefix or ``scenario@N``;
 * a raw Chrome trace JSON (``{"traceEvents": [...]}``).
 
 Anything else — including a JSON document with an unrecognized ``schema``
 — raises a one-line :class:`ValueError` (``repro inspect`` turns it into
-a one-line error and exit 1, never a traceback).
+a one-line error and exit 1, never a traceback).  Finding and parsing the
+file is :func:`read_artifact`, which ``repro diff`` reads through too.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import sys
 from typing import Any
@@ -264,62 +268,91 @@ def summarize_store_index(payload: dict[str, Any]) -> str:
     return "\n".join(out)
 
 
-def load_recorded(
-    path: str, prefer: str | None = None
-) -> tuple[str, Any]:
-    """Load and classify what ``path`` holds, keyed on the embedded
-    ``schema`` tag: ``("run", manifest)``, ``("sweep", stats)``,
-    ``("audit", dump)``, ``("diff", verdict)``, ``("bus", records)``,
-    ``("store-record", record)``, ``("store-index", index)``, or
-    ``("chrome", payload)``.  For a directory: run.json wins unless absent
-    or ``prefer="sweep"``; a store directory resolves to its index.json; a
-    bus directory aggregates its ``bus-*.jsonl`` channels.
+def read_artifact(
+    path: str | os.PathLike,
+    prefer: str | None = None,
+    bus_dirs: bool = False,
+    store: str | os.PathLike | None = None,
+) -> tuple[pathlib.Path, Any]:
+    """Locate and parse a recorded artifact; returns the file (or bus
+    directory) it was read from and what it holds:
 
-    Raises ValueError with a one-line message on missing, corrupt, or
-    unrecognized input — never a traceback-worthy parse error.
+    * with ``store``, ``path`` is a record reference (id prefix or
+      ``scenario@N``) resolved in that results store → the record;
+    * a directory → its run.json (sweep.json first under
+      ``prefer="sweep"``), else sweep.json, else a store's index.json;
+      with ``bus_dirs``, else every record of its ``bus-*.jsonl`` channels;
+    * a ``.jsonl`` log → its records (torn lines skipped, on stderr);
+    * any other file → parsed JSON.
+
+    Raises ValueError with a one-line message on missing or corrupt input
+    — never a traceback-worthy parse error.
     """
+    if store is not None:
+        from repro.store import ResultStore
+
+        results = ResultStore(store)
+        rec = results.load(str(path))
+        return results.record_path(rec.record_id), rec.to_dict()
     p = pathlib.Path(path)
     if p.is_dir():
-        run = p / "run.json"
-        sweep = p / "sweep.json"
-        index = p / "index.json"
-        if prefer == "sweep" and sweep.is_file():
-            p = sweep
-        elif run.is_file():
-            p = run
-        elif sweep.is_file():
-            p = sweep
-        elif index.is_file():
-            p = index
-        elif any(p.glob("bus-*.jsonl")):
-            return "bus", read_bus(p)
+        names = ["run.json", "sweep.json", "index.json"]
+        if prefer == "sweep":
+            names.insert(0, "sweep.json")
+        found = [p / n for n in names if (p / n).is_file()]
+        if found:
+            p = found[0]
+        elif bus_dirs and any(p.glob("bus-*.jsonl")):
+            return p, read_bus(p)
         elif (p / "records").is_dir():
             raise ValueError(
-                f"store index {index} is missing but {p / 'records'} holds "
-                "records — restore the index or re-record"
+                f"store index {p / 'index.json'} is missing but "
+                f"{p / 'records'} holds records — restore the index or "
+                "re-record"
             )
         else:
+            wanted = ("index.json, or bus-*.jsonl" if bus_dirs
+                      else "or index.json")
             raise ValueError(
-                f"no run.json, sweep.json, index.json, or bus-*.jsonl "
-                f"found under {p}"
-            )
+                f"no run.json, sweep.json, {wanted} found under {p}")
     if not p.is_file():
         raise ValueError(f"{p} does not exist")
     if p.suffix == ".jsonl":
         records, skipped = durable.read_log(p)
-        if not records or records[0].get("schema") != BUS_SCHEMA:
+        if skipped:
+            print(f"{p}: {skipped} torn line(s) skipped", file=sys.stderr)
+        return p, records
+    try:
+        with p.open() as fh:
+            return p, json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{p} is not valid JSON: {exc}") from exc
+
+
+def load_recorded(
+    path: str, prefer: str | None = None, store: str | None = None
+) -> tuple[str, Any]:
+    """Load (:func:`read_artifact`) and classify what ``path`` holds, keyed
+    on the embedded ``schema`` tag: ``("run", manifest)``, ``("sweep",
+    stats)``, ``("audit", dump)``, ``("diff", verdict)``, ``("bus",
+    records)``, ``("store-record", record)``, ``("store-index", index)``,
+    or ``("chrome", payload)``.  A ``.jsonl`` file must be a telemetry-bus
+    channel; a directory of channels aggregates them.
+
+    Raises ValueError with a one-line message on missing, corrupt, or
+    unrecognized input.
+    """
+    p, payload = read_artifact(path, prefer=prefer, bus_dirs=True,
+                               store=store)
+    if p.is_dir():
+        return "bus", payload
+    if p.suffix == ".jsonl":
+        if not payload or payload[0].get("schema") != BUS_SCHEMA:
             raise ValueError(
                 f"{p} is not a telemetry-bus channel (no {BUS_SCHEMA} meta "
                 "record on its first line)"
             )
-        if skipped:
-            print(f"{p}: {skipped} torn line(s) skipped", file=sys.stderr)
-        return "bus", records
-    try:
-        with p.open() as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{p} is not valid JSON: {exc}") from exc
+        return "bus", payload
     kinds = {
         RUN_SCHEMA: "run",
         SWEEP_SCHEMA: "sweep",
@@ -345,9 +378,11 @@ def load_recorded(
     )
 
 
-def inspect_json(path: str, prefer: str | None = None) -> dict[str, Any]:
+def inspect_json(
+    path: str, prefer: str | None = None, store: str | None = None
+) -> dict[str, Any]:
     """Machine-readable inspection payload (``repro inspect --json``)."""
-    kind, payload = load_recorded(path, prefer=prefer)
+    kind, payload = load_recorded(path, prefer=prefer, store=store)
     if kind == "bus":
         by_tag: dict[str, int] = {}
         for rec in payload:
@@ -371,9 +406,12 @@ def inspect_json(path: str, prefer: str | None = None) -> dict[str, Any]:
     return {"kind": kind, **payload}
 
 
-def inspect_path(path: str, prefer: str | None = None) -> str:
-    """Dispatch on what ``path`` holds; raises ValueError when unrecognized."""
-    kind, payload = load_recorded(path, prefer=prefer)
+def inspect_path(
+    path: str, prefer: str | None = None, store: str | None = None
+) -> str:
+    """Dispatch on what ``path`` holds (with ``store``: the record it
+    names); raises ValueError when unrecognized."""
+    kind, payload = load_recorded(path, prefer=prefer, store=store)
     summarizers = {
         "run": summarize_run,
         "sweep": summarize_sweep,

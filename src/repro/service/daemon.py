@@ -49,6 +49,7 @@ import json
 import os
 import pathlib
 import signal
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -233,12 +234,14 @@ class ReproService:
             fin = terminal.get(job_id)
             if fin is not None:
                 job.state = fin.get("state", DONE)
+                job.error = fin.get("error")  # absent in older journals
                 job.record_id = fin.get("record_id")
                 job.scenario_id = fin.get("scenario_id")
                 job.tenants = entry["tenants"]
                 job.events.append(protocol.event(
                     "done" if job.state == DONE else job.state,
-                    job=job_id, recovered=True, record_id=job.record_id,
+                    job=job_id, recovered=True, error=job.error,
+                    record_id=job.record_id,
                 ))
                 self.jobs[job_id] = job
                 continue
@@ -416,13 +419,17 @@ class ReproService:
                 job.finished_t = time.time()
                 self._journal({
                     "t": "terminal", "job": job.job_id, "state": job.state,
-                    "record_id": job.record_id,
+                    "error": error, "record_id": job.record_id,
                     "scenario_id": job.scenario_id,
                 })
                 self._emit(job, protocol.event(
                     "done" if error is None else "failed",
                     job=job.job_id, error=error, record_id=job.record_id,
                 ))
+            if error is not None:
+                last = (error.strip().splitlines() or [""])[-1]
+                print(f"repro serve: job {job.job_id[:12]} failed: {last}",
+                      file=sys.stderr, flush=True)
 
     def _execute(self, job: Job, tenant: str, slot: int):
         """Run ``job`` in a job process of its own, forwarding its progress

@@ -63,6 +63,9 @@ DEFAULT_EST_S = 1.0
 #: EWMA smoothing for observed service times (same α as SweepProgress).
 EST_ALPHA = 0.3
 
+#: Completed requests the fairness readouts look back over.
+_COMPLETED_KEPT = 4096
+
 
 @dataclass
 class QueuedRequest:
@@ -165,8 +168,6 @@ class AdmissionQueue:
         default_est_s: float = DEFAULT_EST_S,
         clock: Callable[[], float] | None = None,
         registry: MetricsRegistry | None = None,
-        audit_limit: int = 256,
-        completed_limit: int = 4096,
     ) -> None:
         if policy not in QUEUE_POLICIES:
             raise ValueError(
@@ -180,13 +181,13 @@ class AdmissionQueue:
         self.default_est_s = default_est_s
         self._clock = clock if clock is not None else time.monotonic
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.audit = QueueAudit(audit_limit)
+        self.audit = QueueAudit()
         self._pending: dict[str, deque[QueuedRequest]] = {}
         #: Tenant virtual clock: when each of the (at most ``servers``)
         #: isolated servers it has occupied comes free — a heap.
         self._iso_free: dict[str, list[float]] = {}
         self._est: dict[str, float] = {}       # per-tenant service EWMA
-        self._completed: deque[QueuedRequest] = deque(maxlen=completed_limit)
+        self._completed: deque[QueuedRequest] = deque(maxlen=_COMPLETED_KEPT)
         self._rids = itertools.count(1)
         self.submitted = 0
         self.scheduled = 0

@@ -273,6 +273,14 @@ def test_non_positive_rate_is_an_argparse_error(capsys, rates):
     assert args.sigmas == (0.0, 0.1)
 
 
+@pytest.mark.parametrize("sigmas", ["-1", "nan", "0,-0.5", "inf"])
+def test_negative_or_non_finite_sigma_is_an_argparse_error(capsys, sigmas):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig-degradation", f"--sigmas={sigmas}"])
+    assert exc.value.code == 2
+    assert "--sigmas: must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_inspect_unrecognized_file_fails(tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("[]")
@@ -484,8 +492,11 @@ def test_store_parser_flags():
     p = build_parser()
     args = p.parse_args(["store", "list"])
     assert args.store_command == "list" and args.store == "results/store"
-    args = p.parse_args(["store", "show", "fig2@-1", "--store", "/tmp/s"])
-    assert args.ref == "fig2@-1" and args.store == "/tmp/s"
+    args = p.parse_args(["inspect", "fig2@-1", "--store", "/tmp/s",
+                         "--payload"])
+    assert args.path == "fig2@-1" and args.store == "/tmp/s"
+    assert args.payload is True and args.json is False
+    assert p.parse_args(["inspect", "run_dir"]).store is None
     args = p.parse_args(
         ["store", "record", "--scenario", "fig2", "--payload", "p.json",
          "--seed", "7"]
@@ -494,9 +505,16 @@ def test_store_parser_flags():
     args = p.parse_args(["store", "gc", "--keep", "3"])
     assert args.keep == 3
     args = p.parse_args(
-        ["store", "diff", "fig2@0", "fig2@1", "--rel-tol", "0.01"]
+        ["diff", "fig2@0", "fig2@1", "--store", "/tmp/s", "--rel-tol", "0.01"]
     )
     assert args.a == "fig2@0" and args.b == "fig2@1"
+    assert args.store == "/tmp/s" and args.rel_tol == 0.01
+    for gone in (["store", "show", "fig2@-1"],
+                 ["store", "diff", "fig2@0", "fig2@1"],
+                 ["inspect", "fig2@-1", "--store", "/tmp/s", "--json",
+                  "--payload"]):
+        with pytest.raises(SystemExit):
+            p.parse_args(gone)
     args = p.parse_args(["trajectory", "--html", "t.html"])
     assert args.html == "t.html" and args.store == "results/store"
     assert args.bench == "BENCH_trajectory.json"
@@ -533,15 +551,29 @@ def test_store_cli_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fig2" in out and "repro.store.fig2/1" in out
 
-    assert main(["store", "show", "fig2@-1", "--store", store_dir]) == 0
+    assert main(["inspect", "fig2@-1", "--store", store_dir]) == 0
     out = capsys.readouterr().out
     assert "fig2" in out and "scenario" in out
 
-    assert main(["store", "show", "fig2@-1", "--store", store_dir,
+    assert main(["inspect", "fig2@-1", "--store", store_dir,
                  "--payload"]) == 0
     exported = capsys.readouterr().out
     assert _json.loads(exported) == payload
     assert exported == _json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+    assert main(["inspect", "fig2@-1", "--store", store_dir, "--json"]) == 0
+    shown = _json.loads(capsys.readouterr().out)
+    assert shown["kind"] == "store-record" and shown["payload"] == payload
+
+    # --payload reads a store record, nothing else; a bad reference is the
+    # one-line error contract.
+    for argv in (["inspect", store_dir, "--payload"],
+                 ["inspect", "fig9@0", "--store", store_dir],
+                 ["inspect", "fig9@0", "--store", store_dir, "--payload"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        msg = str(exc.value)
+        assert msg.startswith("repro inspect:") and "\n" not in msg, argv
 
     assert main(["store", "gc", "--store", store_dir]) == 0
     assert "0 orphan" in capsys.readouterr().out
@@ -607,20 +639,32 @@ def test_store_diff_cli_verdicts(tmp_path, capsys):
 
     # Identical recordings diff clean even though provenance differs:
     # the store ignore set skips provenance and record_id.
-    assert main(["store", "diff", "fig2@0", "fig2@1",
-                 "--store", store_dir]) == 0
-    assert "IDENTICAL" in capsys.readouterr().out
+    assert main(["diff", "fig2@0", "fig2@1", "--store", store_dir]) == 0
+    out = capsys.readouterr().out
+    assert "IDENTICAL" in out and "  a: fig2@0\n" in out
 
     # A perturbed payload is drift (exit code 1).
-    assert main(["store", "diff", "fig2@0", "fig2@2",
-                 "--store", store_dir]) == 1
+    assert main(["diff", "fig2@0", "fig2@2", "--store", store_dir]) == 1
     assert "DRIFT" in capsys.readouterr().out
+
+    # --only labels and narrows both sides; an explicit --ignore replaces
+    # the store default, so the content hash drifts too.
+    assert main(["diff", "fig2@0", "fig2@2", "--store", store_dir,
+                 "--only", "payload.unfairness", "--json"]) == 1
+    verdict = _json.loads(capsys.readouterr().out)
+    assert verdict["a"] == "fig2@0 :: payload.unfairness"
+    assert [d["path"] for d in verdict["drift"]] == ["SD+SB"]
+    assert main(["diff", "fig2@0", "fig2@2", "--store", store_dir,
+                 "--ignore", "ts", "--json"]) == 1
+    drifting = {d["path"] for d in
+                _json.loads(capsys.readouterr().out)["drift"]}
+    assert {"record_id", "payload.unfairness.SD+SB"} <= drifting
 
     # Unknown reference: the one-line error contract.
     with pytest.raises(SystemExit) as exc:
-        main(["store", "diff", "fig2@0", "fig9@0", "--store", store_dir])
+        main(["diff", "fig2@0", "fig9@0", "--store", store_dir])
     msg = str(exc.value)
-    assert msg.startswith("repro store:") and "\n" not in msg
+    assert msg.startswith("repro diff:") and "\n" not in msg
 
 
 def test_store_corrupt_and_missing_index_one_line(tmp_path, capsys):
@@ -733,8 +777,7 @@ def test_fig3_store_recording_end_to_end(tmp_path, capsys):
     for _ in range(2):
         assert main(["fig3", "--store", store_dir, "--seed", "1"]) == 0
     capsys.readouterr()
-    assert main(["store", "diff", "fig3@0", "fig3@1",
-                 "--store", store_dir]) == 0
+    assert main(["diff", "fig3@0", "fig3@1", "--store", store_dir]) == 0
     assert "IDENTICAL" in capsys.readouterr().out
     from repro.store import ResultStore
 

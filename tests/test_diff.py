@@ -9,9 +9,9 @@ from repro.obs.diff import (
     DIFF_SCHEMA,
     diff_paths,
     diff_payloads,
-    load_comparable,
     navigate,
 )
+from repro.obs.inspect import read_artifact
 
 
 def test_identical_payloads():
@@ -92,35 +92,65 @@ def test_navigate():
         navigate(payload, "workload.estimates.DASE.7")
 
 
-def test_load_comparable_kinds(tmp_path):
-    # Directory → its run.json.
+def test_read_artifact_kinds(tmp_path, capsys):
+    # Directory → its run.json (sweep.json first under prefer="sweep").
     run = tmp_path / "run"
     run.mkdir()
     (run / "run.json").write_text('{"schema": "repro.obs.run/1"}')
-    assert load_comparable(run)["schema"] == "repro.obs.run/1"
+    p, payload = read_artifact(run)
+    assert p == run / "run.json" and payload["schema"] == "repro.obs.run/1"
+    (run / "sweep.json").write_text('{"schema": "repro.obs.sweep/1"}')
+    assert read_artifact(run)[1]["schema"] == "repro.obs.run/1"
+    assert read_artifact(run, prefer="sweep")[0] == run / "sweep.json"
 
     # Plain JSON file.
     f = tmp_path / "x.json"
     f.write_text("[1, 2]")
-    assert load_comparable(f) == [1, 2]
+    assert read_artifact(f) == (f, [1, 2])
 
-    # JSONL → keyed by record "key", so order does not matter.
+    # JSONL → its records, torn lines skipped on stderr; diff keys them by
+    # record "key", so order does not matter.
     log = tmp_path / "sweep.jsonl"
     log.write_text(
         '{"key": "SD+SB", "ok": true}\n\n{"key": "NN+CS", "ok": true}\n'
     )
-    recs = load_comparable(log)
-    assert set(recs) == {"SD+SB", "NN+CS"}
+    assert [r["key"] for r in read_artifact(log)[1]] == ["SD+SB", "NN+CS"]
+    flipped = tmp_path / "flipped.jsonl"
+    flipped.write_text(
+        '{"key": "NN+CS", "ok": true}\n{"key": "SD+SB", "ok": true}\n{"ke'
+    )
+    res = diff_paths(log, flipped)
+    assert res.identical and res.compared == 4
+    assert "1 torn line(s) skipped" in capsys.readouterr().err
+
+    # A directory of bus channels reads only where inspect asks for it.
+    bus_dir = tmp_path / "bus"
+    bus_dir.mkdir()
+    (bus_dir / "bus-1.jsonl").write_text(
+        '{"schema": "repro.obs.bus/1", "t": "meta", "pid": 1, "ts": 0}\n'
+    )
+    assert read_artifact(bus_dir, bus_dirs=True) == (
+        bus_dir, [{"schema": "repro.obs.bus/1", "t": "meta", "pid": 1,
+                   "ts": 0}])
+    with pytest.raises(ValueError, match=r"sweep\.json, or index\.json "):
+        read_artifact(bus_dir)
+    with pytest.raises(ValueError, match="no run.json"):
+        diff_paths(bus_dir, bus_dir)
 
     # Errors are one-line ValueErrors, not tracebacks.
     with pytest.raises(ValueError, match="does not exist"):
-        load_comparable(tmp_path / "nope.json")
-    with pytest.raises(ValueError, match="no run.json"):
-        load_comparable(tmp_path)
+        read_artifact(tmp_path / "nope.json")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(ValueError, match="index.json, or bus-"):
+        read_artifact(empty, bus_dirs=True)
+    (empty / "records").mkdir()
+    with pytest.raises(ValueError, match="restore the index"):
+        read_artifact(empty)
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     with pytest.raises(ValueError, match="not valid JSON"):
-        load_comparable(bad)
+        read_artifact(bad)
 
 
 def test_diff_paths_with_only(tmp_path):

@@ -164,6 +164,14 @@ class TestDriversShareAloneTrajectories:
                 assert args["counts"] <= 1 + len(sigmas)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+def test_degradation_rejects_a_negative_or_non_finite_sigma(sigma):
+    # Checked before any run: a σ below 0 used to run noise-free under
+    # its own label.
+    with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+        fig_degradation(sigmas=(0.0, sigma), config=CFG, shared_cycles=SMALL)
+
+
 class TestAdHocGPUsAreClosed:
     """Drivers that build their own GPUs close them once read out, so the
     machines are freed by reference counting (tests/test_gpu.py::TestClose)

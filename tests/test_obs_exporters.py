@@ -21,7 +21,8 @@ from repro.obs import (
     to_chrome_trace,
     trace_summary,
 )
-from repro.obs.export import CHROME_PHASES, CSV_HEADER, bank_heat
+from repro.obs.bus import CHROME_PHASES, validate_sweep_trace
+from repro.obs.export import CSV_HEADER, bank_heat
 from repro.obs.inspect import (
     RUN_SCHEMA,
     inspect_path,
@@ -85,6 +86,11 @@ class TestChromeExport:
         }
         assert names[0] == "app0 (SD)"
         assert names[1] == "app1 (SB)"
+
+    def test_run_trace_passes_the_sweep_trace_validator(self, recording):
+        # One structural check for every Chrome trace repro writes.
+        obs, _ = recording
+        validate_sweep_trace(to_chrome_trace(obs.tracer))
 
     def test_payload_and_file_round_trip(self, recording, tmp_path):
         obs, _ = recording

@@ -263,7 +263,7 @@ def _cases() -> dict[str, Callable[[], str]]:
             lambda payload=payload: ins.summarize_store_record(payload))
         cases[f"store_show{n}.txt"] = (
             lambda ref=path.stem[:12]: _stdout(
-                cli.main, ["store", "show", ref, "--store", str(STORE)]))
+                cli.main, ["inspect", ref, "--store", str(STORE)]))
     for name in TRACED:
         cases[name] = lambda name=name: traced()[name]
     return cases

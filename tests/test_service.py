@@ -715,6 +715,29 @@ class TestJobProcesses:
             thread.join(timeout=10.0)
         assert multiprocessing.active_children() == []
 
+    def test_a_failed_jobs_error_survives_a_restart(self, tmp_path, capsys):
+        svc, client, thread = _serving(tmp_path, allow_chaos=True)
+        try:
+            job = client.submit("chaos", {"jobs": [{"mode": "raise"}]})["job"]
+            events = list(client.stream(job))
+            failed = client.status(job)
+        finally:
+            svc.stop()
+            thread.join(timeout=10.0)
+        assert failed["status"] == "failed"
+        assert failed["error"] == "RuntimeError: 1/1 chaos jobs failed"
+        assert events[-1]["error"] == failed["error"]
+        assert (f"repro serve: job {job[:12]} failed: RuntimeError: 1/1 "
+                "chaos jobs failed\n") in capsys.readouterr().err
+
+        restarted = ReproService(tmp_path / "state", allow_chaos=True)
+        recovered = restarted.jobs[job]
+        assert recovered.to_dict()["status"] == "failed"
+        assert recovered.to_dict()["error"] == failed["error"]
+        assert recovered.events[-1]["event"] == "failed"
+        assert recovered.events[-1]["recovered"] is True
+        assert recovered.events[-1]["error"] == failed["error"]
+
     def test_stop_reaps_and_the_next_start_reruns(self, tmp_path):
         spec = {"apps": ["NN", "VA"], "cycles": 60_000, "seed": 51}
         svc, client, thread = _serving(tmp_path)
