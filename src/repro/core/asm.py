@@ -20,112 +20,52 @@ to alone execution on the assigned SMs only.
 
 from __future__ import annotations
 
-from repro.config import GPUConfig
-from repro.core.base import SlowdownEstimator
-from repro.core.sampling import PriorityRotator, RateAccumulators
-from repro.obs.audit import AuditLog, ModelAudit
-from repro.sim.gpu import GPU
+from typing import Any
+
+from repro.core.sampling import PriorityEpochEstimator, RateAccumulators
 from repro.sim.stats import IntervalRecord
 
 
-class ASM(SlowdownEstimator):
+class ASM(PriorityEpochEstimator):
     """ASM [MICRO'15] ported to the GPU — see the module docstring."""
 
     name = "ASM"
-
-    def __init__(self, config: GPUConfig, rotator: PriorityRotator) -> None:
-        super().__init__(config)
-        self.rotator = rotator
-        self._acc_snap: RateAccumulators | None = None
-
-    def attach(self, gpu: GPU) -> None:
-        if self.rotator.gpu is None:
-            self.rotator.attach(gpu)
-        elif self.rotator.gpu is not gpu:
-            raise RuntimeError("rotator attached to a different GPU")
-        self._acc_snap = self.rotator.acc.snapshot()
-        super().attach(gpu)
+    _traffic = ("prio_accesses", "shared_accesses", "no_cache_traffic")
 
     def estimate_interval(
         self, records: list[IntervalRecord]
     ) -> list[float | None]:
-        acc_now = self.rotator.acc.snapshot()
-        d = acc_now.delta(self._acc_snap)
-        self._acc_snap = acc_now
-        audit = self._audit
-        interval = len(self.history)
-        return [
-            self._estimate_app(rec, d, audit, interval) for rec in records
-        ]
+        return self._estimate_each(records, self._epoch_delta())[0]
 
-    def _estimate_app(
-        self,
-        rec: IntervalRecord,
-        d: RateAccumulators,
-        audit: AuditLog | None = None,
-        interval: int = 0,
-    ) -> float | None:
+    def _slowdown(
+        self, rec: IntervalRecord, d: RateAccumulators
+    ) -> tuple[float, dict[str, Any]]:
         i = rec.app
-        est: float | None
-        skip: str | None = None
-        terms: dict[str, float] = {}
-        if rec.sm_count == 0:
-            # Open-system runs: the app is not resident this interval, so
-            # the rotator's rates say nothing about it.
-            est, skip = None, "not-resident"
-        elif d.prio_time[i] <= 0 or d.shared_time[i] <= 0:
-            est, skip = None, "no-priority-epoch"
-        elif d.prio_accesses[i] <= 0 or d.shared_accesses[i] <= 0:
-            est = 1.0
-            terms = {"no_cache_traffic": True}
-        else:
-            car_shared = d.shared_accesses[i] / d.shared_time[i]
+        car_shared = d.shared_accesses[i] / d.shared_time[i]
 
-            # Contention-miss correction: estimate how much of the
-            # priority-epoch time was wasted on misses that would have been
-            # hits alone, and remove it from the alone-time denominator.
-            cycles = max(1, rec.cycles)
-            ellc_rate = rec.ellc_miss / cycles  # contention misses per cycle
-            # Cost of one avoidable miss = the DRAM service time it adds (row
-            # activation + column access + burst); queueing delay is excluded
-            # because the alone run would not have experienced today's queues.
-            d_cfg = self.config.dram
-            miss_cost = self.config.dram_cycles_to_core(
-                d_cfg.tRP + d_cfg.tRCD + d_cfg.tCL + d_cfg.tBurst
-            )
-            wasted = min(
-                ellc_rate * d.prio_time[i] * miss_cost, 0.5 * d.prio_time[i]
-            )
-            car_alone = d.prio_accesses[i] / (d.prio_time[i] - wasted)
-            est = max(1.0, car_alone / car_shared)
-            terms = {
-                "car_shared": car_shared,
-                "car_alone": car_alone,
-                "ellc_rate": ellc_rate,
-                "miss_cost": miss_cost,
-                "wasted_prio_time": wasted,
-            }
-        if audit is not None:
-            inputs = {
-                "alpha": rec.sm.alpha,
-                "ellc_miss": rec.ellc_miss,
-                "prio_accesses": d.prio_accesses[i],
-                "prio_time": d.prio_time[i],
-                "shared_accesses": d.shared_accesses[i],
-                "shared_time": d.shared_time[i],
-            }
-            fault = rec.extra.get("fault")
-            if fault:
-                inputs["fault"] = "+".join(fault)
-            audit.record_model(ModelAudit(
-                model=self.name,
-                app=i,
-                interval=interval,
-                cycle=rec.end,
-                estimate=est,
-                reciprocal=None if est is None else 1.0 / max(est, 1.0),
-                inputs=inputs,
-                terms=terms,
-                skip_reason=skip,
-            ))
-        return est
+        # Contention-miss correction: estimate how much of the
+        # priority-epoch time was wasted on misses that would have been
+        # hits alone, and remove it from the alone-time denominator.
+        cycles = max(1, rec.cycles)
+        ellc_rate = rec.ellc_miss / cycles  # contention misses per cycle
+        # Cost of one avoidable miss = the DRAM service time it adds (row
+        # activation + column access + burst); queueing delay is excluded
+        # because the alone run would not have experienced today's queues.
+        d_cfg = self.config.dram
+        miss_cost = self.config.dram_cycles_to_core(
+            d_cfg.tRP + d_cfg.tRCD + d_cfg.tCL + d_cfg.tBurst
+        )
+        wasted = min(
+            ellc_rate * d.prio_time[i] * miss_cost, 0.5 * d.prio_time[i]
+        )
+        car_alone = d.prio_accesses[i] / (d.prio_time[i] - wasted)
+        return max(1.0, car_alone / car_shared), {
+            "car_shared": car_shared,
+            "car_alone": car_alone,
+            "ellc_rate": ellc_rate,
+            "miss_cost": miss_cost,
+            "wasted_prio_time": wasted,
+        }
+
+    def _own_inputs(self, rec: IntervalRecord) -> dict[str, Any]:
+        return {"ellc_miss": rec.ellc_miss}

@@ -21,11 +21,11 @@ running alone on *all* SMs, from hardware counters only:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.config import GPUConfig
-from repro.core.base import SlowdownEstimator
+from repro.core.base import SlowdownEstimator, reciprocal
 from repro.core.classify import is_mbb, request_max, shared_requests
-from repro.obs.audit import ModelAudit
 from repro.sim.stats import IntervalRecord
 
 
@@ -33,7 +33,7 @@ from repro.sim.stats import IntervalRecord
 class DASEBreakdown:
     """Diagnostic decomposition of one interval estimate (for tests/docs)."""
 
-    mbb: bool
+    mbb: bool = False
     time_bank: float = 0.0
     time_rowbuf: float = 0.0
     time_cache: float = 0.0
@@ -54,6 +54,7 @@ class DASE(SlowdownEstimator):
     """
 
     name = "DASE"
+    _no_detail = DASEBreakdown
 
     def __init__(
         self,
@@ -71,23 +72,23 @@ class DASE(SlowdownEstimator):
     def estimate_interval(
         self, records: list[IntervalRecord]
     ) -> list[float | None]:
-        out: list[float | None] = []
-        rows: list[DASEBreakdown] = []
-        audit = self._audit
-        interval = len(self.history)
-        for rec in records:
-            est, bd = self._estimate_app(rec, records)
-            out.append(est)
-            rows.append(bd)
-            if audit is not None:
-                audit.record_model(self._model_audit(rec, est, bd, interval))
+        out, rows = self._estimate_each(records, records)
         self.breakdowns.append(rows)
         return out
 
-    def _model_audit(
-        self, rec: IntervalRecord, est: float | None, bd: DASEBreakdown,
-        interval: int,
-    ) -> ModelAudit:
+    def _estimate_app(
+        self, rec: IntervalRecord, records: list[IntervalRecord]
+    ) -> tuple[float | None, DASEBreakdown, str | None]:
+        if rec.cycles <= 0:
+            return None, DASEBreakdown(), "degenerate-interval"
+        if is_mbb(rec, records, self.config):
+            return self._estimate_mbb(rec, records)
+        return self._estimate_nmbb(rec, records)
+
+    def _audit_fields(
+        self, rec: IntervalRecord, records: list[IntervalRecord],
+        bd: DASEBreakdown,
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
         """Decompose one interval estimate into its inputs and terms."""
         inputs = {
             "cycles": rec.cycles,
@@ -103,11 +104,6 @@ class DASE(SlowdownEstimator):
             "tb_running": rec.tb_running,
             "tb_unfinished": rec.tb_unfinished,
         }
-        fault = rec.extra.get("fault")
-        if fault:
-            # Perturbed delivery (repro.faults) — name the fault kinds so a
-            # surprising estimate in the audit stream explains itself.
-            inputs["fault"] = "+".join(fault)
         terms = {
             "mbb": bd.mbb,
             "time_bank": bd.time_bank,
@@ -118,37 +114,13 @@ class DASE(SlowdownEstimator):
             "slowdown_assigned": bd.slowdown_assigned,
             "slowdown_all": bd.slowdown_all,
         }
-        return ModelAudit(
-            model=self.name,
-            app=rec.app,
-            interval=interval,
-            cycle=rec.end,
-            estimate=est,
-            reciprocal=None if est is None else 1.0 / max(est, 1.0),
-            inputs=inputs,
-            terms=terms,
-            skip_reason=(
-                None
-                if est is not None
-                else ("not-resident" if rec.sm_count == 0 else "degenerate-interval")
-            ),
-        )
-
-    def _estimate_app(
-        self, rec: IntervalRecord, records: list[IntervalRecord]
-    ) -> tuple[float | None, DASEBreakdown]:
-        cycles = rec.cycles
-        if cycles <= 0 or rec.sm_count == 0:
-            return None, DASEBreakdown(mbb=False)
-        if is_mbb(rec, records, self.config):
-            return self._estimate_mbb(rec, records)
-        return self._estimate_nmbb(rec, records)
+        return inputs, terms
 
     # ---------------------------------------------------------------- MBB
 
     def _estimate_mbb(
         self, rec: IntervalRecord, records: list[IntervalRecord]
-    ) -> tuple[float, DASEBreakdown]:
+    ) -> tuple[float, DASEBreakdown, None]:
         req_shared = shared_requests(rec)  # Eq. 17
         req_alone = float(sum(r.mem.requests_served for r in records))  # Eq. 18
         slowdown = max(1.0, req_alone / req_shared)  # Eq. 16
@@ -157,13 +129,13 @@ class DASE(SlowdownEstimator):
             alpha=rec.sm.alpha,
         )
         # §4.3: MBB kernels gain nothing from extra SMs — no scaling.
-        return slowdown, bd
+        return slowdown, bd, None
 
     # --------------------------------------------------------------- NMBB
 
     def _estimate_nmbb(
         self, rec: IntervalRecord, records: list[IntervalRecord]
-    ) -> tuple[float, DASEBreakdown]:
+    ) -> tuple[float, DASEBreakdown, None]:
         cfg = self.config
         cycles = rec.cycles
         mem = rec.mem
@@ -231,12 +203,10 @@ class DASE(SlowdownEstimator):
             slowdown_assigned=slowdown_assigned,
             slowdown_all=slowdown_all,
         )
-        return slowdown_all, bd
+        return slowdown_all, bd, None
 
     # -------------------------------------------------------- DASE-Fair API
 
     def latest_reciprocals(self) -> list[float | None]:
         """Reciprocal slowdowns (Eq. 28) from the latest interval."""
-        return [
-            None if s is None else 1.0 / max(s, 1.0) for s in self.latest()
-        ]
+        return [reciprocal(s) for s in self.latest()]

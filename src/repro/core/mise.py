@@ -18,18 +18,22 @@ modes are visible.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.config import GPUConfig
-from repro.core.base import SlowdownEstimator
-from repro.core.sampling import PriorityRotator, RateAccumulators
-from repro.obs.audit import AuditLog, ModelAudit
-from repro.sim.gpu import GPU
+from repro.core.sampling import (
+    PriorityEpochEstimator,
+    PriorityRotator,
+    RateAccumulators,
+)
 from repro.sim.stats import IntervalRecord
 
 
-class MISE(SlowdownEstimator):
+class MISE(PriorityEpochEstimator):
     """MISE [HPCA'13] ported to the GPU — see the module docstring."""
 
     name = "MISE"
+    _traffic = ("prio_requests", "shared_requests", "no_memory_traffic")
 
     def __init__(
         self,
@@ -37,90 +41,33 @@ class MISE(SlowdownEstimator):
         rotator: PriorityRotator,
         intensive_alpha: float = 0.3,
     ) -> None:
-        super().__init__(config)
-        self.rotator = rotator
+        super().__init__(config, rotator)
         self.intensive_alpha = intensive_alpha
-        self._acc_snap: RateAccumulators | None = None
-
-    def attach(self, gpu: GPU) -> None:
-        if self.rotator.gpu is None:
-            self.rotator.attach(gpu)
-        elif self.rotator.gpu is not gpu:
-            raise RuntimeError("rotator attached to a different GPU")
-        self._acc_snap = self.rotator.acc.snapshot()
-        super().attach(gpu)
 
     def estimate_interval(
         self, records: list[IntervalRecord]
     ) -> list[float | None]:
-        acc_now = self.rotator.acc.snapshot()
-        d = acc_now.delta(self._acc_snap)
-        self._acc_snap = acc_now
-        audit = self._audit
-        interval = len(self.history)
-        out: list[float | None] = []
-        for rec in records:
-            out.append(self._estimate_app(rec, d, audit, interval))
-        return out
+        return self._estimate_each(records, self._epoch_delta())[0]
 
-    def _estimate_app(
-        self,
-        rec: IntervalRecord,
-        d: RateAccumulators,
-        audit: AuditLog | None = None,
-        interval: int = 0,
-    ) -> float | None:
+    def _slowdown(
+        self, rec: IntervalRecord, d: RateAccumulators
+    ) -> tuple[float, dict[str, Any]]:
         i = rec.app
-        est: float | None
-        skip: str | None = None
-        terms: dict[str, float] = {}
-        if rec.sm_count == 0:
-            # Open-system runs: the app is not resident this interval, so
-            # the rotator's rates say nothing about it.
-            est, skip = None, "not-resident"
-        elif d.prio_time[i] <= 0 or d.shared_time[i] <= 0:
-            est, skip = None, "no-priority-epoch"
-        elif d.prio_requests[i] <= 0 or d.shared_requests[i] <= 0:
-            # No memory traffic → no memory interference to model.
-            est = 1.0
-            terms = {"no_memory_traffic": True}
+        arsr = d.prio_requests[i] / d.prio_time[i]
+        srsr = d.shared_requests[i] / d.shared_time[i]
+        ratio = max(1.0, arsr / srsr)
+        alpha = rec.sm.alpha
+        intensive = alpha >= self.intensive_alpha
+        if intensive:
+            est = ratio
         else:
-            arsr = d.prio_requests[i] / d.prio_time[i]
-            srsr = d.shared_requests[i] / d.shared_time[i]
-            ratio = max(1.0, arsr / srsr)
-            alpha = rec.sm.alpha
-            intensive = alpha >= self.intensive_alpha
-            if intensive:
-                est = ratio
-            else:
-                est = 1.0 - alpha + alpha * ratio
-            terms = {
-                "arsr": arsr,
-                "srsr": srsr,
-                "ratio": ratio,
-                "intensive": intensive,
-            }
-        if audit is not None:
-            inputs = {
-                "alpha": rec.sm.alpha,
-                "prio_requests": d.prio_requests[i],
-                "prio_time": d.prio_time[i],
-                "shared_requests": d.shared_requests[i],
-                "shared_time": d.shared_time[i],
-                "intensive_alpha": self.intensive_alpha,
-            }
-            fault = rec.extra.get("fault")
-            if fault:
-                inputs["fault"] = "+".join(fault)
-            audit.record_model(ModelAudit(
-                model=self.name,
-                app=i,
-                interval=interval,
-                cycle=rec.end,
-                estimate=est,
-                reciprocal=None if est is None else 1.0 / max(est, 1.0),
-                inputs=inputs,
-                terms=terms,
-                skip_reason=skip,
-            ))
-        return est
+            est = 1.0 - alpha + alpha * ratio
+        return est, {
+            "arsr": arsr,
+            "srsr": srsr,
+            "ratio": ratio,
+            "intensive": intensive,
+        }
+
+    def _own_inputs(self, rec: IntervalRecord) -> dict[str, Any]:
+        return {"intensive_alpha": self.intensive_alpha}

@@ -8,15 +8,20 @@ epochs, accumulating per-application served-request and L2-access counts
 separately for "own-priority" time and "no-priority" (shared) time.
 
 Estimators snapshot the monotonic accumulators at interval boundaries and
-difference them, so one rotator can serve several estimators on one run.
+difference them, so one rotator can serve several estimators on one run;
+:class:`PriorityEpochEstimator` is what the two models share on top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import abc
+from dataclasses import dataclass
+from typing import Any
 
 from repro.config import GPUConfig
+from repro.core.base import SlowdownEstimator
 from repro.sim.gpu import GPU
+from repro.sim.stats import IntervalRecord
 
 
 @dataclass
@@ -143,3 +148,77 @@ class PriorityRotator:
         self._phase += 1
         self._apply_phase()
         self.gpu.engine.schedule(self._phase_length(), self._on_epoch_end)
+
+
+class PriorityEpochEstimator(SlowdownEstimator):
+    """The part of MISE and ASM that is the same: each interval's
+    accumulator delta from a shared :class:`PriorityRotator`, no estimate
+    without both a priority and a no-priority epoch, and a slowdown of
+    1.0 when the counters the model reads saw no traffic.
+
+    A model names those counters in :attr:`_traffic` and supplies its
+    formula (:meth:`_slowdown`) and any inputs of its own
+    (:meth:`_own_inputs`).  Neither applies the ×SM_all/SM_i scaling.
+    """
+
+    #: (priority-epoch counter, no-priority counter, term set when either
+    #: is zero) — attribute names of :class:`RateAccumulators`.
+    _traffic: tuple[str, str, str]
+
+    def __init__(self, config: GPUConfig, rotator: PriorityRotator) -> None:
+        super().__init__(config)
+        self.rotator = rotator
+        self._acc_snap: RateAccumulators | None = None
+
+    def attach(self, gpu: GPU) -> None:
+        if self.rotator.gpu is None:
+            self.rotator.attach(gpu)
+        elif self.rotator.gpu is not gpu:
+            raise RuntimeError("rotator attached to a different GPU")
+        self._acc_snap = self.rotator.acc.snapshot()
+        super().attach(gpu)
+
+    def _epoch_delta(self) -> RateAccumulators:
+        """Accumulator growth since the previous interval."""
+        acc_now = self.rotator.acc.snapshot()
+        d = acc_now.delta(self._acc_snap)
+        self._acc_snap = acc_now
+        return d
+
+    def _estimate_app(
+        self, rec: IntervalRecord, d: RateAccumulators
+    ) -> tuple[float | None, dict[str, Any], str | None]:
+        i = rec.app
+        if d.prio_time[i] <= 0 or d.shared_time[i] <= 0:
+            return None, {}, "no-priority-epoch"
+        prio, shared, no_traffic = self._traffic
+        if getattr(d, prio)[i] <= 0 or getattr(d, shared)[i] <= 0:
+            # No traffic → no interference to model.
+            return 1.0, {no_traffic: True}, None
+        est, terms = self._slowdown(rec, d)
+        return est, terms, None
+
+    def _audit_fields(
+        self, rec: IntervalRecord, d: RateAccumulators, terms: dict[str, Any]
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
+        i = rec.app
+        prio, shared, _ = self._traffic
+        inputs = {
+            "alpha": rec.sm.alpha,
+            prio: getattr(d, prio)[i],
+            "prio_time": d.prio_time[i],
+            shared: getattr(d, shared)[i],
+            "shared_time": d.shared_time[i],
+            **self._own_inputs(rec),
+        }
+        return inputs, terms
+
+    @abc.abstractmethod
+    def _slowdown(
+        self, rec: IntervalRecord, d: RateAccumulators
+    ) -> tuple[float, dict[str, Any]]:
+        """(estimate, terms) when both epochs saw traffic."""
+
+    @abc.abstractmethod
+    def _own_inputs(self, rec: IntervalRecord) -> dict[str, Any]:
+        """Audit inputs beyond the epoch counters and α."""

@@ -3,8 +3,8 @@
 One :class:`FaultInjector` per run presents the *delivered view* of each
 estimation interval: what the counter fabric handed the estimators, as
 opposed to what the simulator measured.  Every consumer that opted in
-(DASE, MISE, ASM via :meth:`repro.core.base.SlowdownEstimator.inject_faults`,
-and :class:`~repro.policies.sm_alloc.DASEFairPolicy`) calls
+(DASE, MISE, ASM and :class:`~repro.policies.sm_alloc.DASEFairPolicy`, via
+:meth:`repro.core.base.IntervalConsumer.inject_faults`) calls
 :meth:`FaultInjector.deliver` with the interval index; the first call
 computes the view and every later call within the same interval returns
 the memoized object, so all consumers of one run agree on what "arrived".

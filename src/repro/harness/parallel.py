@@ -96,23 +96,24 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.harness.checkpoint import SweepCheckpoint
     from repro.opensys.schedule import ArrivalSchedule
 
+
+def _dase_fair(config: GPUConfig) -> object:
+    # Imported lazily so constructing a WorkloadJob never pulls in the
+    # policy stack; only jobs that actually name a policy pay the import.
+    from repro.policies import DASEFairPolicy
+
+    return DASEFairPolicy(config)
+
+
 #: Policies constructible inside a job process, by name.  Each factory
 #: takes the resolved :class:`GPUConfig` of the run.
-POLICIES: dict[str, Callable[[GPUConfig], object]] = {}
+POLICIES: dict[str, Callable[[GPUConfig], object]] = {"dase_fair": _dase_fair}
 
 #: ``JobOutcome.failure_kind`` values.
 FAIL_EXCEPTION = "exception"          # job raised; traceback captured
 FAIL_CRASH = "crash"                  # process died without unwinding
 FAIL_TIMEOUT = "timeout"              # killed by the per-job timeout
 FAIL_TRANSPORT = "result-transport"   # finished, result unpicklable/lost
-
-
-def _register_policies() -> None:
-    # Imported lazily so constructing a WorkloadJob never pulls in the
-    # policy stack; only jobs that actually name a policy pay the import.
-    from repro.policies import DASEFairPolicy
-
-    POLICIES.setdefault("dase_fair", DASEFairPolicy)
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,6 @@ def _run_workload_job(
     config = job.config or scaled_config()
     policy = None
     if job.policy is not None:
-        _register_policies()
         try:
             factory = POLICIES[job.policy]
         except KeyError:

@@ -27,6 +27,7 @@ import json
 import os
 import pathlib
 import sys
+from collections import Counter
 from typing import Any
 
 from repro import durable
@@ -97,10 +98,19 @@ def summarize_run(manifest: dict[str, Any]) -> str:
     return "\n".join(out)
 
 
+def _chrome_counts(events: list[dict[str, Any]]) -> Counter:
+    """Non-metadata Chrome events per name, in first-seen order."""
+    return Counter(ev.get("name", "?") for ev in events if ev.get("ph") != "M")
+
+
+def _bus_counts(records: list[dict[str, Any]]) -> Counter:
+    """Bus records per tag, in first-seen order."""
+    return Counter(rec.get("t", "?") for rec in records)
+
+
 def summarize_chrome(payload: dict[str, Any]) -> str:
     """Summary of a raw Chrome ``trace_event`` JSON payload."""
     events = payload.get("traceEvents", [])
-    by_name: dict[str, int] = {}
     by_phase: dict[str, int] = {}
     pids: set[int] = set()
     t_lo, t_hi = None, 0.0
@@ -109,8 +119,6 @@ def summarize_chrome(payload: dict[str, Any]) -> str:
         by_phase[ph] = by_phase.get(ph, 0) + 1
         if ph == "M":
             continue
-        name = ev.get("name", "?")
-        by_name[name] = by_name.get(name, 0) + 1
         pids.add(ev.get("pid", 0))
         ts = float(ev.get("ts", 0.0)) + float(ev.get("dur", 0.0))
         t_lo = ts if t_lo is None else min(t_lo, float(ev.get("ts", 0.0)))
@@ -119,10 +127,7 @@ def summarize_chrome(payload: dict[str, Any]) -> str:
         f"chrome trace: {len(events)} entries "
         f"({by_phase.get('M', 0)} metadata), {len(pids)} processes, "
         f"span {t_lo or 0:.0f} .. {t_hi:.0f} us",
-        table(
-            ["event", "count"],
-            sorted(by_name.items(), key=lambda kv: -kv[1]),
-        ),
+        table(["event", "count"], _chrome_counts(events).most_common()),
     ]
     other = payload.get("otherData") or {}
     if other.get("events_dropped"):
@@ -194,17 +199,11 @@ def summarize_audit(payload: dict[str, Any]) -> str:
 
 def summarize_bus(records: list[dict[str, Any]]) -> str:
     """Summary of telemetry-bus records (channel files or a bus dir)."""
-    by_tag: dict[str, int] = {}
-    pids: set[Any] = set()
-    for rec in records:
-        by_tag[rec.get("t", "?")] = by_tag.get(rec.get("t", "?"), 0) + 1
-        if "pid" in rec:
-            pids.add(rec["pid"])
+    pids = {rec["pid"] for rec in records if "pid" in rec}
     out = [
         f"bus: {len(records)} records from {len(pids)} worker"
         f"{'s' if len(pids) != 1 else ''}",
-        table(["record", "count"],
-              sorted(by_tag.items(), key=lambda kv: -kv[1])),
+        table(["record", "count"], _bus_counts(records).most_common()),
     ]
     return "\n".join(out)
 
@@ -384,23 +383,14 @@ def inspect_json(
     """Machine-readable inspection payload (``repro inspect --json``)."""
     kind, payload = load_recorded(path, prefer=prefer, store=store)
     if kind == "bus":
-        by_tag: dict[str, int] = {}
-        for rec in payload:
-            by_tag[rec.get("t", "?")] = by_tag.get(rec.get("t", "?"), 0) + 1
         return {"kind": kind, "records": len(payload),
-                "by_tag": dict(sorted(by_tag.items()))}
+                "by_tag": dict(sorted(_bus_counts(payload).items()))}
     if kind == "chrome":
         events = payload.get("traceEvents", [])
-        by_name: dict[str, int] = {}
-        for ev in events:
-            if ev.get("ph") == "M":
-                continue
-            name = ev.get("name", "?")
-            by_name[name] = by_name.get(name, 0) + 1
         return {
             "kind": "chrome",
             "entries": len(events),
-            "by_name": dict(sorted(by_name.items())),
+            "by_name": dict(sorted(_chrome_counts(events).items())),
             "other_data": payload.get("otherData") or {},
         }
     return {"kind": kind, **payload}

@@ -8,7 +8,6 @@ from repro.policies.sm_alloc import (
     AllocationPolicy,
     DASEFairPolicy,
     EvenPolicy,
-    StaticPolicy,
     best_partition,
     interpolate_reciprocal,
 )
@@ -16,7 +15,6 @@ from repro.policies.sm_alloc import (
 __all__ = [
     "AllocationPolicy",
     "EvenPolicy",
-    "StaticPolicy",
     "DASEFairPolicy",
     "DASEQoSPolicy",
     "ProfiledFairPolicy",

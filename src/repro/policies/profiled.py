@@ -108,20 +108,4 @@ class ProfiledFairPolicy(AllocationPolicy):
             self.decisions.append((gpu.engine.now, tuple(current)))
             return
         self.decisions.append((gpu.engine.now, target))
-        deltas = [t - c for c, t in zip(current, target)]
-        donors = [(i, -d) for i, d in enumerate(deltas) if d < 0]
-        takers = [(i, d) for i, d in enumerate(deltas) if d > 0]
-        di = ti = 0
-        while di < len(donors) and ti < len(takers):
-            d_app, d_avail = donors[di]
-            t_app, t_need = takers[ti]
-            k = min(d_avail, t_need)
-            gpu.migrate_sms(d_app, t_app, k)
-            d_avail -= k
-            t_need -= k
-            donors[di] = (d_app, d_avail)
-            takers[ti] = (t_app, t_need)
-            if d_avail == 0:
-                di += 1
-            if t_need == 0:
-                ti += 1
+        self._apply(self._plan(current, target))

@@ -21,6 +21,7 @@ import itertools
 from typing import TYPE_CHECKING, Sequence
 
 from repro.config import GPUConfig
+from repro.core.base import IntervalConsumer
 from repro.core.dase import DASE
 from repro.obs.audit import DecisionAudit
 from repro.sim.gpu import GPU
@@ -28,7 +29,6 @@ from repro.sim.stats import IntervalRecord
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.faults.inject import FaultInjector
-    from repro.obs.audit import AuditLog
 
 
 def interpolate_reciprocal(
@@ -124,32 +124,51 @@ def interpolation_table(
     ]
 
 
-class AllocationPolicy(abc.ABC):
+class AllocationPolicy(IntervalConsumer, abc.ABC):
     """Base class: a policy attaches to a GPU and may reassign SMs."""
 
     name = "base"
 
     def attach(self, gpu: GPU) -> None:
-        self.gpu = gpu
-        gpu.add_interval_listener(self.on_interval)
+        self._listen(gpu, self.on_interval)
 
     @abc.abstractmethod
     def on_interval(self, records: list[IntervalRecord]) -> None: ...
+
+    @staticmethod
+    def _plan(
+        current: Sequence[int], target: Sequence[int]
+    ) -> list[tuple[int, int, int]]:
+        """Donor→taker transfer triples, in ``migrate_sms`` call order."""
+        deltas = [t - c for c, t in zip(current, target)]
+        donors = [(i, -d) for i, d in enumerate(deltas) if d < 0]
+        takers = [(i, d) for i, d in enumerate(deltas) if d > 0]
+        plan: list[tuple[int, int, int]] = []
+        di = ti = 0
+        while di < len(donors) and ti < len(takers):
+            d_app, d_avail = donors[di]
+            t_app, t_need = takers[ti]
+            k = min(d_avail, t_need)
+            plan.append((d_app, t_app, k))
+            d_avail -= k
+            t_need -= k
+            donors[di] = (d_app, d_avail)
+            takers[ti] = (t_app, t_need)
+            if d_avail == 0:
+                di += 1
+            if t_need == 0:
+                ti += 1
+        return plan
+
+    def _apply(self, plan: list[tuple[int, int, int]]) -> None:
+        for d_app, t_app, k in plan:
+            self.gpu.migrate_sms(d_app, t_app, k)
 
 
 class EvenPolicy(AllocationPolicy):
     """The paper's baseline: keep the launch-time even split forever."""
 
     name = "even"
-
-    def on_interval(self, records: list[IntervalRecord]) -> None:
-        return
-
-
-class StaticPolicy(AllocationPolicy):
-    """Any fixed launch-time split (used by the Fig. 8a sensitivity study)."""
-
-    name = "static"
 
     def on_interval(self, records: list[IntervalRecord]) -> None:
         return
@@ -188,21 +207,15 @@ class DASEFairPolicy(AllocationPolicy):
         self.dry_run = dry_run
         self.decisions: list[tuple[int, tuple[int, ...]]] = []  # (cycle, target)
         self._own_estimator = estimator is None
-        #: Audit sink (repro.obs.audit), resolved once at attach time.
-        self._audit: "AuditLog | None" = None
-        #: Fault injector (repro.faults) shared with the estimators, or
-        #: None for the exact-counter path.
-        self._faults: "FaultInjector | None" = None
         #: Resident roster of the previous decision (open-system runs);
         #: a change suspends hysteresis for one decision so the partition
         #: re-interpolates promptly after an arrival or departure.
         self._last_roster: tuple[int, ...] | None = None
 
     def inject_faults(self, injector: "FaultInjector | None") -> None:
-        """Route the policy's interval inputs through the shared injector
-        so scheduling decisions see the same delivered view the estimators
-        do (also forwarded to a privately-owned estimator)."""
-        self._faults = injector
+        """Decide from the same delivered view the estimators see (the
+        injector is also forwarded to a privately-owned estimator)."""
+        super().inject_faults(injector)
         if self._own_estimator:
             self.estimator.inject_faults(injector)
 
@@ -210,93 +223,48 @@ class DASEFairPolicy(AllocationPolicy):
         """Adopt an externally-managed DASE (e.g. the harness's) instead of
         the private one, so one estimator drives both the accuracy readout
         and the policy — and the audit log carries a single DASE stream."""
-        if getattr(self, "gpu", None) is not None:
+        if self.gpu is not None:
             raise RuntimeError("cannot swap estimators after attach")
         self.estimator = estimator
         self._own_estimator = False
 
     def attach(self, gpu: GPU) -> None:
         # The estimator must observe the interval *before* the policy acts.
-        if self._own_estimator:
-            self.estimator.attach(gpu)
-        elif self.estimator.gpu is None:
+        if self._own_estimator or self.estimator.gpu is None:
             self.estimator.attach(gpu)
         super().attach(gpu)
-        if gpu.obs is not None:
-            self._audit = gpu.obs.audit
 
     def on_interval(self, records: list[IntervalRecord]) -> None:
         gpu = self.gpu
-        audit = self._audit
-        inj = self._faults
-        if inj is not None:
-            # Decide from the delivered view, not the ground truth — the
-            # memoized injector guarantees it matches what the estimators
-            # saw this interval.
-            records = inj.deliver(
-                len(gpu.interval_history) - 1, records
-            ).records
+        if self._faults is not None:
+            # Decide from the delivered view, not the ground truth.
+            records = self._delivered(records).records
         # Let an in-flight migration settle before deciding again.
         if any(sm.draining for sm in gpu.sms):
-            if audit is not None:
-                self._record_hold(audit, "migration-draining")
+            self._hold("migration-draining")
             return
         if not all(gpu.app_active):
             # Open-system run with a partial roster: decide over the
             # resident apps only.
-            self._on_interval_open(records, audit)
+            self._on_interval_open(records)
             return
         if any(r.tb_unfinished < self.min_tb_unfinished for r in records):
-            if audit is not None:
-                self._record_hold(audit, "too-few-thread-blocks")
+            self._hold("too-few-thread-blocks")
             return
         recs = self.estimator.latest_reciprocals()
         if not recs or any(r is None for r in recs):
-            if audit is not None:
-                self._record_hold(audit, "no-estimate", recs)
+            self._hold("no-estimate", recs)
             return
         current = gpu.sm_counts()
         if min(current) < 1:
-            if audit is not None:
-                self._record_hold(audit, "app-without-sm", recs)
+            self._hold("app-without-sm", recs)
             return
-        self._last_roster = tuple(range(gpu.n_apps))
-        scores = [] if audit is not None else None
-        target, predicted = best_partition(
-            recs, current, self.config.n_sms, scores_out=scores
+        self._last_roster = roster = tuple(range(gpu.n_apps))
+        self._decide(
+            roster, recs, current, self.improvement_margin, "improvement"
         )
 
-        slowdowns = [1.0 / max(r, 1e-6) for r in recs]
-        current_unf = max(slowdowns) / min(slowdowns)
-        if tuple(current) == target:
-            if audit is not None:
-                self._record_scored(
-                    audit, "hold", "already-optimal", recs, current,
-                    target, current_unf, predicted, scores, None,
-                )
-            return
-        if predicted > current_unf * (1.0 - self.improvement_margin):
-            if audit is not None:
-                self._record_scored(
-                    audit, "hold", "hysteresis", recs, current,
-                    target, current_unf, predicted, scores, None,
-                )
-            return
-        plan = self._plan(current, target)
-        if audit is not None:
-            self._record_scored(
-                audit, "recommend" if self.dry_run else "migrate",
-                "improvement", recs, current, target, current_unf,
-                predicted, scores, plan,
-            )
-        if self.dry_run:
-            return
-        self.decisions.append((gpu.engine.now, target))
-        self._apply(plan)
-
-    def _on_interval_open(
-        self, records: list[IntervalRecord], audit: "AuditLog | None"
-    ) -> None:
+    def _on_interval_open(self, records: list[IntervalRecord]) -> None:
         """Partial-roster decision: repartition only the SMs owned by
         resident (active, ≥ 1 SM) applications.
 
@@ -315,143 +283,99 @@ class DASEFairPolicy(AllocationPolicy):
         changed = self._last_roster is not None and roster != self._last_roster
         self._last_roster = roster
         if len(roster) < 2:
-            if audit is not None:
-                self._record_hold(audit, "single-resident-app")
+            self._hold("single-resident-app")
             return
         if any(
             records[i].tb_unfinished < self.min_tb_unfinished for i in roster
         ):
-            if audit is not None:
-                self._record_hold(audit, "too-few-thread-blocks")
+            self._hold("too-few-thread-blocks")
             return
         recs_all = self.estimator.latest_reciprocals()
         if not recs_all or any(recs_all[i] is None for i in roster):
-            if audit is not None:
-                self._record_hold(audit, "no-estimate", recs_all)
+            self._hold("no-estimate", recs_all)
             return
-        sub_recs = [recs_all[i] for i in roster]
-        sub_cur = [current[i] for i in roster]
-        scores = [] if audit is not None else None
-        sub_target, predicted = best_partition(
-            sub_recs, sub_cur, self.config.n_sms,
-            scores_out=scores, budget=sum(sub_cur),
+        self._decide(
+            roster, recs_all, current,
+            0.0 if changed else self.improvement_margin,
+            "membership-change" if changed else "improvement",
+            budget=sum(current[i] for i in roster),
         )
-        target_full = list(current)
-        for i, t in zip(roster, sub_target):
-            target_full[i] = t
-        target = tuple(target_full)
 
-        slowdowns = [1.0 / max(r, 1e-6) for r in sub_recs]
+    def _decide(
+        self,
+        roster: Sequence[int],
+        reciprocals: Sequence[float],
+        current: Sequence[int],
+        margin: float,
+        reason: str,
+        budget: int | None = None,
+    ) -> None:
+        """Search the partitions of the ``roster`` apps' SMs (``budget``,
+        default all) and migrate when the best beats the current
+        unfairness by ``margin``.
+
+        Audit records stay roster-local (reciprocals/current/target all
+        index the roster); the plan's app indices are global because it
+        describes the actual migrate_sms calls.
+        """
+        recs = [reciprocals[i] for i in roster]
+        scored = [current[i] for i in roster]
+        scores = [] if self._audit is not None else None
+        scored_target, predicted = best_partition(
+            recs, scored, self.config.n_sms, scores_out=scores, budget=budget
+        )
+        placed = dict(zip(roster, scored_target))
+        target = tuple(placed.get(i, c) for i, c in enumerate(current))
+        slowdowns = [1.0 / max(r, 1e-6) for r in recs]
         current_unf = max(slowdowns) / min(slowdowns)
-        # Audit records stay roster-local (reciprocals/current/target all
-        # index the roster); the plan's app indices are global because it
-        # describes the actual migrate_sms calls.
+        plan = None
         if target == tuple(current):
-            if audit is not None:
-                self._record_scored(
-                    audit, "hold", "already-optimal", sub_recs, sub_cur,
-                    sub_target, current_unf, predicted, scores, None,
-                )
-            return
-        margin = 0.0 if changed else self.improvement_margin
-        if predicted > current_unf * (1.0 - margin):
-            if audit is not None:
-                self._record_scored(
-                    audit, "hold", "hysteresis", sub_recs, sub_cur,
-                    sub_target, current_unf, predicted, scores, None,
-                )
-            return
-        plan = self._plan(current, target)
-        if audit is not None:
-            self._record_scored(
-                audit, "recommend" if self.dry_run else "migrate",
-                "membership-change" if changed else "improvement",
-                sub_recs, sub_cur, sub_target, current_unf,
-                predicted, scores, plan,
+            action, reason = "hold", "already-optimal"
+        elif predicted > current_unf * (1.0 - margin):
+            action, reason = "hold", "hysteresis"
+        else:
+            plan = self._plan(current, target)
+            action = "recommend" if self.dry_run else "migrate"
+        if self._audit is not None:
+            self._record(
+                action, reason, scored,
+                reciprocals=recs,
+                target=scored_target,
+                current_unfairness=current_unf,
+                predicted_unfairness=predicted,
+                interpolation=interpolation_table(
+                    recs, scored, self.config.n_sms
+                ),
+                candidates=scores,
+                plan=plan,
             )
-        if self.dry_run:
+        if plan is None or self.dry_run:
             return
-        self.decisions.append((gpu.engine.now, target))
+        self.decisions.append((self.gpu.engine.now, target))
         self._apply(plan)
 
     # ------------------------------------------------------------- auditing
 
-    def _record_hold(
-        self,
-        audit: "AuditLog",
-        reason: str,
-        reciprocals: list[float | None] | None = None,
+    def _hold(
+        self, reason: str, reciprocals: list[float | None] | None = None
     ) -> None:
-        gpu = self.gpu
-        audit.record_decision(DecisionAudit(
-            policy=self.name,
-            interval=len(gpu.interval_history) - 1,
-            cycle=gpu.engine.now,
-            current=tuple(gpu.sm_counts()),
-            action="hold",
-            reason=reason,
-            reciprocals=None if reciprocals is None else list(reciprocals),
-        ))
+        """Audit an unscored hold (no-op when the run is not audited)."""
+        if self._audit is not None:
+            self._record(
+                "hold", reason, self.gpu.sm_counts(),
+                reciprocals=None if reciprocals is None else list(reciprocals),
+            )
 
-    def _record_scored(
-        self,
-        audit: "AuditLog",
-        action: str,
-        reason: str,
-        reciprocals: Sequence[float],
-        current: Sequence[int],
-        target: tuple[int, ...],
-        current_unf: float,
-        predicted: float,
-        scores: list[tuple[tuple[int, ...], float]],
-        plan: list[tuple[int, int, int]] | None,
+    def _record(
+        self, action: str, reason: str, current: Sequence[int], **fields
     ) -> None:
         gpu = self.gpu
-        audit.record_decision(DecisionAudit(
+        self._audit.record_decision(DecisionAudit(
             policy=self.name,
             interval=len(gpu.interval_history) - 1,
             cycle=gpu.engine.now,
             current=tuple(current),
             action=action,
             reason=reason,
-            reciprocals=list(reciprocals),
-            target=target,
-            current_unfairness=current_unf,
-            predicted_unfairness=predicted,
-            interpolation=interpolation_table(
-                reciprocals, current, self.config.n_sms
-            ),
-            candidates=scores,
-            plan=plan,
+            **fields,
         ))
-
-    # ------------------------------------------------------------ migration
-
-    @staticmethod
-    def _plan(
-        current: Sequence[int], target: Sequence[int]
-    ) -> list[tuple[int, int, int]]:
-        """Donor→taker transfer triples, in ``migrate_sms`` call order."""
-        deltas = [t - c for c, t in zip(current, target)]
-        donors = [(i, -d) for i, d in enumerate(deltas) if d < 0]
-        takers = [(i, d) for i, d in enumerate(deltas) if d > 0]
-        plan: list[tuple[int, int, int]] = []
-        di = ti = 0
-        while di < len(donors) and ti < len(takers):
-            d_app, d_avail = donors[di]
-            t_app, t_need = takers[ti]
-            k = min(d_avail, t_need)
-            plan.append((d_app, t_app, k))
-            d_avail -= k
-            t_need -= k
-            donors[di] = (d_app, d_avail)
-            takers[ti] = (t_app, t_need)
-            if d_avail == 0:
-                di += 1
-            if t_need == 0:
-                ti += 1
-        return plan
-
-    def _apply(self, plan: list[tuple[int, int, int]]) -> None:
-        for d_app, t_app, k in plan:
-            self.gpu.migrate_sms(d_app, t_app, k)

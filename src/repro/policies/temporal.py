@@ -39,7 +39,7 @@ class TimeSlicePolicy(AllocationPolicy):
         self._intervals_since_switch = 0
         self._applied_initial = False
 
-    def _apply(self, active: int) -> None:
+    def _switch_to(self, active: int) -> None:
         gpu = self.gpu
         n = gpu.n_apps
         counts = gpu.sm_counts()
@@ -54,7 +54,7 @@ class TimeSlicePolicy(AllocationPolicy):
         gpu = self.gpu
         if not self._applied_initial:
             self._applied_initial = True
-            self._apply(self.active)
+            self._switch_to(self.active)
             self.switches.append((gpu.engine.now, self.active))
             return
         if any(sm.draining for sm in gpu.sms):
@@ -65,7 +65,7 @@ class TimeSlicePolicy(AllocationPolicy):
         self._intervals_since_switch = 0
         self.active = (self.active + 1) % gpu.n_apps
         self.switches.append((gpu.engine.now, self.active))
-        self._apply(self.active)
+        self._switch_to(self.active)
 
 
 def leftover_partition(config: GPUConfig, specs, restart: bool = True) -> list[int]:

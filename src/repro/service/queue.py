@@ -66,6 +66,9 @@ EST_ALPHA = 0.3
 #: Completed requests the fairness readouts look back over.
 _COMPLETED_KEPT = 4096
 
+#: Admission decisions the queue audit keeps (``total`` counts them all).
+_DECISIONS_KEPT = 256
+
 
 @dataclass
 class QueuedRequest:
@@ -139,9 +142,8 @@ class QueueDecision:
 class QueueAudit:
     """DecisionAudit-style bounded log of admission decisions."""
 
-    def __init__(self, limit: int = 256) -> None:
-        self.limit = limit
-        self.decisions: deque[QueueDecision] = deque(maxlen=limit)
+    def __init__(self) -> None:
+        self.decisions: deque[QueueDecision] = deque(maxlen=_DECISIONS_KEPT)
         self.total = 0
 
     def record(self, decision: QueueDecision) -> None:

@@ -45,7 +45,7 @@ class TestMISEUnit:
             prio_time=[1000.0], prio_requests=[400.0],
             shared_time=[1000.0], shared_requests=[200.0],
         )
-        est = m._estimate_app(record(alpha=0.9), d)
+        est = m._estimate_app(record(alpha=0.9), d)[0]
         assert est == pytest.approx(2.0)
 
     def test_non_intensive_app_damped_by_alpha(self):
@@ -54,7 +54,7 @@ class TestMISEUnit:
             prio_time=[1000.0], prio_requests=[400.0],
             shared_time=[1000.0], shared_requests=[200.0],
         )
-        est = m._estimate_app(record(alpha=0.1), d)
+        est = m._estimate_app(record(alpha=0.1), d)[0]
         assert est == pytest.approx(1 - 0.1 + 0.1 * 2.0)
 
     def test_ratio_floored_at_one(self):
@@ -63,18 +63,18 @@ class TestMISEUnit:
             prio_time=[1000.0], prio_requests=[100.0],
             shared_time=[1000.0], shared_requests=[300.0],
         )
-        est = m._estimate_app(record(alpha=0.9), d)
+        est = m._estimate_app(record(alpha=0.9), d)[0]
         assert est == 1.0
 
     def test_no_prio_samples_gives_none(self):
         m = self.make()
         d = delta(prio_time=[0.0], shared_time=[1000.0], shared_requests=[10.0])
-        assert m._estimate_app(record(), d) is None
+        assert m._estimate_app(record(), d)[0] is None
 
     def test_no_traffic_means_no_interference(self):
         m = self.make()
         d = delta(prio_time=[1000.0], shared_time=[1000.0])
-        assert m._estimate_app(record(), d) == 1.0
+        assert m._estimate_app(record(), d)[0] == 1.0
 
     def test_intensity_threshold_configurable(self):
         m = MISE(CFG, PriorityRotator(CFG), intensive_alpha=0.95)
@@ -82,7 +82,7 @@ class TestMISEUnit:
             prio_time=[1000.0], prio_requests=[400.0],
             shared_time=[1000.0], shared_requests=[200.0],
         )
-        est = m._estimate_app(record(alpha=0.9), d)
+        est = m._estimate_app(record(alpha=0.9), d)[0]
         # 0.9 < 0.95 → damped path.
         assert est == pytest.approx(1 - 0.9 + 0.9 * 2.0)
 
@@ -97,7 +97,7 @@ class TestASMUnit:
             prio_time=[1000.0], prio_accesses=[500.0],
             shared_time=[1000.0], shared_accesses=[250.0],
         )
-        est = a._estimate_app(record(ellc=0.0), d)
+        est = a._estimate_app(record(ellc=0.0), d)[0]
         assert est == pytest.approx(2.0)
 
     def test_contention_correction_raises_estimate(self):
@@ -106,8 +106,8 @@ class TestASMUnit:
             prio_time=[1000.0], prio_accesses=[500.0],
             shared_time=[1000.0], shared_accesses=[250.0],
         )
-        clean = a._estimate_app(record(ellc=0.0), d)
-        dirty = a._estimate_app(record(ellc=2000.0), d)
+        clean = a._estimate_app(record(ellc=0.0), d)[0]
+        dirty = a._estimate_app(record(ellc=2000.0), d)[0]
         assert dirty > clean
 
     def test_correction_capped(self):
@@ -116,7 +116,7 @@ class TestASMUnit:
             prio_time=[1000.0], prio_accesses=[500.0],
             shared_time=[1000.0], shared_accesses=[250.0],
         )
-        est = a._estimate_app(record(ellc=10**9), d)
+        est = a._estimate_app(record(ellc=10**9), d)[0]
         # wasted capped at half the priority time → at most 2× the raw CAR.
         assert est <= 4.0 + 1e-9
 
@@ -126,12 +126,12 @@ class TestASMUnit:
             prio_time=[1000.0], prio_accesses=[100.0],
             shared_time=[1000.0], shared_accesses=[400.0],
         )
-        assert a._estimate_app(record(), d) == 1.0
+        assert a._estimate_app(record(), d)[0] == 1.0
 
     def test_missing_epochs_give_none(self):
         a = self.make()
         d = delta(shared_time=[1000.0], shared_accesses=[10.0])
-        assert a._estimate_app(record(), d) is None
+        assert a._estimate_app(record(), d)[0] is None
 
 
 class TestNeitherScalesToAllSMs:
@@ -146,7 +146,7 @@ class TestNeitherScalesToAllSMs:
         r_small = record(alpha=0.9)
         r_small = IntervalRecord(**{**vars(r_small), "sm_count": 2})
         r_large = record(alpha=0.9)
-        assert m._estimate_app(r_small, d) == m._estimate_app(r_large, d)
+        assert m._estimate_app(r_small, d)[0] == m._estimate_app(r_large, d)[0]
 
     def test_asm_blind_to_sm_count(self):
         a = ASM(CFG, PriorityRotator(CFG))
@@ -156,4 +156,4 @@ class TestNeitherScalesToAllSMs:
         )
         r_small = record()
         r_small = IntervalRecord(**{**vars(r_small), "sm_count": 2})
-        assert a._estimate_app(r_small, d) == a._estimate_app(record(), d)
+        assert a._estimate_app(r_small, d)[0] == a._estimate_app(record(), d)[0]

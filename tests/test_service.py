@@ -137,6 +137,28 @@ class TestProtocol:
         msg = str(err.value)
         assert needle in msg and "\n" not in msg
 
+    def test_a_fresh_process_knows_every_policy(self):
+        # The daemon validates submissions in a process that has never run
+        # a job, so the policy names must be known without running one.
+        code = (
+            "from repro.service import parse_submit\n"
+            "req = parse_submit({'kind': 'workload', 'spec': {'apps': "
+            "['SD', 'VA'], 'cycles': 24000, 'policy': 'dase_fair'}})\n"
+            "assert req.spec['policy'] == 'dase_fair', req.spec\n"
+            "try:\n"
+            "    parse_submit({'kind': 'workload', 'spec': {'apps': "
+            "['SD', 'VA'], 'policy': 'nope'}})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "unknown policy 'nope'" in out.stdout
+        assert "dase_fair" in out.stdout
+
 
 # ----------------------------------------------------------- fairness queue
 
