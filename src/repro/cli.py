@@ -51,8 +51,6 @@ def _cmd_sweeping_fig(args) -> int:
     none of them and go straight to `_run_fig`."""
     from repro.harness.parallel import set_default_progress, set_sweep_defaults
 
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     # --sweep-trace enables the cross-worker telemetry bus for every sweep
     # the driver runs; artifacts (trace.json, sweep.json, report.html, and
     # under --profile-sweep the merged pstats) land in the named directory.
@@ -471,8 +469,6 @@ def _cmd_trajectory(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service import ReproService
 
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     try:
         service = ReproService(
             args.state_dir, store_dir=args.store, cache_dir=args.cache_dir,
@@ -564,7 +560,9 @@ def _add_sweep_flags(fp: argparse.ArgumentParser) -> None:
     """The flags of an entry whose driver sweeps (``FigureDef.sweeps``),
     read by ``_cmd_sweeping_fig``.  An entry that runs inline would ignore
     every one of them, so it does not get them."""
-    fp.add_argument("--jobs", type=int, default=None,
+    from repro.figure_table import positive_int
+
+    fp.add_argument("--jobs", type=positive_int, default=None,
                     help="worker processes for the sweep (default: one "
                          "process, each job's private alone replays "
                          "overlapped on spare CPUs; --jobs 1 forces a "
@@ -610,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list
     )
 
-    from repro.figure_table import FIGURE_TABLE
+    from repro.figure_table import FIGURE_TABLE, positive_int
 
     for fig in FIGURE_TABLE.values():
         fp = sub.add_parser(fig.name, help=fig.help)
@@ -662,13 +660,16 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="alone-replay cache shared by all jobs "
                          "(default: DIR/cache under --state-dir)")
-    sv.add_argument("--jobs", type=int, default=None,
+    sv.add_argument("--jobs", type=positive_int, default=None,
                     help="worker processes per admitted request, served "
                          "one request at a time (default: one request per "
                          "usable CPU at a time, each in a process of its "
-                         "own with its private alone replays overlapped on "
-                         "spare CPUs; --jobs 1 forces one single-process "
-                         "request at a time)")
+                         "own; a request admitted while another slot is "
+                         "idle overlaps its alone replays with its shared "
+                         "runs in helper processes, one admitted while "
+                         "every other slot is busy replays them itself; "
+                         "--jobs 1 forces one single-process request at a "
+                         "time)")
     sv.add_argument("--policy", choices=("fair", "fifo"), default="fair",
                     help="admission policy: 'fair' minimizes max/min "
                          "tenant slowdown, 'fifo' is arrival order "

@@ -274,7 +274,7 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in text.split(",") if s)
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ArgumentTypeError(f"must be >= 1, got {value}")
@@ -297,7 +297,7 @@ def _noise_sigmas(text: str) -> tuple[float, ...]:
     return values
 
 
-LIMIT = ("limit", {"type": _positive_int,
+LIMIT = ("limit", {"type": positive_int,
                    "help": "limit the number of workloads swept"})
 _TWO_APPS = {"nargs": 2, "choices": APP_NAMES, "metavar": ("APP1", "APP2")}
 

@@ -495,17 +495,21 @@ def run_jobs(
     process of its own.
 
     ``n_jobs`` of 1 (or 0) runs inline, strictly in this process (no fork,
-    no pickling) — handy for debugging and for callers that just want the
-    failure-capturing contract.  None, the default, runs the jobs inline
-    too, and where there is a spare CPU to do it on (:func:`_can_overlap`)
-    replays each alone trajectory whose askers are one consecutive run of
-    jobs in a helper process that chases their shared runs
-    (docs/parallel-harness.md, "Overlapped replays"); the results are the
-    same.  Outcomes always come back ordered by submission index,
-    regardless of which job finished first, and a job that fails — by
-    raising, by killing its process, by hanging past ``timeout_s``, or by
-    returning a result the parent cannot unpickle — is returned as a
-    failed :class:`JobOutcome` rather than aborting the rest.
+    no pickling, no helper): every alone replay the cache cannot serve runs
+    here, in the replay phase, at this process's own priority — handy for
+    debugging, for callers that just want the failure-capturing contract,
+    and for callers with no CPU to spare (``repro serve`` when every other
+    slot is busy).  None, the default, runs the jobs inline too, and where
+    there is a spare CPU to do it on (:func:`_can_overlap`) replays each
+    alone trajectory whose askers are one consecutive run of jobs in a
+    nice-19 helper process that chases their shared runs
+    (docs/parallel-harness.md, "Overlapped replays").  Both take the same
+    direct-call path, so their results are bit-identical; only where the
+    replay CPU time is spent differs.  Outcomes always come back ordered by
+    submission index, regardless of which job finished first, and a job
+    that fails — by raising, by killing its process, by hanging past
+    ``timeout_s``, or by returning a result the parent cannot unpickle — is
+    returned as a failed :class:`JobOutcome` rather than aborting the rest.
 
     ``retries`` re-runs failed attempts (any failure kind) up to that many
     extra times, each after ``backoff_s · 2^(attempt−1)`` (±25% jitter,
@@ -1175,7 +1179,12 @@ def run_workloads(
 ) -> list[JobOutcome]:
     """Sweep many workloads under one shared set of run parameters
     (:func:`workload_jobs`) through :func:`run_jobs`, whose progress,
-    timeout, retries and checkpoint are the ambient sweep defaults."""
+    timeout, retries and checkpoint are the ambient sweep defaults.
+
+    ``jobs`` is ``run_jobs``' ``n_jobs``: None overlaps alone replays with
+    the shared runs in helper processes where a CPU is spare, 1 runs
+    everything in this process, N forks one process per job attempt; the
+    results are the same for each."""
     specs = workload_jobs(
         workloads, config=config, shared_cycles=shared_cycles,
         sm_partition=sm_partition, models=models, policy=policy,

@@ -812,14 +812,12 @@ def _run_workload(
         )
         obs.telemetry.attach(gpu)
     if policy is not None:
-        # A DASE-Fair policy that would build its own private DASE adopts
-        # the harness's instead (DASE is a pure observer, so sharing is
-        # bit-identical) — one estimation per interval, and the audit log
-        # carries a single DASE stream instead of two.
-        from repro.policies.sm_alloc import DASEFairPolicy
-
+        # A policy that would decide from its own private DASE adopts the
+        # harness's instead (DASE is a pure observer, so sharing is
+        # bit-identical) — one estimation per interval, one injector, and
+        # the audit log carries a single DASE stream instead of two.
         if (
-            isinstance(policy, DASEFairPolicy)
+            hasattr(policy, "use_estimator")
             and policy._own_estimator
             and isinstance(estimators.get("DASE"), DASE)
         ):

@@ -49,8 +49,6 @@ class DASEQoSPolicy(AllocationPolicy):
     def attach(self, gpu: GPU) -> None:
         if self.target_app >= gpu.n_apps:
             raise ValueError("target_app out of range")
-        if self._own_estimator or self.estimator.gpu is None:
-            self.estimator.attach(gpu)
         super().attach(gpu)
 
     def on_interval(self, records: list[IntervalRecord]) -> None:

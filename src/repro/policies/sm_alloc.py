@@ -125,11 +125,41 @@ def interpolation_table(
 
 
 class AllocationPolicy(IntervalConsumer, abc.ABC):
-    """Base class: a policy attaches to a GPU and may reassign SMs."""
+    """Base class: a policy attaches to a GPU and may reassign SMs.
+
+    A policy that decides from slowdown estimates holds its DASE in
+    ``estimator``: its own private one (``_own_estimator``), which it
+    attaches and hands its fault injector to, or one adopted with
+    :meth:`use_estimator` (the harness's), which is managed elsewhere.
+    """
 
     name = "base"
+    #: The DASE this policy decides from; None for one that reads none.
+    estimator: DASE | None = None
+    _own_estimator = False
+
+    def inject_faults(self, injector: "FaultInjector | None") -> None:
+        """Decide from the same delivered view the estimators see (the
+        injector is also forwarded to a privately-owned estimator)."""
+        super().inject_faults(injector)
+        if self._own_estimator:
+            self.estimator.inject_faults(injector)
+
+    def use_estimator(self, estimator: DASE) -> None:
+        """Adopt an externally-managed DASE (e.g. the harness's) instead of
+        the private one, so one estimator drives both the accuracy readout
+        and the policy — and the audit log carries a single DASE stream."""
+        if self.gpu is not None:
+            raise RuntimeError("cannot swap estimators after attach")
+        self.estimator = estimator
+        self._own_estimator = False
 
     def attach(self, gpu: GPU) -> None:
+        # The estimator must observe the interval *before* the policy acts.
+        if self.estimator is not None and (
+            self._own_estimator or self.estimator.gpu is None
+        ):
+            self.estimator.attach(gpu)
         self._listen(gpu, self.on_interval)
 
     @abc.abstractmethod
@@ -211,28 +241,6 @@ class DASEFairPolicy(AllocationPolicy):
         #: a change suspends hysteresis for one decision so the partition
         #: re-interpolates promptly after an arrival or departure.
         self._last_roster: tuple[int, ...] | None = None
-
-    def inject_faults(self, injector: "FaultInjector | None") -> None:
-        """Decide from the same delivered view the estimators see (the
-        injector is also forwarded to a privately-owned estimator)."""
-        super().inject_faults(injector)
-        if self._own_estimator:
-            self.estimator.inject_faults(injector)
-
-    def use_estimator(self, estimator: DASE) -> None:
-        """Adopt an externally-managed DASE (e.g. the harness's) instead of
-        the private one, so one estimator drives both the accuracy readout
-        and the policy — and the audit log carries a single DASE stream."""
-        if self.gpu is not None:
-            raise RuntimeError("cannot swap estimators after attach")
-        self.estimator = estimator
-        self._own_estimator = False
-
-    def attach(self, gpu: GPU) -> None:
-        # The estimator must observe the interval *before* the policy acts.
-        if self._own_estimator or self.estimator.gpu is None:
-            self.estimator.attach(gpu)
-        super().attach(gpu)
 
     def on_interval(self, records: list[IntervalRecord]) -> None:
         gpu = self.gpu

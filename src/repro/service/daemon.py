@@ -10,10 +10,12 @@ One :class:`ReproService` owns four things, and simulates nothing itself:
   default), or exactly one when ``jobs=N`` says how many processes a
   request may use — each draining the queue into a forked **job process**
   of the request's own (:mod:`repro.forked`), which runs it through the
-  hardened :func:`~repro.harness.parallel.run_jobs` harness (``n_jobs`` as
-  given: None is ``run_jobs``' own default, the request's alone replays
-  overlapped with its shared runs where there is a spare CPU) with
-  the telemetry bus and sweep checkpoints under ``state_dir``, so a
+  hardened :func:`~repro.harness.parallel.run_jobs` harness with the
+  process budget fixed at admission: ``jobs=N`` as given; otherwise
+  ``run_jobs``' own default (alone replays overlapped with the shared runs
+  by helper processes) when another slot is idle, and ``n_jobs=1`` (the
+  replays run in the job process itself) when every other slot is busy.
+  The telemetry bus and sweep checkpoints live under ``state_dir``, so a
   kill -9'd daemon resumes mid-sweep on restart.  The job process sends
   back progress and, last, its result; the journal, the event streams and
   the results store are written here, by this process only.  A job process
@@ -175,7 +177,9 @@ class ReproService:
         self.cache_dir = cache_dir or str(self.state_dir / "cache")
         self.host = host
         self._port = port
-        self.n_jobs = None if jobs is None else max(1, jobs)
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.n_jobs = jobs
         self.retries = retries
         self.allow_chaos = allow_chaos
         #: Jobs served at once.  An explicit ``jobs`` already says how many
@@ -394,6 +398,11 @@ class ReproService:
                 entry = self.queue.next()
                 if entry is None:  # racing cancel emptied the queue
                     continue
+                # Helpers only on an idle CPU: a request admitted while every
+                # other slot is busy replays its alone runs itself.
+                n_jobs = self.n_jobs
+                if n_jobs is None and self.queue.running >= self.slots:
+                    n_jobs = 1
                 job = self.jobs[entry.job_id]
                 job.state = RUNNING
                 self._emit(job, protocol.event(
@@ -403,7 +412,7 @@ class ReproService:
                 ))
                 self._emit(job, protocol.event("started", job=job.job_id))
             try:
-                settled = self._execute(job, entry.tenant, slot)
+                settled = self._execute(job, entry.tenant, slot, n_jobs)
                 if settled is None:
                     return  # stop() cut it short: the next start re-runs it
                 job.result, error = settled
@@ -431,14 +440,16 @@ class ReproService:
                 print(f"repro serve: job {job.job_id[:12]} failed: {last}",
                       file=sys.stderr, flush=True)
 
-    def _execute(self, job: Job, tenant: str, slot: int):
-        """Run ``job`` in a job process of its own, forwarding its progress
-        as stream events; returns ``(result, error)`` — or None when
+    def _execute(self, job: Job, tenant: str, slot: int, n_jobs: int | None):
+        """Run ``job`` in a job process of its own with process budget
+        ``n_jobs`` (``run_jobs``'), forwarding its progress as stream
+        events; returns ``(result, error)`` — or None when
         :meth:`stop` killed it.  A process that dies without answering, or
         answers what will not load, is an error saying so."""
         job.simulations += 1
         with self._spawn_lock:
-            proc, conn = forked.spawn(self._job_main, job, daemon=False)
+            proc, conn = forked.spawn(self._job_main, job, n_jobs,
+                                      daemon=False)
             pid = proc.pid
             try:
                 os.setpgid(pid, pid)  # the child does too; whoever is first
@@ -491,9 +502,10 @@ class ReproService:
 
     # --------------------------------------------- inside the job process
 
-    def _job_main(self, conn, job: Job) -> None:
+    def _job_main(self, conn, job: Job, n_jobs: int | None) -> None:
         """The job process: run ``job`` down the same path a direct caller
-        takes and answer ``(result, figure run to record, error)``.  It
+        takes, with ``n_jobs`` as its ``run_jobs`` budget, and answer
+        ``(result, figure run to record, error)``.  It
         holds a fork-time copy of the daemon and uses none of it that is
         shared — not the lock, the journal, the job table or the store's
         index; what those need travels back over ``conn``."""
@@ -504,11 +516,11 @@ class ReproService:
         run = error = None
         try:
             if job.kind in ("workload", "sweep"):
-                job.result = self._run_workloads(job, conn)
+                job.result = self._run_workloads(job, conn, n_jobs)
             elif job.kind == "scenario":
-                job.result, run = self._run_scenario(job, conn)
+                job.result, run = self._run_scenario(job, conn, n_jobs)
             else:
-                job.result = self._run_chaos(job, conn)
+                job.result = self._run_chaos(job, conn, n_jobs)
         except Exception as exc:  # noqa: BLE001 - the job's failure, reported
             error = f"{type(exc).__name__}: {exc}"
         try:
@@ -528,7 +540,9 @@ class ReproService:
             "result": res.to_dict() if hasattr(res, "to_dict") else res,
         }
 
-    def _run_workloads(self, job: Job, conn) -> dict[str, Any]:
+    def _run_workloads(
+        self, job: Job, conn, n_jobs: int | None,
+    ) -> dict[str, Any]:
         from repro.harness import scaled_config
         from repro.harness.parallel import WorkloadJob, run_jobs
 
@@ -547,7 +561,7 @@ class ReproService:
             for apps in workloads
         ]
         outcomes = run_jobs(
-            wjobs, n_jobs=self.n_jobs, progress=_Progress(conn),
+            wjobs, n_jobs=n_jobs, progress=_Progress(conn),
             retries=self.retries, checkpoint=self._ckpt_dir,
             bus=self._bus_dir,
         )
@@ -567,7 +581,7 @@ class ReproService:
             )
         return out
 
-    def _run_scenario(self, job: Job, conn):
+    def _run_scenario(self, job: Job, conn, n_jobs: int | None):
         """``(result, figure run)``: recording the run is the daemon's."""
         from repro.harness.figures import run_figure
         from repro.harness.parallel import (
@@ -588,7 +602,7 @@ class ReproService:
         )
         run = run_figure(
             resolved["name"], seed=resolved.get("seed"),
-            jobs=self.n_jobs, cache_dir=self.cache_dir, **params,
+            jobs=n_jobs, cache_dir=self.cache_dir, **params,
         )
         out: dict[str, Any] = {
             "kind": "scenario",
@@ -598,7 +612,9 @@ class ReproService:
         # The live result object stays here: the record is made of the rest.
         return out, dataclasses.replace(run, result=None)
 
-    def _run_chaos(self, job: Job, conn) -> dict[str, Any]:
+    def _run_chaos(
+        self, job: Job, conn, n_jobs: int | None,
+    ) -> dict[str, Any]:
         from repro.faults.chaos import ChaosJob
         from repro.harness.parallel import run_jobs
 
@@ -619,7 +635,7 @@ class ReproService:
             for i, entry in enumerate(spec["jobs"])
         ]
         outcomes = run_jobs(
-            cjobs, n_jobs=self.n_jobs, progress=_Progress(conn),
+            cjobs, n_jobs=n_jobs, progress=_Progress(conn),
             retries=spec["retries"], bus=self._bus_dir,
         )
         out = {

@@ -241,6 +241,11 @@ class AdmissionQueue:
     def __len__(self) -> int:
         return sum(len(q) for q in self._pending.values())
 
+    @property
+    def running(self) -> int:
+        """Requests scheduled and not yet completed."""
+        return self.scheduled - self.completed
+
     def _heads(self) -> list[QueuedRequest]:
         return [q[0] for q in self._pending.values() if q]
 
@@ -270,8 +275,7 @@ class AdmissionQueue:
             candidates={r.tenant: r.slowdown(now) for r in heads},
         ))
         self.registry.gauge("service.queue.pending").set(len(self))
-        self.registry.gauge("service.queue.running").set(
-            self.scheduled - self.completed)
+        self.registry.gauge("service.queue.running").set(self.running)
         return chosen
 
     def cancel(self, rid: str) -> QueuedRequest | None:
@@ -301,8 +305,7 @@ class AdmissionQueue:
                 else EST_ALPHA * service + (1.0 - EST_ALPHA) * prev
             )
         self.registry.counter("service.queue.completed").inc()
-        self.registry.gauge("service.queue.running").set(
-            self.scheduled - self.completed)
+        self.registry.gauge("service.queue.running").set(self.running)
         self.registry.histogram("service.queue.wait_s").observe(
             req.wait_s(now)
         )

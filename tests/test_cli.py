@@ -68,8 +68,10 @@ def test_limit_is_rejected_where_it_would_be_ignored(capsys):
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
     # And a sweep has at least one process, as `repro serve` insists too.
     for argv in (["fig5", "--jobs", "-3"], ["fig9", "--jobs", "0"]):
-        with pytest.raises(SystemExit, match="--jobs must be >= 1, got"):
+        with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
+        assert "--jobs: must be >= 1, got" in capsys.readouterr().err
     # The sweep flags shape run_jobs: an entry that runs inline (fig3, fig4,
     # the tables) used to accept and ignore every one of them.
     for flag in (["--jobs", "2"], ["--cache-dir", "c"], ["--progress"],
@@ -260,6 +262,21 @@ def test_limit_below_one_is_an_argparse_error(capsys, limit):
         build_parser().parse_args(["fig5", "--limit", limit])
     assert exc.value.code == 2
     assert f"--limit: must be >= 1, got {limit}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--jobs", "-3"], ["fig2", "--jobs", "0"],
+    ["serve", "--state-dir", "s", "--jobs", "0"],
+    ["serve", "--state-dir", "s", "--jobs", "-1"],
+])
+def test_jobs_below_one_is_an_argparse_error(capsys, argv):
+    # `repro serve --jobs 0` used to give one slot with no error.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(
+        f"--jobs: must be >= 1, got {argv[-1]}")
 
 
 @pytest.mark.parametrize("rates", ["0", "-1", "0.5,0"])

@@ -91,3 +91,33 @@ class TestControlLoop:
         pol.attach(gpu)
         est.history = [[2.5, 1.0], [1.5, 1.0], [None, 1.0], [2.1, 1.0]]
         assert pol.violations() == 2
+
+
+class TestUnderTheHarness:
+    def test_decides_from_the_harness_dase_and_its_fault_view(self):
+        # The policy used to keep a private DASE that never got the run's
+        # injector, so it decided from exact counters while every reported
+        # estimate was the noisy one.
+        from repro.faults import noise_plan
+        from repro.harness import run_workload, scaled_config
+
+        cfg = scaled_config()
+        pol = DASEQoSPolicy(cfg, 0, 2.0)
+        res = run_workload(["SD", "SB"], config=cfg, shared_cycles=60_000,
+                           policy=pol, faults=noise_plan(0.4, seed=3))
+        assert not pol._own_estimator
+        assert pol.estimator._faults is not None
+        assert pol.estimator.mean_estimates() == res.estimates["DASE"]
+
+    def test_adopting_the_harness_dase_leaves_fault_free_runs_as_they_were(
+            self):
+        from repro.harness import run_workload, scaled_config
+
+        cfg = scaled_config()
+        adopted = run_workload(["SD", "SB"], config=cfg, shared_cycles=60_000,
+                               policy=DASEQoSPolicy(cfg, 0, 2.0))
+        private = DASEQoSPolicy(cfg, 0, 2.0, estimator=DASE(cfg))
+        kept = run_workload(["SD", "SB"], config=cfg, shared_cycles=60_000,
+                            policy=private)
+        assert private.estimator.gpu is not None  # it decided from its own
+        assert adopted.to_dict() == kept.to_dict()

@@ -598,6 +598,8 @@ class TestJobProcesses:
         # An explicit --jobs already says how many processes a job may use.
         assert ReproService(tmp_path / "b", jobs=1).slots == 1
         assert ReproService(tmp_path / "c", jobs=4).slots == 1
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            ReproService(tmp_path / "d", jobs=0)
 
     @two_slots
     def test_tenants_jobs_overlap_with_the_direct_results(
@@ -647,6 +649,53 @@ class TestJobProcesses:
         assert final["scenario"]["record_id"] == rec.record_id
         assert final["scenario"]["scenario_id"] == spec.scenario_id()
         assert final["scenario"]["result"]["record_id"] == rec.record_id
+
+    @two_slots
+    def test_helpers_only_for_a_request_admitted_beside_an_idle_slot(
+            self, tmp_path, monkeypatch):
+        # The first request is admitted while the other slot is idle and
+        # overlaps its alone replays in helpers (chased spans); the second
+        # is admitted while every other slot is busy and replays its alone
+        # runs itself (no chased key).  Both give the direct results.
+        from repro import forked
+        from repro.harness import run_workload, scaled_config
+        from repro.obs.bus import read_bus
+
+        with monkeypatch.context() as m:
+            m.setattr(forked, "usable_cpus", lambda: 2)
+            svc, client, thread = _serving(tmp_path)
+        try:
+            assert svc.slots == 2
+            first = {"apps": ["NN", "VA"], "cycles": 60_000, "seed": 51}
+            second = {"apps": ["SD", "SB"], "cycles": 24_000, "seed": 51}
+            ids = [client.submit("workload", first, tenant="alice")["job"]]
+            _wait_running(client, 1)
+            ids.append(client.submit("workload", second,
+                                     tenant="bob")["job"])
+            _wait_running(client, 2)
+            final = [client.wait(job) for job in ids]
+            assert [f["status"] for f in final] == ["done", "done"]
+            for spec, status in zip((first, second), final):
+                direct = run_workload(spec["apps"],
+                                      config=scaled_config(seed=51),
+                                      shared_cycles=spec["cycles"])
+                assert status["result"]["result"] == direct.to_dict()
+        finally:
+            svc.stop()
+            thread.join(timeout=10.0)
+        records = read_bus(tmp_path / "state" / "bus")
+        sweep_of = {r["key"]: r["sweep"] for r in records
+                    if r["t"] == "job_start"}
+        replays = {
+            key: [r.get("args", {}) for r in records
+                  if r["t"] == "span" and r["name"] == "replay"
+                  and r["sweep"] == sweep_of[key]]
+            for key in ("NN+VA", "SD+SB")
+        }
+        assert len(replays["NN+VA"]) == 2
+        assert all(a.get("chased") is True for a in replays["NN+VA"])
+        assert len(replays["SD+SB"]) == 2
+        assert all("chased" not in a for a in replays["SD+SB"])
 
     @two_slots
     def test_a_killed_job_process_fails_its_job_only(self, tmp_path):
