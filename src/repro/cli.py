@@ -49,7 +49,11 @@ def _cmd_sweeping_fig(args) -> int:
     """An entry whose driver sweeps: the `_add_sweep_flags` flags shape and
     observe every `run_jobs` call it makes.  Entries that run inline have
     none of them and go straight to `_run_fig`."""
-    from repro.harness.parallel import set_default_progress, set_sweep_defaults
+    from repro.harness.parallel import (
+        set_default_progress,
+        set_sweep_defaults,
+        sweep_defaults,
+    )
 
     # --sweep-trace enables the cross-worker telemetry bus for every sweep
     # the driver runs; artifacts (trace.json, sweep.json, report.html, and
@@ -74,13 +78,10 @@ def _cmd_sweeping_fig(args) -> int:
             lambda total: SweepProgress(total, label=args.experiment,
                                         bus=bus_dir)
         )
-    if args.retries < 0:
-        raise SystemExit(f"--retries must be >= 0, got {args.retries}")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit(f"--timeout must be > 0, got {args.timeout}")
     # --timeout / --retries / --resume-dir / --sweep-trace harden and
     # observe every sweep the driver runs, via the ambient sweep defaults
     # (same pattern as progress).
+    ambient = sweep_defaults()
     set_sweep_defaults(
         timeout_s=args.timeout,
         retries=args.retries,
@@ -95,8 +96,7 @@ def _cmd_sweeping_fig(args) -> int:
         return rc
     finally:
         set_default_progress(None)
-        set_sweep_defaults(timeout_s=None, retries=0, checkpoint_dir=None,
-                           bus_dir=None, profile=False)
+        set_sweep_defaults(**ambient)
         from repro.obs import bus as obs_bus
 
         obs_bus.deactivate()
@@ -560,7 +560,11 @@ def _add_sweep_flags(fp: argparse.ArgumentParser) -> None:
     """The flags of an entry whose driver sweeps (``FigureDef.sweeps``),
     read by ``_cmd_sweeping_fig``.  An entry that runs inline would ignore
     every one of them, so it does not get them."""
-    from repro.figure_table import positive_int
+    from repro.figure_table import (
+        non_negative_int,
+        positive_float,
+        positive_int,
+    )
 
     fp.add_argument("--jobs", type=positive_int, default=None,
                     help="worker processes for the sweep (default: one "
@@ -573,12 +577,14 @@ def _add_sweep_flags(fp: argparse.ArgumentParser) -> None:
     fp.add_argument("--progress", action="store_true",
                     help="live per-job progress (ETA, jobs/s, cache "
                          "hits) on stderr for every sweep")
-    fp.add_argument("--timeout", type=float, default=None, metavar="S",
+    fp.add_argument("--timeout", type=positive_float, default=None,
+                    metavar="S",
                     help="per-job wall-clock timeout in seconds: "
                          "jobs run in worker processes (one, without "
                          "--jobs) and a hung worker is killed "
                          "(default: none)")
-    fp.add_argument("--retries", type=int, default=0, metavar="N",
+    fp.add_argument("--retries", type=non_negative_int, default=0,
+                    metavar="N",
                     help="retry failed/crashed/timed-out sweep jobs up "
                          "to N times with exponential backoff "
                          "(default: 0)")
@@ -608,7 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list
     )
 
-    from repro.figure_table import FIGURE_TABLE, positive_int
+    from repro.figure_table import (
+        FIGURE_TABLE,
+        non_negative_int,
+        positive_int,
+    )
 
     for fig in FIGURE_TABLE.values():
         fp = sub.add_parser(fig.name, help=fig.help)
@@ -674,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="admission policy: 'fair' minimizes max/min "
                          "tenant slowdown, 'fifo' is arrival order "
                          "(default: fair)")
-    sv.add_argument("--retries", type=int, default=0, metavar="N",
+    sv.add_argument("--retries", type=non_negative_int, default=0,
+                    metavar="N",
                     help="retry failed sweep jobs up to N times "
                          "(default: 0)")
     sv.add_argument("--allow-chaos", action="store_true",

@@ -281,6 +281,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ArgumentTypeError(f"must be > 0, got {value:g}")
+    return value
+
+
 def _positive_floats(text: str) -> tuple[float, ...]:
     values = _floats(text)
     for v in values:

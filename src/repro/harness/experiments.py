@@ -528,7 +528,6 @@ def fig9_dase_fair(
     """
     if pairs is None:
         pairs = fig9_pairs()
-    config = config or scaled_config()
     out = Fig9Result([], {}, {}, {}, {})
     runs = run_jobs(
         [
@@ -638,7 +637,6 @@ def fig_degradation(
         if not 0 <= sigma < math.inf:
             raise ValueError(
                 f"noise_sigma must be >= 0 and finite, got {sigma!r}")
-    shared_cycles = shared_cycles or default_shared_cycles()
     job_list: list[WorkloadJob] = []
     for policy in (None, "dase_fair"):
         for sigma in sigmas:

@@ -21,7 +21,8 @@ This module provides the fan-out machinery:
 
 * :class:`WorkloadJob` — a picklable description of one run (app names or
   :class:`KernelSpec` objects, config, cycles, partition, models, policy
-  name, fault plan, cache directory);
+  name, fault plan, cache directory), its defaults resolved when it is
+  built;
 * :func:`run_jobs` — execute jobs, each attempt in a forked process of
   its own (or inline for ``jobs <= 1``), returning :class:`JobOutcome`
   objects in submission order with per-job failures captured instead of
@@ -44,10 +45,10 @@ answer that will not unpickle is a lost result (``result-transport``);
 an attempt past the timeout is killed (``timeout``).
 
 Failed attempts retry up to ``retries`` times, each after its own
-exponential backoff + jitter while the other jobs run on.  Replay tasks
-are ``execute()``-style jobs in the same machinery, so all of the above
-holds for them; one that stays failed fails exactly the jobs waiting on
-it, with its ``failure_kind``.  ``checkpoint`` (a directory) makes
+exponential backoff (from :data:`BACKOFF_S`) + jitter while the other jobs
+run on.  Replay tasks are ``execute()``-style jobs in the same machinery,
+so all of the above holds for them; one that stays failed fails exactly
+the jobs waiting on it, with its ``failure_kind``.  ``checkpoint`` (a directory) makes
 completed jobs durable so an interrupted sweep resumes instead of
 restarting (:class:`repro.harness.checkpoint.SweepCheckpoint`);
 a job is complete, and checkpointed, only once its replays are in.
@@ -72,19 +73,20 @@ from repro import forked
 from repro.config import GPUConfig
 from repro.harness.replay_cache import (
     AloneReplayCache,
-    config_fingerprint,
-    resolve_cache,
-    spec_fingerprint,
+    cache_directory,
+    default_cache_dir,
 )
 from repro.obs import bus as obs_bus
 from repro.harness.runner import (
     AloneClock,
+    AloneTrajectory,
     ReplayRequest,
     WorkloadResult,
     _Chaser,
     _resolve,
     alone_budget,
     default_shared_cycles,
+    profiled,
     replay_alone,
     run_workload,
     scaled_config,
@@ -118,15 +120,26 @@ FAIL_TRANSPORT = "result-transport"   # finished, result unpicklable/lost
 
 @dataclass(frozen=True)
 class WorkloadJob:
-    """One picklable unit of sweep work: the arguments of ``run_workload``.
+    """One picklable unit of sweep work: the arguments of ``run_workload``,
+    resolved once, where the job is built.
+
+    ``config`` of None becomes :func:`scaled_config`, ``shared_cycles`` of
+    None :func:`default_shared_cycles` — so a job's fingerprint, and the
+    sweep checkpoint named by it, tells the scales apart — and
+    ``cache_dir`` of None ``$REPRO_CACHE_DIR`` when that is set (a missing
+    or empty directory included: the sweep creates and fills it); a path
+    that exists and is not a directory is a ``ValueError`` here.
+    ``apps``, ``sm_partition`` and ``models`` become tuples.
 
     ``apps`` may mix suite names and frozen :class:`KernelSpec` objects —
-    both pickle cleanly.  ``policy`` is a :data:`POLICIES` key or None.
-    ``faults`` optionally distorts the counter stream the estimators see
-    (:class:`repro.faults.FaultPlan` — frozen, so it fingerprints and
-    pickles like every other field).  ``arrivals`` optionally makes the
-    run open-system (:class:`repro.opensys.ArrivalSchedule` — likewise
-    frozen, fingerprintable, and picklable).
+    both pickle cleanly; a name is looked up only when the job runs, so an
+    unknown one fails that job, not the sweep.  ``policy`` is a
+    :data:`POLICIES` key or None.  ``faults`` optionally distorts the
+    counter stream the estimators see (:class:`repro.faults.FaultPlan` —
+    frozen, so it fingerprints and pickles like every other field).
+    ``arrivals`` optionally makes the run open-system
+    (:class:`repro.opensys.ArrivalSchedule` — likewise frozen,
+    fingerprintable, and picklable).
     """
 
     apps: tuple[KernelSpec | str, ...]
@@ -135,10 +148,26 @@ class WorkloadJob:
     sm_partition: tuple[int, ...] | None = None
     models: tuple[str, ...] = ("DASE", "MISE", "ASM")
     policy: str | None = None
-    warmup_intervals: int = 1
     cache_dir: str | None = None
     faults: "FaultPlan | None" = None
     arrivals: "ArrivalSchedule | None" = None
+
+    def __post_init__(self) -> None:
+        cache_dir = self.cache_dir or default_cache_dir()
+        resolved = {
+            "apps": tuple(self.apps),
+            "config": self.config or scaled_config(),
+            "shared_cycles": self.shared_cycles or default_shared_cycles(),
+            "sm_partition": (
+                tuple(self.sm_partition) if self.sm_partition else None
+            ),
+            "models": tuple(self.models),
+            "cache_dir": (
+                None if cache_dir is None else str(cache_directory(cache_dir))
+            ),
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
 
     @property
     def key(self) -> str:
@@ -192,6 +221,34 @@ class JobOutcome:
     def ok(self) -> bool:
         return self.error is None
 
+    def land(
+        self,
+        req: ReplayRequest,
+        clock: AloneClock | None,
+        seconds: float = 0.0,
+        credit: bool = False,
+        failure: tuple[str, str, str | None] | None = None,
+    ) -> bool:
+        """Land one of the alone replays this job is owed: its ``clock``,
+        the ``seconds`` it cost this job and, ``credit``, the curve file it
+        wrote — or the ``failure`` (kind, error, stderr tail) that fails the
+        job.  Returns whether the job is settled: failed, or its last clock
+        in.  A job already failed takes nothing more."""
+        if self.ok:
+            self.deferred.remove(req)
+            if failure is not None:
+                self.result = None
+                self.failure_kind, self.error, self.stderr_tail = failure
+            else:
+                self.result.set_alone(req.trajectory.stream_id, clock.cycles)
+                self.duration_s += seconds
+                self.replay_s += seconds
+                if credit and self.cache is not None:
+                    self.cache["stores"] += 1
+        if not self.ok:
+            self.deferred = []
+        return not self.deferred
+
     def unwrap(self) -> WorkloadResult:
         if self.result is None:
             raise RuntimeError(
@@ -211,7 +268,6 @@ def _run_workload_job(
     serve land in the list instead of being simulated — those of the apps
     in ``chase`` as asks their helper will answer.
     """
-    config = job.config or scaled_config()
     policy = None
     if job.policy is not None:
         try:
@@ -220,18 +276,17 @@ def _run_workload_job(
             raise ValueError(
                 f"unknown policy {job.policy!r}; choose from {sorted(POLICIES)}"
             ) from None
-        policy = factory(config)
+        policy = factory(job.config)
     cache: AloneReplayCache | None = (
         AloneReplayCache(job.cache_dir) if job.cache_dir else None
     )
     result = run_workload(
         list(job.apps),
-        config=config,
+        config=job.config,
         shared_cycles=job.shared_cycles,
-        sm_partition=list(job.sm_partition) if job.sm_partition else None,
+        sm_partition=job.sm_partition,
         models=job.models,
         policy=policy,
-        warmup_intervals=job.warmup_intervals,
         alone_cache=cache,
         faults=job.faults,
         arrivals=job.arrivals,
@@ -261,12 +316,8 @@ class ReplayJob:
     retry and bus machinery as any other.
     """
 
-    spec: KernelSpec
-    stream_id: int
-    config: GPUConfig
+    trajectory: AloneTrajectory
     counts: tuple[int, ...]
-    max_cycles: int
-    cache_dir: str | None = None
 
     #: Bus records of replay tasks carry this, so SweepStats can tell them
     #: from the sweep's own jobs.
@@ -274,13 +325,14 @@ class ReplayJob:
 
     @property
     def key(self) -> str:
-        return f"replay:{self.spec.name}#{self.stream_id}"
+        t = self.trajectory
+        return f"replay:{t.spec.name}#{t.stream_id}"
 
     def execute(self) -> dict[int, AloneClock]:
-        cache = AloneReplayCache(self.cache_dir) if self.cache_dir else None
+        t = self.trajectory
         return replay_alone(
-            self.spec, self.stream_id, self.config, self.counts,
-            cache, self.max_cycles,
+            t.spec, t.stream_id, t.config, self.counts, t.cache(),
+            t.max_cycles,
         )
 
 
@@ -333,33 +385,23 @@ def _observed_run(
     pickle round — the transport cost a pooled job pays and an inline one
     does not, so it is only recorded in job processes.
     """
-    if ch is None:
-        outcome = _guarded((index, job), chase)
-        outcome.attempts = attempt
-        return outcome
-    ch.job_start(
-        sweep or "?", index, getattr(job, "key", repr(job)),
-        attempt=attempt, submit_ts=submit_ts,
-        kind=getattr(job, "kind", None),
+    if ch is not None:
+        ch.job_start(
+            sweep or "?", index, getattr(job, "key", repr(job)),
+            attempt=attempt, submit_ts=submit_ts,
+            kind=getattr(job, "kind", None),
+        )
+    dump = (
+        str(obs_bus.profile_path(bus_dir, index, attempt))
+        if profile and bus_dir else None
     )
-    prof = None
-    if profile and bus_dir:
-        import cProfile
-
-        prof = cProfile.Profile()
-        prof.enable()
-    try:
+    # The dump is made after the outcome is in: a bus dir that vanished
+    # meanwhile costs the profile, not the attempt.
+    with contextlib.suppress(OSError), profiled(dump):
         outcome = _guarded((index, job), chase)
-    finally:
-        if prof is not None:
-            prof.disable()
-            try:
-                prof.dump_stats(
-                    str(obs_bus.profile_path(bus_dir, index, attempt))
-                )
-            except OSError:  # pragma: no cover - bus dir vanished
-                pass
     outcome.attempts = attempt
+    if ch is None:
+        return outcome
     if serialize:
         import pickle
 
@@ -398,8 +440,6 @@ def set_default_progress(factory: Callable[[int], object] | None) -> None:
     _PROGRESS_FACTORY = factory
 
 
-_UNSET = object()
-
 #: Ambient resilience defaults, consumed by :func:`run_jobs` when the
 #: caller passes None — the same pattern as the progress factory, so the
 #: CLI's ``--timeout/--retries/--resume-dir`` flags reach every sweep a
@@ -407,7 +447,6 @@ _UNSET = object()
 _SWEEP_DEFAULTS: dict = {
     "timeout_s": None,
     "retries": 0,
-    "backoff_s": 0.5,
     "checkpoint_dir": None,
     "bus_dir": None,
     "profile": False,
@@ -434,30 +473,27 @@ def _next_sweep_id() -> str:
     return f"{pid}-{_SWEEP_PROCESS[1]}-{_SWEEP_SEQ}"
 
 
-def set_sweep_defaults(
-    timeout_s=_UNSET, retries=_UNSET, backoff_s=_UNSET, checkpoint_dir=_UNSET,
-    bus_dir=_UNSET, profile=_UNSET,
-) -> None:
-    """Set ambient defaults for sweep resilience (only the passed ones).
+def _check_retries(retries: int) -> None:
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+
+
+def set_sweep_defaults(**changes) -> None:
+    """Set ambient defaults for sweep resilience (only the passed ones):
+    any of the :data:`_SWEEP_DEFAULTS` keys.
 
     ``bus_dir`` enables the cross-worker telemetry bus
     (:mod:`repro.obs.bus`) for every subsequent sweep; ``profile``
     additionally cProfiles each job into the bus directory.
     """
-    if timeout_s is not _UNSET:
-        _SWEEP_DEFAULTS["timeout_s"] = timeout_s
-    if retries is not _UNSET:
-        if retries is not None and retries < 0:
-            raise ValueError("retries must be >= 0")
-        _SWEEP_DEFAULTS["retries"] = retries
-    if backoff_s is not _UNSET:
-        _SWEEP_DEFAULTS["backoff_s"] = backoff_s
-    if checkpoint_dir is not _UNSET:
-        _SWEEP_DEFAULTS["checkpoint_dir"] = checkpoint_dir
-    if bus_dir is not _UNSET:
-        _SWEEP_DEFAULTS["bus_dir"] = bus_dir
-    if profile is not _UNSET:
-        _SWEEP_DEFAULTS["profile"] = bool(profile)
+    unknown = changes.keys() - _SWEEP_DEFAULTS.keys()
+    if unknown:
+        raise TypeError(f"unknown sweep defaults: {sorted(unknown)}")
+    if "retries" in changes:
+        _check_retries(changes["retries"])
+    if "profile" in changes:
+        changes["profile"] = bool(changes["profile"])
+    _SWEEP_DEFAULTS.update(changes)
 
 
 def sweep_defaults() -> dict:
@@ -465,12 +501,17 @@ def sweep_defaults() -> dict:
     return dict(_SWEEP_DEFAULTS)
 
 
-def _backoff_s(backoff_s: float, attempt: int) -> float:
+#: The wait after a job's first failed attempt, in seconds; each later one
+#: doubles it (:func:`_backoff_s`).
+BACKOFF_S = 0.5
+
+
+def _backoff_s(attempt: int) -> float:
     """How long a job waits after its failed ``attempt`` before the next:
-    ``backoff_s · 2^(attempt−1)``, capped at 30 s, ±25 % jitter."""
-    if backoff_s <= 0:
+    ``BACKOFF_S · 2^(attempt−1)``, capped at 30 s, ±25 % jitter."""
+    if BACKOFF_S <= 0:
         return 0.0
-    delay = min(backoff_s * (2 ** (attempt - 1)), 30.0)
+    delay = min(BACKOFF_S * (2 ** (attempt - 1)), 30.0)
     return delay * (1.0 + 0.25 * (2.0 * random.random() - 1.0))
 
 
@@ -486,7 +527,6 @@ def run_jobs(
     *,
     timeout_s: float | None = None,
     retries: int | None = None,
-    backoff_s: float | None = None,
     checkpoint: "SweepCheckpoint | str | os.PathLike | None" = None,
     bus: "str | os.PathLike | None" = None,
     profile: bool | None = None,
@@ -511,8 +551,9 @@ def run_jobs(
     ``timeout_s``, or by returning a result the parent cannot unpickle — is
     returned as a failed :class:`JobOutcome` rather than aborting the rest.
 
-    ``retries`` re-runs failed attempts (any failure kind) up to that many
-    extra times, each after ``backoff_s · 2^(attempt−1)`` (±25% jitter,
+    ``retries`` (>= 0, else ``ValueError``) re-runs failed attempts (any
+    failure kind) up to that many extra times, each after
+    ``BACKOFF_S · 2^(attempt−1)`` seconds (:data:`BACKOFF_S`, ±25% jitter,
     capped at 30 s).  ``timeout_s`` kills the process of an attempt that
     exceeds it; only an attempt in a process of its own can be preempted,
     so a sweep with a timeout runs that way whatever ``n_jobs`` says —
@@ -524,7 +565,8 @@ def run_jobs(
 
     :class:`WorkloadJob` sweeps run in phases (module docstring): shared
     runs first, then one alone replay per application trajectory instead
-    of one per pairing, with identical results.  ``timeout_s`` and
+    of one per pairing, with identical results.  Each job runs as it was
+    resolved when built — config, window and cache directory included.  ``timeout_s`` and
     ``retries`` apply to a replay task as to any job.
 
     ``progress`` (or, if None, the factory installed with
@@ -540,15 +582,14 @@ def run_jobs(
     same directory for a sweep-wide merged hot-function table.  Both fall
     back to the ambient defaults when None.
     """
+    if retries is None:
+        retries = _SWEEP_DEFAULTS["retries"]
+    _check_retries(retries)
     indexed = list(enumerate(jobs))
     if not indexed:
         return []
     if timeout_s is None:
         timeout_s = _SWEEP_DEFAULTS["timeout_s"]
-    if retries is None:
-        retries = _SWEEP_DEFAULTS["retries"]
-    if backoff_s is None:
-        backoff_s = _SWEEP_DEFAULTS["backoff_s"]
     if checkpoint is None:
         checkpoint = _SWEEP_DEFAULTS["checkpoint_dir"]
     if bus is None:
@@ -623,12 +664,12 @@ def run_jobs(
     def run_phase(todo, done, chased=()) -> None:
         if not pooled:
             _run_inline(
-                todo, retries, backoff_s, done, chased,
+                todo, retries, done, chased,
                 ch=ch, sweep=sweep_id, profile=profile, bus_dir=bus_dir,
             )
         elif todo:
             _run_pool(
-                todo, n_workers, timeout_s, retries, backoff_s, done,
+                todo, n_workers, timeout_s, retries, done,
                 sweep=sweep_id, bus_dir=bus_dir, profile=profile,
             )
 
@@ -684,32 +725,13 @@ def _can_overlap() -> bool:
     )
 
 
-def _trajectory(
-    spec: KernelSpec, stream_id: int, config: GPUConfig, max_cycles: int,
-    cache_dir: str | None,
-) -> tuple:
-    """What makes two alone replays one trajectory: the kernel as replayed
-    and the semantic config — the replay cache's own ``spec``/``config``
-    fingerprints — plus the clock budget and the cache the clocks go to,
-    so every asker gets exactly what its own standalone replay would have
-    given it."""
-    return (
-        spec_fingerprint(spec, stream_id), config_fingerprint(config),
-        max_cycles, cache_dir,
-    )
-
-
 @dataclass
 class _Chased:
     """One alone trajectory whose askers are one consecutive run of a
     sweep's jobs (:func:`_chase_census`): what :class:`_Helpers` forks a
     :class:`_Chaser` for."""
 
-    spec: KernelSpec
-    stream_id: int
-    config: GPUConfig
-    max_cycles: int
-    cache_dir: str | None
+    trajectory: AloneTrajectory
     #: The indices of the jobs that ask for it, in turn order.
     askers: list[int] = field(default_factory=list)
 
@@ -726,15 +748,13 @@ def _chase_census(todo: list[tuple[int, object]]) -> list[_Chased]:
     will replay: every app of the roster, keyed as :class:`_ReplayPlan` keys
     the requests it is left with.
     """
-    #: Trajectory → its census entry, or None once it cannot be chased.
+    #: Trajectory key → its census entry, or None once it cannot be chased.
     found: dict[tuple, _Chased | None] = {}
-    #: Trajectory → the turn of its latest asker.
+    #: Trajectory key → the turn of its latest asker.
     latest: dict[tuple, int] = {}
     for turn, (index, job) in enumerate(todo):
         if not isinstance(job, WorkloadJob):
             continue
-        config = job.config or scaled_config()
-        max_cycles = alone_budget(job.shared_cycles or default_shared_cycles())
         roster = list(job.apps)
         open_system = job.arrivals is not None and not job.arrivals.is_null
         if job.arrivals is not None:
@@ -743,12 +763,13 @@ def _chase_census(todo: list[tuple[int, object]]) -> list[_Chased]:
             specs = [_resolve(a)[1] for a in roster]
         except KeyError:
             continue  # an unknown app: the job fails on its own, in its turn
+        max_cycles = alone_budget(job.shared_cycles)
         for stream_id, spec in enumerate(specs):
-            key = _trajectory(spec, stream_id, config, max_cycles,
-                              job.cache_dir)
+            trajectory = AloneTrajectory(spec, stream_id, job.config,
+                                         max_cycles, job.cache_dir)
+            key = trajectory.key
             if key not in found:
-                found[key] = _Chased(spec, stream_id, config, max_cycles,
-                                     job.cache_dir)
+                found[key] = _Chased(trajectory)
             elif found[key] is None:
                 continue
             if open_system or latest.get(key, turn - 1) != turn - 1:
@@ -761,7 +782,7 @@ def _chase_census(todo: list[tuple[int, object]]) -> list[_Chased]:
 
 class _ReplayPlan:
     """Which alone trajectories a sweep's deferred replays need, and which
-    jobs wait on each (requests grouped by :func:`_trajectory`).
+    jobs wait on each (requests grouped by :attr:`AloneTrajectory.key`).
     """
 
     def __init__(self, waiting: dict[int, JobOutcome], first_index: int):
@@ -769,23 +790,15 @@ class _ReplayPlan:
         self.first_index = first_index
         by_trajectory: dict[tuple, list[tuple[int, ReplayRequest]]] = {}
         for index in sorted(waiting):
-            cache_dir = getattr(waiting[index].job, "cache_dir", None)
             for req in waiting[index].deferred:
-                trajectory = _trajectory(
-                    req.spec, req.stream_id, req.config, req.max_cycles,
-                    cache_dir,
-                )
-                by_trajectory.setdefault(trajectory, []).append((index, req))
+                by_trajectory.setdefault(req.trajectory.key, []).append(
+                    (index, req))
         #: Per task: the (job index, request) pairs it serves.
         self.askers = list(by_trajectory.values())
         self.tasks = [
-            ReplayJob(
-                askers[0][1].spec, askers[0][1].stream_id,
-                askers[0][1].config,
-                tuple(req.instructions for _, req in askers),
-                max_cycles, cache_dir,
-            )
-            for (_, _, max_cycles, cache_dir), askers in by_trajectory.items()
+            ReplayJob(askers[0][1].trajectory,
+                      tuple(req.instructions for _, req in askers))
+            for askers in self.askers
         ]
 
     def todo(self) -> list[tuple[int, ReplayJob]]:
@@ -793,43 +806,34 @@ class _ReplayPlan:
 
     def deliver(self, task: JobOutcome) -> list[JobOutcome]:
         """Apply one finished replay task; returns the jobs it completes
-        (or, failed for good, takes down with it), ready to settle."""
+        (or, failed for good, takes down with it), ready to settle.  A
+        clock's seconds are shared by the jobs that asked for its count,
+        and the curve file it wrote is credited to the first of them."""
         askers = self.askers[task.index - self.first_index]
-        done: list[JobOutcome] = []
-        if not task.ok:
-            for index in dict.fromkeys(i for i, _ in askers):
-                outcome = self.waiting.pop(index, None)
-                if outcome is None:
-                    continue  # already failed by another of its replays
-                outcome.result = None
-                outcome.deferred = []
-                outcome.failure_kind = task.failure_kind
-                outcome.stderr_tail = task.stderr_tail
-                outcome.error = (
-                    f"alone replay {task.job.key} failed after "
-                    f"{task.attempts} attempt(s):\n{task.error}"
-                )
-                done.append(outcome)
-            return done
-        clocks: dict[int, AloneClock] = task.result
+        failure = None
+        clocks: dict[int, AloneClock] = {}
+        if task.ok:
+            clocks = task.result
+        else:
+            failure = (
+                task.failure_kind,
+                f"alone replay {task.job.key} failed after "
+                f"{task.attempts} attempt(s):\n{task.error}",
+                task.stderr_tail,
+            )
         sharers = Counter(req.instructions for _, req in askers)
-        #: Counts whose curve write is still to be credited — to the first
-        #: job that asked for the count.
+        #: Counts whose curve write is still to be credited.
         stored = {n for n, clock in clocks.items() if clock.stored}
+        done: list[JobOutcome] = []
         for index, req in askers:
             outcome = self.waiting.get(index)
             if outcome is None:
-                continue
-            clock = clocks[req.instructions]
-            outcome.result.set_alone(req.stream_id, clock.cycles)
-            share = clock.seconds / sharers[req.instructions]
-            outcome.duration_s += share
-            outcome.replay_s += share
-            if outcome.cache is not None and req.instructions in stored:
-                stored.remove(req.instructions)
-                outcome.cache["stores"] += 1
-            outcome.deferred.remove(req)
-            if not outcome.deferred:
+                continue  # already failed by another of its replays
+            clock = clocks.get(req.instructions)
+            seconds = clock.seconds / sharers[req.instructions] if clock else 0.0
+            credit = req.instructions in stored
+            stored.discard(req.instructions)
+            if outcome.land(req, clock, seconds, credit, failure):
                 done.append(self.waiting.pop(index))
         return done
 
@@ -867,20 +871,18 @@ class _Helpers:
     def start(self, index: int) -> dict[int, _Chaser]:
         """Fork the helpers job ``index`` is the first to ask; its helpers."""
         for entry in self._first.pop(index, ()):
-            cache = (AloneReplayCache(entry.cache_dir) if entry.cache_dir
-                     else None)
-            chaser = _Chaser(entry.spec, entry.stream_id, entry.config,
-                             cache, entry.max_cycles)
+            chaser = _Chaser(entry.trajectory)
             self._owed[chaser] = 1
             self._last.setdefault(entry.askers[-1], []).append(chaser)
             for asker in entry.askers:
-                self._of_job.setdefault(asker, {})[entry.stream_id] = chaser
+                self._of_job.setdefault(asker, {})[
+                    entry.trajectory.stream_id] = chaser
         return self._of_job.get(index, {})
 
     def ran(self, outcome: JobOutcome) -> None:
         """Job ``outcome.index``'s turn is over: it waits for what it asked."""
         helpers = self._of_job.pop(outcome.index, {})
-        asks = [(helpers[req.stream_id], req)
+        asks = [(helpers[req.trajectory.stream_id], req)
                 for req in outcome.deferred if req.chased]
         self._owed.update(chaser for chaser, _ in asks)
         self._waiting.append((outcome, asks))
@@ -900,27 +902,17 @@ class _Helpers:
             with self._serving(outcome.index):
                 for chaser, req in asks:
                     self._answer(outcome, chaser, req)
-            if not outcome.ok:
-                outcome.deferred = []
             done(outcome)
 
     def _answer(self, outcome: JobOutcome, chaser: _Chaser,
                 req: ReplayRequest) -> None:
-        outcome.deferred.remove(req)
         try:
             clock = chaser.answer(req.instructions)
         except Exception:  # noqa: BLE001 - the replay's own error, as inline
-            if outcome.ok:
-                outcome.result = None
-                outcome.failure_kind = FAIL_EXCEPTION
-                outcome.error = traceback.format_exc()
+            outcome.land(req, None, failure=(
+                FAIL_EXCEPTION, traceback.format_exc(), None))
         else:
-            outcome.duration_s += clock.seconds
-            outcome.replay_s += clock.seconds
-            if outcome.ok:
-                outcome.result.set_alone(req.stream_id, clock.cycles)
-                if clock.stored and outcome.cache is not None:
-                    outcome.cache["stores"] += 1
+            outcome.land(req, clock, clock.seconds, clock.stored)
         finally:
             self._paid(chaser)
 
@@ -946,7 +938,6 @@ class _Helpers:
 def _run_inline(
     todo: list[tuple[int, object]],
     retries: int,
-    backoff_s: float,
     done: Callable[[JobOutcome], None],
     chased: Sequence[_Chased] = (),
     ch: "obs_bus.WorkerChannel | None" = None,
@@ -981,7 +972,7 @@ def _run_inline(
                 )
                 if outcome.ok or attempt > retries:
                     break
-                time.sleep(_backoff_s(backoff_s, attempt))
+                time.sleep(_backoff_s(attempt))
             helpers.ran(outcome)
         helpers.collect(done, keep=0)
     finally:
@@ -1070,7 +1061,6 @@ def _run_pool(
     n_workers: int,
     timeout_s: float | None,
     retries: int,
-    backoff_s: float,
     settle: Callable[[JobOutcome], None],
     sweep: str | None = None,
     bus_dir: str | None = None,
@@ -1112,7 +1102,7 @@ def _run_pool(
                     settle(outcome)
                 else:
                     queue.append((
-                        time.monotonic() + _backoff_s(backoff_s, a.attempt),
+                        time.monotonic() + _backoff_s(a.attempt),
                         a.index, a.job, a.attempt + 1,
                     ))
     finally:
@@ -1128,37 +1118,22 @@ def workload_jobs(
     sm_partition: Sequence[int] | None = None,
     models: Sequence[str] = ("DASE", "MISE", "ASM"),
     policy: str | None = None,
-    warmup_intervals: int = 1,
     cache_dir: str | None = None,
     faults: "FaultPlan | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
 ) -> list[WorkloadJob]:
-    """One :class:`WorkloadJob` per workload, sharing every run parameter.
-
-    ``cache_dir`` of None falls back to ``$REPRO_CACHE_DIR`` (see
-    :func:`repro.harness.replay_cache.resolve_cache`); pass a path to
-    persist alone replays across invocations.  Drivers that compare
-    several parameter sets over the same workloads concatenate the lists
-    into one :func:`run_jobs` sweep, so each application's alone trajectory
-    is simulated once for all of them.
+    """One :class:`WorkloadJob` per workload, sharing every run parameter;
+    each job resolves what is left None as :class:`WorkloadJob` says —
+    ``cache_dir`` to ``$REPRO_CACHE_DIR`` when that is set.  Drivers that
+    compare several parameter sets over the same workloads concatenate the
+    lists into one :func:`run_jobs` sweep, so each application's alone
+    trajectory is simulated once for all of them.
     """
-    if cache_dir is not None:
-        AloneReplayCache(cache_dir)  # fail fast on an unusable directory
-    else:
-        resolved = resolve_cache(None)
-        cache_dir = str(resolved.directory) if resolved else None
     return [
         WorkloadJob(
-            apps=tuple(combo),
-            config=config,
-            shared_cycles=shared_cycles,
-            sm_partition=tuple(sm_partition) if sm_partition else None,
-            models=tuple(models),
-            policy=policy,
-            warmup_intervals=warmup_intervals,
-            cache_dir=cache_dir,
-            faults=faults,
-            arrivals=arrivals,
+            apps=combo, config=config, shared_cycles=shared_cycles,
+            sm_partition=sm_partition, models=models, policy=policy,
+            cache_dir=cache_dir, faults=faults, arrivals=arrivals,
         )
         for combo in workloads
     ]
@@ -1172,7 +1147,6 @@ def run_workloads(
     sm_partition: Sequence[int] | None = None,
     models: Sequence[str] = ("DASE", "MISE", "ASM"),
     policy: str | None = None,
-    warmup_intervals: int = 1,
     cache_dir: str | None = None,
     faults: "FaultPlan | None" = None,
     arrivals: "ArrivalSchedule | None" = None,
@@ -1188,7 +1162,6 @@ def run_workloads(
     specs = workload_jobs(
         workloads, config=config, shared_cycles=shared_cycles,
         sm_partition=sm_partition, models=models, policy=policy,
-        warmup_intervals=warmup_intervals, cache_dir=cache_dir,
-        faults=faults, arrivals=arrivals,
+        cache_dir=cache_dir, faults=faults, arrivals=arrivals,
     )
     return run_jobs(specs, n_jobs=jobs)

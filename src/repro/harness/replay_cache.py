@@ -94,6 +94,17 @@ def default_cache_dir() -> pathlib.Path | None:
     return pathlib.Path(d) if d else None
 
 
+def cache_directory(directory: str | os.PathLike) -> pathlib.Path:
+    """``directory`` as a cache directory: it may be missing (the first
+    store creates it), but nothing other than a directory may be there."""
+    path = pathlib.Path(directory)
+    if path.exists() and not path.is_dir():
+        raise ValueError(
+            f"cache directory {path} exists but is not a directory"
+        )
+    return path
+
+
 def entry_checksum(entry: dict) -> str:
     """Self-checksum of a cache entry: SHA-256 over the canonical JSON of
     every field except ``checksum`` itself."""
@@ -134,12 +145,7 @@ class AloneReplayCache:
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = pathlib.Path(directory)
-        if self.directory.exists() and not self.directory.is_dir():
-            raise ValueError(
-                f"cache directory {self.directory} exists but is not a "
-                "directory"
-            )
+        self.directory = cache_directory(directory)
         self._mem: dict[str, ProgressCurve] = {}
         self.hits = 0
         self.misses = 0

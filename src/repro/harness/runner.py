@@ -17,6 +17,7 @@ compared against the ground truth of the execution it observed.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 import traceback
@@ -27,6 +28,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 from repro import forked
 from repro.config import GPUConfig
 from repro.core import ASM, DASE, MISE, PriorityRotator, SlowdownEstimator
+from repro.harness.replay_cache import (
+    AloneReplayCache,
+    config_fingerprint,
+    spec_fingerprint,
+)
 from repro.metrics import (
     estimation_error,
     gini,
@@ -45,8 +51,11 @@ from repro.workloads import SUITE
 if TYPE_CHECKING:  # pragma: no cover - only the annotations need these
     from repro.faults.inject import FaultInjector
     from repro.faults.plan import FaultPlan
-    from repro.harness.replay_cache import AloneReplayCache
     from repro.opensys.schedule import ArrivalSchedule
+
+#: Estimation intervals at the start of a shared run left out of every
+#: mean estimate: the first interval is the estimators' warm-up.
+WARMUP_INTERVALS = 1
 
 
 def full_scale() -> bool:
@@ -249,16 +258,44 @@ class AloneClock(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ReplayRequest:
-    """An alone replay a shared run still owes: phase 1 → phase 2 of a
-    sweep, or — ``chased`` — an answer its app's :class:`_Chaser` owes.
-    ``stream_id`` is also the app's position in the result."""
+class AloneTrajectory:
+    """One application alone on the full GPU: the kernel as replayed
+    (``spec``, ``stream_id`` — also the app's position in a result), the
+    config, the clock budget and the cache directory its clocks go to.
 
-    stream_id: int
+    Each alone replay a sweep owes — left to a replay task or chased by a
+    helper — is one count along such a trajectory.
+    """
+
     spec: KernelSpec
+    stream_id: int
     config: GPUConfig
-    instructions: int
     max_cycles: int
+    cache_dir: str | None = None
+
+    @property
+    def key(self) -> tuple:
+        """What makes two alone replays one trajectory: the replay cache's
+        own ``spec``/``config`` fingerprints, plus the clock budget and the
+        cache, so every asker gets exactly what its own standalone replay
+        would have given it."""
+        return (
+            spec_fingerprint(self.spec, self.stream_id),
+            config_fingerprint(self.config), self.max_cycles, self.cache_dir,
+        )
+
+    def cache(self) -> AloneReplayCache | None:
+        return AloneReplayCache(self.cache_dir) if self.cache_dir else None
+
+
+@dataclass(frozen=True)
+class ReplayRequest:
+    """An alone replay a shared run still owes: the clock at
+    ``instructions`` along ``trajectory`` — phase 1 → phase 2 of a sweep,
+    or, ``chased``, an answer the trajectory's :class:`_Chaser` owes."""
+
+    trajectory: AloneTrajectory
+    instructions: int
     chased: bool = False
 
 
@@ -307,35 +344,30 @@ class _AloneMachine:
 
     def __init__(
         self,
-        spec: KernelSpec,
-        stream_id: int,
-        config: GPUConfig,
-        cache: "AloneReplayCache | None",
+        trajectory: AloneTrajectory,
+        cache: AloneReplayCache | None,
         record: bool = False,
     ) -> None:
-        self.spec = spec
-        self.stream_id = stream_id
-        self.config = config
+        self.trajectory = trajectory
         self.cache = cache
-        self.gpu = GPU(
-            config, [LaunchedKernel(spec, restart=True, stream_id=stream_id)]
-        )
+        self.gpu = GPU(trajectory.config, [LaunchedKernel(
+            trajectory.spec, restart=True, stream_id=trajectory.stream_id,
+        )])
         self.curve = (
             self.gpu.record_progress(0) if record or cache is not None
             else None
         )
 
-    def advance(
-        self, count: int, max_cycles: int, store: bool = True
-    ) -> tuple[int, bool]:
-        """Run on to ``count`` within ``max_cycles`` on the clock; returns
+    def advance(self, count: int, store: bool = True) -> tuple[int, bool]:
+        """Run on to ``count`` within the trajectory's clock budget; returns
         the clock and whether a curve file was written (``store``: ask the
         cache to)."""
+        t = self.trajectory
         cycles = self.gpu.run_until_instructions(
-            0, count, max_cycles=max_cycles - self.gpu.engine.now
+            0, count, max_cycles=t.max_cycles - self.gpu.engine.now
         )
         stored = store and self.cache is not None and self.cache.put(
-            self.spec, self.stream_id, self.config, count, cycles, self.curve
+            t.spec, t.stream_id, t.config, count, cycles, self.curve
         )
         return cycles, stored
 
@@ -348,7 +380,7 @@ def replay_alone(
     stream_id: int,
     config: GPUConfig,
     counts: Iterable[int],
-    cache: "AloneReplayCache | None" = None,
+    cache: AloneReplayCache | None = None,
     max_cycles: int = 1_000_000_000,
 ) -> dict[int, AloneClock]:
     """Simulate ``spec`` alone on the full GPU; clocks at each of ``counts``.
@@ -378,10 +410,12 @@ def replay_alone(
         return clocks
     started = t0 = time.perf_counter()
     known = cache.curve(spec, stream_id, config) if cache is not None else None
-    machine = _AloneMachine(spec, stream_id, config, cache)
+    machine = _AloneMachine(
+        AloneTrajectory(spec, stream_id, config, max_cycles), cache
+    )
     try:
         for count in sorted(wanted):
-            cycles, stored = machine.advance(count, max_cycles)
+            cycles, stored = machine.advance(count)
             t1 = time.perf_counter()
             clocks[count] = AloneClock(cycles, t1 - t0, False, stored)
             t0 = t1
@@ -414,8 +448,8 @@ def _simulated_span(
 # -------------------------------------------------------- overlapped replays
 
 
-def _chase_main(conn, machine_args: tuple, max_cycles: int,
-                drop=None) -> None:
+def _chase_main(conn, trajectory: AloneTrajectory,
+                cache: AloneReplayCache | None, drop=None) -> None:
     """A :class:`_Chaser`'s helper process.
 
     Messages are ``(count, ask)``.  A *feed* (``ask`` false) says how far a
@@ -448,7 +482,7 @@ def _chase_main(conn, machine_args: tuple, max_cycles: int,
         if drop is not None:
             drop()
         t0 = time.perf_counter()
-        machine = _AloneMachine(*machine_args, record=True)
+        machine = _AloneMachine(trajectory, cache, record=True)
         busy = time.perf_counter() - t0
         #: The count the machine last ran on to; it stands where a replay
         #: to any count from there up to its progress stops.
@@ -461,15 +495,15 @@ def _chase_main(conn, machine_args: tuple, max_cycles: int,
                 continue  # a newer message says how far to go
             t0 = time.perf_counter()
             if count > machine.gpu.progress[0].instructions:
-                cycles, stored = machine.advance(count, max_cycles, store=ask)
+                cycles, stored = machine.advance(count, store=ask)
                 stop = count
             elif ask and count >= stop:
-                cycles, stored = machine.advance(count, max_cycles)
+                cycles, stored = machine.advance(count)
             elif ask:
                 cycles = machine.curve.cycle_at(count)
                 below = [c for c in clocks if c < count]
                 stored = (
-                    machine.cache is not None and count not in clocks
+                    cache is not None and count not in clocks
                     and (not below or clocks[max(below)] != cycles)
                 )
             busy += time.perf_counter() - t0
@@ -501,17 +535,14 @@ class _Chaser:
     what there is to raise.
     """
 
-    def __init__(
-        self,
-        spec: KernelSpec,
-        stream_id: int,
-        config: GPUConfig,
-        cache: "AloneReplayCache | None",
-        max_cycles: int,
-    ) -> None:
-        self.machine_args = (spec, stream_id, config, cache)
-        self.max_cycles = max_cycles
-        known = cache.curve(spec, stream_id, config) if cache is not None else None
+    def __init__(self, trajectory: AloneTrajectory) -> None:
+        self.trajectory = trajectory
+        self.cache = trajectory.cache()
+        known = (
+            None if self.cache is None
+            else self.cache.curve(trajectory.spec, trajectory.stream_id,
+                                  trajectory.config)
+        )
         self.known_end = None if known is None else known.end
         self._proc = None
         self._conn = None
@@ -529,8 +560,7 @@ class _Chaser:
 
     def _start(self, drop=None) -> None:
         self._proc, self._conn = forked.spawn(
-            _chase_main, self.machine_args, self.max_cycles, drop,
-            daemon=True,
+            _chase_main, self.trajectory, self.cache, drop, daemon=True,
         )
 
     def _send(self, count: int, ask: bool, drop=None) -> None:
@@ -582,20 +612,20 @@ class _Chaser:
             tail = time.perf_counter() - t0
             self.tail_s += tail
             return AloneClock(cycles, tail, False, stored)
-        spec = self.machine_args[0]
         extra: dict = {"fallback": True}
         if self._lost:
             extra["error"] = self._lost
         started = time.perf_counter()
-        machine = _AloneMachine(*self.machine_args)
+        machine = _AloneMachine(self.trajectory, self.cache)
         try:
-            cycles, stored = machine.advance(count, self.max_cycles)
+            cycles, stored = machine.advance(count)
         finally:
             machine.close()
             tail = time.perf_counter() - t0
             _simulated_span(
-                time.perf_counter() - started, spec, Counter([count]),
-                self.known_end, chased=True, tail_s=tail, **extra,
+                time.perf_counter() - started, self.trajectory.spec,
+                Counter([count]), self.known_end, chased=True, tail_s=tail,
+                **extra,
             )
         return AloneClock(cycles, tail, False, stored)
 
@@ -621,12 +651,30 @@ class _Chaser:
         they were waited for."""
         if report and self.served:
             _simulated_span(
-                self.busy_s, self.machine_args[0], self.served,
+                self.busy_s, self.trajectory.spec, self.served,
                 self.known_end, chased=True, tail_s=self.tail_s,
             )
         if self._proc is not None:
             forked.reap(self._proc, self._conn)
             self._proc = self._conn = None
+
+
+@contextlib.contextmanager
+def profiled(path: str | None):
+    """cProfile the body and dump binary pstats data to ``path`` (nothing
+    when None); the dump is made however the body ends."""
+    if path is None:
+        yield
+        return
+    import cProfile
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        yield
+    finally:
+        profiler.disable()
+        profiler.dump_stats(path)
 
 
 def run_workload(
@@ -636,8 +684,7 @@ def run_workload(
     sm_partition: Sequence[int] | None = None,
     models: Sequence[str] = ("DASE", "MISE", "ASM"),
     policy=None,
-    warmup_intervals: int = 1,
-    alone_cache: "AloneReplayCache | None" = None,
+    alone_cache: AloneReplayCache | None = None,
     profile_path: str | None = None,
     trace: Observation | None = None,
     faults: "FaultPlan | FaultInjector | None" = None,
@@ -647,7 +694,9 @@ def run_workload(
 ) -> WorkloadResult:
     """Run one workload through the full methodology.
 
-    ``models`` selects which estimators to attach ("DASE", "MISE", "ASM").
+    ``models`` selects which estimators to attach ("DASE", "MISE", "ASM");
+    each estimate is the mean over the run's intervals after the first
+    :data:`WARMUP_INTERVALS`.
     ``policy`` optionally attaches an SM-allocation policy (e.g.
     :class:`~repro.policies.DASEFairPolicy`); it may reassign SMs during
     the shared run.  ``alone_cache`` memoises the alone replays (step 3):
@@ -707,40 +756,7 @@ def run_workload(
             raise ValueError(
                 "this Observation already recorded a run; pass a fresh one"
             )
-    profiler = None
-    if profile_path is not None:
-        import cProfile
-
-        chase = None  # a helper forked now would inherit the profiler
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        return _run_workload(
-            apps, config, shared_cycles, sm_partition, models,
-            policy, warmup_intervals, alone_cache, trace, faults, arrivals,
-            deferred, chase or {},
-        )
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(profile_path)
-
-
-def _run_workload(
-    apps: Sequence[KernelSpec | str],
-    config: GPUConfig | None,
-    shared_cycles: int | None,
-    sm_partition: Sequence[int] | None,
-    models: Sequence[str],
-    policy,
-    warmup_intervals: int,
-    alone_cache: "AloneReplayCache | None",
-    obs: Observation | None,
-    faults: "FaultPlan | FaultInjector | None",
-    arrivals: "ArrivalSchedule | None",
-    deferred: "list[ReplayRequest] | None",
-    chasers: "Mapping[int, _Chaser]",
-) -> WorkloadResult:
+    obs = trace
     config = config or scaled_config()
     shared_cycles = shared_cycles or default_shared_cycles()
     resolved = [_resolve(a) for a in apps]
@@ -769,164 +785,174 @@ def _run_workload(
         ] + [0] * len(open_sched.arrivals)
 
     max_cycles = alone_budget(shared_cycles)
-    if open_sched is not None:
-        chasers = {}  # an arrival's residency is not known up front
-
-    gpu = GPU(
-        config, kernels, sm_partition, obs=obs,
-        allow_inactive=open_sched is not None,
+    cache_dir = None if alone_cache is None else str(alone_cache.directory)
+    # An arrival's residency is not known up front, and a helper forked
+    # under the profiler would inherit it.
+    chasers = (
+        {} if open_sched is not None or profile_path is not None
+        else chase or {}
     )
-    initial_partition = gpu.sm_counts()
 
-    injector = None
-    if faults is not None:
-        from repro.faults.inject import resolve_injector
-
-        injector = resolve_injector(
-            faults, len(specs),
-            audit=None if obs is None else obs.audit,
+    with profiled(profile_path):
+        gpu = GPU(
+            config, kernels, sm_partition, obs=obs,
+            allow_inactive=open_sched is not None,
         )
+        initial_partition = gpu.sm_counts()
 
-    estimators: dict[str, SlowdownEstimator] = {}
-    rotator: PriorityRotator | None = None
-    for model in models:
-        if model == "DASE":
-            estimators[model] = DASE(config)
-        elif model in ("MISE", "ASM"):
-            if rotator is None:
-                rotator = PriorityRotator(config)
-            cls = MISE if model == "MISE" else ASM
-            estimators[model] = cls(config, rotator)
+        injector = None
+        if faults is not None:
+            from repro.faults.inject import resolve_injector
+
+            injector = resolve_injector(
+                faults, len(specs),
+                audit=None if obs is None else obs.audit,
+            )
+
+        estimators: dict[str, SlowdownEstimator] = {}
+        rotator: PriorityRotator | None = None
+        for model in models:
+            if model == "DASE":
+                estimators[model] = DASE(config)
+            elif model in ("MISE", "ASM"):
+                if rotator is None:
+                    rotator = PriorityRotator(config)
+                cls = MISE if model == "MISE" else ASM
+                estimators[model] = cls(config, rotator)
+            else:
+                raise ValueError(f"unknown model {model!r}")
+        for est in estimators.values():
+            if injector is not None:
+                est.inject_faults(injector)
+            est.attach(gpu)
+        if obs is not None:
+            # Fold the interval view into the same recording: one Telemetry
+            # on the bundle's registry + tracer, attached after the
+            # estimators so its samples see this interval's estimates.
+            obs.telemetry = Telemetry(
+                estimators, registry=obs.registry, tracer=obs.tracer
+            )
+            obs.telemetry.attach(gpu)
+        if policy is not None:
+            # A policy that would decide from its own private DASE adopts
+            # the harness's instead (DASE is a pure observer, so sharing is
+            # bit-identical) — one estimation per interval, one injector,
+            # and the audit log carries a single DASE stream instead of two.
+            if (
+                hasattr(policy, "use_estimator")
+                and policy._own_estimator
+                and isinstance(estimators.get("DASE"), DASE)
+            ):
+                policy.use_estimator(estimators["DASE"])
+            if injector is not None and hasattr(policy, "inject_faults"):
+                policy.inject_faults(injector)
+            policy.attach(gpu)
+        driver = None
+        if open_sched is not None:
+            # Attached last: estimators, telemetry, and the policy all see
+            # the roster as it was for the interval that just closed;
+            # membership changes land before the *next* interval starts.
+            from repro.opensys.driver import OpenSystemDriver
+
+            driver = OpenSystemDriver(
+                open_sched, n_base, rebalance=policy is None,
+                headroom=headroom,
+            )
+            driver.attach(gpu)
+        if chasers:
+            # One small message per helper per estimation interval, never
+            # per event; attached last, it reads counts and changes nothing.
+            def feed(_records) -> None:
+                for i, chaser in chasers.items():
+                    chaser.feed(gpu.progress[i].instructions, drop=gpu.close)
+
+            gpu.add_interval_listener(feed)
+
+        # One `is None` check per *run* — the simulator's cycle loop is never
+        # touched, so the disabled-bus path stays inside the <3% obs budget.
+        bus_ch = obs_bus.current()
+        if bus_ch is not None:
+            t0 = time.perf_counter()
+            gpu.run(shared_cycles)
+            bus_ch.span("simulate", time.perf_counter() - t0,
+                        cycles=shared_cycles)
         else:
-            raise ValueError(f"unknown model {model!r}")
-    for est in estimators.values():
-        if injector is not None:
-            est.inject_faults(injector)
-        est.attach(gpu)
-    if obs is not None:
-        # Fold the interval view into the same recording: one Telemetry on
-        # the bundle's registry + tracer, attached after the estimators so
-        # its samples see this interval's estimates.
-        obs.telemetry = Telemetry(
-            estimators, registry=obs.registry, tracer=obs.tracer
+            gpu.run(shared_cycles)
+        if obs is not None:
+            obs.finalize_run(gpu)
+            obs.telemetry.detach()
+        instructions = [p.instructions for p in gpu.progress]
+        bandwidth = {
+            n: gpu.bandwidth_utilization(i) for i, n in enumerate(names)
+        }
+        bandwidth["total"] = gpu.bandwidth_utilization()
+
+        resident_cycles: list[int] = []
+        waiting_cycles: list[int] = []
+        if driver is not None:
+            run_end = gpu.engine.now
+            for start, end in driver.windows(run_end):
+                resident_cycles.append(0 if start is None else end - start)
+            waiting_cycles = driver.waiting(run_end)
+        result = WorkloadResult(
+            names=list(names),
+            sm_partition=list(initial_partition),
+            shared_cycles=shared_cycles,
+            instructions=instructions,
+            alone_cycles=[None] * len(specs),
+            actual_slowdowns=[None] * len(specs),
+            estimates={
+                name: est.mean_estimates(WARMUP_INTERVALS)
+                for name, est in estimators.items()
+            },
+            bandwidth=bandwidth,
+            final_sm_partition=gpu.sm_counts(),
+            resident_cycles=resident_cycles,
+            waiting_cycles=waiting_cycles,
         )
-        obs.telemetry.attach(gpu)
-    if policy is not None:
-        # A policy that would decide from its own private DASE adopts the
-        # harness's instead (DASE is a pure observer, so sharing is
-        # bit-identical) — one estimation per interval, one injector, and
-        # the audit log carries a single DASE stream instead of two.
-        if (
-            hasattr(policy, "use_estimator")
-            and policy._own_estimator
-            and isinstance(estimators.get("DASE"), DASE)
-        ):
-            policy.use_estimator(estimators["DASE"])
-        if injector is not None and hasattr(policy, "inject_faults"):
-            policy.inject_faults(injector)
-        policy.attach(gpu)
-    driver = None
-    if open_sched is not None:
-        # Attached last: estimators, telemetry, and the policy all see the
-        # roster as it was for the interval that just closed; membership
-        # changes land before the *next* interval starts.
-        from repro.opensys.driver import OpenSystemDriver
+        # Everything is read out: free the shared machine before the alone
+        # ones are built, so the two never sit in memory together.
+        gpu.close()
 
-        driver = OpenSystemDriver(
-            open_sched, n_base, rebalance=policy is None, headroom=headroom
-        )
-        driver.attach(gpu)
-    if chasers:
-        # One small message per helper per estimation interval, never per
-        # event; attached last, it reads counts and changes nothing.
-        def feed(_records) -> None:
-            for i, chaser in chasers.items():
-                chaser.feed(gpu.progress[i].instructions, drop=gpu.close)
-
-        gpu.add_interval_listener(feed)
-
-    # One `is None` check per *run* — the simulator's cycle loop is never
-    # touched, so the disabled-bus path stays inside the <3% obs budget.
-    bus_ch = obs_bus.current()
-    if bus_ch is not None:
-        t0 = time.perf_counter()
-        gpu.run(shared_cycles)
-        bus_ch.span("simulate", time.perf_counter() - t0,
-                    cycles=shared_cycles)
-    else:
-        gpu.run(shared_cycles)
-    if obs is not None:
-        obs.finalize_run(gpu)
-        obs.telemetry.detach()
-    instructions = [p.instructions for p in gpu.progress]
-    bandwidth = {n: gpu.bandwidth_utilization(i) for i, n in enumerate(names)}
-    bandwidth["total"] = gpu.bandwidth_utilization()
-
-    resident_cycles: list[int] = []
-    waiting_cycles: list[int] = []
-    if driver is not None:
-        run_end = gpu.engine.now
-        for start, end in driver.windows(run_end):
-            resident_cycles.append(0 if start is None else end - start)
-        waiting_cycles = driver.waiting(run_end)
-    result = WorkloadResult(
-        names=list(names),
-        sm_partition=list(initial_partition),
-        shared_cycles=shared_cycles,
-        instructions=instructions,
-        alone_cycles=[None] * len(specs),
-        actual_slowdowns=[None] * len(specs),
-        estimates={
-            name: est.mean_estimates(warmup_intervals)
-            for name, est in estimators.items()
-        },
-        bandwidth=bandwidth,
-        final_sm_partition=gpu.sm_counts(),
-        resident_cycles=resident_cycles,
-        waiting_cycles=waiting_cycles,
-    )
-    # Everything is read out: free the shared machine before the alone
-    # ones are built, so the two never sit in memory together.
-    gpu.close()
-
-    # Alone replays: full GPU, same stream identity, same instruction count.
-    # The chased ones first learn where to stop, so they finish side by side.
-    asked = {
-        i for i, chaser in chasers.items()
-        if instructions[i] and chaser.ask(instructions[i])
-    }
-    if alone_cache is not None:
-        # What the probes these asks stand in for would have counted.
-        alone_cache.misses += len(asked)
-    for i, spec in enumerate(specs):
-        count = instructions[i]
-        if count == 0:
-            # Retired nothing in the window (an arrival never admitted or
-            # drained first, or a closed run shorter than its first burst):
-            # there is nothing to replay and no ground-truth slowdown (and
-            # no span — no work happened).
-            result.alone_cycles[i] = 0
-            continue
-        if i in asked:
-            if deferred is not None:
-                deferred.append(ReplayRequest(
-                    i, spec, config, count, max_cycles, chased=True,
-                ))
+        # Alone replays: full GPU, same stream identity, same instruction
+        # count.  The chased ones first learn where to stop, so they finish
+        # side by side.
+        asked = {
+            i for i, chaser in chasers.items()
+            if instructions[i] and chaser.ask(instructions[i])
+        }
+        if alone_cache is not None:
+            # What the probes these asks stand in for would have counted.
+            alone_cache.misses += len(asked)
+        for i, spec in enumerate(specs):
+            count = instructions[i]
+            if count == 0:
+                # Retired nothing in the window (an arrival never admitted
+                # or drained first, or a closed run shorter than its first
+                # burst): there is nothing to replay and no ground-truth
+                # slowdown (and no span — no work happened).
+                result.alone_cycles[i] = 0
                 continue
-            clock = chasers[i].answer(count)
-            if clock.stored:
-                alone_cache.stores += 1  # the helper's write, on our behalf
-        else:
-            # (A chaser that was not asked: the stored curve covers it.)
-            clock = probe_alone(alone_cache, spec, i, config, count)
-        if clock is None:
-            if deferred is not None:
-                deferred.append(
-                    ReplayRequest(i, spec, config, count, max_cycles)
-                )
-                continue
-            clock = replay_alone(
-                spec, i, config, [count], alone_cache, max_cycles
-            )[count]
-        result.set_alone(i, clock.cycles)
+            if i in asked:
+                if deferred is not None:
+                    deferred.append(ReplayRequest(
+                        chasers[i].trajectory, count, chased=True,
+                    ))
+                    continue
+                clock = chasers[i].answer(count)
+                if clock.stored:
+                    alone_cache.stores += 1  # the helper's write, for us
+            else:
+                # (A chaser that was not asked: the stored curve covers it.)
+                clock = probe_alone(alone_cache, spec, i, config, count)
+            if clock is None:
+                if deferred is not None:
+                    deferred.append(ReplayRequest(AloneTrajectory(
+                        spec, i, config, max_cycles, cache_dir,
+                    ), count))
+                    continue
+                clock = replay_alone(
+                    spec, i, config, [count], alone_cache, max_cycles
+                )[count]
+            result.set_alone(i, clock.cycles)
     return result

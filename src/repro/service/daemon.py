@@ -179,6 +179,8 @@ class ReproService:
         self._port = port
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         self.n_jobs = jobs
         self.retries = retries
         self.allow_chaos = allow_chaos

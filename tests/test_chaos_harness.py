@@ -27,7 +27,7 @@ from repro.faults import (
     MODE_RAISE,
     ChaosJob,
 )
-from repro.harness import scaled_config
+from repro.harness import parallel, scaled_config
 from repro.harness.checkpoint import SweepCheckpoint
 from repro.harness.parallel import (
     FAIL_CRASH,
@@ -49,6 +49,12 @@ from repro.workloads import SUITE
 
 CFG = scaled_config()
 SMALL = 30_000
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retries here follow their failures at once."""
+    monkeypatch.setattr(parallel, "BACKOFF_S", 0.0)
 
 
 def ok_jobs(n, **kw):
@@ -81,7 +87,7 @@ class TestInlineChaos:
 
     def test_raise_captured_with_retry_accounting(self):
         jobs = [ChaosJob(name="boom", mode=MODE_RAISE), *ok_jobs(2)]
-        outs = run_jobs(jobs, n_jobs=1, retries=2, backoff_s=0.0)
+        outs = run_jobs(jobs, n_jobs=1, retries=2)
         assert [o.index for o in outs] == [0, 1, 2]
         assert not outs[0].ok
         assert outs[0].failure_kind == FAIL_EXCEPTION
@@ -93,7 +99,7 @@ class TestInlineChaos:
     def test_ambient_sweep_defaults(self):
         before = sweep_defaults()
         try:
-            set_sweep_defaults(retries=2, backoff_s=0.0)
+            set_sweep_defaults(retries=2)
             assert sweep_defaults()["retries"] == 2
             # run_jobs picks the ambient retries up when passed None
             (out,) = run_jobs([ChaosJob(name="x", mode=MODE_RAISE)], n_jobs=1)
@@ -112,7 +118,7 @@ class TestInlineChaos:
 class TestPooledChaos:
     def test_hard_exit_blamed_with_stderr_tail(self):
         jobs = [ChaosJob(name="dead", mode=MODE_EXIT), *ok_jobs(3)]
-        outs = run_jobs(jobs, n_jobs=2, retries=2, backoff_s=0.0)
+        outs = run_jobs(jobs, n_jobs=2, retries=2)
         assert [o.index for o in outs] == [0, 1, 2, 3]
         dead = outs[0]
         assert not dead.ok
@@ -127,8 +133,7 @@ class TestPooledChaos:
         jobs = [ChaosJob(name="zzz", mode=MODE_HANG, hang_s=120.0),
                 *ok_jobs(2)]
         t0 = time.time()
-        outs = run_jobs(jobs, n_jobs=2, timeout_s=1.5, retries=0,
-                        backoff_s=0.0)
+        outs = run_jobs(jobs, n_jobs=2, timeout_s=1.5, retries=0)
         assert time.time() - t0 < 60  # did not wait out the 120 s sleep
         hung = outs[0]
         assert not hung.ok and hung.failure_kind == FAIL_TIMEOUT
@@ -144,15 +149,14 @@ class TestPooledChaos:
             jobs = [ChaosJob(name="zzz", mode=MODE_HANG, hang_s=120.0),
                     *ok_jobs(1)]
             t0 = time.time()
-            outs = run_jobs(jobs, n_jobs=n_jobs, timeout_s=1.0,
-                            backoff_s=0.0)
+            outs = run_jobs(jobs, n_jobs=n_jobs, timeout_s=1.0)
             assert time.time() - t0 < 60
             assert not outs[0].ok and outs[0].failure_kind == FAIL_TIMEOUT
             assert outs[1].ok and outs[1].result["payload"] == 100
 
     def test_bad_result_classified_as_transport(self):
         jobs = [ChaosJob(name="poison", mode=MODE_BAD_RESULT), *ok_jobs(2)]
-        outs = run_jobs(jobs, n_jobs=2, retries=0, backoff_s=0.0)
+        outs = run_jobs(jobs, n_jobs=2, retries=0)
         poison = outs[0]
         assert not poison.ok and poison.failure_kind == FAIL_TRANSPORT
         assert "result was lost" in poison.error
@@ -164,7 +168,7 @@ class TestPooledChaos:
                      state_dir=str(tmp_path), payload=7),
             *ok_jobs(2),
         ]
-        outs = run_jobs(jobs, n_jobs=2, retries=3, backoff_s=0.0)
+        outs = run_jobs(jobs, n_jobs=2, retries=3)
         shaky = outs[0]
         assert shaky.ok, shaky.error
         assert shaky.result["payload"] == 7
@@ -178,7 +182,7 @@ class TestPooledChaos:
         jobs = [ChaosJob(name="steady", mode=MODE_HANG, hang_s=1.0,
                          payload=3),
                 ChaosJob(name="dead", mode=MODE_EXIT)]
-        steady, dead = run_jobs(jobs, n_jobs=2, retries=0, backoff_s=0.0)
+        steady, dead = run_jobs(jobs, n_jobs=2, retries=0)
         assert steady.ok and steady.attempts == 1, steady.error
         assert steady.result["payload"] == 3
         assert not dead.ok and dead.failure_kind == FAIL_CRASH
@@ -193,8 +197,7 @@ class TestPooledChaos:
                 ChaosJob(name="zzz", mode=MODE_HANG, hang_s=60.0),
                 ChaosJob(name="poison", mode=MODE_BAD_RESULT),
                 *ok_jobs(2)]
-        outs = run_jobs(jobs, n_jobs=3, timeout_s=3.0, retries=0,
-                        backoff_s=0.0)
+        outs = run_jobs(jobs, n_jobs=3, timeout_s=3.0, retries=0)
         assert [o.failure_kind for o in outs] == [
             FAIL_EXCEPTION, FAIL_CRASH, FAIL_CRASH, FAIL_TIMEOUT,
             FAIL_TRANSPORT, None, None]
@@ -235,7 +238,7 @@ class TestPooledChaos:
                      state_dir=str(tmp_path), payload=4),
             ChaosJob(name="z-ok", payload=5),
         ]
-        outs = run_jobs(jobs, n_jobs=2, retries=3, backoff_s=0.0)
+        outs = run_jobs(jobs, n_jobs=2, retries=3)
         assert [o.index for o in outs] == [0, 1, 2, 3, 4]
         assert [o.attempts for o in outs] == [1, 4, 4, 2, 1]
         assert outs[0].ok and outs[0].result["payload"] == 1
@@ -252,7 +255,7 @@ class TestPooledChaos:
         clean = run_jobs([wl], n_jobs=1)[0].unwrap()
         outs = run_jobs(
             [ChaosJob(name="dead", mode=MODE_EXIT), wl],
-            n_jobs=2, retries=2, backoff_s=0.0,
+            n_jobs=2, retries=2,
         )
         assert not outs[0].ok
         assert outs[1].unwrap().to_dict() == clean.to_dict()
@@ -566,7 +569,7 @@ class TestReplayTaskChaos:
             raise ValueError("replay sabotaged")
 
         _sabotage(monkeypatch, "CT", boom)
-        outs = run_jobs(self.jobs(), n_jobs=1, retries=1, backoff_s=0.0)
+        outs = run_jobs(self.jobs(), n_jobs=1, retries=1)
         for o in outs[:2]:  # both pairings wait on CT's trajectory
             assert not o.ok and o.result is None
             assert o.failure_kind == FAIL_EXCEPTION
@@ -583,13 +586,13 @@ class TestReplayTaskChaos:
                 os._exit(29)
 
         _sabotage(monkeypatch, "CT", die_once)
-        outs = run_jobs(self.jobs(), n_jobs=2, retries=3, backoff_s=0.0)
+        outs = run_jobs(self.jobs(), n_jobs=2, retries=3)
         assert [o.unwrap().to_dict() for o in outs] == clean
         assert int((tmp_path / "attempts").read_text()) >= 2
 
     def test_crashing_replay_blamed_after_isolation(self, monkeypatch, clean):
         _sabotage(monkeypatch, "CT", lambda: os._exit(31))
-        outs = run_jobs(self.jobs(), n_jobs=2, retries=2, backoff_s=0.0)
+        outs = run_jobs(self.jobs(), n_jobs=2, retries=2)
         for o in outs[:2]:
             assert not o.ok and o.failure_kind == FAIL_CRASH
             assert "replay:CT#1" in o.error
@@ -599,8 +602,7 @@ class TestReplayTaskChaos:
     def test_hung_replay_killed_by_the_job_timeout(self, monkeypatch, clean):
         _sabotage(monkeypatch, "CT", lambda: time.sleep(120.0))
         t0 = time.time()
-        outs = run_jobs(self.jobs(), n_jobs=2, timeout_s=3.0, retries=0,
-                        backoff_s=0.0)
+        outs = run_jobs(self.jobs(), n_jobs=2, timeout_s=3.0, retries=0)
         assert time.time() - t0 < 60
         for o in outs[:2]:
             assert not o.ok and o.failure_kind == FAIL_TIMEOUT

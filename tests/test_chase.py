@@ -57,8 +57,8 @@ def helpers(monkeypatch):
 
     def counting(self, *args):
         start(self, *args)
-        spec, stream_id = self.machine_args[:2]
-        started.append((spec.name, stream_id, self._proc.pid))
+        t = self.trajectory
+        started.append((t.spec.name, t.stream_id, self._proc.pid))
 
     monkeypatch.setattr(runner._Chaser, "_start", counting)
     return started
@@ -70,11 +70,10 @@ def chasing(apps, cycles=SMALL, cache_dir=None):
     sweep would make them; reaped after, reporting their spans when the
     call went well."""
     chasers = {
-        i: runner._Chaser(
-            SUITE[app], i, CFG,
-            AloneReplayCache(cache_dir) if cache_dir else None,
-            runner.alone_budget(cycles),
-        )
+        i: runner._Chaser(runner.AloneTrajectory(
+            SUITE[app], i, CFG, runner.alone_budget(cycles),
+            str(cache_dir) if cache_dir else None,
+        ))
         for i, app in enumerate(apps)
     }
     ok = False
@@ -262,11 +261,10 @@ def test_a_helper_answers_counts_in_any_order_with_the_fresh_clock(
     leaves for the same counts."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        chaser = runner._Chaser(
-            SUITE[name], 1, CFG,
-            AloneReplayCache(tmp / "chased") if cached else None,
-            runner.alone_budget(SMALL),
-        )
+        chaser = runner._Chaser(runner.AloneTrajectory(
+            SUITE[name], 1, CFG, runner.alone_budget(SMALL),
+            str(tmp / "chased") if cached else None,
+        ))
         try:
             for count in counts:
                 for fed in (count // 3, count // 2):
@@ -288,8 +286,8 @@ def test_a_helper_answers_counts_in_any_order_with_the_fresh_clock(
 
 
 def test_a_helper_yields_to_the_shared_run():
-    chaser = runner._Chaser(SUITE["SD"], 0, CFG, None,
-                            runner.alone_budget(SMALL))
+    chaser = runner._Chaser(runner.AloneTrajectory(
+        SUITE["SD"], 0, CFG, runner.alone_budget(SMALL)))
     try:
         assert chaser.ask(100)
         assert chaser.answer(100).cycles > 0  # the helper is up and running
@@ -309,14 +307,15 @@ def census(monkeypatch, figure, **kw):
     """What the figure's driver would chase: {(app, stream id): askers}."""
     seen = {}
 
-    def stop(todo, retries, backoff_s, done, chased=(), **_):
+    def stop(todo, retries, done, chased=(), **_):
         seen["chased"] = chased
         raise _Census
 
     monkeypatch.setattr(parallel, "_run_inline", stop)
     with pytest.raises(_Census):
         run_figure(figure, **kw)
-    return {(c.spec.name, c.stream_id): c.askers for c in seen["chased"]}
+    return {(c.trajectory.spec.name, c.trajectory.stream_id): c.askers
+            for c in seen["chased"]}
 
 
 class TestSelection:
@@ -351,10 +350,12 @@ class TestSelection:
             WorkloadJob(apps=("QR", "VA"), **kw),       # VA#1 in a row
             WorkloadJob(apps=("QR", "CT"), **kw,        # open system
                         arrivals=trace_schedule([("NN", 11_000, 23_000)])),
-            parallel.ReplayJob(SUITE["SD"], 0, CFG, (1,), 10),
+            parallel.ReplayJob(
+                runner.AloneTrajectory(SUITE["SD"], 0, CFG, 10), (1,)),
         ]
         chased = parallel._chase_census(list(enumerate(jobs)))
-        assert {(c.spec.name, c.stream_id, c.cache_dir): c.askers
+        assert {(c.trajectory.spec.name, c.trajectory.stream_id,
+                 c.trajectory.cache_dir): c.askers
                 for c in chased} == {
             ("SB", 1, None): [0],
             ("SD", 0, "/tmp/elsewhere"): [1], ("SB", 1, "/tmp/elsewhere"): [1],
@@ -519,7 +520,7 @@ class TestFailureAndCleanup:
         killed = []
 
         def killing(self, count):
-            if self.machine_args[0].name == "SD" and not killed:
+            if self.trajectory.spec.name == "SD" and not killed:
                 os.kill(self._proc.pid, signal.SIGKILL)  # before any answer
                 killed.append(self._proc.pid)
             return ask(self, count)

@@ -279,6 +279,25 @@ def test_jobs_below_one_is_an_argparse_error(capsys, argv):
         f"--jobs: must be >= 1, got {argv[-1]}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--retries", "-1"], "--retries: must be >= 0, got -1"),
+    (["serve", "--state-dir", "s", "--retries", "-2"],
+     "--retries: must be >= 0, got -2"),
+    (["fig2", "--timeout", "0"], "--timeout: must be > 0, got 0"),
+    (["fig5", "--timeout", "-1.5"], "--timeout: must be > 0, got -1.5"),
+    (["fig9", "--timeout", "nan"], "--timeout: must be > 0, got nan"),
+])
+def test_negative_retries_and_non_positive_timeouts_are_argparse_errors(
+        capsys, argv, message):
+    # They used to reach the handler (fig) or start a daemon (serve).
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(message)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("rates", ["0", "-1", "0.5,0"])
 def test_non_positive_rate_is_an_argparse_error(capsys, rates):
     with pytest.raises(SystemExit) as exc:

@@ -243,14 +243,16 @@ class TestReplayAlone:
         partial = run_workload(["SD", "QR"], deferred=owed, **kw)
         assert partial.alone_cycles == [None, None]
         assert partial.actual_slowdowns == [None, None]
-        assert [(r.stream_id, r.spec.name, r.instructions) for r in owed] \
+        assert [(r.trajectory.stream_id, r.trajectory.spec.name,
+                 r.instructions) for r in owed] \
             == [(0, "SD", whole.instructions[0]),
                 (1, "QR", whole.instructions[1])]
         for req in owed:
-            clock = replay_alone(req.spec, req.stream_id, req.config,
+            t = req.trajectory
+            clock = replay_alone(t.spec, t.stream_id, t.config,
                                  [req.instructions],
-                                 max_cycles=req.max_cycles)[req.instructions]
-            partial.set_alone(req.stream_id, clock.cycles)
+                                 max_cycles=t.max_cycles)[req.instructions]
+            partial.set_alone(t.stream_id, clock.cycles)
         assert partial.to_dict() == whole.to_dict()
 
 

@@ -175,6 +175,74 @@ class TestJobExecution:
         job = WorkloadJob(apps=("QR", SUITE["CT"]))
         assert job.key == "QR+CT"
 
+    def test_negative_retries_is_a_value_error(self):
+        with pytest.raises(ValueError, match="retries must be >= 0, got -1"):
+            run_jobs([WorkloadJob(apps=("QR", "CT"))], retries=-1)
+
+
+class _Built(Exception):
+    pass
+
+
+class TestResolvedJob:
+    """A WorkloadJob states its run once, resolved where it is built."""
+
+    def test_defaults_are_resolved_when_the_job_is_built(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        job = WorkloadJob(apps=["SD", "QR"], sm_partition=[10, 6],
+                          models=["DASE"])
+        assert job.config == scaled_config()
+        assert job.shared_cycles == 120_000
+        assert job.apps == ("SD", "QR") and job.sm_partition == (10, 6)
+        assert job.models == ("DASE",) and job.cache_dir is None
+        # A bad app name is the job's to fail, when it runs.
+        assert WorkloadJob(apps=("QR", "NOPE")).apps == ("QR", "NOPE")
+
+    def test_the_checkpoint_tells_the_scales_apart(self, tmp_path,
+                                                   monkeypatch):
+        from repro.harness.checkpoint import SweepCheckpoint
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        paths = {}
+        for full in ("0", "1"):
+            monkeypatch.setenv("REPRO_FULL", full)
+            paths[full] = SweepCheckpoint(
+                tmp_path, [WorkloadJob(apps=("SD", "QR"))]).path
+        assert paths["0"] != paths["1"]
+
+    @pytest.mark.parametrize("made", [False, True])
+    def test_an_unmade_or_empty_env_cache_dir_is_created_and_filled(
+            self, tmp_path, monkeypatch, made):
+        cache_dir = tmp_path / "alone_cache"
+        if made:
+            cache_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        (out,) = run_workloads([("QR", "CT")], config=CFG,
+                               shared_cycles=SMALL, models=())
+        assert out.ok and out.cache is not None
+        assert len(list(cache_dir.glob("*.curve.json"))) == 2
+
+    @pytest.mark.parametrize("driver", ["fig_degradation", "fig_churn"])
+    def test_every_sweeping_driver_honours_the_env_cache_dir(
+            self, tmp_path, monkeypatch, driver):
+        from repro.harness import experiments
+        from repro.opensys import churn
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
+        built = []
+
+        def capture(jobs, **_):
+            built.extend(jobs)
+            raise _Built
+
+        module = experiments if driver == "fig_degradation" else churn
+        monkeypatch.setattr(module, "run_jobs", capture)
+        with pytest.raises(_Built):
+            getattr(module, driver)()
+        assert built and {job.cache_dir for job in built} == {
+            str(tmp_path / "c")}
+
 
 @pytest.mark.slow
 class TestProcessPool:

@@ -601,6 +601,11 @@ class TestJobProcesses:
         with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
             ReproService(tmp_path / "d", jobs=0)
 
+    def test_negative_retries_is_a_value_error(self, tmp_path):
+        # `repro serve --retries -1` used to start a daemon.
+        with pytest.raises(ValueError, match="retries must be >= 0, got -1"):
+            ReproService(tmp_path, retries=-1)
+
     @two_slots
     def test_tenants_jobs_overlap_with_the_direct_results(
             self, daemon, tmp_path):
