@@ -49,11 +49,7 @@ def _cmd_sweeping_fig(args) -> int:
     """An entry whose driver sweeps: the `_add_sweep_flags` flags shape and
     observe every `run_jobs` call it makes.  Entries that run inline have
     none of them and go straight to `_run_fig`."""
-    from repro.harness.parallel import (
-        set_default_progress,
-        set_sweep_defaults,
-        sweep_defaults,
-    )
+    from repro.harness.parallel import set_sweep_defaults, sweep_defaults
 
     # --sweep-trace enables the cross-worker telemetry bus for every sweep
     # the driver runs; artifacts (trace.json, sweep.json, report.html, and
@@ -66,22 +62,20 @@ def _cmd_sweeping_fig(args) -> int:
         import pathlib
 
         bus_dir = str(pathlib.Path(sweep_trace) / "bus")
-    # --progress attaches a live reporter to every sweep the experiment
-    # driver runs, via the ambient factory — the drivers themselves need no
-    # progress plumbing.  With a bus enabled the reporter also tails the
-    # worker channels for straggler warnings (and the bus `outcome` records
-    # are the per-job log: key, ok, duration, attempts, cache counters).
+    # Every sweep flag reaches every run_jobs call the driver makes through
+    # the ambient sweep defaults, restored as they were found afterwards.
+    # --progress attaches a live reporter — with a bus enabled it also
+    # tails the worker channels for straggler warnings (and the bus
+    # `outcome` records are the per-job log: key, ok, duration, attempts,
+    # cache counters).
+    ambient = sweep_defaults()
     if args.progress:
         from repro.obs import SweepProgress
 
-        set_default_progress(
-            lambda total: SweepProgress(total, label=args.experiment,
-                                        bus=bus_dir)
+        set_sweep_defaults(
+            progress=lambda total: SweepProgress(total, label=args.experiment,
+                                                 bus=bus_dir)
         )
-    # --timeout / --retries / --resume-dir / --sweep-trace harden and
-    # observe every sweep the driver runs, via the ambient sweep defaults
-    # (same pattern as progress).
-    ambient = sweep_defaults()
     set_sweep_defaults(
         timeout_s=args.timeout,
         retries=args.retries,
@@ -95,7 +89,6 @@ def _cmd_sweeping_fig(args) -> int:
             _write_sweep_artifacts(sweep_trace, bus_dir, profile_sweep)
         return rc
     finally:
-        set_default_progress(None)
         set_sweep_defaults(**ambient)
         from repro.obs import bus as obs_bus
 
@@ -197,15 +190,13 @@ _MODELS = ("DASE", "MISE", "ASM")
 
 
 def _check_run_args(args) -> tuple[str, ...]:
-    """One-line errors for the apps, window and estimators of ``run`` and
+    """One-line errors for the apps and estimators of ``run`` and
     ``trace``; returns the ``--models`` list (empty entries dropped)."""
     from repro.workloads import APP_NAMES
 
     for a in args.apps:
         if a not in APP_NAMES:
             raise SystemExit(f"unknown app {a!r}; choose from {APP_NAMES}")
-    if args.cycles is not None and args.cycles < 1:
-        raise SystemExit(f"--cycles must be >= 1, got {args.cycles}")
     models = tuple(m for m in args.models.split(",") if m)
     for m in models:
         if m not in _MODELS:
@@ -266,10 +257,7 @@ def _cmd_trace(args) -> int:
                 f"unknown trace format {f!r}; choose from chrome,csv,html"
             )
 
-    capacity = args.trace_capacity
-    if capacity < 1:
-        raise SystemExit(f"--trace-capacity must be >= 1, got {capacity}")
-    obs = Observation(trace_capacity=capacity, audit=args.audit)
+    obs = Observation(trace_capacity=args.trace_capacity, audit=args.audit)
 
     # --policy dase-fair runs the real scheduler (it migrates SMs);
     # --audit alone attaches the dry-run shadow scheduler, which evaluates
@@ -617,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.figure_table import (
         FIGURE_TABLE,
         non_negative_int,
+        positive_float,
         positive_int,
     )
 
@@ -642,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rn = sub.add_parser("run", help="run an arbitrary workload")
     rn.add_argument("apps", nargs="+", help="suite app names, e.g. SD SB")
-    rn.add_argument("--cycles", type=int, default=None)
+    rn.add_argument("--cycles", type=positive_int, default=None)
     rn.add_argument("--models", default=",".join(_MODELS),
                     help="comma-separated estimators (empty for none)")
     rn.add_argument("--profile", default=None, metavar="PATH",
@@ -711,15 +700,16 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--tenant", default="default",
                     help="tenant name for fairness accounting "
                          "(default: 'default')")
-    sm.add_argument("--cycles", type=int, default=None,
+    sm.add_argument("--cycles", type=positive_int, default=None,
                     help="shared-run horizon in cycles")
     sm.add_argument("--seed", type=int, default=None,
                     help="simulation seed")
     sm.add_argument("--policy", default=None,
                     help="SM-allocation policy for workload/sweep jobs")
-    sm.add_argument("--limit", type=int, default=None,
+    sm.add_argument("--limit", type=positive_int, default=None,
                     help="scenario sweep limit (fig5/fig6/fig7)")
-    sm.add_argument("--timeout", type=float, default=600.0, metavar="S",
+    sm.add_argument("--timeout", type=positive_float, default=600.0,
+                    metavar="S",
                     help="client HTTP timeout per request (default: 600)")
     sm.add_argument("--no-wait", action="store_true",
                     help="print the receipt and exit without streaming")
@@ -730,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a fully traced run and export trace + report + manifest",
     )
     tr.add_argument("apps", nargs="+", help="suite app names, e.g. SD SB")
-    tr.add_argument("--cycles", type=int, default=None)
+    tr.add_argument("--cycles", type=positive_int, default=None)
     tr.add_argument("--models", default=",".join(_MODELS),
                     help="comma-separated estimators (empty for none)")
     tr.add_argument("--out", default="obs_run", metavar="DIR",
@@ -738,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--format", default="chrome,csv,html",
                     help="comma-separated exports: chrome,csv,html "
                          "(default: all)")
-    tr.add_argument("--trace-capacity", type=int, default=DEFAULT_CAPACITY,
-                    metavar="EVENTS",
+    tr.add_argument("--trace-capacity", type=positive_int,
+                    default=DEFAULT_CAPACITY, metavar="EVENTS",
                     help=f"event ring capacity (default: {DEFAULT_CAPACITY}; "
                          "oldest events drop once full)")
     tr.add_argument("--audit", action="store_true",
@@ -848,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "scenario to its newest N recordings"
     )
     _store_common(sg)
-    sg.add_argument("--keep", type=int, default=None, metavar="N",
+    sg.add_argument("--keep", type=positive_int, default=None, metavar="N",
                     help="keep only the newest N recordings per scenario")
     sg.set_defaults(func=_cmd_store_gc)
 

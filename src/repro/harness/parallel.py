@@ -423,28 +423,13 @@ def _observed_run(
 # Ambient sweep configuration
 # --------------------------------------------------------------------------
 
-#: Ambient progress factory (``total_jobs -> reporter or None``): lets a
-#: CLI entry point attach live progress to every sweep an experiment driver
-#: runs without threading a kwarg through each driver's signature.
-_PROGRESS_FACTORY: Callable[[int], object] | None = None
-
-
-def set_default_progress(factory: Callable[[int], object] | None) -> None:
-    """Install (or clear, with None) the ambient sweep-progress factory.
-
-    The factory is called with the job count of each sweep and returns an
-    object with ``job_done(outcome)`` / ``close()`` (duck-typed; see
-    :class:`repro.obs.SweepProgress`), or None to skip that sweep.
-    """
-    global _PROGRESS_FACTORY
-    _PROGRESS_FACTORY = factory
-
-
-#: Ambient resilience defaults, consumed by :func:`run_jobs` when the
-#: caller passes None — the same pattern as the progress factory, so the
-#: CLI's ``--timeout/--retries/--resume-dir`` flags reach every sweep a
-#: figure driver runs without new parameters on each driver.
+#: Ambient sweep defaults, consumed by :func:`run_jobs` when the caller
+#: passes None, so a CLI entry point's ``--progress/--timeout/--retries/
+#: --resume-dir/--sweep-trace`` flags reach every sweep a figure driver
+#: runs without new parameters on each driver.  ``progress`` is a factory,
+#: ``total_jobs -> reporter or None``.
 _SWEEP_DEFAULTS: dict = {
+    "progress": None,
     "timeout_s": None,
     "retries": 0,
     "checkpoint_dir": None,
@@ -479,9 +464,12 @@ def _check_retries(retries: int) -> None:
 
 
 def set_sweep_defaults(**changes) -> None:
-    """Set ambient defaults for sweep resilience (only the passed ones):
-    any of the :data:`_SWEEP_DEFAULTS` keys.
+    """Set ambient sweep defaults (only the passed ones): any of the
+    :data:`_SWEEP_DEFAULTS` keys.
 
+    ``progress`` is called with the job count of each sweep and returns an
+    object with ``job_done(outcome)`` / ``close()`` (duck-typed; see
+    :class:`repro.obs.SweepProgress`), or None to skip that sweep.
     ``bus_dir`` enables the cross-worker telemetry bus
     (:mod:`repro.obs.bus`) for every subsequent sweep; ``profile``
     additionally cProfiles each job into the bus directory.
@@ -494,6 +482,12 @@ def set_sweep_defaults(**changes) -> None:
     if "profile" in changes:
         changes["profile"] = bool(changes["profile"])
     _SWEEP_DEFAULTS.update(changes)
+
+
+def set_default_progress(factory: Callable[[int], object] | None) -> None:
+    """``set_sweep_defaults(progress=factory)``: install (or clear, with
+    None) the ambient sweep-progress factory."""
+    set_sweep_defaults(progress=factory)
 
 
 def sweep_defaults() -> dict:
@@ -569,10 +563,10 @@ def run_jobs(
     resolved when built — config, window and cache directory included.  ``timeout_s`` and
     ``retries`` apply to a replay task as to any job.
 
-    ``progress`` (or, if None, the factory installed with
-    :func:`set_default_progress`) receives each :class:`JobOutcome` as it
-    *settles* (its replays in) — completion order, not submission order —
-    via ``job_done``, then ``close()`` when the sweep ends.
+    ``progress`` (or, if None, what the ambient ``progress`` factory
+    returns — :func:`set_sweep_defaults`) receives each :class:`JobOutcome`
+    as it *settles* (its replays in) — completion order, not submission
+    order — via ``job_done``, then ``close()`` when the sweep ends.
 
     ``bus`` names a :mod:`repro.obs.bus` directory: every job process (and
     the inline path) streams job_start/span/job_end records into its own
@@ -603,8 +597,8 @@ def run_jobs(
     cp = resolve_checkpoint(checkpoint, jobs)
 
     prog = progress
-    if prog is None and _PROGRESS_FACTORY is not None:
-        prog = _PROGRESS_FACTORY(len(indexed))
+    if prog is None and _SWEEP_DEFAULTS["progress"] is not None:
+        prog = _SWEEP_DEFAULTS["progress"](len(indexed))
 
     ch = None
     sweep_id = None

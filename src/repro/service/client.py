@@ -65,11 +65,14 @@ class ServiceClient:
 
     # ------------------------------------------------------------ plumbing
 
-    def _request(
-        self, method: str, path: str, body: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
+    def _open(
+        self, method: str, path: str, body: dict[str, Any] | None = None,
+        *, accept: str = "application/json",
+    ):
+        """The daemon's response to one request; an error it answers, or
+        failing to reach it, is a :class:`ServiceError`."""
+        headers = {"Accept": accept}
         data = None
-        headers = {"Accept": "application/json"}
         if body is not None:
             data = json.dumps(body).encode()
             headers["Content-Type"] = "application/json"
@@ -77,8 +80,7 @@ class ServiceClient:
             self.base_url + path, data=data, headers=headers, method=method
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return json.loads(resp.read().decode())
+            return urllib.request.urlopen(req, timeout=self.timeout_s)
         except urllib.error.HTTPError as exc:
             try:
                 message = json.loads(exc.read().decode()).get("error", "")
@@ -88,6 +90,12 @@ class ServiceClient:
         except urllib.error.URLError as exc:
             raise ServiceError(0, f"cannot reach {self.base_url}: "
                                   f"{exc.reason}") from exc
+
+    def _request(
+        self, method: str, path: str, body: dict[str, Any] | None = None
+    ) -> dict[str, Any]:
+        with self._open(method, path, body) as resp:
+            return json.loads(resp.read().decode())
 
     # ------------------------------------------------------------- surface
 
@@ -125,19 +133,8 @@ class ServiceClient:
 
     def stream(self, job_id: str) -> Iterator[dict[str, Any]]:
         """Yield the job's JSONL events until it reaches a terminal state."""
-        req = urllib.request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/stream",
-            headers={"Accept": "application/x-ndjson"},
-        )
-        try:
-            resp = urllib.request.urlopen(req, timeout=self.timeout_s)
-        except urllib.error.HTTPError as exc:
-            try:
-                message = json.loads(exc.read().decode()).get("error", "")
-            except (json.JSONDecodeError, OSError):
-                message = exc.reason
-            raise ServiceError(exc.code, str(message)) from exc
-        with resp:
+        with self._open("GET", f"/v1/jobs/{job_id}/stream",
+                        accept="application/x-ndjson") as resp:
             for line in resp:
                 line = line.strip()
                 if line:
@@ -150,19 +147,18 @@ class ServiceClient:
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
-        for _ in self.stream(job_id):
+
+        def check_deadline() -> None:
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
                     f"job {job_id} not terminal after {timeout_s}s"
                 )
-            continue
+
+        for _ in self.stream(job_id):
+            check_deadline()
         status = self.status(job_id)
-        if status["status"] not in TERMINAL:  # stream cut early: poll
-            while status["status"] not in TERMINAL:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"job {job_id} not terminal after {timeout_s}s"
-                    )
-                time.sleep(0.1)
-                status = self.status(job_id)
+        while status["status"] not in TERMINAL:  # stream cut early: poll
+            check_deadline()
+            time.sleep(0.1)
+            status = self.status(job_id)
         return status

@@ -9,39 +9,20 @@ One :class:`ReproService` owns four things, and simulates nothing itself:
 * its **slots** — one scheduler thread per usable CPU (``jobs=None``, the
   default), or exactly one when ``jobs=N`` says how many processes a
   request may use — each draining the queue into a forked **job process**
-  of the request's own (:mod:`repro.forked`), which runs it through the
-  hardened :func:`~repro.harness.parallel.run_jobs` harness with the
-  process budget fixed at admission: ``jobs=N`` as given; otherwise
-  ``run_jobs``' own default (alone replays overlapped with the shared runs
-  by helper processes) when another slot is idle, and ``n_jobs=1`` (the
-  replays run in the job process itself) when every other slot is busy.
-  The telemetry bus and sweep checkpoints live under ``state_dir``, so a
-  kill -9'd daemon resumes mid-sweep on restart.  The job process sends
-  back progress and, last, its result; the journal, the event streams and
-  the results store are written here, by this process only.  A job process
-  that dies — crashed, OOM-killed, ``os._exit`` — fails its job with the
-  signal or exit code in the error and takes nothing else with it;
+  of the request's own (:mod:`repro.forked`), which runs it the way a
+  direct caller would — ``run_workloads``, ``run_figure`` or ``run_jobs``
+  — with the process budget the slot fixed at admission (docs/service.md,
+  "Process model").  The job process sends back progress and, last, its
+  result; the journal, the event streams and the results store are
+  written here, by this process only.  A job process that dies fails its
+  job and takes nothing else with it;
 * a **journal** (``state_dir/journal.jsonl``) of accepted submissions and
   terminal states, replayed on startup to re-enqueue interrupted work.
 
-Endpoints (all JSON; see docs/service.md for the schema):
-
-=======  =========================  ==========================================
-POST     /v1/jobs                   submit {tenant, kind, spec}
-GET      /v1/jobs                   list known jobs
-GET      /v1/jobs/<id>              status / result
-GET      /v1/jobs/<id>/stream       JSONL event stream (``?sse=1`` for SSE)
-POST     /v1/jobs/<id>/cancel       cancel a queued job
-GET      /v1/scenarios              registered + recorded scenarios
-GET      /v1/queue                  queue state, fairness metrics, audit
-GET      /v1/report                 SweepStats over the daemon's bus
-GET      /v1/healthz                liveness
-POST     /v1/shutdown               graceful stop
-=======  =========================  ==========================================
-
-Misbehaving clients get one-line JSON errors: malformed JSON and protocol
-violations are 400, oversized bodies 413, unknown jobs 404 — the daemon
-never dies on a bad request.
+The HTTP endpoints and their JSON are listed in docs/service.md
+("Protocol").  Misbehaving clients get one-line JSON errors: malformed
+JSON and protocol violations are 400, oversized bodies 413, unknown jobs
+404 — the daemon never dies on a bad request.
 """
 
 from __future__ import annotations
@@ -90,7 +71,6 @@ class Job:
         self.record_id: str | None = None
         self.scenario_id: str | None = None
         self.queue_entry: QueuedRequest | None = None
-        self.submitted_t = time.time()
         self.finished_t: float | None = None
         self.simulations = 0  # times this job actually executed
 
@@ -155,6 +135,31 @@ def _kill_group(pid: int) -> None:
         pass  # all gone already
 
 
+def _summary(job: Job, outcomes) -> dict[str, Any]:
+    """The result of a request that ran a sweep: a row per sub-job and the
+    counts; ``workload`` adds its one result.  A failed sub-job fails the
+    request, with the rows left on ``job.result`` for its subscribers."""
+    rows = [{
+        "key": o.job.key,
+        "ok": o.ok,
+        "attempts": o.attempts,
+        "resumed": o.resumed,
+        "failure_kind": o.failure_kind,
+        "error": (o.error or "").strip().splitlines()[-1:] or None,
+        "result": (o.result.to_dict() if hasattr(o.result, "to_dict")
+                   else o.result),
+    } for o in outcomes]
+    failed = sum(1 for row in rows if not row["ok"])
+    job.result = {"kind": job.kind, "outcomes": rows,
+                  "ok": len(rows) - failed, "failed": failed}
+    if job.kind == "workload" and rows[0]["ok"]:
+        job.result["result"] = rows[0]["result"]
+    if failed:
+        noun = "chaos" if job.kind == "chaos" else "workload"
+        raise RuntimeError(f"{failed}/{len(rows)} {noun} jobs failed")
+    return job.result
+
+
 class ReproService:
     """The daemon: job table + admission queue + slots + HTTP server."""
 
@@ -211,58 +216,48 @@ class ReproService:
 
     # ------------------------------------------------------------- journal
 
-    def _journal(self, record: dict[str, Any]) -> None:
+    def _journal(self, record: dict[str, Any]) -> dict[str, Any]:
+        """Append ``record`` to the journal, stamped; returns it so."""
         record = dict(record, ts=time.time())
         with durable.open_log(self._journal_path) as log:
             durable.append(log, json.dumps(record, sort_keys=True), fsync=True)
+        return record
 
     def _recover(self) -> None:
-        """Replay the journal: re-enqueue interrupted jobs, keep tombstones
-        of completed ones (their payloads live in the results store).  Torn
-        or damaged lines are skipped and counted in ``journal_skipped``."""
-        submits: dict[str, dict] = {}
-        terminal: dict[str, dict] = {}
+        """Replay the journal down the live paths: each submission through
+        :meth:`_admit`, each terminal record through :meth:`_settle`.  An
+        interrupted job is re-enqueued once, under its first tenant (the
+        sweep checkpoint under state_dir restores finished sub-jobs); a
+        settled one is a tombstone (its payload lives in the results store).
+        Torn or damaged lines are skipped and counted in
+        ``journal_skipped``."""
         records, self.journal_skipped = durable.read_log(self._journal_path)
+        replay: list[tuple[str, tuple | None, dict[str, Any]]] = []
+        settled_at: dict[str, int] = {}  # job id -> its last terminal record
         for rec in records:
             try:
                 if rec.get("t") == "submit":
-                    job_id, tenant, kind, spec = (
-                        rec[k] for k in ("job", "tenant", "kind", "spec"))
-                    submits.setdefault(
-                        job_id, {"kind": kind, "spec": spec, "tenants": []}
-                    )["tenants"].append(tenant)
+                    submission = (rec["tenant"], rec["kind"], rec["spec"])
+                    replay.append((rec["job"], submission, rec))
                 elif rec.get("t") == "terminal":
-                    terminal[rec["job"]] = rec
+                    settled_at[rec["job"]] = len(replay)
+                    replay.append((rec["job"], None, rec))
             except (KeyError, TypeError):
                 self.journal_skipped += 1
-        for job_id, entry in submits.items():
-            job = Job(job_id, entry["kind"], entry["spec"])
-            fin = terminal.get(job_id)
-            if fin is not None:
-                job.state = fin.get("state", DONE)
-                job.error = fin.get("error")  # absent in older journals
-                job.record_id = fin.get("record_id")
-                job.scenario_id = fin.get("scenario_id")
-                job.tenants = entry["tenants"]
-                job.events.append(protocol.event(
-                    "done" if job.state == DONE else job.state,
-                    job=job_id, recovered=True, error=job.error,
-                    record_id=job.record_id,
-                ))
-                self.jobs[job_id] = job
-                continue
-            # Interrupted: re-enqueue under the first tenant; the sweep
-            # checkpoint under state_dir restores finished sub-jobs.
-            self.jobs[job_id] = job
-            for tenant in entry["tenants"]:
-                req = self.queue.submit(tenant, job_id)
-                job.subscribe(tenant, req.rid)
-                if job.queue_entry is None:
-                    job.queue_entry = req
-            job.events.append(protocol.event(
-                "queued", job=job_id, recovered=True,
-                tenants=list(job.tenants),
-            ))
+        with self._cond:
+            for i, (job_id, submission, rec) in enumerate(replay):
+                if submission is not None:
+                    # Enqueued unless a later terminal record settles it.
+                    self._admit(job_id, *submission,
+                                enqueue=settled_at.get(job_id, -1) < i)
+                elif job_id in self.jobs:
+                    self._settle(self.jobs[job_id], journaled=rec)
+            for job in self.jobs.values():
+                if job.state == QUEUED:
+                    self._emit(job, protocol.event(
+                        "queued", job=job.job_id, recovered=True,
+                        tenants=list(job.tenants),
+                    ))
 
     # ----------------------------------------------------------- lifecycle
 
@@ -328,21 +323,33 @@ class ReproService:
 
     # ---------------------------------------------------------- submission
 
+    def _admit(
+        self, job_id: str, tenant: str, kind: str, spec: dict[str, Any],
+        *, enqueue: bool = True,
+    ) -> tuple[Job, str, bool]:
+        """Subscribe ``tenant`` to job ``job_id``.  A fresh job — unknown, or
+        its last attempt failed or was cancelled — is created and enqueued
+        under ``tenant`` (not when ``enqueue`` is false: at startup, for an
+        attempt the journal says has settled); any other dedups onto the
+        job there is.  Returns ``(job, subscription rid, fresh)``; the
+        caller holds the lock."""
+        job = self.jobs.get(job_id)
+        fresh = job is None or job.state in (FAILED, CANCELLED)
+        if fresh:
+            job = self.jobs[job_id] = Job(job_id, kind, spec)
+        rid = f"sub{len(job.rids) + 1}"
+        if fresh and enqueue:
+            job.queue_entry = self.queue.submit(tenant, job_id)
+            rid = job.queue_entry.rid
+        job.subscribe(tenant, rid)
+        return job, rid, fresh
+
     def submit(self, request: protocol.JobRequest) -> dict[str, Any]:
         """Admit (or dedup) one validated request; returns the receipt."""
         job_id = request.job_id
         with self._cond:
-            job = self.jobs.get(job_id)
-            fresh = job is None or job.state in (FAILED, CANCELLED)
-            if fresh:
-                job = Job(job_id, request.kind, request.spec)
-                self.jobs[job_id] = job
-            req = None
-            if fresh:
-                req = self.queue.submit(request.tenant, job_id)
-                job.queue_entry = req
-            rid = req.rid if req is not None else f"sub{len(job.rids) + 1}"
-            job.subscribe(request.tenant, rid)
+            job, rid, fresh = self._admit(
+                job_id, request.tenant, request.kind, request.spec)
             self._journal({
                 "t": "submit", "job": job_id, "tenant": request.tenant,
                 "kind": request.kind, "spec": request.spec, "rid": rid,
@@ -351,8 +358,6 @@ class ReproService:
                 "queued", job=job_id, tenant=request.tenant,
                 deduped=not fresh, status=job.state,
             ))
-            if fresh:
-                self._cond.notify_all()
             return {
                 "schema": protocol.SCHEMA,
                 "job": job_id,
@@ -366,22 +371,39 @@ class ReproService:
             job = self.jobs.get(job_id)
             if job is None:
                 raise KeyError(job_id)
-            if job.state == QUEUED and job.queue_entry is not None:
-                removed = self.queue.cancel(job.queue_entry.rid)
-                if removed is not None:
-                    job.state = CANCELLED
-                    job.finished_t = time.time()
-                    self._journal({
-                        "t": "terminal", "job": job_id, "state": CANCELLED,
-                    })
-                    self._emit(job, protocol.event("cancelled", job=job_id))
-                    self._cond.notify_all()
+            if (job.state == QUEUED and job.queue_entry is not None
+                    and self.queue.cancel(job.queue_entry.rid) is not None):
+                self._settle(job, CANCELLED)
             return {
                 "schema": protocol.SCHEMA,
                 "job": job_id,
                 "status": job.state,
                 "cancelled": job.state == CANCELLED,
             }
+
+    def _settle(
+        self, job: Job, state: str | None = None, error: str | None = None,
+        *, journaled: dict[str, Any] | None = None,
+    ) -> None:
+        """Make ``job`` terminal from its terminal journal record — state,
+        error, finish time, the stream event.  The record is written here,
+        or at startup is ``journaled``, read back (and not written again).
+        The caller holds the lock."""
+        record = journaled if journaled is not None else self._journal({
+            "t": "terminal", "job": job.job_id, "state": state,
+            "error": error, "record_id": job.record_id,
+            "scenario_id": job.scenario_id,
+        })
+        job.state = record.get("state", DONE)
+        job.error = record.get("error")  # absent in older journals
+        job.record_id = record.get("record_id")
+        job.scenario_id = record.get("scenario_id")
+        job.finished_t = record.get("ts")
+        recovered = {"recovered": True} if journaled is not None else {}
+        self._emit(job, protocol.event(
+            job.state, job=job.job_id, error=job.error,
+            record_id=job.record_id, **recovered,
+        ))
 
     def _emit(self, job: Job, event: dict[str, Any]) -> None:
         """Append one stream event (caller holds the lock)."""
@@ -422,21 +444,7 @@ class ReproService:
                 error = f"{type(exc).__name__}: {exc}"
             with self._cond:
                 self.queue.complete(entry)
-                if error is None:
-                    job.state = DONE
-                else:
-                    job.state = FAILED
-                    job.error = error
-                job.finished_t = time.time()
-                self._journal({
-                    "t": "terminal", "job": job.job_id, "state": job.state,
-                    "error": error, "record_id": job.record_id,
-                    "scenario_id": job.scenario_id,
-                })
-                self._emit(job, protocol.event(
-                    "done" if error is None else "failed",
-                    job=job.job_id, error=error, record_id=job.record_id,
-                ))
+                self._settle(job, DONE if error is None else FAILED, error)
             if error is not None:
                 last = (error.strip().splitlines() or [""])[-1]
                 print(f"repro serve: job {job.job_id[:12]} failed: {last}",
@@ -517,12 +525,7 @@ class ReproService:
             other.conn.close()  # a sibling's pipe is not ours to hold open
         run = error = None
         try:
-            if job.kind in ("workload", "sweep"):
-                job.result = self._run_workloads(job, conn, n_jobs)
-            elif job.kind == "scenario":
-                job.result, run = self._run_scenario(job, conn, n_jobs)
-            else:
-                job.result = self._run_chaos(job, conn, n_jobs)
+            job.result, run = self._run(job, conn, n_jobs)
         except Exception as exc:  # noqa: BLE001 - the job's failure, reported
             error = f"{type(exc).__name__}: {exc}"
         try:
@@ -530,130 +533,69 @@ class ReproService:
         except OSError:
             pass  # the daemon is gone, and with it the point of answering
 
-    def _outcome_dict(self, outcome) -> dict[str, Any]:
-        res = outcome.result
-        return {
-            "key": outcome.job.key,
-            "ok": outcome.ok,
-            "attempts": outcome.attempts,
-            "resumed": outcome.resumed,
-            "failure_kind": outcome.failure_kind,
-            "error": (outcome.error or "").strip().splitlines()[-1:] or None,
-            "result": res.to_dict() if hasattr(res, "to_dict") else res,
-        }
-
-    def _run_workloads(
-        self, job: Job, conn, n_jobs: int | None,
-    ) -> dict[str, Any]:
-        from repro.harness import scaled_config
-        from repro.harness.parallel import WorkloadJob, run_jobs
-
-        spec = job.spec
-        workloads = (
-            [spec["apps"]] if job.kind == "workload" else spec["workloads"]
-        )
-        seed = spec.get("seed")
-        cfg = scaled_config(seed=seed) if seed is not None else None
-        wjobs = [
-            WorkloadJob(
-                apps=tuple(apps), config=cfg,
-                shared_cycles=spec.get("cycles"),
-                policy=spec.get("policy"), cache_dir=self.cache_dir,
-            )
-            for apps in workloads
-        ]
-        outcomes = run_jobs(
-            wjobs, n_jobs=n_jobs, progress=_Progress(conn),
-            retries=self.retries, checkpoint=self._ckpt_dir,
-            bus=self._bus_dir,
-        )
-        out: dict[str, Any] = {
-            "kind": job.kind,
-            "outcomes": [self._outcome_dict(o) for o in outcomes],
-            "ok": sum(1 for o in outcomes if o.ok),
-            "failed": sum(1 for o in outcomes if not o.ok),
-        }
-        if job.kind == "workload" and outcomes and outcomes[0].ok:
-            out["result"] = out["outcomes"][0]["result"]
-        if out["failed"]:
-            # Keep the partial outcomes visible to subscribers, then fail.
-            job.result = out
-            raise RuntimeError(
-                f"{out['failed']}/{len(outcomes)} workload jobs failed"
-            )
-        return out
-
-    def _run_scenario(self, job: Job, conn, n_jobs: int | None):
-        """``(result, figure run)``: recording the run is the daemon's."""
+    def _run(self, job: Job, conn, n_jobs: int | None):
+        """``(result, figure run or None)``: recording the run is the
+        daemon's.  Every sweep the request runs reports its progress over
+        ``conn`` and writes under the daemon's state dir, through the
+        ambient sweep defaults — this process's own, and it runs nothing
+        after this job — the way ``repro fig*`` routes its flags."""
         from repro.harness.figures import run_figure
         from repro.harness.parallel import (
-            set_default_progress,
+            run_jobs,
+            run_workloads,
             set_sweep_defaults,
         )
 
-        resolved = self.resolve_scenario(job.spec)
-        params = resolved.get("params") or {}
-        # The figure drivers run their own sweeps; route them through the
-        # daemon's checkpoint + bus dirs via the ambient sweep defaults
-        # (this process's own, and it runs nothing after this job) — the
-        # same pattern `repro fig*` uses for --resume-dir/--sweep-trace.
-        set_default_progress(lambda total: _Progress(conn))
+        spec = job.spec
+        chaos = job.kind == "chaos"
         set_sweep_defaults(
-            retries=self.retries, checkpoint_dir=self._ckpt_dir,
+            progress=lambda total: _Progress(conn),
+            # A chaos request keeps no checkpoint and brings its retries.
+            retries=spec["retries"] if chaos else self.retries,
+            checkpoint_dir=None if chaos else self._ckpt_dir,
             bus_dir=self._bus_dir,
         )
-        run = run_figure(
-            resolved["name"], seed=resolved.get("seed"),
-            jobs=n_jobs, cache_dir=self.cache_dir, **params,
-        )
-        out: dict[str, Any] = {
-            "kind": "scenario",
-            "figure": run.name,
-            "payload": run.payload,
-        }
-        # The live result object stays here: the record is made of the rest.
-        return out, dataclasses.replace(run, result=None)
-
-    def _run_chaos(
-        self, job: Job, conn, n_jobs: int | None,
-    ) -> dict[str, Any]:
-        from repro.faults.chaos import ChaosJob
-        from repro.harness.parallel import run_jobs
-
-        self._chaos_dir.mkdir(parents=True, exist_ok=True)
-        spec = job.spec
-        # Modes that kill or corrupt their own process (os._exit, poisoned
-        # pickles) are charged to their own sub-job only where run_jobs
-        # forks one process per attempt (min(n_jobs, len(jobs)) >= 2);
-        # inline they take this job process down, or poison its answer,
-        # and the daemon settles the whole job as failed, saying how.
-        cjobs = [
-            ChaosJob(
-                name=f"{job.job_id[:12]}-{i}", mode=entry["mode"],
-                payload=entry["payload"],
-                state_dir=str(self._chaos_dir),
-                flaky_failures=entry["flaky_failures"],
+        if job.kind == "scenario":
+            resolved = self.resolve_scenario(spec)
+            run = run_figure(
+                resolved["name"], seed=resolved["seed"], jobs=n_jobs,
+                cache_dir=self.cache_dir, **resolved["params"],
             )
-            for i, entry in enumerate(spec["jobs"])
-        ]
-        outcomes = run_jobs(
-            cjobs, n_jobs=n_jobs, progress=_Progress(conn),
-            retries=spec["retries"], bus=self._bus_dir,
-        )
-        out = {
-            "kind": "chaos",
-            "outcomes": [self._outcome_dict(o) for o in outcomes],
-            "ok": sum(1 for o in outcomes if o.ok),
-            "failed": sum(1 for o in outcomes if not o.ok),
-        }
-        if out["failed"]:
-            # Same contract as workloads: partial outcomes stay visible to
-            # subscribers, the job itself settles as failed.
-            job.result = out
-            raise RuntimeError(
-                f"{out['failed']}/{len(outcomes)} chaos jobs failed"
+            out = {"kind": "scenario", "figure": run.name,
+                   "payload": run.payload}
+            # The live result object stays here: the record is the rest.
+            return out, dataclasses.replace(run, result=None)
+        if chaos:
+            from repro.faults.chaos import ChaosJob
+
+            self._chaos_dir.mkdir(parents=True, exist_ok=True)
+            # Modes that kill or corrupt their own process (os._exit,
+            # poisoned pickles) are charged to their own sub-job only where
+            # run_jobs forks one process per attempt (min(n_jobs, len(jobs))
+            # >= 2); inline they take this job process down, or poison its
+            # answer, and the daemon settles the whole job as failed.
+            outcomes = run_jobs([
+                ChaosJob(
+                    name=f"{job.job_id[:12]}-{i}", mode=entry["mode"],
+                    payload=entry["payload"],
+                    state_dir=str(self._chaos_dir),
+                    flaky_failures=entry["flaky_failures"],
+                )
+                for i, entry in enumerate(spec["jobs"])
+            ], n_jobs=n_jobs)
+        else:
+            from repro.harness import scaled_config
+
+            seed = spec.get("seed")
+            outcomes = run_workloads(
+                [spec["apps"]] if job.kind == "workload"
+                else spec["workloads"],
+                jobs=n_jobs,
+                config=scaled_config(seed=seed) if seed is not None else None,
+                shared_cycles=spec.get("cycles"), policy=spec.get("policy"),
+                cache_dir=self.cache_dir,
             )
-        return out
+        return _summary(job, outcomes), None
 
     # ------------------------------------------------------------ catalogs
 
@@ -663,8 +605,9 @@ class ReproService:
         return ResultStore(self.store_dir) if self.store_dir else None
 
     def scenario_catalog(self) -> list[dict[str, Any]]:
-        """Registered scenario builders (default-parameter ids) plus every
-        scenario already recorded in the daemon's store."""
+        """Every scenario the daemon can name, by name: each registered
+        builder at its default parameters, then each scenario recorded in
+        the daemon's store (``records`` counts its recordings)."""
         from repro.store import SCENARIOS, scenario_for
 
         rows: dict[str, dict[str, Any]] = {}
@@ -675,71 +618,58 @@ class ReproService:
                 "records": 0,
             }
         store = self._store()
-        if store is not None:
-            for row in store.scenarios():
-                sid = row["scenario_id"]
-                entry = rows.setdefault(sid, {
-                    "name": row["scenario_name"], "scenario_id": sid,
-                    "source": "store", "records": 0,
-                })
-                entry["records"] = row["records"]
-        return sorted(rows.values(), key=lambda r: (r["name"],
-                                                    r["scenario_id"]))
+        for row in store.scenarios() if store is not None else ():
+            sid = row["scenario_id"]
+            rows.setdefault(sid, {
+                "name": row["scenario_name"], "scenario_id": sid,
+                "source": "store",
+            })["records"] = row["records"]
+        return sorted(rows.values(),
+                      key=lambda r: (r["name"], r["scenario_id"]))
+
+    def _rebuilt_by(self, row: dict[str, Any]) -> tuple[str, Any] | None:
+        """The ``(name, seed)`` run_figure rebuilds the scenario of ``row``
+        from — a registered one's defaults, a recorded one's name and only
+        seed — or None when they do not rebuild it."""
+        from repro.store import scenario_for
+
+        if row["source"] == "registry":
+            return row["name"], None
+        sc = self._store().load(f"{row['scenario_id']}@-1").scenario
+        seeds = list(sc.get("seeds") or ())
+        name, seed = sc.get("name"), seeds[0] if len(seeds) == 1 else None
+        try:
+            rebuilt = scenario_for(name, seed=seed).scenario_id()
+        except ValueError:
+            return None
+        return (name, seed) if rebuilt == row["scenario_id"] else None
 
     def resolve_scenario(self, spec: dict[str, Any]) -> dict[str, Any]:
         """Resolve a scenario spec (by name or by id prefix) to run_figure
         kwargs.  Ids cover registry defaults and store-recorded scenarios
         whose spec is reproducible from (name, seed) alone."""
-        from repro.store import SCENARIOS, scenario_for
-
-        if spec.get("name"):
-            return {k: spec.get(k) for k in ("name", "seed", "params")}
-        target = spec["id"]
-        candidates: dict[str, dict[str, Any]] = {}
-        for name in sorted(SCENARIOS):
-            sid = scenario_for(name).scenario_id()
-            candidates[sid] = {"name": name, "seed": None, "params": {}}
-        store = self._store()
-        if store is not None:
-            for row in store.scenarios():
-                sid = row["scenario_id"]
-                if sid in candidates:
-                    continue
-                rec = store.load(f"{row['scenario_name']}@-1")
-                sc = rec.scenario
-                seeds = list(sc.get("seeds") or ())
-                kwargs = {
-                    "name": sc.get("name"),
-                    "seed": seeds[0] if len(seeds) == 1 else None,
-                    "params": {},
-                }
-                try:
-                    rebuilt = scenario_for(
-                        kwargs["name"], seed=kwargs["seed"],
-                    ).scenario_id()
-                except ValueError:
-                    continue
-                if rebuilt == sid:  # reproducible from defaults
-                    candidates[sid] = kwargs
-        matches = sorted(
-            sid for sid in candidates if sid.startswith(target)
-        )
-        if not matches:
-            raise ValueError(
-                f"no servable scenario matches id {target!r} "
-                "(see GET /v1/scenarios)"
-            )
-        if len(matches) > 1:
-            raise ValueError(
-                f"scenario id {target!r} is ambiguous: "
-                f"{', '.join(m[:12] for m in matches)}"
-            )
-        resolved = dict(candidates[matches[0]])
+        name, seed = spec.get("name"), None
+        if not name:
+            target = spec["id"]
+            servable = {
+                row["scenario_id"]: found for row in self.scenario_catalog()
+                if row["scenario_id"].startswith(target)
+                and (found := self._rebuilt_by(row)) is not None
+            }
+            if not servable:
+                raise ValueError(
+                    f"no servable scenario matches id {target!r} "
+                    "(see GET /v1/scenarios)"
+                )
+            if len(servable) > 1:
+                raise ValueError(
+                    f"scenario id {target!r} is ambiguous: "
+                    f"{', '.join(m[:12] for m in sorted(servable))}"
+                )
+            ((name, seed),) = servable.values()
         if spec.get("seed") is not None:
-            resolved["seed"] = spec["seed"]
-        if spec.get("params"):
-            resolved["params"] = spec["params"]
-        return resolved
+            seed = spec["seed"]
+        return {"name": name, "seed": seed, "params": spec.get("params") or {}}
 
     def report(self) -> dict[str, Any]:
         """SweepStats over everything the daemon's bus has seen."""
@@ -759,18 +689,17 @@ class ReproService:
 
     def health(self) -> dict[str, Any]:
         with self._lock:
-            running = self.running()
-        return {
-            "schema": protocol.SCHEMA,
-            "ok": True,
-            "pid": os.getpid(),
-            "jobs": len(self.jobs),
-            "pending": len(self.queue),
-            "slots": self.slots,
-            "running": running,
-            "policy": self.queue.policy,
-            "store": self.store_dir,
-        }
+            return {
+                "schema": protocol.SCHEMA,
+                "ok": True,
+                "pid": os.getpid(),
+                "jobs": len(self.jobs),
+                "pending": len(self.queue),
+                "slots": self.slots,
+                "running": self.running(),
+                "policy": self.queue.policy,
+                "store": self.store_dir,
+            }
 
 
 # --------------------------------------------------------------- HTTP layer
@@ -808,49 +737,27 @@ def _make_handler(service: ReproService):
             except json.JSONDecodeError as exc:
                 raise _HttpError(400, f"bad JSON: {exc}")
 
+        def _job(self, job_id: str) -> Job:
+            with service._lock:
+                job = service.jobs.get(job_id)
+            if job is None:
+                raise _HttpError(404, f"unknown job {job_id!r}")
+            return job
+
         # --------------------------------------------------------- routes
         def do_GET(self) -> None:  # noqa: N802 - stdlib name
+            self._serve(self._get)
+
+        def do_POST(self) -> None:  # noqa: N802 - stdlib name
+            self._serve(self._post)
+
+        def _serve(self, route) -> None:
+            """Answer one request by ``route``; whatever goes wrong is a
+            one-line JSON error, and never the daemon's end."""
             try:
-                path = self.path.split("?", 1)[0].rstrip("/")
-                if path == "/v1/healthz":
-                    self._json(200, service.health())
-                elif path == "/v1/scenarios":
-                    self._json(200, {
-                        "schema": protocol.SCHEMA,
-                        "scenarios": service.scenario_catalog(),
-                    })
-                elif path == "/v1/queue":
-                    with service._lock:
-                        snap = service.queue.snapshot()
-                        snap["slots"] = service.slots
-                        snap["running"] = service.running()
-                    self._json(200, snap)
-                elif path == "/v1/report":
-                    self._json(200, service.report())
-                elif path == "/v1/jobs":
-                    with service._lock:
-                        rows = [
-                            {"job": j.job_id, "kind": j.kind,
-                             "status": j.state, "tenants": list(j.tenants)}
-                            for j in service.jobs.values()
-                        ]
-                    self._json(200, {"schema": protocol.SCHEMA, "jobs": rows})
-                elif path.startswith("/v1/jobs/"):
-                    rest = path[len("/v1/jobs/"):]
-                    if rest.endswith("/stream"):
-                        self._stream(rest[:-len("/stream")])
-                    else:
-                        with service._lock:
-                            job = service.jobs.get(rest)
-                            payload = job.to_dict() if job else None
-                        if payload is None:
-                            self._error(404, f"unknown job {rest!r}")
-                        else:
-                            self._json(200, payload)
-                else:
-                    self._error(404, f"unknown path {path!r}")
+                route(self.path.split("?", 1)[0].rstrip("/"))
             except _HttpError as exc:
-                self._error(exc.status, exc.message)
+                self._error(*exc.args)
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away mid-response
             except Exception as exc:  # noqa: BLE001 - never kill the daemon
@@ -859,48 +766,61 @@ def _make_handler(service: ReproService):
                 except OSError:
                     pass
 
-        def do_POST(self) -> None:  # noqa: N802 - stdlib name
-            try:
-                path = self.path.split("?", 1)[0].rstrip("/")
-                if path == "/v1/jobs":
-                    try:
-                        request = protocol.parse_submit(
-                            self._body(), allow_chaos=service.allow_chaos
-                        )
-                    except ValueError as exc:
-                        raise _HttpError(400, str(exc))
-                    self._json(202, service.submit(request))
-                elif path.startswith("/v1/jobs/") and path.endswith("/cancel"):
-                    job_id = path[len("/v1/jobs/"):-len("/cancel")]
-                    try:
-                        self._json(200, service.cancel(job_id))
-                    except KeyError:
-                        self._error(404, f"unknown job {job_id!r}")
-                elif path == "/v1/shutdown":
-                    self._json(200, {"schema": protocol.SCHEMA,
-                                     "stopping": True})
-                    threading.Thread(target=service.stop,
-                                     daemon=True).start()
-                else:
-                    self._error(404, f"unknown path {path!r}")
-            except _HttpError as exc:
-                self._error(exc.status, exc.message)
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-            except Exception as exc:  # noqa: BLE001
+        def _get(self, path: str) -> None:
+            if path == "/v1/healthz":
+                self._json(200, service.health())
+            elif path == "/v1/scenarios":
+                self._json(200, {
+                    "schema": protocol.SCHEMA,
+                    "scenarios": service.scenario_catalog(),
+                })
+            elif path == "/v1/queue":
+                with service._lock:
+                    snap = dict(service.queue.snapshot(), slots=service.slots,
+                                running=service.running())
+                self._json(200, snap)
+            elif path == "/v1/report":
+                self._json(200, service.report())
+            elif path == "/v1/jobs":
+                with service._lock:
+                    rows = [
+                        {"job": j.job_id, "kind": j.kind,
+                         "status": j.state, "tenants": list(j.tenants)}
+                        for j in service.jobs.values()
+                    ]
+                self._json(200, {"schema": protocol.SCHEMA, "jobs": rows})
+            elif path.startswith("/v1/jobs/") and path.endswith("/stream"):
+                self._stream(self._job(path[len("/v1/jobs/"):-len("/stream")]))
+            elif path.startswith("/v1/jobs/"):
+                job = self._job(path[len("/v1/jobs/"):])
+                with service._lock:
+                    payload = job.to_dict()
+                self._json(200, payload)
+            else:
+                raise _HttpError(404, f"unknown path {path!r}")
+
+        def _post(self, path: str) -> None:
+            if path == "/v1/jobs":
                 try:
-                    self._error(500, f"{type(exc).__name__}: {exc}")
-                except OSError:
-                    pass
+                    request = protocol.parse_submit(
+                        self._body(), allow_chaos=service.allow_chaos
+                    )
+                except ValueError as exc:
+                    raise _HttpError(400, str(exc))
+                self._json(202, service.submit(request))
+            elif path.startswith("/v1/jobs/") and path.endswith("/cancel"):
+                job = self._job(path[len("/v1/jobs/"):-len("/cancel")])
+                self._json(200, service.cancel(job.job_id))
+            elif path == "/v1/shutdown":
+                self._json(200, {"schema": protocol.SCHEMA,
+                                 "stopping": True})
+                threading.Thread(target=service.stop, daemon=True).start()
+            else:
+                raise _HttpError(404, f"unknown path {path!r}")
 
         # ------------------------------------------------------ streaming
-        def _stream(self, job_id: str) -> None:
+        def _stream(self, job: Job) -> None:
             sse = "sse=1" in (self.path.split("?", 1) + [""])[1]
-            with service._lock:
-                job = service.jobs.get(job_id)
-            if job is None:
-                self._error(404, f"unknown job {job_id!r}")
-                return
             self.send_response(200)
             self.send_header(
                 "Content-Type",
@@ -927,12 +847,10 @@ def _make_handler(service: ReproService):
                     self.wfile.write(b": ping\n\n" if sse else b"\n")
                     self.wfile.flush()
                     continue
+                frame = "data: {}\n\n" if sse else "{}\n"
                 for event in batch:
                     line = json.dumps(event, sort_keys=True)
-                    if sse:
-                        self.wfile.write(f"data: {line}\n\n".encode())
-                    else:
-                        self.wfile.write((line + "\n").encode())
+                    self.wfile.write(frame.format(line).encode())
                 self.wfile.flush()
                 if terminal and sent >= len(job.events):
                     return
@@ -941,7 +859,4 @@ def _make_handler(service: ReproService):
 
 
 class _HttpError(Exception):
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
+    """``(status, message)``: the one-line JSON error a request gets."""

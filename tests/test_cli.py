@@ -180,12 +180,15 @@ def test_trace_chrome_format_writes_only_the_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("capacity", ["0", "-5"])
-def test_trace_capacity_below_one_is_a_one_line_error(tmp_path, capacity):
+def test_trace_capacity_below_one_is_a_one_line_error(tmp_path, capsys,
+                                                      capacity):
     with pytest.raises(SystemExit) as exc:
         main(["trace", "SD", "SB", "--trace-capacity", capacity,
               "--out", str(tmp_path / "t")])
-    msg = str(exc.value)
-    assert msg == f"--trace-capacity must be >= 1, got {capacity}"
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--trace-capacity: must be >= 1, got {capacity}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "t").exists()
 
 
@@ -219,13 +222,65 @@ def test_run_where_an_app_retires_nothing_prints_no_actual(capsys):
 
 @pytest.mark.parametrize("command", ["run", "trace"])
 @pytest.mark.parametrize("cycles", ["0", "-5"])
-def test_cycles_below_one_is_a_one_line_error(tmp_path, command, cycles):
+def test_cycles_below_one_is_a_one_line_error(tmp_path, capsys, command,
+                                              cycles):
     out = tmp_path / "t"
     extra = ["--out", str(out)] if command == "trace" else []
     with pytest.raises(SystemExit) as exc:
         main([command, "SD", "SB", "--cycles", cycles, *extra])
-    assert str(exc.value) == f"--cycles must be >= 1, got {cycles}"
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--cycles: must be >= 1, got {cycles}" in err
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_sweeping_command_restores_the_ambient_sweep_defaults(
+        monkeypatch):
+    # --progress is one of the ambient sweep defaults: set with the others
+    # for the figure's run, and restored with them, not cleared.
+    from repro import cli
+    from repro.harness.parallel import set_default_progress, sweep_defaults
+
+    during = []
+    monkeypatch.setattr(
+        cli, "_run_fig",
+        lambda args, **kw: during.append(sweep_defaults()) or 0)
+
+    def factory(total):
+        return None
+
+    set_default_progress(factory)
+    try:
+        before = sweep_defaults()
+        assert main(["fig5", "--progress", "--retries", "2"]) == 0
+        assert during[0]["progress"] not in (None, factory)
+        assert during[0]["retries"] == 2
+        assert sweep_defaults() == before
+        assert before["progress"] is factory
+    finally:
+        set_default_progress(None)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["submit", "SD", "SB", "--cycles", "0"], "--cycles: must be >= 1, got 0"),
+    (["submit", "--scenario", "fig5", "--limit", "0"],
+     "--limit: must be >= 1, got 0"),
+    (["submit", "SD", "--timeout", "0"], "--timeout: must be > 0, got 0"),
+    (["submit", "SD", "--timeout", "-2"], "--timeout: must be > 0, got -2"),
+    (["store", "gc", "--keep", "0"], "--keep: must be >= 1, got 0"),
+])
+def test_submit_and_gc_counts_are_argparse_errors(tmp_path, capsys, argv,
+                                                  message):
+    # `submit --limit 0` used to be refused only by the daemon it reached.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--store", str(tmp_path / "s")]
+                     if argv[0] == "store" else
+                     ["--url", "http://127.0.0.1:9"]))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(message)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "trace"])

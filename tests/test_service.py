@@ -518,6 +518,20 @@ class TestHttpRoundTrip:
         body = json.loads(err.value.read().decode())
         assert "bad JSON" in body["error"]
 
+    def test_an_unreachable_daemon_is_a_service_error(self):
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]  # closed once the block ends
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout_s=5.0)
+        for call in (client.health, lambda: list(client.stream("feedbeef"))):
+            with pytest.raises(ServiceError) as err:
+                call()
+            assert err.value.status == 0
+            assert err.value.message.startswith(
+                f"cannot reach http://127.0.0.1:{port}: ")
+
     def test_scenario_catalog_lists_registry(self, daemon):
         _, client = daemon
         rows = client.scenarios()
@@ -846,9 +860,8 @@ class TestJobProcesses:
         # shared state: those writes happen on the other side of the pipe.
         from repro.service import daemon as d
 
-        inside = [d.ReproService._job_main, d.ReproService._run_workloads,
-                  d.ReproService._run_scenario, d.ReproService._run_chaos,
-                  d.ReproService._outcome_dict, d._Progress]
+        inside = [d.ReproService._job_main, d.ReproService._run,
+                  d._summary, d._Progress]
         forbidden = ("_journal", "_emit", "record_figure", "_cond", "_lock",
                      "self.jobs", "self.queue", "_store(")
         for fn in inside:
@@ -1052,6 +1065,61 @@ class TestJournalRecovery:
         assert set(again.jobs) == {first, second}
         assert again.jobs[second].state == "queued" and len(again.queue) == 2
         assert again.journal_skipped == 1
+
+    @staticmethod
+    def _journal_three_submits(state):
+        """One job journaled as submitted by alice, bob and bob, unfinished."""
+        svc = ReproService(state)
+        job = [svc.submit(parse_submit({
+            "tenant": tenant, "kind": "workload",
+            "spec": {"apps": ["SD"], "cycles": 999}}))["job"]
+            for tenant in ("alice", "bob", "bob")][0]
+        assert [r["t"] for r in _journal(svc)] == ["submit"] * 3
+        return job
+
+    def test_an_interrupted_job_is_queued_once(self, tmp_path):
+        state = tmp_path / "state"
+        job_id = self._journal_three_submits(state)
+        svc = ReproService(state)
+        # One queue entry, under the first tenant; the others subscribe.
+        assert svc.queue.submitted == 1 and len(svc.queue) == 1
+        job = svc.jobs[job_id]
+        assert job.state == "queued" and job.queue_entry.tenant == "alice"
+        assert job.to_dict()["tenants"] == ["alice", "bob"]
+        assert job.to_dict()["subscribers"] == 3
+        assert [e["event"] for e in job.events] == ["queued"]
+        # Cancelling it leaves nothing queued to run it again.
+        assert svc.cancel(job_id)["cancelled"] is True
+        assert len(svc.queue) == 0 and svc.queue.next() is None
+
+    def test_a_settled_job_keeps_its_tenants_once(self, tmp_path):
+        state = tmp_path / "state"
+        job_id = self._journal_three_submits(state)
+        ReproService(state)._journal({
+            "t": "terminal", "job": job_id, "state": "done",
+            "record_id": None, "scenario_id": None})
+        svc = ReproService(state)
+        assert svc.queue.submitted == 0 and len(svc.queue) == 0
+        status = svc.jobs[job_id].to_dict()
+        assert status["status"] == "done"
+        assert status["tenants"] == ["alice", "bob"]
+        assert status["subscribers"] == 3  # one per journaled submission
+        assert svc.jobs[job_id].events[-1]["recovered"] is True
+
+    def test_a_resubmission_after_cancel_is_queued_again(self, tmp_path):
+        state = tmp_path / "state"
+        svc = ReproService(state)
+        first = svc.submit(self._request(999))["job"]
+        svc.cancel(first)
+        svc.submit(parse_submit({"tenant": "b", "kind": "workload",
+                                 "spec": {"apps": ["SD"], "cycles": 999}}))
+        assert [r["t"] for r in _journal(svc)] == [
+            "submit", "terminal", "submit"]
+        again = ReproService(state)
+        job = again.jobs[first]
+        # The cancelled attempt is settled; the one after it is pending.
+        assert job.state == "queued" and job.tenants == ["b"]
+        assert again.queue.submitted == 1
 
     @pytest.mark.parametrize("damaged", ['{"t":"submit"}', "[1]"])
     def test_one_damaged_record_does_not_stop_the_daemon(
