@@ -1,116 +1,13 @@
-"""Simulator throughput micro-benchmarks (DESIGN.md §5: the event-driven
-design is what makes pure-Python figure sweeps tractable).
-
-Unlike the experiment benchmarks these use normal pytest-benchmark rounds,
-since they are genuine micro-benchmarks.
-
-The per-component benchmarks (engine dispatch, SM burst loop, DRAM
-dispatch, pair workload) share their workloads with
-:mod:`benchmarks.bench_sim`; running this module also writes the
-``BENCH_sim.json`` artifact so the perf trajectory is tracked across PRs
-(CI's perf-smoke job runs ``bench_sim.py`` directly and gates on the
-committed ``benchmarks/BENCH_baseline.json``).
+"""Sweep fan-out speed: a warm pooled sweep against the serial path
+(DESIGN.md §5).  Simulator micro-shapes are the perf ledger's
+(``benchmarks/ledger/micro.py``), gated change-against-parent by
+``benchmarks/parent_gate.py``.
 """
 
-import json
-import pathlib
-import sys
 import time
 
-import pytest
-
-from repro import GPU
 from repro.harness import scaled_config
 from repro.harness.experiments import DEFAULT_PAIRS, estimation_accuracy
-from repro.workloads import SUITE
-
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
-import bench_sim  # noqa: E402  (sibling module, not a package)
-
-#: name → best-observed seconds, filled by the component benchmarks below.
-_RESULTS: dict = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_artifact():
-    """After the module's benchmarks ran, dump ``BENCH_sim.json``."""
-    yield
-    if not _RESULTS:
-        return
-    cal = bench_sim.calibrate()
-    payload = {
-        "schema": 1,
-        "calibration_seconds": cal,
-        "benches": {
-            name: {"seconds": s, "normalized": s / cal}
-            for name, s in sorted(_RESULTS.items())
-        },
-    }
-    out = pathlib.Path("BENCH_sim.json")
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _component(benchmark, name):
-    """Benchmark one bench_sim component and record its best time."""
-    fn = bench_sim.BENCHES[name]
-    fn()  # warm-up outside the measured rounds
-    result = benchmark.pedantic(fn, rounds=3, iterations=1)
-    _RESULTS[name] = min(benchmark.stats.stats.data)
-    return result
-
-
-def test_engine_event_throughput(benchmark):
-    """Sparse dispatch: one event per cycle, heap-dominated."""
-    assert _component(benchmark, "engine_dispatch_sparse") == 20_000
-
-
-def test_engine_event_throughput_bursty(benchmark):
-    """Bursty dispatch: ~10 events per cycle — the bucket-queue fast path
-    real workloads exercise (~3+ events per cycle at DRAM saturation).
-
-    The 10 seed events may still be in flight when the count target is
-    reached, so the total overshoots by up to 9.
-    """
-    assert _component(benchmark, "engine_dispatch_burst") >= 20_000
-
-
-def test_sm_burst_loop_throughput(benchmark):
-    """Compute-bound app alone: SM processor-sharing machinery dominates."""
-    assert _component(benchmark, "sm_burst_loop") == 30_000
-
-
-def test_dram_dispatch_throughput(benchmark):
-    """Bandwidth-saturated app alone: DRAM controller dominates."""
-    assert _component(benchmark, "dram_dispatch") == 30_000
-
-
-def test_pair_workload_throughput(benchmark):
-    """The acceptance workload: SD+SB shared run."""
-    assert _component(benchmark, "pair_workload") == 30_000
-
-
-def test_sim_cycles_per_second_light(benchmark):
-    """Compute-bound workload: SM virtual-time dominates."""
-    cfg = scaled_config()
-
-    def run():
-        gpu = GPU(cfg, [SUITE["QR"], SUITE["CT"]])
-        gpu.run(30_000)
-        return gpu.engine.now
-
-    assert benchmark.pedantic(run, rounds=1, iterations=1) == 30_000
-
-
-def test_sim_cycles_per_second_saturated(benchmark):
-    """Bandwidth-saturated workload: DRAM controller dominates."""
-    cfg = scaled_config()
-
-    def run():
-        gpu = GPU(cfg, [SUITE["SD"], SUITE["SB"]])
-        gpu.run(30_000)
-        return gpu.engine.now
-
-    assert benchmark.pedantic(run, rounds=1, iterations=1) == 30_000
 
 
 def test_parallel_warm_sweep_beats_serial(tmp_path):

@@ -13,6 +13,11 @@ runs and what the two say to each other over the pipe is the caller's;
 :func:`hear` is how a parent that waits for an answer tells an answer from
 a death, and says which death.
 
+One lock keeps threads that spawn apart from threads that wait (the
+daemon's slots do both): ``Process.start()`` first reaps every exited child
+it knows, and a ``join`` elsewhere that loses that race leaves the exit
+code unset, so the ``close`` after it raises.
+
 Leaf module, no ``repro`` imports.
 """
 
@@ -21,10 +26,24 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 
 #: How long :func:`hear` waits on a silent child before checking that it is
 #: alive (a dead one's pipe stays open while a process it forked holds it).
 LIVENESS_POLL_S = 0.25
+
+#: Held around ``Process.start()`` and every wait on a child, never across
+#: a pipe read.  A forked child, which may fork helpers of its own, gets a
+#: fresh one rather than the copy its forking thread held.
+_LOCK = threading.Lock()
+
+
+def _fresh_lock() -> None:
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock)
 
 
 class Lost(Exception):
@@ -45,13 +64,18 @@ def hear(proc, conn, timeout: float = LIVENESS_POLL_S):
         try:
             return conn.recv()
         except (EOFError, OSError):
-            proc.join()  # its end is closed: it has exited, or is exiting
+            with _LOCK:  # its end is closed: it has exited, or is exiting
+                proc.join()
         except Exception as exc:  # noqa: BLE001 - what it sent will not load
             how = f"{type(exc).__name__}: {exc}".splitlines()[0]
             raise Lost(how, died=False) from None
-    elif proc.is_alive() or conn.poll():
-        return None
-    code = proc.exitcode
+    else:
+        with _LOCK:
+            alive = proc.is_alive()
+        if alive or conn.poll():
+            return None
+    with _LOCK:
+        code = proc.exitcode
     raise Lost(f"signal {-code}" if code < 0 else f"exit code {code}", died=True)
 
 
@@ -74,7 +98,8 @@ def spawn(main, *args, daemon: bool):
     proc = ctx.Process(
         target=_child, args=(ours, main, theirs, args), daemon=daemon,
     )
-    proc.start()
+    with _LOCK:
+        proc.start()
     theirs.close()
     return proc, ours
 
@@ -88,7 +113,8 @@ def _child(parent_end, main, conn, args) -> None:
 def reap(proc, conn) -> None:
     """Kill (a no-op on one that has exited), join and close ``proc``, and
     close our end of its pipe."""
-    proc.kill()
-    proc.join()
-    proc.close()
+    with _LOCK:
+        proc.kill()
+        proc.join()
+        proc.close()
     conn.close()

@@ -131,14 +131,18 @@ class ServiceClient:
     def shutdown(self) -> dict[str, Any]:
         return self._request("POST", "/v1/shutdown")
 
-    def stream(self, job_id: str) -> Iterator[dict[str, Any]]:
-        """Yield the job's JSONL events until it reaches a terminal state."""
+    def _lines(self, job_id: str) -> Iterator[dict[str, Any] | None]:
+        """Each line of the job's event stream until it is terminal: an
+        event, or None for a heartbeat (sent at least every 0.5 s)."""
         with self._open("GET", f"/v1/jobs/{job_id}/stream",
                         accept="application/x-ndjson") as resp:
             for line in resp:
                 line = line.strip()
-                if line:
-                    yield json.loads(line.decode())
+                yield json.loads(line.decode()) if line else None
+
+    def stream(self, job_id: str) -> Iterator[dict[str, Any]]:
+        """Yield the job's JSONL events until it reaches a terminal state."""
+        return (event for event in self._lines(job_id) if event is not None)
 
     def wait(
         self, job_id: str, *, timeout_s: float | None = None
@@ -154,7 +158,7 @@ class ServiceClient:
                     f"job {job_id} not terminal after {timeout_s}s"
                 )
 
-        for _ in self.stream(job_id):
+        for _ in self._lines(job_id):  # heartbeats too: a quiet job times out
             check_deadline()
         status = self.status(job_id)
         while status["status"] not in TERMINAL:  # stream cut early: poll

@@ -189,7 +189,7 @@ class MemoryPartition:
             req.seq = self._seq
         else:
             req = DramRequest(app, addr, now + l2_latency, callback, self._seq)
-        bank = addr.bank  # _demand_bank(app, bank, +1), partition-local part
+        bank = addr.bank
         d = self._bank_demand[app]
         v = d[bank]
         d[bank] = v + 1
@@ -198,16 +198,6 @@ class MemoryPartition:
         self._schedule(l2_latency, self._arrive_cb, req)
 
     # ----------------------------------------------------------------- DRAM
-
-    def _demand_bank(self, app: int, bank: int, delta: int) -> None:
-        d = self._bank_demand[app]
-        before = d[bank] > 0
-        d[bank] += delta
-        after = d[bank] > 0
-        if after and not before:
-            self.stats.demanded_changed(app, +1)
-        elif before and not after:
-            self.stats.demanded_changed(app, -1)
 
     def _arrive(self, req: DramRequest) -> None:
         bank = req.addr.bank
@@ -414,7 +404,7 @@ class MemoryPartition:
 
         # advance + executing-bank bookkeeping in one call.
         stats.on_bank_start(now, app)
-        if self._busy_active > 0:  # _busy_advance, inlined
+        if self._busy_active > 0:
             self.busy_time += now - self._busy_last
         self._busy_last = now
         self._busy_active += 1
@@ -427,23 +417,18 @@ class MemoryPartition:
             )
         self._schedule(completion - now, self._complete_cb, req)
 
-    def _busy_advance(self, now: int) -> None:
-        if self._busy_active > 0:
-            self.busy_time += now - self._busy_last
-        self._busy_last = now
-
     def _complete(self, req: DramRequest) -> None:
         completion = self.engine.now  # the event fires exactly at completion
         app = req.app
         bank = req.addr.bank
         stats = self.stats
-        d = self._bank_demand[app]  # _demand_bank(app, bank, -1), local part
+        d = self._bank_demand[app]
         v = d[bank]
         d[bank] = v - 1
         # advance + executing/outstanding/demanded bookkeeping +
         # requests_served in one call.
         stats.on_complete(completion, app, v == 1)
-        if self._busy_active > 0:  # _busy_advance, inlined
+        if self._busy_active > 0:
             self.busy_time += completion - self._busy_last
         self._busy_last = completion
         self._busy_active -= 1

@@ -20,44 +20,13 @@ from typing import Any, Callable
 from repro.sim.engine import _NO_ARG, Engine
 
 
-class CrossbarPort:
-    """One output port: FIFO serialization + wire latency."""
-
-    __slots__ = ("engine", "latency", "packet_cycles", "free_at", "packets",
-                 "busy_time")
-
-    def __init__(self, engine: Engine, latency: int, packet_cycles: int) -> None:
-        self.engine = engine
-        self.latency = latency
-        self.packet_cycles = packet_cycles
-        self.free_at = 0
-        self.packets = 0
-        self.busy_time = 0
-
-    def send(self, deliver: Callable, arg: Any = _NO_ARG) -> int:
-        """Enqueue one packet; ``deliver(arg)`` (or ``deliver()``) fires on
-        arrival.  Returns the delivery cycle.
-
-        Hot-path callers pass a bound method plus payload so no closure is
-        allocated per packet (see :mod:`repro.sim.engine`).
-        """
-        now = self.engine.now
-        start = now if now > self.free_at else self.free_at
-        self.free_at = start + self.packet_cycles
-        self.packets += 1
-        self.busy_time += self.packet_cycles
-        arrival = self.free_at + self.latency
-        self.engine.schedule(arrival - now, deliver, arg)
-        return arrival
-
-
 class Crossbar:
     """One direction of the interconnect: ``n_ports`` output ports.
 
     Port state lives in parallel plain lists rather than per-port objects:
     ``send`` runs once per packet on the memory hot path, and indexed list
     reads/writes are measurably cheaper than attribute access on a port
-    object.  :class:`CrossbarPort` remains for standalone use.
+    object.
     """
 
     __slots__ = (
@@ -85,8 +54,12 @@ class Crossbar:
         self._trace_pid = trace_pid
 
     def send(self, port: int, deliver: Callable, arg: Any = _NO_ARG) -> int:
-        """Enqueue one packet on ``port``; same contract as
-        :meth:`CrossbarPort.send`."""
+        """Enqueue one packet on ``port``; ``deliver(arg)`` (or
+        ``deliver()``) fires on arrival.  Returns the delivery cycle.
+
+        Hot-path callers pass a bound method plus payload so no closure is
+        allocated per packet (see :mod:`repro.sim.engine`).
+        """
         now = self.engine.now
         packet_cycles = self.packet_cycles
         free_list = self._free_at

@@ -117,11 +117,6 @@ class MemoryStats:
             self._demanded[app] -= 1
         self.apps[app].requests_served += 1
 
-    # --- mutations (caller must advance(now) first) -----------------------
-
-    def demanded_changed(self, app: int, delta: int) -> None:
-        self._demanded[app] += delta
-
     # --- reads -------------------------------------------------------------
 
     def outstanding(self, app: int) -> int:

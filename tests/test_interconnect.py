@@ -3,43 +3,45 @@
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.interconnect import Crossbar, CrossbarPort
+from repro.sim.interconnect import Crossbar
 
 
 class TestPort:
+    """One port of a one-port crossbar: FIFO serialization + wire latency."""
+
     def test_single_packet_takes_serialization_plus_latency(self):
         eng = Engine()
-        port = CrossbarPort(eng, latency=20, packet_cycles=2)
+        xbar = Crossbar(eng, n_ports=1, latency=20, packet_cycles=2)
         arrivals = []
-        t = port.send(lambda: arrivals.append(eng.now))
+        t = xbar.send(0, lambda: arrivals.append(eng.now))
         assert t == 22
         eng.run()
         assert arrivals == [22]
 
     def test_back_to_back_packets_serialize(self):
         eng = Engine()
-        port = CrossbarPort(eng, latency=20, packet_cycles=2)
-        t1 = port.send(lambda: None)
-        t2 = port.send(lambda: None)
-        t3 = port.send(lambda: None)
+        xbar = Crossbar(eng, n_ports=1, latency=20, packet_cycles=2)
+        t1 = xbar.send(0, lambda: None)
+        t2 = xbar.send(0, lambda: None)
+        t3 = xbar.send(0, lambda: None)
         assert t2 - t1 == 2
         assert t3 - t2 == 2
 
     def test_idle_gap_resets_serialization(self):
         eng = Engine()
-        port = CrossbarPort(eng, latency=10, packet_cycles=4)
-        port.send(lambda: None)
+        xbar = Crossbar(eng, n_ports=1, latency=10, packet_cycles=4)
+        xbar.send(0, lambda: None)
         eng.run()  # drain
-        t = port.send(lambda: None)
+        t = xbar.send(0, lambda: None)
         assert t == eng.now + 14
 
     def test_counters(self):
         eng = Engine()
-        port = CrossbarPort(eng, latency=10, packet_cycles=3)
-        port.send(lambda: None)
-        port.send(lambda: None)
-        assert port.packets == 2
-        assert port.busy_time == 6
+        xbar = Crossbar(eng, n_ports=1, latency=10, packet_cycles=3)
+        xbar.send(0, lambda: None)
+        xbar.send(0, lambda: None)
+        assert xbar.total_packets == 2
+        assert xbar.utilization(12) == pytest.approx(6 / 12)  # busy 6
 
 
 class TestCrossbar:

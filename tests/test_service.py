@@ -532,6 +532,21 @@ class TestHttpRoundTrip:
             assert err.value.message.startswith(
                 f"cannot reach http://127.0.0.1:{port}: ")
 
+    def test_wait_times_out_between_events(self, tmp_path):
+        # A running job is quiet for seconds between progress events; the
+        # deadline is checked on every heartbeat, not only on the next event.
+        svc, client, thread = _serving(tmp_path)
+        try:
+            job = client.submit("workload", {"apps": ["SD", "SB"],
+                                             "cycles": 150_000})["job"]
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.wait(job, timeout_s=0.5)
+            assert time.monotonic() - t0 < 1.5
+        finally:
+            svc.stop()
+            thread.join(timeout=10.0)
+
     def test_scenario_catalog_lists_registry(self, daemon):
         _, client = daemon
         rows = client.scenarios()

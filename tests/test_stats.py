@@ -74,10 +74,10 @@ class TestMemoryStatsIntegration:
 
     def test_demanded_banks_integral(self):
         ms = MemoryStats(2)
-        ms.demanded_changed(0, +1)
-        ms.demanded_changed(1, +1)
-        ms.advance(10)
-        ms.demanded_changed(0, -1)
+        for app in (0, 1):  # each app demands one bank from cycle 0
+            ms.on_enqueue(0, app, newly_demanded=True)
+            ms.on_bank_start(0, app)
+        ms.on_complete(10, 0, undemanded=True)  # app 0's bank freed at 10
         ms.advance(20)
         assert ms.apps[0].demanded_bank_integral == pytest.approx(10.0)
         assert ms.apps[1].demanded_bank_integral == pytest.approx(20.0)
