@@ -25,7 +25,9 @@ nine pairs of ten about once in a hundred times per shape, and must then
 also be ``BOUND`` slower in the median pair.
 
 The parent is a temporary ``git worktree`` of ``HEAD^`` unless ``--parent``
-names a checkout.  Exit status 1 names each failing shape.
+names a checkout.  Exit status 1 names each failing shape.  ^C or SIGTERM
+stops a run, removes its worktree and temporary directories, and exits
+non-zero.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import argparse
 import json
 import os
 import pathlib
+import signal
 import statistics
 import subprocess
 import sys
@@ -151,7 +154,13 @@ def compare(parent: pathlib.Path) -> list[str]:
     return failing
 
 
+def _terminated(signum: int, frame: object) -> None:
+    """SIGTERM unwinds like ^C, through every cleanup on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _terminated)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", metavar="DIR", type=pathlib.Path,
                    help="a checkout of the parent (default: a temporary "

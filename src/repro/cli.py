@@ -245,9 +245,8 @@ def _cmd_trace(args) -> int:
         export_chrome_trace,
         export_events_csv,
         export_html_report,
-        trace_summary,
     )
-    from repro.obs.inspect import RUN_SCHEMA, summarize_run
+    from repro.obs.inspect import run_manifest, summarize_run
 
     models = _check_run_args(args)
     formats = [f for f in args.format.split(",") if f]
@@ -293,15 +292,7 @@ def _cmd_trace(args) -> int:
 
         export_audit_json(obs.audit, out / "audit.json")
         files["audit"] = "audit.json"
-    manifest = {
-        "schema": RUN_SCHEMA,
-        "workload": res.to_dict(),
-        "trace": trace_summary(obs.tracer),
-        "metrics": obs.registry.snapshot(),
-        "files": files,
-    }
-    if obs.audit is not None:
-        manifest["audit"] = obs.audit.summary()
+    manifest = run_manifest(obs, res, files)
     durable.replace_text(
         out / "run.json", json.dumps(manifest, indent=1, sort_keys=True)
     )

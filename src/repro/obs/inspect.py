@@ -33,6 +33,7 @@ from typing import Any
 from repro import durable
 from repro.obs.bus import BUS_SCHEMA, SWEEP_SCHEMA, read_bus
 from repro.obs.diff import render_verdict
+from repro.obs.export import trace_summary
 from repro.obs.report import (
     audit_lines,
     event_table,
@@ -50,6 +51,22 @@ _STORE_RECORD_SCHEMA = "repro.store.record/1"
 _STORE_INDEX_SCHEMA = "repro.store.index/1"
 _DIFF_SCHEMA = "repro.obs.diff/1"
 _AUDIT_SCHEMA = "repro.obs.audit/1"
+
+
+def run_manifest(obs: Any, res: Any, files: dict[str, str]) -> dict[str, Any]:
+    """The ``run.json`` manifest of a recorded run: ``res``'s workload,
+    ``obs``'s trace summary, metrics and (when auditing) audit summary, and
+    the exported ``files`` (format → file name)."""
+    manifest = {
+        "schema": RUN_SCHEMA,
+        "workload": res.to_dict(),
+        "trace": trace_summary(obs.tracer),
+        "metrics": obs.registry.snapshot(),
+        "files": files,
+    }
+    if obs.audit is not None:
+        manifest["audit"] = obs.audit.summary()
+    return manifest
 
 
 def summarize_run(manifest: dict[str, Any]) -> str:

@@ -11,9 +11,6 @@ construct it with a :class:`~repro.obs.registry.MetricsRegistry` and/or an
 as registry gauges/histograms and Chrome counter events, so the HTML run
 report, the Perfetto counter tracks, and the CSV export all describe the
 same recording.
-
-(Moved here from ``repro.harness.telemetry``; the deprecated import shim
-has been removed — ``repro.harness`` still re-exports both names.)
 """
 
 from __future__ import annotations

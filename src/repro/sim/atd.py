@@ -21,7 +21,7 @@ class AuxTagDirectory:
 
     __slots__ = (
         "assoc", "n_sets", "_sampled", "_sets", "sample_fraction",
-        "sampled_contention_misses", "sampled_accesses",
+        "sampled_contention_misses",
     )
 
     def __init__(self, n_sets: int, assoc: int, sample_sets: int) -> None:
@@ -38,7 +38,6 @@ class AuxTagDirectory:
         }
         self.sample_fraction = len(chosen) / n_sets
         self.sampled_contention_misses = 0
-        self.sampled_accesses = 0
 
     def is_sampled(self, cache_set: int) -> bool:
         return cache_set in self._sampled
@@ -53,7 +52,6 @@ class AuxTagDirectory:
         s = self._sampled.get(cache_set)
         if s is None:
             return False
-        self.sampled_accesses += 1
         atd_hit = tag in s
         if atd_hit:
             s.move_to_end(tag)
@@ -73,4 +71,3 @@ class AuxTagDirectory:
     def reset_counters(self) -> None:
         """Clear per-interval counters (tag state persists across intervals)."""
         self.sampled_contention_misses = 0
-        self.sampled_accesses = 0

@@ -8,25 +8,8 @@ is the *shared cache interference* term of the DASE model (Eq. 11).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 from repro.config import CacheConfig
-
-
-@dataclass(slots=True)
-class CacheStats:
-    """Per-application access counters for one cache slice."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
 
 
 class SetAssocCache:
@@ -36,9 +19,12 @@ class SetAssocCache:
     ordering encodes recency (last item = MRU).  Storing the owner lets the
     eviction path report *who displaced whom*, which tests use to validate
     contention accounting.
+
+    ``SM._burst_done`` (L1) and ``MemoryPartition.access`` (L2) inline
+    :meth:`access` and count its hits and misses in the per-app counters.
     """
 
-    __slots__ = ("config", "_sets", "_assoc", "stats")
+    __slots__ = ("config", "_sets", "_assoc")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
@@ -46,7 +32,6 @@ class SetAssocCache:
         self._sets: list[OrderedDict[int, int]] = [
             OrderedDict() for _ in range(config.n_sets)
         ]
-        self.stats: dict[int, CacheStats] = {}
 
     def access(self, cache_set: int, tag: int, app: int) -> bool:
         """Look up (and on miss, fill) a line.  Returns True on hit.
@@ -57,22 +42,17 @@ class SetAssocCache:
         bandwidth slightly.
         """
         s = self._sets[cache_set]
-        st = self.stats.get(app)
-        if st is None:
-            st = self.stats[app] = CacheStats()
         if tag in s:
             s.move_to_end(tag)
             s[tag] = app
-            st.hits += 1
             return True
-        st.misses += 1
         if len(s) >= self._assoc:
             s.popitem(last=False)  # evict LRU
         s[tag] = app
         return False
 
     def contains(self, cache_set: int, tag: int) -> bool:
-        """Non-destructive presence probe (no LRU update, no counters)."""
+        """Non-destructive presence probe (no LRU update)."""
         return tag in self._sets[cache_set]
 
     def occupancy_by_app(self) -> dict[int, int]:

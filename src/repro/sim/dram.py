@@ -30,7 +30,7 @@ from repro.config import GPUConfig
 from repro.obs.tracer import TID_BANK_BASE, TID_PART_BASE
 from repro.sim.address import DecodedAddress
 from repro.sim.atd import AuxTagDirectory
-from repro.sim.cache import CacheStats, SetAssocCache
+from repro.sim.cache import SetAssocCache
 from repro.sim.engine import Engine
 from repro.sim.stats import MemoryStats
 
@@ -102,7 +102,6 @@ class MemoryPartition:
         self._rr_next = 0
 
         self._seq = 0
-        self._queued_total = 0  # running Σ len(bank_queues): O(1) telemetry
         self._req_pool: list[DramRequest] = []  # DramRequest free-list
         # Controller issue-slot management (mc_issue_gap).
         self.next_issue_at = 0
@@ -150,17 +149,11 @@ class MemoryPartition:
         # memory-path function and the call layer is measurable.
         l2 = self.l2
         s = l2._sets[cache_set]
-        cstats = l2.stats
-        st = cstats.get(app)
-        if st is None:
-            st = cstats[app] = CacheStats()
         if tag in s:
             s.move_to_end(tag)
             s[tag] = app
-            st.hits += 1
             hit = True
         else:
-            st.misses += 1
             if len(s) >= l2._assoc:
                 s.popitem(last=False)
             s[tag] = app
@@ -203,7 +196,6 @@ class MemoryPartition:
         bank = req.addr.bank
         self.bank_queues[bank].append(req)
         self._queued_per_app[bank][req.app] += 1
-        self._queued_total += 1
         if self._trace is not None:
             self._trace.instant(
                 "dram.enqueue", self.engine.now, req.app, self._part_tid,
@@ -359,7 +351,6 @@ class MemoryPartition:
         addr = req.addr
         row = addr.row
         self._queued_per_app[bank][app] -= 1
-        self._queued_total -= 1
         now = self.engine.now
         stats = self.stats
         mem = stats.apps[app]
@@ -456,13 +447,13 @@ class MemoryPartition:
         self.priority_app = app
 
     def queue_length(self) -> int:
-        """Waiting requests across all bank queues (O(1) running counter)."""
-        return self._queued_total
+        """Waiting requests across all bank queues (0 after :meth:`close`)."""
+        return sum(map(len, self.bank_queues))
 
     def close(self) -> None:
         """Drop queued requests and the cached bound methods that make this
-        partition reference itself (see :meth:`GPU.close`); ``busy_time``,
-        the L2 statistics and ``queue_length()`` stay readable."""
+        partition reference itself (see :meth:`GPU.close`); ``busy_time``
+        and the per-app counters in ``stats`` stay readable."""
         for queue in self.bank_queues:
             queue.clear()
         self._req_pool.clear()

@@ -31,7 +31,7 @@ class Crossbar:
 
     __slots__ = (
         "engine", "_schedule", "latency", "packet_cycles",
-        "_free_at", "_packets", "_busy_time", "_trace", "_trace_pid",
+        "_free_at", "_busy_time", "_trace", "_trace_pid",
     )
 
     def __init__(
@@ -40,12 +40,13 @@ class Crossbar:
     ) -> None:
         if n_ports < 1:
             raise ValueError("need at least one port")
+        if packet_cycles < 1:
+            raise ValueError("a packet occupies its port for at least a cycle")
         self.engine = engine
         self._schedule = engine.schedule  # cached bound method (hot path)
         self.latency = latency
         self.packet_cycles = packet_cycles
         self._free_at = [0] * n_ports
-        self._packets = [0] * n_ports
         self._busy_time = [0] * n_ports
         # Observability (repro.obs.EventTracer or None); ``trace_pid`` names
         # this crossbar's direction in the exported trace.  Disabled path is
@@ -66,7 +67,6 @@ class Crossbar:
         free_at = free_list[port]
         start = now if now > free_at else free_at
         free_list[port] = free_at = start + packet_cycles
-        self._packets[port] += 1
         self._busy_time[port] += packet_cycles
         arrival = free_at + self.latency
         if self._trace is not None:
@@ -87,4 +87,5 @@ class Crossbar:
 
     @property
     def total_packets(self) -> int:
-        return sum(self._packets)
+        """Packets sent: every one occupied its port for ``packet_cycles``."""
+        return sum(self._busy_time) // self.packet_cycles

@@ -20,6 +20,7 @@ kernels never share data, only hardware.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from array import array
 from bisect import bisect_left
@@ -97,8 +98,7 @@ class KernelSpec:
     # register/shared-memory pressure; low values make the kernel
     # latency-sensitive because TLP can no longer hide memory time)
     phases: tuple[KernelPhase, ...] = ()  # phase schedule partitioning
-    # insts_per_warp; empty = stationary behaviour (the bit-identical
-    # pre-phase path — see _stationary_steps)
+    # insts_per_warp; empty = stationary, one implicit phase (see schedule)
 
     def __post_init__(self) -> None:
         if self.compute_per_mem < 0:
@@ -125,6 +125,12 @@ class KernelSpec:
                     f"phases cover {covered} instructions but the warp "
                     f"budget is {self.insts_per_warp}"
                 )
+
+    @functools.cached_property
+    def schedule(self) -> tuple[KernelPhase, ...]:
+        """The phases a warp steps through: ``phases``, or one implicit
+        phase covering the whole budget.  Built once per spec."""
+        return self.phases or (KernelPhase(self.insts_per_warp),)
 
     @property
     def mem_fraction(self) -> float:
@@ -159,152 +165,85 @@ def stream_bases(
     return base, region & ~1
 
 
-def _stationary_steps(
+def _steps(
     spec: KernelSpec, rng: random.Random, hot_base: int, region_base: int,
     line_bytes: int,
 ) -> Iterator[tuple[int, list[int], bool]]:
-    """Endless (burst, byte addresses, is_store) steps of a stationary warp.
+    """Endless (burst, byte addresses, is_store) steps of one warp.
 
-    Every knob is bound to a local once, so a step costs little beyond its
-    RNG draws.  Past the budget the cap holds every burst at zero.
+    The mix knobs come from the phase owning the step and are bound to
+    locals once per phase, so a step costs little beyond its RNG draws.
+    Each compute burst is capped by the instructions its phase has left,
+    so the step's memory instruction stays inside the phase: a step never
+    straddles a declared phase boundary, which is what conserves the
+    per-warp instruction total exactly for every split of the budget.  The
+    last phase's remainder is the warp's; past it the cap holds every
+    burst at zero.
     """
     uniform = rng.uniform
     rand = rng.random
     randrange = rng.randrange
-    remaining = spec.insts_per_warp
-
-    mean = spec.compute_per_mem
-    draw_burst = mean > 0
-    jitter = spec.burst_jitter
-    lo = max(0.0, mean * (1.0 - jitter))
-    hi = mean * (1.0 + jitter)
-    sf = spec.store_fraction
-    wf = spec.wide_fraction
-    rf = spec.reuse_fraction
-    n_acc = spec.accesses_per_mem_inst
-    pattern_random = spec.pattern is AccessPattern.RANDOM
-    hot_lines = spec.hot_set_lines
-    ws_lines = spec.working_set_lines
-    stride = spec.stride_lines
-    cursor = 0
-
-    while True:
-        # Compute burst: drawn, then capped to leave room for the memory
-        # instruction that ends the step.
-        if draw_burst:
-            burst = int(round(uniform(lo, hi)))
-        else:
-            burst = 0
-        cap = remaining - 1
-        if cap < 0:
-            cap = 0
-        if burst > cap:
-            burst = cap
-        remaining -= burst
-        # Memory instruction: store flag, then one or more addresses.
-        # A *wide* access (``wide_fraction``) touches two consecutive
-        # lines aligned to one interleave granule, so both land in the
-        # same partition and DRAM row and are outstanding together —
-        # the FR-FCFS controller then serves the second as a row hit.
-        is_store = sf > 0.0 and rand() < sf
-        remaining -= 1
-        out: list[int] = []
-        for _ in range(n_acc):
-            wide = wf > 0.0 and rand() < wf
-            if rf > 0.0 and rand() < rf:
-                line = hot_base + randrange(hot_lines)
-                wide = False  # hot-set lines are cache-resident singles
-            elif pattern_random:
-                line = region_base + randrange(ws_lines)
-                if wide:
-                    line &= ~1
-            else:  # STREAM / STRIDED
-                if wide:
-                    cursor = (cursor + 1) & ~1  # granule-align
-                line = region_base + cursor
-                cursor += 2 if wide else stride
-            out.append(line * line_bytes)
-            if wide:
-                out.append((line + 1) * line_bytes)
-        yield burst, out, is_store
-
-
-def _phased_steps(
-    spec: KernelSpec, rng: random.Random, hot_base: int, region_base: int,
-    line_bytes: int,
-) -> Iterator[tuple[int, list[int], bool]]:
-    """Phase-aware steps: same step shape as :func:`_stationary_steps`,
-    but the mix knobs come from the phase owning the step, and the
-    compute burst is additionally clamped so the step's memory
-    instruction stays inside the current phase — a step never straddles
-    a declared phase boundary, which is what conserves the per-warp
-    instruction total exactly for every split of the budget."""
-    uniform = rng.uniform
-    rand = rng.random
-    randrange = rng.randrange
-    remaining = spec.insts_per_warp
-    phases = spec.phases
-    pidx = 0
-    prem = phases[0].insts
-
     jitter = spec.burst_jitter
     n_acc = spec.accesses_per_mem_inst
     hot_lines = spec.hot_set_lines
     ws_lines = spec.working_set_lines
     stride = spec.stride_lines
     cursor = 0
+    phases = spec.schedule
+    last = len(phases) - 1
 
-    while True:
-        while prem <= 0 and pidx + 1 < len(phases):
-            pidx += 1
-            prem = phases[pidx].insts
-        ph = phases[pidx]
+    for i, ph in enumerate(phases):
         mean = (spec.compute_per_mem if ph.compute_per_mem is None
                 else ph.compute_per_mem)
-        sf = (spec.store_fraction if ph.store_fraction is None
-              else ph.store_fraction)
-        wf = (spec.wide_fraction if ph.wide_fraction is None
-              else ph.wide_fraction)
-        rf = (spec.reuse_fraction if ph.reuse_fraction is None
-              else ph.reuse_fraction)
+        draw_burst = mean > 0
+        lo = max(0.0, mean * (1.0 - jitter))
+        hi = mean * (1.0 + jitter)
+        sf = spec.store_fraction if ph.store_fraction is None else ph.store_fraction
+        wf = spec.wide_fraction if ph.wide_fraction is None else ph.wide_fraction
+        rf = spec.reuse_fraction if ph.reuse_fraction is None else ph.reuse_fraction
         pattern = spec.pattern if ph.pattern is None else ph.pattern
         pattern_random = pattern is AccessPattern.RANDOM
+        final = i == last
+        left = ph.insts
 
-        if mean > 0:
-            burst = int(round(
-                uniform(max(0.0, mean * (1.0 - jitter)),
-                        mean * (1.0 + jitter))
-            ))
-        else:
-            burst = 0
-        cap = (remaining if remaining < prem else prem) - 1
-        if cap < 0:
-            cap = 0
-        if burst > cap:
-            burst = cap
-        remaining -= burst + 1
-        prem -= burst + 1
-
-        is_store = sf > 0.0 and rand() < sf
-        out: list[int] = []
-        for _ in range(n_acc):
-            wide = wf > 0.0 and rand() < wf
-            if rf > 0.0 and rand() < rf:
-                line = hot_base + randrange(hot_lines)
-                wide = False
-            elif pattern_random:
-                line = region_base + randrange(ws_lines)
+        while left > 0 or final:
+            # Compute burst: drawn, then capped to leave room for the
+            # memory instruction that ends the step.
+            if draw_burst:
+                burst = int(round(uniform(lo, hi)))
+            else:
+                burst = 0
+            cap = left - 1
+            if cap < 0:
+                cap = 0
+            if burst > cap:
+                burst = cap
+            left -= burst + 1
+            # Memory instruction: store flag, then one or more addresses.
+            # A *wide* access (``wide_fraction``) touches two consecutive
+            # lines aligned to one interleave granule, so both land in the
+            # same partition and DRAM row and are outstanding together —
+            # the FR-FCFS controller then serves the second as a row hit.
+            is_store = sf > 0.0 and rand() < sf
+            out: list[int] = []
+            for _ in range(n_acc):
+                wide = wf > 0.0 and rand() < wf
+                if rf > 0.0 and rand() < rf:
+                    line = hot_base + randrange(hot_lines)
+                    wide = False  # hot-set lines are cache-resident singles
+                elif pattern_random:
+                    line = region_base + randrange(ws_lines)
+                    if wide:
+                        line &= ~1
+                else:  # STREAM / STRIDED
+                    if wide:
+                        cursor = (cursor + 1) & ~1  # granule-align
+                    line = region_base + cursor
+                    cursor += 2 if wide else stride
+                out.append(line * line_bytes)
                 if wide:
-                    line &= ~1
-            else:  # STREAM / STRIDED
-                if wide:
-                    cursor = (cursor + 1) & ~1
-                line = region_base + cursor
-                cursor += 2 if wide else stride
-            out.append(line * line_bytes)
-            if wide:
-                out.append((line + 1) * line_bytes)
-        yield burst, out, is_store
+                    out.append((line + 1) * line_bytes)
+            yield burst, out, is_store
 
 
 class WarpStream:
@@ -317,8 +256,7 @@ class WarpStream:
 
     A step — compute burst, then one memory instruction — is generated only
     when the SM asks for it, by one generator per warp
-    (:func:`_stationary_steps`, or :func:`_phased_steps` for a phase
-    schedule): :meth:`next_compute_burst` pulls the next step and
+    (:func:`_steps`): :meth:`next_compute_burst` pulls the next step and
     :meth:`next_mem_access` consumes it.  A warp cut off by the end of a run
     window has drawn at most the step it was issuing, and the stream of
     (burst, addresses, is_store) values is the draw-for-draw stepwise
@@ -342,9 +280,8 @@ class WarpStream:
     ) -> None:
         self.spec = spec
         self.remaining_insts = spec.insts_per_warp
-        steps = _phased_steps if spec.phases else _stationary_steps
         # Streaming regions start past the hot set (see stream_bases).
-        self._steps = steps(
+        self._steps = _steps(
             spec,
             random.Random(stream_seed(seed, app_index, block_id, warp_id)),
             *stream_bases(spec, app_index, block_id, warp_id),

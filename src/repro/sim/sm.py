@@ -17,7 +17,7 @@ import heapq
 from typing import TYPE_CHECKING, Callable
 
 from repro.config import GPUConfig
-from repro.sim.cache import CacheStats, SetAssocCache
+from repro.sim.cache import SetAssocCache
 from repro.sim.engine import Engine
 from repro.sim.kernel import WarpStream
 
@@ -96,10 +96,6 @@ class SM:
         self._gen = 0  # generation token for lazy event invalidation
         self._blocked = 0  # resident warps waiting on memory
 
-        # α accounting (owned-app attribution happens at advance time).
-        self.busy_time = 0.0
-        self.stall_time = 0.0
-
         # Private L1 data cache (Table 2), invalidated on ownership change.
         self.l1: SetAssocCache | None = (
             SetAssocCache(config.l1) if config.l1_enabled else None
@@ -142,11 +138,9 @@ class SM:
             return
         if self._n_active > 0:
             self._V += dt * self._issue_width / self._n_active
-            self.busy_time += dt
             if self.app is not None:
                 self.gpu.sm_counters[self.app].busy_time += dt
         elif self._blocked > 0:
-            self.stall_time += dt
             if self.app is not None:
                 self.gpu.sm_counters[self.app].stall_time += dt
                 if self._trace is not None:
@@ -245,10 +239,6 @@ class SM:
             set_bits = self._l1_set_bits
             l1_sets = l1._sets
             assoc = l1._assoc
-            cstats = l1.stats
-            st = cstats.get(app)
-            if st is None:
-                st = cstats[app] = CacheStats()
             misses = []
             for addr in addresses:
                 line = addr >> line_shift
@@ -257,10 +247,8 @@ class SM:
                 if tag in s:
                     s.move_to_end(tag)
                     s[tag] = app
-                    st.hits += 1
                     counters.l1_hits += 1
                 else:
-                    st.misses += 1
                     if len(s) >= assoc:
                         s.popitem(last=False)
                     s[tag] = app

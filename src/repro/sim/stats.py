@@ -9,11 +9,32 @@ paper's "reset all counters at the beginning of each estimation interval".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from typing import TypeVar
+
+_C = TypeVar("_C", bound="_Counters")
+
+
+class _Counters:
+    """Snapshot and difference, field by field, of a counter dataclass."""
+
+    __slots__ = ()
+
+    def snapshot(self: _C) -> _C:
+        return replace(self)
+
+    def delta(self: _C, earlier: _C) -> _C:
+        """Counter increments since ``earlier`` (an older snapshot)."""
+        return type(self)(
+            **{
+                f.name: getattr(self, f.name) - getattr(earlier, f.name)
+                for f in fields(self)
+            }
+        )
 
 
 @dataclass(slots=True)
-class AppMemCounters:
+class AppMemCounters(_Counters):
     """Monotonic per-application memory-system counters.
 
     Slotted: the memory path bumps several of these per DRAM request, and
@@ -33,20 +54,6 @@ class AppMemCounters:
     executing_bank_integral: float = 0.0  # ∫ #banks executing i
     outstanding_time: float = 0.0  # ∫ [i has ≥1 outstanding DRAM request]
 
-    def snapshot(self) -> "AppMemCounters":
-        return AppMemCounters(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    def delta(self, earlier: "AppMemCounters") -> "AppMemCounters":
-        """Counter increments since ``earlier`` (an older snapshot)."""
-        return AppMemCounters(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
-
 
 class MemoryStats:
     """Shared time-integrator across all memory partitions.
@@ -65,9 +72,6 @@ class MemoryStats:
         self._outstanding = [0] * n_apps  # DRAM requests in flight (all parts)
         self._executing = [0] * n_apps  # banks currently servicing app
         self._demanded = [0] * n_apps  # (partition, bank) pairs demanded
-        # Partition busy-time accounting (for the Fig. 2b decomposition):
-        self._active_banks_total = 0
-        self.busy_time = 0.0  # ∫ [any bank active anywhere]
 
     def advance(self, now: int) -> None:
         dt = now - self._last_t
@@ -82,8 +86,6 @@ class MemoryStats:
                 app.outstanding_time += dt
             app.demanded_bank_integral += dt * demanded[i]
             app.executing_bank_integral += dt * executing[i]
-        if self._active_banks_total > 0:
-            self.busy_time += dt
 
     # --- hot-path transitions (advance + mutate, one call per DRAM event) --
     #
@@ -104,14 +106,12 @@ class MemoryStats:
         if self._last_t < now:
             self.advance(now)
         self._executing[app] += 1
-        self._active_banks_total += 1
 
     def on_complete(self, now: int, app: int, undemanded: bool) -> None:
         """A request finished (data left the bus) at ``now``."""
         if self._last_t < now:
             self.advance(now)
         self._executing[app] -= 1
-        self._active_banks_total -= 1
         self._outstanding[app] -= 1
         if undemanded:
             self._demanded[app] -= 1
@@ -124,7 +124,7 @@ class MemoryStats:
 
 
 @dataclass(slots=True)
-class AppSMCounters:
+class AppSMCounters(_Counters):
     """Per-application SM-side counters (α and instruction throughput)."""
 
     instructions: int = 0  # issued instructions (compute + memory)
@@ -133,19 +133,6 @@ class AppSMCounters:
     sm_time: float = 0.0  # Σ over SMs of wall-clock cycles assigned
     l1_hits: int = 0  # private L1 data-cache hits
     l1_misses: int = 0
-
-    def snapshot(self) -> "AppSMCounters":
-        return AppSMCounters(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-
-    def delta(self, earlier: "AppSMCounters") -> "AppSMCounters":
-        return AppSMCounters(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
 
     @property
     def alpha(self) -> float:

@@ -42,7 +42,6 @@ def test_unsampled_sets_ignored():
     unsampled = next(s for s in range(64) if not atd.is_sampled(s))
     atd.observe(unsampled, 1, shared_hit=False)
     atd.observe(unsampled, 1, shared_hit=False)
-    assert atd.sampled_accesses == 0
     assert atd.sampled_contention_misses == 0
 
 

@@ -67,6 +67,12 @@ class TestCrossbar:
         assert xbar.utilization(20) == pytest.approx(10 / 40)
         assert xbar.total_packets == 1
 
+    def test_zero_packet_cycles_rejected(self):
+        # total_packets is read off the ports' busy time, one packet per
+        # packet_cycles of it, so a packet must occupy its port.
+        with pytest.raises(ValueError):
+            Crossbar(Engine(), n_ports=1, latency=20, packet_cycles=0)
+
     def test_zero_ports_rejected(self):
         with pytest.raises(ValueError):
             Crossbar(Engine(), 0, 1, 1)

@@ -4,11 +4,16 @@ Hypothesis generates random kernel mixes and partitionings; every run must
 satisfy conservation and accounting laws regardless of the workload.
 """
 
+from collections import Counter
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import GPUConfig
+from repro.obs import Observation
+from repro.obs.tracer import PID_ICNT_REPLY, PID_ICNT_REQUEST
 from repro.sim.gpu import GPU
 from repro.sim.kernel import AccessPattern, KernelSpec
+from repro.workloads.suite import SUITE
 
 CFG = GPUConfig(n_sms=4, n_partitions=2, interval_cycles=4_000)
 
@@ -143,3 +148,28 @@ def test_property_interval_records_partition_time(kernels):
             assert rec.tb_running >= 0
             assert rec.tb_unfinished >= rec.tb_running or rec.tb_unfinished >= 0
             assert rec.ellc_miss >= 0.0
+
+
+def test_traced_counters_count_each_event_once():
+    """A counter that is an event's only count counts it exactly once: in a
+    traced SD+SB run whose ring drops nothing, each app's L2 hits and misses
+    are its ``l2.probe`` events split by their ``hit`` arg, and each
+    crossbar's packets are its ``icnt.pkt`` events."""
+    obs = Observation()
+    gpu = GPU(GPUConfig(interval_cycles=5_000), [SUITE["SD"], SUITE["SB"]],
+              obs=obs)
+    gpu.run(20_000)
+    assert obs.tracer.dropped == 0
+    probes: Counter = Counter()
+    packets: Counter = Counter()
+    for _ts, _ph, name, pid, _tid, _dur, args in obs.tracer.events():
+        if name == "l2.probe":
+            probes[pid, args["hit"]] += 1
+        elif name == "icnt.pkt":
+            packets[pid] += 1
+    for app in range(gpu.n_apps):
+        m = gpu.mem_stats.apps[app]
+        assert (m.l2_hits, m.l2_misses) == (probes[app, 1], probes[app, 0])
+        assert m.l2_misses > 0
+    assert gpu.xbar_request.total_packets == packets[PID_ICNT_REQUEST] > 0
+    assert gpu.xbar_reply.total_packets == packets[PID_ICNT_REPLY] > 0

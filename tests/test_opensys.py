@@ -157,9 +157,25 @@ class TestKernelPhases:
         stream = WarpStream(spec, 0, 0, 0, seed=7, line_bytes=128)
         assert _drain(stream) == spec.insts_per_warp
 
+    def test_one_phase_object_repeated(self):
+        # The same KernelPhase instance may appear more than once; only the
+        # schedule's last position holds the warp's remainder.
+        a = KernelPhase(insts=80, compute_per_mem=0.0)
+        b = KernelPhase(insts=80, compute_per_mem=9.0)
+        shared = WarpStream(_spec(phases=(a, b, a)), 0, 0, 0, seed=7,
+                            line_bytes=128)
+        fresh = WarpStream(
+            _spec(phases=(a, b, KernelPhase(insts=80, compute_per_mem=0.0))),
+            0, 0, 0, seed=7, line_bytes=128)
+        while not fresh.done:
+            assert shared.next_compute_burst() == fresh.next_compute_burst()
+            assert shared.next_mem_access() == fresh.next_mem_access()
+        assert shared.done
+
     def test_single_full_phase_is_bit_identical_to_stationary(self):
-        """A single phase with no overrides must reproduce the stationary
-        fast path step for step — same RNG draws, same addresses."""
+        """A single phase with no overrides must reproduce the spec with no
+        phases (one implicit phase) step for step — same RNG draws, same
+        addresses."""
         plain = _spec()
         phased = _spec(phases=(KernelPhase(insts=plain.insts_per_warp),))
         a = WarpStream(plain, 0, 0, 0, seed=11, line_bytes=128)

@@ -144,9 +144,8 @@ def _stdout(fn, *args) -> str:
 def traced() -> dict[str, str]:
     """One short audited SD+SB run: the five CSVs and its summaries."""
     from repro.harness import run_workload, scaled_config
-    from repro.obs import Observation, trace_summary
+    from repro.obs import Observation
     from repro.obs.export import events_csv
-    from repro.obs.inspect import RUN_SCHEMA
     from repro.policies import DASEFairPolicy
 
     obs = Observation(audit=True, trace_capacity=TRACED_CAPACITY)
@@ -155,15 +154,9 @@ def traced() -> dict[str, str]:
         models=("DASE", "MISE", "ASM"),
         policy=DASEFairPolicy(scaled_config(), dry_run=True), trace=obs,
     )
-    manifest = json.loads(json.dumps({
-        "schema": RUN_SCHEMA,
-        "workload": res.to_dict(),
-        "trace": trace_summary(obs.tracer),
-        "metrics": obs.registry.snapshot(),
-        "files": {"chrome": "trace.json", "csv": "events.csv",
-                  "html": "report.html", "audit": "audit.json"},
-        "audit": obs.audit.summary(),
-    }))
+    manifest = json.loads(json.dumps(ins.run_manifest(obs, res, {
+        "chrome": "trace.json", "csv": "events.csv", "html": "report.html",
+        "audit": "audit.json"})))
     audit = json.loads(json.dumps(obs.audit.to_dict()))
     return {
         "telemetry.csv": obs.telemetry.to_csv(),

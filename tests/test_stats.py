@@ -82,17 +82,6 @@ class TestMemoryStatsIntegration:
         assert ms.apps[0].demanded_bank_integral == pytest.approx(10.0)
         assert ms.apps[1].demanded_bank_integral == pytest.approx(20.0)
 
-    def test_busy_time_any_bank(self):
-        ms = MemoryStats(2)
-        ms.on_enqueue(0, 0, True)
-        ms.on_bank_start(0, 0)
-        ms.on_enqueue(5, 1, True)
-        ms.on_bank_start(5, 1)
-        ms.on_complete(12, 0, True)
-        ms.on_complete(12, 1, True)
-        ms.advance(20)
-        assert ms.busy_time == pytest.approx(12.0)
-
     def test_advance_is_idempotent_at_same_time(self):
         ms = MemoryStats(1)
         ms.on_enqueue(0, 0, True)
